@@ -20,7 +20,7 @@ import sys
 import traceback
 from importlib import resources
 
-from .harness import load_report, run_scenario, summarize_report, write_report
+from .harness import dump_report, load_report, run_scenario, summarize_report, write_report
 from .scenario import ScenarioError, parse_scenario, parse_scenario_dict
 
 __all__ = ["DEMOS", "main"]
@@ -125,8 +125,7 @@ def _cmd_run(args) -> int:
         write_report(report, args.out)
         print(summarize_report(report))
     else:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        print()
+        dump_report(report, sys.stdout)
     return 0
 
 
@@ -145,8 +144,8 @@ def _cmd_report(args) -> int:
         report = load_report(args.report_file)
     except FileNotFoundError:
         raise ScenarioError(f"report file not found: {args.report_file}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{args.report_file}: not a report file ({exc.msg})") from None
+    except ValueError as exc:  # malformed JSON or a non-finite number
+        raise ScenarioError(f"{args.report_file}: not a report file ({exc})") from None
     print(summarize_report(report))
     return 0
 

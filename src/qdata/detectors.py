@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import threading
 import zlib
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,6 +282,7 @@ def ensemble_signalling_test(
 # null-threshold calibration for tomography-based detectors
 
 _calibration_lock = threading.Lock()
+# budget key -> Future of (threshold, spread); the first caller computes it
 _calibration_cache: dict = {}
 
 
@@ -289,22 +291,34 @@ def _calibrated_null(key: str, statistic_fn) -> tuple:
 
     statistic_fn(identity_box, stream) -> float is evaluated over
     NULL_REPLICATIONS independent streams derived from the fixed calibration
-    seed, so thresholds depend only on the budget key.
+    seed, so thresholds depend only on the budget key.  Each key is computed
+    once: concurrent callers of a key wait for the first one, while
+    different keys calibrate in parallel.  A failed calibration is not
+    cached; its waiters see the error and a later call computes afresh.
     """
     with _calibration_lock:
-        if key in _calibration_cache:
-            return _calibration_cache[key]
-    identity_box = LinearBox(QuantumChannel.identity(2))
-    root = RngStream(CALIBRATION_SEED, zlib.crc32(key.encode()))
-    stats = np.array(
-        [statistic_fn(identity_box, root.child(rep)) for rep in range(NULL_REPLICATIONS)]
-    )
-    result = (
-        float(np.quantile(stats, NULL_QUANTILE)),
-        float(np.std(stats, ddof=1)),
-    )
-    with _calibration_lock:
-        _calibration_cache[key] = result
+        pending = _calibration_cache.get(key)
+        owner = pending is None
+        if owner:
+            pending = _calibration_cache[key] = Future()
+    if not owner:
+        return pending.result()
+    try:
+        identity_box = LinearBox(QuantumChannel.identity(2))
+        root = RngStream(CALIBRATION_SEED, zlib.crc32(key.encode()))
+        stats = np.array(
+            [statistic_fn(identity_box, root.child(rep)) for rep in range(NULL_REPLICATIONS)]
+        )
+        result = (
+            float(np.quantile(stats, NULL_QUANTILE)),
+            float(np.std(stats, ddof=1)),
+        )
+    except BaseException as exc:
+        with _calibration_lock:
+            del _calibration_cache[key]
+        pending.set_exception(exc)
+        raise
+    pending.set_result(result)
     return result
 
 

@@ -3,15 +3,17 @@
 Every (cell, detector) pair runs on its own random stream derived by a
 stable 64-bit mix of (master seed, cell index, detector index), so reports
 are byte-identical for any thread count and any execution order.  Failures
-are captured per cell; sibling cells always complete.  Reports are plain
+are captured per cell; sibling cells always complete.  Reports are strict
 JSON with sorted keys, complex matrices flattened row-major as [re, im]
-pairs, and a schema version that bumps on any breaking change.
+pairs, non-finite numbers (an undefined standard error) as null, and a
+schema version that bumps on any breaking change.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,9 +44,16 @@ from .tomography import (
     process_tomography_direct,
 )
 
-__all__ = ["SCHEMA_VERSION", "run_scenario", "write_report", "load_report", "summarize_report"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "run_scenario",
+    "dump_report",
+    "write_report",
+    "load_report",
+    "summarize_report",
+]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # child index reserved for report-only reconstructions, clear of any
 # per-delta or per-stage indices a detector uses internally
@@ -60,24 +69,29 @@ def _flat_complex(matrix: np.ndarray) -> dict:
 
 
 def _json_safe(value):
+    """Plain JSON values; a NaN or infinite float becomes None (null)."""
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
 def _verdict_dict(v: TestVerdict) -> dict:
-    return {
-        "statistic": float(v.statistic),
-        "threshold": float(v.threshold),
-        "std_error": float(v.std_error),
-        "n_trials": int(v.n_trials),
-        "verdict": v.verdict,
-        "extras": _json_safe(v.extras) if v.extras is not None else {},
-    }
+    return _json_safe(
+        {
+            "statistic": float(v.statistic),
+            "threshold": float(v.threshold),
+            "std_error": float(v.std_error),
+            "n_trials": int(v.n_trials),
+            "verdict": v.verdict,
+            "extras": v.extras if v.extras is not None else {},
+        }
+    )
 
 
 def _params_dict(params: ClassicalParams) -> dict:
@@ -266,16 +280,29 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     }
 
 
+def dump_report(report: dict, fh) -> None:
+    """Serialize a report as strict JSON (sorted keys, fixed layout).
+
+    Raises ValueError rather than write NaN or Infinity, which are not JSON.
+    """
+    json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
+
+
 def write_report(report: dict, path) -> None:
-    """Serialize a report deterministically (sorted keys, fixed layout)."""
+    """Write a report file with :func:`dump_report`."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        dump_report(report, fh)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
 
 
 def load_report(path) -> dict:
+    """Read a report file; NaN and Infinity are rejected (ValueError)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def summarize_report(report: dict) -> str:

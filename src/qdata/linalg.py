@@ -203,14 +203,25 @@ def haar_random_unitary(dim: int, rng: RngStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
+_hermitian_bases: dict = {}
+
+
+def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
     """Orthonormal Hermitian operator basis (Hilbert-Schmidt inner product).
 
     Element 0 is ``I/sqrt(dim)``; the remaining ``dim**2 - 1`` elements are
     traceless (normalized generalized Gell-Mann matrices).  For ``dim == 2``
-    these are the Pauli matrices over ``sqrt(2)``.
+    these are the Pauli matrices over ``sqrt(2)``.  The basis is built once
+    per dimension and shared: its arrays are read-only.
     """
-    _check_dim(dim)
+    basis = _hermitian_bases.get(dim)
+    if basis is None:
+        _check_dim(dim)
+        basis = _hermitian_bases.setdefault(dim, _build_hermitian_basis(dim))
+    return basis
+
+
+def _build_hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
     basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -226,7 +237,9 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
         diag[:k] = 1.0
         diag[k] = -k
         basis.append(np.diag(diag) / np.sqrt(k * (k + 1)))
-    return basis
+    for element in basis:
+        element.flags.writeable = False
+    return tuple(basis)
 
 
 def rotation_y(angle: float) -> np.ndarray:

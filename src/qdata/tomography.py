@@ -7,12 +7,22 @@ state reconstructions by recovering the channel's action on the operator
 units |i><j|.  A reconstructed Choi matrix is never projected onto the CPTP
 set: deviations from it are exactly the signals the detectors feed on, so
 the distance is recorded in ``cptp_residual`` instead.
+
+The linear maps are compiled once and reused.  The design matrix of a set
+of effects and its rank are cached by content (dimension plus effect
+bytes), so a measurement set or probe basis rebuilt from equal arrays hits
+the same entry; ``canonical_probe_basis`` is memoized per (m, delta); each
+ProbeBasis solves its unit-recovery coefficients once; the Hermitian
+operator basis is cached per dimension in ``linalg``.  The arithmetic on
+the cached objects is the one the uncached code performed, so
+reconstructions are unchanged bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +97,22 @@ def _design_matrix(effects: list, dim: int) -> np.ndarray:
     )
 
 
+_compiled_designs: dict = {}
+
+
+def _compiled_design(effects: list, dim: int) -> tuple:
+    """Read-only ``_design_matrix(effects, dim)`` and its rank, built once per content."""
+    key = (dim, b"".join(e.tobytes() for e in effects))
+    compiled = _compiled_designs.get(key)
+    if compiled is None:
+        design = _design_matrix(effects, dim)
+        design.flags.writeable = False
+        compiled = _compiled_designs.setdefault(
+            key, (design, int(np.linalg.matrix_rank(design)))
+        )
+    return compiled
+
+
 @dataclass(frozen=True)
 class TomographyRun:
     """Budget and estimator for one tomography experiment.
@@ -99,6 +125,7 @@ class TomographyRun:
     shots_per_setting: int
     measurement_set: tuple
     estimator: str = "linear-inversion-then-project"
+    _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shots_per_setting < 1:
@@ -109,10 +136,11 @@ class TomographyRun:
         if self.estimator not in ESTIMATORS:
             raise InvalidInputError(f"unknown estimator {self.estimator!r}")
         dim = povms[0].dim
-        effects = [e for p in povms for e in p.effects]
-        if np.linalg.matrix_rank(_design_matrix(effects, dim)) != dim * dim:
+        design, rank = _compiled_design([e for p in povms for e in p.effects], dim)
+        if rank != dim * dim:
             raise InvalidInputError("measurement set is not tomographically complete")
         object.__setattr__(self, "measurement_set", povms)
+        object.__setattr__(self, "_design", design)
 
     @property
     def dim(self) -> int:
@@ -135,9 +163,7 @@ def _setting_counts(source, povm: Povm, shots: int, rng: RngStream) -> np.ndarra
     return rng.generator.multinomial(shots, probs)
 
 
-def _linear_inversion(frequencies: np.ndarray, povms: tuple, dim: int) -> np.ndarray:
-    effects = [e for p in povms for e in p.effects]
-    design = _design_matrix(effects, dim)
+def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> np.ndarray:
     coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
     basis = hermitian_basis(dim)
     estimate = sum(c * b for c, b in zip(coeffs, basis))
@@ -160,7 +186,7 @@ def state_tomography(
         if records is not None:
             records.extend((i, j, int(c)) for j, c in enumerate(counts))
         freqs.extend(counts / run.shots_per_setting)
-    raw = _linear_inversion(np.array(freqs), run.measurement_set, run.dim)
+    raw = _linear_inversion(np.array(freqs), run._design, run.dim)
     if run.estimator == "direct-inversion-diagnostic":
         return raw
     return DensityMatrix(nearest_density_matrix(raw))
@@ -172,6 +198,7 @@ class ProbeBasis:
 
     states: tuple
     delta: float = 0.0
+    _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -180,19 +207,29 @@ class ProbeBasis:
         dim = states[0].dim
         if len(states) != dim * dim or any(s.dim != dim for s in states):
             raise InvalidShapeError("a probe basis needs exactly dim^2 states of one dimension")
-        if np.linalg.matrix_rank(self.design_matrix()) != dim * dim:
+        design, rank = _compiled_design([s.projector() for s in states], dim)
+        if rank != dim * dim:
             raise InvalidInputError("probe projectors are linearly dependent")
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_design", design)
 
     @property
     def dim(self) -> int:
         return self.states[0].dim
 
     def design_matrix(self) -> np.ndarray:
-        return _design_matrix([s.projector() for s in self.states], self.states[0].dim)
+        """The probe projectors' design matrix (shared and read-only)."""
+        return self._design
+
+    @functools.cached_property
+    def _unit_coefficients(self) -> np.ndarray:
+        return _unit_recovery_coefficients(self)
 
     def condition_number(self) -> float:
         return float(np.linalg.cond(self.design_matrix()))
+
+
+_canonical_bases: dict = {}
 
 
 def canonical_probe_basis(m: int, delta: float = 0.0) -> ProbeBasis:
@@ -200,19 +237,29 @@ def canonical_probe_basis(m: int, delta: float = 0.0) -> ProbeBasis:
 
     The qubit set {|0>, |1>, |+>, |+i>} is rotated elementwise by
     U_delta = exp(-i delta sigma_y / 2); the two-qubit set is the tensor
-    product of two rotated qubit sets.
+    product of two rotated qubit sets.  Each (m, delta) is built once and
+    the same ProbeBasis is returned afterwards.
     """
     if m not in (2, 4):
         raise InvalidInputError("canonical probe bases exist for m = 2 and m = 4")
+    delta = float(delta)
+    key = (m, delta.hex())  # hex keeps -0.0 apart from 0.0
+    basis = _canonical_bases.get(key)
+    if basis is None:
+        basis = _canonical_bases.setdefault(key, _build_canonical_probe_basis(m, delta))
+    return basis
+
+
+def _build_canonical_probe_basis(m: int, delta: float) -> ProbeBasis:
     u = rotation_y(delta)
     qubit = [
         PureState(u @ s.vector)
         for s in (ket(0), ket(1), plus_state(), plus_i_state())
     ]
     if m == 2:
-        return ProbeBasis(tuple(qubit), float(delta))
+        return ProbeBasis(tuple(qubit), delta)
     states = tuple(a.tensor(b) for a in qubit for b in qubit)
-    return ProbeBasis(states, float(delta))
+    return ProbeBasis(states, delta)
 
 
 @dataclass(frozen=True)
@@ -291,7 +338,7 @@ def process_tomography_direct(
         if records is not None:
             all_records.extend((k, s, o, c) for s, o, c in probe_records)
     m, n = box.dim_in, box.dim_out
-    coeffs = _unit_recovery_coefficients(basis)
+    coeffs = basis._unit_coefficients
     choi4 = np.zeros((m, n, m, n), dtype=complex)
     for i in range(m):
         for j in range(m):

@@ -69,7 +69,7 @@ def test_run_missing_file_diagnostic(capsys):
 def test_run_emits_report_json(mini_path, capsys):
     assert main(["run", mini_path]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["scenario"]["name"] == "cli-mini"
     assert report["summary"]["cell_count"] == 1
 
@@ -115,6 +115,13 @@ def test_report_summarize_round_trip(mini_path, tmp_path, capsys):
 def test_report_summarize_missing_file(capsys):
     assert main(["report", "summarize", "/nonexistent/report.json"]) == 1
     assert "report file not found" in capsys.readouterr().err
+
+
+def test_report_summarize_rejects_non_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text('{"summary": {"error_count": NaN}}')
+    assert main(["report", "summarize", str(path)]) == 1
+    assert "not a report file" in capsys.readouterr().err
 
 
 def test_threads_env_validation(mini_path, capsys, monkeypatch):

@@ -455,3 +455,82 @@ def test_nsq_survey_single_sample_is_inconclusive():
 def test_nsq_survey_requires_rng():
     with pytest.raises(InvalidInputError):
         nsq_random_survey(10)
+
+
+# ---------------------------------------------------------------- calibration
+
+
+def test_calibration_computes_each_key_once_under_contention():
+    import sys
+    import threading
+
+    from qdata import detectors
+
+    keys = ("test-once|a", "test-once|b")
+    calls = {key: 0 for key in keys}
+    counter_lock = threading.Lock()
+    other_key_running = {key: threading.Event() for key in keys}
+    overlapped = {key: False for key in keys}
+
+    def statistic_for(key, other):
+        def statistic(box, stream):
+            with counter_lock:
+                calls[key] += 1
+                first = calls[key] == 1
+            other_key_running[key].set()
+            if first:
+                # different keys calibrate in parallel: the other key's
+                # computation starts while this one is still running
+                overlapped[key] = other_key_running[other].wait(timeout=10)
+            return float(stream.generator.random())
+
+        return statistic
+
+    results = {key: [] for key in keys}
+    start = threading.Barrier(8)
+
+    def caller(key, other):
+        start.wait(timeout=10)
+        results[key].append(detectors._calibrated_null(key, statistic_for(key, other)))
+
+    threads = [
+        threading.Thread(target=caller, args=(key, other))
+        for key, other in (keys, keys[::-1])
+        for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for key in keys:
+            detectors._calibration_cache.pop(key, None)
+    assert not any(t.is_alive() for t in threads)
+    for key in keys:
+        assert calls[key] == detectors.NULL_REPLICATIONS
+        assert len(results[key]) == 4 and len(set(results[key])) == 1
+        assert overlapped[key]
+
+
+def test_failed_calibration_is_not_cached():
+    from qdata import detectors
+
+    key = "test-failure|a"
+    attempts = []
+
+    def failing(box, stream):
+        attempts.append(1)
+        raise RuntimeError("boom")
+
+    try:
+        with pytest.raises(RuntimeError, match="boom"):
+            detectors._calibrated_null(key, failing)
+        threshold, sigma = detectors._calibrated_null(key, lambda box, stream: 1.0)
+    finally:
+        detectors._calibration_cache.pop(key, None)
+    assert len(attempts) == 1
+    assert threshold == 1.0 and sigma == 0.0

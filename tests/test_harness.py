@@ -52,7 +52,7 @@ def identity_report():
 
 def test_report_schema(identity_report):
     r = identity_report
-    assert r["schema_version"] == 1
+    assert r["schema_version"] == 2
     assert r["scenario"] == IDENTITY_SWEEP
     assert set(r["provenance"]) == {"seed", "version", "timestamp"}
     assert r["provenance"]["seed"] == 404
@@ -154,6 +154,39 @@ def test_report_file_round_trip(tmp_path, identity_report):
     path2 = tmp_path / "report2.json"
     write_report(identity_report, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_undefined_std_error_round_trips_as_null(tmp_path):
+    # a single kept QRAC round leaves the standard error undefined (NaN)
+    doc = {
+        "name": "one-kept-round",
+        "master_seed": 1,
+        "pair": {"family": "qrac-measure-prepare"},
+        "parameter_grid": [{}],
+        "detectors": [{"name": "qrac", "settings": {"rounds": 1}}],
+    }
+    report = run_scenario(parse_scenario_dict(doc))
+    verdict = report["cells"][0]["results"][0]["verdict"]
+    assert verdict["n_trials"] == 1
+    assert verdict["std_error"] is None
+    assert verdict["verdict"] == "inconclusive"
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    text = path.read_text()
+    assert '"std_error": null' in text
+    assert "NaN" not in text
+    assert load_report(path) == report
+
+
+def test_report_io_rejects_non_finite_numbers(tmp_path, identity_report):
+    bad = copy.deepcopy(identity_report)
+    bad["cells"][0]["results"][0]["verdict"]["std_error"] = float("nan")
+    with pytest.raises(ValueError):
+        write_report(bad, tmp_path / "never.json")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(bad))  # the permissive encoder writes NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        load_report(path)
 
 
 def test_summarize_report_digest(identity_report):

@@ -1,6 +1,8 @@
 """Scenario file parsing: grids, specs, references, and diagnostics."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +241,83 @@ def test_parse_scenario_round_trip(tmp_path):
     sc = parse_scenario(path)
     assert sc.name == "t"
     assert sc.raw == base_scenario()
+
+
+# ------------------------------------------------- README vocabulary
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+LINEAR = {"family": "linear", "channel": {"kind": "identity"}}
+BOX_SPECS = {
+    "linear": LINEAR,
+    "nonlinear-bloch": {"family": "nonlinear-bloch", "kappa": 2.0, "pre_rotation_y": 0.3},
+    "collapse": {"family": "collapse", "kappa": 1.5, "post_rotation_y": 0.2},
+    "composed": {"family": "composed", "stages": [LINEAR, LINEAR]},
+}
+_ONE = [1.0, 0.0]
+_ZERO = [0.0, 0.0]
+CHANNEL_SPECS = {
+    "identity": {"kind": "identity", "dim": 2},
+    "depolarizing": {"kind": "depolarizing", "p": 0.2},
+    "amplitude-damping": {"kind": "amplitude-damping", "gamma": 0.3},
+    "dephasing": {"kind": "dephasing", "p": 0.4},
+    "swap": {"kind": "swap"},
+    "unitary": {"kind": "unitary", "matrix": [[_ZERO, _ONE], [_ONE, _ZERO]]},
+    "kraus": {"kind": "kraus", "operators": [[[_ONE, _ZERO], [_ZERO, _ONE]]], "dim_in": 2, "dim_out": 2},
+}
+PAIR_SPECS = {
+    "qrac-oracle": {"family": "qrac-oracle"},
+    "qrac-measure-prepare": {"family": "qrac-measure-prepare"},
+    "nsq-channel": {"family": "nsq-channel", "channel": {"kind": "swap"}, "local_dims": [2, 2]},
+}
+DETECTOR_SPECS = {
+    "helstrom": ("box", {"trials": 100}),
+    "ensemble-signalling": ("box", {}),
+    "basis-invariance": ("box", {"shots": 100}),
+    "ancilla-consistency": ("box", {"shots": 100}),
+    "composition-gap": ("box", {"second_box": LINEAR}),
+    "qrac": ("pair", {"rounds": 10}),
+    "nsq-survey": ("pair", {"n_samples": 2}),
+}
+
+
+def readme_names(label):
+    """Backquoted names of the README scenario bullet starting with ``label``."""
+    text = README.read_text(encoding="utf-8")
+    bullet = re.search(rf"^- {label}:(.*?)(?=^- |^$)", text, re.M | re.S).group(1)
+    # names are listed before the first full stop or semicolon; parentheses
+    # hold their settings
+    listing = re.split(r"[.;]", re.sub(r"\([^)]*\)", "", bullet))[0]
+    return set(re.findall(r"`([^`]+)`", listing))
+
+
+def test_readme_names_exactly_what_the_parser_accepts():
+    assert readme_names("Box families") == set(BOX_SPECS)
+    assert readme_names("Channel kinds") == set(CHANNEL_SPECS)
+    assert readme_names("Pair families") == set(PAIR_SPECS)
+    assert readme_names("Detectors") == set(DETECTOR_SPECS)
+
+
+def pair_variant(pair, detectors):
+    d = variant(pair=pair, detectors=detectors)
+    del d["box"]
+    return d
+
+
+def test_every_documented_name_parses_and_builds():
+    for family, box in BOX_SPECS.items():
+        sc = parse_scenario_dict(variant(box=box))
+        assert sc.build_box(sc.grid[0]).dim_in == 2, family
+    for kind, channel in CHANNEL_SPECS.items():
+        sc = parse_scenario_dict(variant(box={"family": "linear", "channel": channel}))
+        assert isinstance(sc.build_box(sc.grid[0]), LinearBox), kind
+    for family, pair in PAIR_SPECS.items():
+        sc = parse_scenario_dict(pair_variant(pair, [{"name": "nsq-survey"}]))
+        sc.build_pair(sc.grid[0])
+    for name, (kind, settings) in DETECTOR_SPECS.items():
+        detectors = [{"name": name, "settings": settings}]
+        if kind == "pair":
+            doc = pair_variant(PAIR_SPECS["qrac-oracle"], detectors)
+        else:
+            doc = variant(detectors=detectors)
+        assert parse_scenario_dict(doc).detectors[0].name == name

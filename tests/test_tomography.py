@@ -254,3 +254,84 @@ def test_process_records_table():
     probes = {r[0] for r in records}
     assert probes == {0, 1, 2, 3}
     assert sum(r[3] for r in records) == 4 * 3 * 256
+
+
+# ------------------------------------------------- compiled linear maps
+
+
+def _reference_state_tomography(source, run, rng):
+    """The uncached arithmetic: fresh operator basis and design matrix per call."""
+    from qdata import born_probabilities
+    from qdata.linalg import _build_hermitian_basis
+
+    freqs = []
+    for i, povm in enumerate(run.measurement_set):
+        probs = born_probabilities(source, povm)
+        counts = rng.child(i).generator.multinomial(run.shots_per_setting, probs)
+        freqs.extend(counts / run.shots_per_setting)
+    basis = _build_hermitian_basis(run.dim)
+    effects = [e for p in run.measurement_set for e in p.effects]
+    design = np.array([[np.real(np.trace(e @ b)) for b in basis] for e in effects])
+    coeffs, *_ = np.linalg.lstsq(design, np.array(freqs), rcond=None)
+    estimate = sum(c * b for c, b in zip(coeffs, basis))
+    raw = (estimate + estimate.conj().T) / 2
+    if run.estimator == "direct-inversion-diagnostic":
+        return raw
+    return nearest_density_matrix(raw)
+
+
+def test_cached_design_matrix_equals_a_fresh_build():
+    from qdata.tomography import _design_matrix
+
+    for n_qubits, dim in ((1, 2), (2, 4)):
+        run = TomographyRun(10, pauli_measurement_set(n_qubits))
+        effects = [e for p in run.measurement_set for e in p.effects]
+        fresh = _design_matrix(effects, dim)
+        assert np.array_equal(run._design, fresh)
+        # a second, separately built set of equal effects shares the entry
+        again = TomographyRun(10, pauli_measurement_set(n_qubits))
+        assert again._design is run._design
+
+
+def test_state_tomography_is_bitwise_equal_to_the_uncached_arithmetic():
+    rho = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    bell = max_entangled(2).density()
+    for source, measurement_set in ((rho, pauli_measurement_set(1)), (bell, pauli_measurement_set(2))):
+        for estimator in ("linear-inversion-then-project", "direct-inversion-diagnostic"):
+            run = TomographyRun(3000, measurement_set, estimator)
+            for trial in range(3):
+                got = state_tomography(source, run, RngStream(43, trial))
+                want = _reference_state_tomography(source, run, RngStream(43, trial))
+                got = got.matrix if isinstance(got, DensityMatrix) else got
+                assert np.array_equal(got, want)
+
+
+def test_probe_basis_coefficients_match_a_fresh_solve():
+    from qdata.tomography import _unit_recovery_coefficients
+
+    for m, delta in ((2, 0.0), (2, 0.7), (4, 0.3)):
+        basis = canonical_probe_basis(m, delta)
+        assert canonical_probe_basis(m, delta) is basis
+        assert np.array_equal(basis._unit_coefficients, _unit_recovery_coefficients(basis))
+
+
+def test_rank_deficient_sets_raise_after_the_cache_is_filled():
+    TomographyRun(100, pauli_measurement_set(1))
+    canonical_probe_basis(2, 0.0)
+    x, _y, z = pauli_measurement_set(1)
+    with pytest.raises(InvalidInputError):
+        TomographyRun(100, (x, z))
+    with pytest.raises(InvalidInputError):
+        ProbeBasis((ket(0), ket(1), ket(0), ket(1)))
+
+
+def test_cached_operators_are_read_only():
+    from qdata import hermitian_basis
+
+    basis = hermitian_basis(2)
+    assert hermitian_basis(2) is basis
+    with pytest.raises(ValueError):
+        basis[1][0, 1] = 5.0
+    with pytest.raises(ValueError):
+        canonical_probe_basis(2, 0.0).design_matrix()[0, 0] = 5.0
+    assert np.allclose(basis[1], [[0, 2**-0.5], [2**-0.5, 0]], atol=1e-15)
