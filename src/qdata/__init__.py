@@ -30,11 +30,9 @@ from .boxes import (
     NsqChannelPair,
     QracOracle,
     QracQuantum,
-    QracRound,
     compose_boxes,
     concatenate_tests,
     measure_prepare_strategy,
-    qrac_round,
     warp_polar_angle,
 )
 from .channels import (
@@ -171,11 +169,9 @@ __all__ = [
     "NsqChannelPair",
     "QracOracle",
     "QracQuantum",
-    "QracRound",
     "compose_boxes",
     "concatenate_tests",
     "measure_prepare_strategy",
-    "qrac_round",
     "warp_polar_angle",
     # tomography
     "ProbeBasis",

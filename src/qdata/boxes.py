@@ -35,8 +35,9 @@ from .states import (
     Povm,
     PureState,
     as_state,
+    born_distributions,
     ket,
-    sample_outcome,
+    sample_inverse_cdf,
 )
 
 __all__ = [
@@ -50,13 +51,11 @@ __all__ = [
     "ComposedBox",
     "compose_boxes",
     "concatenate_tests",
-    "QracRound",
     "BoxPair",
     "QracOracle",
     "QracQuantum",
     "NsqChannelPair",
     "measure_prepare_strategy",
-    "qrac_round",
 ]
 
 # Branches below this weight are dropped from enumerations.
@@ -485,28 +484,25 @@ def concatenate_tests(
     return state_tomography(second, run, rng.child(1))
 
 
-@dataclass(frozen=True)
-class QracRound:
-    """Outcome of one random-access round: Alice's bits, Bob's bits, Bob's state."""
-
-    a: int
-    b: int
-    rho_out: DensityMatrix
-    kept: bool
-
-
 class BoxPair(ABC):
-    """Two correlated boxes played against each other in a single round.
+    """Two correlated boxes played against each other in the random-access game.
 
     Hidden state (the oracle's stored qubits) lives only within one round;
-    rounds are independent and may run in parallel on separate streams.
+    rounds are independent, so a pair plays a whole block of them at once
+    from one generator.
     """
 
     @abstractmethod
-    def play_round(
-        self, psi0: PureState, psi1: PureState, x: int, rng: RngStream
-    ) -> QracRound:
-        """Run one round of the two-bit random-access game."""
+    def play_rounds(
+        self, psi0: np.ndarray, psi1: np.ndarray, x: np.ndarray, gen: np.random.Generator
+    ) -> tuple:
+        """Play one round of the two-bit random-access game per row.
+
+        psi0 and psi1 hold the rounds' target qubits, shape (n, 2); x holds
+        the choice bits, shape (n,).  Returns (a, b, rho_out): Alice's and
+        Bob's two-bit labels, shape (n,), and Bob's output densities, shape
+        (n, 2, 2).  A round is kept when a == b.
+        """
 
 
 class QracOracle(BoxPair):
@@ -517,15 +513,14 @@ class QracOracle(BoxPair):
     output the maximally mixed state.
     """
 
-    def play_round(self, psi0, psi1, x, rng):
+    def play_rounds(self, psi0, psi1, x, gen):
         psi0, psi1, x = _check_round_inputs(psi0, psi1, x)
-        gen = rng.generator
-        a = int(gen.integers(4))
-        b = int(gen.integers(4))
-        kept = a == b
-        target = psi0 if x == 0 else psi1
-        rho = target.density() if kept else DensityMatrix(np.eye(2) / 2)
-        return QracRound(a, b, rho, kept)
+        a = gen.integers(4, size=x.size)
+        b = gen.integers(4, size=x.size)
+        target = np.where(x[:, None] == 0, psi0, psi1)
+        rho = target[:, :, None] * target.conj()[:, None, :]
+        rho[a != b] = np.eye(2) / 2
+        return a, b, rho
 
 
 class QracQuantum(BoxPair):
@@ -546,13 +541,18 @@ class QracQuantum(BoxPair):
             raise InvalidInputError("Bob needs four qubit channels")
         self.alice_povm = alice_povm
         self.bob_channels = channels
+        # Bob's output for label b and choice bit x, indexed [b, x]
+        self._bob_outputs = np.array(
+            [[c.apply(ket(x)).matrix for x in range(2)] for c in channels]
+        )
 
-    def play_round(self, psi0, psi1, x, rng):
+    def play_rounds(self, psi0, psi1, x, gen):
         psi0, psi1, x = _check_round_inputs(psi0, psi1, x)
-        a = sample_outcome(psi0.tensor(psi1), self.alice_povm, rng)
-        b = int(rng.generator.integers(4))
-        rho = self.bob_channels[b].apply(ket(x).density())
-        return QracRound(a, b, rho, a == b)
+        joint = (psi0[:, :, None] * psi1[:, None, :]).reshape(-1, 4)
+        p = born_distributions(joint, self.alice_povm)
+        a = sample_inverse_cdf(p, gen.random(x.size))
+        b = gen.integers(4, size=x.size)
+        return a, b, self._bob_outputs[b, x]
 
 
 class NsqChannelPair(BoxPair):
@@ -565,17 +565,25 @@ class NsqChannelPair(BoxPair):
         self.lambda_ab = lambda_ab
         self.local_dims = (da, db)
 
-    def play_round(self, psi0, psi1, x, rng):
+    def play_rounds(self, psi0, psi1, x, gen):
         raise InvalidInputError("a bipartite-channel pair does not play the random-access game")
 
 
 def _check_round_inputs(psi0, psi1, x):
-    psi0, psi1 = as_state(psi0), as_state(psi1)
-    if psi0.dim != 2 or psi1.dim != 2:
+    """Validate a block of rounds: qubit targets of unit norm, choice bits 0 or 1."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    psi1 = np.asarray(psi1, dtype=complex)
+    x = np.asarray(x)
+    if psi0.ndim != 2 or psi0.shape[1] != 2 or psi1.shape != psi0.shape:
         raise InvalidInputError("the random-access game encodes qubits")
-    if x not in (0, 1):
+    if x.shape != psi0.shape[:1]:
+        raise InvalidShapeError("one choice bit per round is required")
+    if not np.all((x == 0) | (x == 1)):
         raise InvalidInputError("choice bit must be 0 or 1")
-    return psi0, psi1, int(x)
+    for psi in (psi0, psi1):
+        if not np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= 1e-12):
+            raise InvalidInputError("state vector is not normalized")
+    return psi0, psi1, x.astype(np.intp)
 
 
 def measure_prepare_strategy() -> QracQuantum:
@@ -593,10 +601,3 @@ def measure_prepare_strategy() -> QracQuantum:
         kraus = [np.outer(ket(bits[x]).vector, ket(x).vector.conj()) for x in range(2)]
         channels.append(QuantumChannel.from_kraus(kraus, 2, 2))
     return QracQuantum(povm, channels)
-
-
-def qrac_round(
-    pair: BoxPair, psi0: PureState, psi1: PureState, x: int, rng: RngStream
-) -> QracRound:
-    """Play one round of the two-bit random-access game with post-selection a = b."""
-    return pair.play_round(psi0, psi1, x, rng)

@@ -25,25 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoxModel, BoxPair, ClassicalParams, LinearBox, NO_PARAMS, qrac_round
+from .boxes import BoxModel, BoxPair, ClassicalParams, LinearBox, NO_PARAMS
 from .channels import QuantumChannel, random_channel
 from .linalg import (
     InvalidInputError,
     eig_hermitian,
     hermitian_basis,
-    kron,
     nearest_density_matrix,
-    partial_trace,
     trace_distance,
     trace_norm,
+    trace_norms,
     uhlmann_fidelity,
 )
 from .rng import RngStream
 from .states import (
     DensityMatrix,
     Ensemble,
-    PureState,
     as_state,
+    check_densities,
     ket,
     minus_state,
     plus_state,
@@ -72,6 +71,7 @@ __all__ = [
     "basis_invariance_test",
     "ancilla_consistency_test",
     "QracResult",
+    "QRAC_BLOCK",
     "qrac_fidelity_estimate",
     "qrac_verdict",
     "QRAC_FIDELITY_CEILING",
@@ -90,6 +90,9 @@ NULL_REPLICATIONS = 50
 NULL_QUANTILE = 0.99
 
 QRAC_FIDELITY_CEILING = 5.0 / 6.0
+# Rounds per QRAC block; each block draws from its own child stream.  It
+# bounds memory only: the parser puts no upper limit on ``rounds``.
+QRAC_BLOCK = 4096
 
 
 def _verdict_for(statistic: float, threshold: float, std_error: float) -> str:
@@ -466,26 +469,35 @@ def qrac_fidelity_estimate(
     bit; among kept rounds the overlap of Bob's output with the chosen
     target is averaged exactly from the round's output density.  The
     confidence halfwidth is the 95% normal interval.
+
+    Rounds are played in blocks of ``QRAC_BLOCK``, block k drawing from
+    ``rng.child(k)``: first the block's 2n targets as one normalized complex
+    Gaussian array (rows 0..n-1 are psi0, rows n..2n-1 psi1), then the n
+    choice bits, then whatever the pair draws.  The fixed block size keeps
+    the draws independent of how the work is scheduled.
     """
     if rounds < 1:
         raise InvalidInputError("at least one round is required")
     fidelities = []
-    for r in range(rounds):
-        # one stream per round; draws inside the round are sequential
-        stream = rng.child(r)
-        psi0 = PureState.haar(2, stream)
-        psi1 = PureState.haar(2, stream)
-        x = int(stream.generator.integers(2))
-        outcome = qrac_round(pair, psi0, psi1, x, stream)
-        if outcome.kept:
-            target = psi0 if x == 0 else psi1
-            fid = np.real(
-                target.vector.conj() @ outcome.rho_out.matrix @ target.vector
-            )
-            fidelities.append(float(fid))
-    if not fidelities:
+    for block, start in enumerate(range(0, rounds, QRAC_BLOCK)):
+        n = min(QRAC_BLOCK, rounds - start)
+        gen = rng.child(block).generator
+        z = gen.standard_normal((2 * n, 2)) + 1j * gen.standard_normal((2 * n, 2))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        psi0, psi1 = z[:n], z[n:]
+        x = gen.integers(2, size=n)
+        a, b, rho = pair.play_rounds(psi0, psi1, x, gen)
+        a, b, rho = np.asarray(a), np.asarray(b), np.asarray(rho, dtype=complex)
+        if a.shape != (n,) or b.shape != (n,) or rho.shape != (n, 2, 2):
+            raise InvalidInputError("the pair returned a block of the wrong shape")
+        check_densities(rho)
+        kept = a == b
+        target = np.where(x[:, None] == 0, psi0, psi1)[kept]
+        fid = np.einsum("ni,nij,nj->n", target.conj(), rho[kept], target)
+        fidelities.append(fid.real)
+    sample = np.concatenate(fidelities)
+    if not sample.size:
         raise InvalidInputError("no rounds survived post-selection")
-    sample = np.array(fidelities)
     f_hat = float(sample.mean())
     spread = float(sample.std(ddof=1)) if sample.size > 1 else float("nan")
     ci = 1.96 * spread / math.sqrt(sample.size) if sample.size > 1 else float("nan")
@@ -530,33 +542,28 @@ class NsqResult:
             raise InvalidInputError("measure must be the maximum over directions")
 
 
-def _apply_raw(choi4: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,iajb->ab", operand, choi4)
-
-
 def _kernel_direction(choi4, dims, sender: int) -> float:
     """Largest normalized marginal response on the receiver side.
 
     Scans Hermitian basis elements traceless on the sender tensored with
     arbitrary basis elements on the receiver; for each, the receiver
     marginal of the output is compared with the input's size in trace norm.
-    The swap channel attains 1.
+    The swap channel attains 1.  All operands go through the channel as one
+    stack.
     """
     da, db = dims
-    basis_a = hermitian_basis(da)
-    basis_b = hermitian_basis(db)
-    if sender == 0:
-        pairs = ((a, b) for a in basis_a[1:] for b in basis_b)
-        keep = {1}
-    else:
-        pairs = ((a, b) for a in basis_a for b in basis_b[1:])
-        keep = {0}
-    worst = 0.0
-    for a, b in pairs:
-        operand = kron(a, b)
-        marginal = partial_trace(_apply_raw(choi4, operand), [da, db], keep)
-        worst = max(worst, trace_norm(marginal) / trace_norm(operand))
-    return worst
+    basis_a = np.array(hermitian_basis(da)[1 - sender:])
+    basis_b = np.array(hermitian_basis(db)[sender:])
+    # kron(a, b) for every pair, a-major, as one broadcast product
+    operands = (
+        basis_a[:, None, :, None, :, None] * basis_b[None, :, None, :, None, :]
+    ).reshape(-1, da * db, da * db)
+    outputs = np.einsum("kij,iajb->kab", operands, choi4)
+    # partial trace over the sender, by reshape
+    trace_out = "kxaxb->kab" if sender == 0 else "kaxbx->kab"
+    marginals = np.einsum(trace_out, outputs.reshape(-1, da, db, da, db))
+    ratios = trace_norms(marginals) / trace_norms(operands)
+    return max(0.0, float(np.max(ratios)))
 
 
 def _random_density(dim: int, rng: RngStream) -> DensityMatrix:

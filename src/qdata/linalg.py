@@ -26,6 +26,7 @@ __all__ = [
     "is_hermitian",
     "eig_hermitian",
     "trace_norm",
+    "trace_norms",
     "trace_distance",
     "uhlmann_fidelity",
     "nearest_density_matrix",
@@ -123,6 +124,20 @@ def trace_norm(h) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
     w, _ = eig_hermitian(h)
     return float(np.sum(np.abs(w)))
+
+
+def trace_norms(stack) -> np.ndarray:
+    """Trace norm of each Hermitian matrix in a stack of shape (k, d, d).
+
+    Batched :func:`trace_norm` with the same Hermiticity check and the same
+    arithmetic (``eigh``, absolute eigenvalues summed in descending order),
+    so each entry equals ``trace_norm`` of its matrix bit for bit.
+    """
+    a = np.asarray(stack, dtype=complex)
+    if not np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= HERM_ATOL:
+        raise InvalidInputError("matrix is not Hermitian within tolerance")
+    w, _ = np.linalg.eigh(a)
+    return np.sum(np.abs(w[:, ::-1]), axis=1)
 
 
 def trace_distance(r, s) -> float:

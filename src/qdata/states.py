@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     ATOL,
+    HERM_ATOL,
     InvalidInputError,
     InvalidShapeError,
     as_operator,
@@ -87,12 +88,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = as_operator(self.matrix)
-        if not is_hermitian(m):
-            raise InvalidInputError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL:
-            raise InvalidInputError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise InvalidInputError("density matrix has a negative eigenvalue")
+        check_densities(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -124,6 +120,21 @@ class DensityMatrix:
         pairs = [(float(max(p, 0.0)), PureState(v[:, i])) for i, p in enumerate(w) if p > 1e-12]
         total = sum(p for p, _ in pairs)
         return Ensemble(tuple(p / total for p, _ in pairs), tuple(s for _, s in pairs))
+
+
+def check_densities(m: np.ndarray) -> None:
+    """Raise unless ``m`` (one matrix or a stack of them) is a density matrix.
+
+    The checks of :class:`DensityMatrix`: Hermitian within ``HERM_ATOL``,
+    unit trace within ``ATOL`` and no eigenvalue below -1e-10, each run
+    once over the whole stack.
+    """
+    if not np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) <= HERM_ATOL:
+        raise InvalidInputError("density matrix is not Hermitian")
+    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)) > ATOL:
+        raise InvalidInputError("density matrix trace differs from 1")
+    if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+        raise InvalidInputError("density matrix has a negative eigenvalue")
 
 
 def as_density(r) -> DensityMatrix:
@@ -202,6 +213,33 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
         raise InvalidInputError("Born probabilities are not a distribution")
     p = np.clip(p, 0.0, None)
     return p / p.sum()
+
+
+def born_distributions(vectors, povm: Povm) -> np.ndarray:
+    """Outcome distributions of a POVM on a stack of pure states, one row each.
+
+    The batched :func:`born_probabilities` for vectors of shape (n, dim):
+    the same distribution check, clipping and renormalization per row.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    p = np.einsum("ni,kij,nj->nk", v.conj(), np.array(povm.effects), v).real
+    if np.min(p) < -1e-9 or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+        raise InvalidInputError("Born probabilities are not a distribution")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def sample_inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index per row of distributions ``p`` at uniform draws ``u`` in [0, 1).
+
+    Row k gives the number of CDF steps at or below u[k], i.e.
+    ``searchsorted(cumsum(p[k]), u[k], side="right")``; the CDF is divided
+    by its last entry first, so rounding can never push an index past the
+    last outcome.  ``Generator.choice`` samples a single row the same way.
+    """
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
 def sample_outcome(state, povm: Povm, rng: RngStream) -> int:

@@ -30,7 +30,6 @@ from qdata import (
     measure_prepare_strategy,
     minus_state,
     plus_state,
-    qrac_round,
     random_channel,
     rotation_y,
     singlet,
@@ -324,38 +323,45 @@ def test_oracle_round_mechanics():
     oracle = QracOracle()
     psi0 = PureState.from_bloch(1.1, 0.3)
     psi1 = PureState.from_bloch(2.2, 4.0)
-    root = RngStream(32, 0)
+    n = 400
+    x = np.arange(n) % 2
+    a, b, rho = oracle.play_rounds(
+        np.tile(psi0.vector, (n, 1)), np.tile(psi1.vector, (n, 1)), x,
+        RngStream(32, 0).generator,
+    )
     kept = dropped = 0
-    for i in range(400):
-        r = qrac_round(oracle, psi0, psi1, i % 2, root.child(i))
-        assert r.kept == (r.a == r.b)
-        if r.kept:
+    for i in range(n):
+        if a[i] == b[i]:
             kept += 1
-            target = psi0 if i % 2 == 0 else psi1
-            assert abs(uhlmann_fidelity(r.rho_out, target.density()) - 1) < 1e-12
+            target = psi0 if x[i] == 0 else psi1
+            assert abs(uhlmann_fidelity(rho[i], target.density()) - 1) < 1e-12
         else:
             dropped += 1
-            assert np.allclose(r.rho_out.matrix, np.eye(2) / 2, atol=1e-12)
+            assert np.allclose(rho[i], np.eye(2) / 2, atol=1e-12)
     assert kept > 0 and dropped > 0
 
 
 def test_measure_prepare_round_on_basis_states():
     pair = measure_prepare_strategy()
-    root = RngStream(32, 1)
-    for i in range(200):
-        r = qrac_round(pair, ket(0), ket(1), i % 2, root.child(i))
-        assert r.a == 1  # product measurement reads the bits exactly
-        if r.kept:
-            want = ket(0) if i % 2 == 0 else ket(1)
-            assert abs(uhlmann_fidelity(r.rho_out, want.density()) - 1) < 1e-12
+    n = 200
+    x = np.arange(n) % 2
+    a, b, rho = pair.play_rounds(
+        np.tile(ket(0).vector, (n, 1)), np.tile(ket(1).vector, (n, 1)), x,
+        RngStream(32, 1).generator,
+    )
+    assert np.all(a == 1)  # product measurement reads the bits exactly
+    for i in np.flatnonzero(a == b):
+        want = ket(0) if x[i] == 0 else ket(1)
+        assert abs(uhlmann_fidelity(rho[i], want.density()) - 1) < 1e-12
 
 
 def test_round_input_validation():
     oracle = QracOracle()
+    gen = RngStream(32, 2).generator
     with pytest.raises(InvalidInputError):
-        qrac_round(oracle, ket(0, dim=3), ket(0), 0, RngStream(32, 2))
+        oracle.play_rounds([ket(0, dim=3).vector], [ket(0).vector], [0], gen)
     with pytest.raises(InvalidInputError):
-        qrac_round(oracle, ket(0), ket(1), 2, RngStream(32, 2))
+        oracle.play_rounds([ket(0).vector], [ket(1).vector], [2], gen)
 
 
 def test_qrac_quantum_validation():
@@ -376,6 +382,6 @@ def test_nsq_pair_checks_dims_and_refuses_game():
             swap[2 * j + i, 2 * i + j] = 1.0
     pair = NsqChannelPair(QuantumChannel.from_unitary(swap), (2, 2))
     with pytest.raises(InvalidInputError):
-        pair.play_round(ket(0), ket(1), 0, RngStream(32, 3))
+        pair.play_rounds([ket(0).vector], [ket(1).vector], [0], RngStream(32, 3).generator)
     with pytest.raises(Exception):
         NsqChannelPair(QuantumChannel.identity(4), (2, 3))

@@ -36,12 +36,15 @@ from qdata import (
     pauli_measurement_set,
     plus_state,
     qrac_fidelity_estimate,
-    qrac_round,
     qrac_verdict,
     random_channel,
     rotation_y,
 )
-from qdata.boxes import BoxPair, QracRound
+from qdata import detectors
+from qdata.boxes import BoxPair
+from qdata.detectors import QRAC_BLOCK, _kernel_direction
+from qdata.linalg import hermitian_basis, kron, partial_trace, trace_norm
+from qdata.states import born_probabilities
 
 RY45 = rotation_y(math.pi / 4)
 
@@ -334,13 +337,86 @@ def test_qrac_estimate_validation():
 
 
 class _NeverKeeps(BoxPair):
-    def play_round(self, psi0, psi1, x, rng):
-        return QracRound(0, 1, ket(0).density(), False)
+    def play_rounds(self, psi0, psi1, x, gen):
+        n = len(x)
+        rho = np.broadcast_to(ket(0).density().matrix, (n, 2, 2))
+        return np.zeros(n, dtype=int), np.ones(n, dtype=int), rho
 
 
 def test_qrac_estimate_requires_surviving_rounds():
     with pytest.raises(InvalidInputError):
         qrac_fidelity_estimate(_NeverKeeps(), 50, RngStream(58, 2))
+
+
+def _reference_fidelities(pair, psi0, psi1, x, gen):
+    """Per-round reference: the block's draws replayed one round at a time."""
+    n = len(x)
+    if isinstance(pair, QracOracle):
+        a, b = gen.integers(4, size=n), gen.integers(4, size=n)
+        outputs = [
+            (psi0[r] if x[r] == 0 else psi1[r]).density().matrix if a[r] == b[r]
+            else np.eye(2) / 2
+            for r in range(n)
+        ]
+    else:
+        u = gen.random(n)
+        a = [
+            np.searchsorted(
+                np.cumsum(born_probabilities(psi0[r].tensor(psi1[r]), pair.alice_povm)),
+                u[r], side="right",
+            )
+            for r in range(n)
+        ]
+        b = gen.integers(4, size=n)
+        outputs = [pair.bob_channels[b[r]].apply(ket(int(x[r]))).matrix for r in range(n)]
+    fids = []
+    for r in range(n):
+        if a[r] == b[r]:
+            target = (psi0[r] if x[r] == 0 else psi1[r]).vector
+            fids.append(float(np.real(target.conj() @ outputs[r] @ target)))
+    return fids
+
+
+@pytest.mark.parametrize("pair", [QracOracle(), measure_prepare_strategy()])
+def test_qrac_blocks_match_per_round_reference(pair, monkeypatch):
+    monkeypatch.setattr(detectors, "QRAC_BLOCK", 50)
+    rounds, rng = 130, RngStream(58, 7)
+    fids = []
+    for block, start in enumerate(range(0, rounds, 50)):
+        n = min(50, rounds - start)
+        gen = rng.child(block).generator
+        z = gen.standard_normal((2 * n, 2)) + 1j * gen.standard_normal((2 * n, 2))
+        states = [PureState(v / np.linalg.norm(v)) for v in z]
+        x = gen.integers(2, size=n)
+        fids += _reference_fidelities(pair, states[:n], states[n:], x, gen)
+    res = qrac_fidelity_estimate(pair, rounds, rng)
+    assert res.kept_rounds == len(fids)
+    assert res.total_rounds == rounds
+    assert abs(res.f_hat - np.mean(fids)) <= 1e-12
+    assert abs(res.ci_halfwidth - 1.96 * np.std(fids, ddof=1) / math.sqrt(len(fids))) <= 1e-12
+
+
+def test_qrac_estimate_is_deterministic_across_block_boundaries():
+    rounds = 2 * QRAC_BLOCK + 7
+    for pair in (QracOracle(), measure_prepare_strategy()):
+        first = qrac_fidelity_estimate(pair, rounds, RngStream(58, 8))
+        assert first == qrac_fidelity_estimate(pair, rounds, RngStream(58, 8))
+        assert first.total_rounds == rounds
+
+
+class _BadOutputs(BoxPair):
+    def __init__(self, rho):
+        self.rho = np.asarray(rho, dtype=complex)
+
+    def play_rounds(self, psi0, psi1, x, gen):
+        n = len(x)
+        return np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.broadcast_to(self.rho, (n, 2, 2))
+
+
+def test_qrac_estimate_checks_every_output_density():
+    for rho in (np.diag([1.2, -0.2]), np.eye(2), np.array([[1.0, 0.1], [0.0, 0.0]])):
+        with pytest.raises(InvalidInputError):
+            qrac_fidelity_estimate(_BadOutputs(rho), 10, RngStream(58, 9))
 
 
 def test_qrac_result_validation():
@@ -400,6 +476,40 @@ def test_nsq_identity_and_products_are_silent():
     rp = nsq_signalling_measure(a.tensor(b), (2, 2), sampled_pairs=10)
     assert rp.signalling_measure < 1e-12
     assert rp.sampled_violations == 0.0
+
+
+def _kernel_direction_loop(choi4, dims, sender):
+    """Per-pair reference for the kernel scan: one operand at a time."""
+    da, db = dims
+    basis_a, basis_b = hermitian_basis(da), hermitian_basis(db)
+    if sender == 0:
+        pairs, keep = [(a, b) for a in basis_a[1:] for b in basis_b], {1}
+    else:
+        pairs, keep = [(a, b) for a in basis_a for b in basis_b[1:]], {0}
+    worst = 0.0
+    for a, b in pairs:
+        operand = kron(a, b)
+        output = np.einsum("ij,iajb->ab", operand, choi4)
+        marginal = partial_trace(output, [da, db], keep)
+        worst = max(worst, trace_norm(marginal) / trace_norm(operand))
+    return worst
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_kernel_scan_is_bitwise_the_per_pair_loop(dims):
+    da, db = dims
+    root = RngStream(59, 9)
+    for k in range(200):
+        if k % 10 == 0:
+            ch = random_channel(da, da, root.child(k, 0)).tensor(
+                random_channel(db, db, root.child(k, 1))
+            )
+        else:
+            ch = random_channel(da * db, da * db, root.child(k, 2), env_dim=(1, 2, 6)[k % 3])
+        for sender in (0, 1):
+            assert _kernel_direction(ch.choi4, dims, sender) == _kernel_direction_loop(
+                ch.choi4, dims, sender
+            )
 
 
 def test_nsq_default_sampling_stream_is_fixed():

@@ -157,7 +157,10 @@ def test_report_file_round_trip(tmp_path, identity_report):
 
 
 def test_undefined_std_error_round_trips_as_null(tmp_path):
-    # a single kept QRAC round leaves the standard error undefined (NaN)
+    # a single kept QRAC round leaves the standard error undefined (NaN);
+    # a round is kept with probability 1/4, and master seed 1 keeps it under
+    # the block stream layout of qrac_fidelity_estimate, so a change of that
+    # layout may need a new seed here
     doc = {
         "name": "one-kept-round",
         "master_seed": 1,
@@ -176,6 +179,25 @@ def test_undefined_std_error_round_trips_as_null(tmp_path):
     assert '"std_error": null' in text
     assert "NaN" not in text
     assert load_report(path) == report
+
+
+def test_qrac_reports_match_across_threads_at_block_boundaries():
+    from qdata.detectors import QRAC_BLOCK
+
+    doc = {
+        "name": "qrac-blocks",
+        "master_seed": 3,
+        "pair": {"family": "qrac-measure-prepare"},
+        "parameter_grid": {"k": [1, 2, 3]},
+        "detectors": [{"name": "qrac", "settings": {"rounds": 2 * QRAC_BLOCK + 7}}],
+    }
+    reports = [
+        strip_timestamp(run_scenario(parse_scenario_dict(copy.deepcopy(doc)), threads=t))
+        for t in (1, 2)
+    ]
+    assert reports[0] == reports[1]
+    for cell in reports[0]["cells"]:
+        assert cell["results"][0]["samples"] == 2 * QRAC_BLOCK + 7
 
 
 def test_report_io_rejects_non_finite_numbers(tmp_path, identity_report):

@@ -16,6 +16,7 @@ from qdata import (
     born_probabilities,
     ket,
     max_entangled,
+    measure_prepare_strategy,
     minus_i_state,
     minus_state,
     plus_i_state,
@@ -23,6 +24,7 @@ from qdata import (
     sample_outcome,
     singlet,
 )
+from qdata.states import born_distributions, check_densities, sample_inverse_cdf
 
 
 def z_povm():
@@ -168,3 +170,55 @@ def test_sample_outcome_frequencies():
     ones = sum(sample_outcome(plus_state(), z_povm(), rng) for _ in range(n))
     sigma = math.sqrt(0.25 / n)
     assert abs(ones / n - 0.5) <= 3 * sigma
+
+
+# ---------------------------------------------------------------- batched forms
+
+
+def test_born_distributions_match_born_probabilities():
+    povm = measure_prepare_strategy().alice_povm
+    root = RngStream(17, 0)
+    vectors = np.array(
+        [
+            PureState.haar(2, root.child(k, 0)).tensor(PureState.haar(2, root.child(k, 1))).vector
+            for k in range(250)
+        ]
+    )
+    batched = born_distributions(vectors, povm)
+    for v, row in zip(vectors, batched):
+        assert np.max(np.abs(row - born_probabilities(PureState(v), povm))) <= 1e-15
+
+
+def test_born_distributions_reject_non_distributions():
+    with pytest.raises(InvalidInputError):
+        born_distributions(np.array([[2.0, 0.0]]), z_povm())
+
+
+def test_sample_inverse_cdf_matches_searchsorted():
+    rows = [
+        (0.25, 0.25, 0.25, 0.25),
+        (0.0, 0.5, 0.0, 0.5),
+        (0.125, 0.375, 0.5, 0.0),
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+    ]
+    # interior points plus every CDF step exactly
+    us = [0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 0.5 + 2**-53, 0.75, 0.9, 1.0 - 2**-53]
+    for p in rows:
+        p = np.array(p)
+        u = np.array(us)
+        got = sample_inverse_cdf(np.tile(p, (u.size, 1)), u)
+        want = [np.searchsorted(np.cumsum(p), x, side="right") for x in u]
+        assert got.tolist() == want
+
+
+def test_check_densities_rejects_any_bad_member():
+    good = np.array([np.eye(2) / 2, ket(0).projector()], dtype=complex)
+    check_densities(good)
+    for bad in (
+        np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+        np.eye(2) * 0.6,  # trace 1.2
+        np.diag([1.2, -0.2]),  # negative eigenvalue
+    ):
+        with pytest.raises(InvalidInputError):
+            check_densities(np.concatenate([good, bad[None].astype(complex)]))
