@@ -40,10 +40,8 @@ from .channels import (
     QuantumChannel,
     channel_distance,
     choi_from_kraus,
-    choi_from_transfer,
     kraus_from_choi,
     random_channel,
-    transfer_from_choi,
 )
 from .detectors import (
     CALIBRATION_SEED,
@@ -153,10 +151,8 @@ __all__ = [
     "QuantumChannel",
     "channel_distance",
     "choi_from_kraus",
-    "choi_from_transfer",
     "kraus_from_choi",
     "random_channel",
-    "transfer_from_choi",
     # boxes
     "BoxModel",
     "BoxPair",

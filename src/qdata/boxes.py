@@ -250,14 +250,8 @@ class LinearBox(BoxModel):
         return c
 
     def branch_distribution(self, psi, params=NO_PARAMS):
-        psi = self._check_input(psi)
-        branches = []
-        for k in self.channel(params).kraus_operators():
-            vec = k @ psi.vector
-            p = float(np.real(np.vdot(vec, vec)))
-            if p > BRANCH_CUTOFF:
-                branches.append((p, PureState(vec / math.sqrt(p))))
-        return branches
+        # a plain input is a joint input with a 1-dimensional reference
+        return self.joint_branches(self._check_input(psi), 1, params)
 
     def joint_branches(self, joint, ref_dim, params=NO_PARAMS):
         joint = as_state(joint)
@@ -288,7 +282,23 @@ class LinearBox(BoxModel):
         return extended.apply(joint.density())
 
 
-class NonlinearBloch(BoxModel):
+class _BlochWarp(BoxModel):
+    """The polar-angle warp shared by the two nonlinear qubit boxes.
+
+    Subclasses set ``kappa``, ``pre_unitary`` and ``post_unitary``.  A
+    state of any other dimension than 2 passes through unchanged.
+    """
+
+    def _warp_pure(self, psi: PureState) -> PureState:
+        if psi.dim != 2:
+            return psi
+        rotated = PureState(self.pre_unitary @ psi.vector)
+        theta, phi = rotated.bloch_angles()
+        warped = PureState.from_bloch(warp_polar_angle(theta, self.kappa), phi)
+        return PureState(self.post_unitary @ warped.vector)
+
+
+class NonlinearBloch(_BlochWarp):
     """Deterministic nonlinear qubit box: pre-rotate, warp the polar angle, post-rotate.
 
     kappa = 1 with no rotations is the identity box.  On one half of an
@@ -306,12 +316,6 @@ class NonlinearBloch(BoxModel):
         self.dim_in = 2
         self.dim_out = 2
 
-    def _warp_pure(self, psi: PureState) -> PureState:
-        rotated = PureState(self.pre_unitary @ psi.vector)
-        theta, phi = rotated.bloch_angles()
-        warped = PureState.from_bloch(warp_polar_angle(theta, self.kappa), phi)
-        return PureState(self.post_unitary @ warped.vector)
-
     def branch_distribution(self, psi, params=NO_PARAMS):
         return [(1.0, self._warp_pure(self._check_input(psi)))]
 
@@ -321,7 +325,7 @@ class NonlinearBloch(BoxModel):
         )
 
 
-class CollapseNonlinear(BoxModel):
+class CollapseNonlinear(_BlochWarp):
     """Collapse in a fixed basis, then act nonlinearly on the collapsed state.
 
     The projective collapse happens for every input, so the box is linear at
@@ -349,14 +353,6 @@ class CollapseNonlinear(BoxModel):
         self.post_unitary = _as_unitary(post_unitary, dim) if dim == 2 else np.eye(dim, dtype=complex)
         self.dim_in = dim
         self.dim_out = dim
-
-    def _warp_pure(self, psi: PureState) -> PureState:
-        if psi.dim != 2:
-            return psi
-        rotated = PureState(self.pre_unitary @ psi.vector)
-        theta, phi = rotated.bloch_angles()
-        warped = PureState.from_bloch(warp_polar_angle(theta, self.kappa), phi)
-        return PureState(self.post_unitary @ warped.vector)
 
     def branch_distribution(self, psi, params=NO_PARAMS):
         psi = self._check_input(psi)
@@ -407,29 +403,28 @@ class ComposedBox(BoxModel):
         self.dim_in = boxes[0].dim_in
         self.dim_out = boxes[-1].dim_out
 
-    def branch_distribution(self, psi, params=NO_PARAMS):
-        current = [(1.0, self._check_input(psi))]
+    def _chain(self, start: PureState, stage_branches) -> list:
+        """Chain the stages' enumerations; ``stage_branches(box, state)`` gives one stage's."""
+        current = [(1.0, start)]
         for box in self.boxes:
             nxt = []
             for p, phi in current:
-                for q, chi in box.branch_distribution(phi, params):
+                for q, chi in stage_branches(box, phi):
                     w = p * q
                     if w > BRANCH_CUTOFF:
                         nxt.append((w, chi))
             current = nxt
         return current
 
+    def branch_distribution(self, psi, params=NO_PARAMS):
+        return self._chain(
+            self._check_input(psi), lambda box, phi: box.branch_distribution(phi, params)
+        )
+
     def joint_branches(self, joint, ref_dim, params=NO_PARAMS):
-        current = [(1.0, as_state(joint))]
-        for box in self.boxes:
-            nxt = []
-            for p, phi in current:
-                for q, chi in box.joint_branches(phi, ref_dim, params):
-                    w = p * q
-                    if w > BRANCH_CUTOFF:
-                        nxt.append((w, chi))
-            current = nxt
-        return current
+        return self._chain(
+            as_state(joint), lambda box, phi: box.joint_branches(phi, ref_dim, params)
+        )
 
 
 def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:

@@ -23,7 +23,6 @@ from .linalg import (
     as_operator,
     eig_hermitian,
     haar_random_unitary,
-    hermitian_basis,
     is_hermitian,
 )
 from .rng import RngStream
@@ -121,12 +120,10 @@ class QuantumChannel:
         """self after inner (matrix order: self . inner)."""
         if inner.dim_out != self.dim_in:
             raise InvalidShapeError("channel dimensions do not chain")
-        t = transfer_from_choi(self.choi, self.dim_in, self.dim_out) @ transfer_from_choi(
-            inner.choi, inner.dim_in, inner.dim_out
-        )
-        return QuantumChannel(
-            choi_from_transfer(t, inner.dim_in, self.dim_out), inner.dim_in, self.dim_out
-        )
+        # link product: sum over inner's output pair, which is self's input pair
+        choi4 = np.einsum("iajb,acbd->icjd", inner.choi4, self.choi4)
+        dim = inner.dim_in * self.dim_out
+        return QuantumChannel(choi4.reshape(dim, dim), inner.dim_in, self.dim_out)
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
         a = self.choi4
@@ -205,29 +202,6 @@ def random_channel(
     return QuantumChannel(
         choi4.reshape(dim_in * dim_out, dim_in * dim_out), dim_in, dim_out
     )
-
-
-def transfer_from_choi(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Real transfer matrix in the orthonormal Hermitian operator bases."""
-    bin_ = hermitian_basis(dim_in)
-    bout = hermitian_basis(dim_out)
-    c4 = choi.reshape(dim_in, dim_out, dim_in, dim_out)
-    t = np.empty((dim_out * dim_out, dim_in * dim_in))
-    for u, bu in enumerate(bin_):
-        out = np.einsum("ij,iajb->ab", bu, c4)
-        for v_, bv in enumerate(bout):
-            t[v_, u] = np.real(np.trace(bv @ out))
-    return t
-
-
-def choi_from_transfer(t: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    bin_ = hermitian_basis(dim_in)
-    bout = hermitian_basis(dim_out)
-    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-    for u, bu in enumerate(bin_):
-        for v_, bv in enumerate(bout):
-            choi += t[v_, u] * np.kron(bu.T, bv)
-    return choi
 
 
 def channel_distance(a: QuantumChannel, b: QuantumChannel) -> float:

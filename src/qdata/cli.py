@@ -25,14 +25,11 @@ from .scenario import ScenarioError, parse_scenario, parse_scenario_dict
 
 __all__ = ["DEMOS", "main"]
 
+# a packaged scenario file per demo, named by its stem with "_" read as "-"
 DEMOS = {
-    "gisin": "gisin.json",
-    "helstrom": "helstrom.json",
-    "basis-invariance": "basis_invariance.json",
-    "ancilla": "ancilla.json",
-    "qrac": "qrac.json",
-    "nsq-survey": "nsq_survey.json",
-    "composition": "composition.json",
+    path.name.removesuffix(".json").replace("_", "-"): path
+    for path in resources.files("qdata").joinpath("scenarios").iterdir()
+    if path.name.endswith(".json")
 }
 
 
@@ -130,7 +127,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    text = resources.files("qdata").joinpath("scenarios", DEMOS[args.name]).read_text("utf-8")
+    text = DEMOS[args.name].read_text("utf-8")
     scenario = parse_scenario_dict(json.loads(text), source=f"demo:{args.name}")
     report = run_scenario(scenario, threads=_default_threads())
     _print_result_lines(report)

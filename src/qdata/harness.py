@@ -19,30 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._version import __version__
-from .boxes import ClassicalParams, compose_boxes, concatenate_tests
-from .detectors import (
-    HelstromSetup,
-    TestVerdict,
-    ancilla_consistency_test,
-    basis_invariance_test,
-    canonical_ensemble_pair,
-    decide,
-    ensemble_signalling_test,
-    helstrom_test,
-    nsq_random_survey,
-    qrac_fidelity_estimate,
-    qrac_verdict,
-)
-from .linalg import trace_distance
+from .detectors import TestVerdict
 from .rng import RngStream, mix64
-from .scenario import Scenario
-from .states import PureState
-from .tomography import (
-    TomographyRun,
-    canonical_probe_basis,
-    pauli_measurement_set,
-    process_tomography_direct,
-)
+from .scenario import DETECTORS, Scenario
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,18 +33,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-
-# child index reserved for report-only reconstructions, clear of any
-# per-delta or per-stage indices a detector uses internally
-_RECON_CHILD = 1 << 20
-
-
-def _flat_complex(matrix: np.ndarray) -> dict:
-    flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return {
-        "shape": list(matrix.shape),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
 
 
 def _json_safe(value):
@@ -94,114 +61,13 @@ def _verdict_dict(v: TestVerdict) -> dict:
     )
 
 
-def _params_dict(params: ClassicalParams) -> dict:
-    return {name: value for name, value in params.entries}
-
-
-# ---------------------------------------------------------------------------
-# detector runners: each returns (verdict, samples, reconstructions)
-
-
-def _run_helstrom(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    t1, t2 = spec.settings["thetas"]
-    setup = HelstromSetup(
-        spec.settings["priors"],
-        (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0)),
-    )
-    verdict = helstrom_test(box, setup, params, spec.settings["trials"], stream)
-    return verdict, spec.settings["trials"], {}
-
-
-def _run_ensemble_signalling(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    e1, e2 = canonical_ensemble_pair()
-    return ensemble_signalling_test(box, e1, e2, params), 0, {}
-
-
-def _run_basis_invariance(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    shots = spec.settings["shots"]
-    deltas = spec.settings["deltas"]
-    run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = basis_invariance_test(box, params, deltas, run, stream)
-    recon = process_tomography_direct(
-        box, params, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
-    )
-    samples = (len(deltas) + 1) * 4 * 3 * shots
-    return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
-
-
-def _run_ancilla_consistency(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    shots = spec.settings["shots"]
-    run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = ancilla_consistency_test(box, params, run, stream)
-    recon = process_tomography_direct(
-        box, params, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
-    )
-    # direct stage 4 probes x 3 settings, joint stage 9 settings, plus the
-    # reported reconstruction at 12 settings
-    samples = (12 + 9 + 12) * shots
-    return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
-
-
-def _run_qrac(scenario, spec, params, stream):
-    pair = scenario.build_pair(params)
-    rounds = spec.settings["rounds"]
-    result = qrac_fidelity_estimate(pair, rounds, stream)
-    verdict = qrac_verdict(result)
-    return verdict, rounds, {}
-
-
-def _run_nsq_survey(scenario, spec, params, stream):
-    s = spec.settings
-    verdict = nsq_random_survey(
-        s["n_samples"],
-        s["local_dims"],
-        stream,
-        env_dim=s["env_dim"],
-        product_channels=s["product_channels"],
-    )
-    return verdict, s["n_samples"], {}
-
-
-def _run_composition_gap(scenario, spec, params, stream):
-    first = scenario.build_box(params)
-    second = scenario.build_second_box(spec.settings["second_box"], params)
-    shots = spec.settings["shots"]
-    probe = PureState.from_bloch(spec.settings["probe_theta"], 0.0)
-    composed_output = compose_boxes(first, second).ensemble_output_density(probe, params)
-    staged_output = concatenate_tests(first, second, probe, params, shots=shots, rng=stream)
-    statistic = trace_distance(composed_output, staged_output)
-    # the 0.05 margin dominates tomography error at any sane shot budget,
-    # so the gap statistic carries no separate error bar
-    verdict = decide(statistic, 0.05, 0.0, shots)
-    recon = {
-        "composed_output": _flat_complex(composed_output.matrix),
-        "staged_output": _flat_complex(staged_output.matrix),
-    }
-    return verdict, 2 * 3 * shots, recon
-
-
-_RUNNERS = {
-    "helstrom": _run_helstrom,
-    "ensemble-signalling": _run_ensemble_signalling,
-    "basis-invariance": _run_basis_invariance,
-    "ancilla-consistency": _run_ancilla_consistency,
-    "qrac": _run_qrac,
-    "nsq-survey": _run_nsq_survey,
-    "composition-gap": _run_composition_gap,
-}
-
-
 def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int) -> dict:
     spec = scenario.detectors[det_index]
     params = scenario.grid[cell_index]
     stream = RngStream(seed, mix64(cell_index, det_index))
     record: dict = {"detector": spec.name}
     try:
-        verdict, samples, recon = _RUNNERS[spec.name](scenario, spec, params, stream)
+        verdict, samples, recon = DETECTORS[spec.name].make(scenario, spec, params, stream)
         record["verdict"] = _verdict_dict(verdict)
         record["samples"] = int(samples)
         if recon:
@@ -243,7 +109,7 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
         cells.append(
             {
                 "cell_index": cell_index,
-                "params": _params_dict(params),
+                "params": params.as_dict(),
                 "results": results,
                 "samples": sum(r["samples"] for r in results),
             }

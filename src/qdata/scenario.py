@@ -5,6 +5,11 @@ cells, a detector suite with per-detector settings, and a master seed.
 Parsing is strict: unknown keys, duplicate keys, malformed values and
 references to undeclared grid parameters are all rejected with the failing
 field's path.  Complex numbers appear in files as [re, im] pairs.
+
+The vocabulary is declared once, one table each for channel kinds, box
+families, pair families and detectors (see :class:`Entry`).  One routine
+parses every entry's fields; one build step resolves ``{"param": name}``
+references per grid cell.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,16 +32,41 @@ from .boxes import (
     NonlinearBloch,
     NsqChannelPair,
     QracOracle,
-    QracQuantum,
+    compose_boxes,
+    concatenate_tests,
     measure_prepare_strategy,
 )
 from .channels import QuantumChannel
-from .linalg import rotation_y
+from .detectors import (
+    HelstromSetup,
+    ancilla_consistency_test,
+    basis_invariance_test,
+    canonical_ensemble_pair,
+    decide,
+    ensemble_signalling_test,
+    helstrom_test,
+    nsq_random_survey,
+    qrac_fidelity_estimate,
+    qrac_verdict,
+)
+from .linalg import rotation_y, trace_distance
 from .states import PureState
+from .tomography import (
+    TomographyRun,
+    canonical_probe_basis,
+    pauli_measurement_set,
+    process_tomography_direct,
+)
 
 __all__ = [
     "GRID_LIMIT",
+    "REQUIRED",
     "ScenarioError",
+    "Entry",
+    "CHANNEL_KINDS",
+    "BOX_FAMILIES",
+    "PAIR_FAMILIES",
+    "DETECTORS",
     "DetectorSpec",
     "Scenario",
     "parse_scenario",
@@ -44,15 +75,15 @@ __all__ = [
 
 GRID_LIMIT = 10_000
 
-_SWAP_GATE = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
+# the default of a key that must be given
+REQUIRED = object()
+
+# child index reserved for report-only reconstructions, clear of any
+# per-delta or per-stage indices a detector uses internally
+_RECON_CHILD = 1 << 20
+
+# the two-qubit swap: the identity with its middle rows exchanged
+_SWAP_GATE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 class ScenarioError(Exception):
@@ -60,15 +91,40 @@ class ScenarioError(Exception):
 
 
 @dataclass(frozen=True)
+class Entry:
+    """One name of the scenario vocabulary.
+
+    ``keys`` maps each accepted key to ``(field parser, default)``; the
+    default is ``REQUIRED`` for a key that must be given.  ``make`` builds
+    the model from the resolved fields, passed as keyword arguments; for a
+    detector it is the runner ``(scenario, spec, params, stream)`` that
+    returns ``(verdict, samples, reconstructions)``.  ``needs`` is the
+    scenario kind a detector runs in: "box", "pair", or None for either.
+    """
+
+    keys: dict
+    make: Callable
+    needs: str | None = None
+
+
+@dataclass(frozen=True)
 class _ParamRef:
     name: str
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """A parsed channel, box or pair: its table entry and its parsed fields."""
+
+    entry: Entry
+    fields: dict
 
 
 def _fail(where: str, message: str) -> None:
     raise ScenarioError(f"{where}: {message}")
 
 
-def _check_keys(node: dict, required: tuple, optional: tuple, where: str) -> None:
+def _check_keys(node: dict, required: tuple, optional, where: str) -> None:
     if not isinstance(node, dict):
         _fail(where, f"expected an object, got {type(node).__name__}")
     for key in node:
@@ -77,6 +133,10 @@ def _check_keys(node: dict, required: tuple, optional: tuple, where: str) -> Non
     for key in required:
         if key not in node:
             _fail(where, f"missing required key {key!r}")
+
+
+# ---------------------------------------------------------------------------
+# field parsers: (node, where) -> parsed value
 
 
 def _scalar(node, where: str) -> float:
@@ -88,11 +148,17 @@ def _scalar(node, where: str) -> float:
     return value
 
 
-def _integer(node, where: str, minimum: int = 0) -> int:
+def _count(node, where: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         _fail(where, f"expected an integer, got {type(node).__name__}")
-    if node < minimum:
-        _fail(where, f"must be at least {minimum}")
+    if node < 1:
+        _fail(where, "must be at least 1")
+    return node
+
+
+def _flag(node, where: str) -> bool:
+    if not isinstance(node, bool):
+        _fail(where, "expected a boolean")
     return node
 
 
@@ -132,209 +198,298 @@ def _complex_matrix(node, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _list_of(item, message: str, least: int = 1, most: int | None = None):
+    """Parser of a list of ``item``s, ``least`` to ``most`` long, as a tuple."""
+
+    def parse(node, where: str) -> tuple:
+        if not isinstance(node, list) or len(node) < least or (most is not None and len(node) > most):
+            _fail(where, message)
+        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(node))
+
+    return parse
+
+
+def _basis(node, where: str):
+    return node if node == "computational" else _complex_matrix(node, where)
+
+
+_dims = _list_of(_count, "expected [dim_a, dim_b]", least=2, most=2)
+_number_pair = _list_of(_scalar, "expected a pair of numbers", least=2, most=2)
+
+
+# ---------------------------------------------------------------------------
+# the one parse routine and the one build routine
+
+
+def _parse_fields(entry: Entry, node: dict, where: str, foreign: str) -> dict:
+    """Check ``node``'s keys against ``entry`` and parse each accepted field."""
+    for key in node:
+        if key not in entry.keys:
+            _fail(f"{where}.{key}", foreign)
+    for key, (_, default) in entry.keys.items():
+        if default is REQUIRED and key not in node:
+            _fail(where, f"missing required key {key!r}")
+    return {
+        key: parse(node[key], f"{where}.{key}") if key in node else default
+        for key, (parse, default) in entry.keys.items()
+    }
+
+
+def _parse_spec(table: dict, tag: str, what: str, node, where: str) -> _Spec:
+    _check_keys(node, (tag,), set().union(*(e.keys for e in table.values())), where)
+    name = node[tag]
+    if not isinstance(name, str) or name not in table:
+        _fail(f"{where}.{tag}", f"unknown {what} {name!r}")
+    fields = {key: value for key, value in node.items() if key != tag}
+    foreign = f"key not accepted by {what} {name!r}"
+    return _Spec(table[name], _parse_fields(table[name], fields, where, foreign))
+
+
+def _channel(node, where: str) -> _Spec:
+    return _parse_spec(CHANNEL_KINDS, "kind", "channel kind", node, where)
+
+
+def _box(node, where: str) -> _Spec:
+    return _parse_spec(BOX_FAMILIES, "family", "box family", node, where)
+
+
+def _pair(node, where: str) -> _Spec:
+    return _parse_spec(PAIR_FAMILIES, "family", "pair family", node, where)
+
+
+def _build_value(value, params: ClassicalParams, where: str):
+    if isinstance(value, _ParamRef):
+        bound = params.get(value.name)
+        if bound is None or isinstance(bound, str):
+            _fail(where, f"grid cell does not bind numeric parameter {value.name!r}")
+        return float(bound)
+    if isinstance(value, _Spec):
+        return _build(value, params, where)
+    if isinstance(value, tuple):
+        return tuple(_build_value(v, params, f"{where}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def _build(spec: _Spec, params: ClassicalParams, where: str):
+    """Build a parsed spec for one grid cell, nested specs first."""
+    fields = {key: _build_value(v, params, f"{where}.{key}") for key, v in spec.fields.items()}
+    return spec.entry.make(**fields)
+
+
 def _collect_refs(node) -> set:
     if isinstance(node, _ParamRef):
         return {node.name}
+    if isinstance(node, _Spec):
+        node = node.fields
     if isinstance(node, dict):
-        return set().union(*(_collect_refs(v) for v in node.values())) if node else set()
+        node = tuple(node.values())
     if isinstance(node, (list, tuple)):
-        return set().union(*(_collect_refs(v) for v in node)) if node else set()
+        return set().union(*(_collect_refs(v) for v in node))
     return set()
 
 
-def _resolve(node, params: ClassicalParams, where: str) -> float:
-    if isinstance(node, _ParamRef):
-        value = params.get(node.name)
-        if value is None or isinstance(value, str):
-            _fail(where, f"grid cell does not bind numeric parameter {node.name!r}")
-        return float(value)
-    return node
-
-
 # ---------------------------------------------------------------------------
-# channel, box and pair specs
+# channel kinds, box families and pair families
 
 
-_CHANNEL_KINDS = ("identity", "depolarizing", "amplitude-damping", "dephasing", "swap", "unitary", "kraus")
+def _rotation(angle):
+    return None if angle is None else rotation_y(angle)
 
 
-def _parse_channel(node, where: str) -> dict:
-    _check_keys(node, ("kind",), ("dim", "p", "gamma", "matrix", "operators", "dim_in", "dim_out"), where)
-    kind = node["kind"]
-    if kind not in _CHANNEL_KINDS:
-        _fail(f"{where}.kind", f"unknown channel kind {kind!r}")
-    spec = {"kind": kind}
-    allowed = {
-        "identity": ("dim",),
-        "depolarizing": ("p",),
-        "amplitude-damping": ("gamma",),
-        "dephasing": ("p",),
-        "swap": (),
-        "unitary": ("matrix",),
-        "kraus": ("operators", "dim_in", "dim_out"),
-    }[kind]
-    for key in node:
-        if key != "kind" and key not in allowed:
-            _fail(f"{where}.{key}", f"key not accepted by channel kind {kind!r}")
-    if kind == "identity":
-        spec["dim"] = _integer(node.get("dim", 2), f"{where}.dim", minimum=1)
-    elif kind in ("depolarizing", "dephasing"):
-        if "p" not in node:
-            _fail(where, "missing required key 'p'")
-        spec["p"] = _scalar_or_ref(node["p"], f"{where}.p")
-    elif kind == "amplitude-damping":
-        if "gamma" not in node:
-            _fail(where, "missing required key 'gamma'")
-        spec["gamma"] = _scalar_or_ref(node["gamma"], f"{where}.gamma")
-    elif kind == "unitary":
-        if "matrix" not in node:
-            _fail(where, "missing required key 'matrix'")
-        spec["matrix"] = _complex_matrix(node["matrix"], f"{where}.matrix")
-    elif kind == "kraus":
-        for key in ("operators", "dim_in", "dim_out"):
-            if key not in node:
-                _fail(where, f"missing required key {key!r}")
-        if not isinstance(node["operators"], list) or not node["operators"]:
-            _fail(f"{where}.operators", "expected a non-empty list of matrices")
-        spec["operators"] = [
-            _complex_matrix(op, f"{where}.operators[{i}]") for i, op in enumerate(node["operators"])
-        ]
-        spec["dim_in"] = _integer(node["dim_in"], f"{where}.dim_in", minimum=1)
-        spec["dim_out"] = _integer(node["dim_out"], f"{where}.dim_out", minimum=1)
-    return spec
+def _collapse(kappa, pre_rotation_y, post_rotation_y, basis) -> CollapseNonlinear:
+    rows = np.eye(2) if isinstance(basis, str) else basis
+    return CollapseNonlinear(
+        tuple(PureState(row) for row in rows),
+        kappa=kappa,
+        pre_unitary=_rotation(pre_rotation_y),
+        post_unitary=_rotation(post_rotation_y),
+    )
 
 
-def _build_channel(spec: dict, params: ClassicalParams, where: str) -> QuantumChannel:
-    kind = spec["kind"]
-    if kind == "identity":
-        return QuantumChannel.identity(spec["dim"])
-    if kind == "depolarizing":
-        return QuantumChannel.depolarizing(_resolve(spec["p"], params, f"{where}.p"))
-    if kind == "amplitude-damping":
-        return QuantumChannel.amplitude_damping(_resolve(spec["gamma"], params, f"{where}.gamma"))
-    if kind == "dephasing":
-        return QuantumChannel.dephasing(_resolve(spec["p"], params, f"{where}.p"))
-    if kind == "swap":
-        return QuantumChannel.from_unitary(_SWAP_GATE)
-    if kind == "unitary":
-        return QuantumChannel.from_unitary(spec["matrix"])
-    return QuantumChannel.from_kraus(spec["operators"], spec["dim_in"], spec["dim_out"])
-
-
-_BOX_FAMILIES = ("linear", "nonlinear-bloch", "collapse", "composed")
-
-
-def _parse_box(node, where: str) -> dict:
-    _check_keys(node, ("family",), ("channel", "kappa", "pre_rotation_y", "post_rotation_y", "basis", "stages"), where)
-    family = node["family"]
-    if family not in _BOX_FAMILIES:
-        _fail(f"{where}.family", f"unknown box family {family!r}")
-    allowed = {
-        "linear": ("channel",),
-        "nonlinear-bloch": ("kappa", "pre_rotation_y", "post_rotation_y"),
-        "collapse": ("kappa", "pre_rotation_y", "post_rotation_y", "basis"),
-        "composed": ("stages",),
-    }[family]
-    for key in node:
-        if key != "family" and key not in allowed:
-            _fail(f"{where}.{key}", f"key not accepted by box family {family!r}")
-    spec = {"family": family}
-    if family == "linear":
-        if "channel" not in node:
-            _fail(where, "missing required key 'channel'")
-        spec["channel"] = _parse_channel(node["channel"], f"{where}.channel")
-    elif family in ("nonlinear-bloch", "collapse"):
-        spec["kappa"] = _scalar_or_ref(node.get("kappa", 1.0), f"{where}.kappa")
-        for key in ("pre_rotation_y", "post_rotation_y"):
-            if key in node:
-                spec[key] = _scalar_or_ref(node[key], f"{where}.{key}")
-        if family == "collapse":
-            basis = node.get("basis", "computational")
-            if basis != "computational":
-                basis = _complex_matrix(basis, f"{where}.basis")
-            spec["basis"] = basis
-    else:
-        stages = node.get("stages")
-        if not isinstance(stages, list) or len(stages) < 2:
-            _fail(f"{where}.stages", "expected a list of at least two box specs")
-        spec["stages"] = [_parse_box(s, f"{where}.stages[{i}]") for i, s in enumerate(stages)]
-    return spec
-
-
-def _build_box(spec: dict, params: ClassicalParams, where: str) -> BoxModel:
-    family = spec["family"]
-    if family == "linear":
-        return LinearBox(_build_channel(spec["channel"], params, f"{where}.channel"))
-    if family in ("nonlinear-bloch", "collapse"):
-        kappa = _resolve(spec["kappa"], params, f"{where}.kappa")
-        unitaries = {}
-        for key, arg in (("pre_rotation_y", "pre_unitary"), ("post_rotation_y", "post_unitary")):
-            if key in spec:
-                unitaries[arg] = rotation_y(_resolve(spec[key], params, f"{where}.{key}"))
-        if family == "nonlinear-bloch":
-            return NonlinearBloch(kappa, **unitaries)
-        basis_spec = spec["basis"]
-        if isinstance(basis_spec, str):
-            dim = 2
-            basis = tuple(PureState(np.eye(dim)[k]) for k in range(dim))
-        else:
-            basis = tuple(PureState(row) for row in basis_spec)
-        return CollapseNonlinear(basis, kappa=kappa, **unitaries)
-    stages = [
-        _build_box(s, params, f"{where}.stages[{i}]") for i, s in enumerate(spec["stages"])
-    ]
-    return ComposedBox(stages)
-
-
-_PAIR_FAMILIES = ("qrac-oracle", "qrac-measure-prepare", "nsq-channel")
-
-
-def _parse_pair(node, where: str) -> dict:
-    _check_keys(node, ("family",), ("channel", "local_dims"), where)
-    family = node["family"]
-    if family not in _PAIR_FAMILIES:
-        _fail(f"{where}.family", f"unknown pair family {family!r}")
-    spec = {"family": family}
-    if family == "nsq-channel":
-        if "channel" not in node or "local_dims" not in node:
-            _fail(where, "nsq-channel needs 'channel' and 'local_dims'")
-        spec["channel"] = _parse_channel(node["channel"], f"{where}.channel")
-        dims = node["local_dims"]
-        if not isinstance(dims, list) or len(dims) != 2:
-            _fail(f"{where}.local_dims", "expected [dim_a, dim_b]")
-        spec["local_dims"] = tuple(
-            _integer(d, f"{where}.local_dims[{i}]", minimum=1) for i, d in enumerate(dims)
-        )
-    elif "channel" in node or "local_dims" in node:
-        _fail(where, f"keys not accepted by pair family {family!r}")
-    return spec
-
-
-def _build_pair(spec: dict, params: ClassicalParams, where: str) -> BoxPair:
-    family = spec["family"]
-    if family == "qrac-oracle":
-        return QracOracle()
-    if family == "qrac-measure-prepare":
-        return measure_prepare_strategy()
-    channel = _build_channel(spec["channel"], params, f"{where}.channel")
-    return NsqChannelPair(channel, spec["local_dims"])
-
-
-# ---------------------------------------------------------------------------
-# detector settings schemas
-
-_DETECTOR_SETTINGS = {
-    "helstrom": ("trials", "thetas", "priors"),
-    "ensemble-signalling": (),
-    "basis-invariance": ("shots", "deltas"),
-    "ancilla-consistency": ("shots",),
-    "qrac": ("rounds",),
-    "nsq-survey": ("n_samples", "local_dims", "env_dim", "product_channels"),
-    "composition-gap": ("second_box", "probe_theta", "shots"),
+_REF = (_scalar_or_ref, REQUIRED)
+_WARP_KEYS = {
+    "kappa": (_scalar_or_ref, 1.0),
+    "pre_rotation_y": (_scalar_or_ref, None),
+    "post_rotation_y": (_scalar_or_ref, None),
 }
 
-_NEEDS_PAIR = {"qrac"}
-_NEEDS_BOX = {"helstrom", "ensemble-signalling", "basis-invariance", "ancilla-consistency", "composition-gap"}
+CHANNEL_KINDS = {
+    "identity": Entry({"dim": (_count, 2)}, lambda dim: QuantumChannel.identity(dim)),
+    "depolarizing": Entry({"p": _REF}, lambda p: QuantumChannel.depolarizing(p)),
+    "amplitude-damping": Entry({"gamma": _REF}, lambda gamma: QuantumChannel.amplitude_damping(gamma)),
+    "dephasing": Entry({"p": _REF}, lambda p: QuantumChannel.dephasing(p)),
+    "swap": Entry({}, lambda: QuantumChannel.from_unitary(_SWAP_GATE)),
+    "unitary": Entry({"matrix": (_complex_matrix, REQUIRED)}, lambda matrix: QuantumChannel.from_unitary(matrix)),
+    "kraus": Entry(
+        {
+            "operators": (_list_of(_complex_matrix, "expected a non-empty list of matrices"), REQUIRED),
+            "dim_in": (_count, REQUIRED),
+            "dim_out": (_count, REQUIRED),
+        },
+        lambda operators, dim_in, dim_out: QuantumChannel.from_kraus(operators, dim_in, dim_out),
+    ),
+}
+
+BOX_FAMILIES = {
+    "linear": Entry({"channel": (_channel, REQUIRED)}, LinearBox),
+    "nonlinear-bloch": Entry(
+        _WARP_KEYS,
+        lambda kappa, pre_rotation_y, post_rotation_y: NonlinearBloch(
+            kappa, _rotation(pre_rotation_y), _rotation(post_rotation_y)
+        ),
+    ),
+    "collapse": Entry({**_WARP_KEYS, "basis": (_basis, "computational")}, _collapse),
+    "composed": Entry(
+        {"stages": (_list_of(_box, "expected a list of at least two box specs", least=2), REQUIRED)},
+        lambda stages: ComposedBox(stages),
+    ),
+}
+
+PAIR_FAMILIES = {
+    "qrac-oracle": Entry({}, QracOracle),
+    "qrac-measure-prepare": Entry({}, lambda: measure_prepare_strategy()),
+    "nsq-channel": Entry(
+        {"channel": (_channel, REQUIRED), "local_dims": (_dims, REQUIRED)},
+        lambda channel, local_dims: NsqChannelPair(channel, local_dims),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# detectors: each runner returns (verdict, samples, reconstructions)
+
+
+def _flat_complex(matrix: np.ndarray) -> dict:
+    flat = np.asarray(matrix, dtype=complex).reshape(-1)
+    return {
+        "shape": list(matrix.shape),
+        "data": [[float(z.real), float(z.imag)] for z in flat],
+    }
+
+
+def _run_helstrom(scenario, spec, params, stream):
+    box = scenario.build_box(params)
+    t1, t2 = spec.settings["thetas"]
+    setup = HelstromSetup(
+        spec.settings["priors"],
+        (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0)),
+    )
+    verdict = helstrom_test(box, setup, params, spec.settings["trials"], stream)
+    return verdict, spec.settings["trials"], {}
+
+
+def _run_ensemble_signalling(scenario, spec, params, stream):
+    box = scenario.build_box(params)
+    e1, e2 = canonical_ensemble_pair()
+    return ensemble_signalling_test(box, e1, e2, params), 0, {}
+
+
+def _run_basis_invariance(scenario, spec, params, stream):
+    box = scenario.build_box(params)
+    shots = spec.settings["shots"]
+    deltas = spec.settings["deltas"]
+    run = TomographyRun(shots, pauli_measurement_set(1))
+    verdict = basis_invariance_test(box, params, deltas, run, stream)
+    recon = process_tomography_direct(
+        box, params, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
+    )
+    samples = (len(deltas) + 1) * 4 * 3 * shots
+    return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
+
+
+def _run_ancilla_consistency(scenario, spec, params, stream):
+    box = scenario.build_box(params)
+    shots = spec.settings["shots"]
+    run = TomographyRun(shots, pauli_measurement_set(1))
+    verdict = ancilla_consistency_test(box, params, run, stream)
+    recon = process_tomography_direct(
+        box, params, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
+    )
+    # direct stage 4 probes x 3 settings, joint stage 9 settings, plus the
+    # reported reconstruction at 12 settings
+    samples = (12 + 9 + 12) * shots
+    return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
+
+
+def _run_qrac(scenario, spec, params, stream):
+    rounds = spec.settings["rounds"]
+    result = qrac_fidelity_estimate(scenario.build_pair(params), rounds, stream)
+    return qrac_verdict(result), rounds, {}
+
+
+def _run_nsq_survey(scenario, spec, params, stream):
+    s = spec.settings
+    verdict = nsq_random_survey(
+        s["n_samples"],
+        s["local_dims"],
+        stream,
+        env_dim=s["env_dim"],
+        product_channels=s["product_channels"],
+    )
+    return verdict, s["n_samples"], {}
+
+
+def _run_composition_gap(scenario, spec, params, stream):
+    first = scenario.build_box(params)
+    second = scenario.build_second_box(spec.settings["second_box"], params)
+    shots = spec.settings["shots"]
+    probe = PureState.from_bloch(spec.settings["probe_theta"], 0.0)
+    composed_output = compose_boxes(first, second).ensemble_output_density(probe, params)
+    staged_output = concatenate_tests(first, second, probe, params, shots=shots, rng=stream)
+    statistic = trace_distance(composed_output, staged_output)
+    # the 0.05 margin dominates tomography error at any sane shot budget,
+    # so the gap statistic carries no separate error bar
+    verdict = decide(statistic, 0.05, 0.0, shots)
+    recon = {
+        "composed_output": _flat_complex(composed_output.matrix),
+        "staged_output": _flat_complex(staged_output.matrix),
+    }
+    return verdict, 2 * 3 * shots, recon
+
+
+DETECTORS = {
+    "helstrom": Entry(
+        {
+            "trials": (_count, 10_000),
+            "thetas": (_number_pair, (math.pi / 2 - math.pi / 8, math.pi / 2 + math.pi / 8)),
+            "priors": (_number_pair, (0.5, 0.5)),
+        },
+        _run_helstrom,
+        needs="box",
+    ),
+    "ensemble-signalling": Entry({}, _run_ensemble_signalling, needs="box"),
+    "basis-invariance": Entry(
+        {
+            "shots": (_count, 10_000),
+            "deltas": (
+                _list_of(_scalar, "expected a non-empty list of angles"),
+                (0.0, math.pi / 5, math.pi / 3),
+            ),
+        },
+        _run_basis_invariance,
+        needs="box",
+    ),
+    "ancilla-consistency": Entry({"shots": (_count, 10_000)}, _run_ancilla_consistency, needs="box"),
+    "qrac": Entry({"rounds": (_count, 20_000)}, _run_qrac, needs="pair"),
+    "nsq-survey": Entry(
+        {
+            "n_samples": (_count, 100),
+            "local_dims": (_dims, (2, 2)),
+            "env_dim": (lambda node, where: None if node is None else _count(node, where), None),
+            "product_channels": (_flag, False),
+        },
+        _run_nsq_survey,
+    ),
+    "composition-gap": Entry(
+        {
+            "second_box": (_box, REQUIRED),
+            "probe_theta": (_scalar, 2 * math.pi / 3),
+            "shots": (_count, 4096),
+        },
+        _run_composition_gap,
+        needs="box",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -346,56 +501,13 @@ class DetectorSpec:
 def _parse_detector(node, where: str) -> DetectorSpec:
     _check_keys(node, ("name",), ("settings",), where)
     name = node["name"]
-    if name not in _DETECTOR_SETTINGS:
+    if not isinstance(name, str) or name not in DETECTORS:
         _fail(f"{where}.name", f"unknown detector {name!r}")
     raw = node.get("settings", {})
     if not isinstance(raw, dict):
         _fail(f"{where}.settings", "expected an object")
-    for key in raw:
-        if key not in _DETECTOR_SETTINGS[name]:
-            _fail(f"{where}.settings.{key}", f"unknown setting for detector {name!r}")
-    w = f"{where}.settings"
-    settings: dict = {}
-    if name == "helstrom":
-        settings["trials"] = _integer(raw.get("trials", 10_000), f"{w}.trials", minimum=1)
-        thetas = raw.get("thetas", [math.pi / 2 - math.pi / 8, math.pi / 2 + math.pi / 8])
-        priors = raw.get("priors", [0.5, 0.5])
-        for label, pair in (("thetas", thetas), ("priors", priors)):
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"{w}.{label}", "expected a pair of numbers")
-        settings["thetas"] = tuple(_scalar(t, f"{w}.thetas[{i}]") for i, t in enumerate(thetas))
-        settings["priors"] = tuple(_scalar(p, f"{w}.priors[{i}]") for i, p in enumerate(priors))
-    elif name == "basis-invariance":
-        settings["shots"] = _integer(raw.get("shots", 10_000), f"{w}.shots", minimum=1)
-        deltas = raw.get("deltas", [0.0, math.pi / 5, math.pi / 3])
-        if not isinstance(deltas, list) or not deltas:
-            _fail(f"{w}.deltas", "expected a non-empty list of angles")
-        settings["deltas"] = tuple(_scalar(d, f"{w}.deltas[{i}]") for i, d in enumerate(deltas))
-    elif name == "ancilla-consistency":
-        settings["shots"] = _integer(raw.get("shots", 10_000), f"{w}.shots", minimum=1)
-    elif name == "qrac":
-        settings["rounds"] = _integer(raw.get("rounds", 20_000), f"{w}.rounds", minimum=1)
-    elif name == "nsq-survey":
-        settings["n_samples"] = _integer(raw.get("n_samples", 100), f"{w}.n_samples", minimum=1)
-        dims = raw.get("local_dims", [2, 2])
-        if not isinstance(dims, list) or len(dims) != 2:
-            _fail(f"{w}.local_dims", "expected [dim_a, dim_b]")
-        settings["local_dims"] = tuple(
-            _integer(d, f"{w}.local_dims[{i}]", minimum=1) for i, d in enumerate(dims)
-        )
-        env = raw.get("env_dim")
-        settings["env_dim"] = None if env is None else _integer(env, f"{w}.env_dim", minimum=1)
-        flag = raw.get("product_channels", False)
-        if not isinstance(flag, bool):
-            _fail(f"{w}.product_channels", "expected a boolean")
-        settings["product_channels"] = flag
-    elif name == "composition-gap":
-        if "second_box" not in raw:
-            _fail(w, "missing required key 'second_box'")
-        settings["second_box"] = _parse_box(raw["second_box"], f"{w}.second_box")
-        settings["probe_theta"] = _scalar(raw.get("probe_theta", 2 * math.pi / 3), f"{w}.probe_theta")
-        settings["shots"] = _integer(raw.get("shots", 4096), f"{w}.shots", minimum=1)
-    return DetectorSpec(name=name, settings=settings)
+    foreign = f"unknown setting for detector {name!r}"
+    return DetectorSpec(name, _parse_fields(DETECTORS[name], raw, f"{where}.settings", foreign))
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +522,22 @@ class Scenario:
     master_seed: int
     grid: tuple
     detectors: tuple
-    box_spec: dict | None
-    pair_spec: dict | None
+    box_spec: _Spec | None
+    pair_spec: _Spec | None
     raw: dict
 
     def build_box(self, params: ClassicalParams) -> BoxModel:
         if self.box_spec is None:
             raise ScenarioError("scenario declares no box")
-        return _build_box(self.box_spec, params, "box")
+        return _build(self.box_spec, params, "box")
 
     def build_pair(self, params: ClassicalParams) -> BoxPair:
         if self.pair_spec is None:
             raise ScenarioError("scenario declares no pair")
-        return _build_pair(self.pair_spec, params, "pair")
+        return _build(self.pair_spec, params, "pair")
 
-    def build_second_box(self, spec: dict, params: ClassicalParams) -> BoxModel:
-        return _build_box(spec, params, "second_box")
+    def build_second_box(self, spec: _Spec, params: ClassicalParams) -> BoxModel:
+        return _build(spec, params, "second_box")
 
 
 def _parse_grid(node, where: str) -> tuple:
@@ -474,9 +586,11 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
     if "box" in data and "pair" in data:
         _fail(source, "declare either 'box' or 'pair', not both")
     if "box" in data:
-        box_spec = _parse_box(data["box"], f"{source}.box")
+        box_spec = _box(data["box"], f"{source}.box")
+        kind = "box"
     elif "pair" in data:
-        pair_spec = _parse_pair(data["pair"], f"{source}.pair")
+        pair_spec = _pair(data["pair"], f"{source}.pair")
+        kind = "pair"
     else:
         _fail(source, "missing a 'box' or 'pair' declaration")
 
@@ -486,17 +600,14 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         _parse_detector(d, f"{source}.detectors[{i}]") for i, d in enumerate(data["detectors"])
     )
     for i, det in enumerate(detectors):
-        if det.name in _NEEDS_PAIR and pair_spec is None:
-            _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a pair scenario")
-        if det.name in _NEEDS_BOX and box_spec is None:
-            _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a box scenario")
+        needs = DETECTORS[det.name].needs
+        if needs not in (None, kind):
+            _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a {needs} scenario")
 
     grid_names = set()
     for cell in grid:
         grid_names.update(name for name, _ in cell.entries)
-    referenced = _collect_refs(box_spec) | _collect_refs(pair_spec)
-    for det in detectors:
-        referenced |= _collect_refs(det.settings)
+    referenced = _collect_refs((box_spec, pair_spec) + tuple(det.settings for det in detectors))
     missing = sorted(referenced - grid_names)
     if missing:
         _fail(f"{source}.parameter_grid", f"specs reference undeclared parameters: {', '.join(missing)}")

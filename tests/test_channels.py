@@ -1,4 +1,4 @@
-"""CPTP channel representations: Choi, Kraus, transfer, named families."""
+"""CPTP channel representations: Choi, Kraus, composition, named families."""
 
 import math
 
@@ -14,13 +14,11 @@ from qdata import (
     RngStream,
     channel_distance,
     choi_from_kraus,
-    choi_from_transfer,
     ket,
     kraus_from_choi,
     max_entangled,
     plus_state,
     random_channel,
-    transfer_from_choi,
 )
 
 
@@ -130,6 +128,33 @@ def test_compose_matches_sequential_application():
         assert np.allclose(both.apply(rho).matrix, b.apply(a.apply(rho)).matrix, atol=1e-10)
 
 
+def assert_cptp(ch):
+    w = np.linalg.eigvalsh(ch.choi)
+    assert w.min() >= -1e-12
+    marginal = np.einsum("iaja->ij", ch.choi4)
+    assert np.max(np.abs(marginal - np.eye(ch.dim_in))) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4)])
+def test_compose_and_tensor_of_random_rectangular_channels(dims):
+    # unequal dimensions make every index of the link product distinct, so
+    # an index-order mistake that square 2x2 channels hide fails here
+    d_in, d_mid, d_out = dims
+    root = RngStream(22, d_in)
+    for k in range(20):
+        first = random_channel(d_in, d_mid, root.child(3 * k))
+        second = random_channel(d_mid, d_out, root.child(3 * k + 1))
+        both = second.compose(first)
+        assert (both.dim_in, both.dim_out) == (d_in, d_out)
+        assert_cptp(both)
+        rho = random_density(d_in, root.child(3 * k + 2))
+        staged = second.apply(first.apply(rho)).matrix
+        assert np.max(np.abs(both.apply(rho).matrix - staged)) <= 1e-12
+        joint = first.tensor(second)
+        assert (joint.dim_in, joint.dim_out) == (d_in * d_mid, d_mid * d_out)
+        assert_cptp(joint)
+
+
 def test_tensor_of_identities_is_identity():
     ch = QuantumChannel.identity(2).tensor(QuantumChannel.identity(2))
     assert channel_distance(ch, QuantumChannel.identity(4)) < 1e-12
@@ -183,18 +208,6 @@ def test_random_channel_law_invariant_under_unitary_conjugation():
         [u.apply(random_channel(2, 2, g2).apply(rho)).purity() for _ in range(10_000)]
     )
     assert abs(plain - conj) < 0.01
-
-
-def test_transfer_round_trip():
-    for ch in (
-        QuantumChannel.identity(2),
-        QuantumChannel.depolarizing(0.3),
-        QuantumChannel.amplitude_damping(0.5),
-        random_channel(2, 2, RngStream(21, 7)),
-    ):
-        t = transfer_from_choi(ch.choi, 2, 2)
-        back = choi_from_transfer(t, 2, 2)
-        assert np.allclose(back, ch.choi, atol=1e-10)
 
 
 def test_channel_distance_properties():

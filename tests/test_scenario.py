@@ -17,6 +17,7 @@ from qdata import (
     parse_scenario,
     parse_scenario_dict,
 )
+from qdata.scenario import BOX_FAMILIES, CHANNEL_KINDS, DETECTORS, PAIR_FAMILIES, REQUIRED
 
 
 def base_scenario():
@@ -296,6 +297,11 @@ def test_readme_names_exactly_what_the_parser_accepts():
     assert readme_names("Channel kinds") == set(CHANNEL_SPECS)
     assert readme_names("Pair families") == set(PAIR_SPECS)
     assert readme_names("Detectors") == set(DETECTOR_SPECS)
+    # and the parser's tables hold exactly the documented names
+    assert set(BOX_FAMILIES) == set(BOX_SPECS)
+    assert set(CHANNEL_KINDS) == set(CHANNEL_SPECS)
+    assert set(PAIR_FAMILIES) == set(PAIR_SPECS)
+    assert set(DETECTORS) == set(DETECTOR_SPECS)
 
 
 def pair_variant(pair, detectors):
@@ -321,3 +327,61 @@ def test_every_documented_name_parses_and_builds():
         else:
             doc = variant(detectors=detectors)
         assert parse_scenario_dict(doc).detectors[0].name == name
+
+
+# ------------------------------------------------- every table entry's keys
+
+# table label -> (table, documented nodes, key naming the entry, what the table names)
+VOCABULARY = {
+    "channel": (CHANNEL_KINDS, CHANNEL_SPECS, "kind", "channel kind"),
+    "box": (BOX_FAMILIES, BOX_SPECS, "family", "box family"),
+    "pair": (PAIR_FAMILIES, PAIR_SPECS, "family", "pair family"),
+    "detector": (DETECTORS, None, "name", "detector"),
+}
+ENTRIES = [(label, name) for label, (table, *_) in VOCABULARY.items() for name in table]
+
+
+def document_with(label, name, fields):
+    """A scenario declaring the entry ``name`` of table ``label`` with ``fields``."""
+    if label == "channel":
+        return variant(box={"family": "linear", "channel": {"kind": name, **fields}})
+    if label == "box":
+        return variant(box={"family": name, **fields})
+    if label == "pair":
+        return pair_variant({"family": name, **fields}, [{"name": "nsq-survey"}])
+    detectors = [{"name": name, "settings": fields}]
+    if DETECTOR_SPECS[name][0] == "pair":
+        return pair_variant(PAIR_SPECS["qrac-oracle"], detectors)
+    return variant(detectors=detectors)
+
+
+@pytest.mark.parametrize("label,name", ENTRIES, ids=[f"{l}-{n}" for l, n in ENTRIES])
+def test_every_entry_rejects_foreign_keys_and_requires_its_keys(label, name):
+    table, specs, tag, what = VOCABULARY[label]
+    if label == "detector":
+        fields = DETECTOR_SPECS[name][1]
+        foreign = f"unknown setting for detector {name!r}"
+    else:
+        fields = {k: v for k, v in specs[name].items() if k != tag}
+        foreign = f"key not accepted by {what} {name!r}"
+    accepted = table[name].keys
+    parse_scenario_dict(document_with(label, name, fields))
+
+    # a key another entry of the same table accepts is foreign to this one
+    others = {key for entry in table.values() for key in entry.keys} - set(accepted)
+    if label == "detector":
+        others.add("bogus")
+    for key in sorted(others):
+        with pytest.raises(ScenarioError, match=re.escape(f".{key}: {foreign}")):
+            parse_scenario_dict(document_with(label, name, {**fields, key: 1}))
+    if label != "detector":
+        with pytest.raises(ScenarioError, match=r"\.bogus: unknown key"):
+            parse_scenario_dict(document_with(label, name, {**fields, "bogus": 1}))
+
+    for key, (_, default) in accepted.items():
+        if default is not REQUIRED:
+            continue
+        assert key in fields, f"the documented {what} {name!r} lacks its required {key!r}"
+        dropped = {k: v for k, v in fields.items() if k != key}
+        with pytest.raises(ScenarioError, match=f"missing required key {key!r}"):
+            parse_scenario_dict(document_with(label, name, dropped))
