@@ -21,11 +21,9 @@ from ._version import __version__
 from .boxes import (
     BoxModel,
     BoxPair,
-    ClassicalParams,
     CollapseNonlinear,
     ComposedBox,
     LinearBox,
-    NO_PARAMS,
     NonlinearBloch,
     NsqChannelPair,
     QracOracle,
@@ -156,11 +154,9 @@ __all__ = [
     # boxes
     "BoxModel",
     "BoxPair",
-    "ClassicalParams",
     "CollapseNonlinear",
     "ComposedBox",
     "LinearBox",
-    "NO_PARAMS",
     "NonlinearBloch",
     "NsqChannelPair",
     "QracOracle",

@@ -3,8 +3,7 @@
 A box consumes quantum states and emits quantum states.  Three families are
 implemented:
 
-* ``LinearBox`` wraps an ordinary CPTP channel (optionally parametrized by
-  classical knobs), the honest quantum case.
+* ``LinearBox`` wraps an ordinary CPTP channel, the honest quantum case.
 * ``NonlinearBloch`` deterministically warps the polar angle of a qubit's
   Bloch vector, a minimal model of density-matrix-nonlinear dynamics.
 * ``CollapseNonlinear`` first performs a projective collapse in a fixed
@@ -21,8 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +40,6 @@ from .states import (
 
 __all__ = [
     "BRANCH_CUTOFF",
-    "ClassicalParams",
     "warp_polar_angle",
     "BoxModel",
     "LinearBox",
@@ -60,44 +57,6 @@ __all__ = [
 
 # Branches below this weight are dropped from enumerations.
 BRANCH_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class ClassicalParams:
-    """Ordered, named classical knobs attached to a box evaluation.
-
-    Values may be real numbers, integers, or string labels.  Names must be
-    unique; order is preserved because grid cells are enumerated in
-    declaration order.
-    """
-
-    entries: tuple = ()
-
-    def __post_init__(self) -> None:
-        pairs = tuple((str(k), v) for k, v in self.entries)
-        names = [k for k, _ in pairs]
-        if len(set(names)) != len(names):
-            raise InvalidInputError("duplicate parameter name")
-        for _, v in pairs:
-            if not isinstance(v, (int, float, str)):
-                raise InvalidInputError("parameter values must be numbers or labels")
-        object.__setattr__(self, "entries", pairs)
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "ClassicalParams":
-        return cls(tuple(mapping.items()))
-
-    def get(self, name: str, default=None):
-        for k, v in self.entries:
-            if k == name:
-                return v
-        return default
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-
-NO_PARAMS = ClassicalParams()
 
 
 def warp_polar_angle(theta: float, kappa: float) -> float:
@@ -145,15 +104,11 @@ class BoxModel(ABC):
     dim_out: int
 
     @abstractmethod
-    def branch_distribution(
-        self, psi: PureState, params: ClassicalParams = NO_PARAMS
-    ) -> list:
+    def branch_distribution(self, psi: PureState) -> list:
         """Exact list of (probability, PureState) outcomes for a pure input."""
 
     @abstractmethod
-    def joint_branches(
-        self, joint: PureState, ref_dim: int, params: ClassicalParams = NO_PARAMS
-    ) -> list:
+    def joint_branches(self, joint: PureState, ref_dim: int) -> list:
         """Branch enumeration when the box acts on the first factor of a joint pure state."""
 
     def _check_input(self, psi: PureState) -> PureState:
@@ -164,11 +119,9 @@ class BoxModel(ABC):
             )
         return psi
 
-    def probe_pure(
-        self, psi: PureState, params: ClassicalParams = NO_PARAMS, rng: RngStream | None = None
-    ) -> PureState:
+    def probe_pure(self, psi: PureState, rng: RngStream | None = None) -> PureState:
         """Draw one pure output sample for a pure input."""
-        branches = self.branch_distribution(self._check_input(psi), params)
+        branches = self.branch_distribution(self._check_input(psi))
         if len(branches) == 1:
             return branches[0][1]
         if rng is None:
@@ -177,9 +130,7 @@ class BoxModel(ABC):
         idx = rng.generator.choice(len(branches), p=probs / probs.sum())
         return branches[idx][1]
 
-    def ensemble_output_density(
-        self, ensemble, params: ClassicalParams = NO_PARAMS
-    ) -> DensityMatrix:
+    def ensemble_output_density(self, ensemble) -> DensityMatrix:
         """Exact infinite-shot output state for an input ensemble.
 
         Accepts an Ensemble, a PureState, or a DensityMatrix (converted via
@@ -192,13 +143,11 @@ class BoxModel(ABC):
             ensemble = Ensemble((1.0,), (as_state(ensemble),))
         out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
         for weight, member in zip(ensemble.weights, ensemble.states):
-            for p, phi in self.branch_distribution(self._check_input(member), params):
+            for p, phi in self.branch_distribution(self._check_input(member)):
                 out += weight * p * phi.projector()
         return DensityMatrix(out)
 
-    def probe_with_reference(
-        self, joint: PureState, params: ClassicalParams = NO_PARAMS, rng: RngStream | None = None
-    ) -> DensityMatrix:
+    def probe_with_reference(self, joint: PureState) -> DensityMatrix:
         """Exact joint output when the box acts on one half of an entangled probe.
 
         The box side is always the first tensor factor.  The reference-side
@@ -209,61 +158,34 @@ class BoxModel(ABC):
             raise InvalidShapeError("joint state does not factor over the box input")
         ref_dim = joint.dim // self.dim_in
         out = np.zeros((self.dim_out * ref_dim,) * 2, dtype=complex)
-        for p, phi in self.joint_branches(joint, ref_dim, params):
+        for p, phi in self.joint_branches(joint, ref_dim):
             out += p * phi.projector()
         return DensityMatrix(out)
 
 
 class LinearBox(BoxModel):
-    """Honest quantum box: a CPTP channel, optionally a family over params.
+    """Honest quantum box: the CPTP channel ``channel``."""
 
-    When constructed from a single channel the classical parameters are
-    ignored.  A family is any callable from ClassicalParams to a
-    QuantumChannel with fixed input/output dimensions.
-    """
+    def __init__(self, channel: QuantumChannel):
+        self.channel = channel
+        self.dim_in = channel.dim_in
+        self.dim_out = channel.dim_out
 
-    def __init__(
-        self,
-        channel: QuantumChannel | Callable[[ClassicalParams], QuantumChannel],
-        dim_in: int | None = None,
-        dim_out: int | None = None,
-    ):
-        if isinstance(channel, QuantumChannel):
-            self._family = None
-            self._fixed = channel
-            self.dim_in = channel.dim_in
-            self.dim_out = channel.dim_out
-        else:
-            if dim_in is None or dim_out is None:
-                raise InvalidInputError("a channel family needs explicit dimensions")
-            self._family = channel
-            self._fixed = None
-            self.dim_in = int(dim_in)
-            self.dim_out = int(dim_out)
-
-    def channel(self, params: ClassicalParams = NO_PARAMS) -> QuantumChannel:
-        if self._fixed is not None:
-            return self._fixed
-        c = self._family(params)
-        if (c.dim_in, c.dim_out) != (self.dim_in, self.dim_out):
-            raise InvalidShapeError("channel family returned mismatched dimensions")
-        return c
-
-    def branch_distribution(self, psi, params=NO_PARAMS):
+    def branch_distribution(self, psi):
         # a plain input is a joint input with a 1-dimensional reference
-        return self.joint_branches(self._check_input(psi), 1, params)
+        return self.joint_branches(self._check_input(psi), 1)
 
-    def joint_branches(self, joint, ref_dim, params=NO_PARAMS):
+    def joint_branches(self, joint, ref_dim):
         joint = as_state(joint)
         branches = []
-        for k in self.channel(params).kraus_operators():
+        for k in self.channel.kraus_operators():
             vec = kron(k, np.eye(ref_dim)) @ joint.vector
             p = float(np.real(np.vdot(vec, vec)))
             if p > BRANCH_CUTOFF:
                 branches.append((p, PureState(vec / math.sqrt(p))))
         return branches
 
-    def ensemble_output_density(self, ensemble, params=NO_PARAMS):
+    def ensemble_output_density(self, ensemble):
         # linearity: only the ensemble's density matters
         if isinstance(ensemble, DensityMatrix):
             rho = ensemble
@@ -271,14 +193,14 @@ class LinearBox(BoxModel):
             rho = ensemble.density()
         else:
             rho = as_state(ensemble).density()
-        return self.channel(params).apply(rho)
+        return self.channel.apply(rho)
 
-    def probe_with_reference(self, joint, params=NO_PARAMS, rng=None):
+    def probe_with_reference(self, joint):
         joint = as_state(joint)
         if joint.dim % self.dim_in != 0:
             raise InvalidShapeError("joint state does not factor over the box input")
         ref_dim = joint.dim // self.dim_in
-        extended = self.channel(params).tensor(QuantumChannel.identity(ref_dim))
+        extended = self.channel.tensor(QuantumChannel.identity(ref_dim))
         return extended.apply(joint.density())
 
 
@@ -316,10 +238,10 @@ class NonlinearBloch(_BlochWarp):
         self.dim_in = 2
         self.dim_out = 2
 
-    def branch_distribution(self, psi, params=NO_PARAMS):
+    def branch_distribution(self, psi):
         return [(1.0, self._warp_pure(self._check_input(psi)))]
 
-    def joint_branches(self, joint, ref_dim, params=NO_PARAMS):
+    def joint_branches(self, joint, ref_dim):
         return _collapse_joint_branches(
             as_state(joint), ref_dim, [ket(0), ket(1)], self._warp_pure
         )
@@ -354,7 +276,7 @@ class CollapseNonlinear(_BlochWarp):
         self.dim_in = dim
         self.dim_out = dim
 
-    def branch_distribution(self, psi, params=NO_PARAMS):
+    def branch_distribution(self, psi):
         psi = self._check_input(psi)
         branches = []
         for b in self.basis:
@@ -363,7 +285,7 @@ class CollapseNonlinear(_BlochWarp):
                 branches.append((p, self._warp_pure(b)))
         return branches
 
-    def joint_branches(self, joint, ref_dim, params=NO_PARAMS):
+    def joint_branches(self, joint, ref_dim):
         return _collapse_joint_branches(as_state(joint), ref_dim, self.basis, self._warp_pure)
 
 
@@ -416,14 +338,14 @@ class ComposedBox(BoxModel):
             current = nxt
         return current
 
-    def branch_distribution(self, psi, params=NO_PARAMS):
+    def branch_distribution(self, psi):
         return self._chain(
-            self._check_input(psi), lambda box, phi: box.branch_distribution(phi, params)
+            self._check_input(psi), lambda box, phi: box.branch_distribution(phi)
         )
 
-    def joint_branches(self, joint, ref_dim, params=NO_PARAMS):
+    def joint_branches(self, joint, ref_dim):
         return self._chain(
-            as_state(joint), lambda box, phi: box.joint_branches(phi, ref_dim, params)
+            as_state(joint), lambda box, phi: box.joint_branches(phi, ref_dim)
         )
 
 
@@ -436,11 +358,7 @@ def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:
     if b1.dim_out != b2.dim_in:
         raise InvalidShapeError("composed boxes have mismatched dimensions")
     if isinstance(b1, LinearBox) and isinstance(b2, LinearBox):
-        if b1._fixed is not None and b2._fixed is not None:
-            return LinearBox(b2._fixed.compose(b1._fixed))
-        return LinearBox(
-            lambda p: b2.channel(p).compose(b1.channel(p)), b1.dim_in, b2.dim_out
-        )
+        return LinearBox(b2.channel.compose(b1.channel))
     parts = []
     for b in (b1, b2):
         parts.extend(b.boxes if isinstance(b, ComposedBox) else [b])
@@ -451,7 +369,6 @@ def concatenate_tests(
     b1: BoxModel,
     b2: BoxModel,
     psi: PureState,
-    params: ClassicalParams = NO_PARAMS,
     shots: int = 10_000,
     rng: RngStream | None = None,
 ) -> DensityMatrix:
@@ -473,9 +390,9 @@ def concatenate_tests(
     run = TomographyRun(
         shots_per_setting=shots, measurement_set=pauli_measurement_set(1)
     )
-    first = b1.ensemble_output_density(psi, params)
+    first = b1.ensemble_output_density(psi)
     first_hat = state_tomography(first, run, rng.child(0))
-    second = b2.ensemble_output_density(first_hat.eigen_ensemble(), params)
+    second = b2.ensemble_output_density(first_hat.eigen_ensemble())
     return state_tomography(second, run, rng.child(1))
 
 

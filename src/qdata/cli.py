@@ -6,9 +6,10 @@ Subcommands:
 * ``demo <name>`` for the packaged example scenarios
 * ``report summarize <report-file>``
 
-Exit codes: 0 on success, 1 on scenario or usage errors, 2 on internal
-errors.  The QDATA_THREADS environment variable sets the ``--threads``
-default.
+Exit codes: 0 on success, 1 on scenario or usage errors and when a job of
+the run records an error entry (the report or the verdict lines still come
+out first), 2 on internal errors.  The QDATA_THREADS environment variable
+sets the ``--threads`` default.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ def _print_result_lines(report: dict) -> None:
             )
 
 
+def _exit_code(report: dict) -> int:
+    """1, with a line on stderr, when any job of the report recorded an error."""
+    errors = report["summary"]["error_count"]
+    if errors:
+        sys.stderr.write(f"qdata: {errors} job(s) recorded an error\n")
+        return 1
+    return 0
+
+
 def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     threads = args.threads if args.threads is not None else _default_threads()
@@ -123,7 +133,7 @@ def _cmd_run(args) -> int:
         print(summarize_report(report))
     else:
         dump_report(report, sys.stdout)
-    return 0
+    return _exit_code(report)
 
 
 def _cmd_demo(args) -> int:
@@ -131,7 +141,7 @@ def _cmd_demo(args) -> int:
     scenario = parse_scenario_dict(json.loads(text), source=f"demo:{args.name}")
     report = run_scenario(scenario, threads=_default_threads())
     _print_result_lines(report)
-    return 0
+    return _exit_code(report)
 
 
 def _cmd_report(args) -> int:

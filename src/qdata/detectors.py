@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoxModel, BoxPair, ClassicalParams, LinearBox, NO_PARAMS
+from .boxes import BoxModel, BoxPair, LinearBox
 from .channels import QuantumChannel, random_channel
 from .linalg import (
     InvalidInputError,
@@ -212,7 +212,6 @@ def _optimal_projectors(rho1: DensityMatrix, rho2: DensityMatrix, priors) -> tup
 def helstrom_test(
     box: BoxModel,
     setup: HelstromSetup,
-    params: ClassicalParams = NO_PARAMS,
     trials: int = 10_000,
     rng: RngStream | None = None,
 ) -> TestVerdict:
@@ -230,8 +229,8 @@ def helstrom_test(
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     p1, p2 = setup.priors
-    out1 = box.ensemble_output_density(setup.states[0], params)
-    out2 = box.ensemble_output_density(setup.states[1], params)
+    out1 = box.ensemble_output_density(setup.states[0])
+    out2 = box.ensemble_output_density(setup.states[1])
     pi1, pi2 = _optimal_projectors(out1, out2, setup.priors)
     q1 = float(np.clip(np.real(np.trace(pi1 @ out1.matrix)), 0.0, 1.0))
     q2 = float(np.clip(np.real(np.trace(pi2 @ out2.matrix)), 0.0, 1.0))
@@ -260,12 +259,7 @@ def canonical_ensemble_pair() -> tuple:
     return e1, e2
 
 
-def ensemble_signalling_test(
-    box: BoxModel,
-    e1: Ensemble,
-    e2: Ensemble,
-    params: ClassicalParams = NO_PARAMS,
-) -> TestVerdict:
+def ensemble_signalling_test(box: BoxModel, e1: Ensemble, e2: Ensemble) -> TestVerdict:
     """Feed two decompositions of the same density and compare the outputs.
 
     The inputs must have exactly equal density matrices; anything else is
@@ -275,8 +269,8 @@ def ensemble_signalling_test(
     """
     if trace_distance(e1.density(), e2.density()) > 1e-10:
         raise InvalidInputError("the two ensembles must have equal density matrices")
-    out1 = box.ensemble_output_density(e1, params)
-    out2 = box.ensemble_output_density(e2, params)
+    out1 = box.ensemble_output_density(e1)
+    out2 = box.ensemble_output_density(e2)
     statistic = trace_distance(out1, out2)
     return decide(statistic, 1e-6, 0.0, 0)
 
@@ -329,12 +323,12 @@ def _projected_normal_choi(process) -> np.ndarray:
     return nearest_density_matrix(process.normalized_choi())
 
 
-def _basis_invariance_statistic(box, params, deltas, run, rng) -> tuple:
+def _basis_invariance_statistic(box, deltas, run, rng) -> tuple:
     chois = []
     residuals = []
     for k, delta in enumerate(deltas):
         basis = canonical_probe_basis(box.dim_in, delta)
-        rec = process_tomography_direct(box, params, basis, run, rng.child(k))
+        rec = process_tomography_direct(box, basis, run, rng.child(k))
         chois.append(_projected_normal_choi(rec))
         residuals.append(rec.cptp_residual)
     worst = 1.0
@@ -346,7 +340,6 @@ def _basis_invariance_statistic(box, params, deltas, run, rng) -> tuple:
 
 def basis_invariance_test(
     box: BoxModel,
-    params: ClassicalParams = NO_PARAMS,
     deltas: tuple = (0.0, math.pi / 5, math.pi / 3),
     run: TomographyRun | None = None,
     rng: RngStream | None = None,
@@ -371,11 +364,9 @@ def basis_invariance_test(
     )
     threshold, sigma = _calibrated_null(
         key,
-        lambda null_box, stream: _basis_invariance_statistic(
-            null_box, NO_PARAMS, deltas, run, stream
-        )[0],
+        lambda null_box, stream: _basis_invariance_statistic(null_box, deltas, run, stream)[0],
     )
-    statistic, residuals = _basis_invariance_statistic(box, params, deltas, run, rng)
+    statistic, residuals = _basis_invariance_statistic(box, deltas, run, rng)
     return decide(
         statistic,
         threshold,
@@ -385,11 +376,9 @@ def basis_invariance_test(
     )
 
 
-def _ancilla_statistic(box, params, run, joint_run, rng) -> tuple:
-    direct = process_tomography_direct(
-        box, params, canonical_probe_basis(2, 0.0), run, rng.child(0)
-    )
-    ancilla = process_tomography_ancilla(box, params, joint_run, rng.child(1))
+def _ancilla_statistic(box, run, joint_run, rng) -> tuple:
+    direct = process_tomography_direct(box, canonical_probe_basis(2, 0.0), run, rng.child(0))
+    ancilla = process_tomography_ancilla(box, joint_run, rng.child(1))
     fid = uhlmann_fidelity(
         _projected_normal_choi(direct), _projected_normal_choi(ancilla)
     )
@@ -398,7 +387,6 @@ def _ancilla_statistic(box, params, run, joint_run, rng) -> tuple:
 
 def ancilla_consistency_test(
     box: BoxModel,
-    params: ClassicalParams = NO_PARAMS,
     run: TomographyRun | None = None,
     rng: RngStream | None = None,
 ) -> TestVerdict:
@@ -424,13 +412,9 @@ def ancilla_consistency_test(
     key = f"ancilla|{run.shots_per_setting}"
     threshold, sigma = _calibrated_null(
         key,
-        lambda null_box, stream: _ancilla_statistic(
-            null_box, NO_PARAMS, run, joint_run, stream
-        )[0],
+        lambda null_box, stream: _ancilla_statistic(null_box, run, joint_run, stream)[0],
     )
-    statistic, direct_res, ancilla_res = _ancilla_statistic(
-        box, params, run, joint_run, rng
-    )
+    statistic, direct_res, ancilla_res = _ancilla_statistic(box, run, joint_run, rng)
     return decide(
         statistic,
         threshold,

@@ -109,7 +109,7 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
         cells.append(
             {
                 "cell_index": cell_index,
-                "params": params.as_dict(),
+                "params": params,
                 "results": results,
                 "samples": sum(r["samples"] for r in results),
             }

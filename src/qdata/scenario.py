@@ -25,7 +25,6 @@ import numpy as np
 from .boxes import (
     BoxModel,
     BoxPair,
-    ClassicalParams,
     CollapseNonlinear,
     ComposedBox,
     LinearBox,
@@ -257,7 +256,7 @@ def _pair(node, where: str) -> _Spec:
     return _parse_spec(PAIR_FAMILIES, "family", "pair family", node, where)
 
 
-def _build_value(value, params: ClassicalParams, where: str):
+def _build_value(value, params: dict, where: str):
     if isinstance(value, _ParamRef):
         bound = params.get(value.name)
         if bound is None or isinstance(bound, str):
@@ -270,7 +269,7 @@ def _build_value(value, params: ClassicalParams, where: str):
     return value
 
 
-def _build(spec: _Spec, params: ClassicalParams, where: str):
+def _build(spec: _Spec, params: dict, where: str):
     """Build a parsed spec for one grid cell, nested specs first."""
     fields = {key: _build_value(v, params, f"{where}.{key}") for key, v in spec.fields.items()}
     return spec.entry.make(**fields)
@@ -374,14 +373,14 @@ def _run_helstrom(scenario, spec, params, stream):
         spec.settings["priors"],
         (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0)),
     )
-    verdict = helstrom_test(box, setup, params, spec.settings["trials"], stream)
+    verdict = helstrom_test(box, setup, spec.settings["trials"], stream)
     return verdict, spec.settings["trials"], {}
 
 
 def _run_ensemble_signalling(scenario, spec, params, stream):
     box = scenario.build_box(params)
     e1, e2 = canonical_ensemble_pair()
-    return ensemble_signalling_test(box, e1, e2, params), 0, {}
+    return ensemble_signalling_test(box, e1, e2), 0, {}
 
 
 def _run_basis_invariance(scenario, spec, params, stream):
@@ -389,9 +388,9 @@ def _run_basis_invariance(scenario, spec, params, stream):
     shots = spec.settings["shots"]
     deltas = spec.settings["deltas"]
     run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = basis_invariance_test(box, params, deltas, run, stream)
+    verdict = basis_invariance_test(box, deltas, run, stream)
     recon = process_tomography_direct(
-        box, params, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
+        box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
     )
     samples = (len(deltas) + 1) * 4 * 3 * shots
     return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
@@ -401,9 +400,9 @@ def _run_ancilla_consistency(scenario, spec, params, stream):
     box = scenario.build_box(params)
     shots = spec.settings["shots"]
     run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = ancilla_consistency_test(box, params, run, stream)
+    verdict = ancilla_consistency_test(box, run, stream)
     recon = process_tomography_direct(
-        box, params, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
+        box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
     )
     # direct stage 4 probes x 3 settings, joint stage 9 settings, plus the
     # reported reconstruction at 12 settings
@@ -434,8 +433,8 @@ def _run_composition_gap(scenario, spec, params, stream):
     second = scenario.build_second_box(spec.settings["second_box"], params)
     shots = spec.settings["shots"]
     probe = PureState.from_bloch(spec.settings["probe_theta"], 0.0)
-    composed_output = compose_boxes(first, second).ensemble_output_density(probe, params)
-    staged_output = concatenate_tests(first, second, probe, params, shots=shots, rng=stream)
+    composed_output = compose_boxes(first, second).ensemble_output_density(probe)
+    staged_output = concatenate_tests(first, second, probe, shots=shots, rng=stream)
     statistic = trace_distance(composed_output, staged_output)
     # the 0.05 margin dominates tomography error at any sane shot budget,
     # so the gap statistic carries no separate error bar
@@ -526,22 +525,22 @@ class Scenario:
     pair_spec: _Spec | None
     raw: dict
 
-    def build_box(self, params: ClassicalParams) -> BoxModel:
+    def build_box(self, params: dict) -> BoxModel:
         if self.box_spec is None:
             raise ScenarioError("scenario declares no box")
         return _build(self.box_spec, params, "box")
 
-    def build_pair(self, params: ClassicalParams) -> BoxPair:
+    def build_pair(self, params: dict) -> BoxPair:
         if self.pair_spec is None:
             raise ScenarioError("scenario declares no pair")
         return _build(self.pair_spec, params, "pair")
 
-    def build_second_box(self, spec: _Spec, params: ClassicalParams) -> BoxModel:
+    def build_second_box(self, spec: _Spec, params: dict) -> BoxModel:
         return _build(spec, params, "second_box")
 
 
 def _parse_grid(node, where: str) -> tuple:
-    cells = []
+    """Grid cells as plain dicts; the cell count is checked before an axes grid expands."""
     if isinstance(node, dict):
         names = list(node)
         axes = []
@@ -553,8 +552,8 @@ def _parse_grid(node, where: str) -> tuple:
                 if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                     _fail(f"{where}.{name}[{i}]", "grid values are numbers or strings")
             axes.append(values)
-        for combo in itertools.product(*axes):
-            cells.append(ClassicalParams.from_dict(dict(zip(names, combo))))
+        size = math.prod(len(values) for values in axes)
+        cells = (dict(zip(names, combo)) for combo in itertools.product(*axes))
     elif isinstance(node, list):
         for i, cell in enumerate(node):
             if not isinstance(cell, dict):
@@ -562,13 +561,14 @@ def _parse_grid(node, where: str) -> tuple:
             for key, v in cell.items():
                 if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                     _fail(f"{where}[{i}].{key}", "grid values are numbers or strings")
-            cells.append(ClassicalParams.from_dict(cell))
+        size = len(node)
+        cells = node
     else:
         _fail(where, "expected an axes object or a list of cells")
-    if not cells:
+    if not size:
         _fail(where, "the grid is empty")
-    if len(cells) > GRID_LIMIT:
-        _fail(where, f"grid has {len(cells)} cells, limit is {GRID_LIMIT}")
+    if size > GRID_LIMIT:
+        _fail(where, f"grid has {size} cells, limit is {GRID_LIMIT}")
     return tuple(cells)
 
 
@@ -604,9 +604,7 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         if needs not in (None, kind):
             _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a {needs} scenario")
 
-    grid_names = set()
-    for cell in grid:
-        grid_names.update(name for name, _ in cell.entries)
+    grid_names = set().union(*grid)
     referenced = _collect_refs((box_spec, pair_spec) + tuple(det.settings for det in detectors))
     missing = sorted(referenced - grid_names)
     if missing:

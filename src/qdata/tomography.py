@@ -170,21 +170,16 @@ def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> 
     return (estimate + estimate.conj().T) / 2
 
 
-def state_tomography(
-    source, run: TomographyRun, rng: RngStream, records: list | None = None
-):
+def state_tomography(source, run: TomographyRun, rng: RngStream):
     """Reconstruct a state from finite measurement statistics.
 
     Returns a DensityMatrix under the default estimator; the diagnostic
     estimator returns the raw (possibly non-positive) linear-inversion
-    matrix unprojected.  Pass a list as ``records`` to collect the flat
-    (setting, outcome, count) table.
+    matrix unprojected.
     """
     freqs = []
     for i, povm in enumerate(run.measurement_set):
         counts = _setting_counts(source, povm, run.shots_per_setting, rng.child(i))
-        if records is not None:
-            records.extend((i, j, int(c)) for j, c in enumerate(counts))
         freqs.extend(counts / run.shots_per_setting)
     raw = _linear_inversion(np.array(freqs), run._design, run.dim)
     if run.estimator == "direct-inversion-diagnostic":
@@ -276,7 +271,6 @@ class ReconstructedProcess:
     dim_out: int
     shots: int
     cptp_residual: float
-    records: tuple = ()
 
     def normalized_choi(self) -> np.ndarray:
         return self.choi / self.dim_in
@@ -311,12 +305,7 @@ def _cptp_residual(choi: np.ndarray, dim_in: int, dim_out: int) -> float:
 
 
 def process_tomography_direct(
-    box,
-    params,
-    basis: ProbeBasis,
-    run: TomographyRun,
-    rng: RngStream,
-    records: list | None = None,
+    box, basis: ProbeBasis, run: TomographyRun, rng: RngStream
 ) -> ReconstructedProcess:
     """Probe the box with the basis states and invert for the Choi matrix.
 
@@ -327,16 +316,10 @@ def process_tomography_direct(
     if basis.dim != box.dim_in or len(basis.states) != box.dim_in**2:
         raise InvalidShapeError("probe basis does not match the box input dimension")
     raw_run = dataclasses.replace(run, estimator="direct-inversion-diagnostic")
-    outputs = []
-    all_records: list = []
-    for k, probe in enumerate(basis.states):
-        probe_records: list = [] if records is not None else None
-        exact = box.ensemble_output_density(probe, params)
-        outputs.append(
-            state_tomography(exact, raw_run, rng.child(k), records=probe_records)
-        )
-        if records is not None:
-            all_records.extend((k, s, o, c) for s, o, c in probe_records)
+    outputs = [
+        state_tomography(box.ensemble_output_density(probe), raw_run, rng.child(k))
+        for k, probe in enumerate(basis.states)
+    ]
     m, n = box.dim_in, box.dim_out
     coeffs = basis._unit_coefficients
     choi4 = np.zeros((m, n, m, n), dtype=complex)
@@ -345,21 +328,16 @@ def process_tomography_direct(
             unit_image = sum(c * r for c, r in zip(coeffs[i, j], outputs))
             choi4[i, :, j, :] = unit_image
     choi = choi4.reshape(m * n, m * n)
-    if records is not None:
-        records.extend(all_records)
     return ReconstructedProcess(
         choi=choi,
         dim_in=m,
         dim_out=n,
         shots=run.shots_per_setting,
         cptp_residual=_cptp_residual(choi, m, n),
-        records=tuple(all_records),
     )
 
 
-def process_tomography_ancilla(
-    box, params, run: TomographyRun, rng: RngStream
-) -> ReconstructedProcess:
+def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> ReconstructedProcess:
     """Single-input scheme: entangle with a reference, tomograph the joint output.
 
     The maximally entangled probe is pushed through the box side, the joint
@@ -371,7 +349,7 @@ def process_tomography_ancilla(
     if run.dim != 4:
         raise InvalidInputError("ancilla tomography needs a two-qubit measurement set")
     raw_run = dataclasses.replace(run, estimator="direct-inversion-diagnostic")
-    joint_out = box.probe_with_reference(max_entangled(2), params)
+    joint_out = box.probe_with_reference(max_entangled(2))
     estimate = state_tomography(joint_out, raw_run, rng)
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     return ReconstructedProcess(

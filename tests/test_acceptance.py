@@ -13,7 +13,6 @@ from importlib import resources
 import numpy as np
 
 from qdata import (
-    NO_PARAMS,
     CollapseNonlinear,
     DensityMatrix,
     Ensemble,
@@ -140,7 +139,7 @@ def test_criterion_05_process_tomography_converges():
     errors = {}
     for shots, floor in ((10_000, 0.99), (1_000_000, 0.999)):
         run = TomographyRun(shots, pauli_measurement_set(1))
-        rec = process_tomography_direct(box, NO_PARAMS, basis, run, RngStream(7, shots))
+        rec = process_tomography_direct(box, basis, run, RngStream(7, shots))
         est = nearest_density_matrix(rec.normalized_choi())
         errors[shots] = trace_distance(est, truth)
         assert uhlmann_fidelity(DensityMatrix(est), DensityMatrix(truth)) >= floor
@@ -167,8 +166,8 @@ def test_criterion_07_scheme_equivalence_and_discrepancy():
     basis = canonical_probe_basis(2, 0.0)
     for k in range(10):
         box = LinearBox(random_channel(2, 2, root.child(k, 0)))
-        direct = process_tomography_direct(box, NO_PARAMS, basis, run1, root.child(k, 1))
-        anc = process_tomography_ancilla(box, NO_PARAMS, run2, root.child(k, 2))
+        direct = process_tomography_direct(box, basis, run1, root.child(k, 1))
+        anc = process_tomography_ancilla(box, run2, root.child(k, 2))
         a = DensityMatrix(nearest_density_matrix(direct.normalized_choi()))
         b = DensityMatrix(nearest_density_matrix(anc.normalized_choi()))
         assert uhlmann_fidelity(a, b) >= 0.995
@@ -178,10 +177,10 @@ def test_criterion_07_scheme_equivalence_and_discrepancy():
     # branch enumeration: the probe scheme sees the identity (all canonical
     # probes are warp fixed points), the entangled scheme sees the collapse
     direct = process_tomography_direct(
-        NonlinearBloch(4.0), NO_PARAMS, basis, run1, RngStream(11, 999).child(1 << 20, 0)
+        NonlinearBloch(4.0), basis, run1, RngStream(11, 999).child(1 << 20, 0)
     )
     anc = process_tomography_ancilla(
-        NonlinearBloch(4.0), NO_PARAMS, run2, RngStream(11, 999).child(1 << 20, 1)
+        NonlinearBloch(4.0), run2, RngStream(11, 999).child(1 << 20, 1)
     )
     bell = max_entangled(2).projector()
     collapsed = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)

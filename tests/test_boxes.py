@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from qdata import (
-    ClassicalParams,
     CollapseNonlinear,
     ComposedBox,
     DensityMatrix,
     Ensemble,
     InvalidInputError,
     LinearBox,
-    NO_PARAMS,
     NonlinearBloch,
     NsqChannelPair,
     PureState,
@@ -97,21 +95,6 @@ def test_warp_rejects_bad_exponent():
         warp_polar_angle(1.0, -2.0)
 
 
-# ---------------------------------------------------------------- parameters
-
-
-def test_classical_params_round_trip():
-    p = ClassicalParams.from_dict({"kappa": 4.0, "label": "x", "n": 3})
-    assert p.get("kappa") == 4.0
-    assert p.get("missing", 7) == 7
-    assert p.as_dict() == {"kappa": 4.0, "label": "x", "n": 3}
-
-
-def test_classical_params_rejects_duplicates():
-    with pytest.raises(InvalidInputError):
-        ClassicalParams((("a", 1), ("a", 2)))
-
-
 # ---------------------------------------------------------------- linear boxes
 
 
@@ -134,12 +117,6 @@ def test_linear_box_matches_channel_action():
     box = LinearBox(ch)
     rho = ket(1).density()
     assert np.allclose(box.ensemble_output_density(rho).matrix, ch.apply(rho).matrix, atol=1e-12)
-
-
-def test_linear_box_family_reads_params():
-    box = LinearBox(lambda p: QuantumChannel.amplitude_damping(p.get("gamma")), 2, 2)
-    out = box.ensemble_output_density(ket(1), ClassicalParams.from_dict({"gamma": 0.3}))
-    assert np.allclose(out.matrix, np.diag([0.3, 0.7]), atol=1e-12)
 
 
 def test_linear_box_single_branch_needs_no_rng():
@@ -271,7 +248,7 @@ def test_compose_linear_boxes_composes_channels():
     b = QuantumChannel.dephasing(0.6)
     box = compose_boxes(LinearBox(a), LinearBox(b))
     assert isinstance(box, LinearBox)
-    assert channel_distance(box.channel(), b.compose(a)) < 1e-10
+    assert channel_distance(box.channel, b.compose(a)) < 1e-10
 
 
 def test_compose_identity_is_neutral():

@@ -47,6 +47,43 @@ def test_demo_gisin_prints_verdict_lines(capsys):
     assert "verdict=post-quantum" in lines[1]
 
 
+# a grid cell binding a string where the box needs a number: that job
+# records an error entry, its sibling cell runs
+ERROR_CELL = {
+    "name": "cli-error-cell",
+    "master_seed": 5,
+    "box": {"family": "nonlinear-bloch", "kappa": {"param": "k"}},
+    "parameter_grid": {"k": [2, "oops"]},
+    "detectors": [{"name": "ensemble-signalling"}],
+}
+
+
+def test_run_with_an_error_entry_writes_the_report_and_exits_1(tmp_path, capsys):
+    path = tmp_path / "error_cell.json"
+    path.write_text(json.dumps(ERROR_CELL))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["summary"]["error_count"] == 1
+    assert "error" in report["cells"][1]["results"][0]
+    captured = capsys.readouterr()
+    assert "errors: 1" in captured.out
+    assert "1 job(s) recorded an error" in captured.err
+
+
+def test_demo_with_an_error_entry_prints_its_lines_and_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "error_cell.json"
+    path.write_text(json.dumps(ERROR_CELL))
+    monkeypatch.setitem(DEMOS, "error-cell", path)
+    assert main(["demo", "error-cell"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert "verdict=" in lines[0]
+    assert "cell 1 (k=oops): ensemble-signalling error: ScenarioError" in lines[1]
+    assert "1 job(s) recorded an error" in captured.err
+
+
 def test_demo_names_match_packaged_files():
     assert set(DEMOS) == {
         "gisin",

@@ -13,6 +13,7 @@ from qdata import (
     NonlinearBloch,
     NsqChannelPair,
     QracOracle,
+    QuantumChannel,
     ScenarioError,
     parse_scenario,
     parse_scenario_dict,
@@ -46,7 +47,7 @@ def test_minimal_scenario_parses():
 
 def test_grid_dict_expands_in_declaration_order():
     sc = parse_scenario_dict(variant(parameter_grid={"a": [1, 2, 3], "b": [10, 20]}))
-    cells = [c.as_dict() for c in sc.grid]
+    cells = list(sc.grid)
     assert len(cells) == 6
     assert cells[0] == {"a": 1, "b": 10}
     assert cells[1] == {"a": 1, "b": 20}
@@ -55,7 +56,7 @@ def test_grid_dict_expands_in_declaration_order():
 
 def test_grid_list_is_taken_verbatim():
     sc = parse_scenario_dict(variant(parameter_grid=[{"a": 1}, {"a": 9, "tag": "x"}]))
-    assert [c.as_dict() for c in sc.grid] == [{"a": 1}, {"a": 9, "tag": "x"}]
+    assert list(sc.grid) == [{"a": 1}, {"a": 9, "tag": "x"}]
 
 
 def test_grid_rejects_bools_and_empties():
@@ -70,6 +71,10 @@ def test_grid_cell_limit():
         parse_scenario_dict(
             variant(parameter_grid={"a": list(range(101)), "b": list(range(101))})
         )
+    # 10^9 cells: rejected from the axis lengths, before any cell is built
+    axis = list(range(1000))
+    with pytest.raises(ScenarioError, match="grid has 1000000000 cells, limit is 10000"):
+        parse_scenario_dict(variant(parameter_grid={"a": axis, "b": axis, "c": axis}))
 
 
 def test_unknown_detector_names_the_field():
@@ -158,7 +163,7 @@ def test_unitary_channel_from_complex_matrix():
     )
     sc = parse_scenario_dict(d)
     box = sc.build_box(sc.grid[0])
-    u = box.channel().kraus_operators()[0]
+    u = box.channel.kraus_operators()[0]
     assert np.allclose(np.abs(u), [[0, 1], [1, 0]], atol=1e-12)
 
 
@@ -205,6 +210,38 @@ def test_pair_specs_build():
     }
     sc2 = parse_scenario_dict(nsq)
     assert isinstance(sc2.build_pair(sc2.grid[0]), NsqChannelPair)
+
+
+def test_param_references_resolve_in_second_box_and_stages():
+    second_box = {"family": "linear", "channel": {"kind": "dephasing", "p": {"param": "p"}}}
+    d = variant(
+        box={
+            "family": "composed",
+            "stages": [
+                {"family": "linear", "channel": {"kind": "amplitude-damping", "gamma": 0.5}},
+                {"family": "nonlinear-bloch", "kappa": {"param": "kappa"}},
+            ],
+        },
+        parameter_grid=[{"kappa": 2.0, "p": 0.1}, {"kappa": 4.0, "p": 0.6}],
+        detectors=[{"name": "composition-gap", "settings": {"second_box": second_box}}],
+    )
+    sc = parse_scenario_dict(d)
+    second_spec = sc.detectors[0].settings["second_box"]
+    kappas, channels = [], []
+    for cell in sc.grid:
+        kappas.append(sc.build_box(cell).boxes[1].kappa)
+        channels.append(sc.build_second_box(second_spec, cell).channel)
+    assert kappas == [2.0, 4.0]
+    for cell, channel in zip(sc.grid, channels):
+        expected = QuantumChannel.dephasing(cell["p"])
+        assert np.allclose(channel.choi, expected.choi, atol=1e-12)
+    assert not np.allclose(channels[0].choi, channels[1].choi)
+
+    undeclared = {"family": "linear", "channel": {"kind": "dephasing", "p": {"param": "q"}}}
+    with pytest.raises(ScenarioError, match="undeclared parameters: q"):
+        parse_scenario_dict(
+            variant(detectors=[{"name": "composition-gap", "settings": {"second_box": undeclared}}])
+        )
 
 
 def test_composition_gap_requires_second_box():

@@ -9,7 +9,6 @@ from qdata import (
     DensityMatrix,
     InvalidInputError,
     LinearBox,
-    NO_PARAMS,
     NonlinearBloch,
     ProbeBasis,
     PureState,
@@ -101,15 +100,6 @@ def test_diagnostic_estimator_returns_raw_inversion():
     assert abs(np.trace(raw).real - 1) < 1e-9
 
 
-def test_records_capture_every_setting():
-    records = []
-    state_tomography(ket(0).density(), run1(500), RngStream(40, 4), records=records)
-    assert len(records) == 6  # 3 settings x 2 outcomes
-    settings = {r[0] for r in records}
-    assert settings == {0, 1, 2}
-    assert sum(r[2] for r in records) == 3 * 500
-
-
 def test_error_scaling_over_two_decades():
     psi = PureState.from_bloch(0.8, 0.5)
     errs = {}
@@ -161,7 +151,6 @@ def test_cptp_parameter_count_closed_form():
 def test_direct_process_tomography_identity():
     rec = process_tomography_direct(
         LinearBox(QuantumChannel.identity(2)),
-        NO_PARAMS,
         canonical_probe_basis(2, 0.0),
         run1(100_000),
         RngStream(41, 0),
@@ -176,7 +165,7 @@ def test_direct_process_tomography_identity():
 def test_direct_process_tomography_depolarizing():
     ch = QuantumChannel.depolarizing(0.3)
     rec = process_tomography_direct(
-        LinearBox(ch), NO_PARAMS, canonical_probe_basis(2, 0.0), run1(100_000), RngStream(41, 1)
+        LinearBox(ch), canonical_probe_basis(2, 0.0), run1(100_000), RngStream(41, 1)
     )
     est = DensityMatrix(nearest_density_matrix(rec.normalized_choi()))
     truth = DensityMatrix(np.asarray(ch.choi) / 2)
@@ -186,7 +175,6 @@ def test_direct_process_tomography_depolarizing():
 def test_direct_tomography_accepts_nonlinear_boxes():
     rec = process_tomography_direct(
         NonlinearBloch(4.0),
-        NO_PARAMS,
         canonical_probe_basis(2, 0.0),
         run1(20_000),
         RngStream(41, 2),
@@ -197,7 +185,7 @@ def test_direct_tomography_accepts_nonlinear_boxes():
 
 def test_ancilla_process_tomography_identity():
     rec = process_tomography_ancilla(
-        LinearBox(QuantumChannel.identity(2)), NO_PARAMS, run2(100_000), RngStream(41, 3)
+        LinearBox(QuantumChannel.identity(2)), run2(100_000), RngStream(41, 3)
     )
     est = nearest_density_matrix(rec.normalized_choi())
     assert trace_distance(est, max_entangled(2).projector()) < 0.02
@@ -206,9 +194,9 @@ def test_ancilla_process_tomography_identity():
 def test_ancilla_matches_direct_for_linear_boxes():
     ch = QuantumChannel.amplitude_damping(0.4)
     direct = process_tomography_direct(
-        LinearBox(ch), NO_PARAMS, canonical_probe_basis(2, 0.0), run1(200_000), RngStream(41, 4)
+        LinearBox(ch), canonical_probe_basis(2, 0.0), run1(200_000), RngStream(41, 4)
     )
-    anc = process_tomography_ancilla(LinearBox(ch), NO_PARAMS, run2(200_000), RngStream(41, 5))
+    anc = process_tomography_ancilla(LinearBox(ch), run2(200_000), RngStream(41, 5))
     a = nearest_density_matrix(direct.normalized_choi())
     b = nearest_density_matrix(anc.normalized_choi())
     assert trace_distance(a, b) < 0.02
@@ -217,7 +205,7 @@ def test_ancilla_matches_direct_for_linear_boxes():
 def test_ancilla_tomography_requires_two_qubit_run():
     with pytest.raises(InvalidInputError):
         process_tomography_ancilla(
-            LinearBox(QuantumChannel.identity(2)), NO_PARAMS, run1(1000), RngStream(41, 6)
+            LinearBox(QuantumChannel.identity(2)), run1(1000), RngStream(41, 6)
         )
 
 
@@ -229,7 +217,6 @@ def test_direct_tomography_covariant_under_probe_rotation():
     for i, delta in enumerate((0.0, 0.4, 0.9, 1.7, 2.8)):
         rec = process_tomography_direct(
             LinearBox(ch),
-            NO_PARAMS,
             canonical_probe_basis(2, delta),
             run1(50_000),
             RngStream(41, 7).child(i),
@@ -238,22 +225,6 @@ def test_direct_tomography_covariant_under_probe_rotation():
     truth = np.asarray(ch.choi) / 2
     for est in recs:
         assert trace_distance(est, truth) < 0.02
-
-
-def test_process_records_table():
-    records = []
-    process_tomography_direct(
-        LinearBox(QuantumChannel.identity(2)),
-        NO_PARAMS,
-        canonical_probe_basis(2, 0.0),
-        run1(256),
-        RngStream(41, 8),
-        records=records,
-    )
-    assert len(records) == 4 * 3 * 2  # probes x settings x outcomes
-    probes = {r[0] for r in records}
-    assert probes == {0, 1, 2, 3}
-    assert sum(r[3] for r in records) == 4 * 3 * 256
 
 
 # ------------------------------------------------- compiled linear maps
