@@ -39,7 +39,6 @@ from .states import (
 )
 
 __all__ = [
-    "BRANCH_CUTOFF",
     "warp_polar_angle",
     "BoxModel",
     "LinearBox",
@@ -118,17 +117,6 @@ class BoxModel(ABC):
                 f"box expects dimension {self.dim_in}, got {psi.dim}"
             )
         return psi
-
-    def probe_pure(self, psi: PureState, rng: RngStream | None = None) -> PureState:
-        """Draw one pure output sample for a pure input."""
-        branches = self.branch_distribution(self._check_input(psi))
-        if len(branches) == 1:
-            return branches[0][1]
-        if rng is None:
-            raise InvalidInputError("sampling from a branching box requires an rng")
-        probs = np.array([p for p, _ in branches])
-        idx = rng.generator.choice(len(branches), p=probs / probs.sum())
-        return branches[idx][1]
 
     def ensemble_output_density(self, ensemble) -> DensityMatrix:
         """Exact infinite-shot output state for an input ensemble.

@@ -28,6 +28,14 @@ from .linalg import (
 from .rng import RngStream
 from .states import DensityMatrix, as_density
 
+__all__ = [
+    "InvalidChannelError",
+    "QuantumChannel",
+    "choi_from_kraus",
+    "kraus_from_choi",
+    "random_channel",
+]
+
 CP_ATOL = 1e-9
 TP_ATOL = 1e-9
 
@@ -202,12 +210,3 @@ def random_channel(
     return QuantumChannel(
         choi4.reshape(dim_in * dim_out, dim_in * dim_out), dim_in, dim_out
     )
-
-
-def channel_distance(a: QuantumChannel, b: QuantumChannel) -> float:
-    """Normalized trace distance between Choi matrices."""
-    if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
-        raise InvalidShapeError("channels act on different spaces")
-    diff = (a.choi - b.choi) / a.dim_in
-    w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(0.5 * np.sum(np.abs(w)))

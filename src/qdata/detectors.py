@@ -17,6 +17,7 @@ calibration seed, cached per budget).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import zlib
@@ -319,6 +320,21 @@ def _calibrated_null(key: str, statistic_fn) -> tuple:
     return result
 
 
+@functools.cache
+def _pauli_design(dim: int) -> np.ndarray:
+    return TomographyRun(1, pauli_measurement_set({2: 1, 4: 2}[dim]))._design
+
+
+def _check_pauli(run: TomographyRun) -> None:
+    """Reject a run off the Pauli set: a calibration key does not name the set.
+
+    Equal effects share one cached design matrix, so this is an identity
+    test on ``run._design``.
+    """
+    if run.dim not in (2, 4) or run._design is not _pauli_design(run.dim):
+        raise InvalidInputError("the calibrated tests measure in the Pauli set only")
+
+
 def _projected_normal_choi(process) -> np.ndarray:
     return nearest_density_matrix(process.normalized_choi())
 
@@ -350,7 +366,8 @@ def basis_invariance_test(
     dependence on the rotation angle is a post-quantum fingerprint.  The
     statistic is one minus the worst pairwise fidelity of the reconstructed
     (normalized, projected) Choi matrices; its null threshold and standard
-    error come from the identity-box calibration at the same budget.
+    error come from the identity-box calibration at the same budget.  The
+    run must measure the Pauli set.
     """
     if rng is None:
         raise InvalidInputError("basis_invariance_test requires an rng")
@@ -359,6 +376,7 @@ def basis_invariance_test(
         raise InvalidInputError("at least one probe rotation is required")
     if run is None:
         run = TomographyRun(10_000, pauli_measurement_set(1))
+    _check_pauli(run)
     key = "basis|{}|{}|{}".format(
         ",".join(f"{d:.12g}" for d in deltas), run.shots_per_setting, box.dim_in
     )
@@ -393,10 +411,10 @@ def ancilla_consistency_test(
     """Compare the probe-state scheme against the entangled-reference scheme.
 
     For any CPTP box the two reconstructions estimate the same Choi matrix.
-    The run describes the per-setting budget and single-qubit measurement
-    set of the direct scheme; the joint stage uses the two-qubit Pauli set
-    at the same budget.  Threshold and standard error are calibrated on the
-    identity box.
+    The run describes the per-setting budget of the direct scheme and must
+    measure the single-qubit Pauli set; the joint stage uses the two-qubit
+    Pauli set at the same budget.  Threshold and standard error are
+    calibrated on the identity box.
     """
     if rng is None:
         raise InvalidInputError("ancilla_consistency_test requires an rng")
@@ -406,9 +424,8 @@ def ancilla_consistency_test(
         run = TomographyRun(10_000, pauli_measurement_set(1))
     if run.dim != 2:
         raise InvalidInputError("pass a single-qubit run; the joint set is derived")
-    joint_run = TomographyRun(
-        run.shots_per_setting, pauli_measurement_set(2), run.estimator
-    )
+    _check_pauli(run)
+    joint_run = TomographyRun(run.shots_per_setting, pauli_measurement_set(2))
     key = f"ancilla|{run.shots_per_setting}"
     threshold, sigma = _calibrated_null(
         key,

@@ -15,18 +15,12 @@ import numpy as np
 from .rng import RngStream
 
 __all__ = [
-    "MAX_DIM",
-    "ATOL",
-    "HERM_ATOL",
     "InvalidShapeError",
     "InvalidInputError",
-    "as_operator",
     "kron",
     "partial_trace",
-    "is_hermitian",
     "eig_hermitian",
     "trace_norm",
-    "trace_norms",
     "trace_distance",
     "uhlmann_fidelity",
     "nearest_density_matrix",

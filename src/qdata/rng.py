@@ -9,9 +9,11 @@ derives with an order-sensitive 64-bit mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = ["RngStream", "mix64", "splitmix64"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

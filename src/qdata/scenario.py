@@ -604,11 +604,14 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         if needs not in (None, kind):
             _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a {needs} scenario")
 
-    grid_names = set().union(*grid)
     referenced = _collect_refs((box_spec, pair_spec) + tuple(det.settings for det in detectors))
-    missing = sorted(referenced - grid_names)
-    if missing:
-        _fail(f"{source}.parameter_grid", f"specs reference undeclared parameters: {', '.join(missing)}")
+    # every cell binds every reference; an axes grid's cells share one set of names
+    per_cell = isinstance(data["parameter_grid"], list)
+    for i, cell in enumerate(grid):
+        missing = sorted(referenced - cell.keys())
+        if missing:
+            where = f"{source}.parameter_grid[{i}]" if per_cell else f"{source}.parameter_grid"
+            _fail(where, f"specs reference undeclared parameters: {', '.join(missing)}")
 
     return Scenario(
         name=data["name"],

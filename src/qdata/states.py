@@ -26,6 +26,20 @@ from .linalg import (
 )
 from .rng import RngStream
 
+__all__ = [
+    "PureState",
+    "DensityMatrix",
+    "Povm",
+    "Ensemble",
+    "born_probabilities",
+    "ket",
+    "plus_state",
+    "minus_state",
+    "plus_i_state",
+    "minus_i_state",
+    "max_entangled",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -94,9 +108,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def bloch_vector(self) -> np.ndarray:
         if self.dim != 2:
@@ -242,12 +253,6 @@ def sample_inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
-def sample_outcome(state, povm: Povm, rng: RngStream) -> int:
-    """Draw one measurement outcome index."""
-    p = born_probabilities(state, povm)
-    return int(rng.generator.choice(len(p), p=p))
-
-
 # -- frequently used fixed objects -------------------------------------------
 
 def ket(index: int, dim: int = 2) -> PureState:
@@ -278,7 +283,3 @@ def max_entangled(dim: int = 2) -> PureState:
     for i in range(dim):
         v[i * dim + i] = 1.0
     return PureState(v / np.sqrt(dim))
-
-
-def singlet() -> PureState:
-    return PureState(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))

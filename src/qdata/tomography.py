@@ -1,8 +1,8 @@
 """Finite-shot state and process tomography.
 
 State estimates use linear inversion over a tomographically complete
-measurement set (the Pauli bases by default), optionally projected to the
-nearest density matrix.  Process estimates are assembled from per-probe
+measurement set (the Pauli bases by default), projected to the nearest
+density matrix.  Process estimates are assembled from per-probe
 state reconstructions by recovering the channel's action on the operator
 units |i><j|.  A reconstructed Choi matrix is never projected onto the CPTP
 set: deviations from it are exactly the signals the detectors feed on, so
@@ -20,7 +20,6 @@ reconstructions are unchanged bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -59,10 +58,7 @@ __all__ = [
     "canonical_probe_basis",
     "process_tomography_direct",
     "process_tomography_ancilla",
-    "cptp_parameter_count",
 ]
-
-ESTIMATORS = ("linear-inversion-then-project", "direct-inversion-diagnostic")
 
 
 def pauli_measurement_set(n_qubits: int) -> tuple:
@@ -115,7 +111,7 @@ def _compiled_design(effects: list, dim: int) -> tuple:
 
 @dataclass(frozen=True)
 class TomographyRun:
-    """Budget and estimator for one tomography experiment.
+    """Budget and measurement set for one tomography experiment.
 
     shots_per_setting is the number of repetitions of each measurement
     setting; the measurement set must span the operator space (design rank
@@ -124,7 +120,6 @@ class TomographyRun:
 
     shots_per_setting: int
     measurement_set: tuple
-    estimator: str = "linear-inversion-then-project"
     _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -133,8 +128,6 @@ class TomographyRun:
         povms = tuple(self.measurement_set)
         if not povms or len({p.dim for p in povms}) != 1:
             raise InvalidShapeError("measurement set must be nonempty with one dimension")
-        if self.estimator not in ESTIMATORS:
-            raise InvalidInputError(f"unknown estimator {self.estimator!r}")
         dim = povms[0].dim
         design, rank = _compiled_design([e for p in povms for e in p.effects], dim)
         if rank != dim * dim:
@@ -170,21 +163,22 @@ def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> 
     return (estimate + estimate.conj().T) / 2
 
 
-def state_tomography(source, run: TomographyRun, rng: RngStream):
-    """Reconstruct a state from finite measurement statistics.
-
-    Returns a DensityMatrix under the default estimator; the diagnostic
-    estimator returns the raw (possibly non-positive) linear-inversion
-    matrix unprojected.
-    """
+def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
+    """The linear-inversion estimate, unprojected (possibly non-positive)."""
     freqs = []
     for i, povm in enumerate(run.measurement_set):
         counts = _setting_counts(source, povm, run.shots_per_setting, rng.child(i))
         freqs.extend(counts / run.shots_per_setting)
-    raw = _linear_inversion(np.array(freqs), run._design, run.dim)
-    if run.estimator == "direct-inversion-diagnostic":
-        return raw
-    return DensityMatrix(nearest_density_matrix(raw))
+    return _linear_inversion(np.array(freqs), run._design, run.dim)
+
+
+def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatrix:
+    """Reconstruct a state from finite measurement statistics.
+
+    The linear-inversion estimate is projected to the nearest density
+    matrix.
+    """
+    return DensityMatrix(nearest_density_matrix(_raw_estimate(source, run, rng)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,6 @@ class ProbeBasis:
     """m^2 pure probe states whose projectors span the operator space."""
 
     states: tuple
-    delta: float = 0.0
     _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -212,16 +205,9 @@ class ProbeBasis:
     def dim(self) -> int:
         return self.states[0].dim
 
-    def design_matrix(self) -> np.ndarray:
-        """The probe projectors' design matrix (shared and read-only)."""
-        return self._design
-
     @functools.cached_property
     def _unit_coefficients(self) -> np.ndarray:
         return _unit_recovery_coefficients(self)
-
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.design_matrix()))
 
 
 _canonical_bases: dict = {}
@@ -252,9 +238,9 @@ def _build_canonical_probe_basis(m: int, delta: float) -> ProbeBasis:
         for s in (ket(0), ket(1), plus_state(), plus_i_state())
     ]
     if m == 2:
-        return ProbeBasis(tuple(qubit), delta)
+        return ProbeBasis(tuple(qubit))
     states = tuple(a.tensor(b) for a in qubit for b in qubit)
-    return ProbeBasis(states, delta)
+    return ProbeBasis(states)
 
 
 @dataclass(frozen=True)
@@ -269,7 +255,6 @@ class ReconstructedProcess:
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    shots: int
     cptp_residual: float
 
     def normalized_choi(self) -> np.ndarray:
@@ -315,9 +300,8 @@ def process_tomography_direct(
     """
     if basis.dim != box.dim_in or len(basis.states) != box.dim_in**2:
         raise InvalidShapeError("probe basis does not match the box input dimension")
-    raw_run = dataclasses.replace(run, estimator="direct-inversion-diagnostic")
     outputs = [
-        state_tomography(box.ensemble_output_density(probe), raw_run, rng.child(k))
+        _raw_estimate(box.ensemble_output_density(probe), run, rng.child(k))
         for k, probe in enumerate(basis.states)
     ]
     m, n = box.dim_in, box.dim_out
@@ -332,7 +316,6 @@ def process_tomography_direct(
         choi=choi,
         dim_in=m,
         dim_out=n,
-        shots=run.shots_per_setting,
         cptp_residual=_cptp_residual(choi, m, n),
     )
 
@@ -348,31 +331,12 @@ def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> Recon
         raise InvalidInputError("the ancilla scheme is implemented for qubit boxes")
     if run.dim != 4:
         raise InvalidInputError("ancilla tomography needs a two-qubit measurement set")
-    raw_run = dataclasses.replace(run, estimator="direct-inversion-diagnostic")
     joint_out = box.probe_with_reference(max_entangled(2))
-    estimate = state_tomography(joint_out, raw_run, rng)
+    estimate = _raw_estimate(joint_out, run, rng)
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     return ReconstructedProcess(
         choi=choi,
         dim_in=2,
         dim_out=2,
-        shots=run.shots_per_setting,
         cptp_residual=_cptp_residual(choi, 2, 2),
     )
-
-
-def cptp_parameter_count(dim_in: int, dim_out: int) -> int:
-    """Free real parameters of a trace-preserving Hermitian Choi matrix.
-
-    Counted as the Hermitian degrees of freedom minus the rank of the
-    trace-preservation constraint system; equals dim_in^2 (dim_out^2 - 1).
-    """
-    m, n = int(dim_in), int(dim_out)
-    choi_basis = hermitian_basis(m * n)
-    out_basis = hermitian_basis(m)
-    constraint = np.zeros((m * m, len(choi_basis)))
-    for col, b in enumerate(choi_basis):
-        marginal = partial_trace(b, [m, n], keep={0})
-        for row, a in enumerate(out_basis):
-            constraint[row, col] = np.real(np.trace(a @ marginal))
-    return len(choi_basis) - int(np.linalg.matrix_rank(constraint))

@@ -19,7 +19,6 @@ from qdata import (
     QracQuantum,
     QuantumChannel,
     RngStream,
-    channel_distance,
     compose_boxes,
     concatenate_tests,
     ket,
@@ -30,7 +29,6 @@ from qdata import (
     plus_state,
     random_channel,
     rotation_y,
-    singlet,
     trace_distance,
     uhlmann_fidelity,
     warp_polar_angle,
@@ -121,7 +119,7 @@ def test_linear_box_matches_channel_action():
 
 def test_linear_box_single_branch_needs_no_rng():
     box = LinearBox(QuantumChannel.from_unitary(RY45))
-    out = box.probe_pure(ket(0))
+    ((_, out),) = box.branch_distribution(ket(0))
     assert abs(abs(out.overlap(PureState(RY45[:, 0]))) - 1) < 1e-12
 
 
@@ -131,14 +129,14 @@ def test_linear_box_single_branch_needs_no_rng():
 def test_nonlinear_bloch_identity_when_unwarped():
     box = NonlinearBloch(1.0)
     psi = PureState.haar(2, RngStream(30, 1))
-    out = box.probe_pure(psi)
+    ((_, out),) = box.branch_distribution(psi)
     assert abs(abs(out.overlap(psi)) - 1) < 1e-12
 
 
 def test_nonlinear_bloch_warps_polar_angle():
     box = NonlinearBloch(4.0)
     theta, phi = math.pi / 4, 0.9
-    out = box.probe_pure(PureState.from_bloch(theta, phi))
+    ((_, out),) = box.branch_distribution(PureState.from_bloch(theta, phi))
     t2, p2 = out.bloch_angles()
     assert abs(t2 - 0.05885750594708123) < 1e-12
     assert abs(p2 - phi) < 1e-10
@@ -156,13 +154,14 @@ def test_nonlinear_bloch_unitary_sandwich():
     u = rotation_y(0.6)
     box = NonlinearBloch(1.0, pre_unitary=u, post_unitary=u.conj().T)
     psi = PureState.haar(2, RngStream(30, 2))
-    out = box.probe_pure(psi)
+    ((_, out),) = box.branch_distribution(psi)
     assert abs(abs(out.overlap(psi)) - 1) < 1e-12
 
 
 def test_nonlinear_bloch_entangled_probe_collapses_branches():
     box = NonlinearBloch(1.0)
-    out = box.probe_with_reference(singlet())
+    singlet = PureState(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
+    out = box.probe_with_reference(singlet)
     expected = 0.5 * (
         np.kron(ket(0).projector(), ket(1).projector())
         + np.kron(ket(1).projector(), ket(0).projector())
@@ -177,22 +176,6 @@ def test_nonlinear_bloch_preserves_reference_marginal():
         ref_in = DensityMatrix(joint.projector()).reduce((2, 2), (1,))
         ref_out = out.reduce((2, 2), (1,))
         assert trace_distance(ref_in, ref_out) < 1e-10
-
-
-def test_branching_probe_requires_rng():
-    box = CollapseNonlinear((ket(0), ket(1)))
-    with pytest.raises(InvalidInputError):
-        box.probe_pure(plus_state())
-    out = box.probe_pure(plus_state(), rng=RngStream(30, 4))
-    assert out.dim == 2
-
-
-def test_branch_sampling_is_deterministic():
-    box = CollapseNonlinear((ket(0), ket(1)))
-    a = [box.probe_pure(plus_state(), rng=RngStream(30, 5).child(i)).vector[0] for i in range(32)]
-    b = [box.probe_pure(plus_state(), rng=RngStream(30, 5).child(i)).vector[0] for i in range(32)]
-    assert a == b
-    assert 0 < sum(abs(x) > 0.5 for x in a) < 32  # both branches appear
 
 
 # ---------------------------------------------------------------- collapse boxes
@@ -248,7 +231,7 @@ def test_compose_linear_boxes_composes_channels():
     b = QuantumChannel.dephasing(0.6)
     box = compose_boxes(LinearBox(a), LinearBox(b))
     assert isinstance(box, LinearBox)
-    assert channel_distance(box.channel, b.compose(a)) < 1e-10
+    assert np.max(np.abs(box.channel.choi - b.compose(a).choi)) < 1e-10
 
 
 def test_compose_identity_is_neutral():

@@ -12,7 +12,6 @@ from qdata import (
     PureState,
     QuantumChannel,
     RngStream,
-    channel_distance,
     choi_from_kraus,
     ket,
     kraus_from_choi,
@@ -157,7 +156,7 @@ def test_compose_and_tensor_of_random_rectangular_channels(dims):
 
 def test_tensor_of_identities_is_identity():
     ch = QuantumChannel.identity(2).tensor(QuantumChannel.identity(2))
-    assert channel_distance(ch, QuantumChannel.identity(4)) < 1e-12
+    assert np.max(np.abs(ch.choi - QuantumChannel.identity(4).choi)) < 1e-12
 
 
 def test_tensor_acts_locally_on_products():
@@ -190,10 +189,14 @@ def test_random_channel_env_one_is_unitary():
     assert sum(w > 1e-10) == 1
 
 
+def _purity(rho):
+    return np.trace(rho.matrix @ rho.matrix).real
+
+
 def test_random_channel_outputs_are_noisy_on_average():
     g = RngStream(21, 4)
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    purities = [random_channel(2, 2, g).apply(mixed).purity() for _ in range(1000)]
+    purities = [_purity(random_channel(2, 2, g).apply(mixed)) for _ in range(1000)]
     assert np.mean(purities) < 0.9
 
 
@@ -203,18 +206,8 @@ def test_random_channel_law_invariant_under_unitary_conjugation():
         np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     )
     g1, g2 = RngStream(21, 5), RngStream(21, 6)
-    plain = np.mean([random_channel(2, 2, g1).apply(rho).purity() for _ in range(10_000)])
+    plain = np.mean([_purity(random_channel(2, 2, g1).apply(rho)) for _ in range(10_000)])
     conj = np.mean(
-        [u.apply(random_channel(2, 2, g2).apply(rho)).purity() for _ in range(10_000)]
+        [_purity(u.apply(random_channel(2, 2, g2).apply(rho))) for _ in range(10_000)]
     )
     assert abs(plain - conj) < 0.01
-
-
-def test_channel_distance_properties():
-    a = QuantumChannel.identity(2)
-    b = QuantumChannel.depolarizing(1.0)
-    assert channel_distance(a, a) < 1e-12
-    d = channel_distance(a, b)
-    assert 0 < d <= 1
-    with pytest.raises(Exception):
-        channel_distance(a, QuantumChannel.identity(3))

@@ -13,6 +13,7 @@ from qdata import (
     LinearBox,
     NonlinearBloch,
     NsqResult,
+    Povm,
     PureState,
     QracOracle,
     QracResult,
@@ -308,6 +309,24 @@ def test_ancilla_consistency_rejects_bad_inputs():
             run=TomographyRun(100, pauli_measurement_set(2)),
             rng=RngStream(81, 4),
         )
+
+
+def test_calibrated_tests_accept_only_the_pauli_set():
+    # a calibration key names the budget, not the measurement set: a rotated
+    # set would read whichever threshold an earlier call at its budget left
+    u = rotation_y(0.4)
+    rotated = tuple(
+        Povm(tuple(u @ e @ u.conj().T for e in povm.effects)) for povm in pauli_measurement_set(1)
+    )
+    rotated_run = TomographyRun(500, rotated)
+    for test in (basis_invariance_test, ancilla_consistency_test):
+        with pytest.raises(InvalidInputError, match="Pauli set"):
+            test(NonlinearBloch(2.0), run=rotated_run, rng=RngStream(82, 0))
+    # a separately built Pauli set shares the cached design and is accepted
+    pauli_run = TomographyRun(500, pauli_measurement_set(1))
+    for test in (basis_invariance_test, ancilla_consistency_test):
+        v = test(NonlinearBloch(2.0), run=pauli_run, rng=RngStream(82, 1))
+        assert v.n_trials > 0 and v.threshold > 0
 
 
 # ---------------------------------------------------------------- qrac

@@ -127,6 +127,18 @@ def test_param_references_must_be_declared():
         parse_scenario_dict(d)
 
 
+def test_list_grid_cells_each_bind_every_reference():
+    # the union of the cells declares kappa, but cell 1 does not bind it
+    d = variant(
+        box={"family": "nonlinear-bloch", "kappa": {"param": "kappa"}},
+        parameter_grid=[{"kappa": 2}, {"other": 3}],
+    )
+    with pytest.raises(
+        ScenarioError, match=r"^scenario\.parameter_grid\[1\]: specs reference undeclared parameters: kappa$"
+    ):
+        parse_scenario_dict(d)
+
+
 def test_param_references_resolve_per_cell():
     d = variant(
         box={"family": "nonlinear-bloch", "kappa": {"param": "kappa"}},
