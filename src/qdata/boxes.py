@@ -10,8 +10,10 @@ implemented:
   basis and only then applies the Bloch warp, which restores linearity at
   the density-matrix level branch by branch.
 
-Every box exposes its behavior through exact branch enumerations, so
-detectors can compute infinite-shot oracles as well as draw finite samples.
+Every box exposes its behavior through one exact branch enumeration on the
+first factor of a joint input (a plain input has a one-dimensional
+reference), so detectors can compute infinite-shot oracles as well as draw
+finite samples.
 Correlated box pairs for the two-bit random-access game and for bipartite
 no-signalling analysis live here as well.
 """
@@ -94,8 +96,10 @@ def _as_unitary(u, dim: int) -> np.ndarray:
 class BoxModel(ABC):
     """A black box mapping input quantum states to output quantum states.
 
-    Subclasses describe their action as an exact branch enumeration: a list
-    of (weight, pure state) outcomes.  Sampling, exact ensemble outputs and
+    Subclasses describe their action as one exact branch enumeration: a list
+    of (weight, pure state) outcomes when the box acts on the first factor
+    of a joint pure state.  A plain input is a joint input with a
+    one-dimensional reference, so sampling, exact ensemble outputs and
     entangled-probe behavior all derive from that single description.
     """
 
@@ -103,20 +107,26 @@ class BoxModel(ABC):
     dim_out: int
 
     @abstractmethod
-    def branch_distribution(self, psi: PureState) -> list:
-        """Exact list of (probability, PureState) outcomes for a pure input."""
-
-    @abstractmethod
     def joint_branches(self, joint: PureState, ref_dim: int) -> list:
         """Branch enumeration when the box acts on the first factor of a joint pure state."""
 
-    def _check_input(self, psi: PureState) -> PureState:
+    def branch_distribution(self, psi: PureState) -> list:
+        """Exact list of (probability, PureState) outcomes for a pure input."""
         psi = as_state(psi)
         if psi.dim != self.dim_in:
             raise InvalidShapeError(
                 f"box expects dimension {self.dim_in}, got {psi.dim}"
             )
-        return psi
+        return self.joint_branches(psi, 1)
+
+    @staticmethod
+    def _mixture(weighted_branches, dim: int) -> DensityMatrix:
+        """Sum of weight x p x projector over (weight, branch list) pairs."""
+        out = np.zeros((dim, dim), dtype=complex)
+        for weight, branches in weighted_branches:
+            for p, phi in branches:
+                out += weight * p * phi.projector()
+        return DensityMatrix(out)
 
     def ensemble_output_density(self, ensemble) -> DensityMatrix:
         """Exact infinite-shot output state for an input ensemble.
@@ -129,11 +139,8 @@ class BoxModel(ABC):
             ensemble = ensemble.eigen_ensemble()
         elif not isinstance(ensemble, Ensemble):
             ensemble = Ensemble((1.0,), (as_state(ensemble),))
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for weight, member in zip(ensemble.weights, ensemble.states):
-            for p, phi in self.branch_distribution(self._check_input(member)):
-                out += weight * p * phi.projector()
-        return DensityMatrix(out)
+        pairs = zip(ensemble.weights, map(self.branch_distribution, ensemble.states))
+        return self._mixture(pairs, self.dim_out)
 
     def probe_with_reference(self, joint: PureState) -> DensityMatrix:
         """Exact joint output when the box acts on one half of an entangled probe.
@@ -145,10 +152,7 @@ class BoxModel(ABC):
         if joint.dim % self.dim_in != 0:
             raise InvalidShapeError("joint state does not factor over the box input")
         ref_dim = joint.dim // self.dim_in
-        out = np.zeros((self.dim_out * ref_dim,) * 2, dtype=complex)
-        for p, phi in self.joint_branches(joint, ref_dim):
-            out += p * phi.projector()
-        return DensityMatrix(out)
+        return self._mixture([(1.0, self.joint_branches(joint, ref_dim))], self.dim_out * ref_dim)
 
 
 class LinearBox(BoxModel):
@@ -158,10 +162,6 @@ class LinearBox(BoxModel):
         self.channel = channel
         self.dim_in = channel.dim_in
         self.dim_out = channel.dim_out
-
-    def branch_distribution(self, psi):
-        # a plain input is a joint input with a 1-dimensional reference
-        return self.joint_branches(self._check_input(psi), 1)
 
     def joint_branches(self, joint, ref_dim):
         joint = as_state(joint)
@@ -193,10 +193,10 @@ class LinearBox(BoxModel):
 
 
 class _BlochWarp(BoxModel):
-    """The polar-angle warp shared by the two nonlinear qubit boxes.
+    """The collapse and polar-angle warp shared by the two nonlinear qubit boxes.
 
-    Subclasses set ``kappa``, ``pre_unitary`` and ``post_unitary``.  A
-    state of any other dimension than 2 passes through unchanged.
+    Subclasses set ``basis``, ``kappa``, ``pre_unitary`` and ``post_unitary``.
+    A state of any other dimension than 2 passes through the warp unchanged.
     """
 
     def _warp_pure(self, psi: PureState) -> PureState:
@@ -206,6 +206,19 @@ class _BlochWarp(BoxModel):
         theta, phi = rotated.bloch_angles()
         warped = PureState.from_bloch(warp_polar_angle(theta, self.kappa), phi)
         return PureState(self.post_unitary @ warped.vector)
+
+    def joint_branches(self, joint, ref_dim):
+        # branch k projects the box side onto basis state k; the reference keeps
+        # its normalized conditional state, so the far marginal is untouched
+        table = as_state(joint).vector.reshape(-1, ref_dim)
+        branches = []
+        for b in self.basis:
+            ref_vec = b.vector.conj() @ table
+            p = float(np.real(np.vdot(ref_vec, ref_vec)))
+            if p > BRANCH_CUTOFF:
+                out = self._warp_pure(b).tensor(PureState(ref_vec / math.sqrt(p)))
+                branches.append((p, out))
+        return branches
 
 
 class NonlinearBloch(_BlochWarp):
@@ -217,6 +230,8 @@ class NonlinearBloch(_BlochWarp):
     far marginal is never disturbed.
     """
 
+    basis = (ket(0), ket(1))
+
     def __init__(self, kappa: float, pre_unitary=None, post_unitary=None):
         if kappa <= 0:
             raise InvalidInputError("warp exponent must be positive")
@@ -226,13 +241,11 @@ class NonlinearBloch(_BlochWarp):
         self.dim_in = 2
         self.dim_out = 2
 
-    def branch_distribution(self, psi):
-        return [(1.0, self._warp_pure(self._check_input(psi)))]
-
     def joint_branches(self, joint, ref_dim):
-        return _collapse_joint_branches(
-            as_state(joint), ref_dim, [ket(0), ket(1)], self._warp_pure
-        )
+        # a plain input is warped whole, without a collapse
+        if ref_dim == 1:
+            return [(1.0, self._warp_pure(as_state(joint)))]
+        return super().joint_branches(joint, ref_dim)
 
 
 class CollapseNonlinear(_BlochWarp):
@@ -264,36 +277,6 @@ class CollapseNonlinear(_BlochWarp):
         self.dim_in = dim
         self.dim_out = dim
 
-    def branch_distribution(self, psi):
-        psi = self._check_input(psi)
-        branches = []
-        for b in self.basis:
-            p = float(abs(b.overlap(psi)) ** 2)
-            if p > BRANCH_CUTOFF:
-                branches.append((p, self._warp_pure(b)))
-        return branches
-
-    def joint_branches(self, joint, ref_dim):
-        return _collapse_joint_branches(as_state(joint), ref_dim, self.basis, self._warp_pure)
-
-
-def _collapse_joint_branches(joint, ref_dim, basis, action):
-    """Collapse the box side of a joint pure state, then act branch-wise.
-
-    Branch k projects the box side onto basis state k; the reference factor
-    is the (normalized) conditional state, so the far marginal is untouched.
-    """
-    dim = joint.dim // ref_dim
-    table = joint.vector.reshape(dim, ref_dim)
-    branches = []
-    for b in basis:
-        ref_vec = b.vector.conj() @ table
-        p = float(np.real(np.vdot(ref_vec, ref_vec)))
-        if p > BRANCH_CUTOFF:
-            out = action(b).tensor(PureState(ref_vec / math.sqrt(p)))
-            branches.append((p, out))
-    return branches
-
 
 class ComposedBox(BoxModel):
     """Sample-wise concatenation of boxes (first box applied first).
@@ -313,28 +296,17 @@ class ComposedBox(BoxModel):
         self.dim_in = boxes[0].dim_in
         self.dim_out = boxes[-1].dim_out
 
-    def _chain(self, start: PureState, stage_branches) -> list:
-        """Chain the stages' enumerations; ``stage_branches(box, state)`` gives one stage's."""
-        current = [(1.0, start)]
+    def joint_branches(self, joint, ref_dim):
+        current = [(1.0, as_state(joint))]
         for box in self.boxes:
             nxt = []
             for p, phi in current:
-                for q, chi in stage_branches(box, phi):
+                for q, chi in box.joint_branches(phi, ref_dim):
                     w = p * q
                     if w > BRANCH_CUTOFF:
                         nxt.append((w, chi))
             current = nxt
         return current
-
-    def branch_distribution(self, psi):
-        return self._chain(
-            self._check_input(psi), lambda box, phi: box.branch_distribution(phi)
-        )
-
-    def joint_branches(self, joint, ref_dim):
-        return self._chain(
-            as_state(joint), lambda box, phi: box.joint_branches(phi, ref_dim)
-        )
 
 
 def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:

@@ -17,7 +17,6 @@ calibration seed, cached per budget).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import zlib
@@ -160,11 +159,7 @@ def decide(
 
 @dataclass(frozen=True)
 class HelstromSetup:
-    """Discrimination instance: two pure hypotheses with prior weights.
-
-    The optimal success bound is recomputed on demand so it can never go
-    stale against the states.
-    """
+    """Discrimination instance: two pure hypotheses with prior weights."""
 
     priors: tuple
     states: tuple
@@ -181,17 +176,13 @@ class HelstromSetup:
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "states", s)
 
-    @property
-    def bound(self) -> float:
-        p1, p2 = self.priors
-        s1, s2 = self.states
-        delta = p1 * s1.projector() - p2 * s2.projector()
-        return 0.5 * (1.0 + trace_norm(delta))
-
 
 def helstrom_bound(setup: HelstromSetup) -> float:
     """Optimal success probability for the setup's input states."""
-    return setup.bound
+    p1, p2 = setup.priors
+    s1, s2 = setup.states
+    delta = p1 * s1.projector() - p2 * s2.projector()
+    return 0.5 * (1.0 + trace_norm(delta))
 
 
 def _optimal_projectors(rho1: DensityMatrix, rho2: DensityMatrix, priors) -> tuple:
@@ -242,7 +233,7 @@ def helstrom_test(
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return decide(
         p_hat,
-        setup.bound,
+        helstrom_bound(setup),
         std_error,
         trials,
         extras={"exact_success": p1 * q1 + p2 * q2},
@@ -320,21 +311,6 @@ def _calibrated_null(key: str, statistic_fn) -> tuple:
     return result
 
 
-@functools.cache
-def _pauli_design(dim: int) -> np.ndarray:
-    return TomographyRun(1, pauli_measurement_set({2: 1, 4: 2}[dim]))._design
-
-
-def _check_pauli(run: TomographyRun) -> None:
-    """Reject a run off the Pauli set: a calibration key does not name the set.
-
-    Equal effects share one cached design matrix, so this is an identity
-    test on ``run._design``.
-    """
-    if run.dim not in (2, 4) or run._design is not _pauli_design(run.dim):
-        raise InvalidInputError("the calibrated tests measure in the Pauli set only")
-
-
 def _projected_normal_choi(process) -> np.ndarray:
     return nearest_density_matrix(process.normalized_choi())
 
@@ -357,7 +333,7 @@ def _basis_invariance_statistic(box, deltas, run, rng) -> tuple:
 def basis_invariance_test(
     box: BoxModel,
     deltas: tuple = (0.0, math.pi / 5, math.pi / 3),
-    run: TomographyRun | None = None,
+    shots: int = 10_000,
     rng: RngStream | None = None,
 ) -> TestVerdict:
     """Reconstruct the box in several rotated probe bases and compare.
@@ -366,17 +342,17 @@ def basis_invariance_test(
     dependence on the rotation angle is a post-quantum fingerprint.  The
     statistic is one minus the worst pairwise fidelity of the reconstructed
     (normalized, projected) Choi matrices; its null threshold and standard
-    error come from the identity-box calibration at the same budget.  The
-    run must measure the Pauli set.
+    error come from the identity-box calibration at the same budget.  Each
+    reconstruction measures the Pauli set with ``shots`` per setting.
     """
     if rng is None:
         raise InvalidInputError("basis_invariance_test requires an rng")
+    if box.dim_in != 2 or box.dim_out != 2:
+        raise InvalidInputError("the basis-invariance test is implemented for qubit boxes")
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise InvalidInputError("at least one probe rotation is required")
-    if run is None:
-        run = TomographyRun(10_000, pauli_measurement_set(1))
-    _check_pauli(run)
+    run = TomographyRun(shots, pauli_measurement_set(1))
     key = "basis|{}|{}|{}".format(
         ",".join(f"{d:.12g}" for d in deltas), run.shots_per_setting, box.dim_in
     )
@@ -405,27 +381,22 @@ def _ancilla_statistic(box, run, joint_run, rng) -> tuple:
 
 def ancilla_consistency_test(
     box: BoxModel,
-    run: TomographyRun | None = None,
+    shots: int = 10_000,
     rng: RngStream | None = None,
 ) -> TestVerdict:
     """Compare the probe-state scheme against the entangled-reference scheme.
 
     For any CPTP box the two reconstructions estimate the same Choi matrix.
-    The run describes the per-setting budget of the direct scheme and must
-    measure the single-qubit Pauli set; the joint stage uses the two-qubit
-    Pauli set at the same budget.  Threshold and standard error are
-    calibrated on the identity box.
+    The direct scheme measures the single-qubit Pauli set and the joint
+    stage the two-qubit Pauli set, both with ``shots`` per setting.
+    Threshold and standard error are calibrated on the identity box.
     """
     if rng is None:
         raise InvalidInputError("ancilla_consistency_test requires an rng")
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the consistency test is implemented for qubit boxes")
-    if run is None:
-        run = TomographyRun(10_000, pauli_measurement_set(1))
-    if run.dim != 2:
-        raise InvalidInputError("pass a single-qubit run; the joint set is derived")
-    _check_pauli(run)
-    joint_run = TomographyRun(run.shots_per_setting, pauli_measurement_set(2))
+    run = TomographyRun(shots, pauli_measurement_set(1))
+    joint_run = TomographyRun(shots, pauli_measurement_set(2))
     key = f"ancilla|{run.shots_per_setting}"
     threshold, sigma = _calibrated_null(
         key,

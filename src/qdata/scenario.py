@@ -388,7 +388,7 @@ def _run_basis_invariance(scenario, spec, params, stream):
     shots = spec.settings["shots"]
     deltas = spec.settings["deltas"]
     run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = basis_invariance_test(box, deltas, run, stream)
+    verdict = basis_invariance_test(box, deltas, shots, stream)
     recon = process_tomography_direct(
         box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
     )
@@ -400,7 +400,7 @@ def _run_ancilla_consistency(scenario, spec, params, stream):
     box = scenario.build_box(params)
     shots = spec.settings["shots"]
     run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = ancilla_consistency_test(box, run, stream)
+    verdict = ancilla_consistency_test(box, shots, stream)
     recon = process_tomography_direct(
         box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
     )
@@ -539,6 +539,13 @@ class Scenario:
         return _build(spec, params, "second_box")
 
 
+def _grid_value(v, where: str) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        _fail(where, "grid values are numbers or strings")
+    if isinstance(v, float) and not math.isfinite(v):
+        _fail(where, "number must be finite")
+
+
 def _parse_grid(node, where: str) -> tuple:
     """Grid cells as plain dicts; the cell count is checked before an axes grid expands."""
     if isinstance(node, dict):
@@ -549,8 +556,7 @@ def _parse_grid(node, where: str) -> tuple:
             if not isinstance(values, list) or not values:
                 _fail(f"{where}.{name}", "expected a non-empty list of values")
             for i, v in enumerate(values):
-                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-                    _fail(f"{where}.{name}[{i}]", "grid values are numbers or strings")
+                _grid_value(v, f"{where}.{name}[{i}]")
             axes.append(values)
         size = math.prod(len(values) for values in axes)
         cells = (dict(zip(names, combo)) for combo in itertools.product(*axes))
@@ -559,8 +565,7 @@ def _parse_grid(node, where: str) -> tuple:
             if not isinstance(cell, dict):
                 _fail(f"{where}[{i}]", "expected an object of parameter bindings")
             for key, v in cell.items():
-                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-                    _fail(f"{where}[{i}].{key}", "grid values are numbers or strings")
+                _grid_value(v, f"{where}[{i}].{key}")
         size = len(node)
         cells = node
     else:

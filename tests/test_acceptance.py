@@ -149,13 +149,12 @@ def test_criterion_05_process_tomography_converges():
 
 
 def test_criterion_06_probe_basis_invariance():
-    run = TomographyRun(100_000, pauli_measurement_set(1))
     root = RngStream(606, 0)
     for k in range(25):
         box = LinearBox(random_channel(2, 2, root.child(k)))
-        v = basis_invariance_test(box, run=run, rng=root.child(1000 + k))
+        v = basis_invariance_test(box, shots=100_000, rng=root.child(1000 + k))
         assert v.verdict != "post-quantum"
-    warped = basis_invariance_test(NonlinearBloch(4.0), run=run, rng=root.child(5000))
+    warped = basis_invariance_test(NonlinearBloch(4.0), shots=100_000, rng=root.child(5000))
     assert warped.verdict == "post-quantum"
 
 
@@ -172,7 +171,7 @@ def test_criterion_07_scheme_equivalence_and_discrepancy():
         b = DensityMatrix(nearest_density_matrix(anc.normalized_choi()))
         assert uhlmann_fidelity(a, b) >= 0.995
 
-    v = ancilla_consistency_test(NonlinearBloch(4.0), run=run1, rng=RngStream(11, 999))
+    v = ancilla_consistency_test(NonlinearBloch(4.0), shots=1_000_000, rng=RngStream(11, 999))
     assert v.verdict == "post-quantum"
     # branch enumeration: the probe scheme sees the identity (all canonical
     # probes are warp fixed points), the entangled scheme sees the collapse

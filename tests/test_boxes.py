@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdata import (
+    BoxModel,
     CollapseNonlinear,
     ComposedBox,
     DensityMatrix,
@@ -221,6 +222,61 @@ def test_collapse_warps_branch_states():
     # equatorial basis states warp away from the equator symmetrically
     assert abs(rho.matrix[0, 0] - 0.5) < 1e-12
     assert abs(rho.matrix[0, 1]) < 1e-12
+
+
+# ---------------------------------------------------------------- box contract
+
+RY04 = rotation_y(0.4)
+TILTED = CollapseNonlinear(
+    (PureState(RY04 @ ket(0).vector), PureState(RY04 @ ket(1).vector)), kappa=3.0
+)
+WARP = NonlinearBloch(4.0, pre_unitary=RY04)
+DEPHASE = LinearBox(QuantumChannel.dephasing(0.4))
+# label -> (box, whether a NonlinearBloch stage collapses a joint probe)
+CONTRACT_BOXES = {
+    "linear": (LinearBox(QuantumChannel.amplitude_damping(0.3)), False),
+    "nonlinear-bloch": (WARP, True),
+    "tilted-collapse": (TILTED, False),
+    "linear-then-collapse": (compose_boxes(DEPHASE, TILTED), False),
+    "nonlinear-then-linear": (compose_boxes(WARP, DEPHASE), True),
+}
+
+
+def test_joint_branches_is_the_one_enumeration():
+    assert BoxModel.__abstractmethods__ == frozenset({"joint_branches"})
+    for family in (LinearBox, NonlinearBloch, CollapseNonlinear, ComposedBox):
+        assert family.branch_distribution is BoxModel.branch_distribution
+
+
+def branch_sum(branches):
+    return sum(p * phi.projector() for p, phi in branches)
+
+
+@pytest.mark.parametrize("label", CONTRACT_BOXES)
+def test_plain_input_is_a_joint_input_with_a_one_dimensional_reference(label):
+    box, _ = CONTRACT_BOXES[label]
+    root = RngStream(32, 0)
+    for k in range(50):
+        psi = PureState.haar(2, root.child(k))
+        plain = branch_sum(box.branch_distribution(psi))
+        joint = branch_sum(box.joint_branches(psi, 1))
+        assert np.max(np.abs(plain - joint)) <= 1e-15, label
+
+
+@pytest.mark.parametrize("label", CONTRACT_BOXES)
+def test_product_probe_matches_plain_output_unless_the_box_warps(label):
+    box, warps = CONTRACT_BOXES[label]
+    root = RngStream(32, 1)
+    for k in range(50):
+        psi = PureState.haar(2, root.child(k))
+        probed = box.probe_with_reference(psi.tensor(ket(0))).matrix
+        plain = np.kron(box.ensemble_output_density(psi).matrix, ket(0).projector())
+        gap = np.max(np.abs(probed - plain))
+        if warps:
+            # a NonlinearBloch stage collapses one half of a joint probe by design
+            assert gap > 1e-3, label
+        else:
+            assert gap <= 1e-12, label
 
 
 # ---------------------------------------------------------------- composition

@@ -161,6 +161,17 @@ def test_report_summarize_rejects_non_finite_numbers(tmp_path, capsys):
     assert "not a report file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
+def test_run_rejects_a_non_finite_grid_number_before_any_job(tmp_path, capsys, number):
+    doc = json.dumps({**MINI, "parameter_grid": {"kappa": ["KAPPA", 2]}})
+    path = tmp_path / "non_finite.json"
+    path.write_text(doc.replace('"KAPPA"', number))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "parameter_grid.kappa[0]: number must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_env_validation(mini_path, capsys, monkeypatch):
     monkeypatch.setenv("QDATA_THREADS", "zero")
     assert main(["run", mini_path]) == 1

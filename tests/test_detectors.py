@@ -13,14 +13,12 @@ from qdata import (
     LinearBox,
     NonlinearBloch,
     NsqResult,
-    Povm,
     PureState,
     QracOracle,
     QracResult,
     QuantumChannel,
     RngStream,
     TestVerdict,
-    TomographyRun,
     ancilla_consistency_test,
     basis_invariance_test,
     canonical_ensemble_pair,
@@ -34,7 +32,6 @@ from qdata import (
     minus_state,
     nsq_random_survey,
     nsq_signalling_measure,
-    pauli_measurement_set,
     plus_state,
     qrac_fidelity_estimate,
     qrac_verdict,
@@ -228,7 +225,7 @@ def test_basis_invariance_single_frame_is_degenerate():
     v = basis_invariance_test(
         LinearBox(QuantumChannel.identity(2)),
         deltas=(0.0,),
-        run=TomographyRun(400, pauli_measurement_set(1)),
+        shots=400,
         rng=RngStream(57, 0),
     )
     assert v.statistic == 0.0
@@ -242,9 +239,8 @@ def test_basis_invariance_requires_frames():
 
 
 def test_basis_invariance_accepts_linear_box():
-    run = TomographyRun(100_000, pauli_measurement_set(1))
     v = basis_invariance_test(
-        LinearBox(QuantumChannel.depolarizing(0.3)), run=run, rng=RngStream(606, 0).child(7000)
+        LinearBox(QuantumChannel.depolarizing(0.3)), shots=100_000, rng=RngStream(606, 0).child(7000)
     )
     assert v.verdict == "quantum-consistent"
     assert v.statistic < v.threshold
@@ -253,19 +249,17 @@ def test_basis_invariance_accepts_linear_box():
 
 
 def test_basis_invariance_flags_warp():
-    run = TomographyRun(100_000, pauli_measurement_set(1))
-    v = basis_invariance_test(NonlinearBloch(4.0), run=run, rng=RngStream(606, 0).child(5000))
+    v = basis_invariance_test(NonlinearBloch(4.0), shots=100_000, rng=RngStream(606, 0).child(5000))
     assert v.verdict == "post-quantum"
     assert abs(v.statistic - 0.11681948600491343) < 1e-12
 
 
 def test_basis_invariance_calibration_is_cached_and_deterministic():
-    run = TomographyRun(2000, pauli_measurement_set(1))
     v1 = basis_invariance_test(
-        LinearBox(QuantumChannel.identity(2)), run=run, rng=RngStream(57, 2)
+        LinearBox(QuantumChannel.identity(2)), shots=2000, rng=RngStream(57, 2)
     )
     v2 = basis_invariance_test(
-        LinearBox(QuantumChannel.identity(2)), run=run, rng=RngStream(57, 2)
+        LinearBox(QuantumChannel.identity(2)), shots=2000, rng=RngStream(57, 2)
     )
     assert v1.threshold == v2.threshold
     assert v1.std_error == v2.std_error
@@ -276,9 +270,8 @@ def test_basis_invariance_calibration_is_cached_and_deterministic():
 
 
 def test_ancilla_consistency_identity_box_is_quiet():
-    run = TomographyRun(20_000, pauli_measurement_set(1))
     v = ancilla_consistency_test(
-        LinearBox(QuantumChannel.identity(2)), run=run, rng=RngStream(81, 0)
+        LinearBox(QuantumChannel.identity(2)), shots=20_000, rng=RngStream(81, 0)
     )
     assert v.statistic < v.threshold
     assert v.verdict != "post-quantum"
@@ -286,15 +279,15 @@ def test_ancilla_consistency_identity_box_is_quiet():
 
 
 def test_ancilla_consistency_quiet_for_dephasing_collapse():
-    run = TomographyRun(20_000, pauli_measurement_set(1))
-    v = ancilla_consistency_test(CollapseNonlinear((ket(0), ket(1))), run=run, rng=RngStream(81, 1))
+    v = ancilla_consistency_test(
+        CollapseNonlinear((ket(0), ket(1))), shots=20_000, rng=RngStream(81, 1)
+    )
     assert v.statistic < v.threshold
     assert v.verdict != "post-quantum"
 
 
 def test_ancilla_consistency_flags_warp():
-    run = TomographyRun(20_000, pauli_measurement_set(1))
-    v = ancilla_consistency_test(NonlinearBloch(4.0), run=run, rng=RngStream(81, 2))
+    v = ancilla_consistency_test(NonlinearBloch(4.0), shots=20_000, rng=RngStream(81, 2))
     assert v.verdict == "post-quantum"
     assert v.statistic > 0.4
     assert "direct_residual" in v.extras and "ancilla_residual" in v.extras
@@ -303,30 +296,14 @@ def test_ancilla_consistency_flags_warp():
 def test_ancilla_consistency_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         ancilla_consistency_test(LinearBox(QuantumChannel.identity(3)), rng=RngStream(81, 3))
-    with pytest.raises(InvalidInputError):
-        ancilla_consistency_test(
-            LinearBox(QuantumChannel.identity(2)),
-            run=TomographyRun(100, pauli_measurement_set(2)),
-            rng=RngStream(81, 4),
+
+
+def test_basis_invariance_rejects_non_qubit_boxes():
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    with pytest.raises(InvalidInputError, match="qubit boxes"):
+        basis_invariance_test(
+            LinearBox(QuantumChannel.from_unitary(swap)), shots=100, rng=RngStream(57, 3)
         )
-
-
-def test_calibrated_tests_accept_only_the_pauli_set():
-    # a calibration key names the budget, not the measurement set: a rotated
-    # set would read whichever threshold an earlier call at its budget left
-    u = rotation_y(0.4)
-    rotated = tuple(
-        Povm(tuple(u @ e @ u.conj().T for e in povm.effects)) for povm in pauli_measurement_set(1)
-    )
-    rotated_run = TomographyRun(500, rotated)
-    for test in (basis_invariance_test, ancilla_consistency_test):
-        with pytest.raises(InvalidInputError, match="Pauli set"):
-            test(NonlinearBloch(2.0), run=rotated_run, rng=RngStream(82, 0))
-    # a separately built Pauli set shares the cached design and is accepted
-    pauli_run = TomographyRun(500, pauli_measurement_set(1))
-    for test in (basis_invariance_test, ancilla_consistency_test):
-        v = test(NonlinearBloch(2.0), run=pauli_run, rng=RngStream(82, 1))
-        assert v.n_trials > 0 and v.threshold > 0
 
 
 # ---------------------------------------------------------------- qrac

@@ -66,6 +66,14 @@ def test_grid_rejects_bools_and_empties():
         parse_scenario_dict(variant(parameter_grid=[]))
 
 
+def test_grid_rejects_non_finite_numbers():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ScenarioError, match=r"parameter_grid\.kappa\[0\]: number must be finite"):
+            parse_scenario_dict(variant(parameter_grid={"kappa": [value, 2]}))
+        with pytest.raises(ScenarioError, match=r"parameter_grid\[1\]\.kappa: number must be finite"):
+            parse_scenario_dict(variant(parameter_grid=[{"kappa": 2}, {"kappa": value}]))
+
+
 def test_grid_cell_limit():
     with pytest.raises(ScenarioError, match="limit is 10000"):
         parse_scenario_dict(
