@@ -195,9 +195,22 @@ class LinearBox(BoxModel):
 class _BlochWarp(BoxModel):
     """The collapse and polar-angle warp shared by the two nonlinear qubit boxes.
 
-    Subclasses set ``basis``, ``kappa``, ``pre_unitary`` and ``post_unitary``.
-    A state of any other dimension than 2 passes through the warp unchanged.
+    Subclasses set ``basis`` before this constructor runs.  A state of any
+    other dimension than 2 passes through the warp unchanged, so beyond
+    qubits kappa must be 1 with no rotations.
     """
+
+    def __init__(self, kappa: float, pre_unitary=None, post_unitary=None):
+        if kappa <= 0:
+            raise InvalidInputError("warp exponent must be positive")
+        dim = self.basis[0].dim
+        if dim != 2 and (kappa != 1.0 or pre_unitary is not None or post_unitary is not None):
+            raise InvalidInputError("the Bloch warp is only defined for qubit bases")
+        self.kappa = float(kappa)
+        self.pre_unitary = _as_unitary(pre_unitary, dim)
+        self.post_unitary = _as_unitary(post_unitary, dim)
+        self.dim_in = dim
+        self.dim_out = dim
 
     def _warp_pure(self, psi: PureState) -> PureState:
         if psi.dim != 2:
@@ -232,15 +245,6 @@ class NonlinearBloch(_BlochWarp):
 
     basis = (ket(0), ket(1))
 
-    def __init__(self, kappa: float, pre_unitary=None, post_unitary=None):
-        if kappa <= 0:
-            raise InvalidInputError("warp exponent must be positive")
-        self.kappa = float(kappa)
-        self.pre_unitary = _as_unitary(pre_unitary, 2)
-        self.post_unitary = _as_unitary(post_unitary, 2)
-        self.dim_in = 2
-        self.dim_out = 2
-
     def joint_branches(self, joint, ref_dim):
         # a plain input is warped whole, without a collapse
         if ref_dim == 1:
@@ -266,16 +270,8 @@ class CollapseNonlinear(_BlochWarp):
         gram = np.array([[a.overlap(b) for b in states] for a in states])
         if len(states) != dim or np.max(np.abs(gram - np.eye(dim))) > 1e-10:
             raise InvalidInputError("collapse basis must be complete and orthonormal")
-        if kappa <= 0:
-            raise InvalidInputError("warp exponent must be positive")
-        if dim != 2 and (kappa != 1.0 or pre_unitary is not None or post_unitary is not None):
-            raise InvalidInputError("the Bloch warp is only defined for qubit bases")
         self.basis = states
-        self.kappa = float(kappa)
-        self.pre_unitary = _as_unitary(pre_unitary, dim) if dim == 2 else np.eye(dim, dtype=complex)
-        self.post_unitary = _as_unitary(post_unitary, dim) if dim == 2 else np.eye(dim, dtype=complex)
-        self.dim_in = dim
-        self.dim_out = dim
+        super().__init__(kappa, pre_unitary, post_unitary)
 
 
 class ComposedBox(BoxModel):
@@ -313,10 +309,8 @@ def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:
     """Concatenate two boxes into one (b1 first).
 
     Two linear boxes compose at the channel level; any nonlinear member
-    forces the sample-wise composite.
+    forces the sample-wise composite.  Either path checks the dimensions.
     """
-    if b1.dim_out != b2.dim_in:
-        raise InvalidShapeError("composed boxes have mismatched dimensions")
     if isinstance(b1, LinearBox) and isinstance(b2, LinearBox):
         return LinearBox(b2.channel.compose(b1.channel))
     parts = []
@@ -330,7 +324,8 @@ def concatenate_tests(
     b2: BoxModel,
     psi: PureState,
     shots: int = 10_000,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
 ) -> DensityMatrix:
     """Chain two *tests* rather than two boxes.
 
@@ -344,8 +339,6 @@ def concatenate_tests(
     """
     from .tomography import TomographyRun, pauli_measurement_set, state_tomography
 
-    if rng is None:
-        raise InvalidInputError("concatenate_tests requires an rng")
     psi = as_state(psi)
     run = TomographyRun(
         shots_per_setting=shots, measurement_set=pauli_measurement_set(1)

@@ -13,7 +13,7 @@ applying the map is a single contraction over the input pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,16 +78,16 @@ def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int) -> list:
 class QuantumChannel:
     """A CPTP map stored by its Choi matrix.
 
-    ``kraus`` is an optional explicit operator-sum form.  When present it is
-    trusted as the preferred decomposition (its Choi matrix is still checked
-    against ``choi``); when absent, ``kraus_operators`` falls back to the
-    canonical eigendecomposition gauge.
+    ``kraus`` is the operator-sum form a channel was built from: set only
+    by ``from_kraus``, which builds ``choi`` from those very operators.
+    Without it, ``kraus_operators`` falls back to the canonical
+    eigendecomposition gauge.
     """
 
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    kraus: tuple | None = None
+    kraus: tuple | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         c = as_operator(self.choi, dim=self.dim_in * self.dim_out)
@@ -100,12 +100,6 @@ class QuantumChannel:
         if np.max(np.abs(marginal - np.eye(self.dim_in))) > TP_ATOL:
             raise InvalidChannelError("map is not trace preserving")
         object.__setattr__(self, "choi", c)
-        if self.kraus is not None:
-            ks = tuple(as_operator_rect(k, self.dim_out, self.dim_in) for k in self.kraus)
-            rebuilt = choi_from_kraus(ks, self.dim_in, self.dim_out)
-            if np.max(np.abs(rebuilt - c)) > 1e-8:
-                raise InvalidChannelError("Kraus operators disagree with the Choi matrix")
-            object.__setattr__(self, "kraus", ks)
 
     @property
     def choi4(self) -> np.ndarray:
@@ -147,7 +141,9 @@ class QuantumChannel:
         total = sum(k.conj().T @ k for k in ks)
         if np.max(np.abs(total - np.eye(dim_in))) > 1e-10:
             raise InvalidChannelError("Kraus operators do not satisfy completeness")
-        return cls(choi_from_kraus(ks, dim_in, dim_out), dim_in, dim_out, kraus=ks)
+        channel = cls(choi_from_kraus(ks, dim_in, dim_out), dim_in, dim_out)
+        object.__setattr__(channel, "kraus", ks)
+        return channel
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumChannel":

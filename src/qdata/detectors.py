@@ -21,7 +21,7 @@ import math
 import threading
 import zlib
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "CALIBRATION_SEED",
     "NULL_REPLICATIONS",
     "TestVerdict",
-    "decide",
     "HelstromSetup",
     "helstrom_bound",
     "helstrom_test",
@@ -110,8 +109,8 @@ def _verdict_for(statistic: float, threshold: float, std_error: float) -> str:
 class TestVerdict:
     """Quantified outcome of one detector run.
 
-    The verdict field is derived from the other fields by the 3-standard-
-    error rule and is re-checked at construction, so a TestVerdict can never
+    The verdict is derived from the other fields by the 3-standard-error
+    rule at construction and is never passed in, so a TestVerdict cannot
     carry an inconsistent ruling.
     """
 
@@ -119,38 +118,16 @@ class TestVerdict:
     threshold: float
     std_error: float
     n_trials: int
-    verdict: str
-    extras: dict | None = None
+    verdict: str = field(init=False)
+    extras: dict | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        expected = _verdict_for(self.statistic, self.threshold, self.std_error)
-        if self.verdict != expected:
-            raise InvalidInputError(
-                f"verdict {self.verdict!r} contradicts the decision rule ({expected!r})"
-            )
-
-
-def decide(
-    statistic: float,
-    threshold: float,
-    std_error: float,
-    n_trials: int,
-    extras: dict | None = None,
-) -> TestVerdict:
-    """Apply the 3-standard-error decision rule and package the verdict."""
-    statistic, threshold, std_error = (
-        float(statistic),
-        float(threshold),
-        float(std_error),
-    )
-    return TestVerdict(
-        statistic=statistic,
-        threshold=threshold,
-        std_error=std_error,
-        n_trials=int(n_trials),
-        verdict=_verdict_for(statistic, threshold, std_error),
-        extras=extras,
-    )
+        for name in ("statistic", "threshold", "std_error"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "n_trials", int(self.n_trials))
+        object.__setattr__(
+            self, "verdict", _verdict_for(self.statistic, self.threshold, self.std_error)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +182,8 @@ def helstrom_test(
     box: BoxModel,
     setup: HelstromSetup,
     trials: int = 10_000,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
 ) -> TestVerdict:
     """Check whether the box lets a receiver beat the input-state bound.
 
@@ -216,8 +194,6 @@ def helstrom_test(
     errors is a post-quantum flag; trace-distance monotonicity makes that
     impossible for any CPTP box.
     """
-    if rng is None:
-        raise InvalidInputError("helstrom_test requires an rng")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     p1, p2 = setup.priors
@@ -231,7 +207,7 @@ def helstrom_test(
     successes = int(gen.binomial(n1, q1)) + int(gen.binomial(trials - n1, q2))
     p_hat = successes / trials
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return decide(
+    return TestVerdict(
         p_hat,
         helstrom_bound(setup),
         std_error,
@@ -264,7 +240,7 @@ def ensemble_signalling_test(box: BoxModel, e1: Ensemble, e2: Ensemble) -> TestV
     out1 = box.ensemble_output_density(e1)
     out2 = box.ensemble_output_density(e2)
     statistic = trace_distance(out1, out2)
-    return decide(statistic, 1e-6, 0.0, 0)
+    return TestVerdict(statistic, 1e-6, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +310,8 @@ def basis_invariance_test(
     box: BoxModel,
     deltas: tuple = (0.0, math.pi / 5, math.pi / 3),
     shots: int = 10_000,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
 ) -> TestVerdict:
     """Reconstruct the box in several rotated probe bases and compare.
 
@@ -345,8 +322,6 @@ def basis_invariance_test(
     error come from the identity-box calibration at the same budget.  Each
     reconstruction measures the Pauli set with ``shots`` per setting.
     """
-    if rng is None:
-        raise InvalidInputError("basis_invariance_test requires an rng")
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the basis-invariance test is implemented for qubit boxes")
     deltas = tuple(float(d) for d in deltas)
@@ -361,7 +336,7 @@ def basis_invariance_test(
         lambda null_box, stream: _basis_invariance_statistic(null_box, deltas, run, stream)[0],
     )
     statistic, residuals = _basis_invariance_statistic(box, deltas, run, rng)
-    return decide(
+    return TestVerdict(
         statistic,
         threshold,
         sigma,
@@ -382,7 +357,8 @@ def _ancilla_statistic(box, run, joint_run, rng) -> tuple:
 def ancilla_consistency_test(
     box: BoxModel,
     shots: int = 10_000,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
 ) -> TestVerdict:
     """Compare the probe-state scheme against the entangled-reference scheme.
 
@@ -391,8 +367,6 @@ def ancilla_consistency_test(
     stage the two-qubit Pauli set, both with ``shots`` per setting.
     Threshold and standard error are calibrated on the identity box.
     """
-    if rng is None:
-        raise InvalidInputError("ancilla_consistency_test requires an rng")
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the consistency test is implemented for qubit boxes")
     run = TomographyRun(shots, pauli_measurement_set(1))
@@ -403,7 +377,7 @@ def ancilla_consistency_test(
         lambda null_box, stream: _ancilla_statistic(null_box, run, joint_run, stream)[0],
     )
     statistic, direct_res, ancilla_res = _ancilla_statistic(box, run, joint_run, rng)
-    return decide(
+    return TestVerdict(
         statistic,
         threshold,
         sigma,
@@ -487,7 +461,7 @@ def qrac_verdict(result: QracResult) -> TestVerdict:
         sigma = result.ci_halfwidth / 1.96
     else:
         sigma = float("nan")
-    return decide(
+    return TestVerdict(
         result.f_hat,
         QRAC_FIDELITY_CEILING,
         sigma,
@@ -504,14 +478,14 @@ def qrac_verdict(result: QracResult) -> TestVerdict:
 class NsqResult:
     """Exact and sampled signalling diagnostics of one bipartite channel."""
 
-    signalling_measure: float
     per_direction: tuple
     sampled_violations: float
     marginal_drift: float = 0.0
 
-    def __post_init__(self) -> None:
-        if abs(self.signalling_measure - max(self.per_direction)) > 1e-12:
-            raise InvalidInputError("measure must be the maximum over directions")
+    @property
+    def signalling_measure(self) -> float:
+        """The larger of the two directions' measures."""
+        return max(self.per_direction)
 
 
 def _kernel_direction(choi4, dims, sender: int) -> float:
@@ -587,7 +561,6 @@ def nsq_signalling_measure(
             drift = max(drift, trace_distance(bob_base, rho.reduce([da, db], keep={1})))
     fraction = violations / sampled_pairs if sampled_pairs > 0 else 0.0
     return NsqResult(
-        signalling_measure=max(a_to_b, b_to_a),
         per_direction=(a_to_b, b_to_a),
         sampled_violations=fraction,
         marginal_drift=drift,
@@ -597,7 +570,8 @@ def nsq_signalling_measure(
 def nsq_random_survey(
     n_samples: int,
     local_dims: tuple = (2, 2),
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
     env_dim: int | None = None,
     product_channels: bool = False,
 ) -> TestVerdict:
@@ -613,8 +587,6 @@ def nsq_random_survey(
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be at least 1")
-    if rng is None:
-        raise InvalidInputError("nsq_random_survey requires an rng")
     da, db = (int(d) for d in local_dims)
     compatible = 0
     for k in range(n_samples):
@@ -636,7 +608,7 @@ def nsq_random_survey(
         )
     else:
         sigma = float("nan")
-    return decide(
+    return TestVerdict(
         compatible_fraction,
         0.01,
         sigma,

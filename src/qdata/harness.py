@@ -12,6 +12,7 @@ schema version that bumps on any breaking change.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ import numpy as np
 from ._version import __version__
 from .detectors import TestVerdict
 from .rng import RngStream, mix64
-from .scenario import DETECTORS, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,16 +50,8 @@ def _json_safe(value):
 
 
 def _verdict_dict(v: TestVerdict) -> dict:
-    return _json_safe(
-        {
-            "statistic": float(v.statistic),
-            "threshold": float(v.threshold),
-            "std_error": float(v.std_error),
-            "n_trials": int(v.n_trials),
-            "verdict": v.verdict,
-            "extras": v.extras if v.extras is not None else {},
-        }
-    )
+    # every field of the verdict; absent extras are written as an empty object
+    return _json_safe({**vars(v), "extras": v.extras or {}})
 
 
 def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int) -> dict:
@@ -67,7 +60,7 @@ def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int)
     stream = RngStream(seed, mix64(cell_index, det_index))
     record: dict = {"detector": spec.name}
     try:
-        verdict, samples, recon = DETECTORS[spec.name].make(scenario, spec, params, stream)
+        verdict, samples, recon = spec.entry.make(scenario, spec, params, stream)
         record["verdict"] = _verdict_dict(verdict)
         record["samples"] = int(samples)
         if recon:
@@ -89,23 +82,13 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
         raise ValueError("threads must be at least 1")
     effective_seed = scenario.master_seed if seed is None else seed
     n_det = len(scenario.detectors)
-    jobs = [
-        (cell_index, det_index)
-        for cell_index in range(len(scenario.grid))
-        for det_index in range(n_det)
-    ]
-    slots: list = [None] * len(jobs)
-
-    def work(flat_index: int) -> None:
-        cell_index, det_index = jobs[flat_index]
-        slots[flat_index] = _execute_one(scenario, cell_index, det_index, effective_seed)
-
+    jobs = itertools.product(range(len(scenario.grid)), range(n_det))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(len(jobs))))
+        records = list(pool.map(lambda job: _execute_one(scenario, *job, effective_seed), jobs))
 
     cells = []
     for cell_index, params in enumerate(scenario.grid):
-        results = [slots[cell_index * n_det + d] for d in range(n_det)]
+        results = records[cell_index * n_det : (cell_index + 1) * n_det]
         cells.append(
             {
                 "cell_index": cell_index,
@@ -116,16 +99,10 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
         )
 
     counts: dict = {}
-    errors = 0
-    for cell in cells:
-        for result in cell["results"]:
-            per = counts.setdefault(result["detector"], {})
-            if "error" in result:
-                errors += 1
-                per["error"] = per.get("error", 0) + 1
-            else:
-                verdict = result["verdict"]["verdict"]
-                per[verdict] = per.get(verdict, 0) + 1
+    for record in records:
+        per = counts.setdefault(record["detector"], {})
+        outcome = "error" if "error" in record else record["verdict"]["verdict"]
+        per[outcome] = per.get(outcome, 0) + 1
 
     timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     return {
@@ -141,7 +118,7 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
             "verdict_counts": counts,
             "total_samples": sum(c["samples"] for c in cells),
             "cell_count": len(cells),
-            "error_count": errors,
+            "error_count": sum("error" in record for record in records),
         },
     }
 

@@ -116,16 +116,13 @@ def eig_hermitian(h, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_norm(h) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    w, _ = eig_hermitian(h)
-    return float(np.sum(np.abs(w)))
+    return float(trace_norms(as_operator(h)[None])[0])
 
 
 def trace_norms(stack) -> np.ndarray:
     """Trace norm of each Hermitian matrix in a stack of shape (k, d, d).
 
-    Batched :func:`trace_norm` with the same Hermiticity check and the same
-    arithmetic (``eigh``, absolute eigenvalues summed in descending order),
-    so each entry equals ``trace_norm`` of its matrix bit for bit.
+    The absolute eigenvalues from ``eigh`` are summed in descending order.
     """
     a = np.asarray(stack, dtype=complex)
     if not np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= HERM_ATOL:

@@ -38,10 +38,10 @@ from .boxes import (
 from .channels import QuantumChannel
 from .detectors import (
     HelstromSetup,
+    TestVerdict,
     ancilla_consistency_test,
     basis_invariance_test,
     canonical_ensemble_pair,
-    decide,
     ensemble_signalling_test,
     helstrom_test,
     nsq_random_survey,
@@ -66,7 +66,6 @@ __all__ = [
     "BOX_FAMILIES",
     "PAIR_FAMILIES",
     "DETECTORS",
-    "DetectorSpec",
     "Scenario",
     "parse_scenario",
     "parse_scenario_dict",
@@ -97,8 +96,9 @@ class Entry:
     default is ``REQUIRED`` for a key that must be given.  ``make`` builds
     the model from the resolved fields, passed as keyword arguments; for a
     detector it is the runner ``(scenario, spec, params, stream)`` that
-    returns ``(verdict, samples, reconstructions)``.  ``needs`` is the
-    scenario kind a detector runs in: "box", "pair", or None for either.
+    reads its settings from ``spec.fields`` and returns ``(verdict,
+    samples, reconstructions)``.  ``needs`` is the scenario kind a
+    detector runs in: "box", "pair", or None for either.
     """
 
     keys: dict
@@ -113,8 +113,9 @@ class _ParamRef:
 
 @dataclass(frozen=True)
 class _Spec:
-    """A parsed channel, box or pair: its table entry and its parsed fields."""
+    """A parsed channel, box, pair or detector: its name, table entry and parsed fields."""
 
+    name: str
     entry: Entry
     fields: dict
 
@@ -138,13 +139,21 @@ def _check_keys(node: dict, required: tuple, optional, where: str) -> None:
 # field parsers: (node, where) -> parsed value
 
 
-def _scalar(node, where: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        _fail(where, f"expected a number, got {type(node).__name__}")
-    value = float(node)
+def _finite(node, where: str) -> float:
+    """A JSON number as a finite float; an integer beyond the float range fails too."""
+    try:
+        value = float(node)
+    except OverflowError:
+        _fail(where, "number is beyond the float range")
     if not math.isfinite(value):
         _fail(where, "number must be finite")
     return value
+
+
+def _scalar(node, where: str) -> float:
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        _fail(where, f"expected a number, got {type(node).__name__}")
+    return _finite(node, where)
 
 
 def _count(node, where: str) -> int:
@@ -152,6 +161,8 @@ def _count(node, where: str) -> int:
         _fail(where, f"expected an integer, got {type(node).__name__}")
     if node < 1:
         _fail(where, "must be at least 1")
+    if node > 2**63 - 1:
+        _fail(where, "must be at most 2**63 - 1")
     return node
 
 
@@ -208,8 +219,8 @@ def _list_of(item, message: str, least: int = 1, most: int | None = None):
     return parse
 
 
-def _basis(node, where: str):
-    return node if node == "computational" else _complex_matrix(node, where)
+def _basis(node, where: str) -> np.ndarray:
+    return np.eye(2) if node == "computational" else _complex_matrix(node, where)
 
 
 _dims = _list_of(_count, "expected [dim_a, dim_b]", least=2, most=2)
@@ -241,7 +252,7 @@ def _parse_spec(table: dict, tag: str, what: str, node, where: str) -> _Spec:
         _fail(f"{where}.{tag}", f"unknown {what} {name!r}")
     fields = {key: value for key, value in node.items() if key != tag}
     foreign = f"key not accepted by {what} {name!r}"
-    return _Spec(table[name], _parse_fields(table[name], fields, where, foreign))
+    return _Spec(name, table[name], _parse_fields(table[name], fields, where, foreign))
 
 
 def _channel(node, where: str) -> _Spec:
@@ -296,9 +307,8 @@ def _rotation(angle):
 
 
 def _collapse(kappa, pre_rotation_y, post_rotation_y, basis) -> CollapseNonlinear:
-    rows = np.eye(2) if isinstance(basis, str) else basis
     return CollapseNonlinear(
-        tuple(PureState(row) for row in rows),
+        tuple(PureState(row) for row in basis),
         kappa=kappa,
         pre_unitary=_rotation(pre_rotation_y),
         post_unitary=_rotation(post_rotation_y),
@@ -337,7 +347,7 @@ BOX_FAMILIES = {
             kappa, _rotation(pre_rotation_y), _rotation(post_rotation_y)
         ),
     ),
-    "collapse": Entry({**_WARP_KEYS, "basis": (_basis, "computational")}, _collapse),
+    "collapse": Entry({**_WARP_KEYS, "basis": (_basis, np.eye(2))}, _collapse),
     "composed": Entry(
         {"stages": (_list_of(_box, "expected a list of at least two box specs", least=2), REQUIRED)},
         lambda stages: ComposedBox(stages),
@@ -366,15 +376,24 @@ def _flat_complex(matrix: np.ndarray) -> dict:
     }
 
 
+def _report_choi(box, shots: int, stream) -> dict:
+    """The report-only direct reconstruction at delta 0, on its own child stream."""
+    run = TomographyRun(shots, pauli_measurement_set(1))
+    recon = process_tomography_direct(
+        box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
+    )
+    return {"choi": _flat_complex(recon.normalized_choi())}
+
+
 def _run_helstrom(scenario, spec, params, stream):
     box = scenario.build_box(params)
-    t1, t2 = spec.settings["thetas"]
+    t1, t2 = spec.fields["thetas"]
     setup = HelstromSetup(
-        spec.settings["priors"],
+        spec.fields["priors"],
         (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0)),
     )
-    verdict = helstrom_test(box, setup, spec.settings["trials"], stream)
-    return verdict, spec.settings["trials"], {}
+    verdict = helstrom_test(box, setup, spec.fields["trials"], rng=stream)
+    return verdict, spec.fields["trials"], {}
 
 
 def _run_ensemble_signalling(scenario, spec, params, stream):
@@ -385,43 +404,35 @@ def _run_ensemble_signalling(scenario, spec, params, stream):
 
 def _run_basis_invariance(scenario, spec, params, stream):
     box = scenario.build_box(params)
-    shots = spec.settings["shots"]
-    deltas = spec.settings["deltas"]
-    run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = basis_invariance_test(box, deltas, shots, stream)
-    recon = process_tomography_direct(
-        box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
-    )
+    shots = spec.fields["shots"]
+    deltas = spec.fields["deltas"]
+    verdict = basis_invariance_test(box, deltas, shots, rng=stream)
     samples = (len(deltas) + 1) * 4 * 3 * shots
-    return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
+    return verdict, samples, _report_choi(box, shots, stream)
 
 
 def _run_ancilla_consistency(scenario, spec, params, stream):
     box = scenario.build_box(params)
-    shots = spec.settings["shots"]
-    run = TomographyRun(shots, pauli_measurement_set(1))
-    verdict = ancilla_consistency_test(box, shots, stream)
-    recon = process_tomography_direct(
-        box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
-    )
+    shots = spec.fields["shots"]
+    verdict = ancilla_consistency_test(box, shots, rng=stream)
     # direct stage 4 probes x 3 settings, joint stage 9 settings, plus the
     # reported reconstruction at 12 settings
     samples = (12 + 9 + 12) * shots
-    return verdict, samples, {"choi": _flat_complex(recon.normalized_choi())}
+    return verdict, samples, _report_choi(box, shots, stream)
 
 
 def _run_qrac(scenario, spec, params, stream):
-    rounds = spec.settings["rounds"]
+    rounds = spec.fields["rounds"]
     result = qrac_fidelity_estimate(scenario.build_pair(params), rounds, stream)
     return qrac_verdict(result), rounds, {}
 
 
 def _run_nsq_survey(scenario, spec, params, stream):
-    s = spec.settings
+    s = spec.fields
     verdict = nsq_random_survey(
         s["n_samples"],
         s["local_dims"],
-        stream,
+        rng=stream,
         env_dim=s["env_dim"],
         product_channels=s["product_channels"],
     )
@@ -430,15 +441,15 @@ def _run_nsq_survey(scenario, spec, params, stream):
 
 def _run_composition_gap(scenario, spec, params, stream):
     first = scenario.build_box(params)
-    second = scenario.build_second_box(spec.settings["second_box"], params)
-    shots = spec.settings["shots"]
-    probe = PureState.from_bloch(spec.settings["probe_theta"], 0.0)
+    second = scenario.build_second_box(spec.fields["second_box"], params)
+    shots = spec.fields["shots"]
+    probe = PureState.from_bloch(spec.fields["probe_theta"], 0.0)
     composed_output = compose_boxes(first, second).ensemble_output_density(probe)
     staged_output = concatenate_tests(first, second, probe, shots=shots, rng=stream)
     statistic = trace_distance(composed_output, staged_output)
     # the 0.05 margin dominates tomography error at any sane shot budget,
     # so the gap statistic carries no separate error bar
-    verdict = decide(statistic, 0.05, 0.0, shots)
+    verdict = TestVerdict(statistic, 0.05, 0.0, shots)
     recon = {
         "composed_output": _flat_complex(composed_output.matrix),
         "staged_output": _flat_complex(staged_output.matrix),
@@ -491,13 +502,7 @@ DETECTORS = {
 }
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
-    name: str
-    settings: dict
-
-
-def _parse_detector(node, where: str) -> DetectorSpec:
+def _parse_detector(node, where: str) -> _Spec:
     _check_keys(node, ("name",), ("settings",), where)
     name = node["name"]
     if not isinstance(name, str) or name not in DETECTORS:
@@ -506,7 +511,8 @@ def _parse_detector(node, where: str) -> DetectorSpec:
     if not isinstance(raw, dict):
         _fail(f"{where}.settings", "expected an object")
     foreign = f"unknown setting for detector {name!r}"
-    return DetectorSpec(name, _parse_fields(DETECTORS[name], raw, f"{where}.settings", foreign))
+    entry = DETECTORS[name]
+    return _Spec(name, entry, _parse_fields(entry, raw, f"{where}.settings", foreign))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +548,8 @@ class Scenario:
 def _grid_value(v, where: str) -> None:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         _fail(where, "grid values are numbers or strings")
-    if isinstance(v, float) and not math.isfinite(v):
-        _fail(where, "number must be finite")
+    if not isinstance(v, str):
+        _finite(v, where)
 
 
 def _parse_grid(node, where: str) -> tuple:
@@ -605,11 +611,11 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         _parse_detector(d, f"{source}.detectors[{i}]") for i, d in enumerate(data["detectors"])
     )
     for i, det in enumerate(detectors):
-        needs = DETECTORS[det.name].needs
+        needs = det.entry.needs
         if needs not in (None, kind):
             _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a {needs} scenario")
 
-    referenced = _collect_refs((box_spec, pair_spec) + tuple(det.settings for det in detectors))
+    referenced = _collect_refs((box_spec, pair_spec) + detectors)
     # every cell binds every reference; an axes grid's cells share one set of names
     per_cell = isinstance(data["parameter_grid"], list)
     for i, cell in enumerate(grid):

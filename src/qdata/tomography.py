@@ -140,22 +140,6 @@ class TomographyRun:
         return self.measurement_set[0].dim
 
 
-def _setting_counts(source, povm: Povm, shots: int, rng: RngStream) -> np.ndarray:
-    """Outcome counts for one setting.
-
-    A DensityMatrix (or anything convertible) is sampled from its exact Born
-    distribution; a callable source is invoked as source(povm, shots, rng)
-    and must return the counts vector itself.
-    """
-    if callable(source):
-        counts = np.asarray(source(povm, shots, rng))
-        if counts.shape != (len(povm),) or int(counts.sum()) != shots:
-            raise InvalidInputError("source returned an invalid counts vector")
-        return counts
-    probs = born_probabilities(as_density(source), povm)
-    return rng.generator.multinomial(shots, probs)
-
-
 def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> np.ndarray:
     coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
     basis = hermitian_basis(dim)
@@ -164,10 +148,16 @@ def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> 
 
 
 def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
-    """The linear-inversion estimate, unprojected (possibly non-positive)."""
+    """The linear-inversion estimate, unprojected (possibly non-positive).
+
+    Setting i samples the source density's exact Born distribution with
+    ``rng.child(i)``.
+    """
+    rho = as_density(source)
     freqs = []
     for i, povm in enumerate(run.measurement_set):
-        counts = _setting_counts(source, povm, run.shots_per_setting, rng.child(i))
+        probs = born_probabilities(rho, povm)
+        counts = rng.child(i).generator.multinomial(run.shots_per_setting, probs)
         freqs.extend(counts / run.shots_per_setting)
     return _linear_inversion(np.array(freqs), run._design, run.dim)
 
@@ -175,6 +165,7 @@ def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
 def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatrix:
     """Reconstruct a state from finite measurement statistics.
 
+    ``source`` is the measured state (anything ``as_density`` accepts).
     The linear-inversion estimate is projected to the nearest density
     matrix.
     """
@@ -207,7 +198,18 @@ class ProbeBasis:
 
     @functools.cached_property
     def _unit_coefficients(self) -> np.ndarray:
-        return _unit_recovery_coefficients(self)
+        """Coefficients expressing each operator unit |i><j| over the probe projectors.
+
+        Column k of the solved system is vec of probe projector k; the result
+        has shape (m, m, m^2) indexed by (i, j, probe).  For the canonical
+        delta = 0 qubit basis, row (0, 1) reproduces the standard combination
+        E(|0><1|) = E(P_+) + i E(P_+i) - (1+i)/2 (E(P_0) + E(P_1)).
+        """
+        m = self.dim
+        columns = np.column_stack([s.projector().reshape(-1) for s in self.states])
+        # column i * m + j of the identity is vec |i><j|
+        coeffs = np.linalg.solve(columns, np.eye(m * m, dtype=complex))
+        return coeffs.T.reshape(m, m, m * m)
 
 
 _canonical_bases: dict = {}
@@ -255,38 +257,17 @@ class ReconstructedProcess:
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    cptp_residual: float
+    cptp_residual: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        eigvals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
+        negativity = float(-eigvals[eigvals < 0].sum())
+        marginal = partial_trace(self.choi, [self.dim_in, self.dim_out], keep={0})
+        tp_deviation = float(np.max(np.abs(marginal - np.eye(self.dim_in))))
+        object.__setattr__(self, "cptp_residual", negativity + tp_deviation)
 
     def normalized_choi(self) -> np.ndarray:
         return self.choi / self.dim_in
-
-
-def _unit_recovery_coefficients(basis: ProbeBasis) -> np.ndarray:
-    """Coefficients expressing each operator unit |i><j| over the probe projectors.
-
-    Column k of the solved system is vec of probe projector k; the result
-    has shape (m, m, m^2) indexed by (i, j, probe).  For the canonical
-    delta = 0 qubit basis, row (0, 1) reproduces the standard combination
-    E(|0><1|) = E(P_+) + i E(P_+i) - (1+i)/2 (E(P_0) + E(P_1)).
-    """
-    m = basis.dim
-    columns = np.column_stack([s.projector().reshape(-1) for s in basis.states])
-    units = np.zeros((m * m, m * m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            unit = np.zeros((m, m), dtype=complex)
-            unit[i, j] = 1.0
-            units[:, i * m + j] = unit.reshape(-1)
-    coeffs = np.linalg.solve(columns, units)
-    return coeffs.T.reshape(m, m, m * m)
-
-
-def _cptp_residual(choi: np.ndarray, dim_in: int, dim_out: int) -> float:
-    eigvals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-    negativity = float(-eigvals[eigvals < 0].sum())
-    marginal = partial_trace(choi, [dim_in, dim_out], keep={0})
-    tp_deviation = float(np.max(np.abs(marginal - np.eye(dim_in))))
-    return negativity + tp_deviation
 
 
 def process_tomography_direct(
@@ -298,7 +279,7 @@ def process_tomography_direct(
     projected estimator would erase exactly the deviations of interest),
     then the action on operator units is solved from the probe projectors.
     """
-    if basis.dim != box.dim_in or len(basis.states) != box.dim_in**2:
+    if basis.dim != box.dim_in:
         raise InvalidShapeError("probe basis does not match the box input dimension")
     outputs = [
         _raw_estimate(box.ensemble_output_density(probe), run, rng.child(k))
@@ -311,13 +292,7 @@ def process_tomography_direct(
         for j in range(m):
             unit_image = sum(c * r for c, r in zip(coeffs[i, j], outputs))
             choi4[i, :, j, :] = unit_image
-    choi = choi4.reshape(m * n, m * n)
-    return ReconstructedProcess(
-        choi=choi,
-        dim_in=m,
-        dim_out=n,
-        cptp_residual=_cptp_residual(choi, m, n),
-    )
+    return ReconstructedProcess(choi4.reshape(m * n, m * n), m, n)
 
 
 def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> ReconstructedProcess:
@@ -334,9 +309,4 @@ def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> Recon
     joint_out = box.probe_with_reference(max_entangled(2))
     estimate = _raw_estimate(joint_out, run, rng)
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return ReconstructedProcess(
-        choi=choi,
-        dim_in=2,
-        dim_out=2,
-        cptp_residual=_cptp_residual(choi, 2, 2),
-    )
+    return ReconstructedProcess(choi, 2, 2)

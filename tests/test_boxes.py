@@ -12,6 +12,7 @@ from qdata import (
     DensityMatrix,
     Ensemble,
     InvalidInputError,
+    InvalidShapeError,
     LinearBox,
     NonlinearBloch,
     NsqChannelPair,
@@ -290,6 +291,13 @@ def test_compose_linear_boxes_composes_channels():
     assert np.max(np.abs(box.channel.choi - b.compose(a).choi)) < 1e-10
 
 
+def test_compose_boxes_rejects_mismatched_dimensions():
+    qutrit = LinearBox(QuantumChannel.identity(3))
+    for first in (LinearBox(QuantumChannel.identity(2)), NonlinearBloch(2.0)):
+        with pytest.raises(InvalidShapeError):
+            compose_boxes(first, qutrit)
+
+
 def test_compose_identity_is_neutral():
     target = NonlinearBloch(4.0, pre_unitary=RY45)
     box = compose_boxes(LinearBox(QuantumChannel.identity(2)), target)
@@ -328,7 +336,7 @@ def test_concatenate_tests_matches_composed_channel():
 
 def test_concatenate_tests_requires_rng():
     b = LinearBox(QuantumChannel.identity(2))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):
         concatenate_tests(b, b, ket(0))
 
 

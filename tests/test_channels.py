@@ -96,6 +96,16 @@ def test_from_kraus_rejects_incomplete_set():
         QuantumChannel.from_kraus(bad, 2, 2)
 
 
+def test_kraus_comes_only_from_from_kraus():
+    ops = [math.sqrt(0.8) * np.eye(2), math.sqrt(0.2) * np.diag([1.0, -1.0])]
+    ch = QuantumChannel.from_kraus(ops, 2, 2)
+    assert len(ch.kraus) == 2
+    assert all(np.array_equal(k, op) for k, op in zip(ch.kraus, ops))
+    assert QuantumChannel(ch.choi, 2, 2).kraus is None
+    with pytest.raises(TypeError):
+        QuantumChannel(ch.choi, 2, 2, kraus=ops)
+
+
 def test_choi_validation_rejects_non_trace_preserving():
     choi = QuantumChannel.identity(2).choi * 1.01
     with pytest.raises(InvalidChannelError):

@@ -172,6 +172,23 @@ def test_run_rejects_a_non_finite_grid_number_before_any_job(tmp_path, capsys, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes, where",
+    [
+        ({"box": {"family": "nonlinear-bloch", "kappa": "HUGE"}}, "box.kappa"),
+        ({"parameter_grid": {"kappa": ["HUGE"]}}, "parameter_grid.kappa[0]"),
+        ({"detectors": [{"name": "helstrom", "settings": {"trials": "HUGE"}}]}, "detectors[0].settings.trials"),
+    ],
+)
+def test_run_rejects_an_oversized_integer_literal_at_its_path(tmp_path, capsys, changes, where):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**MINI, **changes}).replace('"HUGE"', "1" + "0" * 400))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{where}: " in err
+    assert "Traceback" not in err
+
+
 def test_threads_env_validation(mini_path, capsys, monkeypatch):
     monkeypatch.setenv("QDATA_THREADS", "zero")
     assert main(["run", mini_path]) == 1

@@ -22,7 +22,6 @@ from qdata import (
     ancilla_consistency_test,
     basis_invariance_test,
     canonical_ensemble_pair,
-    decide,
     ensemble_signalling_test,
     haar_random_unitary,
     helstrom_bound,
@@ -61,31 +60,33 @@ def canonical_setup():
 
 
 def test_decide_flags_only_three_sigma_excess():
-    assert decide(1.0, 0.5, 0.1, 100).verdict == "post-quantum"
-    assert decide(0.8, 0.5, 0.1, 100).verdict == "post-quantum"  # exactly 3 sigma
-    assert decide(0.7, 0.5, 0.1, 100).verdict == "inconclusive"
-    assert decide(0.15, 0.5, 0.1, 100).verdict == "quantum-consistent"
-    assert decide(0.0, 0.75, 0.25, 10).verdict == "quantum-consistent"  # exactly 3 sigma
-    assert decide(0.45, 0.5, 0.1, 100).verdict == "inconclusive"
+    assert TestVerdict(1.0, 0.5, 0.1, 100).verdict == "post-quantum"
+    assert TestVerdict(0.8, 0.5, 0.1, 100).verdict == "post-quantum"  # exactly 3 sigma
+    assert TestVerdict(0.7, 0.5, 0.1, 100).verdict == "inconclusive"
+    assert TestVerdict(0.15, 0.5, 0.1, 100).verdict == "quantum-consistent"
+    assert TestVerdict(0.0, 0.75, 0.25, 10).verdict == "quantum-consistent"  # exactly 3 sigma
+    assert TestVerdict(0.45, 0.5, 0.1, 100).verdict == "inconclusive"
 
 
 def test_decide_with_zero_spread():
-    assert decide(0.1, 0.0, 0.0, 1).verdict == "post-quantum"
-    assert decide(-0.1, 0.0, 0.0, 1).verdict == "quantum-consistent"
-    assert decide(0.0, 0.0, 0.0, 1).verdict == "inconclusive"
+    assert TestVerdict(0.1, 0.0, 0.0, 1).verdict == "post-quantum"
+    assert TestVerdict(-0.1, 0.0, 0.0, 1).verdict == "quantum-consistent"
+    assert TestVerdict(0.0, 0.0, 0.0, 1).verdict == "inconclusive"
 
 
 def test_decide_with_unusable_spread():
-    assert decide(10.0, 0.0, float("nan"), 5).verdict == "inconclusive"
-    assert decide(10.0, 0.0, float("inf"), 5).verdict == "inconclusive"
+    assert TestVerdict(10.0, 0.0, float("nan"), 5).verdict == "inconclusive"
+    assert TestVerdict(10.0, 0.0, float("inf"), 5).verdict == "inconclusive"
 
 
 def test_verdict_invariant_is_enforced():
-    with pytest.raises(InvalidInputError):
-        TestVerdict(0.1, 0.5, 0.01, 100, "post-quantum", {})
-    with pytest.raises(InvalidInputError):
-        TestVerdict(0.9, 0.5, 0.01, 100, "quantum-consistent", {})
-    v = TestVerdict(0.9, 0.5, 0.01, 100, "post-quantum", {})
+    with pytest.raises(TypeError):
+        TestVerdict(0.1, 0.5, 0.01, 100, verdict="quantum-consistent")
+    # a stale positional verdict cannot slip into ``extras``
+    with pytest.raises(TypeError):
+        TestVerdict(0.9, 0.5, 0.01, 100, "post-quantum")
+    v = TestVerdict(0.9, 0.5, 0.01, 100, extras={})
+    assert v.verdict == "post-quantum"
     assert v.n_trials == 100
 
 
@@ -140,7 +141,7 @@ def test_helstrom_setup_validation():
 
 def test_helstrom_test_requires_rng():
     box = LinearBox(QuantumChannel.identity(2))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):
         helstrom_test(box, canonical_setup())
 
 
@@ -515,8 +516,9 @@ def test_nsq_default_sampling_stream_is_fixed():
     assert r1.marginal_drift == r2.marginal_drift
 
 
-def test_nsq_result_invariant():
-    with pytest.raises(InvalidInputError):
+def test_nsq_measure_is_the_larger_direction():
+    assert NsqResult((0.1, 0.2), 0.0).signalling_measure == 0.2
+    with pytest.raises(TypeError):
         NsqResult(0.5, (0.1, 0.2), 0.0, 0.0)
 
 
@@ -559,7 +561,7 @@ def test_nsq_survey_single_sample_is_inconclusive():
 
 
 def test_nsq_survey_requires_rng():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):
         nsq_random_survey(10)
 
 

@@ -179,6 +179,15 @@ def test_nearest_density_matrix_rejects_wild_trace():
         nearest_density_matrix(np.eye(2, dtype=complex) * 3.0)
 
 
+def test_trace_norm_is_the_descending_absolute_eigenvalue_sum_bit_for_bit():
+    gen = RngStream(71, 0).generator
+    for d in range(2, 7):
+        for _ in range(20):
+            g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+            h = (g + g.conj().T) / 2
+            assert trace_norm(h) == np.sum(np.abs(np.linalg.eigh(h)[0][::-1]))
+
+
 def test_operator_size_cap():
     big = np.eye(65, dtype=complex)
     with pytest.raises(InvalidShapeError):

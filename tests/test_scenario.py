@@ -74,6 +74,29 @@ def test_grid_rejects_non_finite_numbers():
             parse_scenario_dict(variant(parameter_grid=[{"kappa": 2}, {"kappa": value}]))
 
 
+HUGE = 10**400  # an integer literal beyond the float range
+
+
+def test_integer_literals_beyond_the_float_range_fail_parsing():
+    beyond = "number is beyond the float range"
+    with pytest.raises(ScenarioError, match=rf"scenario\.box\.kappa: {beyond}"):
+        parse_scenario_dict(variant(box={"family": "nonlinear-bloch", "kappa": HUGE}))
+    with pytest.raises(ScenarioError, match=rf"parameter_grid\.kappa\[1\]: {beyond}"):
+        parse_scenario_dict(variant(parameter_grid={"kappa": [2, HUGE]}))
+    with pytest.raises(ScenarioError, match=rf"parameter_grid\[0\]\.kappa: {beyond}"):
+        parse_scenario_dict(variant(parameter_grid=[{"kappa": -HUGE}]))
+
+
+def test_counts_beyond_64_bits_fail_parsing():
+    detectors = [{"name": "helstrom", "settings": {"trials": 2**63}}]
+    with pytest.raises(ScenarioError, match=r"detectors\[0\]\.settings\.trials: must be at most 2\*\*63 - 1"):
+        parse_scenario_dict(variant(detectors=detectors))
+    with pytest.raises(ScenarioError, match=r"detectors\[0\]\.settings\.trials: must be at most"):
+        parse_scenario_dict(variant(detectors=[{"name": "helstrom", "settings": {"trials": HUGE}}]))
+    detectors[0]["settings"]["trials"] = 2**63 - 1
+    assert parse_scenario_dict(variant(detectors=detectors)).detectors[0].fields["trials"] == 2**63 - 1
+
+
 def test_grid_cell_limit():
     with pytest.raises(ScenarioError, match="limit is 10000"):
         parse_scenario_dict(
@@ -246,7 +269,7 @@ def test_param_references_resolve_in_second_box_and_stages():
         detectors=[{"name": "composition-gap", "settings": {"second_box": second_box}}],
     )
     sc = parse_scenario_dict(d)
-    second_spec = sc.detectors[0].settings["second_box"]
+    second_spec = sc.detectors[0].fields["second_box"]
     kappas, channels = [], []
     for cell in sc.grid:
         kappas.append(sc.build_box(cell).boxes[1].kappa)

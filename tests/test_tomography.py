@@ -13,12 +13,14 @@ from qdata import (
     ProbeBasis,
     PureState,
     QuantumChannel,
+    ReconstructedProcess,
     RngStream,
     TomographyRun,
     canonical_probe_basis,
     ket,
     max_entangled,
     nearest_density_matrix,
+    partial_trace,
     pauli_measurement_set,
     process_tomography_ancilla,
     process_tomography_direct,
@@ -64,23 +66,16 @@ def test_run_validation():
 
 
 def test_exact_counts_recover_the_state():
-    # a callable source with exactly dyadic outcome frequencies
-    def source(povm, shots, rng):
-        from qdata import born_probabilities
+    # exactly dyadic outcome frequencies invert to the state itself
+    from qdata import born_probabilities
+    from qdata.tomography import _linear_inversion
 
-        p = born_probabilities(ket(0), povm)
-        return np.round(p * shots).astype(int)
-
-    est = state_tomography(source, run1(1024), RngStream(40, 0))
+    run = run1(1024)
+    counts = [
+        np.round(born_probabilities(ket(0), povm) * 1024).astype(int) for povm in run.measurement_set
+    ]
+    est = _linear_inversion(np.concatenate(counts) / 1024, run._design, run.dim)
     assert trace_distance(est, ket(0).density()) < 1e-10
-
-
-def test_callable_source_counts_are_validated():
-    def bad(povm, shots, rng):
-        return np.array([shots, 1])
-
-    with pytest.raises(InvalidInputError):
-        state_tomography(bad, run1(100), RngStream(40, 1))
 
 
 def test_state_tomography_converges():
@@ -267,12 +262,10 @@ def test_state_tomography_is_bitwise_equal_to_the_uncached_arithmetic():
 
 
 def test_probe_basis_coefficients_match_a_fresh_solve():
-    from qdata.tomography import _unit_recovery_coefficients
-
     for m, delta in ((2, 0.0), (2, 0.7), (4, 0.3)):
         basis = canonical_probe_basis(m, delta)
         assert canonical_probe_basis(m, delta) is basis
-        assert np.array_equal(basis._unit_coefficients, _unit_recovery_coefficients(basis))
+        assert np.array_equal(basis._unit_coefficients, ProbeBasis(basis.states)._unit_coefficients)
 
 
 def test_rank_deficient_sets_raise_after_the_cache_is_filled():
@@ -295,3 +288,29 @@ def test_cached_operators_are_read_only():
     with pytest.raises(ValueError):
         canonical_probe_basis(2, 0.0)._design[0, 0] = 5.0
     assert np.allclose(basis[1], [[0, 2**-0.5], [2**-0.5, 0]], atol=1e-15)
+
+
+def _reference_cptp_residual(choi, dim_in, dim_out):
+    eigvals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+    negativity = float(-eigvals[eigvals < 0].sum())
+    marginal = partial_trace(choi, [dim_in, dim_out], keep={0})
+    return negativity + float(np.max(np.abs(marginal - np.eye(dim_in))))
+
+
+def test_cptp_residual_is_derived_at_construction():
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # Choi matrix of the transpose map
+    cases = {
+        "cptp": QuantumChannel.amplitude_damping(0.3).choi,
+        "not trace preserving": 2.0 * QuantumChannel.identity(2).choi,
+        "not completely positive": swap,
+    }
+    residuals = {}
+    for name, choi in cases.items():
+        rec = ReconstructedProcess(choi, 2, 2)
+        assert rec.cptp_residual == _reference_cptp_residual(choi, 2, 2), name
+        residuals[name] = rec.cptp_residual
+    assert residuals["cptp"] < 1e-12
+    assert residuals["not trace preserving"] > 0.5
+    assert residuals["not completely positive"] > 0.5
+    with pytest.raises(TypeError):
+        ReconstructedProcess(swap, 2, 2, cptp_residual=0.0)
