@@ -26,9 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import InvalidInputError, InvalidShapeError, kron
+from .linalg import InvalidInputError, InvalidShapeError, as_unitary, kron
 from .channels import QuantumChannel
-from .rng import RngStream
 from .states import (
     DensityMatrix,
     Ensemble,
@@ -48,7 +47,6 @@ __all__ = [
     "CollapseNonlinear",
     "ComposedBox",
     "compose_boxes",
-    "concatenate_tests",
     "BoxPair",
     "QracOracle",
     "QracQuantum",
@@ -80,17 +78,6 @@ def warp_polar_angle(theta: float, kappa: float) -> float:
     if scaled > 700.0:
         return math.pi
     return 2.0 * math.atan(math.exp(scaled))
-
-
-def _as_unitary(u, dim: int) -> np.ndarray:
-    if u is None:
-        return np.eye(dim, dtype=complex)
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (dim, dim):
-        raise InvalidShapeError(f"unitary must be {dim}x{dim}")
-    if np.max(np.abs(m @ m.conj().T - np.eye(dim))) > 1e-9:
-        raise InvalidInputError("matrix is not unitary")
-    return m
 
 
 class BoxModel(ABC):
@@ -183,14 +170,6 @@ class LinearBox(BoxModel):
             rho = as_state(ensemble).density()
         return self.channel.apply(rho)
 
-    def probe_with_reference(self, joint):
-        joint = as_state(joint)
-        if joint.dim % self.dim_in != 0:
-            raise InvalidShapeError("joint state does not factor over the box input")
-        ref_dim = joint.dim // self.dim_in
-        extended = self.channel.tensor(QuantumChannel.identity(ref_dim))
-        return extended.apply(joint.density())
-
 
 class _BlochWarp(BoxModel):
     """The collapse and polar-angle warp shared by the two nonlinear qubit boxes.
@@ -207,8 +186,9 @@ class _BlochWarp(BoxModel):
         if dim != 2 and (kappa != 1.0 or pre_unitary is not None or post_unitary is not None):
             raise InvalidInputError("the Bloch warp is only defined for qubit bases")
         self.kappa = float(kappa)
-        self.pre_unitary = _as_unitary(pre_unitary, dim)
-        self.post_unitary = _as_unitary(post_unitary, dim)
+        identity = np.eye(dim, dtype=complex)
+        self.pre_unitary = identity if pre_unitary is None else as_unitary(pre_unitary, dim)
+        self.post_unitary = identity if post_unitary is None else as_unitary(post_unitary, dim)
         self.dim_in = dim
         self.dim_out = dim
 
@@ -317,36 +297,6 @@ def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:
     for b in (b1, b2):
         parts.extend(b.boxes if isinstance(b, ComposedBox) else [b])
     return ComposedBox(parts)
-
-
-def concatenate_tests(
-    b1: BoxModel,
-    b2: BoxModel,
-    psi: PureState,
-    shots: int = 10_000,
-    *,
-    rng: RngStream,
-) -> DensityMatrix:
-    """Chain two *tests* rather than two boxes.
-
-    The first box's output is tomographically reconstructed, re-prepared as
-    an uncorrelated input via its eigen-ensemble, and fed to the second box,
-    whose output is reconstructed again.  Branch correlations between the
-    stages are deliberately destroyed; the gap to compose_boxes witnesses
-    that concatenating tests is not a test of the concatenation.
-
-    ``shots`` is the per-setting budget of each tomography stage.
-    """
-    from .tomography import TomographyRun, pauli_measurement_set, state_tomography
-
-    psi = as_state(psi)
-    run = TomographyRun(
-        shots_per_setting=shots, measurement_set=pauli_measurement_set(1)
-    )
-    first = b1.ensemble_output_density(psi)
-    first_hat = state_tomography(first, run, rng.child(0))
-    second = b2.ensemble_output_density(first_hat.eigen_ensemble())
-    return state_tomography(second, run, rng.child(1))
 
 
 class BoxPair(ABC):

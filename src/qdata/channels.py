@@ -21,6 +21,7 @@ from .linalg import (
     InvalidInputError,
     InvalidShapeError,
     as_operator,
+    as_unitary,
     eig_hermitian,
     haar_random_unitary,
     is_hermitian,
@@ -147,9 +148,7 @@ class QuantumChannel:
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumChannel":
-        m = as_operator(u)
-        if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-9:
-            raise InvalidInputError("matrix is not unitary")
+        m = as_unitary(u)
         return cls.from_kraus([m], m.shape[0], m.shape[0])
 
     @classmethod

@@ -8,15 +8,13 @@ Subcommands:
 
 Exit codes: 0 on success, 1 on scenario or usage errors and when a job of
 the run records an error entry (the report or the verdict lines still come
-out first), 2 on internal errors.  The QDATA_THREADS environment variable
-sets the ``--threads`` default.
+out first), 2 on internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from importlib import resources
@@ -70,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", help="write the report here instead of stdout")
     run_p.add_argument("--seed", type=_seed_value, default=None, help="override the master seed")
-    run_p.add_argument("--threads", type=_positive_int, default=None, help="worker threads")
+    run_p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
 
     demo_p = sub.add_parser("demo", help="run a packaged example scenario")
     demo_p.add_argument("name", choices=sorted(DEMOS), help="demo name")
@@ -80,19 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_p = report_sub.add_parser("summarize", help="print a report digest")
     summarize_p.add_argument("report_file", help="path to a report JSON file")
     return parser
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("QDATA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ScenarioError(f"QDATA_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _print_result_lines(report: dict) -> None:
@@ -126,8 +111,7 @@ def _exit_code(report: dict) -> int:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = run_scenario(scenario, threads=threads, seed=args.seed)
+    report = run_scenario(scenario, threads=args.threads, seed=args.seed)
     if args.out:
         write_report(report, args.out)
         print(summarize_report(report))
@@ -139,7 +123,7 @@ def _cmd_run(args) -> int:
 def _cmd_demo(args) -> int:
     text = DEMOS[args.name].read_text("utf-8")
     scenario = parse_scenario_dict(json.loads(text), source=f"demo:{args.name}")
-    report = run_scenario(scenario, threads=_default_threads())
+    report = run_scenario(scenario)
     _print_result_lines(report)
     return _exit_code(report)
 

@@ -41,6 +41,7 @@ from .rng import RngStream
 from .states import (
     DensityMatrix,
     Ensemble,
+    PureState,
     as_state,
     check_densities,
     ket,
@@ -53,6 +54,7 @@ from .tomography import (
     pauli_measurement_set,
     process_tomography_ancilla,
     process_tomography_direct,
+    state_tomography,
 )
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
     "ensemble_signalling_test",
     "basis_invariance_test",
     "ancilla_consistency_test",
+    "concatenate_tests",
     "QracResult",
     "QRAC_BLOCK",
     "qrac_fidelity_estimate",
@@ -90,7 +93,8 @@ NULL_QUANTILE = 0.99
 
 QRAC_FIDELITY_CEILING = 5.0 / 6.0
 # Rounds per QRAC block; each block draws from its own child stream.  It
-# bounds memory only: the parser puts no upper limit on ``rounds``.
+# bounds the per-block arrays; the kept rounds' fidelities (8 bytes each)
+# are held until the end, and the parser puts no upper limit on ``rounds``.
 QRAC_BLOCK = 4096
 
 
@@ -244,7 +248,7 @@ def ensemble_signalling_test(box: BoxModel, e1: Ensemble, e2: Ensemble) -> TestV
 
 
 # ---------------------------------------------------------------------------
-# null-threshold calibration for tomography-based detectors
+# tomography-based tests and their null-threshold calibration
 
 _calibration_lock = threading.Lock()
 # budget key -> Future of (threshold, spread); the first caller computes it
@@ -291,19 +295,13 @@ def _projected_normal_choi(process) -> np.ndarray:
     return nearest_density_matrix(process.normalized_choi())
 
 
-def _basis_invariance_statistic(box, deltas, run, rng) -> tuple:
-    chois = []
-    residuals = []
-    for k, delta in enumerate(deltas):
-        basis = canonical_probe_basis(box.dim_in, delta)
-        rec = process_tomography_direct(box, basis, run, rng.child(k))
-        chois.append(_projected_normal_choi(rec))
-        residuals.append(rec.cptp_residual)
-    worst = 1.0
-    for i in range(len(chois)):
-        for j in range(i + 1, len(chois)):
-            worst = min(worst, uhlmann_fidelity(chois[i], chois[j]))
-    return 1.0 - worst, residuals
+def _calibrated_test(box, key: str, n_trials: int, statistic, rng: RngStream) -> TestVerdict:
+    """Rule on statistic(box, rng) -> (value, extras) against its null under ``key``."""
+    threshold, sigma = _calibrated_null(
+        key, lambda null_box, stream: statistic(null_box, stream)[0]
+    )
+    value, extras = statistic(box, rng)
+    return TestVerdict(value, threshold, sigma, n_trials, extras=extras)
 
 
 def basis_invariance_test(
@@ -328,30 +326,25 @@ def basis_invariance_test(
     if not deltas:
         raise InvalidInputError("at least one probe rotation is required")
     run = TomographyRun(shots, pauli_measurement_set(1))
+
+    def statistic(probed, stream):
+        chois = []
+        residuals = []
+        for k, delta in enumerate(deltas):
+            basis = canonical_probe_basis(probed.dim_in, delta)
+            rec = process_tomography_direct(probed, basis, run, stream.child(k))
+            chois.append(_projected_normal_choi(rec))
+            residuals.append(rec.cptp_residual)
+        worst = 1.0
+        for i in range(len(chois)):
+            for j in range(i + 1, len(chois)):
+                worst = min(worst, uhlmann_fidelity(chois[i], chois[j]))
+        return 1.0 - worst, {"cptp_residuals": tuple(residuals)}
+
     key = "basis|{}|{}|{}".format(
         ",".join(f"{d:.12g}" for d in deltas), run.shots_per_setting, box.dim_in
     )
-    threshold, sigma = _calibrated_null(
-        key,
-        lambda null_box, stream: _basis_invariance_statistic(null_box, deltas, run, stream)[0],
-    )
-    statistic, residuals = _basis_invariance_statistic(box, deltas, run, rng)
-    return TestVerdict(
-        statistic,
-        threshold,
-        sigma,
-        len(deltas) * run.shots_per_setting,
-        extras={"cptp_residuals": tuple(residuals)},
-    )
-
-
-def _ancilla_statistic(box, run, joint_run, rng) -> tuple:
-    direct = process_tomography_direct(box, canonical_probe_basis(2, 0.0), run, rng.child(0))
-    ancilla = process_tomography_ancilla(box, joint_run, rng.child(1))
-    fid = uhlmann_fidelity(
-        _projected_normal_choi(direct), _projected_normal_choi(ancilla)
-    )
-    return 1.0 - fid, direct.cptp_residual, ancilla.cptp_residual
+    return _calibrated_test(box, key, len(deltas) * run.shots_per_setting, statistic, rng)
 
 
 def ancilla_consistency_test(
@@ -371,19 +364,49 @@ def ancilla_consistency_test(
         raise InvalidInputError("the consistency test is implemented for qubit boxes")
     run = TomographyRun(shots, pauli_measurement_set(1))
     joint_run = TomographyRun(shots, pauli_measurement_set(2))
+
+    def statistic(probed, stream):
+        basis = canonical_probe_basis(2, 0.0)
+        direct = process_tomography_direct(probed, basis, run, stream.child(0))
+        ancilla = process_tomography_ancilla(probed, joint_run, stream.child(1))
+        fid = uhlmann_fidelity(
+            _projected_normal_choi(direct), _projected_normal_choi(ancilla)
+        )
+        return 1.0 - fid, {
+            "direct_residual": direct.cptp_residual,
+            "ancilla_residual": ancilla.cptp_residual,
+        }
+
     key = f"ancilla|{run.shots_per_setting}"
-    threshold, sigma = _calibrated_null(
-        key,
-        lambda null_box, stream: _ancilla_statistic(null_box, run, joint_run, stream)[0],
+    return _calibrated_test(box, key, run.shots_per_setting, statistic, rng)
+
+
+def concatenate_tests(
+    b1: BoxModel,
+    b2: BoxModel,
+    psi: PureState,
+    shots: int = 10_000,
+    *,
+    rng: RngStream,
+) -> DensityMatrix:
+    """Chain two *tests* rather than two boxes.
+
+    The first box's output is tomographically reconstructed, re-prepared as
+    an uncorrelated input via its eigen-ensemble, and fed to the second box,
+    whose output is reconstructed again.  Branch correlations between the
+    stages are deliberately destroyed; the gap to compose_boxes witnesses
+    that concatenating tests is not a test of the concatenation.
+
+    ``shots`` is the per-setting budget of each tomography stage.
+    """
+    psi = as_state(psi)
+    run = TomographyRun(
+        shots_per_setting=shots, measurement_set=pauli_measurement_set(1)
     )
-    statistic, direct_res, ancilla_res = _ancilla_statistic(box, run, joint_run, rng)
-    return TestVerdict(
-        statistic,
-        threshold,
-        sigma,
-        run.shots_per_setting,
-        extras={"direct_residual": direct_res, "ancilla_residual": ancilla_res},
-    )
+    first = b1.ensemble_output_density(psi)
+    first_hat = state_tomography(first, run, rng.child(0))
+    second = b2.ensemble_output_density(first_hat.eigen_ensemble())
+    return state_tomography(second, run, rng.child(1))
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,12 @@ def _reject_constant(name: str):
 
 
 def load_report(path) -> dict:
-    """Read a report file; NaN and Infinity are rejected (ValueError)."""
+    """Read a report file; ValueError on NaN, Infinity or a document that is not a report."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        report = json.load(fh, parse_constant=_reject_constant)
+    if not isinstance(report, dict) or report.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"expected an object with schema_version {SCHEMA_VERSION}")
+    return report
 
 
 def summarize_report(report: dict) -> str:

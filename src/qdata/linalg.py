@@ -64,6 +64,14 @@ def as_operator(m, dim: int | None = None) -> np.ndarray:
     return a
 
 
+def as_unitary(u, dim: int | None = None) -> np.ndarray:
+    """Coerce with :func:`as_operator` and check that ``U U^dagger = I`` within 1e-9."""
+    m = as_operator(u, dim)
+    if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-9:
+        raise InvalidInputError("matrix is not unitary")
+    return m
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with subsystem 0 as the left (slow) factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

@@ -32,7 +32,6 @@ from .boxes import (
     NsqChannelPair,
     QracOracle,
     compose_boxes,
-    concatenate_tests,
     measure_prepare_strategy,
 )
 from .channels import QuantumChannel
@@ -42,6 +41,7 @@ from .detectors import (
     ancilla_consistency_test,
     basis_invariance_test,
     canonical_ensemble_pair,
+    concatenate_tests,
     ensemble_signalling_test,
     helstrom_test,
     nsq_random_survey,
@@ -521,25 +521,25 @@ def _parse_detector(node, where: str) -> _Spec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: grid cells, detector suite and model builders."""
+    """Validated scenario: grid cells, detector suite, and a ``model`` of ``kind`` "box" or "pair"."""
 
     name: str
     master_seed: int
     grid: tuple
     detectors: tuple
-    box_spec: _Spec | None
-    pair_spec: _Spec | None
+    kind: str
+    model: _Spec
     raw: dict
 
     def build_box(self, params: dict) -> BoxModel:
-        if self.box_spec is None:
+        if self.kind != "box":
             raise ScenarioError("scenario declares no box")
-        return _build(self.box_spec, params, "box")
+        return _build(self.model, params, "box")
 
     def build_pair(self, params: dict) -> BoxPair:
-        if self.pair_spec is None:
+        if self.kind != "pair":
             raise ScenarioError("scenario declares no pair")
-        return _build(self.pair_spec, params, "pair")
+        return _build(self.model, params, "pair")
 
     def build_second_box(self, spec: _Spec, params: dict) -> BoxModel:
         return _build(spec, params, "second_box")
@@ -593,17 +593,12 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         _fail(f"{source}.master_seed", "expected a 64-bit unsigned integer")
     grid = _parse_grid(data["parameter_grid"], f"{source}.parameter_grid")
 
-    box_spec = pair_spec = None
     if "box" in data and "pair" in data:
         _fail(source, "declare either 'box' or 'pair', not both")
-    if "box" in data:
-        box_spec = _box(data["box"], f"{source}.box")
-        kind = "box"
-    elif "pair" in data:
-        pair_spec = _pair(data["pair"], f"{source}.pair")
-        kind = "pair"
-    else:
+    if "box" not in data and "pair" not in data:
         _fail(source, "missing a 'box' or 'pair' declaration")
+    kind = "box" if "box" in data else "pair"
+    model = (_box if kind == "box" else _pair)(data[kind], f"{source}.{kind}")
 
     if not isinstance(data["detectors"], list) or not data["detectors"]:
         _fail(f"{source}.detectors", "expected a non-empty list")
@@ -615,7 +610,7 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         if needs not in (None, kind):
             _fail(f"{source}.detectors[{i}]", f"detector {det.name!r} needs a {needs} scenario")
 
-    referenced = _collect_refs((box_spec, pair_spec) + detectors)
+    referenced = _collect_refs((model,) + detectors)
     # every cell binds every reference; an axes grid's cells share one set of names
     per_cell = isinstance(data["parameter_grid"], list)
     for i, cell in enumerate(grid):
@@ -629,8 +624,8 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
         master_seed=seed,
         grid=grid,
         detectors=detectors,
-        box_spec=box_spec,
-        pair_spec=pair_spec,
+        kind=kind,
+        model=model,
         raw=data,
     )
 

@@ -119,6 +119,21 @@ def test_linear_box_matches_channel_action():
     assert np.allclose(box.ensemble_output_density(rho).matrix, ch.apply(rho).matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("ref_dim", [1, 2, 3])
+def test_linear_box_entangled_probe_matches_the_extended_channel(ref_dim):
+    # Kraus-built channels and channels whose Kraus operators come from the Choi matrix
+    for ch in (
+        QuantumChannel.identity(2),
+        QuantumChannel.amplitude_damping(0.3),
+        QuantumChannel.depolarizing(0.4),
+        random_channel(2, 2, RngStream(30, 5)),
+    ):
+        joint = PureState.haar(2 * ref_dim, RngStream(30, 6 + ref_dim))
+        expected = ch.tensor(QuantumChannel.identity(ref_dim)).apply(joint.density())
+        out = LinearBox(ch).probe_with_reference(joint)
+        assert np.max(np.abs(out.matrix - expected.matrix)) <= 1e-14
+
+
 def test_linear_box_single_branch_needs_no_rng():
     box = LinearBox(QuantumChannel.from_unitary(RY45))
     ((_, out),) = box.branch_distribution(ket(0))

@@ -161,6 +161,18 @@ def test_report_summarize_rejects_non_finite_numbers(tmp_path, capsys):
     assert "not a report file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ['[{"summary": {}}]', '"a string"', '{"summary": "x"}', '{"schema_version": 1}']
+)
+def test_report_summarize_rejects_json_that_is_not_a_report(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "summarize", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "not a report file" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
 def test_run_rejects_a_non_finite_grid_number_before_any_job(tmp_path, capsys, number):
     doc = json.dumps({**MINI, "parameter_grid": {"kappa": ["KAPPA", 2]}})
@@ -187,12 +199,6 @@ def test_run_rejects_an_oversized_integer_literal_at_its_path(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"{where}: " in err
     assert "Traceback" not in err
-
-
-def test_threads_env_validation(mini_path, capsys, monkeypatch):
-    monkeypatch.setenv("QDATA_THREADS", "zero")
-    assert main(["run", mini_path]) == 1
-    assert "QDATA_THREADS must be a positive integer" in capsys.readouterr().err
 
 
 def test_threads_flag_accepted(mini_path, capsys):

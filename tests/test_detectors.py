@@ -307,6 +307,20 @@ def test_basis_invariance_rejects_non_qubit_boxes():
         )
 
 
+@pytest.mark.parametrize(
+    "detector, message",
+    [(basis_invariance_test, "basis-invariance"), (ancilla_consistency_test, "consistency")],
+)
+def test_calibrated_detectors_reject_a_swap_box_before_calibrating(detector, message, monkeypatch):
+    def never(key, statistic_fn):
+        raise AssertionError("calibration ran for a non-qubit box")
+
+    monkeypatch.setattr(detectors, "_calibrated_null", never)
+    box = LinearBox(QuantumChannel.from_unitary(np.eye(4)[[0, 2, 1, 3]]))
+    with pytest.raises(InvalidInputError, match=f"the {message} test is implemented for qubit boxes"):
+        detector(box, shots=100, rng=RngStream(57, 4))
+
+
 # ---------------------------------------------------------------- qrac
 
 
