@@ -558,6 +558,8 @@ def nsq_signalling_measure(
     internal stream, keeping the result deterministic.
     """
     da, db = (int(d) for d in local_dims)
+    if min(da, db) < 2:
+        raise InvalidInputError("local dimensions must be at least 2")
     if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
         raise InvalidInputError("channel dimensions do not factor over the local dims")
     choi4 = lambda_ab.choi4

@@ -55,12 +55,10 @@ def _verdict_dict(v: TestVerdict) -> dict:
 
 
 def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int) -> dict:
-    spec = scenario.detectors[det_index]
-    params = scenario.grid[cell_index]
     stream = RngStream(seed, mix64(cell_index, det_index))
-    record: dict = {"detector": spec.name}
+    record: dict = {"detector": scenario.detectors[det_index].name}
     try:
-        verdict, samples, recon = spec.entry.make(scenario, spec, params, stream)
+        verdict, samples, recon = scenario.run_job(cell_index, det_index, stream)
         record["verdict"] = _verdict_dict(verdict)
         record["samples"] = int(samples)
         if recon:

@@ -18,13 +18,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .boxes import (
-    BoxModel,
-    BoxPair,
     CollapseNonlinear,
     ComposedBox,
     LinearBox,
@@ -93,12 +92,12 @@ class Entry:
     """One name of the scenario vocabulary.
 
     ``keys`` maps each accepted key to ``(field parser, default)``; the
-    default is ``REQUIRED`` for a key that must be given.  ``make`` builds
-    the model from the resolved fields, passed as keyword arguments; for a
-    detector it is the runner ``(scenario, spec, params, stream)`` that
-    reads its settings from ``spec.fields`` and returns ``(verdict,
-    samples, reconstructions)``.  ``needs`` is the scenario kind a
-    detector runs in: "box", "pair", or None for either.
+    default is ``REQUIRED`` for a key that must be given.  ``make`` takes
+    the fields resolved for one grid cell, nested specs built, as keyword
+    arguments: it returns the model, or for a detector it is the runner
+    ``make(model, stream, **settings)`` that returns ``(verdict, samples,
+    reconstructions)``.  ``needs`` is the scenario kind whose model a
+    detector runs on: "box", "pair", or None for a detector of no model.
     """
 
     keys: dict
@@ -156,11 +155,11 @@ def _scalar(node, where: str) -> float:
     return _finite(node, where)
 
 
-def _count(node, where: str) -> int:
+def _count(node, where: str, least: int = 1) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         _fail(where, f"expected an integer, got {type(node).__name__}")
-    if node < 1:
-        _fail(where, "must be at least 1")
+    if node < least:
+        _fail(where, f"must be at least {least}")
     if node > 2**63 - 1:
         _fail(where, "must be at most 2**63 - 1")
     return node
@@ -223,7 +222,8 @@ def _basis(node, where: str) -> np.ndarray:
     return np.eye(2) if node == "computational" else _complex_matrix(node, where)
 
 
-_dims = _list_of(_count, "expected [dim_a, dim_b]", least=2, most=2)
+# a local dimension of 1 has no traceless direction for the kernel scan
+_dims = _list_of(partial(_count, least=2), "expected [dim_a, dim_b]", least=2, most=2)
 _number_pair = _list_of(_scalar, "expected a pair of numbers", least=2, most=2)
 
 
@@ -385,35 +385,28 @@ def _report_choi(box, shots: int, stream) -> dict:
     return {"choi": _flat_complex(recon.normalized_choi())}
 
 
-def _run_helstrom(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    t1, t2 = spec.fields["thetas"]
+def _run_helstrom(box, stream, trials, thetas, priors):
+    t1, t2 = thetas
     setup = HelstromSetup(
-        spec.fields["priors"],
+        priors,
         (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0)),
     )
-    verdict = helstrom_test(box, setup, spec.fields["trials"], rng=stream)
-    return verdict, spec.fields["trials"], {}
+    verdict = helstrom_test(box, setup, trials, rng=stream)
+    return verdict, trials, {}
 
 
-def _run_ensemble_signalling(scenario, spec, params, stream):
-    box = scenario.build_box(params)
+def _run_ensemble_signalling(box, stream):
     e1, e2 = canonical_ensemble_pair()
     return ensemble_signalling_test(box, e1, e2), 0, {}
 
 
-def _run_basis_invariance(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    shots = spec.fields["shots"]
-    deltas = spec.fields["deltas"]
+def _run_basis_invariance(box, stream, shots, deltas):
     verdict = basis_invariance_test(box, deltas, shots, rng=stream)
     samples = (len(deltas) + 1) * 4 * 3 * shots
     return verdict, samples, _report_choi(box, shots, stream)
 
 
-def _run_ancilla_consistency(scenario, spec, params, stream):
-    box = scenario.build_box(params)
-    shots = spec.fields["shots"]
+def _run_ancilla_consistency(box, stream, shots):
     verdict = ancilla_consistency_test(box, shots, rng=stream)
     # direct stage 4 probes x 3 settings, joint stage 9 settings, plus the
     # reported reconstruction at 12 settings
@@ -421,31 +414,19 @@ def _run_ancilla_consistency(scenario, spec, params, stream):
     return verdict, samples, _report_choi(box, shots, stream)
 
 
-def _run_qrac(scenario, spec, params, stream):
-    rounds = spec.fields["rounds"]
-    result = qrac_fidelity_estimate(scenario.build_pair(params), rounds, stream)
+def _run_qrac(pair, stream, rounds):
+    result = qrac_fidelity_estimate(pair, rounds, stream)
     return qrac_verdict(result), rounds, {}
 
 
-def _run_nsq_survey(scenario, spec, params, stream):
-    s = spec.fields
-    verdict = nsq_random_survey(
-        s["n_samples"],
-        s["local_dims"],
-        rng=stream,
-        env_dim=s["env_dim"],
-        product_channels=s["product_channels"],
-    )
-    return verdict, s["n_samples"], {}
+def _run_nsq_survey(_model, stream, n_samples, **survey):
+    return nsq_random_survey(n_samples, rng=stream, **survey), n_samples, {}
 
 
-def _run_composition_gap(scenario, spec, params, stream):
-    first = scenario.build_box(params)
-    second = scenario.build_second_box(spec.fields["second_box"], params)
-    shots = spec.fields["shots"]
-    probe = PureState.from_bloch(spec.fields["probe_theta"], 0.0)
-    composed_output = compose_boxes(first, second).ensemble_output_density(probe)
-    staged_output = concatenate_tests(first, second, probe, shots=shots, rng=stream)
+def _run_composition_gap(first, stream, second_box, probe_theta, shots):
+    probe = PureState.from_bloch(probe_theta, 0.0)
+    composed_output = compose_boxes(first, second_box).ensemble_output_density(probe)
+    staged_output = concatenate_tests(first, second_box, probe, shots=shots, rng=stream)
     statistic = trace_distance(composed_output, staged_output)
     # the 0.05 margin dominates tomography error at any sane shot budget,
     # so the gap statistic carries no separate error bar
@@ -531,18 +512,17 @@ class Scenario:
     model: _Spec
     raw: dict
 
-    def build_box(self, params: dict) -> BoxModel:
-        if self.kind != "box":
-            raise ScenarioError("scenario declares no box")
-        return _build(self.model, params, "box")
+    def build(self, params: dict):
+        """The declared box or pair, built for one grid cell."""
+        return _build(self.model, params, self.kind)
 
-    def build_pair(self, params: dict) -> BoxPair:
-        if self.kind != "pair":
-            raise ScenarioError("scenario declares no pair")
-        return _build(self.model, params, "pair")
-
-    def build_second_box(self, spec: _Spec, params: dict) -> BoxModel:
-        return _build(spec, params, "second_box")
+    def run_job(self, cell_index: int, det_index: int, stream) -> tuple:
+        """Run one detector on one grid cell; settings resolve under their own keys."""
+        spec = self.detectors[det_index]
+        params = self.grid[cell_index]
+        model = self.build(params) if spec.entry.needs else None
+        settings = {key: _build_value(v, params, key) for key, v in spec.fields.items()}
+        return spec.entry.make(model, stream, **settings)
 
 
 def _grid_value(v, where: str) -> None:

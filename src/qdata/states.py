@@ -219,7 +219,7 @@ class Ensemble:
 def born_probabilities(state, povm: Povm) -> np.ndarray:
     """Outcome distribution of a POVM on a state (tiny negatives clipped)."""
     rho = as_density(state).matrix
-    p = np.array([float(np.real(np.trace(e @ rho))) for e in povm.effects])
+    p = np.trace(np.array(povm.effects) @ rho, axis1=1, axis2=2).real
     if np.min(p) < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidInputError("Born probabilities are not a distribution")
     p = np.clip(p, 0.0, None)

@@ -206,3 +206,34 @@ def test_threads_flag_accepted(mini_path, capsys):
     baseline = capsys.readouterr().out
     assert main(["run", mini_path, "--threads", "1", "--seed", "7"]) == 0
     assert drop_timestamp(capsys.readouterr().out) == drop_timestamp(baseline)
+
+
+NSQ_PAIR = {"family": "nsq-channel", "channel": {"kind": "identity", "dim": 4}, "local_dims": [4, 1]}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (
+            {**MINI, "detectors": [{"name": "nsq-survey", "settings": {"local_dims": [1, 4]}}]},
+            "detectors[0].settings.local_dims[0]",
+        ),
+        (
+            {
+                "name": "pair-mini",
+                "master_seed": 5,
+                "pair": NSQ_PAIR,
+                "parameter_grid": [{}],
+                "detectors": [{"name": "nsq-survey"}],
+            },
+            "pair.local_dims[1]",
+        ),
+    ],
+)
+def test_run_rejects_a_local_dimension_of_1_before_any_job(tmp_path, capsys, doc, where):
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert f"{where}: must be at least 2" in capsys.readouterr().err
+    assert not out.exists()

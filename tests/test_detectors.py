@@ -574,6 +574,14 @@ def test_nsq_survey_single_sample_is_inconclusive():
     assert math.isnan(v.std_error)
 
 
+@pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
+def test_nsq_rejects_a_local_dimension_of_1(dims):
+    with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
+        nsq_signalling_measure(QuantumChannel.identity(4), dims, sampled_pairs=0)
+    with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
+        nsq_random_survey(2, dims, rng=RngStream(59, 6))
+
+
 def test_nsq_survey_requires_rng():
     with pytest.raises(TypeError):
         nsq_random_survey(10)

@@ -134,6 +134,41 @@ def test_crash_isolation():
     assert report["summary"]["verdict_counts"]["ensemble-signalling"]["error"] == 1
 
 
+@pytest.mark.parametrize(
+    "box, error",
+    [
+        (
+            {"family": "linear", "channel": {"kind": "identity"}},
+            "ScenarioError: second_box.channel.p: grid cell does not bind numeric parameter 'p'",
+        ),
+        (
+            {"family": "nonlinear-bloch", "kappa": {"param": "p"}},
+            "ScenarioError: box.kappa: grid cell does not bind numeric parameter 'p'",
+        ),
+    ],
+)
+def test_a_build_error_names_its_path_and_spares_a_detector_of_no_model(box, error):
+    second_box = {"family": "linear", "channel": {"kind": "dephasing", "p": {"param": "p"}}}
+    scenario = parse_scenario_dict(
+        {
+            "name": "build-error",
+            "master_seed": 11,
+            "box": box,
+            "parameter_grid": [{"p": 0.1}, {"p": "x"}],
+            "detectors": [
+                {"name": "composition-gap", "settings": {"shots": 256, "second_box": second_box}},
+                {"name": "nsq-survey", "settings": {"n_samples": 2}},
+            ],
+        }
+    )
+    good, bad = run_scenario(scenario, threads=1)["cells"]
+    assert all("verdict" in result for result in good["results"])
+    gap, survey = bad["results"]
+    assert gap["error"] == error
+    assert "error" not in survey
+    assert survey["samples"] == 2
+
+
 def test_packaged_helstrom_demo_grid():
     text = resources.files("qdata").joinpath("scenarios", "helstrom.json").read_text("utf-8")
     scenario = parse_scenario_dict(json.loads(text))

@@ -1,5 +1,6 @@
 """Scenario file parsing: grids, specs, references, and diagnostics."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -18,7 +19,7 @@ from qdata import (
     parse_scenario,
     parse_scenario_dict,
 )
-from qdata.scenario import BOX_FAMILIES, CHANNEL_KINDS, DETECTORS, PAIR_FAMILIES, REQUIRED
+from qdata.scenario import BOX_FAMILIES, CHANNEL_KINDS, DETECTORS, PAIR_FAMILIES, REQUIRED, Entry
 
 
 def base_scenario():
@@ -42,7 +43,7 @@ def test_minimal_scenario_parses():
     assert sc.name == "t"
     assert sc.master_seed == 1
     assert len(sc.grid) == 1
-    assert isinstance(sc.build_box(sc.grid[0]), LinearBox)
+    assert isinstance(sc.build(sc.grid[0]), LinearBox)
 
 
 def test_grid_dict_expands_in_declaration_order():
@@ -176,8 +177,8 @@ def test_param_references_resolve_per_cell():
         parameter_grid={"kappa": [1.0, 4.0]},
     )
     sc = parse_scenario_dict(d)
-    b0 = sc.build_box(sc.grid[0])
-    b1 = sc.build_box(sc.grid[1])
+    b0 = sc.build(sc.grid[0])
+    b1 = sc.build(sc.grid[1])
     assert isinstance(b0, NonlinearBloch)
     assert b0.kappa == 1.0
     assert b1.kappa == 4.0
@@ -189,9 +190,9 @@ def test_string_cell_value_fails_at_build_time():
         parameter_grid={"kappa": [1.0, "bad"]},
     )
     sc = parse_scenario_dict(d)
-    sc.build_box(sc.grid[0])
+    sc.build(sc.grid[0])
     with pytest.raises(ScenarioError, match="does not bind numeric parameter 'kappa'"):
-        sc.build_box(sc.grid[1])
+        sc.build(sc.grid[1])
 
 
 def test_unitary_channel_from_complex_matrix():
@@ -205,7 +206,7 @@ def test_unitary_channel_from_complex_matrix():
         }
     )
     sc = parse_scenario_dict(d)
-    box = sc.build_box(sc.grid[0])
+    box = sc.build(sc.grid[0])
     u = box.channel.kraus_operators()[0]
     assert np.allclose(np.abs(u), [[0, 1], [1, 0]], atol=1e-12)
 
@@ -221,7 +222,7 @@ def test_composed_box_spec():
         }
     )
     sc = parse_scenario_dict(d)
-    box = sc.build_box(sc.grid[0])
+    box = sc.build(sc.grid[0])
     assert isinstance(box, ComposedBox)
     assert len(box.boxes) == 2
     with pytest.raises(ScenarioError, match="at least two box specs"):
@@ -239,7 +240,7 @@ def test_pair_specs_build():
         "detectors": [{"name": "qrac", "settings": {"rounds": 100}}],
     }
     sc = parse_scenario_dict(oracle)
-    assert isinstance(sc.build_pair(sc.grid[0]), QracOracle)
+    assert isinstance(sc.build(sc.grid[0]), QracOracle)
     nsq = {
         "name": "n",
         "master_seed": 4,
@@ -252,7 +253,7 @@ def test_pair_specs_build():
         "detectors": [{"name": "nsq-survey", "settings": {"n_samples": 5}}],
     }
     sc2 = parse_scenario_dict(nsq)
-    assert isinstance(sc2.build_pair(sc2.grid[0]), NsqChannelPair)
+    assert isinstance(sc2.build(sc2.grid[0]), NsqChannelPair)
 
 
 def test_param_references_resolve_in_second_box_and_stages():
@@ -269,11 +270,19 @@ def test_param_references_resolve_in_second_box_and_stages():
         detectors=[{"name": "composition-gap", "settings": {"second_box": second_box}}],
     )
     sc = parse_scenario_dict(d)
-    second_spec = sc.detectors[0].fields["second_box"]
-    kappas, channels = [], []
-    for cell in sc.grid:
-        kappas.append(sc.build_box(cell).boxes[1].kappa)
-        channels.append(sc.build_second_box(second_spec, cell).channel)
+    # run each cell's job with a runner that keeps what the job built
+    built = []
+
+    def keep(box, stream, **settings):
+        built.append((box, settings))
+
+    spec = sc.detectors[0]
+    entry = Entry(spec.entry.keys, keep, needs="box")
+    sc = dataclasses.replace(sc, detectors=(dataclasses.replace(spec, entry=entry),))
+    for cell_index in range(len(sc.grid)):
+        sc.run_job(cell_index, 0, None)
+    kappas = [box.boxes[1].kappa for box, _ in built]
+    channels = [settings["second_box"].channel for _, settings in built]
     assert kappas == [2.0, 4.0]
     for cell, channel in zip(sc.grid, channels):
         expected = QuantumChannel.dephasing(cell["p"])
@@ -393,13 +402,13 @@ def pair_variant(pair, detectors):
 def test_every_documented_name_parses_and_builds():
     for family, box in BOX_SPECS.items():
         sc = parse_scenario_dict(variant(box=box))
-        assert sc.build_box(sc.grid[0]).dim_in == 2, family
+        assert sc.build(sc.grid[0]).dim_in == 2, family
     for kind, channel in CHANNEL_SPECS.items():
         sc = parse_scenario_dict(variant(box={"family": "linear", "channel": channel}))
-        assert isinstance(sc.build_box(sc.grid[0]), LinearBox), kind
+        assert isinstance(sc.build(sc.grid[0]), LinearBox), kind
     for family, pair in PAIR_SPECS.items():
         sc = parse_scenario_dict(pair_variant(pair, [{"name": "nsq-survey"}]))
-        sc.build_pair(sc.grid[0])
+        sc.build(sc.grid[0])
     for name, (kind, settings) in DETECTOR_SPECS.items():
         detectors = [{"name": name, "settings": settings}]
         if kind == "pair":
