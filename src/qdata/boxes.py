@@ -34,6 +34,8 @@ from .states import (
     Povm,
     PureState,
     as_state,
+    bloch_angles,
+    bloch_ket,
     born_distributions,
     ket,
     sample_inverse_cdf,
@@ -193,12 +195,11 @@ class _BlochWarp(BoxModel):
         self.dim_out = dim
 
     def _warp_pure(self, psi: PureState) -> PureState:
+        # psi and both unitaries are checked, so only the result is wrapped
         if psi.dim != 2:
             return psi
-        rotated = PureState(self.pre_unitary @ psi.vector)
-        theta, phi = rotated.bloch_angles()
-        warped = PureState.from_bloch(warp_polar_angle(theta, self.kappa), phi)
-        return PureState(self.post_unitary @ warped.vector)
+        theta, phi = bloch_angles(self.pre_unitary @ psi.vector)
+        return PureState(self.post_unitary @ bloch_ket(warp_polar_angle(theta, self.kappa), phi))
 
     def joint_branches(self, joint, ref_dim):
         # branch k projects the box side onto basis state k; the reference keeps
@@ -217,10 +218,11 @@ class _BlochWarp(BoxModel):
 class NonlinearBloch(_BlochWarp):
     """Deterministic nonlinear qubit box: pre-rotate, warp the polar angle, post-rotate.
 
-    kappa = 1 with no rotations is the identity box.  On one half of an
-    entangled probe the box first collapses its side in the computational
-    basis (destroying the entanglement) and then warps each branch, so the
-    far marginal is never disturbed.
+    On a plain input, kappa = 1 with no rotations is the identity.  On one
+    half of an entangled probe the box first collapses its side in the
+    computational basis (destroying the entanglement) and then warps each
+    branch, so the far marginal is never disturbed; that collapse happens
+    at every kappa, so there the box is never the identity.
     """
 
     basis = (ket(0), ket(1))

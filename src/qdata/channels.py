@@ -13,6 +13,7 @@ applying the map is a single contraction over the input pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,7 @@ class QuantumChannel:
     ``kraus`` is the operator-sum form a channel was built from: set only
     by ``from_kraus``, which builds ``choi`` from those very operators.
     Without it, ``kraus_operators`` falls back to the canonical
-    eigendecomposition gauge.
+    eigendecomposition gauge, computed once per channel.
     """
 
     choi: np.ndarray
@@ -107,9 +108,17 @@ class QuantumChannel:
         return self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
 
     def kraus_operators(self) -> list:
+        return list(self._kraus_operators)
+
+    @functools.cached_property
+    def _kraus_operators(self) -> tuple:
+        """``kraus``, or else the canonical decomposition, computed once (read-only)."""
         if self.kraus is not None:
-            return list(self.kraus)
-        return kraus_from_choi(self.choi, self.dim_in, self.dim_out)
+            return self.kraus
+        ops = tuple(kraus_from_choi(self.choi, self.dim_in, self.dim_out))
+        for k in ops:
+            k.flags.writeable = False
+        return ops
 
     def apply(self, state) -> DensityMatrix:
         rho = as_density(state).matrix

@@ -17,6 +17,7 @@ calibration seed, cached per budget).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import zlib
@@ -224,8 +225,9 @@ def helstrom_test(
 # equal-density ensemble pairs
 
 
+@functools.cache
 def canonical_ensemble_pair() -> tuple:
-    """The z-basis and x-basis halves of the maximally mixed qubit."""
+    """The z-basis and x-basis halves of the maximally mixed qubit, built once."""
     e1 = Ensemble((0.5, 0.5), (ket(0), ket(1)))
     e2 = Ensemble((0.5, 0.5), (plus_state(), minus_state()))
     return e1, e2

@@ -2,11 +2,14 @@
 
 Every (cell, detector) pair runs on its own random stream derived by a
 stable 64-bit mix of (master seed, cell index, detector index), so reports
-are byte-identical for any thread count and any execution order.  Failures
-are captured per cell; sibling cells always complete.  Reports are strict
-JSON with sorted keys, complex matrices flattened row-major as [re, im]
-pairs, non-finite numbers (an undefined standard error) as null, and a
-schema version that bumps on any breaking change.
+are byte-identical for any thread count and any execution order.  One
+thread runs the jobs inline, in job order; more threads share them through
+a pool.  The scenario's constant specs were built at parse time, so a job
+builds only what its cell binds.  Failures are captured per cell; sibling
+cells always complete.  Reports are strict JSON with sorted keys, complex
+matrices flattened row-major as [re, im] pairs, non-finite numbers (an
+undefined standard error) as null, and a schema version that bumps on any
+breaking change.
 """
 
 from __future__ import annotations
@@ -81,8 +84,11 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     effective_seed = scenario.master_seed if seed is None else seed
     n_det = len(scenario.detectors)
     jobs = itertools.product(range(len(scenario.grid)), range(n_det))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        records = list(pool.map(lambda job: _execute_one(scenario, *job, effective_seed), jobs))
+    if threads == 1:
+        records = [_execute_one(scenario, *job, effective_seed) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            records = list(pool.map(lambda job: _execute_one(scenario, *job, effective_seed), jobs))
 
     cells = []
     for cell_index, params in enumerate(scenario.grid):

@@ -1,10 +1,11 @@
 """Reproducible random streams.
 
 Every stochastic routine in this package draws from an :class:`RngStream`,
-which wraps a counter-based bit generator keyed by ``(seed, stream_id)``.
-Identical pairs produce identical draw sequences on every platform; parallel
-consumers must hold distinct stream ids, which :meth:`RngStream.child`
-derives with an order-sensitive 64-bit mix.
+which wraps a counter-based bit generator keyed by ``(seed, stream_id)``
+when the stream first draws.  Identical pairs produce identical draw
+sequences on every platform; parallel consumers must hold distinct stream
+ids, which :meth:`RngStream.child` derives with an order-sensitive 64-bit
+mix.
 """
 
 from __future__ import annotations
@@ -53,20 +54,26 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        # Philox is counter-based, so the draw sequence depends only on the
-        # key below and never on platform word size or threading.
-        key = np.array(
-            [
-                splitmix64(self.seed & _MASK64),
-                splitmix64(splitmix64(self.stream_id & _MASK64) ^ _GOLDEN),
-            ],
-            dtype=np.uint64,
-        )
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._generator = None
 
     @property
     def generator(self) -> np.random.Generator:
-        """The underlying numpy generator (stateful; draws advance it)."""
+        """The underlying numpy generator (stateful; draws advance it).
+
+        It is keyed on first access, so a stream that never draws costs
+        only its two integers.
+        """
+        if self._generator is None:
+            # Philox is counter-based, so the draw sequence depends only on
+            # the key below and never on platform word size or threading.
+            key = np.array(
+                [
+                    splitmix64(self.seed & _MASK64),
+                    splitmix64(splitmix64(self.stream_id & _MASK64) ^ _GOLDEN),
+                ],
+                dtype=np.uint64,
+            )
+            self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
 
     def child(self, *indices: int) -> "RngStream":

@@ -9,7 +9,9 @@ field's path.  Complex numbers appear in files as [re, im] pairs.
 The vocabulary is declared once, one table each for channel kinds, box
 families, pair families and detectors (see :class:`Entry`).  One routine
 parses every entry's fields; one build step resolves ``{"param": name}``
-references per grid cell.
+references per grid cell.  A channel, box or pair spec that references no
+parameter is built once, when it is parsed, and a failure to build it is
+a parse error at its path.
 """
 
 from __future__ import annotations
@@ -252,7 +254,14 @@ def _parse_spec(table: dict, tag: str, what: str, node, where: str) -> _Spec:
         _fail(f"{where}.{tag}", f"unknown {what} {name!r}")
     fields = {key: value for key, value in node.items() if key != tag}
     foreign = f"key not accepted by {what} {name!r}"
-    return _Spec(name, table[name], _parse_fields(table[name], fields, where, foreign))
+    spec = _Spec(name, table[name], _parse_fields(table[name], fields, where, foreign))
+    if _collect_refs(spec):
+        return spec
+    # a constant spec is built, and so checked, once, here
+    try:
+        return _build(spec, {}, where)
+    except ValueError as exc:
+        _fail(where, str(exc))
 
 
 def _channel(node, where: str) -> _Spec:
@@ -268,6 +277,7 @@ def _pair(node, where: str) -> _Spec:
 
 
 def _build_value(value, params: dict, where: str):
+    """``value`` for one grid cell; a model built at parse time passes through as is."""
     if isinstance(value, _ParamRef):
         bound = params.get(value.name)
         if bound is None or isinstance(bound, str):
@@ -502,19 +512,23 @@ def _parse_detector(node, where: str) -> _Spec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: grid cells, detector suite, and a ``model`` of ``kind`` "box" or "pair"."""
+    """Validated scenario: grid cells, detector suite, and a ``model`` of ``kind`` "box" or "pair".
+
+    ``model`` is the parsed spec, or the built model itself when the spec
+    references no grid parameter.
+    """
 
     name: str
     master_seed: int
     grid: tuple
     detectors: tuple
     kind: str
-    model: _Spec
+    model: object
     raw: dict
 
     def build(self, params: dict):
         """The declared box or pair, built for one grid cell."""
-        return _build(self.model, params, self.kind)
+        return _build_value(self.model, params, self.kind)
 
     def run_job(self, cell_index: int, det_index: int, stream) -> tuple:
         """Run one detector on one grid cell; settings resolve under their own keys."""

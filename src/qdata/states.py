@@ -8,6 +8,7 @@ a wrapped object is, via the ``as_*`` coercers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +79,26 @@ class PureState:
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "PureState":
         """Qubit state at polar angle theta, azimuth phi."""
-        return cls(np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]))
+        return cls(bloch_ket(theta, phi))
 
     def bloch_angles(self) -> tuple[float, float]:
         """Polar and azimuthal angle of a qubit state (global phase dropped)."""
         if self.dim != 2:
             raise InvalidShapeError("Bloch angles are defined for qubits only")
-        a, b = self.vector
-        theta = 2.0 * np.arctan2(abs(b), abs(a))
-        phi = float(np.angle(b) - np.angle(a)) if abs(a) > 1e-15 and abs(b) > 1e-15 else 0.0
-        return float(theta), phi
+        return bloch_angles(self.vector)
+
+
+def bloch_ket(theta: float, phi: float) -> np.ndarray:
+    """The unit vector of :meth:`PureState.from_bloch`, unwrapped."""
+    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+
+
+def bloch_angles(vector: np.ndarray) -> tuple[float, float]:
+    """:meth:`PureState.bloch_angles` of a raw qubit vector of unit norm."""
+    a, b = vector
+    theta = 2.0 * np.arctan2(abs(b), abs(a))
+    phi = float(np.angle(b) - np.angle(a)) if abs(a) > 1e-15 and abs(b) > 1e-15 else 0.0
+    return float(theta), phi
 
 
 def as_state(s) -> PureState:
@@ -212,8 +223,14 @@ class Ensemble:
         return self.states[0].dim
 
     def density(self) -> DensityMatrix:
-        rho = sum(p * s.projector() for p, s in zip(self.weights, self.states))
-        return DensityMatrix(rho)
+        return self._density
+
+    @functools.cached_property
+    def _density(self) -> DensityMatrix:
+        """The mixture's density matrix, built and checked once per ensemble (read-only)."""
+        density = DensityMatrix(sum(p * s.projector() for p, s in zip(self.weights, self.states)))
+        density.matrix.flags.writeable = False
+        return density
 
 
 def born_probabilities(state, povm: Povm) -> np.ndarray:

@@ -11,11 +11,12 @@ the distance is recorded in ``cptp_residual`` instead.
 The linear maps are compiled once and reused.  The design matrix of a set
 of effects and its rank are cached by content (dimension plus effect
 bytes), so a measurement set or probe basis rebuilt from equal arrays hits
-the same entry; ``canonical_probe_basis`` is memoized per (m, delta); each
-ProbeBasis solves its unit-recovery coefficients once; the Hermitian
-operator basis is cached per dimension in ``linalg``.  The arithmetic on
-the cached objects is the one the uncached code performed, so
-reconstructions are unchanged bit for bit.
+the same entry; ``canonical_probe_basis`` is memoized per (m, delta) and
+``pauli_measurement_set`` per qubit count; each ProbeBasis solves its
+unit-recovery coefficients once; the Hermitian operator basis is cached
+per dimension in ``linalg``.  The arithmetic on the cached objects is the
+one the uncached code performed, so reconstructions are unchanged bit for
+bit.
 """
 
 from __future__ import annotations
@@ -61,14 +62,25 @@ __all__ = [
 ]
 
 
+_pauli_sets: dict = {}
+
+
 def pauli_measurement_set(n_qubits: int) -> tuple:
     """Projective measurements in every product of single-qubit Pauli bases.
 
     One qubit gives 3 settings of 2 outcomes; two qubits give 9 settings of
-    4 outcomes.
+    4 outcomes.  Each set is built once and shared: its effect arrays are
+    read-only.
     """
-    if n_qubits not in (1, 2):
-        raise InvalidInputError("only one- and two-qubit sets are provided")
+    povms = _pauli_sets.get(n_qubits)
+    if povms is None:
+        if n_qubits not in (1, 2):
+            raise InvalidInputError("only one- and two-qubit sets are provided")
+        povms = _pauli_sets.setdefault(n_qubits, _build_pauli_measurement_set(n_qubits))
+    return povms
+
+
+def _build_pauli_measurement_set(n_qubits: int) -> tuple:
     single = []
     for pair in (
         (plus_state(), minus_state()),
@@ -77,13 +89,17 @@ def pauli_measurement_set(n_qubits: int) -> tuple:
     ):
         single.append(tuple(s.projector() for s in pair))
     if n_qubits == 1:
-        return tuple(Povm(effects) for effects in single)
-    povms = []
-    for first in single:
-        for second in single:
-            effects = tuple(kron(e, f) for e in first for f in second)
-            povms.append(Povm(effects))
-    return tuple(povms)
+        povms = tuple(Povm(effects) for effects in single)
+    else:
+        povms = tuple(
+            Povm(tuple(kron(e, f) for e in first for f in second))
+            for first in single
+            for second in single
+        )
+    for povm in povms:
+        for effect in povm.effects:
+            effect.flags.writeable = False
+    return povms
 
 
 def _design_matrix(effects: list, dim: int) -> np.ndarray:

@@ -175,6 +175,43 @@ def test_nonlinear_bloch_unitary_sandwich():
     assert abs(abs(out.overlap(psi)) - 1) < 1e-12
 
 
+def _three_wrap_warp(box, psi):
+    """The warp as it read when each intermediate state was a checked PureState."""
+    rotated = PureState(box.pre_unitary @ psi.vector)
+    theta, phi = rotated.bloch_angles()
+    warped = PureState.from_bloch(warp_polar_angle(theta, box.kappa), phi)
+    return PureState(box.post_unitary @ warped.vector)
+
+
+def test_warp_on_raw_vectors_is_bitwise_the_three_wrap_warp():
+    u = rotation_y(0.6) @ np.diag([1.0, np.exp(0.4j)])
+    boxes = (
+        NonlinearBloch(4.0, pre_unitary=RY45),
+        NonlinearBloch(1.75, pre_unitary=u, post_unitary=u.conj().T),
+        CollapseNonlinear((plus_state(), minus_state()), kappa=3.0, post_unitary=RY45),
+    )
+    inputs = [ket(0), ket(1), plus_state()] + [PureState.haar(2, RngStream(31, k)) for k in range(20)]
+    for box in boxes:
+        for psi in inputs:
+            assert np.array_equal(box._warp_pure(psi).vector, _three_wrap_warp(box, psi).vector)
+
+
+def test_the_warp_still_checks_what_it_returns(monkeypatch):
+    import qdata.boxes
+
+    # the intermediate states are no longer wrapped: a fault in the
+    # re-prepared ket is caught by the one check on the result, and a
+    # non-unitary rotation by the check at construction
+    bloch_ket = qdata.boxes.bloch_ket
+    monkeypatch.setattr(qdata.boxes, "bloch_ket", lambda theta, phi: 1.001 * bloch_ket(theta, phi))
+    with pytest.raises(InvalidInputError, match="not normalized"):
+        NonlinearBloch(2.0).branch_distribution(plus_state())
+    with pytest.raises(InvalidInputError, match="not unitary"):
+        NonlinearBloch(2.0, pre_unitary=1.001 * np.eye(2))
+    with pytest.raises(InvalidInputError, match="not unitary"):
+        NonlinearBloch(2.0, post_unitary=1.001 * np.eye(2))
+
+
 def test_nonlinear_bloch_entangled_probe_collapses_branches():
     box = NonlinearBloch(1.0)
     singlet = PureState(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))

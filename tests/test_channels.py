@@ -106,6 +106,38 @@ def test_kraus_comes_only_from_from_kraus():
         QuantumChannel(ch.choi, 2, 2, kraus=ops)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QuantumChannel.depolarizing(0.3),
+        lambda: QuantumChannel.dephasing(0.4).compose(QuantumChannel.amplitude_damping(0.2)),
+    ],
+    ids=["depolarizing", "composed"],
+)
+def test_canonical_kraus_operators_are_computed_once(make, monkeypatch):
+    import qdata.channels
+
+    ch = make()
+    assert ch.kraus is None
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kraus_from_choi(*args)
+
+    monkeypatch.setattr(qdata.channels, "kraus_from_choi", counting)
+    first = ch.kraus_operators()
+    for _ in range(3):
+        again = ch.kraus_operators()
+        assert all(a is b for a, b in zip(first, again))
+    assert len(calls) == 1
+    uncached = kraus_from_choi(ch.choi, ch.dim_in, ch.dim_out)
+    assert len(first) == len(uncached)
+    assert all(np.array_equal(a, b) for a, b in zip(first, uncached))
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 0.0
+
+
 def test_choi_validation_rejects_non_trace_preserving():
     choi = QuantumChannel.identity(2).choi * 1.01
     with pytest.raises(InvalidChannelError):

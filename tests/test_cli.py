@@ -84,6 +84,30 @@ def test_demo_with_an_error_entry_prints_its_lines_and_exits_1(tmp_path, capsys,
     assert "1 job(s) recorded an error" in captured.err
 
 
+def test_run_exits_1_before_any_job_on_a_constant_that_fails_to_build(tmp_path, capsys):
+    bad = {
+        **MINI,
+        "detectors": [
+            {
+                "name": "composition-gap",
+                "settings": {
+                    "second_box": {
+                        "family": "linear",
+                        "channel": {"kind": "depolarizing", "p": 1.5},
+                    }
+                },
+            }
+        ],
+    }
+    path = tmp_path / "bad_constant.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "detectors[0].settings.second_box.channel: depolarizing strength must lie in [0, 1]" in err
+
+
 def test_demo_names_match_packaged_files():
     assert set(DEMOS) == {
         "gisin",

@@ -182,6 +182,8 @@ def test_helstrom_test_never_flags_linear_boxes():
 def test_canonical_ensemble_pair_has_equal_densities():
     e1, e2 = canonical_ensemble_pair()
     assert np.allclose(e1.density().matrix, e2.density().matrix, atol=1e-12)
+    again = canonical_ensemble_pair()
+    assert again[0] is e1 and again[1] is e2
 
 
 def test_ensemble_signalling_quiet_for_linear_boxes():

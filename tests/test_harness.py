@@ -258,3 +258,68 @@ def test_thread_count_validation():
     scenario = parse_scenario_dict(copy.deepcopy(IDENTITY_SWEEP))
     with pytest.raises(ValueError, match="threads must be at least 1"):
         run_scenario(scenario, threads=0)
+
+
+# one composition-gap detector with a constant second box, one whose second
+# box reads the cell's parameter
+MIXED_SECOND_BOXES = {
+    "name": "mixed-second-boxes",
+    "master_seed": 23,
+    "box": {"family": "nonlinear-bloch", "kappa": {"param": "kappa"}},
+    "parameter_grid": {"kappa": [1, 2.5], "p": [0.1, 0.7]},
+    "detectors": [
+        {
+            "name": "composition-gap",
+            "settings": {
+                "shots": 256,
+                "second_box": {"family": "linear", "channel": {"kind": "dephasing", "p": 0.3}},
+            },
+        },
+        {
+            "name": "composition-gap",
+            "settings": {
+                "shots": 256,
+                "second_box": {
+                    "family": "linear",
+                    "channel": {"kind": "dephasing", "p": {"param": "p"}},
+                },
+            },
+        },
+    ],
+}
+
+
+def test_one_thread_runs_inline_through_execute_one(monkeypatch):
+    import qdata.harness
+
+    pools = []
+
+    class CountingPool(qdata.harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    jobs = []
+    execute_one = qdata.harness._execute_one
+
+    def recording(scenario, cell_index, det_index, seed):
+        jobs.append((cell_index, det_index))
+        return execute_one(scenario, cell_index, det_index, seed)
+
+    monkeypatch.setattr(qdata.harness, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(qdata.harness, "_execute_one", recording)
+    scenario = parse_scenario_dict(copy.deepcopy(MIXED_SECOND_BOXES))
+    inline = run_scenario(scenario, threads=1)
+    assert pools == []
+    assert jobs == [(cell, det) for cell in range(4) for det in range(2)]
+    pooled = run_scenario(scenario, threads=2)
+    assert pools == [{"max_workers": 2}]
+    assert strip_timestamp(inline) == strip_timestamp(pooled)
+    assert inline["summary"]["error_count"] == 0
+    # the constant second box gives one output per kappa, the referenced one
+    # moves with p as well
+    staged = [
+        [r["reconstructions"]["composed_output"]["data"] for r in cell["results"]]
+        for cell in inline["cells"]
+    ]
+    assert staged[0][0] == staged[1][0] and staged[0][1] != staged[1][1]

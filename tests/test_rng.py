@@ -70,3 +70,39 @@ def test_generator_is_cached_per_stream():
     first = s.generator.integers(0, 2**32, 4)
     fresh = RngStream(7, 7).generator.integers(0, 2**32, 4)
     assert np.array_equal(first, fresh)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id, first_draws",
+    [
+        (0, 0, [2166428135, 2144645128, 15008122, 1974301718]),
+        (1, mix64(3, 0), [3397196044, 422466760, 3629644963, 3501646067]),
+        (2**64 - 1, 2**63 + 5, [1578105276, 1094831700, 212181686, 465550431]),
+        (0xD1CE5EED, 12345, [572919996, 996880553, 1670201404, 2621500197]),
+    ],
+)
+def test_lazy_stream_draws_equal_an_eagerly_keyed_philox(seed, stream_id, first_draws):
+    key = np.array(
+        [splitmix64(seed), splitmix64(splitmix64(stream_id) ^ 0x9E3779B97F4A7C15)],
+        dtype=np.uint64,
+    )
+    eager = np.random.Generator(np.random.Philox(key=key)).integers(0, 2**32, 4)
+    lazy = RngStream(seed, stream_id).generator.integers(0, 2**32, 4)
+    assert lazy.tolist() == eager.tolist() == first_draws
+
+
+def test_a_stream_keys_its_philox_on_first_access_only(monkeypatch):
+    keyed = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        keyed.append(kwargs["key"])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    root = RngStream(5, 6)
+    child = root.child(1).child(2, 3)
+    assert keyed == []
+    child.generator.random()
+    child.generator.random()
+    assert len(keyed) == 1

@@ -296,6 +296,51 @@ def test_param_references_resolve_in_second_box_and_stages():
         )
 
 
+def test_constant_specs_are_built_once_at_parse_time():
+    second_box = {"family": "linear", "channel": {"kind": "dephasing", "p": 0.3}}
+    d = variant(
+        box={
+            "family": "composed",
+            "stages": [
+                {"family": "linear", "channel": {"kind": "amplitude-damping", "gamma": 0.5}},
+                {"family": "nonlinear-bloch", "kappa": {"param": "kappa"}},
+            ],
+        },
+        parameter_grid={"kappa": [2.0, 4.0]},
+        detectors=[{"name": "composition-gap", "settings": {"second_box": second_box}}],
+    )
+    sc = parse_scenario_dict(d)
+    (second,) = (v for v in sc.detectors[0].fields.values() if isinstance(v, LinearBox))
+    b0, b1 = (sc.build(cell) for cell in sc.grid)
+    # the constant stage is one object in every cell, the referenced one is not
+    assert b0.boxes[0] is b1.boxes[0]
+    assert (b0.boxes[1].kappa, b1.boxes[1].kappa) == (2.0, 4.0)
+    assert np.array_equal(second.channel.choi, QuantumChannel.dephasing(0.3).choi)
+    constant = parse_scenario_dict(base_scenario())
+    assert constant.build(constant.grid[0]) is constant.build({})
+
+
+def test_a_constant_spec_that_fails_to_build_fails_parsing_at_its_path():
+    d = variant(
+        detectors=[
+            {"name": "helstrom"},
+            {
+                "name": "composition-gap",
+                "settings": {
+                    "second_box": {"family": "linear", "channel": {"kind": "depolarizing", "p": 1.5}}
+                },
+            },
+        ]
+    )
+    with pytest.raises(
+        ScenarioError,
+        match=re.escape("scenario.detectors[1].settings.second_box.channel: depolarizing strength"),
+    ):
+        parse_scenario_dict(d)
+    with pytest.raises(ScenarioError, match=re.escape("scenario.box: warp exponent must be positive")):
+        parse_scenario_dict(variant(box={"family": "nonlinear-bloch", "kappa": -1}))
+
+
 def test_composition_gap_requires_second_box():
     with pytest.raises(ScenarioError, match="missing required key 'second_box'"):
         parse_scenario_dict(variant(detectors=[{"name": "composition-gap"}]))

@@ -131,6 +131,26 @@ def test_ensemble_validation():
     assert np.allclose(ens.density().matrix, np.eye(2) / 2, atol=1e-12)
 
 
+def test_ensemble_density_is_built_once_and_equals_the_weighted_sum():
+    ens = Ensemble((0.25, 0.75), (plus_i_state(), ket(1)))
+    rho = ens.density()
+    assert ens.density() is rho
+    expected = 0.25 * plus_i_state().projector() + 0.75 * ket(1).projector()
+    assert np.array_equal(rho.matrix, expected)
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+
+
+def test_bloch_helpers_match_the_wrapped_forms():
+    from qdata.states import bloch_angles, bloch_ket
+
+    for theta, phi in [(0.0, 0.0), (0.7, -1.2), (math.pi / 2, 2.5), (math.pi, 0.3)]:
+        vector = bloch_ket(theta, phi)
+        state = PureState.from_bloch(theta, phi)
+        assert np.array_equal(state.vector, vector)
+        assert bloch_angles(vector) == state.bloch_angles()
+
+
 def test_born_probabilities_examples():
     assert np.allclose(born_probabilities(ket(0), z_povm()), [1.0, 0.0], atol=1e-12)
     assert np.allclose(born_probabilities(plus_state(), z_povm()), [0.5, 0.5], atol=1e-12)

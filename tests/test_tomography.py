@@ -49,6 +49,19 @@ def test_pauli_measurement_set_sizes():
         pauli_measurement_set(3)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_pauli_measurement_set_is_built_once_and_read_only(n_qubits):
+    povms = pauli_measurement_set(n_qubits)
+    assert pauli_measurement_set(n_qubits) is povms
+    assert isinstance(povms, tuple)
+    for povm in povms:
+        assert isinstance(povm.effects, tuple)
+        for effect in povm.effects:
+            with pytest.raises(ValueError):
+                effect[0, 0] = 0.0
+    assert np.allclose(sum(povms[0].effects), np.eye(2**n_qubits), atol=1e-12)
+
+
 def test_pauli_set_covers_the_bloch_axes():
     x, y, z = pauli_measurement_set(1)
     assert np.allclose(x.effects[0], np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
