@@ -52,7 +52,6 @@ from .states import (
 from .tomography import (
     TomographyRun,
     canonical_probe_basis,
-    pauli_measurement_set,
     process_tomography_ancilla,
     process_tomography_direct,
     state_tomography,
@@ -327,7 +326,7 @@ def basis_invariance_test(
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise InvalidInputError("at least one probe rotation is required")
-    run = TomographyRun(shots, pauli_measurement_set(1))
+    run = TomographyRun(shots)
 
     def statistic(probed, stream):
         chois = []
@@ -364,8 +363,8 @@ def ancilla_consistency_test(
     """
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the consistency test is implemented for qubit boxes")
-    run = TomographyRun(shots, pauli_measurement_set(1))
-    joint_run = TomographyRun(shots, pauli_measurement_set(2))
+    run = TomographyRun(shots)
+    joint_run = TomographyRun(shots, 2)
 
     def statistic(probed, stream):
         basis = canonical_probe_basis(2, 0.0)
@@ -402,9 +401,7 @@ def concatenate_tests(
     ``shots`` is the per-setting budget of each tomography stage.
     """
     psi = as_state(psi)
-    run = TomographyRun(
-        shots_per_setting=shots, measurement_set=pauli_measurement_set(1)
-    )
+    run = TomographyRun(shots)
     first = b1.ensemble_output_density(psi)
     first_hat = state_tomography(first, run, rng.child(0))
     second = b2.ensemble_output_density(first_hat.eigen_ensemble())
@@ -469,7 +466,8 @@ def qrac_fidelity_estimate(
     sample = np.concatenate(fidelities)
     if not sample.size:
         raise InvalidInputError("no rounds survived post-selection")
-    f_hat = float(sample.mean())
+    # fidelities equal to 1 up to rounding can average to 1 + ulp
+    f_hat = min(max(float(sample.mean()), 0.0), 1.0)
     spread = float(sample.std(ddof=1)) if sample.size > 1 else float("nan")
     ci = 1.96 * spread / math.sqrt(sample.size) if sample.size > 1 else float("nan")
     return QracResult(

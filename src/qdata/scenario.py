@@ -54,7 +54,6 @@ from .states import PureState
 from .tomography import (
     TomographyRun,
     canonical_probe_basis,
-    pauli_measurement_set,
     process_tomography_direct,
 )
 
@@ -388,9 +387,8 @@ def _flat_complex(matrix: np.ndarray) -> dict:
 
 def _report_choi(box, shots: int, stream) -> dict:
     """The report-only direct reconstruction at delta 0, on its own child stream."""
-    run = TomographyRun(shots, pauli_measurement_set(1))
     recon = process_tomography_direct(
-        box, canonical_probe_basis(2, 0.0), run, stream.child(_RECON_CHILD)
+        box, canonical_probe_basis(2, 0.0), TomographyRun(shots), stream.child(_RECON_CHILD)
     )
     return {"choi": _flat_complex(recon.normalized_choi())}
 

@@ -1,27 +1,22 @@
 """Finite-shot state and process tomography.
 
-State estimates use linear inversion over a tomographically complete
-measurement set (the Pauli bases by default), projected to the nearest
-density matrix.  Process estimates are assembled from per-probe
-state reconstructions by recovering the channel's action on the operator
-units |i><j|.  A reconstructed Choi matrix is never projected onto the CPTP
-set: deviations from it are exactly the signals the detectors feed on, so
-the distance is recorded in ``cptp_residual`` instead.
+A run is a shot budget on the one- or two-qubit Pauli measurement set
+(``TomographyRun(shots, n_qubits)``).  State estimates use linear
+inversion over that set, projected to the nearest density matrix.
+Process estimates are assembled from per-probe state reconstructions by
+recovering the channel's action on the operator units |i><j|.  A
+reconstructed Choi matrix is never projected onto the CPTP set: deviations
+from it are exactly the signals the detectors feed on, so the distance is
+recorded in ``cptp_residual`` instead.
 
-The linear maps are compiled once and reused.  The design matrix of a set
-of effects and its rank are cached by content (dimension plus effect
-bytes), so a measurement set or probe basis rebuilt from equal arrays hits
-the same entry; ``canonical_probe_basis`` is memoized per (m, delta) and
-``pauli_measurement_set`` per qubit count; each ProbeBasis solves its
-unit-recovery coefficients once; the Hermitian operator basis is cached
-per dimension in ``linalg``.  The arithmetic on the cached objects is the
-one the uncached code performed, so reconstructions are unchanged bit for
-bit.
+Each linear map is built once, read-only, by the object that owns it: the
+Pauli set and its design matrix per qubit count, a ProbeBasis's
+unit-recovery coefficients at construction, the canonical probe bases per
+(m, delta) and the Hermitian operator basis per dimension (in ``linalg``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +57,20 @@ __all__ = [
 ]
 
 
-_pauli_sets: dict = {}
+_pauli_designs: dict = {}
+
+
+def _pauli_design(n_qubits: int) -> tuple:
+    """The n-qubit Pauli set and its read-only design matrix, built once per n."""
+    compiled = _pauli_designs.get(n_qubits)
+    if compiled is None:
+        if n_qubits not in (1, 2):
+            raise InvalidInputError("only one- and two-qubit sets are provided")
+        povms = _build_pauli_measurement_set(n_qubits)
+        design = _design_matrix([e for p in povms for e in p.effects], 2**n_qubits)
+        design.flags.writeable = False
+        compiled = _pauli_designs.setdefault(n_qubits, (povms, design))
+    return compiled
 
 
 def pauli_measurement_set(n_qubits: int) -> tuple:
@@ -72,12 +80,7 @@ def pauli_measurement_set(n_qubits: int) -> tuple:
     4 outcomes.  Each set is built once and shared: its effect arrays are
     read-only.
     """
-    povms = _pauli_sets.get(n_qubits)
-    if povms is None:
-        if n_qubits not in (1, 2):
-            raise InvalidInputError("only one- and two-qubit sets are provided")
-        povms = _pauli_sets.setdefault(n_qubits, _build_pauli_measurement_set(n_qubits))
-    return povms
+    return _pauli_design(n_qubits)[0]
 
 
 def _build_pauli_measurement_set(n_qubits: int) -> tuple:
@@ -109,51 +112,26 @@ def _design_matrix(effects: list, dim: int) -> np.ndarray:
     )
 
 
-_compiled_designs: dict = {}
-
-
-def _compiled_design(effects: list, dim: int) -> tuple:
-    """Read-only ``_design_matrix(effects, dim)`` and its rank, built once per content."""
-    key = (dim, b"".join(e.tobytes() for e in effects))
-    compiled = _compiled_designs.get(key)
-    if compiled is None:
-        design = _design_matrix(effects, dim)
-        design.flags.writeable = False
-        compiled = _compiled_designs.setdefault(
-            key, (design, int(np.linalg.matrix_rank(design)))
-        )
-    return compiled
-
-
 @dataclass(frozen=True)
 class TomographyRun:
-    """Budget and measurement set for one tomography experiment.
+    """Budget of one tomography experiment on the n-qubit Pauli set.
 
     shots_per_setting is the number of repetitions of each measurement
-    setting; the measurement set must span the operator space (design rank
-    dim^2, checked here).
+    setting; n_qubits (1 or 2) picks the one- or two-qubit Pauli set.
     """
 
     shots_per_setting: int
-    measurement_set: tuple
-    _design: np.ndarray = field(init=False, repr=False, compare=False)
+    n_qubits: int = 1
 
     def __post_init__(self) -> None:
         if self.shots_per_setting < 1:
             raise InvalidInputError("shots_per_setting must be at least 1")
-        povms = tuple(self.measurement_set)
-        if not povms or len({p.dim for p in povms}) != 1:
-            raise InvalidShapeError("measurement set must be nonempty with one dimension")
-        dim = povms[0].dim
-        design, rank = _compiled_design([e for p in povms for e in p.effects], dim)
-        if rank != dim * dim:
-            raise InvalidInputError("measurement set is not tomographically complete")
-        object.__setattr__(self, "measurement_set", povms)
-        object.__setattr__(self, "_design", design)
+        if self.n_qubits not in (1, 2):
+            raise InvalidInputError("a run measures the one- or two-qubit Pauli set")
 
     @property
     def dim(self) -> int:
-        return self.measurement_set[0].dim
+        return 2**self.n_qubits
 
 
 def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> np.ndarray:
@@ -170,12 +148,15 @@ def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
     ``rng.child(i)``.
     """
     rho = as_density(source)
+    if rho.dim != run.dim:
+        raise InvalidShapeError("the source dimension does not match the run's Pauli set")
+    povms, design = _pauli_design(run.n_qubits)
     freqs = []
-    for i, povm in enumerate(run.measurement_set):
+    for i, povm in enumerate(povms):
         probs = born_probabilities(rho, povm)
         counts = rng.child(i).generator.multinomial(run.shots_per_setting, probs)
         freqs.extend(counts / run.shots_per_setting)
-    return _linear_inversion(np.array(freqs), run._design, run.dim)
+    return _linear_inversion(np.array(freqs), design, run.dim)
 
 
 def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatrix:
@@ -190,42 +171,35 @@ def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatri
 
 @dataclass(frozen=True)
 class ProbeBasis:
-    """m^2 pure probe states whose projectors span the operator space."""
+    """m^2 pure probe states whose projectors span the operator space.
+
+    ``_unit_coefficients[i, j]`` expresses the operator unit |i><j| over the
+    probe projectors.  For the canonical delta = 0 qubit basis, row (0, 1) is
+    E(|0><1|) = E(P_+) + i E(P_+i) - (1+i)/2 (E(P_0) + E(P_1)).
+    """
 
     states: tuple
-    _design: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
         if not states:
             raise InvalidInputError("probe basis is empty")
-        dim = states[0].dim
-        if len(states) != dim * dim or any(s.dim != dim for s in states):
+        m = states[0].dim
+        if len(states) != m * m or any(s.dim != m for s in states):
             raise InvalidShapeError("a probe basis needs exactly dim^2 states of one dimension")
-        design, rank = _compiled_design([s.projector() for s in states], dim)
-        if rank != dim * dim:
+        # column k is vec of projector k; column i * m + j of the identity is vec |i><j|
+        columns = np.column_stack([s.projector().reshape(-1) for s in states])
+        if np.linalg.matrix_rank(columns) != m * m:
             raise InvalidInputError("probe projectors are linearly dependent")
+        coeffs = np.linalg.solve(columns, np.eye(m * m, dtype=complex)).T.reshape(m, m, m * m)
+        coeffs.flags.writeable = False
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_design", design)
+        object.__setattr__(self, "_unit_coefficients", coeffs)
 
     @property
     def dim(self) -> int:
         return self.states[0].dim
-
-    @functools.cached_property
-    def _unit_coefficients(self) -> np.ndarray:
-        """Coefficients expressing each operator unit |i><j| over the probe projectors.
-
-        Column k of the solved system is vec of probe projector k; the result
-        has shape (m, m, m^2) indexed by (i, j, probe).  For the canonical
-        delta = 0 qubit basis, row (0, 1) reproduces the standard combination
-        E(|0><1|) = E(P_+) + i E(P_+i) - (1+i)/2 (E(P_0) + E(P_1)).
-        """
-        m = self.dim
-        columns = np.column_stack([s.projector().reshape(-1) for s in self.states])
-        # column i * m + j of the identity is vec |i><j|
-        coeffs = np.linalg.solve(columns, np.eye(m * m, dtype=complex))
-        return coeffs.T.reshape(m, m, m * m)
 
 
 _canonical_bases: dict = {}

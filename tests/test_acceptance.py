@@ -38,7 +38,6 @@ from qdata import (
     nsq_random_survey,
     nsq_signalling_measure,
     parse_scenario_dict,
-    pauli_measurement_set,
     process_tomography_ancilla,
     process_tomography_direct,
     qrac_fidelity_estimate,
@@ -138,7 +137,7 @@ def test_criterion_05_process_tomography_converges():
     basis = canonical_probe_basis(2, 0.0)
     errors = {}
     for shots, floor in ((10_000, 0.99), (1_000_000, 0.999)):
-        run = TomographyRun(shots, pauli_measurement_set(1))
+        run = TomographyRun(shots)
         rec = process_tomography_direct(box, basis, run, RngStream(7, shots))
         est = nearest_density_matrix(rec.normalized_choi())
         errors[shots] = trace_distance(est, truth)
@@ -160,8 +159,8 @@ def test_criterion_06_probe_basis_invariance():
 
 def test_criterion_07_scheme_equivalence_and_discrepancy():
     root = RngStream(11, 0)
-    run1 = TomographyRun(1_000_000, pauli_measurement_set(1))
-    run2 = TomographyRun(1_000_000, pauli_measurement_set(2))
+    run1 = TomographyRun(1_000_000)
+    run2 = TomographyRun(1_000_000, 2)
     basis = canonical_probe_basis(2, 0.0)
     for k in range(10):
         box = LinearBox(random_channel(2, 2, root.child(k, 0)))
@@ -224,7 +223,7 @@ def test_criterion_10_state_tomography_scaling():
     root = RngStream(101, 0)
     medians = {}
     for shots in (1_000, 1_000_000):
-        run = TomographyRun(shots, pauli_measurement_set(1))
+        run = TomographyRun(shots)
         errs = []
         for rep in range(15):
             psi = PureState.haar(2, root.child(shots, rep, 0))
@@ -236,7 +235,7 @@ def test_criterion_10_state_tomography_scaling():
     assert 15.8 <= ratio <= 63.2
 
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    run = TomographyRun(100_000, pauli_measurement_set(1))
+    run = TomographyRun(100_000)
     for rep in range(40):
         est = state_tomography(mixed, run, RngStream(101, 0).child(7, rep))
         assert float(np.linalg.norm(est.bloch_vector())) < 0.02

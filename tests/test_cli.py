@@ -261,3 +261,21 @@ def test_run_rejects_a_local_dimension_of_1_before_any_job(tmp_path, capsys, doc
     assert main(["run", str(path), "--out", str(out)]) == 1
     assert f"{where}: must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_qrac_oracle_at_few_rounds_runs_without_an_error_entry(tmp_path, capsys):
+    # at seed 2 the 15 kept rounds average to 1 + ulp before clamping
+    path = tmp_path / "qrac.json"
+    path.write_text(json.dumps({
+        "name": "q",
+        "pair": {"family": "qrac-oracle"},
+        "parameter_grid": [{}],
+        "detectors": [{"name": "qrac", "settings": {"rounds": 50}}],
+        "master_seed": 1,
+    }))
+    assert main(["run", str(path), "--seed", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["error_count"] == 0
+    verdict = report["cells"][0]["results"][0]["verdict"]
+    assert verdict["verdict"] == "post-quantum"
+    assert verdict["statistic"] <= 1.0

@@ -349,6 +349,15 @@ def test_qrac_estimate_validation():
         qrac_fidelity_estimate(QracOracle(), 0, RngStream(58, 1))
 
 
+def test_qrac_oracle_estimate_stays_in_the_unit_interval_at_few_rounds():
+    # the oracle's exact fidelities equal 1 up to rounding; their mean over a
+    # handful of kept rounds can land one ulp above 1 and must be clamped
+    for seed in range(300):
+        res = qrac_fidelity_estimate(QracOracle(), 50, RngStream(seed, 7))
+        assert 0.0 <= res.f_hat <= 1.0, seed
+        assert res.f_hat > 0.999, seed
+
+
 class _NeverKeeps(BoxPair):
     def play_rounds(self, psi0, psi1, x, gen):
         n = len(x)

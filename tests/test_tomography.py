@@ -8,6 +8,7 @@ import pytest
 from qdata import (
     DensityMatrix,
     InvalidInputError,
+    InvalidShapeError,
     LinearBox,
     NonlinearBloch,
     ProbeBasis,
@@ -31,11 +32,16 @@ from qdata import (
 
 
 def run1(shots):
-    return TomographyRun(shots, pauli_measurement_set(1))
+    return TomographyRun(shots)
 
 
 def run2(shots):
-    return TomographyRun(shots, pauli_measurement_set(2))
+    return TomographyRun(shots, 2)
+
+
+def projector_columns(basis):
+    """Column k is vec of probe projector k."""
+    return np.column_stack([s.projector().reshape(-1) for s in basis.states])
 
 
 def test_pauli_measurement_set_sizes():
@@ -70,24 +76,37 @@ def test_pauli_set_covers_the_bloch_axes():
 
 
 def test_run_validation():
+    assert TomographyRun(100).dim == 2
+    assert TomographyRun(100, 2).dim == 4
     with pytest.raises(InvalidInputError):
-        TomographyRun(0, pauli_measurement_set(1))
-    # a measurement set that cannot span the state space is rejected
-    z_only = (pauli_measurement_set(1)[2],)
-    with pytest.raises(InvalidInputError):
-        TomographyRun(100, z_only)
+        TomographyRun(0)
+    for n_qubits in (0, 3):
+        with pytest.raises(InvalidInputError):
+            TomographyRun(100, n_qubits)
+
+
+def test_a_run_of_the_wrong_dimension_is_a_shape_error():
+    with pytest.raises(InvalidShapeError):
+        state_tomography(ket(0).density(), run2(100), RngStream(40, 8))
+    with pytest.raises(InvalidShapeError):
+        state_tomography(max_entangled(2).density(), run1(100), RngStream(40, 8))
+    with pytest.raises(InvalidShapeError):
+        process_tomography_direct(
+            LinearBox(QuantumChannel.identity(2)),
+            canonical_probe_basis(2, 0.0),
+            run2(100),
+            RngStream(40, 9),
+        )
 
 
 def test_exact_counts_recover_the_state():
     # exactly dyadic outcome frequencies invert to the state itself
     from qdata import born_probabilities
-    from qdata.tomography import _linear_inversion
+    from qdata.tomography import _linear_inversion, _pauli_design
 
-    run = run1(1024)
-    counts = [
-        np.round(born_probabilities(ket(0), povm) * 1024).astype(int) for povm in run.measurement_set
-    ]
-    est = _linear_inversion(np.concatenate(counts) / 1024, run._design, run.dim)
+    povms, design = _pauli_design(1)
+    counts = [np.round(born_probabilities(ket(0), povm) * 1024).astype(int) for povm in povms]
+    est = _linear_inversion(np.concatenate(counts) / 1024, design, 2)
     assert trace_distance(est, ket(0).density()) < 1e-10
 
 
@@ -120,11 +139,11 @@ def test_probe_basis_validation_and_conditioning():
     basis = canonical_probe_basis(2, 0.0)
     assert len(basis.states) == 4
     assert basis.dim == 2
-    assert abs(np.linalg.cond(basis._design) - 3.2255049266776936) < 1e-9
+    assert abs(np.linalg.cond(projector_columns(basis)) - 3.2255049266776936) < 1e-9
     two = canonical_probe_basis(4, 0.0)
     assert len(two.states) == 16
-    assert abs(np.linalg.cond(two._design) - 10.403882032022077) < 1e-9
-    assert np.linalg.cond(two._design) < 20
+    assert abs(np.linalg.cond(projector_columns(two)) - 10.403882032022077) < 1e-9
+    assert np.linalg.cond(projector_columns(two)) < 20
     with pytest.raises(InvalidInputError):
         canonical_probe_basis(3, 0.0)
 
@@ -133,7 +152,9 @@ def test_probe_basis_rotation_preserves_conditioning():
     base = canonical_probe_basis(2, 0.0)
     for delta in (0.3, 0.7, math.pi / 2, math.pi):
         rotated = canonical_probe_basis(2, delta)
-        assert abs(np.linalg.cond(rotated._design) - np.linalg.cond(base._design)) < 1e-9
+        assert abs(
+            np.linalg.cond(projector_columns(rotated)) - np.linalg.cond(projector_columns(base))
+        ) < 1e-9
         # rotation preserves the Gram matrix of the probe family
         g0 = [abs(a.overlap(b)) for a in base.states for b in base.states]
         g1 = [abs(a.overlap(b)) for a in rotated.states for b in rotated.states]
@@ -226,18 +247,18 @@ def test_direct_tomography_covariant_under_probe_rotation():
 # ------------------------------------------------- compiled linear maps
 
 
-def _reference_state_tomography(source, run, rng, project):
+def _reference_state_tomography(source, povms, shots, rng, project):
     """The uncached arithmetic: fresh operator basis and design matrix per call."""
     from qdata import born_probabilities
     from qdata.linalg import _build_hermitian_basis
 
     freqs = []
-    for i, povm in enumerate(run.measurement_set):
+    for i, povm in enumerate(povms):
         probs = born_probabilities(source, povm)
-        counts = rng.child(i).generator.multinomial(run.shots_per_setting, probs)
-        freqs.extend(counts / run.shots_per_setting)
-    basis = _build_hermitian_basis(run.dim)
-    effects = [e for p in run.measurement_set for e in p.effects]
+        counts = rng.child(i).generator.multinomial(shots, probs)
+        freqs.extend(counts / shots)
+    basis = _build_hermitian_basis(povms[0].dim)
+    effects = [e for p in povms for e in p.effects]
     design = np.array([[np.real(np.trace(e @ b)) for b in basis] for e in effects])
     coeffs, *_ = np.linalg.lstsq(design, np.array(freqs), rcond=None)
     estimate = sum(c * b for c, b in zip(coeffs, basis))
@@ -246,16 +267,19 @@ def _reference_state_tomography(source, run, rng, project):
 
 
 def test_cached_design_matrix_equals_a_fresh_build():
-    from qdata.tomography import _design_matrix
+    from qdata.tomography import _design_matrix, _pauli_design
 
     for n_qubits, dim in ((1, 2), (2, 4)):
-        run = TomographyRun(10, pauli_measurement_set(n_qubits))
-        effects = [e for p in run.measurement_set for e in p.effects]
-        fresh = _design_matrix(effects, dim)
-        assert np.array_equal(run._design, fresh)
-        # a second, separately built set of equal effects shares the entry
-        again = TomographyRun(10, pauli_measurement_set(n_qubits))
-        assert again._design is run._design
+        povms, design = _pauli_design(n_qubits)
+        assert povms is pauli_measurement_set(n_qubits)
+        # the Pauli sets are tomographically complete by construction
+        assert np.linalg.matrix_rank(design) == dim * dim
+        fresh = _design_matrix([e for p in povms for e in p.effects], dim)
+        assert np.array_equal(design, fresh)
+        with pytest.raises(ValueError):
+            design[0, 0] = 5.0
+        again = _pauli_design(n_qubits)
+        assert again[0] is povms and again[1] is design
 
 
 def test_state_tomography_is_bitwise_equal_to_the_uncached_arithmetic():
@@ -263,14 +287,15 @@ def test_state_tomography_is_bitwise_equal_to_the_uncached_arithmetic():
 
     rho = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     bell = max_entangled(2).density()
-    for source, measurement_set in ((rho, pauli_measurement_set(1)), (bell, pauli_measurement_set(2))):
-        run = TomographyRun(3000, measurement_set)
+    for source, n_qubits in ((rho, 1), (bell, 2)):
+        run = TomographyRun(3000, n_qubits)
+        povms = pauli_measurement_set(n_qubits)
         for trial in range(3):
             got = state_tomography(source, run, RngStream(43, trial)).matrix
-            want = _reference_state_tomography(source, run, RngStream(43, trial), project=True)
+            want = _reference_state_tomography(source, povms, 3000, RngStream(43, trial), project=True)
             assert np.array_equal(got, want)
             got = _raw_estimate(source, run, RngStream(43, trial))
-            want = _reference_state_tomography(source, run, RngStream(43, trial), project=False)
+            want = _reference_state_tomography(source, povms, 3000, RngStream(43, trial), project=False)
             assert np.array_equal(got, want)
 
 
@@ -278,15 +303,14 @@ def test_probe_basis_coefficients_match_a_fresh_solve():
     for m, delta in ((2, 0.0), (2, 0.7), (4, 0.3)):
         basis = canonical_probe_basis(m, delta)
         assert canonical_probe_basis(m, delta) is basis
-        assert np.array_equal(basis._unit_coefficients, ProbeBasis(basis.states)._unit_coefficients)
+        fresh = np.linalg.solve(projector_columns(basis), np.eye(m * m, dtype=complex))
+        assert np.array_equal(basis._unit_coefficients, fresh.T.reshape(m, m, m * m))
+        with pytest.raises(ValueError):
+            basis._unit_coefficients[0, 0, 0] = 5.0
 
 
 def test_rank_deficient_sets_raise_after_the_cache_is_filled():
-    TomographyRun(100, pauli_measurement_set(1))
     canonical_probe_basis(2, 0.0)
-    x, _y, z = pauli_measurement_set(1)
-    with pytest.raises(InvalidInputError):
-        TomographyRun(100, (x, z))
     with pytest.raises(InvalidInputError):
         ProbeBasis((ket(0), ket(1), ket(0), ket(1)))
 
@@ -298,8 +322,6 @@ def test_cached_operators_are_read_only():
     assert hermitian_basis(2) is basis
     with pytest.raises(ValueError):
         basis[1][0, 1] = 5.0
-    with pytest.raises(ValueError):
-        canonical_probe_basis(2, 0.0)._design[0, 0] = 5.0
     assert np.allclose(basis[1], [[0, 2**-0.5], [2**-0.5, 0]], atol=1e-15)
 
 
