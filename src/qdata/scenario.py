@@ -393,13 +393,22 @@ def _report_choi(box, shots: int, stream) -> dict:
     return {"choi": _flat_complex(recon.normalized_choi())}
 
 
+_helstrom_setups: dict = {}
+
+
+def _helstrom_setup(thetas, priors) -> HelstromSetup:
+    """The setup of a (thetas, priors) pair, built once and shared by its jobs."""
+    key = tuple(float(x).hex() for x in (*thetas, *priors))  # hex keeps -0.0 apart
+    setup = _helstrom_setups.get(key)
+    if setup is None:
+        t1, t2 = thetas
+        states = (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0))
+        setup = _helstrom_setups.setdefault(key, HelstromSetup(priors, states))
+    return setup
+
+
 def _run_helstrom(box, stream, trials, thetas, priors):
-    t1, t2 = thetas
-    setup = HelstromSetup(
-        priors,
-        (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0)),
-    )
-    verdict = helstrom_test(box, setup, trials, rng=stream)
+    verdict = helstrom_test(box, _helstrom_setup(thetas, priors), trials, rng=stream)
     return verdict, trials, {}
 
 

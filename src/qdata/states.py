@@ -64,7 +64,14 @@ class PureState:
         return complex(np.vdot(self.vector, as_state(other).vector))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()))
+        return self._density
+
+    @functools.cached_property
+    def _density(self) -> "DensityMatrix":
+        """The state's density matrix, built and checked once per state (read-only)."""
+        density = DensityMatrix(self.projector())
+        density.matrix.flags.writeable = False
+        return density
 
     def projector(self) -> np.ndarray:
         return np.outer(self.vector, self.vector.conj())
@@ -236,25 +243,29 @@ class Ensemble:
 def born_probabilities(state, povm: Povm) -> np.ndarray:
     """Outcome distribution of a POVM on a state (tiny negatives clipped)."""
     rho = as_density(state).matrix
-    p = np.trace(np.array(povm.effects) @ rho, axis1=1, axis2=2).real
-    if np.min(p) < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("Born probabilities are not a distribution")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return checked_distributions(np.trace(np.array(povm.effects) @ rho, axis1=1, axis2=2).real)
 
 
 def born_distributions(vectors, povm: Povm) -> np.ndarray:
     """Outcome distributions of a POVM on a stack of pure states, one row each.
 
-    The batched :func:`born_probabilities` for vectors of shape (n, dim):
-    the same distribution check, clipping and renormalization per row.
+    The batched :func:`born_probabilities` for vectors of shape (n, dim).
     """
     v = np.asarray(vectors, dtype=complex)
-    p = np.einsum("ni,kij,nj->nk", v.conj(), np.array(povm.effects), v).real
-    if np.min(p) < -1e-9 or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+    return checked_distributions(np.einsum("ni,kij,nj->nk", v.conj(), np.array(povm.effects), v).real)
+
+
+def checked_distributions(p: np.ndarray) -> np.ndarray:
+    """Born probabilities ``p`` with each row (last axis) checked and normalized.
+
+    Every row must be a distribution within 1e-9 (no entry below -1e-9,
+    sum within 1e-9 of 1); tiny negatives are then clipped and each row is
+    renormalized.  One row or any stack of rows is checked in one pass.
+    """
+    if np.min(p) < -1e-9 or np.max(np.abs(p.sum(axis=-1) - 1.0)) > 1e-9:
         raise InvalidInputError("Born probabilities are not a distribution")
     p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def sample_inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:

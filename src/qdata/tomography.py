@@ -1,22 +1,31 @@
 """Finite-shot state and process tomography.
 
-A run is a shot budget on the one- or two-qubit Pauli measurement set
-(``TomographyRun(shots, n_qubits)``).  State estimates use linear
-inversion over that set, projected to the nearest density matrix.
-Process estimates are assembled from per-probe state reconstructions by
-recovering the channel's action on the operator units |i><j|.  A
-reconstructed Choi matrix is never projected onto the CPTP set: deviations
-from it are exactly the signals the detectors feed on, so the distance is
-recorded in ``cptp_residual`` instead.
+A run is a whole number of shots per setting on the one- or two-qubit
+Pauli measurement set (``TomographyRun(shots, n_qubits)``).  State
+estimates use linear inversion over that set, projected to the nearest
+density matrix.  Process estimates are assembled from per-probe state
+reconstructions by recovering the channel's action on the operator units
+|i><j|.  A reconstructed Choi matrix is never projected onto the CPTP set:
+deviations from it are exactly the signals the detectors feed on, so the
+distance is recorded in ``cptp_residual`` instead.
+
+One routine, ``_raw_estimates``, samples and inverts a whole stack of
+sources: every probe output of a process tomography at once, or the one
+source of a state tomography.  Its Born probabilities come from one trace
+against the stacked Pauli effects, checked per setting row; each source
+then draws its settings from its own streams, is inverted with ``lstsq``
+and combines the stacked Hermitian basis in one reduction.
 
 Each linear map is built once, read-only, by the object that owns it: the
-Pauli set and its design matrix per qubit count, a ProbeBasis's
-unit-recovery coefficients at construction, the canonical probe bases per
-(m, delta) and the Hermitian operator basis per dimension (in ``linalg``).
+Pauli set, its design matrix, stacked effects and stacked Hermitian basis
+per qubit count, a ProbeBasis's unit-recovery coefficients at
+construction, the canonical probe bases per (m, delta) and the Hermitian
+operator basis per dimension (in ``linalg``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +45,7 @@ from .states import (
     Povm,
     PureState,
     as_density,
-    born_probabilities,
+    checked_distributions,
     ket,
     max_entangled,
     minus_i_state,
@@ -58,17 +67,28 @@ __all__ = [
 
 
 _pauli_designs: dict = {}
+# dimension -> (effects, basis): the Pauli effects as one (settings, outcomes,
+# d, d) array and hermitian_basis(d) as one (d^2, d, d) array, read-only
+_pauli_stacks: dict = {}
 
 
 def _pauli_design(n_qubits: int) -> tuple:
-    """The n-qubit Pauli set and its read-only design matrix, built once per n."""
+    """The n-qubit Pauli set and its read-only design matrix, built once per n.
+
+    The same build fills ``_pauli_stacks`` for the set's dimension.
+    """
     compiled = _pauli_designs.get(n_qubits)
     if compiled is None:
         if n_qubits not in (1, 2):
             raise InvalidInputError("only one- and two-qubit sets are provided")
+        dim = 2**n_qubits
         povms = _build_pauli_measurement_set(n_qubits)
-        design = _design_matrix([e for p in povms for e in p.effects], 2**n_qubits)
-        design.flags.writeable = False
+        design = _design_matrix([e for p in povms for e in p.effects], dim)
+        effects = np.array([p.effects for p in povms])
+        basis = np.array(hermitian_basis(dim))
+        for table in (design, effects, basis):
+            table.flags.writeable = False
+        _pauli_stacks.setdefault(dim, (effects, basis))
         compiled = _pauli_designs.setdefault(n_qubits, (povms, design))
     return compiled
 
@@ -117,13 +137,16 @@ class TomographyRun:
     """Budget of one tomography experiment on the n-qubit Pauli set.
 
     shots_per_setting is the number of repetitions of each measurement
-    setting; n_qubits (1 or 2) picks the one- or two-qubit Pauli set.
+    setting; n_qubits (1 or 2) picks the one- or two-qubit Pauli set.  Both
+    are stored as int; a bool or a float is rejected.
     """
 
     shots_per_setting: int
     n_qubits: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("shots_per_setting", "n_qubits"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.shots_per_setting < 1:
             raise InvalidInputError("shots_per_setting must be at least 1")
         if self.n_qubits not in (1, 2):
@@ -134,29 +157,47 @@ class TomographyRun:
         return 2**self.n_qubits
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int: integers and numpy integers pass, bools and floats fail."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name} must be an integer")
+
+
 def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> np.ndarray:
     coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
-    basis = hermitian_basis(dim)
-    estimate = sum(c * b for c, b in zip(coeffs, basis))
+    estimate = np.add.reduce(coeffs[:, None, None] * _pauli_stacks[dim][1], axis=0)
     return (estimate + estimate.conj().T) / 2
 
 
-def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
-    """The linear-inversion estimate, unprojected (possibly non-positive).
+def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
+    """Linear-inversion estimates of a stack of source densities, unprojected.
 
-    Setting i samples the source density's exact Born distribution with
-    ``rng.child(i)``.
+    ``rhos`` has shape (sources, d, d).  Every Born probability comes from
+    one stacked trace, each setting row checked as a distribution before
+    any draw; source k then samples setting i with ``streams[k].child(i)``.
     """
-    rho = as_density(source)
-    if rho.dim != run.dim:
+    if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    povms, design = _pauli_design(run.n_qubits)
-    freqs = []
-    for i, povm in enumerate(povms):
-        probs = born_probabilities(rho, povm)
-        counts = rng.child(i).generator.multinomial(run.shots_per_setting, probs)
-        freqs.extend(counts / run.shots_per_setting)
-    return _linear_inversion(np.array(freqs), design, run.dim)
+    _, design = _pauli_design(run.n_qubits)
+    effects, _ = _pauli_stacks[run.dim]
+    probs = checked_distributions(
+        np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real
+    )
+    shots = run.shots_per_setting
+    estimates = np.empty(rhos.shape, dtype=complex)
+    for k, stream in enumerate(streams):
+        counts = [stream.child(i).generator.multinomial(shots, p) for i, p in enumerate(probs[k])]
+        estimates[k] = _linear_inversion(np.concatenate(counts) / shots, design, run.dim)
+    return estimates
+
+
+def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
+    """The linear-inversion estimate of one source, unprojected (possibly non-positive)."""
+    return _raw_estimates(as_density(source).matrix[None], run, (rng,))[0]
 
 
 def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatrix:
@@ -271,18 +312,15 @@ def process_tomography_direct(
     """
     if basis.dim != box.dim_in:
         raise InvalidShapeError("probe basis does not match the box input dimension")
-    outputs = [
-        _raw_estimate(box.ensemble_output_density(probe), run, rng.child(k))
-        for k, probe in enumerate(basis.states)
-    ]
+    outputs = _raw_estimates(
+        np.array([box.ensemble_output_density(probe).matrix for probe in basis.states]),
+        run,
+        [rng.child(k) for k in range(len(basis.states))],
+    )
     m, n = box.dim_in, box.dim_out
-    coeffs = basis._unit_coefficients
-    choi4 = np.zeros((m, n, m, n), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            unit_image = sum(c * r for c, r in zip(coeffs[i, j], outputs))
-            choi4[i, :, j, :] = unit_image
-    return ReconstructedProcess(choi4.reshape(m * n, m * n), m, n)
+    # units[i, j] is the image of |i><j|, which fills Choi block (i, :, j, :)
+    units = np.add.reduce(basis._unit_coefficients[..., None, None] * outputs, axis=2)
+    return ReconstructedProcess(units.transpose(0, 2, 1, 3).reshape(m * n, m * n), m, n)
 
 
 def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> ReconstructedProcess:
@@ -294,8 +332,6 @@ def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> Recon
     """
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the ancilla scheme is implemented for qubit boxes")
-    if run.dim != 4:
-        raise InvalidInputError("ancilla tomography needs a two-qubit measurement set")
     joint_out = box.probe_with_reference(max_entangled(2))
     estimate = _raw_estimate(joint_out, run, rng)
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)

@@ -598,7 +598,56 @@ def test_nsq_survey_requires_rng():
         nsq_random_survey(10)
 
 
+def test_helstrom_bound_is_computed_once_per_setup(monkeypatch):
+    setup = canonical_setup()
+    p1, p2 = setup.priors
+    s1, s2 = setup.states
+    want = 0.5 * (1.0 + trace_norm(p1 * s1.projector() - p2 * s2.projector()))
+    calls = []
+
+    def counting(h):
+        calls.append(1)
+        return trace_norm(h)
+
+    monkeypatch.setattr(detectors, "trace_norm", counting)
+    assert helstrom_bound(setup) == want
+    for k in range(3):
+        assert helstrom_test(LinearBox(QuantumChannel.identity(2)), setup, 100, rng=RngStream(88, k)).threshold == want
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- calibration
+
+
+def test_calibration_percentile_equals_numpy_quantile():
+    from qdata.detectors import NULL_QUANTILE, NULL_REPLICATIONS, _linear_quantile
+
+    gen = np.random.default_rng(89)
+    for trial in range(2000):
+        stats = gen.random(NULL_REPLICATIONS) * 10.0 ** gen.integers(-8, 1)
+        if trial % 4 == 0:
+            stats = np.round(stats, 3)  # ties
+        got = _linear_quantile(stats, NULL_QUANTILE)
+        assert got == float(np.quantile(stats, NULL_QUANTILE)), trial
+
+
+def test_calibration_never_loads_numpy_ma():
+    import os
+    import subprocess
+    import sys
+
+    import qdata
+
+    code = (
+        "import sys\n"
+        "from qdata import LinearBox, QuantumChannel, RngStream, ancilla_consistency_test\n"
+        "ancilla_consistency_test(LinearBox(QuantumChannel.identity(2)), 100, rng=RngStream(1, 1))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qdata.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_calibration_computes_each_key_once_under_contention():

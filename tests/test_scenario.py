@@ -13,6 +13,7 @@ from qdata import (
     LinearBox,
     NonlinearBloch,
     NsqChannelPair,
+    PureState,
     QracOracle,
     QuantumChannel,
     ScenarioError,
@@ -519,3 +520,16 @@ def test_every_entry_rejects_foreign_keys_and_requires_its_keys(label, name):
         dropped = {k: v for k, v in fields.items() if k != key}
         with pytest.raises(ScenarioError, match=f"missing required key {key!r}"):
             parse_scenario_dict(document_with(label, name, dropped))
+
+
+def test_helstrom_jobs_share_one_setup_per_settings():
+    from qdata import scenario
+
+    setup = scenario._helstrom_setup((1.0, 2.0), (0.25, 0.75))
+    assert scenario._helstrom_setup((1.0, 2.0), (0.25, 0.75)) is setup
+    assert setup.priors == (0.25, 0.75)
+    assert np.array_equal(setup.states[1].vector, PureState.from_bloch(2.0, 0.0).vector)
+    # -0.0 gives a state vector with a signed zero, so it keys its own setup
+    signed = scenario._helstrom_setup((-0.0, 2.0), (0.25, 0.75))
+    assert signed is not scenario._helstrom_setup((0.0, 2.0), (0.25, 0.75))
+    assert np.signbit(signed.states[0].vector[1].real)

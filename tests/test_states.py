@@ -217,3 +217,12 @@ def test_check_densities_rejects_any_bad_member():
     ):
         with pytest.raises(InvalidInputError):
             check_densities(np.concatenate([good, bad[None].astype(complex)]))
+
+
+def test_pure_state_density_is_built_once_and_read_only():
+    psi = PureState.from_bloch(0.3, 1.1)
+    rho = psi.density()
+    assert psi.density() is rho
+    assert np.array_equal(rho.matrix, np.outer(psi.vector, psi.vector.conj()))
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdata import (
+    CollapseNonlinear,
     DensityMatrix,
     InvalidInputError,
     InvalidShapeError,
@@ -25,6 +26,8 @@ from qdata import (
     pauli_measurement_set,
     process_tomography_ancilla,
     process_tomography_direct,
+    random_channel,
+    rotation_y,
     state_tomography,
     trace_distance,
     uhlmann_fidelity,
@@ -220,7 +223,7 @@ def test_ancilla_matches_direct_for_linear_boxes():
 
 
 def test_ancilla_tomography_requires_two_qubit_run():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidShapeError):
         process_tomography_ancilla(
             LinearBox(QuantumChannel.identity(2)), run1(1000), RngStream(41, 6)
         )
@@ -349,3 +352,125 @@ def test_cptp_residual_is_derived_at_construction():
     assert residuals["not completely positive"] > 0.5
     with pytest.raises(TypeError):
         ReconstructedProcess(swap, 2, 2, cptp_residual=0.0)
+
+
+# ------------------------------------------------- one stacked estimator
+
+
+def _reference_raw_estimate(rho, povms, shots, rng):
+    """The per-setting arithmetic: one Born trace, check and draw per setting."""
+    from qdata.linalg import hermitian_basis
+
+    freqs = []
+    for i, povm in enumerate(povms):
+        p = np.trace(np.array(povm.effects) @ rho, axis1=1, axis2=2).real
+        assert np.min(p) >= -1e-9 and abs(p.sum() - 1.0) <= 1e-9
+        p = np.clip(p, 0.0, None)
+        counts = rng.child(i).generator.multinomial(shots, p / p.sum())
+        freqs.extend(counts / shots)
+    basis = hermitian_basis(povms[0].dim)
+    effects = [e for p in povms for e in p.effects]
+    design = np.array([[np.real(np.trace(e @ b)) for b in basis] for e in effects])
+    coeffs, *_ = np.linalg.lstsq(design, np.array(freqs), rcond=None)
+    estimate = sum(c * b for c, b in zip(coeffs, basis))
+    return (estimate + estimate.conj().T) / 2
+
+
+def _reference_direct_choi(box, basis, run, rng):
+    """One reconstruction per probe, then the Choi blocks filled by a double loop."""
+    povms = pauli_measurement_set(run.n_qubits)
+    outputs = [
+        _reference_raw_estimate(
+            box.ensemble_output_density(probe).matrix, povms, run.shots_per_setting, rng.child(k)
+        )
+        for k, probe in enumerate(basis.states)
+    ]
+    m, n = box.dim_in, box.dim_out
+    choi4 = np.zeros((m, n, m, n), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            unit_image = sum(c * r for c, r in zip(basis._unit_coefficients[i, j], outputs))
+            choi4[i, :, j, :] = unit_image
+    return choi4.reshape(m * n, m * n)
+
+
+def _bitwise_equal(a, b):
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def test_stacked_choi_equals_the_per_probe_loop_bit_for_bit():
+    qudit_basis = [PureState(v) for v in np.eye(4)]
+    boxes = {
+        2: [
+            LinearBox(random_channel(2, 2, RngStream(45, 0))),
+            NonlinearBloch(1.7, pre_unitary=rotation_y(0.4)),
+            LinearBox(random_channel(2, 4, RngStream(45, 1))),
+        ],
+        4: [
+            LinearBox(random_channel(4, 4, RngStream(45, 2))),
+            CollapseNonlinear(qudit_basis),  # branch enumeration on two qubits
+        ],
+    }
+    for m, cases in boxes.items():
+        for delta in (0.0, 0.7):
+            basis = canonical_probe_basis(m, delta)
+            for b, box in enumerate(cases):
+                run = TomographyRun(700, 1 if box.dim_out == 2 else 2)
+                for trial in range(2):
+                    rng = RngStream(46, 100 * m + 10 * b + trial)
+                    got = process_tomography_direct(box, basis, run, rng).choi
+                    want = _reference_direct_choi(box, basis, run, RngStream(46, 100 * m + 10 * b + trial))
+                    assert _bitwise_equal(got, want), (m, delta, b, trial)
+
+
+def test_stacked_estimates_equal_one_source_at_a_time():
+    from qdata.tomography import _raw_estimates
+
+    gen = np.random.default_rng(47)
+    for n_qubits in (1, 2):
+        dim = 2**n_qubits
+        run = TomographyRun(900, n_qubits)
+        povms = pauli_measurement_set(n_qubits)
+        g = gen.normal(size=(6, dim, dim)) + 1j * gen.normal(size=(6, dim, dim))
+        rhos = g @ np.swapaxes(g, 1, 2).conj()
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        rhos[0] = ket(1, dim).projector()  # exact zeros in the Born rows
+        got = _raw_estimates(rhos, run, [RngStream(48, k) for k in range(6)])
+        for k in range(6):
+            want = _reference_raw_estimate(rhos[k], povms, 900, RngStream(48, k))
+            assert _bitwise_equal(got[k], want), (n_qubits, k)
+
+
+def test_one_non_distribution_row_in_a_stack_raises_before_any_draw():
+    from qdata.tomography import _raw_estimates
+
+    good = ket(0).projector()
+    # trace 1.2 fails every setting's sum; a negative weight fails one z row
+    for bad in (np.eye(2) * 0.6, np.diag([1.5, -0.5])):
+        for position in range(3):
+            stack = np.array([good, good, good], dtype=complex)
+            stack[position] = bad
+            streams = [RngStream(49, k) for k in range(3)]
+            with pytest.raises(InvalidInputError, match="Born probabilities are not a distribution"):
+                _raw_estimates(stack, run1(100), streams)
+            assert all(s._generator is None for s in streams)
+
+
+def test_run_budgets_must_be_whole_numbers():
+    from qdata.tomography import _raw_estimate
+
+    for shots in (100.5, 100.0, True, np.True_, "100", None):
+        with pytest.raises(InvalidInputError, match="shots_per_setting must be an integer"):
+            TomographyRun(shots)
+    for n_qubits in (1.0, True):
+        with pytest.raises(InvalidInputError, match="n_qubits must be an integer"):
+            TomographyRun(100, n_qubits)
+    run = TomographyRun(np.int64(100), np.int32(2))
+    assert type(run.shots_per_setting) is int and run.shots_per_setting == 100
+    assert type(run.n_qubits) is int and run.dim == 4
+    raw = _raw_estimate(ket(0), TomographyRun(np.int64(100)), RngStream(1, 1))
+    assert abs(np.trace(raw).real - 1.0) < 1e-12
