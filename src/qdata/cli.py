@@ -135,7 +135,9 @@ def _cmd_report(args) -> int:
         report = load_report(args.report_file)
     except FileNotFoundError:
         raise ScenarioError(f"report file not found: {args.report_file}") from None
-    except ValueError as exc:  # malformed JSON or a non-finite number
+    except OSError as exc:
+        raise ScenarioError(f"{args.report_file}: cannot read the report file ({exc.strerror})") from None
+    except ValueError as exc:  # malformed JSON, bad UTF-8 or a non-finite number
         raise ScenarioError(f"{args.report_file}: not a report file ({exc})") from None
     print(summarize_report(report))
     return 0

@@ -6,10 +6,16 @@ when the stream first draws.  Identical pairs produce identical draw
 sequences on every platform; parallel consumers must hold distinct stream
 ids, which :meth:`RngStream.child` derives with an order-sensitive 64-bit
 mix.
+
+Bulk draws skip the per-stream generator: ``_child_keys`` derives the
+Philox keys of many children in one array pass, and ``_keyed_multinomials``
+re-keys one per-thread Philox for each row, so every row draws exactly what
+a fresh generator with that key would.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,75 @@ def mix64(*parts: int) -> int:
     return h
 
 
+def _philox_key(seed: int, stream_id: int) -> tuple:
+    """The two 64-bit Philox key words of the stream ``(seed, stream_id)``."""
+    return (
+        splitmix64(seed & _MASK64),
+        splitmix64(splitmix64(stream_id & _MASK64) ^ _GOLDEN),
+    )
+
+
+_U64 = tuple(map(np.uint64, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)))
+
+
+def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
+    """``splitmix64`` elementwise on a uint64 array, in place (array arithmetic wraps silently)."""
+    golden, m1, m2, s1, s2, s3 = _U64
+    x += golden
+    x ^= x >> s1
+    x *= m1
+    x ^= x >> s2
+    x *= m2
+    x ^= x >> s3
+    return x
+
+
+def _child_keys(streams, count: int) -> np.ndarray:
+    """Philox keys of ``streams[k].child(i)`` for i < count, shape (len(streams), count, 2).
+
+    Entry [k, i] equals ``_philox_key`` of that child word for word:
+    ``mix64(stream_id, i)`` and the key mix, computed on arrays.
+    """
+    heads = np.array([splitmix64(s.stream_id & _MASK64) for s in streams], dtype=np.uint64)
+    words = _splitmix64_inplace(heads[:, None] ^ np.arange(count, dtype=np.uint64))
+    _splitmix64_inplace(words)
+    words ^= _U64[0]
+    keys = np.empty(words.shape + (2,), dtype=np.uint64)
+    keys[..., 0] = np.array([splitmix64(s.seed & _MASK64) for s in streams], dtype=np.uint64)[:, None]
+    keys[..., 1] = _splitmix64_inplace(words)
+    return keys
+
+
+_per_thread = threading.local()
+
+
+def _keyed_multinomials(keys: np.ndarray, n: int, pvals: np.ndarray) -> np.ndarray:
+    """Row r is ``multinomial(n, pvals[r])`` drawn as a fresh ``Philox(key=keys[r])`` draws it.
+
+    One Philox per thread is re-keyed for each row: key r, counter 0, an
+    empty buffer and no buffered 32-bit half, which is the whole state of a
+    freshly keyed Philox.  The generator never leaves this function.
+    """
+    gen = getattr(_per_thread, "generator", None)
+    if gen is None:
+        gen = _per_thread.generator = np.random.Generator(np.random.Philox(0))
+    bit_generator = gen.bit_generator
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    counts = np.empty(pvals.shape, dtype=np.int64)
+    for r, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        counts[r] = gen.multinomial(n, pvals[r])
+    return counts
+
+
 @dataclass(eq=False)
 class RngStream:
     """A labelled, reproducible random stream.
@@ -66,13 +141,7 @@ class RngStream:
         if self._generator is None:
             # Philox is counter-based, so the draw sequence depends only on
             # the key below and never on platform word size or threading.
-            key = np.array(
-                [
-                    splitmix64(self.seed & _MASK64),
-                    splitmix64(splitmix64(self.stream_id & _MASK64) ^ _GOLDEN),
-                ],
-                dtype=np.uint64,
-            )
+            key = np.array(_philox_key(self.seed, self.stream_id), dtype=np.uint64)
             self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
 

@@ -647,8 +647,12 @@ def parse_scenario(path) -> Scenario:
             data = json.load(fh, object_pairs_hook=_reject_duplicates)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the scenario file ({exc.strerror})") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     return parse_scenario_dict(data, source=str(path))

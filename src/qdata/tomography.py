@@ -12,9 +12,16 @@ distance is recorded in ``cptp_residual`` instead.
 One routine, ``_raw_estimates``, samples and inverts a whole stack of
 sources: every probe output of a process tomography at once, or the one
 source of a state tomography.  Its Born probabilities come from one trace
-against the stacked Pauli effects, checked per setting row; each source
-then draws its settings from its own streams, is inverted with ``lstsq``
-and combines the stacked Hermitian basis in one reduction.
+against the stacked Pauli effects, checked per setting row before any
+draw.  Setting i of source k draws what ``streams[k].child(i)`` would, but
+from that child's Philox key alone: the keys come from one array pass and
+one per-thread Philox is re-keyed for each row (``qdata.rng``), so no
+child stream or generator is built.  Each source is inverted with
+``lstsq`` and combines the stacked Hermitian basis in one reduction.
+Process tomography takes its probe outputs from the box
+(``probe_outputs``); a linear box computes them once per probe basis, so
+the identity box of a null calibration builds each probe output once, not
+once per replication.
 
 Each linear map is built once, read-only, by the object that owns it: the
 Pauli set, its design matrix, stacked effects and stacked Hermitian basis
@@ -39,7 +46,7 @@ from .linalg import (
     partial_trace,
     rotation_y,
 )
-from .rng import RngStream
+from .rng import RngStream, _child_keys, _keyed_multinomials
 from .states import (
     DensityMatrix,
     Povm,
@@ -178,7 +185,8 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
 
     ``rhos`` has shape (sources, d, d).  Every Born probability comes from
     one stacked trace, each setting row checked as a distribution before
-    any draw; source k then samples setting i with ``streams[k].child(i)``.
+    any draw; source k then samples setting i as ``streams[k].child(i)``
+    would, from that child's Philox key, without building the child.
     """
     if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
@@ -188,10 +196,13 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
         np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real
     )
     shots = run.shots_per_setting
+    sources, settings, outcomes = probs.shape
+    keys = _child_keys(streams, settings).reshape(-1, 2)
+    counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
+    frequencies = counts.reshape(sources, settings * outcomes) / shots
     estimates = np.empty(rhos.shape, dtype=complex)
-    for k, stream in enumerate(streams):
-        counts = [stream.child(i).generator.multinomial(shots, p) for i, p in enumerate(probs[k])]
-        estimates[k] = _linear_inversion(np.concatenate(counts) / shots, design, run.dim)
+    for k in range(sources):
+        estimates[k] = _linear_inversion(frequencies[k], design, run.dim)
     return estimates
 
 
@@ -313,9 +324,7 @@ def process_tomography_direct(
     if basis.dim != box.dim_in:
         raise InvalidShapeError("probe basis does not match the box input dimension")
     outputs = _raw_estimates(
-        np.array([box.ensemble_output_density(probe).matrix for probe in basis.states]),
-        run,
-        [rng.child(k) for k in range(len(basis.states))],
+        box.probe_outputs(basis), run, [rng.child(k) for k in range(len(basis.states))]
     )
     m, n = box.dim_in, box.dim_out
     # units[i, j] is the image of |i><j|, which fills Choi block (i, :, j, :)

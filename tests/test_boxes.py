@@ -1,6 +1,8 @@
 """Box models: pure-state branching, ensemble response, composition, game pairs."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qdata import (
     QracQuantum,
     QuantumChannel,
     RngStream,
+    canonical_probe_basis,
     compose_boxes,
     concatenate_tests,
     ket,
@@ -138,6 +141,37 @@ def test_linear_box_single_branch_needs_no_rng():
     box = LinearBox(QuantumChannel.from_unitary(RY45))
     ((_, out),) = box.branch_distribution(ket(0))
     assert abs(abs(out.overlap(PureState(RY45[:, 0]))) - 1) < 1e-12
+
+
+def test_linear_box_builds_its_probe_outputs_once_per_basis_across_threads():
+    boxes = [LinearBox(random_channel(2, 2, RngStream(30, 7 + k))) for k in range(20)]
+    basis = canonical_probe_basis(2, 0.3)
+    start = threading.Barrier(8)
+    seen = []
+
+    def probe():
+        start.wait(timeout=10)
+        seen.append([box.probe_outputs(basis) for box in boxes])
+
+    threads = [threading.Thread(target=probe) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    for k, box in enumerate(boxes):
+        first = box.probe_outputs(basis)
+        assert all(outputs[k] is first for outputs in seen), k
+        assert not first.flags.writeable
+        want = np.array([box.ensemble_output_density(p).matrix for p in basis.states])
+        assert np.array_equal(first, want)
+    other = canonical_probe_basis(2, 0.0)
+    assert not np.array_equal(boxes[0].probe_outputs(other), boxes[0].probe_outputs(basis))
 
 
 # ---------------------------------------------------------------- nonlinear boxes

@@ -127,6 +127,22 @@ def test_run_missing_file_diagnostic(capsys):
     assert "scenario file not found" in err
 
 
+def test_run_on_a_directory_is_a_scenario_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdata: ") and "cannot read the scenario file" in err
+    assert "Traceback" not in err
+
+
+def test_run_on_a_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(MINI).replace("cli-mini", "caf\u00e9").encode("latin-1"))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdata: ") and "not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_run_emits_report_json(mini_path, capsys):
     assert main(["run", mini_path]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -176,6 +192,22 @@ def test_report_summarize_round_trip(mini_path, tmp_path, capsys):
 def test_report_summarize_missing_file(capsys):
     assert main(["report", "summarize", "/nonexistent/report.json"]) == 1
     assert "report file not found" in capsys.readouterr().err
+
+
+def test_report_summarize_on_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["report", "summarize", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdata: ") and "cannot read the report file" in err
+    assert "Traceback" not in err
+
+
+def test_report_summarize_on_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["report", "summarize", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdata: ") and "not a report file" in err
+    assert "Traceback" not in err
 
 
 def test_report_summarize_rejects_non_finite_numbers(tmp_path, capsys):

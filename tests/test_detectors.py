@@ -724,3 +724,41 @@ def test_failed_calibration_is_not_cached():
         detectors._calibration_cache.pop(key, None)
     assert len(attempts) == 1
     assert threshold == 1.0 and sigma == 0.0
+
+
+# threshold and spread of the tomography-grid budget keys, as float.hex
+FROZEN_NULLS = {
+    "basis-invariance": ("0x1.16fdee1732a74p-6", "0x1.95b696a5f379ap-9", 12),
+    "ancilla-consistency": ("0x1.cba55204d0f90p-7", "0x1.a7e99a13dc7c6p-9", 4),
+}
+
+
+@pytest.mark.parametrize(
+    "name, test",
+    [("basis-invariance", basis_invariance_test), ("ancilla-consistency", ancilla_consistency_test)],
+)
+def test_cold_calibration_is_frozen_and_builds_each_probe_output_once(name, test, monkeypatch):
+    threshold, spread, distinct_probes = FROZEN_NULLS[name]
+    monkeypatch.setattr(detectors, "_calibration_cache", {})
+    applied = []
+    apply = QuantumChannel.apply
+
+    def counting_apply(self, rho):
+        applied.append(1)
+        return apply(self, rho)
+
+    calibrate = detectors._calibrated_null
+    during_calibration = []
+
+    def counting_calibration(key, statistic_fn):
+        before = len(applied)
+        result = calibrate(key, statistic_fn)
+        during_calibration.append(len(applied) - before)
+        return result
+
+    monkeypatch.setattr(QuantumChannel, "apply", counting_apply)
+    monkeypatch.setattr(detectors, "_calibrated_null", counting_calibration)
+    verdict = test(NonlinearBloch(2.0), shots=4000, rng=RngStream(3, 1))
+    assert (verdict.threshold.hex(), verdict.std_error.hex()) == (threshold, spread)
+    # one channel application per distinct probe, not one per probe per replication
+    assert during_calibration == [distinct_probes]
