@@ -7,8 +7,8 @@ sequences on every platform; parallel consumers must hold distinct stream
 ids, which :meth:`RngStream.child` derives with an order-sensitive 64-bit
 mix.
 
-Bulk draws skip the per-stream generator: ``_child_keys`` derives the
-Philox keys of many children in one array pass, and ``_keyed_multinomials``
+Bulk draws skip the per-stream generator: ``_child_keys`` lists the Philox
+keys of many children without building them, and ``_keyed_multinomials``
 re-keys one per-thread Philox for each row, so every row draws exactly what
 a fresh generator with that key would.
 """
@@ -54,35 +54,13 @@ def _philox_key(seed: int, stream_id: int) -> tuple:
     )
 
 
-_U64 = tuple(map(np.uint64, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)))
-
-
-def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
-    """``splitmix64`` elementwise on a uint64 array, in place (array arithmetic wraps silently)."""
-    golden, m1, m2, s1, s2, s3 = _U64
-    x += golden
-    x ^= x >> s1
-    x *= m1
-    x ^= x >> s2
-    x *= m2
-    x ^= x >> s3
-    return x
-
-
 def _child_keys(streams, count: int) -> np.ndarray:
-    """Philox keys of ``streams[k].child(i)`` for i < count, shape (len(streams), count, 2).
+    """Philox keys of ``streams[k].child(i)`` for i < count, one row per child, k-major.
 
-    Entry [k, i] equals ``_philox_key`` of that child word for word:
-    ``mix64(stream_id, i)`` and the key mix, computed on arrays.
+    Row ``k * count + i`` is the key that child's generator would get.
     """
-    heads = np.array([splitmix64(s.stream_id & _MASK64) for s in streams], dtype=np.uint64)
-    words = _splitmix64_inplace(heads[:, None] ^ np.arange(count, dtype=np.uint64))
-    _splitmix64_inplace(words)
-    words ^= _U64[0]
-    keys = np.empty(words.shape + (2,), dtype=np.uint64)
-    keys[..., 0] = np.array([splitmix64(s.seed & _MASK64) for s in streams], dtype=np.uint64)[:, None]
-    keys[..., 1] = _splitmix64_inplace(words)
-    return keys
+    keys = [_philox_key(s.seed, mix64(s.stream_id, i)) for s in streams for i in range(count)]
+    return np.array(keys, dtype=np.uint64).reshape(-1, 2)
 
 
 _per_thread = threading.local()

@@ -14,9 +14,8 @@ sources: every probe output of a process tomography at once, or the one
 source of a state tomography.  Its Born probabilities come from one trace
 against the stacked Pauli effects, checked per setting row before any
 draw.  Setting i of source k draws what ``streams[k].child(i)`` would, but
-from that child's Philox key alone: the keys come from one array pass and
-one per-thread Philox is re-keyed for each row (``qdata.rng``), so no
-child stream or generator is built.  Each source is inverted with
+from that child's Philox key alone: one per-thread Philox is re-keyed for
+each row (``qdata.rng``), so no child stream or generator is built.  Each source is inverted with
 ``lstsq`` and combines the stacked Hermitian basis in one reduction.
 Process tomography takes its probe outputs from the box
 (``probe_outputs``); a linear box computes them once per probe basis, so
@@ -197,7 +196,7 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
     )
     shots = run.shots_per_setting
     sources, settings, outcomes = probs.shape
-    keys = _child_keys(streams, settings).reshape(-1, 2)
+    keys = _child_keys(streams, settings)
     counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
     frequencies = counts.reshape(sources, settings * outcomes) / shots
     estimates = np.empty(rhos.shape, dtype=complex)
