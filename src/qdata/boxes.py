@@ -159,17 +159,17 @@ class LinearBox(BoxModel):
         self.channel = channel
         self.dim_in = channel.dim_in
         self.dim_out = channel.dim_out
-        # id(basis) -> (basis, outputs); holding the basis keeps its id unique
+        # keyed by the ProbeBasis, which hashes by the identities of its states
         self._probe_outputs: dict = {}
 
     def probe_outputs(self, basis):
-        entry = self._probe_outputs.get(id(basis))
-        if entry is None:
+        outputs = self._probe_outputs.get(basis)
+        if outputs is None:
             outputs = super().probe_outputs(basis)
             outputs.flags.writeable = False
             # threads racing on a shared box all keep the first stack
-            entry = self._probe_outputs.setdefault(id(basis), (basis, outputs))
-        return entry[1]
+            outputs = self._probe_outputs.setdefault(basis, outputs)
+        return outputs
 
     def joint_branches(self, joint, ref_dim):
         joint = as_state(joint)

@@ -32,7 +32,9 @@ import numpy as np
 from .boxes import BoxModel, BoxPair, LinearBox
 from .channels import QuantumChannel, random_channel
 from .linalg import (
+    MAX_DIM,
     InvalidInputError,
+    as_integer,
     eig_hermitian,
     hermitian_basis,
     nearest_density_matrix,
@@ -206,6 +208,7 @@ def helstrom_test(
     errors is a post-quantum flag; trace-distance monotonicity makes that
     impossible for any CPTP box.
     """
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     p1, p2 = setup.priors
@@ -465,6 +468,7 @@ def qrac_fidelity_estimate(
     choice bits, then whatever the pair draws.  The fixed block size keeps
     the draws independent of how the work is scheduled.
     """
+    rounds = as_integer(rounds, "rounds")
     if rounds < 1:
         raise InvalidInputError("at least one round is required")
     fidelities = []
@@ -629,11 +633,22 @@ def nsq_random_survey(
     The verdict statistic is therefore the compatible fraction against a
     1% threshold, with the raw signalling fraction reported alongside.
     With product_channels=True the survey draws local products only, a
-    control arm that must come out fully compatible.
+    control arm that must come out fully compatible.  Dimensions whose
+    matrices would exceed ``MAX_DIM`` raise before the first draw.
     """
+    n_samples = as_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidInputError("n_samples must be at least 1")
     da, db = (int(d) for d in local_dims)
+    # a sample's Choi matrix is d^2 wide and a generic sample's dilation d env;
+    # a product sample dilates each factor on at most 4^3 = 64 when d <= 8
+    d = da * db
+    size = d * (d if product_channels else max(d, d * d if env_dim is None else env_dim))
+    if size > MAX_DIM:
+        raise InvalidInputError(
+            f"local_dims ({da}, {db}) with env_dim {env_dim} need dimension {size};"
+            f" the limit is {MAX_DIM}"
+        )
     compatible = 0
     for k in range(n_samples):
         stream = rng.child(k)

@@ -1,21 +1,21 @@
 """Scenario execution: grid sweeps, detector suites, reproducible reports.
 
-Every (cell, detector) pair runs on its own random stream derived by a
+A grid cell is the unit of work: it runs its detectors in order and builds
+its model once, when a detector first needs it (a build that raises fails
+each job that needs it).  One thread runs the cells inline; more share them
+through a pool.  Each (cell, detector) job draws from its own stream, a
 stable 64-bit mix of (master seed, cell index, detector index), so reports
-are byte-identical for any thread count and any execution order.  One
-thread runs the jobs inline, in job order; more threads share them through
-a pool.  The scenario's constant specs were built at parse time, so a job
-builds only what its cell binds.  Failures are captured per cell; sibling
-cells always complete.  Reports are strict JSON with sorted keys, complex
-matrices flattened row-major as [re, im] pairs, non-finite numbers (an
-undefined standard error) as null, and a schema version that bumps on any
-breaking change.
+are byte-identical for any thread count and order.  A failing job is
+recorded in place; the others complete.  Reports are strict JSON with
+sorted keys, complex matrices flattened row-major as [re, im] pairs,
+non-finite numbers (an undefined standard error) as null, and a schema
+version that bumps on any breaking change.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import itertools
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -57,11 +57,11 @@ def _verdict_dict(v: TestVerdict) -> dict:
     return _json_safe({**vars(v), "extras": v.extras or {}})
 
 
-def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int) -> dict:
+def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int, build) -> dict:
     stream = RngStream(seed, mix64(cell_index, det_index))
     record: dict = {"detector": scenario.detectors[det_index].name}
     try:
-        verdict, samples, recon = scenario.run_job(cell_index, det_index, stream)
+        verdict, samples, recon = scenario.run_job(cell_index, det_index, stream, build)
         record["verdict"] = _verdict_dict(verdict)
         record["samples"] = int(samples)
         if recon:
@@ -70,6 +70,17 @@ def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int)
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["samples"] = 0
     return record
+
+
+def _run_cell(scenario: Scenario, seed: int, cell_index: int) -> dict:
+    """One cell's report entry; its detectors share one model, built when first needed."""
+    params = scenario.grid[cell_index]
+    build = functools.cache(functools.partial(scenario.build, params))
+    results = [
+        _execute_one(scenario, cell_index, d, seed, build) for d in range(len(scenario.detectors))
+    ]
+    samples = sum(r["samples"] for r in results)
+    return {"cell_index": cell_index, "params": params, "results": results, "samples": samples}
 
 
 def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) -> dict:
@@ -82,25 +93,13 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     if threads < 1:
         raise ValueError("threads must be at least 1")
     effective_seed = scenario.master_seed if seed is None else seed
-    n_det = len(scenario.detectors)
-    jobs = itertools.product(range(len(scenario.grid)), range(n_det))
+    run_cell = functools.partial(_run_cell, scenario, effective_seed)
     if threads == 1:
-        records = [_execute_one(scenario, *job, effective_seed) for job in jobs]
+        cells = list(map(run_cell, range(len(scenario.grid))))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda job: _execute_one(scenario, *job, effective_seed), jobs))
-
-    cells = []
-    for cell_index, params in enumerate(scenario.grid):
-        results = records[cell_index * n_det : (cell_index + 1) * n_det]
-        cells.append(
-            {
-                "cell_index": cell_index,
-                "params": params,
-                "results": results,
-                "samples": sum(r["samples"] for r in results),
-            }
-        )
+            cells = list(pool.map(run_cell, range(len(scenario.grid))))
+    records = [record for cell in cells for record in cell["results"]]
 
     counts: dict = {}
     for record in records:

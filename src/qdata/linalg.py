@@ -8,6 +8,7 @@ carry explicit absolute tolerances.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +71,16 @@ def as_unitary(u, dim: int | None = None) -> np.ndarray:
     if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-9:
         raise InvalidInputError("matrix is not unitary")
     return m
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int: integers and numpy integers pass, bools and floats fail."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name} must be an integer")
 
 
 def kron(a, b) -> np.ndarray:

@@ -537,11 +537,11 @@ class Scenario:
         """The declared box or pair, built for one grid cell."""
         return _build_value(self.model, params, self.kind)
 
-    def run_job(self, cell_index: int, det_index: int, stream) -> tuple:
-        """Run one detector on one grid cell; settings resolve under their own keys."""
+    def run_job(self, cell_index: int, det_index: int, stream, build) -> tuple:
+        """Run one detector on one grid cell, on ``build()`` if it needs the cell's model."""
         spec = self.detectors[det_index]
         params = self.grid[cell_index]
-        model = self.build(params) if spec.entry.needs else None
+        model = build() if spec.entry.needs else None
         settings = {key: _build_value(v, params, key) for key, v in spec.fields.items()}
         return spec.entry.make(model, stream, **settings)
 

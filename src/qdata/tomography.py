@@ -31,7 +31,6 @@ operator basis per dimension (in ``linalg``).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ import numpy as np
 from .linalg import (
     InvalidInputError,
     InvalidShapeError,
+    as_integer,
     hermitian_basis,
     kron,
     nearest_density_matrix,
@@ -152,7 +152,7 @@ class TomographyRun:
 
     def __post_init__(self) -> None:
         for name in ("shots_per_setting", "n_qubits"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.shots_per_setting < 1:
             raise InvalidInputError("shots_per_setting must be at least 1")
         if self.n_qubits not in (1, 2):
@@ -161,16 +161,6 @@ class TomographyRun:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int: integers and numpy integers pass, bools and floats fail."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidInputError(f"{name} must be an integer")
 
 
 def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from qdata import (
     LinearBox,
     NonlinearBloch,
     NsqChannelPair,
+    ProbeBasis,
     PureState,
     QracOracle,
     QracQuantum,
@@ -172,6 +173,19 @@ def test_linear_box_builds_its_probe_outputs_once_per_basis_across_threads():
         assert np.array_equal(first, want)
     other = canonical_probe_basis(2, 0.0)
     assert not np.array_equal(boxes[0].probe_outputs(other), boxes[0].probe_outputs(basis))
+
+
+def test_linear_box_keys_its_probe_outputs_by_the_basis_states():
+    box = LinearBox(QuantumChannel.amplitude_damping(0.3))
+    basis = canonical_probe_basis(2, 0.3)
+    # a basis hashes and compares by the identities of its states
+    same_states = ProbeBasis(basis.states)
+    assert same_states == basis and hash(same_states) == hash(basis)
+    assert box.probe_outputs(same_states) is box.probe_outputs(basis)
+    copies = ProbeBasis(tuple(PureState(s.vector.copy()) for s in basis.states))
+    assert copies != basis
+    assert box.probe_outputs(copies) is not box.probe_outputs(basis)
+    assert np.array_equal(box.probe_outputs(copies), box.probe_outputs(basis))
 
 
 # ---------------------------------------------------------------- nonlinear boxes

@@ -598,6 +598,41 @@ def test_nsq_survey_requires_rng():
         nsq_random_survey(10)
 
 
+class _NoDraws:
+    """A stand-in stream that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the survey used rng.{name}")
+
+
+def test_nsq_survey_rejects_dimensions_beyond_the_cap_before_any_draw():
+    # the default environment dilates an 8-dimensional channel in 8 * 64 = 512
+    with pytest.raises(InvalidInputError, match=r"local_dims \(2, 4\) with env_dim None .*512.*64"):
+        nsq_random_survey(3, (2, 4), rng=_NoDraws())
+    # the Choi matrix of a 9-dimensional channel is 81 wide, in either arm
+    for product in (False, True):
+        with pytest.raises(InvalidInputError, match="81"):
+            nsq_random_survey(3, (3, 3), rng=_NoDraws(), env_dim=1, product_channels=product)
+    v = nsq_random_survey(3, (2, 4), rng=RngStream(59, 7), env_dim=8)
+    assert v.n_trials == 3 and v.extras["signalling_fraction"] == 1.0
+
+
+def test_detector_counts_must_be_integers():
+    box = LinearBox(QuantumChannel.identity(2))
+    for bad in (1000.9, 2.0, True):
+        with pytest.raises(InvalidInputError, match="trials must be an integer"):
+            helstrom_test(box, canonical_setup(), bad, rng=RngStream(61, 0))
+    for bad in (50.5, True):
+        with pytest.raises(InvalidInputError, match="rounds must be an integer"):
+            qrac_fidelity_estimate(QracOracle(), bad, RngStream(61, 1))
+        with pytest.raises(InvalidInputError, match="n_samples must be an integer"):
+            nsq_random_survey(bad, rng=RngStream(61, 2))
+    # a numpy integer is an integer
+    want = helstrom_test(box, canonical_setup(), 1000, rng=RngStream(61, 3))
+    got = helstrom_test(box, canonical_setup(), np.int64(1000), rng=RngStream(61, 3))
+    assert got == want and type(got.n_trials) is int
+
+
 def test_helstrom_bound_is_computed_once_per_setup(monkeypatch):
     setup = canonical_setup()
     p1, p2 = setup.priors

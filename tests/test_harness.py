@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from qdata import (
+    Scenario,
     load_report,
     parse_scenario_dict,
     run_scenario,
@@ -302,9 +303,9 @@ def test_one_thread_runs_inline_through_execute_one(monkeypatch):
     jobs = []
     execute_one = qdata.harness._execute_one
 
-    def recording(scenario, cell_index, det_index, seed):
+    def recording(scenario, cell_index, det_index, seed, build):
         jobs.append((cell_index, det_index))
-        return execute_one(scenario, cell_index, det_index, seed)
+        return execute_one(scenario, cell_index, det_index, seed, build)
 
     monkeypatch.setattr(qdata.harness, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(qdata.harness, "_execute_one", recording)
@@ -323,3 +324,90 @@ def test_one_thread_runs_inline_through_execute_one(monkeypatch):
         for cell in inline["cells"]
     ]
     assert staged[0][0] == staged[1][0] and staged[0][1] != staged[1][1]
+
+
+# three detectors that run on the cell's model, one that needs none
+CELL_SUITE = {
+    "name": "cell-suite",
+    "master_seed": 31,
+    "box": {
+        "family": "nonlinear-bloch",
+        "kappa": {"param": "kappa"},
+        "pre_rotation_y": {"param": "rot"},
+    },
+    "parameter_grid": {"kappa": [1, 2, 3.5], "rot": [0.0, 0.4]},
+    "detectors": [
+        {"name": "helstrom", "settings": {"trials": 2000}},
+        {"name": "nsq-survey", "settings": {"n_samples": 2}},
+        {"name": "ensemble-signalling"},
+        {
+            "name": "composition-gap",
+            "settings": {
+                "shots": 256,
+                "second_box": {"family": "linear", "channel": {"kind": "dephasing", "p": 0.3}},
+            },
+        },
+    ],
+}
+
+
+def _counting_builds(monkeypatch) -> list:
+    built = []
+    build = Scenario.build
+
+    def counting(self, params):
+        built.append(dict(params))
+        return build(self, params)
+
+    monkeypatch.setattr(Scenario, "build", counting)
+    return built
+
+
+def test_a_cell_builds_its_model_once_for_all_its_detectors(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    scenario = parse_scenario_dict(copy.deepcopy(CELL_SUITE))
+    report = run_scenario(scenario, threads=1)
+    assert report["summary"]["error_count"] == 0
+    assert built == list(scenario.grid)
+
+
+def test_a_survey_only_scenario_never_builds_its_referenced_pair(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    # a qubit channel does not factor over [2, 2], so a build would fail the job
+    scenario = parse_scenario_dict(
+        {
+            "name": "survey-only",
+            "master_seed": 5,
+            "pair": {
+                "family": "nsq-channel",
+                "channel": {"kind": "depolarizing", "p": {"param": "p"}},
+                "local_dims": [2, 2],
+            },
+            "parameter_grid": {"p": [0.1, 0.9]},
+            "detectors": [{"name": "nsq-survey", "settings": {"n_samples": 2}}],
+        }
+    )
+    report = run_scenario(scenario, threads=2)
+    assert report["summary"]["error_count"] == 0
+    assert built == []
+
+
+def test_a_failing_build_fails_each_detector_that_needs_it_and_spares_the_rest():
+    doc = copy.deepcopy(CELL_SUITE)
+    doc["parameter_grid"] = [{"kappa": 2, "rot": 0.4}, {"kappa": "bad", "rot": 0.4}]
+    report = run_scenario(parse_scenario_dict(doc), threads=1)
+    good, bad = report["cells"]
+    assert all("verdict" in result for result in good["results"])
+    helstrom, survey, signalling, gap = bad["results"]
+    error = "ScenarioError: box.kappa: grid cell does not bind numeric parameter 'kappa'"
+    assert helstrom["error"] == signalling["error"] == gap["error"] == error
+    assert "error" not in survey and survey["samples"] == 2
+    assert report["summary"]["error_count"] == 3
+
+
+def test_cells_with_several_model_detectors_agree_across_thread_counts():
+    scenario = parse_scenario_dict(copy.deepcopy(CELL_SUITE))
+    inline = strip_timestamp(run_scenario(scenario, threads=1))
+    assert len(inline["cells"]) == 6
+    for threads in (2, 4):
+        assert strip_timestamp(run_scenario(scenario, threads=threads)) == inline

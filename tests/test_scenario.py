@@ -281,7 +281,7 @@ def test_param_references_resolve_in_second_box_and_stages():
     entry = Entry(spec.entry.keys, keep, needs="box")
     sc = dataclasses.replace(sc, detectors=(dataclasses.replace(spec, entry=entry),))
     for cell_index in range(len(sc.grid)):
-        sc.run_job(cell_index, 0, None)
+        sc.run_job(cell_index, 0, None, lambda: sc.build(sc.grid[cell_index]))
     kappas = [box.boxes[1].kappa for box, _ in built]
     channels = [settings["second_box"].channel for _, settings in built]
     assert kappas == [2.0, 4.0]
