@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import InvalidInputError, InvalidShapeError, as_unitary, kron
+from .linalg import InvalidInputError, InvalidShapeError, as_integer, as_unitary, kron
 from .channels import QuantumChannel
 from .states import (
     DensityMatrix,
@@ -395,7 +395,7 @@ class NsqChannelPair(BoxPair):
     """Correlated pair expressed as one bipartite channel on Alice x Bob."""
 
     def __init__(self, lambda_ab: QuantumChannel, local_dims: tuple):
-        da, db = (int(d) for d in local_dims)
+        da, db = (as_integer(d, "local_dims") for d in local_dims)
         if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
             raise InvalidShapeError("channel dimensions do not factor over the local dims")
         self.lambda_ab = lambda_ab

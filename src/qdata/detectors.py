@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoxModel, BoxPair, LinearBox
+from .boxes import BoxModel, BoxPair, LinearBox, compose_boxes
 from .channels import QuantumChannel, random_channel
 from .linalg import (
     MAX_DIM,
@@ -77,6 +77,7 @@ __all__ = [
     "basis_invariance_test",
     "ancilla_consistency_test",
     "concatenate_tests",
+    "composition_gap_test",
     "QracResult",
     "QRAC_BLOCK",
     "qrac_fidelity_estimate",
@@ -120,7 +121,8 @@ class TestVerdict:
 
     The verdict is derived from the other fields by the 3-standard-error
     rule at construction and is never passed in, so a TestVerdict cannot
-    carry an inconsistent ruling.
+    carry an inconsistent ruling.  ``reconstructions`` holds the matrices
+    a detector hands its report as evidence, outside the ruling.
     """
 
     statistic: float
@@ -129,6 +131,7 @@ class TestVerdict:
     n_trials: int
     verdict: str = field(init=False)
     extras: dict | None = field(default=None, kw_only=True)
+    reconstructions: dict | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("statistic", "threshold", "std_error"):
@@ -220,6 +223,7 @@ def helstrom_test(
     gen = rng.generator
     n1 = int(gen.binomial(trials, p1))
     successes = int(gen.binomial(n1, q1)) + int(gen.binomial(trials - n1, q2))
+    rng.tally(trials)
     p_hat = successes / trials
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return TestVerdict(
@@ -243,14 +247,21 @@ def canonical_ensemble_pair() -> tuple:
     return e1, e2
 
 
-def ensemble_signalling_test(box: BoxModel, e1: Ensemble, e2: Ensemble) -> TestVerdict:
+def ensemble_signalling_test(
+    box: BoxModel, e1: Ensemble | None = None, e2: Ensemble | None = None, *, rng=None
+) -> TestVerdict:
     """Feed two decompositions of the same density and compare the outputs.
 
     The inputs must have exactly equal density matrices; anything else is
     rejected loudly, because with unequal inputs a nonzero statistic proves
-    nothing.  The computation is exact, so the threshold is a pure
-    numerical-noise floor.
+    nothing.  With both omitted the pair is ``canonical_ensemble_pair()``.
+    The computation is exact, so the threshold is a pure numerical-noise
+    floor; ``rng`` is accepted as every detector accepts it and never drawn.
     """
+    if (e1 is None) != (e2 is None):
+        raise InvalidInputError("give both ensembles or neither")
+    if e1 is None:
+        e1, e2 = canonical_ensemble_pair()
     if trace_distance(e1.density(), e2.density()) > 1e-10:
         raise InvalidInputError("the two ensembles must have equal density matrices")
     out1 = box.ensemble_output_density(e1)
@@ -320,13 +331,21 @@ def _projected_normal_choi(process) -> np.ndarray:
     return nearest_density_matrix(process.normalized_choi())
 
 
-def _calibrated_test(box, key: str, n_trials: int, statistic, rng: RngStream) -> TestVerdict:
-    """Rule on statistic(box, rng) -> (value, extras) against its null under ``key``."""
+def _calibrated_test(
+    box, key: str, run: TomographyRun, n_trials: int, statistic, rng: RngStream
+) -> TestVerdict:
+    """Rule on statistic(box, rng) -> (value, extras) against its null under ``key``.
+
+    The evidence is the delta-0 direct reconstruction at ``run`` on child 1 << 20,
+    clear of the statistics' children.
+    """
     threshold, sigma = _calibrated_null(
         key, lambda null_box, stream: statistic(null_box, stream)[0]
     )
     value, extras = statistic(box, rng)
-    return TestVerdict(value, threshold, sigma, n_trials, extras=extras)
+    report = process_tomography_direct(box, canonical_probe_basis(2), run, rng.child(1 << 20))
+    recon = {"choi": report.normalized_choi()}
+    return TestVerdict(value, threshold, sigma, n_trials, extras=extras, reconstructions=recon)
 
 
 def basis_invariance_test(
@@ -369,7 +388,7 @@ def basis_invariance_test(
     key = "basis|{}|{}|{}".format(
         ",".join(f"{d:.12g}" for d in deltas), run.shots_per_setting, box.dim_in
     )
-    return _calibrated_test(box, key, len(deltas) * run.shots_per_setting, statistic, rng)
+    return _calibrated_test(box, key, run, len(deltas) * run.shots_per_setting, statistic, rng)
 
 
 def ancilla_consistency_test(
@@ -403,7 +422,7 @@ def ancilla_consistency_test(
         }
 
     key = f"ancilla|{run.shots_per_setting}"
-    return _calibrated_test(box, key, run.shots_per_setting, statistic, rng)
+    return _calibrated_test(box, key, run, run.shots_per_setting, statistic, rng)
 
 
 def concatenate_tests(
@@ -430,6 +449,22 @@ def concatenate_tests(
     first_hat = state_tomography(first, run, rng.child(0))
     second = b2.ensemble_output_density(first_hat.eigen_ensemble())
     return state_tomography(second, run, rng.child(1))
+
+
+def composition_gap_test(
+    b1: BoxModel, second_box: BoxModel, probe_theta: float, shots: int, *, rng: RngStream
+) -> TestVerdict:
+    """Trace distance from composing two boxes to concatenating their tests.
+
+    Both outputs of the real-amplitude probe at polar angle ``probe_theta``
+    are the evidence.  The 0.05 margin dominates tomography error at any
+    sane shot budget, so the gap carries no separate error bar.
+    """
+    probe = PureState.from_bloch(probe_theta, 0.0)
+    composed = compose_boxes(b1, second_box).ensemble_output_density(probe)
+    staged = concatenate_tests(b1, second_box, probe, shots=shots, rng=rng)
+    recon = {"composed_output": composed.matrix, "staged_output": staged.matrix}
+    return TestVerdict(trace_distance(composed, staged), 0.05, 0.0, shots, reconstructions=recon)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +523,7 @@ def qrac_fidelity_estimate(
         target = np.where(x[:, None] == 0, psi0, psi1)[kept]
         fid = np.einsum("ni,nij,nj->n", target.conj(), rho[kept], target)
         fidelities.append(fid.real)
+    rng.tally(rounds)
     sample = np.concatenate(fidelities)
     if not sample.size:
         raise InvalidInputError("no rounds survived post-selection")
@@ -582,7 +618,8 @@ def nsq_signalling_measure(
     changes above 1e-9.  With rng omitted the sampled arm uses a fixed
     internal stream, keeping the result deterministic.
     """
-    da, db = (int(d) for d in local_dims)
+    da, db = (as_integer(d, "local_dims") for d in local_dims)
+    sampled_pairs = as_integer(sampled_pairs, "sampled_pairs")
     if min(da, db) < 2:
         raise InvalidInputError("local dimensions must be at least 2")
     if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
@@ -639,7 +676,9 @@ def nsq_random_survey(
     n_samples = as_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidInputError("n_samples must be at least 1")
-    da, db = (int(d) for d in local_dims)
+    da, db = (as_integer(d, "local_dims") for d in local_dims)
+    if env_dim is not None:
+        env_dim = as_integer(env_dim, "env_dim")
     # a sample's Choi matrix is d^2 wide and a generic sample's dilation d env;
     # a product sample dilates each factor on at most 4^3 = 64 when d <= 8
     d = da * db
@@ -661,6 +700,7 @@ def nsq_random_survey(
         result = nsq_signalling_measure(channel, (da, db), sampled_pairs=0)
         if result.signalling_measure <= 1e-8:
             compatible += 1
+    rng.tally(n_samples)
     compatible_fraction = compatible / n_samples
     signalling_fraction = 1.0 - compatible_fraction
     if n_samples > 1:

@@ -5,7 +5,8 @@ its model once, when a detector first needs it (a build that raises fails
 each job that needs it).  One thread runs the cells inline; more share them
 through a pool.  Each (cell, detector) job draws from its own stream, a
 stable 64-bit mix of (master seed, cell index, detector index), so reports
-are byte-identical for any thread count and order.  A failing job is
+are byte-identical for any thread count and order.  A job records its
+verdict, its evidence and its stream's sample tally.  A failing job is
 recorded in place; the others complete.  Reports are strict JSON with
 sorted keys, complex matrices flattened row-major as [re, im] pairs,
 non-finite numbers (an undefined standard error) as null, and a schema
@@ -40,7 +41,10 @@ SCHEMA_VERSION = 2
 
 
 def _json_safe(value):
-    """Plain JSON values; a NaN or infinite float becomes None (null)."""
+    """Plain JSON values; a NaN or infinite float becomes None (null), a matrix {shape, data}."""
+    if isinstance(value, np.ndarray):
+        flat = value.astype(complex).reshape(-1).tolist()
+        return {"shape": list(value.shape), "data": [[z.real, z.imag] for z in flat]}
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -53,19 +57,21 @@ def _json_safe(value):
 
 
 def _verdict_dict(v: TestVerdict) -> dict:
-    # every field of the verdict; absent extras are written as an empty object
-    return _json_safe({**vars(v), "extras": v.extras or {}})
+    # every field of the verdict but its evidence; absent extras are written as an empty object
+    fields = {**vars(v), "extras": v.extras or {}}
+    del fields["reconstructions"]
+    return _json_safe(fields)
 
 
 def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int, build) -> dict:
     stream = RngStream(seed, mix64(cell_index, det_index))
     record: dict = {"detector": scenario.detectors[det_index].name}
     try:
-        verdict, samples, recon = scenario.run_job(cell_index, det_index, stream, build)
+        verdict = scenario.run_job(cell_index, det_index, stream, build)
         record["verdict"] = _verdict_dict(verdict)
-        record["samples"] = int(samples)
-        if recon:
-            record["reconstructions"] = recon
+        record["samples"] = stream.samples
+        if verdict.reconstructions:
+            record["reconstructions"] = _json_safe(verdict.reconstructions)
     except Exception as exc:  # crash isolation: record, never propagate
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["samples"] = 0

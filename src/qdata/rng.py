@@ -5,7 +5,8 @@ which wraps a counter-based bit generator keyed by ``(seed, stream_id)``
 when the stream first draws.  Identical pairs produce identical draw
 sequences on every platform; parallel consumers must hold distinct stream
 ids, which :meth:`RngStream.child` derives with an order-sensitive 64-bit
-mix.
+mix.  A stream and its children share one tally, to which each draw site
+adds the samples it draws.
 
 Bulk draws skip the per-stream generator: ``_child_keys`` lists the Philox
 keys of many children without building them, and ``_keyed_multinomials``
@@ -108,6 +109,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         self._generator = None
+        self._tally = [0]
 
     @property
     def generator(self) -> np.random.Generator:
@@ -127,6 +129,18 @@ class RngStream:
         """Derive an independent stream for a labelled sub-task.
 
         Children of distinct index tuples never collide with each other or
-        with the parent, so loops can hand one to each iteration.
+        with the parent, so loops can hand one to each iteration.  The child
+        shares the parent's sample tally.
         """
-        return RngStream(self.seed, mix64(self.stream_id, *indices))
+        child = RngStream(self.seed, mix64(self.stream_id, *indices))
+        child._tally = self._tally
+        return child
+
+    @property
+    def samples(self) -> int:
+        """Samples drawn so far from this stream's family, as tallied by the draws."""
+        return self._tally[0]
+
+    def tally(self, samples: int) -> None:
+        """Add ``samples`` drawn samples to the tally the family shares."""
+        self._tally[0] += samples

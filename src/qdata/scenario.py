@@ -32,30 +32,22 @@ from .boxes import (
     NonlinearBloch,
     NsqChannelPair,
     QracOracle,
-    compose_boxes,
     measure_prepare_strategy,
 )
 from .channels import QuantumChannel
 from .detectors import (
     HelstromSetup,
-    TestVerdict,
     ancilla_consistency_test,
     basis_invariance_test,
-    canonical_ensemble_pair,
-    concatenate_tests,
+    composition_gap_test,
     ensemble_signalling_test,
     helstrom_test,
     nsq_random_survey,
     qrac_fidelity_estimate,
     qrac_verdict,
 )
-from .linalg import rotation_y, trace_distance
+from .linalg import rotation_y
 from .states import PureState
-from .tomography import (
-    TomographyRun,
-    canonical_probe_basis,
-    process_tomography_direct,
-)
 
 __all__ = [
     "GRID_LIMIT",
@@ -76,10 +68,6 @@ GRID_LIMIT = 10_000
 # the default of a key that must be given
 REQUIRED = object()
 
-# child index reserved for report-only reconstructions, clear of any
-# per-delta or per-stage indices a detector uses internally
-_RECON_CHILD = 1 << 20
-
 # the two-qubit swap: the identity with its middle rows exchanged
 _SWAP_GATE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
@@ -95,10 +83,10 @@ class Entry:
     ``keys`` maps each accepted key to ``(field parser, default)``; the
     default is ``REQUIRED`` for a key that must be given.  ``make`` takes
     the fields resolved for one grid cell, nested specs built, as keyword
-    arguments: it returns the model, or for a detector it is the runner
-    ``make(model, stream, **settings)`` that returns ``(verdict, samples,
-    reconstructions)``.  ``needs`` is the scenario kind whose model a
-    detector runs on: "box", "pair", or None for a detector of no model.
+    arguments: it returns the model, or for a detector it is the test
+    ``make(*model, rng=stream, **settings)`` that returns a TestVerdict.
+    ``needs`` is the scenario kind whose model a detector runs on: "box",
+    "pair", or None for a detector called with no model.
     """
 
     keys: dict
@@ -374,23 +362,7 @@ PAIR_FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
-# detectors: each runner returns (verdict, samples, reconstructions)
-
-
-def _flat_complex(matrix: np.ndarray) -> dict:
-    flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return {
-        "shape": list(matrix.shape),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def _report_choi(box, shots: int, stream) -> dict:
-    """The report-only direct reconstruction at delta 0, on its own child stream."""
-    recon = process_tomography_direct(
-        box, canonical_probe_basis(2, 0.0), TomographyRun(shots), stream.child(_RECON_CHILD)
-    )
-    return {"choi": _flat_complex(recon.normalized_choi())}
+# detectors: each is a test of qdata.detectors
 
 
 _helstrom_setups: dict = {}
@@ -407,54 +379,6 @@ def _helstrom_setup(thetas, priors) -> HelstromSetup:
     return setup
 
 
-def _run_helstrom(box, stream, trials, thetas, priors):
-    verdict = helstrom_test(box, _helstrom_setup(thetas, priors), trials, rng=stream)
-    return verdict, trials, {}
-
-
-def _run_ensemble_signalling(box, stream):
-    e1, e2 = canonical_ensemble_pair()
-    return ensemble_signalling_test(box, e1, e2), 0, {}
-
-
-def _run_basis_invariance(box, stream, shots, deltas):
-    verdict = basis_invariance_test(box, deltas, shots, rng=stream)
-    samples = (len(deltas) + 1) * 4 * 3 * shots
-    return verdict, samples, _report_choi(box, shots, stream)
-
-
-def _run_ancilla_consistency(box, stream, shots):
-    verdict = ancilla_consistency_test(box, shots, rng=stream)
-    # direct stage 4 probes x 3 settings, joint stage 9 settings, plus the
-    # reported reconstruction at 12 settings
-    samples = (12 + 9 + 12) * shots
-    return verdict, samples, _report_choi(box, shots, stream)
-
-
-def _run_qrac(pair, stream, rounds):
-    result = qrac_fidelity_estimate(pair, rounds, stream)
-    return qrac_verdict(result), rounds, {}
-
-
-def _run_nsq_survey(_model, stream, n_samples, **survey):
-    return nsq_random_survey(n_samples, rng=stream, **survey), n_samples, {}
-
-
-def _run_composition_gap(first, stream, second_box, probe_theta, shots):
-    probe = PureState.from_bloch(probe_theta, 0.0)
-    composed_output = compose_boxes(first, second_box).ensemble_output_density(probe)
-    staged_output = concatenate_tests(first, second_box, probe, shots=shots, rng=stream)
-    statistic = trace_distance(composed_output, staged_output)
-    # the 0.05 margin dominates tomography error at any sane shot budget,
-    # so the gap statistic carries no separate error bar
-    verdict = TestVerdict(statistic, 0.05, 0.0, shots)
-    recon = {
-        "composed_output": _flat_complex(composed_output.matrix),
-        "staged_output": _flat_complex(staged_output.matrix),
-    }
-    return verdict, 2 * 3 * shots, recon
-
-
 DETECTORS = {
     "helstrom": Entry(
         {
@@ -462,10 +386,12 @@ DETECTORS = {
             "thetas": (_number_pair, (math.pi / 2 - math.pi / 8, math.pi / 2 + math.pi / 8)),
             "priors": (_number_pair, (0.5, 0.5)),
         },
-        _run_helstrom,
+        lambda box, trials, thetas, priors, rng: helstrom_test(
+            box, _helstrom_setup(thetas, priors), trials, rng=rng
+        ),
         needs="box",
     ),
-    "ensemble-signalling": Entry({}, _run_ensemble_signalling, needs="box"),
+    "ensemble-signalling": Entry({}, ensemble_signalling_test, needs="box"),
     "basis-invariance": Entry(
         {
             "shots": (_count, 10_000),
@@ -474,11 +400,15 @@ DETECTORS = {
                 (0.0, math.pi / 5, math.pi / 3),
             ),
         },
-        _run_basis_invariance,
+        basis_invariance_test,
         needs="box",
     ),
-    "ancilla-consistency": Entry({"shots": (_count, 10_000)}, _run_ancilla_consistency, needs="box"),
-    "qrac": Entry({"rounds": (_count, 20_000)}, _run_qrac, needs="pair"),
+    "ancilla-consistency": Entry({"shots": (_count, 10_000)}, ancilla_consistency_test, needs="box"),
+    "qrac": Entry(
+        {"rounds": (_count, 20_000)},
+        lambda pair, rounds, rng: qrac_verdict(qrac_fidelity_estimate(pair, rounds, rng)),
+        needs="pair",
+    ),
     "nsq-survey": Entry(
         {
             "n_samples": (_count, 100),
@@ -486,7 +416,7 @@ DETECTORS = {
             "env_dim": (lambda node, where: None if node is None else _count(node, where), None),
             "product_channels": (_flag, False),
         },
-        _run_nsq_survey,
+        nsq_random_survey,
     ),
     "composition-gap": Entry(
         {
@@ -494,7 +424,7 @@ DETECTORS = {
             "probe_theta": (_scalar, 2 * math.pi / 3),
             "shots": (_count, 4096),
         },
-        _run_composition_gap,
+        composition_gap_test,
         needs="box",
     ),
 }
@@ -537,13 +467,16 @@ class Scenario:
         """The declared box or pair, built for one grid cell."""
         return _build_value(self.model, params, self.kind)
 
-    def run_job(self, cell_index: int, det_index: int, stream, build) -> tuple:
-        """Run one detector on one grid cell, on ``build()`` if it needs the cell's model."""
+    def run_job(self, cell_index: int, det_index: int, stream, build):
+        """One detector's verdict on one grid cell, on ``build()`` if it needs the cell's model.
+
+        The detector draws from ``stream`` and adds the samples it draws to its tally.
+        """
         spec = self.detectors[det_index]
         params = self.grid[cell_index]
-        model = build() if spec.entry.needs else None
+        model = (build(),) if spec.entry.needs else ()
         settings = {key: _build_value(v, params, key) for key, v in spec.fields.items()}
-        return spec.entry.make(model, stream, **settings)
+        return spec.entry.make(*model, rng=stream, **settings)
 
 
 def _grid_value(v, where: str) -> None:

@@ -175,7 +175,8 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
     ``rhos`` has shape (sources, d, d).  Every Born probability comes from
     one stacked trace, each setting row checked as a distribution before
     any draw; source k then samples setting i as ``streams[k].child(i)``
-    would, from that child's Philox key, without building the child.
+    would, from that child's Philox key, without building the child, and
+    adds its settings x shots to that stream's sample tally.
     """
     if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
@@ -188,6 +189,8 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
     sources, settings, outcomes = probs.shape
     keys = _child_keys(streams, settings)
     counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
+    for stream in streams:
+        stream.tally(settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
     estimates = np.empty(rhos.shape, dtype=complex)
     for k in range(sources):

@@ -38,7 +38,7 @@ from qdata import (
     rotation_y,
 )
 from qdata import detectors
-from qdata.boxes import BoxPair
+from qdata.boxes import BoxPair, NsqChannelPair
 from qdata.detectors import QRAC_BLOCK, _kernel_direction
 from qdata.linalg import hermitian_basis, kron, partial_trace, trace_norm
 from qdata.states import born_probabilities
@@ -66,6 +66,13 @@ def test_decide_flags_only_three_sigma_excess():
     assert TestVerdict(0.15, 0.5, 0.1, 100).verdict == "quantum-consistent"
     assert TestVerdict(0.0, 0.75, 0.25, 10).verdict == "quantum-consistent"  # exactly 3 sigma
     assert TestVerdict(0.45, 0.5, 0.1, 100).verdict == "inconclusive"
+
+
+def test_a_verdict_carries_its_evidence_outside_comparison_and_repr():
+    with_eye = TestVerdict(0.1, 0.5, 0.1, 5, reconstructions={"choi": np.eye(2)})
+    with_zeros = TestVerdict(0.1, 0.5, 0.1, 5, reconstructions={"choi": np.zeros((2, 2))})
+    assert with_eye == with_zeros == TestVerdict(0.1, 0.5, 0.1, 5)
+    assert repr(with_eye) == repr(TestVerdict(0.1, 0.5, 0.1, 5))
 
 
 def test_decide_with_zero_spread():
@@ -591,6 +598,25 @@ def test_nsq_rejects_a_local_dimension_of_1(dims):
         nsq_signalling_measure(QuantumChannel.identity(4), dims, sampled_pairs=0)
     with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
         nsq_random_survey(2, dims, rng=RngStream(59, 6))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: nsq_random_survey(2, (2.7, 2), rng=RngStream(59, 7)), "local_dims"),
+        (lambda: nsq_random_survey(2, rng=RngStream(59, 7), env_dim=8.5), "env_dim"),
+        (lambda: nsq_signalling_measure(QuantumChannel.identity(4), (2.9, 2)), "local_dims"),
+        (
+            lambda: nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=2.5),
+            "sampled_pairs",
+        ),
+        (lambda: NsqChannelPair(QuantumChannel.identity(4), (2.5, 2)), "local_dims"),
+    ],
+    ids=["survey-dims", "survey-env", "measure-dims", "measure-pairs", "pair-dims"],
+)
+def test_nsq_dimensions_and_counts_must_be_integers(call, name):
+    with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+        call()
 
 
 def test_nsq_survey_requires_rng():

@@ -2,13 +2,19 @@
 
 import copy
 import json
+import math
 from importlib import resources
 
 import pytest
 
 from qdata import (
+    LinearBox,
+    QuantumChannel,
+    RngStream,
     Scenario,
+    composition_gap_test,
     load_report,
+    mix64,
     parse_scenario_dict,
     run_scenario,
     summarize_report,
@@ -86,6 +92,53 @@ def test_sample_accounting(identity_report):
     assert r["summary"]["total_samples"] == 713152
     assert r["summary"]["cell_count"] == 4
     assert r["summary"]["error_count"] == 0
+
+
+def test_a_job_counts_the_samples_it_draws_with_a_cold_or_a_warm_calibration(monkeypatch):
+    import qdata.detectors
+    import qdata.tomography
+
+    scenario = parse_scenario_dict(
+        {
+            "name": "counted",
+            "master_seed": 3,
+            "box": {"family": "nonlinear-bloch", "kappa": 2.0},
+            "parameter_grid": [{}],
+            "detectors": [{"name": "basis-invariance", "settings": {"shots": 96}}],
+        }
+    )
+    monkeypatch.setattr(qdata.detectors, "_calibration_cache", {})
+    cold = run_scenario(scenario)["cells"][0]["results"][0]["samples"]
+    drawn = []
+    keyed_multinomials = qdata.tomography._keyed_multinomials
+
+    def counting(keys, n, pvals):
+        drawn.append(len(keys) * n)
+        return keyed_multinomials(keys, n, pvals)
+
+    monkeypatch.setattr(qdata.tomography, "_keyed_multinomials", counting)
+    warm = run_scenario(scenario)["cells"][0]["results"][0]["samples"]
+    assert cold == warm == sum(drawn) > 0
+
+
+def test_composition_gap_test_returns_the_figures_its_report_holds(identity_report):
+    cell_index, det_index = 1, 4
+    record = identity_report["cells"][cell_index]["results"][det_index]
+    verdict = composition_gap_test(
+        LinearBox(QuantumChannel.identity(2)),
+        LinearBox(QuantumChannel.amplitude_damping(0.2)),
+        2 * math.pi / 3,
+        2048,
+        rng=RngStream(IDENTITY_SWEEP["master_seed"], mix64(cell_index, det_index)),
+    )
+    assert verdict.statistic == record["verdict"]["statistic"]
+    for name, matrix in verdict.reconstructions.items():
+        data = [[z.real, z.imag] for z in matrix.reshape(-1).tolist()]
+        assert record["reconstructions"][name] == {"shape": [2, 2], "data": data}
+    # the evidence is written beside the verdict, never inside it
+    fields = {"statistic", "threshold", "std_error", "n_trials", "verdict", "extras"}
+    for cell in identity_report["cells"]:
+        assert all(set(r["verdict"]) == fields for r in cell["results"])
 
 
 def test_reruns_and_threads_agree(identity_report):

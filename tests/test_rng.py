@@ -49,6 +49,17 @@ def test_distinct_streams_differ():
     assert not np.array_equal(a, c)
 
 
+def test_children_share_a_tally_and_a_fresh_stream_does_not():
+    root = RngStream(5, 9)
+    child, grandchild = root.child(1), root.child(2).child(3)
+    root.tally(1)
+    child.tally(4)
+    grandchild.tally(6)
+    assert root.samples == child.samples == grandchild.samples == root.child(7).samples == 11
+    assert RngStream(5, 9).samples == 0
+    assert RngStream(5, child.stream_id).samples == 0
+
+
 def test_child_matches_mix64_construction():
     direct = RngStream(5, mix64(9, 3, 4)).generator.integers(0, 2**32, 8)
     derived = RngStream(5, 9).child(3, 4).generator.integers(0, 2**32, 8)

@@ -274,7 +274,7 @@ def test_param_references_resolve_in_second_box_and_stages():
     # run each cell's job with a runner that keeps what the job built
     built = []
 
-    def keep(box, stream, **settings):
+    def keep(box, rng, **settings):
         built.append((box, settings))
 
     spec = sc.detectors[0]
