@@ -70,7 +70,7 @@ def warp_polar_angle(theta: float, kappa: float) -> float:
     of orthogonal pure states would still average to I/2 and no
     equal-density ensemble pair could ever be split apart.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise InvalidInputError("warp exponent must be positive")
     th = min(max(float(theta), 0.0), math.pi)
     if th == 0.0 or th == math.pi:
@@ -201,7 +201,7 @@ class _BlochWarp(BoxModel):
     """
 
     def __init__(self, kappa: float, pre_unitary=None, post_unitary=None):
-        if kappa <= 0:
+        if not kappa > 0:
             raise InvalidInputError("warp exponent must be positive")
         dim = self.basis[0].dim
         if dim != 2 and (kappa != 1.0 or pre_unitary is not None or post_unitary is not None):

@@ -158,7 +158,7 @@ class HelstromSetup:
         s = tuple(as_state(x) for x in self.states)
         if len(p) != 2 or len(s) != 2:
             raise InvalidInputError("discrimination setup needs exactly two hypotheses")
-        if min(p) < 0 or abs(sum(p) - 1.0) > 1e-12:
+        if min(p) < 0 or not abs(sum(p) - 1.0) <= 1e-12:
             raise InvalidInputError("priors must form a probability pair")
         if s[0].dim != s[1].dim:
             raise InvalidInputError("hypothesis states have different dimensions")

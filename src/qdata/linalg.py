@@ -68,7 +68,7 @@ def as_operator(m, dim: int | None = None) -> np.ndarray:
 def as_unitary(u, dim: int | None = None) -> np.ndarray:
     """Coerce with :func:`as_operator` and check that ``U U^dagger = I`` within 1e-9."""
     m = as_operator(u, dim)
-    if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-9:
+    if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-9:
         raise InvalidInputError("matrix is not unitary")
     return m
 

@@ -8,10 +8,10 @@ ids, which :meth:`RngStream.child` derives with an order-sensitive 64-bit
 mix.  A stream and its children share one tally, to which each draw site
 adds the samples it draws.
 
-Bulk draws skip the per-stream generator: ``_child_keys`` lists the Philox
-keys of many children without building them, and ``_keyed_multinomials``
-re-keys one per-thread Philox for each row, so every row draws exactly what
-a fresh generator with that key would.
+Bulk draws build no stream and no per-stream generator: ``_child_keys``
+lists the Philox keys of the children of one seed and a list of stream ids,
+and ``_keyed_multinomials`` re-keys one per-thread Philox for each row, so
+every row draws exactly what a fresh generator with that key would.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ def _philox_key(seed: int, stream_id: int) -> tuple:
     )
 
 
-def _child_keys(streams, count: int) -> np.ndarray:
-    """Philox keys of ``streams[k].child(i)`` for i < count, one row per child, k-major.
+def _child_keys(seed: int, ids, count: int) -> np.ndarray:
+    """Philox keys of ``RngStream(seed, ids[k]).child(i)`` for i < count, k-major.
 
     Row ``k * count + i`` is the key that child's generator would get.
     """
-    keys = [_philox_key(s.seed, mix64(s.stream_id, i)) for s in streams for i in range(count)]
+    keys = [_philox_key(seed, mix64(stream_id, i)) for stream_id in ids for i in range(count)]
     return np.array(keys, dtype=np.uint64).reshape(-1, 2)
 
 

@@ -170,32 +170,6 @@ def _scalar_or_ref(node, where: str):
     return _scalar(node, where)
 
 
-def _complex_entry(node, where: str) -> complex:
-    if (
-        not isinstance(node, list)
-        or len(node) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in node)
-    ):
-        _fail(where, "complex entries are [re, im] pairs")
-    return complex(node[0], node[1])
-
-
-def _complex_matrix(node, where: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        _fail(where, "expected a non-empty list of rows")
-    width = None
-    rows = []
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or not row:
-            _fail(f"{where}[{i}]", "expected a non-empty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            _fail(f"{where}[{i}]", "ragged rows")
-        rows.append([_complex_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(rows, dtype=complex)
-
-
 def _list_of(item, message: str, least: int = 1, most: int | None = None):
     """Parser of a list of ``item``s, ``least`` to ``most`` long, as a tuple."""
 
@@ -205,6 +179,20 @@ def _list_of(item, message: str, least: int = 1, most: int | None = None):
         return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(node))
 
     return parse
+
+
+_complex_entry = _list_of(_scalar, "complex entries are [re, im] pairs", least=2, most=2)
+_complex_rows = _list_of(
+    _list_of(_complex_entry, "expected a non-empty row"), "expected a non-empty list of rows"
+)
+
+
+def _complex_matrix(node, where: str) -> np.ndarray:
+    rows = _complex_rows(node, where)
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            _fail(f"{where}[{i}]", "ragged rows")
+    return np.array([[complex(*x) for x in row] for row in rows], dtype=complex)
 
 
 def _basis(node, where: str) -> np.ndarray:

@@ -52,7 +52,7 @@ class PureState:
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         if v.size < 1 or v.size > 64:
             raise InvalidShapeError(f"state dimension {v.size} outside [1, 64]")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
             raise InvalidInputError("state vector is not normalized")
         object.__setattr__(self, "vector", v)
 
@@ -218,7 +218,7 @@ class Ensemble:
         s = tuple(as_state(x) for x in self.states)
         if len(w) != len(s) or not w:
             raise InvalidShapeError("ensemble weights and states must pair up")
-        if any(p < -1e-12 for p in w) or abs(sum(w) - 1.0) > 1e-12:
+        if any(p < -1e-12 for p in w) or not abs(sum(w) - 1.0) <= 1e-12:
             raise InvalidInputError("ensemble weights must be a probability vector")
         if len({st.dim for st in s}) != 1:
             raise InvalidShapeError("ensemble states have mixed dimensions")
@@ -262,7 +262,7 @@ def checked_distributions(p: np.ndarray) -> np.ndarray:
     sum within 1e-9 of 1); tiny negatives are then clipped and each row is
     renormalized.  One row or any stack of rows is checked in one pass.
     """
-    if np.min(p) < -1e-9 or np.max(np.abs(p.sum(axis=-1) - 1.0)) > 1e-9:
+    if np.min(p) < -1e-9 or not np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-9:
         raise InvalidInputError("Born probabilities are not a distribution")
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)

@@ -13,18 +13,20 @@ One routine, ``_raw_estimates``, samples and inverts a whole stack of
 sources: every probe output of a process tomography at once, or the one
 source of a state tomography.  Its Born probabilities come from one trace
 against the stacked Pauli effects, checked per setting row before any
-draw.  Setting i of source k draws what ``streams[k].child(i)`` would, but
-from that child's Philox key alone: one per-thread Philox is re-keyed for
-each row (``qdata.rng``), so no child stream or generator is built.  Each source is inverted with
+draw.  A stack draws from one stream and one id per source: setting i of
+source k draws what ``RngStream(rng.seed, ids[k]).child(i)`` would, from
+that child's Philox key alone; one per-thread Philox is re-keyed for each
+row (``qdata.rng``), so no stream or generator is built.  The stack's
+samples go onto the stream's tally.  Each source is inverted with
 ``lstsq`` and combines the stacked Hermitian basis in one reduction.
 Process tomography takes its probe outputs from the box
 (``probe_outputs``); a linear box computes them once per probe basis, so
 the identity box of a null calibration builds each probe output once, not
 once per replication.
 
-Each linear map is built once, read-only, by the object that owns it: the
-Pauli set, its design matrix, stacked effects and stacked Hermitian basis
-per qubit count, a ProbeBasis's unit-recovery coefficients at
+Each linear map is built once, read-only, by the object that owns it: one
+Pauli table per qubit count (the set, its design matrix, stacked effects
+and stacked Hermitian basis), a ProbeBasis's unit-recovery coefficients at
 construction, the canonical probe bases per (m, delta) and the Hermitian
 operator basis per dimension (in ``linalg``).
 """
@@ -45,7 +47,7 @@ from .linalg import (
     partial_trace,
     rotation_y,
 )
-from .rng import RngStream, _child_keys, _keyed_multinomials
+from .rng import RngStream, _child_keys, _keyed_multinomials, mix64
 from .states import (
     DensityMatrix,
     Povm,
@@ -72,19 +74,18 @@ __all__ = [
 ]
 
 
-_pauli_designs: dict = {}
-# dimension -> (effects, basis): the Pauli effects as one (settings, outcomes,
-# d, d) array and hermitian_basis(d) as one (d^2, d, d) array, read-only
-_pauli_stacks: dict = {}
+_pauli_tables: dict = {}
 
 
-def _pauli_design(n_qubits: int) -> tuple:
-    """The n-qubit Pauli set and its read-only design matrix, built once per n.
+def _pauli_table(n_qubits: int) -> tuple:
+    """``(povms, design, effects, basis)`` of the n-qubit Pauli set, built once per n.
 
-    The same build fills ``_pauli_stacks`` for the set's dimension.
+    The arrays are read-only: the design matrix, the effects as one
+    (settings, outcomes, d, d) array and hermitian_basis(d) as one
+    (d^2, d, d) array.
     """
-    compiled = _pauli_designs.get(n_qubits)
-    if compiled is None:
+    table = _pauli_tables.get(n_qubits)
+    if table is None:
         if n_qubits not in (1, 2):
             raise InvalidInputError("only one- and two-qubit sets are provided")
         dim = 2**n_qubits
@@ -92,11 +93,10 @@ def _pauli_design(n_qubits: int) -> tuple:
         design = _design_matrix([e for p in povms for e in p.effects], dim)
         effects = np.array([p.effects for p in povms])
         basis = np.array(hermitian_basis(dim))
-        for table in (design, effects, basis):
-            table.flags.writeable = False
-        _pauli_stacks.setdefault(dim, (effects, basis))
-        compiled = _pauli_designs.setdefault(n_qubits, (povms, design))
-    return compiled
+        for array in (design, effects, basis):
+            array.flags.writeable = False
+        table = _pauli_tables.setdefault(n_qubits, (povms, design, effects, basis))
+    return table
 
 
 def pauli_measurement_set(n_qubits: int) -> tuple:
@@ -106,7 +106,7 @@ def pauli_measurement_set(n_qubits: int) -> tuple:
     4 outcomes.  Each set is built once and shared: its effect arrays are
     read-only.
     """
-    return _pauli_design(n_qubits)[0]
+    return _pauli_table(n_qubits)[0]
 
 
 def _build_pauli_measurement_set(n_qubits: int) -> tuple:
@@ -163,44 +163,43 @@ class TomographyRun:
         return 2**self.n_qubits
 
 
-def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, dim: int) -> np.ndarray:
+def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, basis: np.ndarray) -> np.ndarray:
     coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
-    estimate = np.add.reduce(coeffs[:, None, None] * _pauli_stacks[dim][1], axis=0)
+    estimate = np.add.reduce(coeffs[:, None, None] * basis, axis=0)
     return (estimate + estimate.conj().T) / 2
 
 
-def _raw_estimates(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
+def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) -> np.ndarray:
     """Linear-inversion estimates of a stack of source densities, unprojected.
 
-    ``rhos`` has shape (sources, d, d).  Every Born probability comes from
-    one stacked trace, each setting row checked as a distribution before
-    any draw; source k then samples setting i as ``streams[k].child(i)``
-    would, from that child's Philox key, without building the child, and
-    adds its settings x shots to that stream's sample tally.
+    ``rhos`` has shape (sources, d, d) and ``ids`` holds one stream id per
+    source.  Every Born probability comes from one stacked trace, each
+    setting row checked as a distribution before any draw; source k then
+    samples setting i as ``RngStream(rng.seed, ids[k]).child(i)`` would,
+    from that child's Philox key, without building a stream.  The stack's
+    sources x settings x shots go onto ``rng``'s sample tally.
     """
     if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    _, design = _pauli_design(run.n_qubits)
-    effects, _ = _pauli_stacks[run.dim]
+    _, design, effects, basis = _pauli_table(run.n_qubits)
     probs = checked_distributions(
         np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real
     )
     shots = run.shots_per_setting
     sources, settings, outcomes = probs.shape
-    keys = _child_keys(streams, settings)
+    keys = _child_keys(rng.seed, ids, settings)
     counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
-    for stream in streams:
-        stream.tally(settings * shots)
+    rng.tally(sources * settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
     estimates = np.empty(rhos.shape, dtype=complex)
     for k in range(sources):
-        estimates[k] = _linear_inversion(frequencies[k], design, run.dim)
+        estimates[k] = _linear_inversion(frequencies[k], design, basis)
     return estimates
 
 
 def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
     """The linear-inversion estimate of one source, unprojected (possibly non-positive)."""
-    return _raw_estimates(as_density(source).matrix[None], run, (rng,))[0]
+    return _raw_estimates(as_density(source).matrix[None], run, rng, (rng.stream_id,))[0]
 
 
 def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatrix:
@@ -315,9 +314,8 @@ def process_tomography_direct(
     """
     if basis.dim != box.dim_in:
         raise InvalidShapeError("probe basis does not match the box input dimension")
-    outputs = _raw_estimates(
-        box.probe_outputs(basis), run, [rng.child(k) for k in range(len(basis.states))]
-    )
+    ids = [mix64(rng.stream_id, k) for k in range(len(basis.states))]
+    outputs = _raw_estimates(box.probe_outputs(basis), run, rng, ids)
     m, n = box.dim_in, box.dim_out
     # units[i, j] is the image of |i><j|, which fills Choi block (i, :, j, :)
     units = np.add.reduce(basis._unit_coefficients[..., None, None] * outputs, axis=2)

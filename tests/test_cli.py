@@ -257,6 +257,20 @@ def test_run_rejects_an_oversized_integer_literal_at_its_path(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1" + "0" * 400], ids=["nan", "inf", "huge"])
+def test_run_rejects_a_bad_complex_entry_at_its_path(tmp_path, capsys, number):
+    basis = [[["ENTRY", 0], [0, 0]], [[0, 0], [1, 0]]]
+    doc = json.dumps({**MINI, "box": {"family": "collapse", "basis": basis}})
+    path = tmp_path / "complex.json"
+    path.write_text(doc.replace('"ENTRY"', number))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "box.basis[0][0][0]: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_threads_flag_accepted(mini_path, capsys):
     assert main(["run", mini_path, "--threads", "2", "--seed", "7"]) == 0
     baseline = capsys.readouterr().out

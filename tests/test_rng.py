@@ -130,10 +130,18 @@ def _stream_key(stream: RngStream) -> list:
     return stream.generator.bit_generator.state["state"]["key"].tolist()
 
 
+def _keys_of(streams, count: int) -> np.ndarray:
+    return np.concatenate([_child_keys(s.seed, [s.stream_id], count) for s in streams])
+
+
 def test_child_keys_equal_the_keys_of_the_child_generators():
     streams = [RngStream(seed, stream_id) for seed in EDGE_VALUES for stream_id in EDGE_VALUES]
-    keys = _child_keys(streams, 5)
+    keys = _keys_of(streams, 5)
     assert keys.dtype == np.uint64 and keys.shape == (len(streams) * 5, 2)
+    # one seed and many ids list the same rows, id-major
+    same_seed = streams[: len(EDGE_VALUES)]
+    ids = [s.stream_id for s in same_seed]
+    assert np.array_equal(_child_keys(same_seed[0].seed, ids, 5), keys[: len(ids) * 5])
     for k, stream in enumerate(streams):
         for i in range(5):
             assert keys[k * 5 + i].tolist() == _stream_key(stream.child(i)), (k, i)
@@ -155,7 +163,7 @@ def test_keyed_multinomials_equal_fresh_generators_bit_for_bit():
     streams = [RngStream(seed, stream_id) for seed in EDGE_VALUES for stream_id in (1, 2**63 + 5)]
     for outcomes, n in ((2, 1), (2, 4000), (4, 900), (4, 10**6)):
         pvals = _random_rows(gen, len(streams) * 9, outcomes)
-        got = _keyed_multinomials(_child_keys(streams, 9), n, pvals)
+        got = _keyed_multinomials(_keys_of(streams, 9), n, pvals)
         assert got.dtype == np.int64
         assert np.array_equal(got, _fresh_multinomials(streams, 9, n, pvals)), (outcomes, n)
 
@@ -166,7 +174,7 @@ def _plain(state: dict) -> dict:
 
 def test_keyed_multinomials_ignore_what_the_thread_generator_drew_before():
     streams = [RngStream(51, k) for k in range(4)]
-    keys = _child_keys(streams, 3)
+    keys = _keys_of(streams, 3)
     pvals = _random_rows(np.random.default_rng(51), 12, 4)
     want = _fresh_multinomials(streams, 3, 700, pvals)
     assert np.array_equal(_keyed_multinomials(keys, 700, pvals), want)
@@ -188,7 +196,7 @@ def test_keyed_multinomials_ignore_what_the_thread_generator_drew_before():
 
 def test_keyed_multinomials_from_concurrent_threads_equal_the_serial_draws():
     streams = [RngStream(52, k) for k in range(40)]
-    keys = _child_keys(streams, 9)
+    keys = _keys_of(streams, 9)
     pvals = _random_rows(np.random.default_rng(52), 360, 4)
     want = _keyed_multinomials(keys, 4000, pvals)
     start = threading.Barrier(4)

@@ -89,6 +89,44 @@ def test_integer_literals_beyond_the_float_range_fail_parsing():
         parse_scenario_dict(variant(parameter_grid=[{"kappa": -HUGE}]))
 
 
+def _with_first_entry(value):
+    """A 2x2 complex matrix whose [0][0] real part is ``value``."""
+    return [[[value, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+COMPLEX_FIELDS = {
+    "matrix": (
+        lambda m: {"family": "linear", "channel": {"kind": "unitary", "matrix": m}},
+        "box.channel.matrix[0][0][0]",
+    ),
+    "operators": (
+        lambda m: {
+            "family": "linear",
+            "channel": {"kind": "kraus", "operators": [m], "dim_in": 2, "dim_out": 2},
+        },
+        "box.channel.operators[0][0][0][0]",
+    ),
+    "basis": (lambda m: {"family": "collapse", "basis": m}, "box.basis[0][0][0]"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(COMPLEX_FIELDS))
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (float("nan"), "number must be finite"),
+        (float("inf"), "number must be finite"),
+        (float("-inf"), "number must be finite"),
+        (HUGE, "number is beyond the float range"),
+    ],
+    ids=["nan", "inf", "-inf", "huge"],
+)
+def test_complex_entries_must_be_finite(field, value, message):
+    box, where = COMPLEX_FIELDS[field]
+    with pytest.raises(ScenarioError, match=re.escape(f"scenario.{where}: {message}")):
+        parse_scenario_dict(variant(box=box(_with_first_entry(value))))
+
+
 def test_counts_beyond_64_bits_fail_parsing():
     detectors = [{"name": "helstrom", "settings": {"trials": 2**63}}]
     with pytest.raises(ScenarioError, match=r"detectors\[0\]\.settings\.trials: must be at most 2\*\*63 - 1"):

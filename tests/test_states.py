@@ -8,8 +8,10 @@ import pytest
 from qdata import (
     DensityMatrix,
     Ensemble,
+    HelstromSetup,
     InvalidInputError,
     InvalidShapeError,
+    NonlinearBloch,
     Povm,
     PureState,
     RngStream,
@@ -21,8 +23,10 @@ from qdata import (
     minus_state,
     plus_i_state,
     plus_state,
+    warp_polar_angle,
 )
-from qdata.states import born_distributions, check_densities, sample_inverse_cdf
+from qdata.linalg import as_unitary
+from qdata.states import born_distributions, check_densities, checked_distributions, sample_inverse_cdf
 
 
 def z_povm():
@@ -226,3 +230,25 @@ def test_pure_state_density_is_built_once_and_read_only():
     assert np.array_equal(rho.matrix, np.outer(psi.vector, psi.vector.conj()))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PureState([NAN, 0]), "state vector is not normalized"),
+        (lambda: PureState.from_bloch(NAN, 0.0), "state vector is not normalized"),
+        (lambda: Ensemble((NAN, NAN), (ket(0), ket(1))), "ensemble weights must be a probability vector"),
+        (lambda: HelstromSetup((NAN, 1.0), (ket(0), ket(1))), "priors must form a probability pair"),
+        (lambda: as_unitary(np.full((2, 2), NAN)), "matrix is not unitary"),
+        (lambda: NonlinearBloch(NAN), "warp exponent must be positive"),
+        (lambda: warp_polar_angle(1.0, NAN), "warp exponent must be positive"),
+        (lambda: checked_distributions(np.array([[NAN, 1.0]])), "Born probabilities are not a distribution"),
+    ],
+    ids=["pure-state", "from-bloch", "ensemble", "helstrom", "unitary", "nonlinear-bloch", "warp", "born-rows"],
+)
+def test_invariant_checks_reject_nan(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()

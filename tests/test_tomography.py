@@ -105,11 +105,11 @@ def test_a_run_of_the_wrong_dimension_is_a_shape_error():
 def test_exact_counts_recover_the_state():
     # exactly dyadic outcome frequencies invert to the state itself
     from qdata import born_probabilities
-    from qdata.tomography import _linear_inversion, _pauli_design
+    from qdata.tomography import _linear_inversion, _pauli_table
 
-    povms, design = _pauli_design(1)
+    povms, design, _, basis = _pauli_table(1)
     counts = [np.round(born_probabilities(ket(0), povm) * 1024).astype(int) for povm in povms]
-    est = _linear_inversion(np.concatenate(counts) / 1024, design, 2)
+    est = _linear_inversion(np.concatenate(counts) / 1024, design, basis)
     assert trace_distance(est, ket(0).density()) < 1e-10
 
 
@@ -270,10 +270,10 @@ def _reference_state_tomography(source, povms, shots, rng, project):
 
 
 def test_cached_design_matrix_equals_a_fresh_build():
-    from qdata.tomography import _design_matrix, _pauli_design
+    from qdata.tomography import _design_matrix, _pauli_table
 
     for n_qubits, dim in ((1, 2), (2, 4)):
-        povms, design = _pauli_design(n_qubits)
+        povms, design, _, _ = _pauli_table(n_qubits)
         assert povms is pauli_measurement_set(n_qubits)
         # the Pauli sets are tomographically complete by construction
         assert np.linalg.matrix_rank(design) == dim * dim
@@ -281,7 +281,7 @@ def test_cached_design_matrix_equals_a_fresh_build():
         assert np.array_equal(design, fresh)
         with pytest.raises(ValueError):
             design[0, 0] = 5.0
-        again = _pauli_design(n_qubits)
+        again = _pauli_table(n_qubits)
         assert again[0] is povms and again[1] is design
 
 
@@ -439,7 +439,7 @@ def test_stacked_estimates_equal_one_source_at_a_time():
         rhos = g @ np.swapaxes(g, 1, 2).conj()
         rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         rhos[0] = ket(1, dim).projector()  # exact zeros in the Born rows
-        got = _raw_estimates(rhos, run, [RngStream(48, k) for k in range(6)])
+        got = _raw_estimates(rhos, run, RngStream(48), range(6))
         for k in range(6):
             want = _reference_raw_estimate(rhos[k], povms, 900, RngStream(48, k))
             assert _bitwise_equal(got[k], want), (n_qubits, k)
@@ -454,10 +454,23 @@ def test_one_non_distribution_row_in_a_stack_raises_before_any_draw():
         for position in range(3):
             stack = np.array([good, good, good], dtype=complex)
             stack[position] = bad
-            streams = [RngStream(49, k) for k in range(3)]
+            stream = RngStream(49)
             with pytest.raises(InvalidInputError, match="Born probabilities are not a distribution"):
-                _raw_estimates(stack, run1(100), streams)
-            assert all(s._generator is None for s in streams)
+                _raw_estimates(stack, run1(100), stream, range(3))
+            assert stream._generator is None
+
+
+def test_direct_tomography_builds_no_stream_and_tallies_once(monkeypatch):
+    # the probes draw on ids mixed from the caller's stream, not on child streams
+    box, basis = LinearBox(QuantumChannel.identity(2)), canonical_probe_basis(2, 0.0)
+    rng = RngStream(53, 1)
+    built, tallies = [], []
+    post_init, tally = RngStream.__post_init__, RngStream.tally
+    monkeypatch.setattr(RngStream, "__post_init__", lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(RngStream, "tally", lambda self, n: tallies.append(n) or tally(self, n))
+    process_tomography_direct(box, basis, run1(300), rng)
+    assert built == []
+    assert tallies == [4 * 3 * 300] and rng.samples == 4 * 3 * 300
 
 
 def test_run_budgets_must_be_whole_numbers():
