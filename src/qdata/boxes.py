@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import InvalidInputError, InvalidShapeError, as_integer, as_unitary, kron
+from .linalg import ATOL, InvalidInputError, InvalidShapeError, as_integer, as_unitary, kron
 from .channels import QuantumChannel
 from .states import (
     DensityMatrix,
@@ -68,11 +68,15 @@ def warp_polar_angle(theta: float, kappa: float) -> float:
     (kappa + 2)/3 below): a warp acting with the same exponent on both
     hemispheres commutes with the antipodal map, so every balanced ensemble
     of orthogonal pure states would still average to I/2 and no
-    equal-density ensemble pair could ever be split apart.
+    equal-density ensemble pair could ever be split apart.  A finite angle
+    outside [0, pi] is clamped; a non-finite one is rejected.
     """
     if not kappa > 0:
         raise InvalidInputError("warp exponent must be positive")
-    th = min(max(float(theta), 0.0), math.pi)
+    th = float(theta)
+    if not math.isfinite(th):
+        raise InvalidInputError("polar angle must be finite")
+    th = min(max(th, 0.0), math.pi)
     if th == 0.0 or th == math.pi:
         return th
     expo = kappa if th <= math.pi / 2 else (kappa + 2.0) / 3.0
@@ -110,12 +114,19 @@ class BoxModel(ABC):
 
     @staticmethod
     def _mixture(weighted_branches, dim: int) -> DensityMatrix:
-        """Sum of weight x p x projector over (weight, branch list) pairs."""
+        """Sum of weight x p x projector over (weight, branch list) pairs.
+
+        The sum is Hermitian and positive by construction (weights >= 0, an
+        ensemble's >= -1e-12, over checked ``PureState`` branches); only its
+        trace is checked, since branches below ``BRANCH_CUTOFF`` are dropped.
+        """
         out = np.zeros((dim, dim), dtype=complex)
         for weight, branches in weighted_branches:
             for p, phi in branches:
                 out += weight * p * phi.projector()
-        return DensityMatrix(out)
+        if not abs(out.trace().real - 1.0) <= ATOL:
+            raise InvalidInputError("density matrix trace differs from 1")
+        return DensityMatrix._of(out)
 
     def ensemble_output_density(self, ensemble) -> DensityMatrix:
         """Exact infinite-shot output state for an input ensemble.

@@ -241,9 +241,16 @@ def helstrom_test(
 
 @functools.cache
 def canonical_ensemble_pair() -> tuple:
-    """The z-basis and x-basis halves of the maximally mixed qubit, built once."""
+    """The z-basis and x-basis halves of the maximally mixed qubit, built and checked once."""
     e1 = Ensemble((0.5, 0.5), (ket(0), ket(1)))
     e2 = Ensemble((0.5, 0.5), (plus_state(), minus_state()))
+    return _equal_density_pair(e1, e2)
+
+
+def _equal_density_pair(e1: Ensemble, e2: Ensemble) -> tuple:
+    """``(e1, e2)``, unless their density matrices differ by more than 1e-10."""
+    if trace_distance(e1.density(), e2.density()) > 1e-10:
+        raise InvalidInputError("the two ensembles must have equal density matrices")
     return e1, e2
 
 
@@ -260,10 +267,7 @@ def ensemble_signalling_test(
     """
     if (e1 is None) != (e2 is None):
         raise InvalidInputError("give both ensembles or neither")
-    if e1 is None:
-        e1, e2 = canonical_ensemble_pair()
-    if trace_distance(e1.density(), e2.density()) > 1e-10:
-        raise InvalidInputError("the two ensembles must have equal density matrices")
+    e1, e2 = canonical_ensemble_pair() if e1 is None else _equal_density_pair(e1, e2)
     out1 = box.ensemble_output_density(e1)
     out2 = box.ensemble_output_density(e2)
     statistic = trace_distance(out1, out2)

@@ -1,9 +1,18 @@
 """States, measurements and ensembles.
 
-The wrapper types here validate their physical invariants at construction
-(unit norm, unit trace, positivity, completeness) so downstream code can
-assume well-formed objects.  Raw vectors and matrices are accepted anywhere
-a wrapped object is, via the ``as_*`` coercers.
+The wrapper types here validate their physical invariants (unit norm, unit
+trace, positivity, completeness) where a value enters, so downstream code
+can assume well-formed objects.  Raw vectors and matrices are accepted
+anywhere a wrapped object is, via the ``as_*`` coercers.
+
+A density matrix is checked in full (:func:`check_densities`) when it is
+built from a raw matrix: ``as_density``, ``tensor``, ``reduce`` and every
+channel output.  A density that is one by construction from values already
+checked is wrapped without the eigensolve (``DensityMatrix._of``): the
+projector of a checked pure state, an ensemble's mixture, the mixture of a
+box's checked branches (which keeps a trace check, since branches below
+the cutoff are dropped) and a tomography estimate projected by
+``nearest_density_matrix``.
 """
 
 from __future__ import annotations
@@ -68,8 +77,9 @@ class PureState:
 
     @functools.cached_property
     def _density(self) -> "DensityMatrix":
-        """The state's density matrix, built and checked once per state (read-only)."""
-        density = DensityMatrix(self.projector())
+        """The state's density matrix, built once per state (read-only)."""
+        # the projector of a unit vector that was checked at construction
+        density = DensityMatrix._of(self.projector())
         density.matrix.flags.writeable = False
         return density
 
@@ -123,6 +133,13 @@ class DensityMatrix:
         check_densities(m)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _of(cls, m: np.ndarray) -> "DensityMatrix":
+        """Wrap ``m``, a square complex array that is a density by construction, unchecked."""
+        density = object.__new__(cls)
+        object.__setattr__(density, "matrix", m)
+        return density
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -158,11 +175,11 @@ def check_densities(m: np.ndarray) -> None:
     unit trace within ``ATOL`` and no eigenvalue below -1e-10, each run
     once over the whole stack.
     """
-    if not np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) <= HERM_ATOL:
+    if not abs(m - m.swapaxes(-1, -2).conj()).max() <= HERM_ATOL:
         raise InvalidInputError("density matrix is not Hermitian")
-    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)) > ATOL:
+    if not abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() <= ATOL:
         raise InvalidInputError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+    if np.linalg.eigvalsh(m).min() < -1e-10:
         raise InvalidInputError("density matrix has a negative eigenvalue")
 
 
@@ -234,8 +251,11 @@ class Ensemble:
 
     @functools.cached_property
     def _density(self) -> DensityMatrix:
-        """The mixture's density matrix, built and checked once per ensemble (read-only)."""
-        density = DensityMatrix(sum(p * s.projector() for p, s in zip(self.weights, self.states)))
+        """The mixture's density matrix, built once per ensemble (read-only)."""
+        # weights >= -1e-12 summing to 1 over pure states checked at construction
+        density = DensityMatrix._of(
+            sum(p * s.projector() for p, s in zip(self.weights, self.states))
+        )
         density.matrix.flags.writeable = False
         return density
 

@@ -209,7 +209,8 @@ def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatri
     The linear-inversion estimate is projected to the nearest density
     matrix.
     """
-    return DensityMatrix(nearest_density_matrix(_raw_estimate(source, run, rng)))
+    # nearest_density_matrix clips the eigenvalues to >= 0 and makes them sum to 1
+    return DensityMatrix._of(nearest_density_matrix(_raw_estimate(source, run, rng)))
 
 
 @dataclass(frozen=True)

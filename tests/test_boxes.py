@@ -99,6 +99,14 @@ def test_warp_rejects_bad_exponent():
         warp_polar_angle(1.0, -2.0)
 
 
+@pytest.mark.parametrize("theta", [float("nan"), math.inf, -math.inf])
+def test_warp_rejects_a_non_finite_angle(theta):
+    # a finite angle outside [0, pi] is clamped, a non-finite one is an error
+    assert warp_polar_angle(-0.5, 2.0) == 0.0
+    with pytest.raises(InvalidInputError, match="polar angle must be finite"):
+        warp_polar_angle(theta, 2.0)
+
+
 # ---------------------------------------------------------------- linear boxes
 
 
