@@ -14,13 +14,12 @@ out first), 2 on internal errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from importlib import resources
 
 from .harness import dump_report, load_report, run_scenario, summarize_report, write_report
-from .scenario import ScenarioError, parse_scenario, parse_scenario_dict
+from .scenario import ScenarioError, parse_scenario
 
 __all__ = ["DEMOS", "main"]
 
@@ -113,7 +112,10 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     report = run_scenario(scenario, threads=args.threads, seed=args.seed)
     if args.out:
-        write_report(report, args.out)
+        try:
+            write_report(report, args.out)
+        except OSError as exc:
+            raise ScenarioError(f"{args.out}: cannot write the report ({exc.strerror})") from None
         print(summarize_report(report))
     else:
         dump_report(report, sys.stdout)
@@ -121,9 +123,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    text = DEMOS[args.name].read_text("utf-8")
-    scenario = parse_scenario_dict(json.loads(text), source=f"demo:{args.name}")
-    report = run_scenario(scenario)
+    report = run_scenario(parse_scenario(DEMOS[args.name]))
     _print_result_lines(report)
     return _exit_code(report)
 

@@ -211,9 +211,7 @@ def helstrom_test(
     errors is a post-quantum flag; trace-distance monotonicity makes that
     impossible for any CPTP box.
     """
-    trials = as_integer(trials, "trials")
-    if trials < 1:
-        raise InvalidInputError("trials must be positive")
+    trials = as_integer(trials, "trials", least=1)
     p1, p2 = setup.priors
     out1 = box.ensemble_output_density(setup.states[0])
     out2 = box.ensemble_output_density(setup.states[1])
@@ -507,9 +505,7 @@ def qrac_fidelity_estimate(
     choice bits, then whatever the pair draws.  The fixed block size keeps
     the draws independent of how the work is scheduled.
     """
-    rounds = as_integer(rounds, "rounds")
-    if rounds < 1:
-        raise InvalidInputError("at least one round is required")
+    rounds = as_integer(rounds, "rounds", least=1)
     fidelities = []
     for block, start in enumerate(range(0, rounds, QRAC_BLOCK)):
         n = min(QRAC_BLOCK, rounds - start)
@@ -623,7 +619,7 @@ def nsq_signalling_measure(
     internal stream, keeping the result deterministic.
     """
     da, db = (as_integer(d, "local_dims") for d in local_dims)
-    sampled_pairs = as_integer(sampled_pairs, "sampled_pairs")
+    sampled_pairs = as_integer(sampled_pairs, "sampled_pairs", least=0)
     if min(da, db) < 2:
         raise InvalidInputError("local dimensions must be at least 2")
     if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
@@ -677,9 +673,7 @@ def nsq_random_survey(
     control arm that must come out fully compatible.  Dimensions whose
     matrices would exceed ``MAX_DIM`` raise before the first draw.
     """
-    n_samples = as_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be at least 1")
+    n_samples = as_integer(n_samples, "n_samples", least=1)
     da, db = (as_integer(d, "local_dims") for d in local_dims)
     if env_dim is not None:
         env_dim = as_integer(env_dim, "env_dim")

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .detectors import TestVerdict
+from .linalg import InvalidInputError, as_integer
 from .rng import RngStream, mix64
 from .scenario import Scenario
 
@@ -92,13 +93,17 @@ def _run_cell(scenario: Scenario, seed: int, cell_index: int) -> dict:
 def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) -> dict:
     """Execute the scenario and assemble the report document.
 
-    The report is a pure function of (scenario, effective seed, package
+    ``threads`` is an integer of at least 1 and ``seed``, which overrides
+    the scenario's master seed, an integer in [0, 2**64); bools and floats
+    are rejected with :class:`InvalidInputError` before any job runs.  The
+    report is a pure function of (scenario, effective seed, package
     version) except for the provenance timestamp; thread count only changes
     wall-clock time.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    effective_seed = scenario.master_seed if seed is None else seed
+    threads = as_integer(threads, "threads", least=1)
+    effective_seed = scenario.master_seed if seed is None else as_integer(seed, "seed", least=0)
+    if effective_seed >= 2**64:
+        raise InvalidInputError("seed must fit in 64 unsigned bits")
     run_cell = functools.partial(_run_cell, scenario, effective_seed)
     if threads == 1:
         cells = list(map(run_cell, range(len(scenario.grid))))

@@ -73,14 +73,17 @@ def as_unitary(u, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an int: integers and numpy integers pass, bools and floats fail."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidInputError(f"{name} must be an integer")
+def as_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int (numpy ints pass, bools and floats fail) of at least ``least``."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer") from None
+    if least is not None and value < least:
+        raise InvalidInputError(f"{name} must be at least {least}")
+    return value
 
 
 def kron(a, b) -> np.ndarray:
@@ -116,8 +119,9 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
 
 
 def is_hermitian(m, atol: float = HERM_ATOL) -> bool:
+    """Whether ``m``, one matrix or a stack of them, is Hermitian within ``atol`` (NaN fails)."""
     a = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(abs(a - a.swapaxes(-1, -2).conj()).max() <= atol)
 
 
 def eig_hermitian(h, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +148,7 @@ def trace_norms(stack) -> np.ndarray:
     The absolute eigenvalues from ``eigh`` are summed in descending order.
     """
     a = np.asarray(stack, dtype=complex)
-    if not np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= HERM_ATOL:
+    if not is_hermitian(a):
         raise InvalidInputError("matrix is not Hermitian within tolerance")
     w, _ = np.linalg.eigh(a)
     return np.sum(np.abs(w[:, ::-1]), axis=1)

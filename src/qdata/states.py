@@ -24,9 +24,9 @@ import numpy as np
 
 from .linalg import (
     ATOL,
-    HERM_ATOL,
     InvalidInputError,
     InvalidShapeError,
+    _check_dim,
     as_operator,
     eig_hermitian,
     haar_random_state,
@@ -59,8 +59,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if v.size < 1 or v.size > 64:
-            raise InvalidShapeError(f"state dimension {v.size} outside [1, 64]")
+        _check_dim(v.size)
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
             raise InvalidInputError("state vector is not normalized")
         object.__setattr__(self, "vector", v)
@@ -175,7 +174,7 @@ def check_densities(m: np.ndarray) -> None:
     unit trace within ``ATOL`` and no eigenvalue below -1e-10, each run
     once over the whole stack.
     """
-    if not abs(m - m.swapaxes(-1, -2).conj()).max() <= HERM_ATOL:
+    if not is_hermitian(m):
         raise InvalidInputError("density matrix is not Hermitian")
     if not abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() <= ATOL:
         raise InvalidInputError("density matrix trace differs from 1")
@@ -201,17 +200,14 @@ class Povm:
         eff = tuple(as_operator(e) for e in self.effects)
         if not eff:
             raise InvalidShapeError("a POVM needs at least one effect")
-        dim = eff[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in eff:
-            if e.shape[0] != dim:
-                raise InvalidShapeError("POVM effects have mixed dimensions")
-            if not is_hermitian(e, atol=1e-9):
-                raise InvalidInputError("POVM effect is not Hermitian")
-            if np.min(np.linalg.eigvalsh(e)) < -1e-10:
-                raise InvalidInputError("POVM effect is not PSD")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+        if len({e.shape[0] for e in eff}) != 1:
+            raise InvalidShapeError("POVM effects have mixed dimensions")
+        stack = np.array(eff)
+        if not is_hermitian(stack, atol=1e-9):
+            raise InvalidInputError("POVM effect is not Hermitian")
+        if np.linalg.eigvalsh(stack).min() < -1e-10:
+            raise InvalidInputError("POVM effect is not PSD")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > 1e-10:
             raise InvalidInputError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", eff)
 

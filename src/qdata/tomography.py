@@ -44,7 +44,6 @@ from .linalg import (
     hermitian_basis,
     kron,
     nearest_density_matrix,
-    partial_trace,
     rotation_y,
 )
 from .rng import RngStream, _child_keys, _keyed_multinomials, mix64
@@ -151,10 +150,8 @@ class TomographyRun:
     n_qubits: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("shots_per_setting", "n_qubits"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.shots_per_setting < 1:
-            raise InvalidInputError("shots_per_setting must be at least 1")
+        for name, least in (("shots_per_setting", 1), ("n_qubits", None)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
         if self.n_qubits not in (1, 2):
             raise InvalidInputError("a run measures the one- or two-qubit Pauli set")
 
@@ -296,7 +293,7 @@ class ReconstructedProcess:
     def __post_init__(self) -> None:
         eigvals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
         negativity = float(-eigvals[eigvals < 0].sum())
-        marginal = partial_trace(self.choi, [self.dim_in, self.dim_out], keep={0})
+        marginal = np.einsum("iaja->ij", self.choi.reshape((self.dim_in, self.dim_out) * 2))
         tp_deviation = float(np.max(np.abs(marginal - np.eye(self.dim_in))))
         object.__setattr__(self, "cptp_residual", negativity + tp_deviation)
 

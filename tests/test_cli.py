@@ -71,6 +71,16 @@ def test_run_with_an_error_entry_writes_the_report_and_exits_1(tmp_path, capsys)
     assert "1 job(s) recorded an error" in captured.err
 
 
+def test_demo_reads_its_file_with_the_scenario_file_parser(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "duplicate.json"
+    path.write_text('{"name": "a", "name": "b"}')
+    monkeypatch.setitem(DEMOS, "duplicate", path)
+    assert main(["demo", "duplicate"]) == 1
+    captured = capsys.readouterr()
+    assert "duplicate key 'name'" in captured.err
+    assert captured.out == ""
+
+
 def test_demo_with_an_error_entry_prints_its_lines_and_exits_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "error_cell.json"
     path.write_text(json.dumps(ERROR_CELL))
@@ -174,9 +184,12 @@ def test_run_out_writes_file_and_prints_digest(mini_path, tmp_path, capsys):
     assert report["summary"]["error_count"] == 0
 
 
-def test_run_out_unwritable_is_internal_error(mini_path, capsys):
-    assert main(["run", mini_path, "--out", "/nonexistent/dir/report.json"]) == 2
-    assert "Traceback" in capsys.readouterr().err
+def test_run_out_unwritable_is_a_usage_error(mini_path, tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "report.json")
+    assert main(["run", mini_path, "--out", out_path]) == 1
+    err = capsys.readouterr().err
+    assert f"qdata: {out_path}: cannot write the report (No such file or directory)" in err
+    assert "Traceback" not in err
 
 
 def test_report_summarize_round_trip(mini_path, tmp_path, capsys):

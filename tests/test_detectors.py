@@ -659,6 +659,29 @@ def test_detector_counts_must_be_integers():
     assert got == want and type(got.n_trials) is int
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: helstrom_test(
+                LinearBox(QuantumChannel.identity(2)), canonical_setup(), 0, rng=RngStream(61, 4)
+            ),
+            "trials must be at least 1",
+        ),
+        (lambda: qrac_fidelity_estimate(QracOracle(), 0, RngStream(61, 5)), "rounds must be at least 1"),
+        (lambda: nsq_random_survey(0, rng=RngStream(61, 6)), "n_samples must be at least 1"),
+        (
+            lambda: nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=-1),
+            "sampled_pairs must be at least 0",
+        ),
+    ],
+    ids=["trials", "rounds", "n_samples", "sampled_pairs"],
+)
+def test_detector_counts_have_a_lower_bound(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 def test_helstrom_bound_is_computed_once_per_setup(monkeypatch):
     setup = canonical_setup()
     p1, p2 = setup.priors

@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 from qdata import (
+    InvalidInputError,
     LinearBox,
     QuantumChannel,
     RngStream,
@@ -20,6 +21,7 @@ from qdata import (
     summarize_report,
     write_report,
 )
+from qdata import harness
 
 IDENTITY_SWEEP = {
     "name": "identity-sweep",
@@ -308,10 +310,35 @@ def test_summarize_report_digest(identity_report):
     assert "post-quantum" not in digest
 
 
-def test_thread_count_validation():
+def _no_jobs(*args):
+    raise AssertionError("a job ran")
+
+
+def test_thread_count_validation(monkeypatch):
+    monkeypatch.setattr(harness, "_execute_one", _no_jobs)
     scenario = parse_scenario_dict(copy.deepcopy(IDENTITY_SWEEP))
     with pytest.raises(ValueError, match="threads must be at least 1"):
         run_scenario(scenario, threads=0)
+    for threads in (2.5, True):
+        with pytest.raises(InvalidInputError, match="threads must be an integer"):
+            run_scenario(scenario, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "seed,message",
+    [
+        (2**64, "seed must fit in 64 unsigned bits"),
+        (-1, "seed must be at least 0"),
+        (1.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+    ],
+    ids=["2**64", "-1", "1.5", "True"],
+)
+def test_seed_override_is_a_64_bit_unsigned_integer(seed, message, monkeypatch):
+    monkeypatch.setattr(harness, "_execute_one", _no_jobs)
+    scenario = parse_scenario_dict(copy.deepcopy(IDENTITY_SWEEP))
+    with pytest.raises(InvalidInputError, match=message):
+        run_scenario(scenario, seed=seed)
 
 
 # one composition-gap detector with a constant second box, one whose second

@@ -23,6 +23,7 @@ from qdata import (
     trace_norm,
     uhlmann_fidelity,
 )
+from qdata.linalg import as_integer, is_hermitian, trace_norms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -192,6 +193,33 @@ def test_operator_size_cap():
     big = np.eye(65, dtype=complex)
     with pytest.raises(InvalidShapeError):
         trace_norm(big)
+
+
+def test_is_hermitian_checks_every_matrix_of_a_stack():
+    stack = np.array([np.eye(2), SX, SY, SZ], dtype=complex)
+    assert is_hermitian(stack) and is_hermitian(stack[2])
+    stack[2, 0, 1] += 1e-9
+    assert not is_hermitian(stack)
+    assert is_hermitian(stack, atol=1e-8)
+    assert is_hermitian(np.delete(stack, 2, axis=0))
+
+
+def test_trace_norms_rejects_a_non_hermitian_member():
+    stack = np.array([SZ, SX + 1j * SZ], dtype=complex)
+    with pytest.raises(InvalidInputError, match="matrix is not Hermitian within tolerance"):
+        trace_norms(stack)
+
+
+def test_as_integer_checks_the_lower_bound():
+    assert as_integer(-5, "n") == -5
+    assert as_integer(0, "n", least=0) == 0
+    assert as_integer(np.int64(3), "n", least=1) == 3
+    with pytest.raises(InvalidInputError, match="n must be at least 1"):
+        as_integer(0, "n", least=1)
+    with pytest.raises(InvalidInputError, match="n must be at least 0"):
+        as_integer(-1, "n", least=0)
+    with pytest.raises(InvalidInputError, match="n must be an integer"):
+        as_integer(True, "n", least=0)
 
 
 def test_haar_state_moments():

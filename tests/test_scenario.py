@@ -19,6 +19,7 @@ from qdata import (
     ScenarioError,
     parse_scenario,
     parse_scenario_dict,
+    run_scenario,
 )
 from qdata.scenario import BOX_FAMILIES, CHANNEL_KINDS, DETECTORS, PAIR_FAMILIES, REQUIRED, Entry
 
@@ -390,6 +391,86 @@ def test_detector_settings_unknown_key():
         parse_scenario_dict(
             variant(detectors=[{"name": "helstrom", "settings": {"trails": 10}}])
         )
+
+
+def _linear(channel):
+    return {"box": {"family": "linear", "channel": channel}}
+
+
+def _settings(name, **settings):
+    return {"detectors": [{"name": name, "settings": settings}]}
+
+
+def _without_name():
+    d = base_scenario()
+    del d["name"]
+    return d
+
+
+# (document, the whole message of the error it raises)
+PARSE_ERRORS = {
+    "box-not-object": (variant(box=[]), "scenario.box: expected an object, got list"),
+    "box-no-family": (variant(box={}), "scenario.box: missing required key 'family'"),
+    "no-name": (_without_name(), "scenario: missing required key 'name'"),
+    "number-is-str": (
+        variant(**_linear({"kind": "depolarizing", "p": "0.1"})),
+        "scenario.box.channel.p: expected a number, got str",
+    ),
+    "count-is-float": (
+        variant(**_settings("helstrom", trials=10.0)),
+        "scenario.detectors[0].settings.trials: expected an integer, got float",
+    ),
+    "flag-not-bool": (
+        variant(**_settings("nsq-survey", product_channels=1)),
+        "scenario.detectors[0].settings.product_channels: expected a boolean",
+    ),
+    "param-not-str": (
+        variant(**_linear({"kind": "depolarizing", "p": {"param": 1}})),
+        "scenario.box.channel.p.param: parameter name must be a string",
+    ),
+    "ragged-rows": (
+        variant(**_linear({"kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]})),
+        "scenario.box.channel.matrix[1]: ragged rows",
+    ),
+    "unknown-family": (
+        variant(box={"family": "bogus"}),
+        "scenario.box.family: unknown box family 'bogus'",
+    ),
+    "settings-not-object": (
+        variant(detectors=[{"name": "helstrom", "settings": []}]),
+        "scenario.detectors[0].settings: expected an object",
+    ),
+    "empty-axis": (
+        variant(parameter_grid={"k": []}),
+        "scenario.parameter_grid.k: expected a non-empty list of values",
+    ),
+    "cell-not-object": (
+        variant(parameter_grid=[1]),
+        "scenario.parameter_grid[0]: expected an object of parameter bindings",
+    ),
+    "grid-not-axes-or-cells": (
+        variant(parameter_grid="k"),
+        "scenario.parameter_grid: expected an axes object or a list of cells",
+    ),
+    "empty-name": (variant(name=""), "scenario.name: expected a non-empty string"),
+    "no-detectors": (variant(detectors=[]), "scenario.detectors: expected a non-empty list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_name_their_path(case):
+    document, message = PARSE_ERRORS[case]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_dict(document)
+    assert str(info.value) == message
+
+
+def test_nsq_survey_product_channels_parse_and_run_fully_compatible():
+    document = variant(**_settings("nsq-survey", n_samples=8, product_channels=True))
+    scenario = parse_scenario_dict(document)
+    assert scenario.detectors[0].fields["product_channels"] is True
+    (result,) = run_scenario(scenario)["cells"][0]["results"]
+    assert result["verdict"]["extras"]["compatible_fraction"] == 1.0
 
 
 def test_parse_scenario_file_errors(tmp_path):

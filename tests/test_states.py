@@ -44,8 +44,9 @@ def test_pure_state_requires_normalization():
 
 
 def test_pure_state_dimension_cap():
-    with pytest.raises(InvalidShapeError):
-        PureState(np.ones(65, dtype=complex) / math.sqrt(65))
+    for dim in (0, 65):
+        with pytest.raises(InvalidShapeError, match=rf"dimension {dim} outside supported range \[1, 64\]"):
+            PureState(np.ones(dim, dtype=complex) / math.sqrt(max(dim, 1)))
 
 
 def test_named_states():
@@ -124,6 +125,26 @@ def test_povm_validation():
     with pytest.raises(InvalidInputError):
         Povm((np.diag([1.5, 0.0]).astype(complex), np.diag([-0.5, 1.0]).astype(complex)))
     assert len(z_povm()) == 2
+
+
+@pytest.mark.parametrize(
+    "effects,error,message",
+    [
+        ((), InvalidShapeError, "a POVM needs at least one effect"),
+        ((np.eye(2), np.zeros((3, 3))), InvalidShapeError, "POVM effects have mixed dimensions"),
+        (
+            (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 1.0]])),
+            InvalidInputError,
+            "POVM effect is not Hermitian",
+        ),
+        ((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])), InvalidInputError, "POVM effect is not PSD"),
+        ((np.eye(2) * 0.6, np.eye(2) * 0.5), InvalidInputError, "POVM effects do not sum to the identity"),
+    ],
+    ids=["empty", "mixed-dimensions", "non-hermitian", "not-psd", "incomplete"],
+)
+def test_povm_checks_its_effects_as_one_stack(effects, error, message):
+    with pytest.raises(error, match=message):
+        Povm(effects)
 
 
 def test_ensemble_validation():
