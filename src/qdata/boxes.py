@@ -402,11 +402,28 @@ class QracQuantum(BoxPair):
         return a, b, self._bob_outputs[b, x]
 
 
+def _local_dims(local_dims) -> tuple[int, int]:
+    """``local_dims`` as a pair of integers, each at least 2.
+
+    A local dimension of 1 has no traceless direction for the kernel scan.
+    """
+    try:
+        dims = tuple(local_dims)
+    except TypeError:
+        dims = ()
+    if len(dims) != 2:
+        raise InvalidInputError("local_dims must be a pair")
+    da, db = (as_integer(d, "local_dims") for d in dims)
+    if min(da, db) < 2:
+        raise InvalidInputError("local dimensions must be at least 2")
+    return da, db
+
+
 class NsqChannelPair(BoxPair):
     """Correlated pair expressed as one bipartite channel on Alice x Bob."""
 
     def __init__(self, lambda_ab: QuantumChannel, local_dims: tuple):
-        da, db = (as_integer(d, "local_dims") for d in local_dims)
+        da, db = _local_dims(local_dims)
         if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
             raise InvalidShapeError("channel dimensions do not factor over the local dims")
         self.lambda_ab = lambda_ab

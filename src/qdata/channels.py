@@ -21,10 +21,11 @@ import numpy as np
 from .linalg import (
     InvalidInputError,
     InvalidShapeError,
+    _haar_columns,
+    as_integer,
     as_operator,
     as_unitary,
     eig_hermitian,
-    haar_random_unitary,
     is_hermitian,
 )
 from .rng import RngStream
@@ -201,15 +202,18 @@ def random_channel(
 
     A Haar unitary on the dim_out * env_dim space is restricted to the first
     dim_in columns, giving an isometry V; the channel traces out the
-    environment.  ``env_dim`` defaults to dim_in * dim_out, which samples
-    full-Kraus-rank channels.
+    environment.  Only those columns are factored, from the same draws as
+    the full unitary.  ``env_dim`` defaults to dim_in * dim_out, which samples
+    full-Kraus-rank channels.  The dimensions and ``env_dim`` are integers of
+    at least 1 (:func:`qdata.linalg.as_integer`).
     """
-    env = env_dim if env_dim is not None else dim_in * dim_out
+    dim_in = as_integer(dim_in, "dim_in", least=1)
+    dim_out = as_integer(dim_out, "dim_out", least=1)
+    env = dim_in * dim_out if env_dim is None else as_integer(env_dim, "env_dim", least=1)
     total = dim_out * env
     if total < dim_in:
         raise InvalidShapeError("environment too small for an isometry")
-    u = haar_random_unitary(total, rng)
-    v = u[:, :dim_in].reshape(dim_out, env, dim_in)
+    v = _haar_columns(total, dim_in, rng).reshape(dim_out, env, dim_in)
     choi4 = np.einsum("aei,bej->iajb", v, v.conj())
     return QuantumChannel(
         choi4.reshape(dim_in * dim_out, dim_in * dim_out), dim_in, dim_out

@@ -14,11 +14,14 @@ out first), 2 on internal errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import traceback
 from importlib import resources
 
 from .harness import dump_report, load_report, run_scenario, summarize_report, write_report
+from .linalg import InvalidInputError, as_integer, as_seed
 from .scenario import ScenarioError, parse_scenario
 
 __all__ = ["DEMOS", "main"]
@@ -40,23 +43,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed_value(text: str) -> int:
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+    return _checked(text, lambda: as_seed(int(text, 0)))
 
 
-def _positive_int(text: str) -> int:
+def _threads_value(text: str) -> int:
+    return _checked(text, lambda: as_integer(int(text), "threads", least=1))
+
+
+def _checked(text: str, parse):
+    """``parse()``, with its error turned into a usage error."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return value
+        return parse()
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # int() of text that is not an integer
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", help="write the report here instead of stdout")
     run_p.add_argument("--seed", type=_seed_value, default=None, help="override the master seed")
-    run_p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+    run_p.add_argument("--threads", type=_threads_value, default=1, help="worker threads")
 
     demo_p = sub.add_parser("demo", help="run a packaged example scenario")
     demo_p.add_argument("name", choices=sorted(DEMOS), help="demo name")
@@ -108,8 +109,24 @@ def _exit_code(report: dict) -> int:
     return 0
 
 
+def _check_report_path(path: str) -> None:
+    """Fail before the first job when the report cannot be written to ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ScenarioError(f"{path}: cannot write the report ({os.strerror(code)})")
+
+
 def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
+    if args.out:
+        _check_report_path(args.out)
     report = run_scenario(scenario, threads=args.threads, seed=args.seed)
     if args.out:
         try:

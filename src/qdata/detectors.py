@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoxModel, BoxPair, LinearBox, compose_boxes
+from .boxes import BoxModel, BoxPair, LinearBox, _local_dims, compose_boxes
 from .channels import QuantumChannel, random_channel
 from .linalg import (
     MAX_DIM,
@@ -572,6 +572,27 @@ class NsqResult:
         return max(self.per_direction)
 
 
+@functools.cache
+def _kernel_scan_operands(da: int, db: int, sender: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel scan's operand stack and its trace norms, built once per
+    ``(da, db, sender)`` and shared: both arrays are read-only.
+
+    The operands are ``kron(a, b)`` for every Hermitian basis element ``a``
+    traceless on the sender side and every basis element ``b`` on the
+    receiver side, a-major.
+    """
+    basis_a = np.array(hermitian_basis(da)[1 - sender:])
+    basis_b = np.array(hermitian_basis(db)[sender:])
+    # kron(a, b) for every pair, as one broadcast product
+    operands = (
+        basis_a[:, None, :, None, :, None] * basis_b[None, :, None, :, None, :]
+    ).reshape(-1, da * db, da * db)
+    norms = trace_norms(operands)
+    operands.flags.writeable = False
+    norms.flags.writeable = False
+    return operands, norms
+
+
 def _kernel_direction(choi4, dims, sender: int) -> float:
     """Largest normalized marginal response on the receiver side.
 
@@ -579,20 +600,15 @@ def _kernel_direction(choi4, dims, sender: int) -> float:
     arbitrary basis elements on the receiver; for each, the receiver
     marginal of the output is compared with the input's size in trace norm.
     The swap channel attains 1.  All operands go through the channel as one
-    stack.
+    stack; the stack and its trace norms are built once per shape.
     """
     da, db = dims
-    basis_a = np.array(hermitian_basis(da)[1 - sender:])
-    basis_b = np.array(hermitian_basis(db)[sender:])
-    # kron(a, b) for every pair, a-major, as one broadcast product
-    operands = (
-        basis_a[:, None, :, None, :, None] * basis_b[None, :, None, :, None, :]
-    ).reshape(-1, da * db, da * db)
+    operands, norms = _kernel_scan_operands(da, db, sender)
     outputs = np.einsum("kij,iajb->kab", operands, choi4)
     # partial trace over the sender, by reshape
     trace_out = "kxaxb->kab" if sender == 0 else "kaxbx->kab"
     marginals = np.einsum(trace_out, outputs.reshape(-1, da, db, da, db))
-    ratios = trace_norms(marginals) / trace_norms(operands)
+    ratios = trace_norms(marginals) / norms
     return max(0.0, float(np.max(ratios)))
 
 
@@ -618,10 +634,8 @@ def nsq_signalling_measure(
     changes above 1e-9.  With rng omitted the sampled arm uses a fixed
     internal stream, keeping the result deterministic.
     """
-    da, db = (as_integer(d, "local_dims") for d in local_dims)
+    da, db = _local_dims(local_dims)
     sampled_pairs = as_integer(sampled_pairs, "sampled_pairs", least=0)
-    if min(da, db) < 2:
-        raise InvalidInputError("local dimensions must be at least 2")
     if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
         raise InvalidInputError("channel dimensions do not factor over the local dims")
     choi4 = lambda_ab.choi4
@@ -674,9 +688,9 @@ def nsq_random_survey(
     matrices would exceed ``MAX_DIM`` raise before the first draw.
     """
     n_samples = as_integer(n_samples, "n_samples", least=1)
-    da, db = (as_integer(d, "local_dims") for d in local_dims)
+    da, db = _local_dims(local_dims)
     if env_dim is not None:
-        env_dim = as_integer(env_dim, "env_dim")
+        env_dim = as_integer(env_dim, "env_dim", least=1)
     # a sample's Choi matrix is d^2 wide and a generic sample's dilation d env;
     # a product sample dilates each factor on at most 4^3 = 64 when d <= 8
     d = da * db

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .detectors import TestVerdict
-from .linalg import InvalidInputError, as_integer
+from .linalg import as_integer, as_seed
 from .rng import RngStream, mix64
 from .scenario import Scenario
 
@@ -101,9 +101,7 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     wall-clock time.
     """
     threads = as_integer(threads, "threads", least=1)
-    effective_seed = scenario.master_seed if seed is None else as_integer(seed, "seed", least=0)
-    if effective_seed >= 2**64:
-        raise InvalidInputError("seed must fit in 64 unsigned bits")
+    effective_seed = scenario.master_seed if seed is None else as_seed(seed)
     run_cell = functools.partial(_run_cell, scenario, effective_seed)
     if threads == 1:
         cells = list(map(run_cell, range(len(scenario.grid))))

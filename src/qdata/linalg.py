@@ -86,6 +86,16 @@ def as_integer(value, name: str, least: int | None = None) -> int:
     return value
 
 
+def as_seed(value, name: str = "seed") -> int:
+    """``value`` as a master seed: an integer (see :func:`as_integer`) in [0, 2**64)."""
+    value = as_integer(value, name)
+    if value < 0:
+        raise InvalidInputError(f"{name} must be at least 0 to fit in 64 unsigned bits")
+    if value >= 2**64:
+        raise InvalidInputError(f"{name} must fit in 64 unsigned bits")
+    return value
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with subsystem 0 as the left (slow) factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -224,10 +234,23 @@ def haar_random_unitary(dim: int, rng: RngStream) -> np.ndarray:
     The R diagonal is phase-fixed so the distribution is exactly Haar
     rather than merely unitary.
     """
+    return _haar_columns(dim, dim, rng)
+
+
+def _haar_columns(dim: int, cols: int, rng: RngStream) -> np.ndarray:
+    """The first ``cols`` columns of ``haar_random_unitary(dim, rng)``.
+
+    The whole ``dim x dim`` Ginibre matrix is drawn (real block, then
+    imaginary block), so the stream is used exactly as for the full unitary.
+    Householder QR makes the first ``cols`` columns of Q and the first
+    ``cols`` diagonal entries of R depend only on the first ``cols`` columns
+    of the draw, so only those are factored.
+    """
     _check_dim(dim)
     g = rng.generator
-    z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    re = g.standard_normal((dim, dim))
+    im = g.standard_normal((dim, dim))
+    q, r = np.linalg.qr((re[:, :cols] + 1j * im[:, :cols]) / np.sqrt(2.0))
     d = np.diag(r)
     return q * (d / np.abs(d))
 

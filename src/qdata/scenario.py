@@ -46,7 +46,7 @@ from .detectors import (
     qrac_fidelity_estimate,
     qrac_verdict,
 )
-from .linalg import rotation_y
+from .linalg import InvalidInputError, as_seed, rotation_y
 from .states import PureState
 
 __all__ = [
@@ -510,9 +510,10 @@ def parse_scenario_dict(data: dict, source: str = "scenario") -> Scenario:
     _check_keys(data, ("name", "parameter_grid", "detectors", "master_seed"), ("box", "pair"), source)
     if not isinstance(data["name"], str) or not data["name"]:
         _fail(f"{source}.name", "expected a non-empty string")
-    seed = data["master_seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        _fail(f"{source}.master_seed", "expected a 64-bit unsigned integer")
+    try:
+        seed = as_seed(data["master_seed"], "master_seed")
+    except InvalidInputError as exc:
+        _fail(f"{source}.master_seed", str(exc))
     grid = _parse_grid(data["parameter_grid"], f"{source}.parameter_grid")
 
     if "box" in data and "pair" in data:

@@ -13,6 +13,7 @@ from qdata import (
     QuantumChannel,
     RngStream,
     choi_from_kraus,
+    haar_random_unitary,
     ket,
     kraus_from_choi,
     max_entangled,
@@ -223,6 +224,64 @@ def test_random_channel_is_cptp_and_deterministic():
         assert np.array_equal(ch.choi, again.choi)
     random_channel(2, 3, RngStream(21, 1))
     random_channel(3, 2, RngStream(21, 2))
+
+
+def _choi_from_the_full_unitary(dim_in, dim_out, rng, env_dim):
+    """The Choi matrix from the first columns of a full Haar unitary."""
+    env = env_dim if env_dim is not None else dim_in * dim_out
+    u = haar_random_unitary(dim_out * env, rng)
+    v = u[:, :dim_in].reshape(dim_out, env, dim_in)
+    choi4 = np.einsum("aei,bej->iajb", v, v.conj())
+    return choi4.reshape(dim_in * dim_out, dim_in * dim_out)
+
+
+# every pair of dimensions and environment with room for an isometry
+ORACLE_CASES = [
+    (d_in, d_out, env)
+    for d_in, d_out in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4)]
+    for env in [None, 1, 2, 6, 16]
+    if d_out * (env or d_in * d_out) >= d_in
+]
+
+
+@pytest.mark.parametrize("d_in, d_out, env_dim", ORACLE_CASES)
+def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out, env_dim):
+    for seed in (1, 2, 7, 21, 30, 45):
+        for i in range(4):
+            ch = random_channel(d_in, d_out, RngStream(seed, i), env_dim)
+            want = _choi_from_the_full_unitary(d_in, d_out, RngStream(seed, i), env_dim)
+            assert np.array_equal(ch.choi, want)
+
+
+class _NoDraws:
+    """A stand-in stream that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"random_channel used rng.{name}")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"env_dim": 2.5}, "env_dim must be an integer"),
+        ({"env_dim": True}, "env_dim must be an integer"),
+        ({"env_dim": 0}, "env_dim must be at least 1"),
+        ({"dim_in": 2.0}, "dim_in must be an integer"),
+        ({"dim_in": True}, "dim_in must be an integer"),
+        ({"dim_out": np.float64(2)}, "dim_out must be an integer"),
+        ({"dim_out": 0}, "dim_out must be at least 1"),
+    ],
+    ids=["env-float", "env-bool", "env-0", "in-float", "in-bool", "out-float", "out-0"],
+)
+def test_random_channel_dimensions_follow_the_count_rule(kwargs, message):
+    args = {"dim_in": 2, "dim_out": 2, "rng": _NoDraws(), **kwargs}
+    with pytest.raises(InvalidInputError, match=message):
+        random_channel(**args)
+
+
+def test_random_channel_accepts_numpy_integers():
+    ch = random_channel(np.int64(2), np.int32(2), RngStream(21, 7), env_dim=np.uint8(2))
+    assert np.array_equal(ch.choi, random_channel(2, 2, RngStream(21, 7), env_dim=2).choi)
 
 
 def test_random_channel_env_one_is_unitary():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qdata import cli
 from qdata.cli import DEMOS, main
 
 MINI = {
@@ -175,6 +176,20 @@ def test_run_seed_validation(mini_path, capsys):
     assert "64 unsigned bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "18446744073709551616", "seed must fit in 64 unsigned bits"),
+        ("--seed", "1.5", "'1.5' is not an integer"),
+        ("--threads", "0", "threads must be at least 1"),
+        ("--threads", "two", "'two' is not an integer"),
+    ],
+)
+def test_run_integer_options_follow_the_library_rules(mini_path, capsys, flag, value, message):
+    assert main(["run", mini_path, flag, value]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_run_out_writes_file_and_prints_digest(mini_path, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["run", mini_path, "--out", str(out_file)]) == 0
@@ -190,6 +205,24 @@ def test_run_out_unwritable_is_a_usage_error(mini_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"qdata: {out_path}: cannot write the report (No such file or directory)" in err
     assert "Traceback" not in err
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the run started before the --out path was checked")
+
+
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/report.json", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-dir", "directory"],
+)
+def test_run_out_is_checked_before_the_first_job(mini_path, tmp_path, capsys, monkeypatch, where, reason):
+    monkeypatch.setattr(cli, "run_scenario", _no_run)
+    out_path = str(tmp_path / where)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", mini_path, "--out", out_path]) == 1
+    assert f"qdata: {out_path}: cannot write the report ({reason})" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_report_summarize_round_trip(mini_path, tmp_path, capsys):

@@ -40,7 +40,7 @@ from qdata import (
 from qdata import detectors
 from qdata.boxes import BoxPair, NsqChannelPair
 from qdata.detectors import QRAC_BLOCK, _kernel_direction
-from qdata.linalg import hermitian_basis, kron, partial_trace, trace_norm
+from qdata.linalg import hermitian_basis, kron, partial_trace, trace_norm, trace_norms
 from qdata.states import born_probabilities
 
 RY45 = rotation_y(math.pi / 4)
@@ -641,6 +641,56 @@ def test_nsq_survey_rejects_dimensions_beyond_the_cap_before_any_draw():
             nsq_random_survey(3, (3, 3), rng=_NoDraws(), env_dim=1, product_channels=product)
     v = nsq_random_survey(3, (2, 4), rng=RngStream(59, 7), env_dim=8)
     assert v.n_trials == 3 and v.extras["signalling_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (2,), (), 4])
+def test_nsq_local_dims_must_be_a_pair(dims):
+    ident = QuantumChannel.identity(4)
+    for call in (
+        lambda: nsq_signalling_measure(ident, dims, sampled_pairs=0),
+        lambda: nsq_random_survey(2, dims, rng=_NoDraws()),
+        lambda: NsqChannelPair(ident, dims),
+    ):
+        with pytest.raises(InvalidInputError, match="local_dims must be a pair"):
+            call()
+
+
+@pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
+def test_nsq_local_dimension_of_1_fails_before_any_draw_and_in_the_pair(dims):
+    with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
+        nsq_random_survey(2, dims, rng=_NoDraws())
+    with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
+        NsqChannelPair(QuantumChannel.identity(4), dims)
+
+
+def test_nsq_survey_factors_only_the_kept_columns(monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    v = nsq_random_survey(60, rng=RngStream(59, 8), env_dim=16)
+    assert v.n_trials == 60
+    # a 4-dimensional channel dilated on 4 x 16: its isometry is 64 x 4
+    assert shapes == [(64, 4)] * 60
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("sender", [0, 1])
+def test_kernel_operands_are_built_once_and_read_only(da, db, sender):
+    operands, norms = detectors._kernel_scan_operands(da, db, sender)
+    basis_a = hermitian_basis(da)[1 - sender:]
+    basis_b = hermitian_basis(db)[sender:]
+    fresh = np.array([np.kron(a, b) for a in basis_a for b in basis_b])
+    assert np.array_equal(operands, fresh)
+    assert np.array_equal(norms, trace_norms(fresh))
+    assert detectors._kernel_scan_operands(da, db, sender)[0] is operands
+    for array in (operands, norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_detector_counts_must_be_integers():

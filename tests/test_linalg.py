@@ -23,7 +23,7 @@ from qdata import (
     trace_norm,
     uhlmann_fidelity,
 )
-from qdata.linalg import as_integer, is_hermitian, trace_norms
+from qdata.linalg import _haar_columns, as_integer, as_seed, is_hermitian, trace_norms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -222,6 +222,19 @@ def test_as_integer_checks_the_lower_bound():
         as_integer(True, "n", least=0)
 
 
+def test_as_seed_is_an_integer_in_64_unsigned_bits():
+    assert as_seed(0) == 0
+    assert as_seed(2**64 - 1) == 2**64 - 1
+    assert as_seed(np.uint64(7), "master_seed") == 7
+    with pytest.raises(InvalidInputError, match="seed must be at least 0 to fit in 64 unsigned bits"):
+        as_seed(-1)
+    with pytest.raises(InvalidInputError, match="master_seed must fit in 64 unsigned bits"):
+        as_seed(2**64, "master_seed")
+    for bad in (1.0, True, "1"):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            as_seed(bad)
+
+
 def test_haar_state_moments():
     g = RngStream(3, 0)
     n = 100_000
@@ -242,6 +255,25 @@ def test_haar_unitary_is_unitary():
         u = haar_random_unitary(dim, root.child(k))
         assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-10)
         assert abs(abs(np.linalg.det(u)) - 1) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 16, 64])
+def test_haar_unitary_is_the_phase_fixed_qr_of_the_full_draw(dim):
+    # the stream layout: the whole real block, then the whole imaginary block
+    for seed in (1, 7):
+        g = RngStream(seed, dim).generator
+        z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r)
+        assert np.array_equal(haar_random_unitary(dim, RngStream(seed, dim)), q * (d / np.abs(d)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
+def test_haar_columns_are_the_first_columns_of_the_unitary_bit_for_bit(dim):
+    for cols in sorted({1, 2, dim // 2, dim - 1, dim} - {0}):
+        for seed in (1, 2, 7):
+            full = haar_random_unitary(dim, RngStream(seed, cols))
+            assert np.array_equal(_haar_columns(dim, cols, RngStream(seed, cols)), full[:, :cols])
 
 
 def test_hermitian_basis_is_orthonormal():

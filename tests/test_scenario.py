@@ -169,6 +169,14 @@ def test_master_seed_must_be_u64():
             parse_scenario_dict(variant(master_seed=seed))
 
 
+def test_master_seed_follows_the_seed_rule():
+    with pytest.raises(ScenarioError, match=r"scenario\.master_seed: master_seed must fit in 64 unsigned bits"):
+        parse_scenario_dict(variant(master_seed=2**64))
+    with pytest.raises(ScenarioError, match=r"scenario\.master_seed: master_seed must be an integer"):
+        parse_scenario_dict(variant(master_seed=True))
+    assert parse_scenario_dict(variant(master_seed=2**64 - 1)).master_seed == 2**64 - 1
+
+
 def test_box_xor_pair():
     d = variant(pair={"family": "qrac-oracle"})
     with pytest.raises(ScenarioError, match="not both"):
