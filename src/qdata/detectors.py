@@ -42,6 +42,7 @@ from .linalg import (
     trace_norm,
     trace_norms,
     uhlmann_fidelity,
+    worst_fidelity,
 )
 from .rng import RngStream
 from .states import (
@@ -338,8 +339,10 @@ def _calibrated_test(
 ) -> TestVerdict:
     """Rule on statistic(box, rng) -> (value, extras) against its null under ``key``.
 
-    The evidence is the delta-0 direct reconstruction at ``run`` on child 1 << 20,
-    clear of the statistics' children.
+    ``extras`` is a function that builds the report extras; only the job's
+    own evaluation calls it, so a calibration replication computes only the
+    statistic.  The evidence is the delta-0 direct reconstruction at ``run``
+    on child 1 << 20, clear of the statistics' children.
     """
     threshold, sigma = _calibrated_null(
         key, lambda null_box, stream: statistic(null_box, stream)[0]
@@ -347,7 +350,7 @@ def _calibrated_test(
     value, extras = statistic(box, rng)
     report = process_tomography_direct(box, canonical_probe_basis(2), run, rng.child(1 << 20))
     recon = {"choi": report.normalized_choi()}
-    return TestVerdict(value, threshold, sigma, n_trials, extras=extras, reconstructions=recon)
+    return TestVerdict(value, threshold, sigma, n_trials, extras=extras(), reconstructions=recon)
 
 
 def basis_invariance_test(
@@ -374,18 +377,14 @@ def basis_invariance_test(
     run = TomographyRun(shots)
 
     def statistic(probed, stream):
-        chois = []
-        residuals = []
-        for k, delta in enumerate(deltas):
-            basis = canonical_probe_basis(probed.dim_in, delta)
-            rec = process_tomography_direct(probed, basis, run, stream.child(k))
-            chois.append(_projected_normal_choi(rec))
-            residuals.append(rec.cptp_residual)
-        worst = 1.0
-        for i in range(len(chois)):
-            for j in range(i + 1, len(chois)):
-                worst = min(worst, uhlmann_fidelity(chois[i], chois[j]))
-        return 1.0 - worst, {"cptp_residuals": tuple(residuals)}
+        recs = [
+            process_tomography_direct(
+                probed, canonical_probe_basis(probed.dim_in, delta), run, stream.child(k)
+            )
+            for k, delta in enumerate(deltas)
+        ]
+        worst = worst_fidelity([_projected_normal_choi(rec) for rec in recs])
+        return 1.0 - worst, lambda: {"cptp_residuals": tuple(rec.cptp_residual for rec in recs)}
 
     key = "basis|{}|{}|{}".format(
         ",".join(f"{d:.12g}" for d in deltas), run.shots_per_setting, box.dim_in
@@ -418,7 +417,7 @@ def ancilla_consistency_test(
         fid = uhlmann_fidelity(
             _projected_normal_choi(direct), _projected_normal_choi(ancilla)
         )
-        return 1.0 - fid, {
+        return 1.0 - fid, lambda: {
             "direct_residual": direct.cptp_residual,
             "ancilla_residual": ancilla.cptp_residual,
         }

@@ -24,6 +24,7 @@ __all__ = [
     "trace_norm",
     "trace_distance",
     "uhlmann_fidelity",
+    "worst_fidelity",
     "nearest_density_matrix",
     "haar_random_state",
     "haar_random_unitary",
@@ -143,6 +144,11 @@ def eig_hermitian(h, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
     a = as_operator(h)
     if not is_hermitian(a, atol):
         raise InvalidInputError("matrix is not Hermitian within tolerance")
+    return _eigh_descending(a)
+
+
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_hermitian` without its checks, for a matrix Hermitian by construction."""
     w, v = np.linalg.eigh(a)
     return w[::-1], v[:, ::-1]
 
@@ -182,20 +188,35 @@ def uhlmann_fidelity(r, s) -> float:
 
     Both arguments must be density-like: Hermitian, unit trace within 1e-8
     and PSD within a -1e-10 eigenvalue floor.  For pure states this reduces
-    to the squared overlap of the vectors.
+    to the squared overlap of the vectors.  This is the two-matrix case of
+    :func:`worst_fidelity`.
     """
-    a = as_operator(r)
-    b = as_operator(s, a.shape[0])
-    for m in (a, b):
+    return worst_fidelity((r, s))
+
+
+def worst_fidelity(densities) -> float:
+    """The smallest :func:`uhlmann_fidelity` over the pairs ``i < j`` of ``densities``.
+
+    Every matrix is checked once: all traces first, then each matrix's
+    Hermiticity and PSD floor through one eigendecomposition, from which
+    the square root of the first matrix of each pair is taken.  Fewer than
+    two matrices give 1.0.
+    """
+    mats: list = []
+    for m in densities:
+        mats.append(as_operator(m, mats[0].shape[0] if mats else None))
+    for m in mats:
         if abs(np.trace(m).real - 1.0) > 1e-8:
             raise InvalidInputError("fidelity arguments must have unit trace")
-    wa, va = _psd_check_and_clip(a)
-    _psd_check_and_clip(b)
-    sqrt_a = (va * np.sqrt(wa)) @ va.conj().T
-    inner = sqrt_a @ b @ sqrt_a
-    w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    f = float(np.sum(np.sqrt(w)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    spectra = [_psd_check_and_clip(m) for m in mats]
+    worst = 1.0
+    for i, (w, v) in enumerate(spectra[:-1]):
+        sqrt_a = (v * np.sqrt(w)) @ v.conj().T
+        for b in mats[i + 1 :]:
+            inner = np.clip(np.linalg.eigvalsh(sqrt_a @ b @ sqrt_a), 0.0, None)
+            f = float(np.sum(np.sqrt(inner)) ** 2)
+            worst = min(worst, min(max(f, 0.0), 1.0))
+    return worst
 
 
 def nearest_density_matrix(h) -> np.ndarray:
@@ -210,7 +231,14 @@ def nearest_density_matrix(h) -> np.ndarray:
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > 0.5:
         raise InvalidInputError(f"trace {tr:.4f} too far from 1 to project")
-    w, v = eig_hermitian(a)
+    if not is_hermitian(a):
+        raise InvalidInputError("matrix is not Hermitian within tolerance")
+    return _project_to_density(a)
+
+
+def _project_to_density(a: np.ndarray) -> np.ndarray:
+    """:func:`nearest_density_matrix` without its checks, for an input that passes them by construction."""
+    w, v = _eigh_descending(a)
     css = np.cumsum(w)
     k = np.arange(1, len(w) + 1)
     above = np.nonzero(w - (css - 1.0) / k > 0)[0]

@@ -58,9 +58,17 @@ def _philox_key(seed: int, stream_id: int) -> tuple:
 def _child_keys(seed: int, ids, count: int) -> np.ndarray:
     """Philox keys of ``RngStream(seed, ids[k]).child(i)`` for i < count, k-major.
 
-    Row ``k * count + i`` is the key that child's generator would get.
+    Row ``k * count + i`` is the key that child's generator would get:
+    ``_philox_key(seed, mix64(ids[k], i))``, with the seed's key word mixed
+    once per call and each id folded once, so a key costs three mixer rounds.
     """
-    keys = [_philox_key(seed, mix64(stream_id, i)) for stream_id in ids for i in range(count)]
+    seed_word = splitmix64(seed & _MASK64)
+    keys = []
+    for stream_id in ids:
+        folded = mix64(stream_id)
+        for i in range(count):
+            child_id = splitmix64(folded ^ i)  # mix64(stream_id, i)
+            keys.append((seed_word, splitmix64(splitmix64(child_id) ^ _GOLDEN)))
     return np.array(keys, dtype=np.uint64).reshape(-1, 2)
 
 

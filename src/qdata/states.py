@@ -11,8 +11,9 @@ channel output.  A density that is one by construction from values already
 checked is wrapped without the eigensolve (``DensityMatrix._of``): the
 projector of a checked pure state, an ensemble's mixture, the mixture of a
 box's checked branches (which keeps a trace check, since branches below
-the cutoff are dropped) and a tomography estimate projected by
-``nearest_density_matrix``.
+the cutoff are dropped) and a tomography estimate projected onto the
+densities.  ``eigen_ensemble`` diagonalizes a DensityMatrix without
+checking it again.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .linalg import (
     InvalidInputError,
     InvalidShapeError,
     _check_dim,
+    _eigh_descending,
     as_operator,
-    eig_hermitian,
     haar_random_state,
     is_hermitian,
     kron,
@@ -161,7 +162,8 @@ class DensityMatrix:
 
     def eigen_ensemble(self) -> "Ensemble":
         """Spectral decomposition as an ensemble (zero-weight branches dropped)."""
-        w, v = eig_hermitian(self.matrix)
+        # a DensityMatrix was checked, or is Hermitian by construction
+        w, v = _eigh_descending(self.matrix)
         pairs = [(float(max(p, 0.0)), PureState(v[:, i])) for i, p in enumerate(w) if p > 1e-12]
         total = sum(p for p, _ in pairs)
         return Ensemble(tuple(p / total for p, _ in pairs), tuple(s for _, s in pairs))

@@ -7,7 +7,7 @@ density matrix.  Process estimates are assembled from per-probe state
 reconstructions by recovering the channel's action on the operator units
 |i><j|.  A reconstructed Choi matrix is never projected onto the CPTP set:
 deviations from it are exactly the signals the detectors feed on, so the
-distance is recorded in ``cptp_residual`` instead.
+distance is recorded in ``cptp_residual`` instead, derived when first read.
 
 One routine, ``_raw_estimates``, samples and inverts a whole stack of
 sources: every probe output of a process tomography at once, or the one
@@ -17,8 +17,10 @@ draw.  A stack draws from one stream and one id per source: setting i of
 source k draws what ``RngStream(rng.seed, ids[k]).child(i)`` would, from
 that child's Philox key alone; one per-thread Philox is re-keyed for each
 row (``qdata.rng``), so no stream or generator is built.  The stack's
-samples go onto the stream's tally.  Each source is inverted with
-``lstsq`` and combines the stacked Hermitian basis in one reduction.
+samples go onto the stream's tally.  A one-qubit stack is inverted by
+one ``lstsq`` over all its sources, which equals the per-source solve bit
+for bit; a two-qubit stack is inverted one source at a time.  Each
+estimate combines the stacked Hermitian basis in one reduction.
 Process tomography takes its probe outputs from the box
 (``probe_outputs``); a linear box computes them once per probe basis, so
 the identity box of a null calibration builds each probe output once, not
@@ -33,6 +35,7 @@ operator basis per dimension (in ``linalg``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +43,10 @@ import numpy as np
 from .linalg import (
     InvalidInputError,
     InvalidShapeError,
+    _project_to_density,
     as_integer,
     hermitian_basis,
     kron,
-    nearest_density_matrix,
     rotation_y,
 )
 from .rng import RngStream, _child_keys, _keyed_multinomials, mix64
@@ -188,6 +191,12 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) ->
     counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
     rng.tally(sources * settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
+    if run.n_qubits == 1:
+        # one solve for the whole stack equals the per-source loop bit for
+        # bit on one qubit; on two it moves estimates in the last bits
+        coeffs, *_ = np.linalg.lstsq(design, frequencies.T, rcond=None)
+        estimates = np.add.reduce(coeffs.T[:, :, None, None] * basis, axis=1)
+        return (estimates + estimates.conj().swapaxes(-1, -2)) / 2
     estimates = np.empty(rhos.shape, dtype=complex)
     for k in range(sources):
         estimates[k] = _linear_inversion(frequencies[k], design, basis)
@@ -206,8 +215,10 @@ def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatri
     The linear-inversion estimate is projected to the nearest density
     matrix.
     """
-    # nearest_density_matrix clips the eigenvalues to >= 0 and makes them sum to 1
-    return DensityMatrix._of(nearest_density_matrix(_raw_estimate(source, run, rng)))
+    # the estimate is Hermitian by its symmetrization and has trace 1 up to
+    # rounding, so it is projected unchecked; the projection clips the
+    # eigenvalues to >= 0 and makes them sum to 1
+    return DensityMatrix._of(_project_to_density(_raw_estimate(source, run, rng)))
 
 
 @dataclass(frozen=True)
@@ -276,26 +287,26 @@ def _build_canonical_probe_basis(m: int, delta: float) -> ProbeBasis:
     return ProbeBasis(states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructedProcess:
     """Raw Choi estimate plus how far it sits from the CPTP set.
 
     cptp_residual adds the total negativity of the Choi spectrum and the
     largest trace-preservation deviation; it is recorded as measured, never
-    zeroed by projection.
+    zeroed by projection.  It is derived on first read and kept.
     """
 
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    cptp_residual: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    @functools.cached_property
+    def cptp_residual(self) -> float:
         eigvals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
         negativity = float(-eigvals[eigvals < 0].sum())
         marginal = np.einsum("iaja->ij", self.choi.reshape((self.dim_in, self.dim_out) * 2))
         tp_deviation = float(np.max(np.abs(marginal - np.eye(self.dim_in))))
-        object.__setattr__(self, "cptp_residual", negativity + tp_deviation)
+        return negativity + tp_deviation
 
     def normalized_choi(self) -> np.ndarray:
         return self.choi / self.dim_in

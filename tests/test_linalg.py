@@ -22,6 +22,7 @@ from qdata import (
     trace_distance,
     trace_norm,
     uhlmann_fidelity,
+    worst_fidelity,
 )
 from qdata.linalg import _haar_columns, as_integer, as_seed, is_hermitian, trace_norms
 
@@ -307,3 +308,71 @@ def test_bitwise_reproducibility_of_random_helpers():
     sa = haar_random_state(4, RngStream(6, 2))
     sb = haar_random_state(4, RngStream(6, 2))
     assert np.array_equal(sa, sb)
+
+
+def _reference_uhlmann_fidelity(r, s):
+    """One pair's fidelity with both matrices checked and diagonalized for that pair alone."""
+    for m in (r, s):
+        assert abs(np.trace(m).real - 1.0) <= 1e-8
+    wa, va = eig_hermitian(r, atol=1e-8)
+    wb, _ = eig_hermitian(s, atol=1e-8)
+    assert min(np.min(wa), np.min(wb)) >= -1e-10
+    sqrt_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
+    w = np.clip(np.linalg.eigvalsh(sqrt_a @ s @ sqrt_a), 0.0, None)
+    return min(max(float(np.sum(np.sqrt(w)) ** 2), 0.0), 1.0)
+
+
+def _projected_choi_panel():
+    from qdata import LinearBox, NonlinearBloch, TomographyRun, canonical_probe_basis
+    from qdata import process_tomography_direct, random_channel
+
+    boxes = [LinearBox(random_channel(2, 2, RngStream(53, k))) for k in range(6)]
+    boxes += [NonlinearBloch(1.7), NonlinearBloch(4.0)]
+    panel = []
+    for b, box in enumerate(boxes):
+        chois = []
+        for k, delta in enumerate((0.0, 0.6, 1.1, 2.0)):
+            rec = process_tomography_direct(
+                box, canonical_probe_basis(2, delta), TomographyRun(40), RngStream(54, b).child(k)
+            )
+            chois.append(nearest_density_matrix(rec.normalized_choi()))
+        panel.append(chois)
+    return panel
+
+
+def test_worst_fidelity_equals_the_pairwise_loop_bit_for_bit():
+    for chois in _projected_choi_panel():
+        for n in (2, 3, 4):
+            group = chois[:n]
+            want = 1.0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    want = min(want, _reference_uhlmann_fidelity(group[i], group[j]))
+            assert worst_fidelity(group) == want
+            assert worst_fidelity(group) < 1.0
+        assert uhlmann_fidelity(chois[1], chois[0]) == _reference_uhlmann_fidelity(chois[1], chois[0])
+    assert worst_fidelity([ket(0).density()]) == 1.0
+
+
+def test_fidelity_arguments_are_checked_at_every_position():
+    good = ket(0).density().matrix
+    for bad, message in (
+        (np.eye(2, dtype=complex) * 0.6, "unit trace"),
+        (np.diag([1.5, -0.5]).astype(complex), "below PSD floor"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+    ):
+        for position in range(3):
+            group = [good, good, good]
+            group[position] = bad
+            with pytest.raises(InvalidInputError, match=message):
+                worst_fidelity(group)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(InvalidInputError, match=message):
+                uhlmann_fidelity(*pair)
+    with pytest.raises(InvalidShapeError):
+        worst_fidelity([good, np.eye(4) / 4])
+
+
+def test_nearest_density_matrix_rejects_non_hermitian_input():
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        nearest_density_matrix(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))

@@ -221,3 +221,13 @@ def test_keyed_multinomials_from_concurrent_threads_equal_the_serial_draws():
     assert len(results) == 4
     for runs in results.values():
         assert len(runs) == 10 and all(np.array_equal(run, want) for run in runs)
+
+
+def test_child_keys_equal_the_keys_of_mix64_child_ids():
+    from qdata.rng import _philox_key
+
+    ids = [0, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.uint64(2**63), np.int64(5)]
+    for seed in (0, 2**63, 2**64 - 1):
+        got = _child_keys(seed, ids, 4)
+        want = [_philox_key(seed, mix64(i, k)) for i in ids for k in range(4)]
+        assert got.tolist() == [list(key) for key in want], seed

@@ -21,6 +21,7 @@ from qdata import (
     canonical_probe_basis,
     ket,
     max_entangled,
+    mix64,
     nearest_density_matrix,
     partial_trace,
     pauli_measurement_set,
@@ -487,3 +488,75 @@ def test_run_budgets_must_be_whole_numbers():
     assert type(run.n_qubits) is int and run.dim == 4
     raw = _raw_estimate(ket(0), TomographyRun(np.int64(100)), RngStream(1, 1))
     assert abs(np.trace(raw).real - 1.0) < 1e-12
+
+
+def _frequencies_of_fresh_children(rhos, shots, rng, ids):
+    """Per-source Pauli frequencies, each setting drawn by a fresh child generator."""
+    povms = pauli_measurement_set(1)
+    rows = []
+    for rho, stream_id in zip(rhos, ids):
+        row = []
+        for i, povm in enumerate(povms):
+            p = np.clip(np.trace(np.array(povm.effects) @ rho, axis1=1, axis2=2).real, 0.0, None)
+            row.extend(RngStream(rng.seed, stream_id).child(i).generator.multinomial(shots, p / p.sum()))
+        rows.append(row)
+    return np.array(rows) / shots
+
+
+def test_one_qubit_stack_is_inverted_as_the_per_source_loop_bit_for_bit():
+    from qdata.tomography import _linear_inversion, _pauli_table, _raw_estimates
+
+    gen = np.random.default_rng(50)
+    g = gen.normal(size=(500, 2, 2)) + 1j * gen.normal(size=(500, 2, 2))
+    rhos = g @ np.swapaxes(g, 1, 2).conj()
+    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+    # pure sources: the z rows of |0> and |1> hold exact zeros
+    pure = [ket(0).projector(), ket(1).projector(), PureState.from_bloch(0.3, 1.1).projector()]
+    rhos = np.concatenate([rhos, np.array(pure)])
+    _, design, _, basis = _pauli_table(1)
+    for shots in (1, 37, 1000):
+        rng = RngStream(51, shots)
+        ids = [mix64(7, k) for k in range(len(rhos))]
+        got = _raw_estimates(rhos, run1(shots), rng, ids)
+        frequencies = _frequencies_of_fresh_children(rhos, shots, rng, ids)
+        for k in range(len(rhos)):
+            want = _linear_inversion(frequencies[k], design, basis)
+            assert _bitwise_equal(got[k], want), (shots, k)
+
+
+def test_cptp_residual_is_read_only_where_a_job_reports_it(monkeypatch):
+    from qdata import basis_invariance_test, detectors
+
+    monkeypatch.setattr(detectors, "_calibration_cache", {})
+    residual = ReconstructedProcess.__dict__["cptp_residual"]
+    calibrating = [False]
+    reads = []
+
+    def counting_residual(rec):
+        value = residual.__get__(rec, ReconstructedProcess)
+        reads.append((calibrating[0], rec.choi, value))
+        return value
+
+    calibrate = detectors._calibrated_null
+
+    def flagged_calibration(key, statistic_fn):
+        calibrating[0] = True
+        try:
+            return calibrate(key, statistic_fn)
+        finally:
+            calibrating[0] = False
+
+    monkeypatch.setattr(ReconstructedProcess, "cptp_residual", property(counting_residual))
+    monkeypatch.setattr(detectors, "_calibrated_null", flagged_calibration)
+    verdict = basis_invariance_test(NonlinearBloch(2.0), shots=300, rng=RngStream(52, 1))
+    assert [during for during, _, _ in reads] == [False] * 3
+    residuals = verdict.extras["cptp_residuals"]
+    assert residuals == tuple(value for _, _, value in reads)
+    assert residuals == tuple(_reference_cptp_residual(choi, 2, 2) for _, choi, _ in reads)
+
+
+def test_reconstructions_compare_by_identity_and_hash():
+    rec = ReconstructedProcess(QuantumChannel.identity(2).choi, 2, 2)
+    twin = ReconstructedProcess(QuantumChannel.identity(2).choi, 2, 2)
+    assert rec == rec and rec != twin
+    assert hash(rec) == hash(rec) and len({rec, twin, rec}) == 2
