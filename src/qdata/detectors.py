@@ -580,8 +580,8 @@ def _kernel_scan_operands(da: int, db: int, sender: int) -> tuple[np.ndarray, np
     traceless on the sender side and every basis element ``b`` on the
     receiver side, a-major.
     """
-    basis_a = np.array(hermitian_basis(da)[1 - sender:])
-    basis_b = np.array(hermitian_basis(db)[sender:])
+    basis_a = hermitian_basis(da)[1 - sender:]
+    basis_b = hermitian_basis(db)[sender:]
     # kron(a, b) for every pair, as one broadcast product
     operands = (
         basis_a[:, None, :, None, :, None] * basis_b[None, :, None, :, None, :]
@@ -682,9 +682,9 @@ def nsq_random_survey(
     compatible with no-communication is the anomaly this detector flags.
     The verdict statistic is therefore the compatible fraction against a
     1% threshold, with the raw signalling fraction reported alongside.
-    With product_channels=True the survey draws local products only, a
-    control arm that must come out fully compatible.  Dimensions whose
-    matrices would exceed ``MAX_DIM`` raise before the first draw.
+    With product_channels=True (and no env_dim) the survey draws local
+    products only, a control arm that must come out fully compatible.
+    Dimensions whose matrices would exceed ``MAX_DIM`` raise before the first draw.
     """
     n_samples = as_integer(n_samples, "n_samples", least=1)
     da, db = _local_dims(local_dims)
@@ -699,6 +699,8 @@ def nsq_random_survey(
             f"local_dims ({da}, {db}) with env_dim {env_dim} need dimension {size};"
             f" the limit is {MAX_DIM}"
         )
+    if product_channels and env_dim is not None:
+        raise InvalidInputError("env_dim is for generic samples; it cannot be set with product_channels")
     compatible = 0
     for k in range(n_samples):
         stream = rng.child(k)

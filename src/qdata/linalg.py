@@ -286,13 +286,13 @@ def _haar_columns(dim: int, cols: int, rng: RngStream) -> np.ndarray:
 _hermitian_bases: dict = {}
 
 
-def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
+def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal Hermitian operator basis (Hilbert-Schmidt inner product).
 
     Element 0 is ``I/sqrt(dim)``; the remaining ``dim**2 - 1`` elements are
     traceless (normalized generalized Gell-Mann matrices).  For ``dim == 2``
     these are the Pauli matrices over ``sqrt(2)``.  The basis is built once
-    per dimension and shared: its arrays are read-only.
+    per dimension as one read-only (dim**2, dim, dim) array, and shared.
     """
     basis = _hermitian_bases.get(dim)
     if basis is None:
@@ -301,7 +301,7 @@ def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
     return basis
 
 
-def _build_hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
+def _build_hermitian_basis(dim: int) -> np.ndarray:
     basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -317,9 +317,9 @@ def _build_hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
         diag[:k] = 1.0
         diag[k] = -k
         basis.append(np.diag(diag) / np.sqrt(k * (k + 1)))
-    for element in basis:
-        element.flags.writeable = False
-    return tuple(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
 
 
 def rotation_y(angle: float) -> np.ndarray:

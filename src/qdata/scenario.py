@@ -112,12 +112,12 @@ def _fail(where: str, message: str) -> None:
     raise ScenarioError(f"{where}: {message}")
 
 
-def _check_keys(node: dict, required: tuple, optional, where: str) -> None:
+def _check_keys(node: dict, required: tuple, optional, where: str, foreign: str = "unknown key") -> None:
     if not isinstance(node, dict):
         _fail(where, f"expected an object, got {type(node).__name__}")
     for key in node:
         if key not in required and key not in optional:
-            _fail(f"{where}.{key}", "unknown key")
+            _fail(f"{where}.{key}", foreign)
     for key in required:
         if key not in node:
             _fail(where, f"missing required key {key!r}")
@@ -210,12 +210,8 @@ _number_pair = _list_of(_scalar, "expected a pair of numbers", least=2, most=2)
 
 def _parse_fields(entry: Entry, node: dict, where: str, foreign: str) -> dict:
     """Check ``node``'s keys against ``entry`` and parse each accepted field."""
-    for key in node:
-        if key not in entry.keys:
-            _fail(f"{where}.{key}", foreign)
-    for key, (_, default) in entry.keys.items():
-        if default is REQUIRED and key not in node:
-            _fail(where, f"missing required key {key!r}")
+    required = tuple(key for key, (_, default) in entry.keys.items() if default is REQUIRED)
+    _check_keys(node, required, entry.keys, where, foreign)
     return {
         key: parse(node[key], f"{where}.{key}") if key in node else default
         for key, (parse, default) in entry.keys.items()

@@ -17,10 +17,10 @@ draw.  A stack draws from one stream and one id per source: setting i of
 source k draws what ``RngStream(rng.seed, ids[k]).child(i)`` would, from
 that child's Philox key alone; one per-thread Philox is re-keyed for each
 row (``qdata.rng``), so no stream or generator is built.  The stack's
-samples go onto the stream's tally.  A one-qubit stack is inverted by
-one ``lstsq`` over all its sources, which equals the per-source solve bit
-for bit; a two-qubit stack is inverted one source at a time.  Each
-estimate combines the stacked Hermitian basis in one reduction.
+samples go onto the stream's tally.  One routine inverts every stack (one
+``lstsq``, one reduction over the stacked Hermitian basis): a one-qubit
+stack whole, bit for bit the per-source solve, and a two-qubit stack one
+source at a time, since a joint two-qubit solve moves its last bits.
 Process tomography takes its probe outputs from the box
 (``probe_outputs``); a linear box computes them once per probe basis, so
 the identity box of a null calibration builds each probe output once, not
@@ -83,8 +83,8 @@ def _pauli_table(n_qubits: int) -> tuple:
     """``(povms, design, effects, basis)`` of the n-qubit Pauli set, built once per n.
 
     The arrays are read-only: the design matrix, the effects as one
-    (settings, outcomes, d, d) array and hermitian_basis(d) as one
-    (d^2, d, d) array.
+    (settings, outcomes, d, d) array and the (d^2, d, d) array of
+    hermitian_basis(d) itself.
     """
     table = _pauli_tables.get(n_qubits)
     if table is None:
@@ -94,8 +94,8 @@ def _pauli_table(n_qubits: int) -> tuple:
         povms = _build_pauli_measurement_set(n_qubits)
         design = _design_matrix([e for p in povms for e in p.effects], dim)
         effects = np.array([p.effects for p in povms])
-        basis = np.array(hermitian_basis(dim))
-        for array in (design, effects, basis):
+        basis = hermitian_basis(dim)
+        for array in (design, effects):
             array.flags.writeable = False
         table = _pauli_tables.setdefault(n_qubits, (povms, design, effects, basis))
     return table
@@ -164,9 +164,10 @@ class TomographyRun:
 
 
 def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
-    estimate = np.add.reduce(coeffs[:, None, None] * basis, axis=0)
-    return (estimate + estimate.conj().T) / 2
+    """The (sources, d, d) estimates of a stack of frequency rows, shape (sources, rows)."""
+    coeffs, *_ = np.linalg.lstsq(design, frequencies.T, rcond=None)
+    estimates = np.add.reduce(coeffs.T[:, :, None, None] * basis, axis=1)
+    return (estimates + estimates.conj().swapaxes(-1, -2)) / 2
 
 
 def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) -> np.ndarray:
@@ -192,15 +193,10 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) ->
     rng.tally(sources * settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
     if run.n_qubits == 1:
-        # one solve for the whole stack equals the per-source loop bit for
+        # one solve for the whole stack equals the per-source solve bit for
         # bit on one qubit; on two it moves estimates in the last bits
-        coeffs, *_ = np.linalg.lstsq(design, frequencies.T, rcond=None)
-        estimates = np.add.reduce(coeffs.T[:, :, None, None] * basis, axis=1)
-        return (estimates + estimates.conj().swapaxes(-1, -2)) / 2
-    estimates = np.empty(rhos.shape, dtype=complex)
-    for k in range(sources):
-        estimates[k] = _linear_inversion(frequencies[k], design, basis)
-    return estimates
+        return _linear_inversion(frequencies, design, basis)
+    return np.concatenate([_linear_inversion(f[None], design, basis) for f in frequencies])
 
 
 def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
@@ -331,6 +327,10 @@ def process_tomography_direct(
     return ReconstructedProcess(units.transpose(0, 2, 1, 3).reshape(m * n, m * n), m, n)
 
 
+_BELL = max_entangled(2)  # the ancilla scheme's probe, built once
+_BELL.vector.flags.writeable = False
+
+
 def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> ReconstructedProcess:
     """Single-input scheme: entangle with a reference, tomograph the joint output.
 
@@ -340,7 +340,7 @@ def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> Recon
     """
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the ancilla scheme is implemented for qubit boxes")
-    joint_out = box.probe_with_reference(max_entangled(2))
+    joint_out = box.probe_with_reference(_BELL)
     estimate = _raw_estimate(joint_out, run, rng)
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     return ReconstructedProcess(choi, 2, 2)

@@ -355,6 +355,20 @@ def test_run_rejects_a_local_dimension_of_1_before_any_job(tmp_path, capsys, doc
     assert not out.exists()
 
 
+def test_an_nsq_survey_with_env_dim_and_product_channels_records_an_error(tmp_path, capsys):
+    settings = {"n_samples": 4, "env_dim": 3, "product_channels": True}
+    path = tmp_path / "nsq.json"
+    path.write_text(json.dumps({**MINI, "detectors": [{"name": "nsq-survey", "settings": settings}]}))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["summary"]["error_count"] == 1
+    (result,) = report["cells"][0]["results"]
+    assert result["error"].startswith("InvalidInputError: env_dim")
+    assert "product_channels" in result["error"]
+    assert "1 job(s) recorded an error" in capsys.readouterr().err
+
+
 def test_qrac_oracle_at_few_rounds_runs_without_an_error_entry(tmp_path, capsys):
     # at seed 2 the 15 kept rounds average to 1 + ulp before clamping
     path = tmp_path / "qrac.json"

@@ -643,6 +643,12 @@ def test_nsq_survey_rejects_dimensions_beyond_the_cap_before_any_draw():
     assert v.n_trials == 3 and v.extras["signalling_fraction"] == 1.0
 
 
+def test_nsq_survey_refuses_env_dim_with_product_channels_before_any_draw():
+    # a product sample dilates each factor by default, so env_dim would go unused
+    with pytest.raises(InvalidInputError, match="env_dim .*product_channels"):
+        nsq_random_survey(4, rng=_NoDraws(), env_dim=3, product_channels=True)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 1), (2,), (), 4])
 def test_nsq_local_dims_must_be_a_pair(dims):
     ident = QuantumChannel.identity(4)

@@ -110,7 +110,7 @@ def test_exact_counts_recover_the_state():
 
     povms, design, _, basis = _pauli_table(1)
     counts = [np.round(born_probabilities(ket(0), povm) * 1024).astype(int) for povm in povms]
-    est = _linear_inversion(np.concatenate(counts) / 1024, design, basis)
+    est = _linear_inversion(np.concatenate(counts)[None] / 1024, design, basis)[0]
     assert trace_distance(est, ket(0).density()) < 1e-10
 
 
@@ -329,6 +329,19 @@ def test_cached_operators_are_read_only():
     assert np.allclose(basis[1], [[0, 2**-0.5], [2**-0.5, 0]], atol=1e-15)
 
 
+def test_the_hermitian_basis_is_one_shared_read_only_array():
+    from qdata import hermitian_basis
+    from qdata.tomography import _pauli_table
+
+    for dim in (2, 3, 4):
+        basis = hermitian_basis(dim)
+        assert type(basis) is np.ndarray and basis.shape == (dim * dim, dim, dim)
+        assert not basis.flags.writeable
+        assert hermitian_basis(dim) is basis
+    for n_qubits in (1, 2):
+        assert _pauli_table(n_qubits)[3] is hermitian_basis(2**n_qubits)
+
+
 def _reference_cptp_residual(choi, dim_in, dim_out):
     eigvals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     negativity = float(-eigvals[eigvals < 0].sum())
@@ -490,9 +503,9 @@ def test_run_budgets_must_be_whole_numbers():
     assert abs(np.trace(raw).real - 1.0) < 1e-12
 
 
-def _frequencies_of_fresh_children(rhos, shots, rng, ids):
+def _frequencies_of_fresh_children(rhos, shots, rng, ids, n_qubits=1):
     """Per-source Pauli frequencies, each setting drawn by a fresh child generator."""
-    povms = pauli_measurement_set(1)
+    povms = pauli_measurement_set(n_qubits)
     rows = []
     for rho, stream_id in zip(rhos, ids):
         row = []
@@ -503,25 +516,36 @@ def _frequencies_of_fresh_children(rhos, shots, rng, ids):
     return np.array(rows) / shots
 
 
-def test_one_qubit_stack_is_inverted_as_the_per_source_loop_bit_for_bit():
-    from qdata.tomography import _linear_inversion, _pauli_table, _raw_estimates
+def _one_source_inversion(frequencies, design, basis):
+    """The one-source linear inversion: a 1-D solve, then the basis combined."""
+    coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
+    estimate = np.add.reduce(coeffs[:, None, None] * basis, axis=0)
+    return (estimate + estimate.conj().T) / 2
+
+
+def test_stacks_are_inverted_as_the_per_source_loop_bit_for_bit():
+    from qdata.tomography import _pauli_table, _raw_estimates
 
     gen = np.random.default_rng(50)
-    g = gen.normal(size=(500, 2, 2)) + 1j * gen.normal(size=(500, 2, 2))
-    rhos = g @ np.swapaxes(g, 1, 2).conj()
-    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
-    # pure sources: the z rows of |0> and |1> hold exact zeros
-    pure = [ket(0).projector(), ket(1).projector(), PureState.from_bloch(0.3, 1.1).projector()]
-    rhos = np.concatenate([rhos, np.array(pure)])
-    _, design, _, basis = _pauli_table(1)
-    for shots in (1, 37, 1000):
-        rng = RngStream(51, shots)
-        ids = [mix64(7, k) for k in range(len(rhos))]
-        got = _raw_estimates(rhos, run1(shots), rng, ids)
-        frequencies = _frequencies_of_fresh_children(rhos, shots, rng, ids)
-        for k in range(len(rhos)):
-            want = _linear_inversion(frequencies[k], design, basis)
-            assert _bitwise_equal(got[k], want), (shots, k)
+    for n_qubits, sources in ((1, 500), (2, 100)):
+        dim = 2**n_qubits
+        g = gen.normal(size=(sources, dim, dim)) + 1j * gen.normal(size=(sources, dim, dim))
+        rhos = g @ np.swapaxes(g, 1, 2).conj()
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        # pure sources: the z rows of |0> and |1> hold exact zeros
+        pure = [ket(0).projector(), ket(1).projector(), PureState.from_bloch(0.3, 1.1).projector()]
+        if n_qubits == 2:
+            pure = [np.kron(a, b) for a in pure for b in pure] + [max_entangled(2).projector()]
+        rhos = np.concatenate([rhos, np.array(pure)])
+        _, design, _, basis = _pauli_table(n_qubits)
+        for shots in (1, 37, 1000):
+            rng = RngStream(51, shots)
+            ids = [mix64(7, k) for k in range(len(rhos))]
+            got = _raw_estimates(rhos, TomographyRun(shots, n_qubits), rng, ids)
+            frequencies = _frequencies_of_fresh_children(rhos, shots, rng, ids, n_qubits)
+            for k in range(len(rhos)):
+                want = _one_source_inversion(frequencies[k], design, basis)
+                assert _bitwise_equal(got[k], want), (n_qubits, shots, k)
 
 
 def test_cptp_residual_is_read_only_where_a_job_reports_it(monkeypatch):
