@@ -200,10 +200,11 @@ def random_channel(
 ) -> QuantumChannel:
     """Haar-random Stinespring dilation.
 
-    A Haar unitary on the dim_out * env_dim space is restricted to the first
-    dim_in columns, giving an isometry V; the channel traces out the
-    environment.  Only those columns are factored, from the same draws as
-    the full unitary.  ``env_dim`` defaults to dim_in * dim_out, which samples
+    A Haar isometry V from dim_in into the dim_out * env_dim space is drawn
+    directly (:func:`qdata.linalg._haar_columns`, a dim_out * env_dim by
+    dim_in Ginibre block); the channel traces out the environment, so its
+    Choi matrix is the Gram matrix of V's rows regrouped by (input, output).
+    ``env_dim`` defaults to dim_in * dim_out, which samples
     full-Kraus-rank channels.  The dimensions and ``env_dim`` are integers of
     at least 1 (:func:`qdata.linalg.as_integer`).
     """
@@ -214,7 +215,5 @@ def random_channel(
     if total < dim_in:
         raise InvalidShapeError("environment too small for an isometry")
     v = _haar_columns(total, dim_in, rng).reshape(dim_out, env, dim_in)
-    choi4 = np.einsum("aei,bej->iajb", v, v.conj())
-    return QuantumChannel(
-        choi4.reshape(dim_in * dim_out, dim_in * dim_out), dim_in, dim_out
-    )
+    w = v.transpose(2, 0, 1).reshape(dim_in * dim_out, env)  # row (i, a), column e
+    return QuantumChannel(w @ w.conj().T, dim_in, dim_out)

@@ -243,6 +243,8 @@ def canonical_ensemble_pair() -> tuple:
     """The z-basis and x-basis halves of the maximally mixed qubit, built and checked once."""
     e1 = Ensemble((0.5, 0.5), (ket(0), ket(1)))
     e2 = Ensemble((0.5, 0.5), (plus_state(), minus_state()))
+    for s in e1.states + e2.states:
+        s.vector.flags.writeable = False  # shared by every caller
     return _equal_density_pair(e1, e2)
 
 

@@ -266,19 +266,20 @@ def haar_random_unitary(dim: int, rng: RngStream) -> np.ndarray:
 
 
 def _haar_columns(dim: int, cols: int, rng: RngStream) -> np.ndarray:
-    """The first ``cols`` columns of ``haar_random_unitary(dim, rng)``.
+    """A Haar-random isometry: ``cols`` orthonormal columns in dimension ``dim``.
 
-    The whole ``dim x dim`` Ginibre matrix is drawn (real block, then
-    imaginary block), so the stream is used exactly as for the full unitary.
-    Householder QR makes the first ``cols`` columns of Q and the first
-    ``cols`` diagonal entries of R depend only on the first ``cols`` columns
-    of the draw, so only those are factored.
+    Only a ``dim x cols`` Ginibre matrix is drawn (real block, then
+    imaginary block); the Q factor of its QR decomposition, phase-fixed by
+    ``diag(R)``, is Haar-distributed (Mezzadri, Notices AMS 54, 592, 2007).
+    With ``cols == dim`` this is :func:`haar_random_unitary`.  ``cols``
+    outside [1, dim] raises :class:`InvalidShapeError` before any draw.
     """
     _check_dim(dim)
+    if not 1 <= cols <= dim:
+        raise InvalidShapeError(f"{cols} columns outside [1, {dim}]")
     g = rng.generator
-    re = g.standard_normal((dim, dim))
-    im = g.standard_normal((dim, dim))
-    q, r = np.linalg.qr((re[:, :cols] + 1j * im[:, :cols]) / np.sqrt(2.0))
+    z = g.standard_normal((dim, cols)) + 1j * g.standard_normal((dim, cols))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diag(r)
     return q * (d / np.abs(d))
 

@@ -359,6 +359,8 @@ def _helstrom_setup(thetas, priors) -> HelstromSetup:
     if setup is None:
         t1, t2 = thetas
         states = (PureState.from_bloch(t1, 0.0), PureState.from_bloch(t2, 0.0))
+        for s in states:
+            s.vector.flags.writeable = False
         setup = _helstrom_setups.setdefault(key, HelstromSetup(priors, states))
     return setup
 

@@ -259,7 +259,7 @@ def canonical_probe_basis(m: int, delta: float = 0.0) -> ProbeBasis:
     The qubit set {|0>, |1>, |+>, |+i>} is rotated elementwise by
     U_delta = exp(-i delta sigma_y / 2); the two-qubit set is the tensor
     product of two rotated qubit sets.  Each (m, delta) is built once and
-    the same ProbeBasis is returned afterwards.
+    the same ProbeBasis, with read-only state vectors, is returned afterwards.
     """
     if m not in (2, 4):
         raise InvalidInputError("canonical probe bases exist for m = 2 and m = 4")
@@ -277,9 +277,9 @@ def _build_canonical_probe_basis(m: int, delta: float) -> ProbeBasis:
         PureState(u @ s.vector)
         for s in (ket(0), ket(1), plus_state(), plus_i_state())
     ]
-    if m == 2:
-        return ProbeBasis(tuple(qubit))
-    states = tuple(a.tensor(b) for a in qubit for b in qubit)
+    states = tuple(qubit) if m == 2 else tuple(a.tensor(b) for a in qubit for b in qubit)
+    for s in states:
+        s.vector.flags.writeable = False  # the cached basis is shared by every caller
     return ProbeBasis(states)
 
 

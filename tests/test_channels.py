@@ -13,13 +13,13 @@ from qdata import (
     QuantumChannel,
     RngStream,
     choi_from_kraus,
-    haar_random_unitary,
     ket,
     kraus_from_choi,
     max_entangled,
     plus_state,
     random_channel,
 )
+from qdata.linalg import _haar_columns
 
 
 def random_density(dim, rng):
@@ -226,13 +226,14 @@ def test_random_channel_is_cptp_and_deterministic():
     random_channel(3, 2, RngStream(21, 2))
 
 
-def _choi_from_the_full_unitary(dim_in, dim_out, rng, env_dim):
-    """The Choi matrix from the first columns of a full Haar unitary."""
+def _isometry_formula(dim_in, dim_out, rng, env_dim):
+    """V[a, e, i]: the phase-fixed QR of a (dim_out * env) x dim_in Ginibre block."""
     env = env_dim if env_dim is not None else dim_in * dim_out
-    u = haar_random_unitary(dim_out * env, rng)
-    v = u[:, :dim_in].reshape(dim_out, env, dim_in)
-    choi4 = np.einsum("aei,bej->iajb", v, v.conj())
-    return choi4.reshape(dim_in * dim_out, dim_in * dim_out)
+    g = rng.generator
+    shape = (dim_out * env, dim_in)
+    q, r = np.linalg.qr((g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0))
+    d = np.diag(r)
+    return (q * (d / np.abs(d))).reshape(dim_out, env, dim_in)
 
 
 # every pair of dimensions and environment with room for an isometry
@@ -246,11 +247,39 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("d_in, d_out, env_dim", ORACLE_CASES)
 def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out, env_dim):
+    # bit for bit: the Gram matrix of V's rows regrouped by (input, output);
+    # to 1e-12: the dilation's Choi matrix written out index by index
+    n = d_in * d_out
     for seed in (1, 2, 7, 21, 30, 45):
         for i in range(4):
             ch = random_channel(d_in, d_out, RngStream(seed, i), env_dim)
-            want = _choi_from_the_full_unitary(d_in, d_out, RngStream(seed, i), env_dim)
-            assert np.array_equal(ch.choi, want)
+            v = _isometry_formula(d_in, d_out, RngStream(seed, i), env_dim)
+            w = v.transpose(2, 0, 1).reshape(n, -1)
+            assert np.array_equal(ch.choi, w @ w.conj().T)
+            dilation = np.einsum("aei,bej->iajb", v, v.conj()).reshape(n, n)
+            assert np.max(np.abs(ch.choi - dilation)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_in, d_out, env_dim", [(2, 2, None), (2, 3, 1), (3, 2, 2)])
+def test_random_channel_draws_are_haar_on_average(d_in, d_out, env_dim):
+    # a Haar isometry V into dimension N has E[V V^dagger] = (d_in / N) I, so
+    # the mean Choi matrix is I / d_out, and E|V_00|^4 = 2 / (N (N + 1)) (a
+    # real orthogonal draw would give 3 / (N (N + 2))); each mean over 2,000
+    # draws must lie within six of its standard errors
+    root = RngStream(46, 10 * d_in + d_out)
+    total = d_out * (env_dim or d_in * d_out)
+    draws = 2000
+    chois = np.empty((draws, d_in * d_out, d_in * d_out), dtype=complex)
+    fourth = np.empty(draws)
+    for k in range(draws):
+        chois[k] = random_channel(d_in, d_out, root.child(k), env_dim).choi
+        v = _haar_columns(total, d_in, root.child(k))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d_in))) <= 1e-12
+        fourth[k] = abs(v[0, 0]) ** 4
+    error = np.max(np.abs(chois.mean(axis=0) - np.eye(d_in * d_out) / d_out))
+    assert error <= 6 * chois.std(axis=0).max() / math.sqrt(draws)
+    error = abs(fourth.mean() - 2 / (total * (total + 1)))
+    assert error <= 6 * fourth.std() / math.sqrt(draws)
 
 
 class _NoDraws:

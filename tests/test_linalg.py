@@ -271,10 +271,31 @@ def test_haar_unitary_is_the_phase_fixed_qr_of_the_full_draw(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
 def test_haar_columns_are_the_first_columns_of_the_unitary_bit_for_bit(dim):
+    # the stream layout: a dim x cols real block, then a dim x cols imaginary
+    # block, phase-fixed QR; with cols == dim that is haar_random_unitary
     for cols in sorted({1, 2, dim // 2, dim - 1, dim} - {0}):
         for seed in (1, 2, 7):
-            full = haar_random_unitary(dim, RngStream(seed, cols))
-            assert np.array_equal(_haar_columns(dim, cols, RngStream(seed, cols)), full[:, :cols])
+            g = RngStream(seed, cols).generator
+            z = (g.standard_normal((dim, cols)) + 1j * g.standard_normal((dim, cols))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diag(r)
+            got = _haar_columns(dim, cols, RngStream(seed, cols))
+            assert np.array_equal(got, q * (d / np.abs(d)))
+            if cols == dim:
+                assert np.array_equal(got, haar_random_unitary(dim, RngStream(seed, cols)))
+
+
+class _NoDraws:
+    """A stand-in stream that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"_haar_columns used rng.{name}")
+
+
+@pytest.mark.parametrize("cols", [0, -1, 5, 64])
+def test_haar_columns_outside_one_to_dim_fail_before_any_draw(cols):
+    with pytest.raises(InvalidShapeError, match=rf"{cols} columns outside \[1, 4\]"):
+        _haar_columns(4, cols, _NoDraws())
 
 
 def test_hermitian_basis_is_orthonormal():

@@ -342,6 +342,26 @@ def test_the_hermitian_basis_is_one_shared_read_only_array():
         assert _pauli_table(n_qubits)[3] is hermitian_basis(2**n_qubits)
 
 
+def test_every_shared_cached_array_is_read_only():
+    # a write into any of these would change what every later caller gets
+    from qdata import detectors, hermitian_basis, scenario, tomography
+
+    shared = [hermitian_basis(2), hermitian_basis(4), tomography._BELL.vector]
+    for n_qubits in (1, 2):
+        povms, design, effects, basis = tomography._pauli_table(n_qubits)
+        shared += [design, effects, basis, *(e for p in povms for e in p.effects)]
+    for m, delta in ((2, 0.0), (2, 0.7), (4, 0.0)):
+        probes = canonical_probe_basis(m, delta)
+        shared += [probes._unit_coefficients, *(s.vector for s in probes.states)]
+    shared += detectors._kernel_scan_operands(2, 2, 0)
+    shared.append(LinearBox(QuantumChannel.identity(2)).probe_outputs(canonical_probe_basis(2)))
+    shared += [s.vector for e in detectors.canonical_ensemble_pair() for s in e.states]
+    shared += [s.vector for s in scenario._helstrom_setup((1.0, 2.0), (0.5, 0.5)).states]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.3
+
+
 def _reference_cptp_residual(choi, dim_in, dim_out):
     eigvals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     negativity = float(-eigvals[eigvals < 0].sum())
