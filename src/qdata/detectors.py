@@ -79,10 +79,8 @@ __all__ = [
     "ancilla_consistency_test",
     "concatenate_tests",
     "composition_gap_test",
-    "QracResult",
     "QRAC_BLOCK",
     "qrac_fidelity_estimate",
-    "qrac_verdict",
     "QRAC_FIDELITY_CEILING",
     "NsqResult",
     "nsq_signalling_measure",
@@ -474,31 +472,16 @@ def composition_gap_test(
 # random-access game
 
 
-@dataclass(frozen=True)
-class QracResult:
-    """Post-selected transmission-fidelity estimate from played rounds."""
-
-    f_hat: float
-    ci_halfwidth: float
-    kept_rounds: int
-    total_rounds: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.f_hat <= 1.0:
-            raise InvalidInputError("fidelity estimate must lie in [0, 1]")
-        if self.kept_rounds > self.total_rounds:
-            raise InvalidInputError("kept rounds exceed total rounds")
-
-
 def qrac_fidelity_estimate(
     pair: BoxPair, rounds: int, rng: RngStream
-) -> QracResult:
-    """Monte Carlo transmission fidelity of the a = b post-selected rounds.
+) -> TestVerdict:
+    """Rule on the transmission fidelity of the a = b post-selected rounds.
 
     Every round draws two Haar-random target qubits and a uniform choice
     bit; among kept rounds the overlap of Bob's output with the chosen
     target is averaged exactly from the round's output density.  The
-    confidence halfwidth is the 95% normal interval.
+    verdict rules on that mean against the quantum ceiling of 5/6 over the
+    kept rounds; ``extras`` holds their fraction.
 
     Rounds are played in blocks of ``QRAC_BLOCK``, block k drawing from
     ``rng.child(k)``: first the block's 2n targets as one normalized complex
@@ -526,33 +509,15 @@ def qrac_fidelity_estimate(
         fidelities.append(fid.real)
     rng.tally(rounds)
     sample = np.concatenate(fidelities)
-    if not sample.size:
+    kept = sample.size
+    if not kept:
         raise InvalidInputError("no rounds survived post-selection")
     # fidelities equal to 1 up to rounding can average to 1 + ulp
     f_hat = min(max(float(sample.mean()), 0.0), 1.0)
-    spread = float(sample.std(ddof=1)) if sample.size > 1 else float("nan")
-    ci = 1.96 * spread / math.sqrt(sample.size) if sample.size > 1 else float("nan")
-    return QracResult(
-        f_hat=f_hat,
-        ci_halfwidth=float(ci),
-        kept_rounds=int(sample.size),
-        total_rounds=int(rounds),
-    )
-
-
-def qrac_verdict(result: QracResult) -> TestVerdict:
-    """Rule on a fidelity estimate against the quantum ceiling of 5/6."""
-    if result.kept_rounds > 1:
-        sigma = result.ci_halfwidth / 1.96
-    else:
-        sigma = float("nan")
-    return TestVerdict(
-        result.f_hat,
-        QRAC_FIDELITY_CEILING,
-        sigma,
-        result.kept_rounds,
-        extras={"kept_fraction": result.kept_rounds / result.total_rounds},
-    )
+    spread = float(sample.std(ddof=1)) if kept > 1 else float("nan")
+    # the 95% halfwidth over 1.96, as reports carry it: spread / sqrt(kept) can differ in the last bit
+    std_error = (1.96 * spread / math.sqrt(kept)) / 1.96
+    return TestVerdict(f_hat, QRAC_FIDELITY_CEILING, std_error, kept, extras={"kept_fraction": kept / rounds})
 
 
 # ---------------------------------------------------------------------------

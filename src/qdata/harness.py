@@ -160,6 +160,12 @@ def load_report(path) -> dict:
         report = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(report, dict) or report.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"expected an object with schema_version {SCHEMA_VERSION}")
+    for section in ("scenario", "provenance", "summary"):
+        if not isinstance(report.get(section, {}), dict):
+            raise ValueError(f"{section} must be an object")
+    counts = report.get("summary", {}).get("verdict_counts", {})
+    if not isinstance(counts, dict) or not all(isinstance(c, dict) for c in counts.values()):
+        raise ValueError("summary.verdict_counts must map each detector to an object")
     return report
 
 

@@ -54,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit vector (norm checked to 1e-10)."""
+    """A unit vector (norm checked to 1e-12)."""
 
     vector: np.ndarray
 
@@ -194,7 +194,11 @@ def as_density(r) -> DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Measurement effects: each PSD, summing to the identity within 1e-9."""
+    """Measurement effects summing to the identity.
+
+    Each effect is Hermitian within 1e-9 and has no eigenvalue below
+    -1e-10; the effects sum to the identity within 1e-10 entrywise.
+    """
 
     effects: tuple
 

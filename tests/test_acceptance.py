@@ -41,7 +41,6 @@ from qdata import (
     process_tomography_ancilla,
     process_tomography_direct,
     qrac_fidelity_estimate,
-    qrac_verdict,
     random_channel,
     rotation_y,
     run_scenario,
@@ -188,18 +187,16 @@ def test_criterion_07_scheme_equivalence_and_discrepancy():
 
 
 def test_criterion_08_random_access_fidelity_ceiling():
-    oracle = qrac_fidelity_estimate(QracOracle(), 100_000, RngStream(21, 0))
-    v_oracle = qrac_verdict(oracle)
-    assert oracle.f_hat == 1.0
-    assert oracle.ci_halfwidth < 1e-12
-    keep = oracle.kept_rounds / oracle.total_rounds
+    v_oracle = qrac_fidelity_estimate(QracOracle(), 100_000, RngStream(21, 0))
+    assert v_oracle.statistic == 1.0
+    assert 1.96 * v_oracle.std_error < 1e-12
+    keep = v_oracle.extras["kept_fraction"]
     assert abs(keep - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 100_000)
     assert v_oracle.threshold == 5.0 / 6.0
     assert v_oracle.verdict == "post-quantum"
 
-    mp = qrac_fidelity_estimate(measure_prepare_strategy(), 100_000, RngStream(21, 1))
-    v_mp = qrac_verdict(mp)
-    assert abs(mp.f_hat - 2.0 / 3.0) <= 0.01
+    v_mp = qrac_fidelity_estimate(measure_prepare_strategy(), 100_000, RngStream(21, 1))
+    assert abs(v_mp.statistic - 2.0 / 3.0) <= 0.01
     assert v_mp.threshold == 5.0 / 6.0
     assert v_mp.verdict == "quantum-consistent"
 

@@ -264,7 +264,16 @@ def test_report_summarize_rejects_non_finite_numbers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ['[{"summary": {}}]', '"a string"', '{"summary": "x"}', '{"schema_version": 1}']
+    "text",
+    [
+        '[{"summary": {}}]',
+        '"a string"',
+        '{"summary": "x"}',
+        '{"schema_version": 1}',
+        '{"schema_version": 2, "summary": []}',
+        '{"schema_version": 2, "scenario": "x"}',
+        '{"schema_version": 2, "summary": {"verdict_counts": {"qrac": 3}}}',
+    ],
 )
 def test_report_summarize_rejects_json_that_is_not_a_report(tmp_path, capsys, text):
     path = tmp_path / "report.json"

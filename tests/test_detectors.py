@@ -15,7 +15,6 @@ from qdata import (
     NsqResult,
     PureState,
     QracOracle,
-    QracResult,
     QuantumChannel,
     RngStream,
     TestVerdict,
@@ -33,7 +32,6 @@ from qdata import (
     nsq_signalling_measure,
     plus_state,
     qrac_fidelity_estimate,
-    qrac_verdict,
     random_channel,
     rotation_y,
 )
@@ -334,20 +332,18 @@ def test_calibrated_detectors_reject_a_swap_box_before_calibrating(detector, mes
 
 
 def test_qrac_oracle_is_exact():
-    res = qrac_fidelity_estimate(QracOracle(), 20_000, RngStream(58, 0))
-    assert res.f_hat == 1.0
-    assert res.ci_halfwidth < 1e-12
-    keep = res.kept_rounds / res.total_rounds
+    v = qrac_fidelity_estimate(QracOracle(), 20_000, RngStream(58, 0))
+    assert v.statistic == 1.0
+    assert 1.96 * v.std_error < 1e-12
+    keep = v.extras["kept_fraction"]
     assert abs(keep - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 20_000)
-    v = qrac_verdict(res)
     assert v.verdict == "post-quantum"
     assert v.threshold == 5 / 6
 
 
 def test_qrac_measure_prepare_sits_at_two_thirds():
-    res = qrac_fidelity_estimate(measure_prepare_strategy(), 6000, RngStream(21, 3))
-    assert abs(res.f_hat - 2 / 3) < 0.03
-    v = qrac_verdict(res)
+    v = qrac_fidelity_estimate(measure_prepare_strategy(), 6000, RngStream(21, 3))
+    assert abs(v.statistic - 2 / 3) < 0.03
     assert v.verdict == "quantum-consistent"
 
 
@@ -360,9 +356,9 @@ def test_qrac_oracle_estimate_stays_in_the_unit_interval_at_few_rounds():
     # the oracle's exact fidelities equal 1 up to rounding; their mean over a
     # handful of kept rounds can land one ulp above 1 and must be clamped
     for seed in range(300):
-        res = qrac_fidelity_estimate(QracOracle(), 50, RngStream(seed, 7))
-        assert 0.0 <= res.f_hat <= 1.0, seed
-        assert res.f_hat > 0.999, seed
+        v = qrac_fidelity_estimate(QracOracle(), 50, RngStream(seed, 7))
+        assert 0.0 <= v.statistic <= 1.0, seed
+        assert v.statistic > 0.999, seed
 
 
 class _NeverKeeps(BoxPair):
@@ -418,11 +414,11 @@ def test_qrac_blocks_match_per_round_reference(pair, monkeypatch):
         states = [PureState(v / np.linalg.norm(v)) for v in z]
         x = gen.integers(2, size=n)
         fids += _reference_fidelities(pair, states[:n], states[n:], x, gen)
-    res = qrac_fidelity_estimate(pair, rounds, rng)
-    assert res.kept_rounds == len(fids)
-    assert res.total_rounds == rounds
-    assert abs(res.f_hat - np.mean(fids)) <= 1e-12
-    assert abs(res.ci_halfwidth - 1.96 * np.std(fids, ddof=1) / math.sqrt(len(fids))) <= 1e-12
+    v = qrac_fidelity_estimate(pair, rounds, rng)
+    assert v.n_trials == len(fids)
+    assert v.extras["kept_fraction"] == len(fids) / rounds
+    assert abs(v.statistic - np.mean(fids)) <= 1e-12
+    assert abs(1.96 * v.std_error - 1.96 * np.std(fids, ddof=1) / math.sqrt(len(fids))) <= 1e-12
 
 
 def test_qrac_estimate_is_deterministic_across_block_boundaries():
@@ -430,7 +426,7 @@ def test_qrac_estimate_is_deterministic_across_block_boundaries():
     for pair in (QracOracle(), measure_prepare_strategy()):
         first = qrac_fidelity_estimate(pair, rounds, RngStream(58, 8))
         assert first == qrac_fidelity_estimate(pair, rounds, RngStream(58, 8))
-        assert first.total_rounds == rounds
+        assert first.extras["kept_fraction"] == first.n_trials / rounds
 
 
 class _BadOutputs(BoxPair):
@@ -448,15 +444,19 @@ def test_qrac_estimate_checks_every_output_density():
             qrac_fidelity_estimate(_BadOutputs(rho), 10, RngStream(58, 9))
 
 
-def test_qrac_result_validation():
-    with pytest.raises(InvalidInputError):
-        QracResult(1.2, 0.1, 5, 10)
-    with pytest.raises(InvalidInputError):
-        QracResult(0.5, 0.1, 11, 10)
+class _KeepsOne(BoxPair):
+    def play_rounds(self, psi0, psi1, x, gen):
+        n = len(x)
+        rho = np.broadcast_to(ket(0).density().matrix, (n, 2, 2))
+        b = np.ones(n, dtype=int)
+        b[0] = 0
+        return np.zeros(n, dtype=int), b, rho
 
 
 def test_qrac_single_kept_round_is_inconclusive():
-    v = qrac_verdict(QracResult(0.9, float("nan"), 1, 8))
+    v = qrac_fidelity_estimate(_KeepsOne(), 8, RngStream(58, 3))
+    assert v.n_trials == 1
+    assert math.isnan(v.std_error)
     assert v.verdict == "inconclusive"
 
 
@@ -464,8 +464,8 @@ def test_qrac_confidence_interval_coverage():
     pair = measure_prepare_strategy()
     covered = 0
     for rep in range(100):
-        res = qrac_fidelity_estimate(pair, 400, RngStream(505, rep))
-        if abs(res.f_hat - 2 / 3) <= res.ci_halfwidth:
+        v = qrac_fidelity_estimate(pair, 400, RngStream(505, rep))
+        if abs(v.statistic - 2 / 3) <= 1.96 * v.std_error:
             covered += 1
     assert covered >= 93
 
