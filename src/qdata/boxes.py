@@ -1,7 +1,7 @@
 """Behavioral models of the black boxes under test.
 
 A box consumes quantum states and emits quantum states.  Three families are
-implemented:
+implemented, and a fourth class chains them:
 
 * ``LinearBox`` wraps an ordinary CPTP channel, the honest quantum case.
 * ``NonlinearBloch`` deterministically warps the polar angle of a qubit's
@@ -9,6 +9,9 @@ implemented:
 * ``CollapseNonlinear`` first performs a projective collapse in a fixed
   basis and only then applies the Bloch warp, which restores linearity at
   the density-matrix level branch by branch.
+* ``ComposedBox`` applies boxes one after another, sample by sample, so the
+  branches of one stage feed the next; ``compose_boxes`` builds it whenever
+  a nonlinear box takes part.
 
 Every box exposes its behavior through one exact branch enumeration on the
 first factor of a joint input (a plain input has a one-dimensional
@@ -402,8 +405,9 @@ class QracQuantum(BoxPair):
         return a, b, self._bob_outputs[b, x]
 
 
-def _local_dims(local_dims) -> tuple[int, int]:
-    """``local_dims`` as a pair of integers, each at least 2.
+def _local_dims(local_dims, channel: QuantumChannel | None = None) -> tuple[int, int]:
+    """``local_dims`` as a pair of integers, each at least 2, that ``channel``
+    (when given) factors over on both its input and its output.
 
     A local dimension of 1 has no traceless direction for the kernel scan.
     """
@@ -416,6 +420,8 @@ def _local_dims(local_dims) -> tuple[int, int]:
     da, db = (as_integer(d, "local_dims") for d in dims)
     if min(da, db) < 2:
         raise InvalidInputError("local dimensions must be at least 2")
+    if channel is not None and not channel.dim_in == channel.dim_out == da * db:
+        raise InvalidShapeError("channel dimensions do not factor over the local dims")
     return da, db
 
 
@@ -423,9 +429,7 @@ class NsqChannelPair(BoxPair):
     """Correlated pair expressed as one bipartite channel on Alice x Bob."""
 
     def __init__(self, lambda_ab: QuantumChannel, local_dims: tuple):
-        da, db = _local_dims(local_dims)
-        if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
-            raise InvalidShapeError("channel dimensions do not factor over the local dims")
+        da, db = _local_dims(local_dims, lambda_ab)
         self.lambda_ab = lambda_ab
         self.local_dims = (da, db)
 

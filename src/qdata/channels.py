@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     InvalidInputError,
     InvalidShapeError,
+    _check_dim,
     _haar_columns,
     as_integer,
     as_operator,
@@ -48,6 +49,7 @@ class InvalidChannelError(InvalidInputError):
 
 
 def choi_from_kraus(kraus, dim_in: int, dim_out: int) -> np.ndarray:
+    _check_dim(dim_in * dim_out)
     ks = np.array([as_operator_rect(k, dim_out, dim_in) for k in kraus])
     choi4 = np.einsum("kai,kbj->iajb", ks, ks.conj())
     return choi4.reshape(dim_in * dim_out, dim_in * dim_out)
@@ -133,17 +135,17 @@ class QuantumChannel:
         """self after inner (matrix order: self . inner)."""
         if inner.dim_out != self.dim_in:
             raise InvalidShapeError("channel dimensions do not chain")
+        dim = inner.dim_in * self.dim_out
+        _check_dim(dim)
         # link product: sum over inner's output pair, which is self's input pair
         choi4 = np.einsum("iajb,acbd->icjd", inner.choi4, self.choi4)
-        dim = inner.dim_in * self.dim_out
         return QuantumChannel(choi4.reshape(dim, dim), inner.dim_in, self.dim_out)
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
-        a = self.choi4
-        b = other.choi4
-        c = np.einsum("iajc,kbld->ikabjlcd", a, b)
         din = self.dim_in * other.dim_in
         dout = self.dim_out * other.dim_out
+        _check_dim(din * dout)
+        c = np.einsum("iajc,kbld->ikabjlcd", self.choi4, other.choi4)
         return QuantumChannel(c.reshape(din * dout, din * dout), din, dout)
 
     @classmethod
@@ -206,7 +208,8 @@ def random_channel(
     Choi matrix is the Gram matrix of V's rows regrouped by (input, output).
     ``env_dim`` defaults to dim_in * dim_out, which samples
     full-Kraus-rank channels.  The dimensions and ``env_dim`` are integers of
-    at least 1 (:func:`qdata.linalg.as_integer`).
+    at least 1 (:func:`qdata.linalg.as_integer`), and a Choi matrix or a
+    dilation wider than ``MAX_DIM`` raises before any draw.
     """
     dim_in = as_integer(dim_in, "dim_in", least=1)
     dim_out = as_integer(dim_out, "dim_out", least=1)
@@ -214,6 +217,7 @@ def random_channel(
     total = dim_out * env
     if total < dim_in:
         raise InvalidShapeError("environment too small for an isometry")
+    _check_dim(dim_in * dim_out)
     v = _haar_columns(total, dim_in, rng).reshape(dim_out, env, dim_in)
     w = v.transpose(2, 0, 1).reshape(dim_in * dim_out, env)  # row (i, a), column e
     return QuantumChannel(w @ w.conj().T, dim_in, dim_out)

@@ -71,7 +71,6 @@ __all__ = [
     "NULL_REPLICATIONS",
     "TestVerdict",
     "HelstromSetup",
-    "helstrom_bound",
     "helstrom_test",
     "canonical_ensemble_pair",
     "ensemble_signalling_test",
@@ -165,17 +164,12 @@ class HelstromSetup:
         object.__setattr__(self, "states", s)
 
     @functools.cached_property
-    def _bound(self) -> float:
-        """The optimal success probability, computed once per setup."""
+    def bound(self) -> float:
+        """Optimal success probability for the input states, computed once per setup."""
         p1, p2 = self.priors
         s1, s2 = self.states
         delta = p1 * s1.projector() - p2 * s2.projector()
         return 0.5 * (1.0 + trace_norm(delta))
-
-
-def helstrom_bound(setup: HelstromSetup) -> float:
-    """Optimal success probability for the setup's input states."""
-    return setup._bound
 
 
 def _optimal_projectors(rho1: DensityMatrix, rho2: DensityMatrix, priors) -> tuple:
@@ -225,7 +219,7 @@ def helstrom_test(
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return TestVerdict(
         p_hat,
-        helstrom_bound(setup),
+        setup.bound,
         std_error,
         trials,
         extras={"exact_success": p1 * q1 + p2 * q2},
@@ -238,18 +232,11 @@ def helstrom_test(
 
 @functools.cache
 def canonical_ensemble_pair() -> tuple:
-    """The z-basis and x-basis halves of the maximally mixed qubit, built and checked once."""
+    """The z-basis and x-basis halves of the maximally mixed qubit, built once."""
     e1 = Ensemble((0.5, 0.5), (ket(0), ket(1)))
     e2 = Ensemble((0.5, 0.5), (plus_state(), minus_state()))
     for s in e1.states + e2.states:
         s.vector.flags.writeable = False  # shared by every caller
-    return _equal_density_pair(e1, e2)
-
-
-def _equal_density_pair(e1: Ensemble, e2: Ensemble) -> tuple:
-    """``(e1, e2)``, unless their density matrices differ by more than 1e-10."""
-    if trace_distance(e1.density(), e2.density()) > 1e-10:
-        raise InvalidInputError("the two ensembles must have equal density matrices")
     return e1, e2
 
 
@@ -258,15 +245,19 @@ def ensemble_signalling_test(
 ) -> TestVerdict:
     """Feed two decompositions of the same density and compare the outputs.
 
-    The inputs must have exactly equal density matrices; anything else is
-    rejected loudly, because with unequal inputs a nonzero statistic proves
-    nothing.  With both omitted the pair is ``canonical_ensemble_pair()``.
+    The inputs must have equal density matrices, within 1e-10 in trace
+    distance; anything else is rejected loudly, because with unequal inputs
+    a nonzero statistic proves nothing.  With both omitted the pair is
+    ``canonical_ensemble_pair()``.
     The computation is exact, so the threshold is a pure numerical-noise
     floor; ``rng`` is accepted as every detector accepts it and never drawn.
     """
     if (e1 is None) != (e2 is None):
         raise InvalidInputError("give both ensembles or neither")
-    e1, e2 = canonical_ensemble_pair() if e1 is None else _equal_density_pair(e1, e2)
+    if e1 is None:
+        e1, e2 = canonical_ensemble_pair()
+    elif trace_distance(e1.density(), e2.density()) > 1e-10:
+        raise InvalidInputError("the two ensembles must have equal density matrices")
     out1 = box.ensemble_output_density(e1)
     out2 = box.ensemble_output_density(e2)
     statistic = trace_distance(out1, out2)
@@ -277,25 +268,28 @@ def ensemble_signalling_test(
 # tomography-based tests and their null-threshold calibration
 
 _calibration_lock = threading.Lock()
-# budget key -> Future of (threshold, spread); the first caller computes it
+# (budget key, exact) -> Future of (threshold, spread); the first caller computes it
 _calibration_cache: dict = {}
 
 
-def _calibrated_null(key: str, statistic_fn) -> tuple:
+def _calibrated_null(key: str, statistic_fn, *, exact: tuple = ()) -> tuple:
     """99th-percentile threshold and spread of the identity box's statistic.
 
     statistic_fn(identity_box, stream) -> float is evaluated over
     NULL_REPLICATIONS independent streams derived from the fixed calibration
-    seed, so thresholds depend only on the budget key.  Each key is computed
-    once: concurrent callers of a key wait for the first one, while
-    different keys calibrate in parallel.  A failed calibration is not
-    cached; its waiters see the error and a later call computes afresh.
+    seed and the budget key.  ``exact`` holds, bit for bit, any settings
+    that the key prints rounded; the cache keeps one entry per ``(key,
+    exact)``, so settings that round alike never share a threshold.  Each
+    entry is computed once: its concurrent callers wait for the first one,
+    while different entries calibrate in parallel.  A failed calibration is
+    not cached; its waiters see the error and a later call computes afresh.
     """
+    entry = (key, exact)
     with _calibration_lock:
-        pending = _calibration_cache.get(key)
+        pending = _calibration_cache.get(entry)
         owner = pending is None
         if owner:
-            pending = _calibration_cache[key] = Future()
+            pending = _calibration_cache[entry] = Future()
     if not owner:
         return pending.result()
     try:
@@ -307,7 +301,7 @@ def _calibrated_null(key: str, statistic_fn) -> tuple:
         result = (_linear_quantile(stats, NULL_QUANTILE), float(np.std(stats, ddof=1)))
     except BaseException as exc:
         with _calibration_lock:
-            del _calibration_cache[key]
+            del _calibration_cache[entry]
         pending.set_exception(exc)
         raise
     pending.set_result(result)
@@ -335,9 +329,9 @@ def _projected_normal_choi(process) -> np.ndarray:
 
 
 def _calibrated_test(
-    box, key: str, run: TomographyRun, n_trials: int, statistic, rng: RngStream
+    box, key: str, run: TomographyRun, n_trials: int, statistic, rng: RngStream, exact: tuple = ()
 ) -> TestVerdict:
-    """Rule on statistic(box, rng) -> (value, extras) against its null under ``key``.
+    """Rule on statistic(box, rng) -> (value, extras) against its null under ``(key, exact)``.
 
     ``extras`` is a function that builds the report extras; only the job's
     own evaluation calls it, so a calibration replication computes only the
@@ -345,7 +339,7 @@ def _calibrated_test(
     on child 1 << 20, clear of the statistics' children.
     """
     threshold, sigma = _calibrated_null(
-        key, lambda null_box, stream: statistic(null_box, stream)[0]
+        key, lambda null_box, stream: statistic(null_box, stream)[0], exact=exact
     )
     value, extras = statistic(box, rng)
     report = process_tomography_direct(box, canonical_probe_basis(2), run, rng.child(1 << 20))
@@ -386,10 +380,13 @@ def basis_invariance_test(
         worst = worst_fidelity([_projected_normal_choi(rec) for rec in recs])
         return 1.0 - worst, lambda: {"cptp_residuals": tuple(rec.cptp_residual for rec in recs)}
 
+    # the key seeds the calibration and prints the deltas rounded; hex keeps them exact
     key = "basis|{}|{}|{}".format(
         ",".join(f"{d:.12g}" for d in deltas), run.shots_per_setting, box.dim_in
     )
-    return _calibrated_test(box, key, run, len(deltas) * run.shots_per_setting, statistic, rng)
+    exact = tuple(d.hex() for d in deltas)
+    n_trials = len(deltas) * run.shots_per_setting
+    return _calibrated_test(box, key, run, n_trials, statistic, rng, exact)
 
 
 def ancilla_consistency_test(
@@ -530,7 +527,6 @@ class NsqResult:
 
     per_direction: tuple
     sampled_violations: float
-    marginal_drift: float = 0.0
 
     @property
     def signalling_measure(self) -> float:
@@ -600,16 +596,13 @@ def nsq_signalling_measure(
     changes above 1e-9.  With rng omitted the sampled arm uses a fixed
     internal stream, keeping the result deterministic.
     """
-    da, db = _local_dims(local_dims)
+    da, db = _local_dims(local_dims, lambda_ab)
     sampled_pairs = as_integer(sampled_pairs, "sampled_pairs", least=0)
-    if lambda_ab.dim_in != da * db or lambda_ab.dim_out != da * db:
-        raise InvalidInputError("channel dimensions do not factor over the local dims")
     choi4 = lambda_ab.choi4
     a_to_b = _kernel_direction(choi4, (da, db), sender=0)
     b_to_a = _kernel_direction(choi4, (da, db), sender=1)
 
     violations = 0
-    drift = 0.0
     if sampled_pairs > 0:
         if rng is None:
             rng = RngStream(CALIBRATION_SEED, zlib.crc32(b"nsq-sampled"))
@@ -625,13 +618,8 @@ def nsq_signalling_measure(
             bob_moved = out_moved.reduce([da, db], keep={1})
             if trace_distance(bob_base, bob_moved) > 1e-9:
                 violations += 1
-            drift = max(drift, trace_distance(bob_base, rho.reduce([da, db], keep={1})))
     fraction = violations / sampled_pairs if sampled_pairs > 0 else 0.0
-    return NsqResult(
-        per_direction=(a_to_b, b_to_a),
-        sampled_violations=fraction,
-        marginal_drift=drift,
-    )
+    return NsqResult(per_direction=(a_to_b, b_to_a), sampled_violations=fraction)
 
 
 def nsq_random_survey(

@@ -29,7 +29,6 @@ from qdata import (
     canonical_ensemble_pair,
     canonical_probe_basis,
     ensemble_signalling_test,
-    helstrom_bound,
     helstrom_test,
     ket,
     max_entangled,
@@ -75,9 +74,9 @@ def canonical_report(report):
 
 def test_criterion_01_discrimination_bound_formula():
     # overlap cos(pi/8) at equal priors; frozen eigendecomposition oracle
-    assert abs(helstrom_bound(tilted_setup()) - 0.6913417161825449) < 1e-9
+    assert abs(tilted_setup().bound - 0.6913417161825449) < 1e-9
     orthogonal = HelstromSetup((0.3, 0.7), (ket(0), ket(1)))
-    assert abs(helstrom_bound(orthogonal) - 1.0) < 1e-12
+    assert abs(orthogonal.bound - 1.0) < 1e-12
 
 
 def test_criterion_02_identity_box_saturates_bound():

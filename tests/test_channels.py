@@ -1,6 +1,7 @@
 """CPTP channel representations: Choi, Kraus, composition, named families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qdata import (
     DensityMatrix,
     InvalidChannelError,
     InvalidInputError,
+    InvalidShapeError,
     PureState,
     QuantumChannel,
     RngStream,
@@ -306,6 +308,29 @@ def test_random_channel_dimensions_follow_the_count_rule(kwargs, message):
     args = {"dim_in": 2, "dim_out": 2, "rng": _NoDraws(), **kwargs}
     with pytest.raises(InvalidInputError, match=message):
         random_channel(**args)
+
+
+def test_an_oversized_channel_fails_before_its_choi_matrix_is_built():
+    # each Choi matrix would be 1024 wide (16 MB), the last one 4096 wide (268 MB)
+    inner = random_channel(32, 2, RngStream(21, 8), env_dim=16)
+    outer = random_channel(2, 32, RngStream(21, 9), env_dim=1)
+    builds = [
+        (lambda: QuantumChannel.identity(32), 1024),
+        (lambda: QuantumChannel.from_unitary(np.eye(32)), 1024),
+        (lambda: QuantumChannel.identity(4).tensor(QuantumChannel.identity(8)), 1024),
+        (lambda: outer.compose(inner), 1024),
+        (lambda: random_channel(32, 32, RngStream(21, 10), env_dim=2), 1024),
+        (lambda: QuantumChannel.identity(64), 4096),
+    ]
+    for build, dim in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidShapeError, match=rf"dimension {dim} outside supported range \[1, 64\]"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (dim, peak)
 
 
 def test_random_channel_accepts_numpy_integers():

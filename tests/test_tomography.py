@@ -583,10 +583,10 @@ def test_cptp_residual_is_read_only_where_a_job_reports_it(monkeypatch):
 
     calibrate = detectors._calibrated_null
 
-    def flagged_calibration(key, statistic_fn):
+    def flagged_calibration(key, statistic_fn, **kwargs):
         calibrating[0] = True
         try:
-            return calibrate(key, statistic_fn)
+            return calibrate(key, statistic_fn, **kwargs)
         finally:
             calibrating[0] = False
 
