@@ -5,10 +5,13 @@ Subcommands:
 * ``run <scenario-file> [--out <path>] [--seed <u64>] [--threads <n>]``
 * ``demo <name>`` for the packaged example scenarios
 * ``report summarize <report-file>``
+* ``report diff <a> <b>``
 
 Exit codes: 0 on success, 1 on scenario or usage errors and when a job of
 the run records an error entry (the report or the verdict lines still come
-out first), 2 on internal errors.
+out first), 2 on internal errors.  ``report diff`` exits 0 when the reports
+agree, 1 when they differ and 2 on a usage error or when either file cannot
+be read as a report.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ import sys
 import traceback
 from importlib import resources
 
-from .harness import dump_report, load_report, run_scenario, summarize_report, write_report
+from .harness import (
+    diff_reports,
+    dump_report,
+    load_report,
+    run_scenario,
+    summarize_report,
+    write_report,
+)
 from .linalg import InvalidInputError, as_integer, as_seed
 from .scenario import ScenarioError, parse_scenario
 
@@ -77,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     report_sub = report_p.add_subparsers(dest="report_command", metavar="subcommand")
     summarize_p = report_sub.add_parser("summarize", help="print a report digest")
     summarize_p.add_argument("report_file", help="path to a report JSON file")
+    diff_p = report_sub.add_parser("diff", help="compare two reports, timestamp ignored")
+    diff_p.add_argument("a", help="path to the first report")
+    diff_p.add_argument("b", help="path to the second report")
     return parser
 
 
@@ -145,27 +158,58 @@ def _cmd_demo(args) -> int:
     return _exit_code(report)
 
 
-def _cmd_report(args) -> int:
-    if args.report_command != "summarize":
-        raise ScenarioError("usage: qdata report summarize <report-file>")
+def _read_report(path: str) -> dict:
+    """``load_report(path)``, with a file that cannot be read as a report a ScenarioError."""
     try:
-        report = load_report(args.report_file)
+        return load_report(path)
     except FileNotFoundError:
-        raise ScenarioError(f"report file not found: {args.report_file}") from None
+        raise ScenarioError(f"report file not found: {path}") from None
     except OSError as exc:
-        raise ScenarioError(f"{args.report_file}: cannot read the report file ({exc.strerror})") from None
+        raise ScenarioError(f"{path}: cannot read the report file ({exc.strerror})") from None
     except ValueError as exc:  # malformed JSON, bad UTF-8 or a non-finite number
-        raise ScenarioError(f"{args.report_file}: not a report file ({exc})") from None
-    print(summarize_report(report))
+        raise ScenarioError(f"{path}: not a report file ({exc})") from None
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _cmd_report_diff(args) -> int:
+    try:
+        findings = diff_reports(_read_report(args.a), _read_report(args.b))
+    except ScenarioError as exc:
+        sys.stderr.write(f"qdata: {exc}\n")
+        return 2
+    if not findings:
+        print("same")
+        return 0
+    for kind, where, before, after in findings:
+        if kind == "number":
+            print(f"number   max move {abs(after - before):.3g} at {where} ({before!r} -> {after!r})")
+        else:
+            print(f"{kind:<8} {where}: {_brief(before)} -> {_brief(after)}")
+    return 1
+
+
+def _cmd_report(args) -> int:
+    if args.report_command == "diff":
+        return _cmd_report_diff(args)
+    if args.report_command != "summarize":
+        raise ScenarioError("usage: qdata report {summarize <report-file> | diff <a> <b>}")
+    print(summarize_report(_read_report(args.report_file)))
     return 0
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        code = exc.code if isinstance(exc.code, int) else 1
+        # for `report diff`, 1 means that the reports differ
+        return 2 if code == 1 and argv[:2] == ["report", "diff"] else code
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1

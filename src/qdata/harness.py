@@ -10,7 +10,8 @@ verdict, its evidence and its stream's sample tally.  A failing job is
 recorded in place; the others complete.  Reports are strict JSON with
 sorted keys, complex matrices flattened row-major as [re, im] pairs,
 non-finite numbers (an undefined standard error) as null, and a schema
-version that bumps on any breaking change.
+version that bumps on any breaking change.  ``diff_reports`` lists what
+differs between two reports besides the timestamp.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "write_report",
     "load_report",
     "summarize_report",
+    "diff_reports",
 ]
 
 SCHEMA_VERSION = 2
@@ -190,3 +192,56 @@ def summarize_report(report: dict) -> str:
         tally = "  ".join(f"{k}={per[k]}" for k in sorted(per))
         lines.append(f"  {detector}: {tally}")
     return "\n".join(lines)
+
+
+# the timestamp is the one field two runs of a scenario may differ in
+_NOT_COMPARED = "provenance.timestamp"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def diff_reports(a: dict, b: dict) -> list:
+    """What differs between two reports, as findings ``(kind, where, before, after)``.
+
+    ``where`` is a JSON path such as ``cells[1].results[0].verdict.verdict``,
+    which names the cell and the job.  ``provenance.timestamp`` is ignored.
+    The kinds:
+
+    * ``"changed"``, in report order: a value that is not a number differs
+      (a verdict label, a string, a list length, a type), or a key is
+      present on one side only, the other side None (an added error entry);
+    * ``"number"``: last and at most one, the largest absolute move over the
+      numbers both reports hold at one JSON path, with that path.
+
+    Numbers compare by value, so ``1`` and ``1.0`` agree.  Identical reports
+    give an empty list.
+    """
+    findings: list = []
+    moves: list = []
+
+    def walk(x, y, path: str) -> None:
+        if _is_number(x) and _is_number(y):
+            if x != y:
+                moves.append((abs(x - y), path, x, y))
+        elif isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(x.keys() | y.keys()):
+                inner = f"{path}.{key}" if path else key
+                if inner == _NOT_COMPARED:
+                    continue
+                if key in x and key in y:
+                    walk(x[key], y[key], inner)
+                else:
+                    findings.append(("changed", inner, x.get(key), y.get(key)))
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{path}[{i}]")
+        elif x != y:
+            findings.append(("changed", path, x, y))
+
+    walk(a, b, "")
+    if moves:
+        _, path, x, y = max(moves, key=lambda move: move[0])
+        findings.append(("number", path, x, y))
+    return findings

@@ -17,18 +17,19 @@ draw.  A stack draws from one stream and one id per source: setting i of
 source k draws what ``RngStream(rng.seed, ids[k]).child(i)`` would, from
 that child's Philox key alone; one per-thread Philox is re-keyed for each
 row (``qdata.rng``), so no stream or generator is built.  The stack's
-samples go onto the stream's tally.  One routine inverts every stack (one
-``lstsq``, one reduction over the stacked Hermitian basis): a one-qubit
-stack whole, bit for bit the per-source solve, and a two-qubit stack one
-source at a time, since a joint two-qubit solve moves its last bits.
+samples go onto the stream's tally.  The Pauli sets' design matrices have
+orthogonal columns, so the least-squares estimate is a fixed linear map of
+the frequencies: one reconstruction operator per qubit count, and every
+stack, of one qubit or two, is inverted in one fixed-order reduction
+against it, bit for bit the per-source inversion.
 Process tomography takes its probe outputs from the box
 (``probe_outputs``); a linear box computes them once per probe basis, so
 the identity box of a null calibration builds each probe output once, not
 once per replication.
 
 Each linear map is built once, read-only, by the object that owns it: one
-Pauli table per qubit count (the set, its design matrix, stacked effects
-and stacked Hermitian basis), a ProbeBasis's unit-recovery coefficients at
+Pauli table per qubit count (the set, its stacked effects and its
+reconstruction operator), a ProbeBasis's unit-recovery coefficients at
 construction, the canonical probe bases per (m, delta) and the Hermitian
 operator basis per dimension (in ``linalg``).
 """
@@ -80,11 +81,13 @@ _pauli_tables: dict = {}
 
 
 def _pauli_table(n_qubits: int) -> tuple:
-    """``(povms, design, effects, basis)`` of the n-qubit Pauli set, built once per n.
+    """``(povms, inverse, effects)`` of the n-qubit Pauli set, built once per n.
 
-    The arrays are read-only: the design matrix, the effects as one
-    (settings, outcomes, d, d) array and the (d^2, d, d) array of
-    hermitian_basis(d) itself.
+    The arrays are read-only: the reconstruction operator, shape
+    (rows, d, d), whose row r is ``sum_k pinv(design)[k, r] * basis[k]``
+    over ``hermitian_basis(d)``, made Hermitian, so a frequency row f
+    estimates ``sum_r f[r] * inverse[r]``; and the effects as one
+    (settings, outcomes, d, d) array.
     """
     table = _pauli_tables.get(n_qubits)
     if table is None:
@@ -92,12 +95,15 @@ def _pauli_table(n_qubits: int) -> tuple:
             raise InvalidInputError("only one- and two-qubit sets are provided")
         dim = 2**n_qubits
         povms = _build_pauli_measurement_set(n_qubits)
-        design = _design_matrix([e for p in povms for e in p.effects], dim)
         effects = np.array([p.effects for p in povms])
         basis = hermitian_basis(dim)
-        for array in (design, effects):
+        rows = effects.reshape(-1, dim, dim)
+        design = np.array([[np.trace(e @ b).real for b in basis] for e in rows])
+        inverse = np.add.reduce(np.linalg.pinv(design).T[:, :, None, None] * basis, axis=1)
+        inverse = (inverse + inverse.conj().swapaxes(-1, -2)) / 2
+        for array in (inverse, effects):
             array.flags.writeable = False
-        table = _pauli_tables.setdefault(n_qubits, (povms, design, effects, basis))
+        table = _pauli_tables.setdefault(n_qubits, (povms, inverse, effects))
     return table
 
 
@@ -133,13 +139,6 @@ def _build_pauli_measurement_set(n_qubits: int) -> tuple:
     return povms
 
 
-def _design_matrix(effects: list, dim: int) -> np.ndarray:
-    basis = hermitian_basis(dim)
-    return np.array(
-        [[np.real(np.trace(e @ b)) for b in basis] for e in effects]
-    )
-
-
 @dataclass(frozen=True)
 class TomographyRun:
     """Budget of one tomography experiment on the n-qubit Pauli set.
@@ -163,13 +162,6 @@ class TomographyRun:
         return 2**self.n_qubits
 
 
-def _linear_inversion(frequencies: np.ndarray, design: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (sources, d, d) estimates of a stack of frequency rows, shape (sources, rows)."""
-    coeffs, *_ = np.linalg.lstsq(design, frequencies.T, rcond=None)
-    estimates = np.add.reduce(coeffs.T[:, :, None, None] * basis, axis=1)
-    return (estimates + estimates.conj().swapaxes(-1, -2)) / 2
-
-
 def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) -> np.ndarray:
     """Linear-inversion estimates of a stack of source densities, unprojected.
 
@@ -178,11 +170,15 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) ->
     setting row checked as a distribution before any draw; source k then
     samples setting i as ``RngStream(rng.seed, ids[k]).child(i)`` would,
     from that child's Philox key, without building a stream.  The stack's
-    sources x settings x shots go onto ``rng``'s sample tally.
+    sources x settings x shots go onto ``rng``'s sample tally.  The
+    estimates are one reduction of the frequencies against the Pauli
+    table's reconstruction operator, Hermitian by its construction.
     """
     if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    _, design, effects, basis = _pauli_table(run.n_qubits)
+    if len(ids) != rhos.shape[0]:
+        raise InvalidShapeError("a stack needs exactly one stream id per source")
+    _, inverse, effects = _pauli_table(run.n_qubits)
     probs = checked_distributions(
         np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real
     )
@@ -192,11 +188,7 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) ->
     counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
     rng.tally(sources * settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
-    if run.n_qubits == 1:
-        # one solve for the whole stack equals the per-source solve bit for
-        # bit on one qubit; on two it moves estimates in the last bits
-        return _linear_inversion(frequencies, design, basis)
-    return np.concatenate([_linear_inversion(f[None], design, basis) for f in frequencies])
+    return np.add.reduce(frequencies[:, :, None, None] * inverse, axis=1)
 
 
 def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
@@ -211,9 +203,9 @@ def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatri
     The linear-inversion estimate is projected to the nearest density
     matrix.
     """
-    # the estimate is Hermitian by its symmetrization and has trace 1 up to
-    # rounding, so it is projected unchecked; the projection clips the
-    # eigenvalues to >= 0 and makes them sum to 1
+    # the estimate is Hermitian, as every row of the reconstruction operator
+    # is, and has trace 1 up to rounding, so it is projected unchecked; the
+    # projection clips the eigenvalues to >= 0 and makes them sum to 1
     return DensityMatrix._of(_project_to_density(_raw_estimate(source, run, rng)))
 
 

@@ -394,3 +394,69 @@ def test_qrac_oracle_at_few_rounds_runs_without_an_error_entry(tmp_path, capsys)
     verdict = report["cells"][0]["results"][0]["verdict"]
     assert verdict["verdict"] == "post-quantum"
     assert verdict["statistic"] <= 1.0
+
+
+@pytest.fixture
+def mini_report(mini_path, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    assert main(["run", mini_path, "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+def _edited(report_path, tmp_path, edit):
+    report = json.loads(report_path.read_text())
+    edit(report)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(report))
+    return str(path)
+
+
+def test_report_diff_of_a_rerun_prints_same_and_exits_0(mini_report, tmp_path, capsys):
+    rerun = _edited(mini_report, tmp_path, lambda r: r["provenance"].update(timestamp="then"))
+    assert main(["report", "diff", str(mini_report), rerun]) == 0
+    assert capsys.readouterr().out == "same\n"
+
+
+def _move_statistic(report, by=1e-15):
+    report["cells"][0]["results"][0]["verdict"]["statistic"] += by
+
+
+def test_report_diff_prints_the_largest_move_and_its_path(mini_report, tmp_path, capsys):
+    moved = _edited(mini_report, tmp_path, _move_statistic)
+    assert main(["report", "diff", str(mini_report), moved]) == 1
+    out = capsys.readouterr().out
+    # 0.69 + 1e-15 rounds to a move of 9.99e-16
+    assert out.startswith("number   max move 9.99e-16 at cells[0].results[0].verdict.statistic (0.69 -> ")
+
+
+def test_report_diff_prints_a_changed_verdict_before_the_largest_move(mini_report, tmp_path, capsys):
+    def flip(report):
+        verdict = report["cells"][0]["results"][0]["verdict"]
+        verdict["verdict"] = "post-quantum" if verdict["verdict"] != "post-quantum" else "consistent"
+        _move_statistic(report)
+
+    flipped = _edited(mini_report, tmp_path, flip)
+    assert main(["report", "diff", str(mini_report), flipped]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("changed  cells[0].results[0].verdict.verdict: ")
+    assert lines[1].startswith("number   max move 9.99e-16")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"schema_version": 1}', "not json"])
+def test_report_diff_on_a_file_that_is_not_a_report_exits_2(mini_report, tmp_path, capsys, text):
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    assert main(["report", "diff", str(mini_report), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not a report file" in err and "Traceback" not in err
+    assert main(["report", "diff", str(tmp_path / "missing.json"), str(mini_report)]) == 2
+    assert "report file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["third.json"], ["--tolerance", "1e-9"]])
+def test_report_diff_usage_errors_exit_2_not_1(mini_report, capsys, extra):
+    # 1 would read as "the reports differ"
+    argv = ["report", "diff", str(mini_report)] + ([str(mini_report)] + extra if extra else [])
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

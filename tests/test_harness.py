@@ -14,6 +14,7 @@ from qdata import (
     RngStream,
     Scenario,
     composition_gap_test,
+    diff_reports,
     load_report,
     mix64,
     parse_scenario_dict,
@@ -491,3 +492,40 @@ def test_cells_with_several_model_detectors_agree_across_thread_counts():
     assert len(inline["cells"]) == 6
     for threads in (2, 4):
         assert strip_timestamp(run_scenario(scenario, threads=threads)) == inline
+
+
+def test_diff_of_a_rerun_is_empty_whatever_the_timestamp(identity_report):
+    rerun = copy.deepcopy(identity_report)
+    rerun["provenance"]["timestamp"] = "1999-01-01T00:00:00+00:00"
+    assert diff_reports(identity_report, rerun) == []
+
+
+def test_diff_names_a_flipped_verdict_an_added_error_and_the_largest_move(identity_report):
+    changed = copy.deepcopy(identity_report)
+    helstrom, signalling = changed["cells"][1]["results"][:2]
+    before = helstrom["verdict"]["verdict"]
+    after = "post-quantum" if before != "post-quantum" else "consistent"
+    helstrom["verdict"]["verdict"] = after
+    signalling["error"] = "RuntimeError: boom"
+    threshold = changed["cells"][2]["results"][0]["verdict"]["threshold"]
+    changed["cells"][2]["results"][0]["verdict"]["threshold"] = threshold + 1e-15
+    assert diff_reports(identity_report, changed) == [
+        ("changed", "cells[1].results[0].verdict.verdict", before, after),
+        ("changed", "cells[1].results[1].error", None, "RuntimeError: boom"),
+        ("number", "cells[2].results[0].verdict.threshold", threshold, threshold + 1e-15),
+    ]
+
+
+def test_diff_reports_what_is_not_a_number_move(identity_report):
+    changed = copy.deepcopy(identity_report)
+    changed["scenario"]["name"] = "renamed"
+    del changed["cells"][0]["results"][0]["verdict"]["extras"]
+    changed["cells"][3]["results"].pop()
+    changed["provenance"]["seed"] = True  # a bool is not a number
+    found = diff_reports(identity_report, changed)
+    assert [(kind, where) for kind, where, _, _ in found] == [
+        ("changed", "cells[0].results[0].verdict.extras"),
+        ("changed", "cells[3].results"),
+        ("changed", "provenance.seed"),
+        ("changed", "scenario.name"),
+    ]

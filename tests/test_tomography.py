@@ -106,11 +106,12 @@ def test_a_run_of_the_wrong_dimension_is_a_shape_error():
 def test_exact_counts_recover_the_state():
     # exactly dyadic outcome frequencies invert to the state itself
     from qdata import born_probabilities
-    from qdata.tomography import _linear_inversion, _pauli_table
+    from qdata.tomography import _pauli_table
 
-    povms, design, _, basis = _pauli_table(1)
+    povms, inverse, _ = _pauli_table(1)
     counts = [np.round(born_probabilities(ket(0), povm) * 1024).astype(int) for povm in povms]
-    est = _linear_inversion(np.concatenate(counts)[None] / 1024, design, basis)[0]
+    frequencies = np.concatenate(counts) / 1024
+    est = np.add.reduce(frequencies[:, None, None] * inverse, axis=0)
     assert trace_distance(est, ket(0).density()) < 1e-10
 
 
@@ -251,39 +252,59 @@ def test_direct_tomography_covariant_under_probe_rotation():
 # ------------------------------------------------- compiled linear maps
 
 
-def _reference_state_tomography(source, povms, shots, rng, project):
-    """The uncached arithmetic: fresh operator basis and design matrix per call."""
-    from qdata import born_probabilities
+def _fresh_design_matrix(povms):
+    """The design matrix of a measurement set over a freshly built Hermitian basis, and that basis."""
     from qdata.linalg import _build_hermitian_basis
+
+    basis = _build_hermitian_basis(povms[0].dim)
+    effects = [e for p in povms for e in p.effects]
+    return np.array([[np.real(np.trace(e @ b)) for b in basis] for e in effects]), basis
+
+
+def _reference_inversion(frequencies, povms):
+    """Estimates of frequency rows, one source at a time, by an operator built from a fresh design matrix.
+
+    Row r of the operator is sum_k pinv(design)[k, r] * basis[k], made
+    Hermitian; an estimate is one fixed-order reduction of its row against it.
+    """
+    design, basis = _fresh_design_matrix(povms)
+    inverse = np.add.reduce(np.linalg.pinv(design).T[:, :, None, None] * basis, axis=1)
+    inverse = (inverse + inverse.conj().swapaxes(-1, -2)) / 2
+    rows = np.atleast_2d(frequencies)
+    return np.array([np.add.reduce(f[None, :, None, None] * inverse, axis=1)[0] for f in rows])
+
+
+def _reference_state_tomography(source, povms, shots, rng, project):
+    """The uncached arithmetic: one draw per setting, then a freshly built inversion."""
+    from qdata import born_probabilities
 
     freqs = []
     for i, povm in enumerate(povms):
         probs = born_probabilities(source, povm)
         counts = rng.child(i).generator.multinomial(shots, probs)
         freqs.extend(counts / shots)
-    basis = _build_hermitian_basis(povms[0].dim)
-    effects = [e for p in povms for e in p.effects]
-    design = np.array([[np.real(np.trace(e @ b)) for b in basis] for e in effects])
-    coeffs, *_ = np.linalg.lstsq(design, np.array(freqs), rcond=None)
-    estimate = sum(c * b for c, b in zip(coeffs, basis))
-    raw = (estimate + estimate.conj().T) / 2
+    raw = _reference_inversion(freqs, povms)[0]
     return nearest_density_matrix(raw) if project else raw
 
 
-def test_cached_design_matrix_equals_a_fresh_build():
-    from qdata.tomography import _design_matrix, _pauli_table
+def test_cached_operator_equals_pinv_of_a_fresh_design_matrix():
+    from qdata.tomography import _pauli_table
 
     for n_qubits, dim in ((1, 2), (2, 4)):
-        povms, design, _, _ = _pauli_table(n_qubits)
+        povms, inverse, _ = _pauli_table(n_qubits)
         assert povms is pauli_measurement_set(n_qubits)
+        design, basis = _fresh_design_matrix(povms)
         # the Pauli sets are tomographically complete by construction
         assert np.linalg.matrix_rank(design) == dim * dim
-        fresh = _design_matrix([e for p in povms for e in p.effects], dim)
-        assert np.array_equal(design, fresh)
-        with pytest.raises(ValueError):
-            design[0, 0] = 5.0
+        assert inverse.shape == (len(design), dim, dim)
+        assert np.array_equal(inverse, inverse.conj().swapaxes(-1, -2))
+        # the basis is orthonormal, so row r's coefficient on basis[k] is pinv(design)[k, r]
+        coefficients = np.einsum("rij,kji->kr", inverse, basis)
+        assert np.max(np.abs(coefficients - np.linalg.pinv(design))) <= 1e-15
+        with pytest.raises(ValueError, match="read-only"):
+            inverse[0, 0, 0] = 5.0
         again = _pauli_table(n_qubits)
-        assert again[0] is povms and again[1] is design
+        assert again[0] is povms and again[1] is inverse
 
 
 def test_state_tomography_is_bitwise_equal_to_the_uncached_arithmetic():
@@ -331,15 +352,12 @@ def test_cached_operators_are_read_only():
 
 def test_the_hermitian_basis_is_one_shared_read_only_array():
     from qdata import hermitian_basis
-    from qdata.tomography import _pauli_table
 
     for dim in (2, 3, 4):
         basis = hermitian_basis(dim)
         assert type(basis) is np.ndarray and basis.shape == (dim * dim, dim, dim)
         assert not basis.flags.writeable
         assert hermitian_basis(dim) is basis
-    for n_qubits in (1, 2):
-        assert _pauli_table(n_qubits)[3] is hermitian_basis(2**n_qubits)
 
 
 def test_every_shared_cached_array_is_read_only():
@@ -348,8 +366,8 @@ def test_every_shared_cached_array_is_read_only():
 
     shared = [hermitian_basis(2), hermitian_basis(4), tomography._BELL.vector]
     for n_qubits in (1, 2):
-        povms, design, effects, basis = tomography._pauli_table(n_qubits)
-        shared += [design, effects, basis, *(e for p in povms for e in p.effects)]
+        povms, inverse, effects = tomography._pauli_table(n_qubits)
+        shared += [inverse, effects, *(e for p in povms for e in p.effects)]
     for m, delta in ((2, 0.0), (2, 0.7), (4, 0.0)):
         probes = canonical_probe_basis(m, delta)
         shared += [probes._unit_coefficients, *(s.vector for s in probes.states)]
@@ -393,8 +411,6 @@ def test_cptp_residual_is_derived_at_construction():
 
 def _reference_raw_estimate(rho, povms, shots, rng):
     """The per-setting arithmetic: one Born trace, check and draw per setting."""
-    from qdata.linalg import hermitian_basis
-
     freqs = []
     for i, povm in enumerate(povms):
         p = np.trace(np.array(povm.effects) @ rho, axis1=1, axis2=2).real
@@ -402,12 +418,7 @@ def _reference_raw_estimate(rho, povms, shots, rng):
         p = np.clip(p, 0.0, None)
         counts = rng.child(i).generator.multinomial(shots, p / p.sum())
         freqs.extend(counts / shots)
-    basis = hermitian_basis(povms[0].dim)
-    effects = [e for p in povms for e in p.effects]
-    design = np.array([[np.real(np.trace(e @ b)) for b in basis] for e in effects])
-    coeffs, *_ = np.linalg.lstsq(design, np.array(freqs), rcond=None)
-    estimate = sum(c * b for c, b in zip(coeffs, basis))
-    return (estimate + estimate.conj().T) / 2
+    return _reference_inversion(freqs, povms)[0]
 
 
 def _reference_direct_choi(box, basis, run, rng):
@@ -536,18 +547,11 @@ def _frequencies_of_fresh_children(rhos, shots, rng, ids, n_qubits=1):
     return np.array(rows) / shots
 
 
-def _one_source_inversion(frequencies, design, basis):
-    """The one-source linear inversion: a 1-D solve, then the basis combined."""
-    coeffs, *_ = np.linalg.lstsq(design, frequencies, rcond=None)
-    estimate = np.add.reduce(coeffs[:, None, None] * basis, axis=0)
-    return (estimate + estimate.conj().T) / 2
-
-
 def test_stacks_are_inverted_as_the_per_source_loop_bit_for_bit():
-    from qdata.tomography import _pauli_table, _raw_estimates
+    from qdata.tomography import _raw_estimates
 
     gen = np.random.default_rng(50)
-    for n_qubits, sources in ((1, 500), (2, 100)):
+    for n_qubits, sources in ((1, 600), (2, 600)):
         dim = 2**n_qubits
         g = gen.normal(size=(sources, dim, dim)) + 1j * gen.normal(size=(sources, dim, dim))
         rhos = g @ np.swapaxes(g, 1, 2).conj()
@@ -557,15 +561,50 @@ def test_stacks_are_inverted_as_the_per_source_loop_bit_for_bit():
         if n_qubits == 2:
             pure = [np.kron(a, b) for a in pure for b in pure] + [max_entangled(2).projector()]
         rhos = np.concatenate([rhos, np.array(pure)])
-        _, design, _, basis = _pauli_table(n_qubits)
         for shots in (1, 37, 1000):
             rng = RngStream(51, shots)
             ids = [mix64(7, k) for k in range(len(rhos))]
             got = _raw_estimates(rhos, TomographyRun(shots, n_qubits), rng, ids)
             frequencies = _frequencies_of_fresh_children(rhos, shots, rng, ids, n_qubits)
+            want = _reference_inversion(frequencies, pauli_measurement_set(n_qubits))
             for k in range(len(rhos)):
-                want = _one_source_inversion(frequencies[k], design, basis)
-                assert _bitwise_equal(got[k], want), (n_qubits, shots, k)
+                assert _bitwise_equal(got[k], want[k]), (n_qubits, shots, k)
+
+
+def test_estimates_agree_with_a_least_squares_solve():
+    # the operator is the least-squares solution in closed form; random,
+    # pure and exact-zero-row sources land within rounding of an SVD solve
+    from qdata.tomography import _raw_estimates
+
+    gen = np.random.default_rng(54)
+    for n_qubits in (1, 2):
+        dim = 2**n_qubits
+        povms = pauli_measurement_set(n_qubits)
+        g = gen.normal(size=(20, dim, dim)) + 1j * gen.normal(size=(20, dim, dim))
+        rhos = g @ np.swapaxes(g, 1, 2).conj()
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        pure = [ket(0, dim).projector(), ket(dim - 1, dim).projector(), max_entangled(2).projector()]
+        rhos = np.concatenate([rhos, np.array(pure[:2] if n_qubits == 1 else pure)])
+        rng = RngStream(55, n_qubits)
+        ids = [mix64(9, k) for k in range(len(rhos))]
+        got = _raw_estimates(rhos, TomographyRun(500, n_qubits), rng, ids)
+        frequencies = _frequencies_of_fresh_children(rhos, 500, rng, ids, n_qubits)
+        design, basis = _fresh_design_matrix(povms)
+        coeffs, *_ = np.linalg.lstsq(design, frequencies.T, rcond=None)
+        want = np.einsum("ks,kij->sij", coeffs, basis)
+        want = (want + want.conj().swapaxes(-1, -2)) / 2
+        assert np.max(np.abs(got - want)) <= 1e-14, n_qubits
+
+
+def test_a_stack_without_one_stream_id_per_source_raises_before_any_draw():
+    from qdata.tomography import _raw_estimates
+
+    stack = np.array([ket(0).projector()] * 3, dtype=complex)
+    for ids in ([5, 6], [5, 6, 7, 8]):
+        stream = RngStream(56)
+        with pytest.raises(InvalidShapeError, match="one stream id per source"):
+            _raw_estimates(stack, run1(100), stream, ids)
+        assert stream.samples == 0
 
 
 def test_cptp_residual_is_read_only_where_a_job_reports_it(monkeypatch):
