@@ -212,7 +212,7 @@ def test_criterion_09_bipartite_signalling_survey():
     swap = QuantumChannel.from_unitary(
         np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
     )
-    assert nsq_signalling_measure(swap, (2, 2), sampled_pairs=20).signalling_measure == 1.0
+    assert max(nsq_signalling_measure(swap, (2, 2))) == 1.0
 
 
 def test_criterion_10_state_tomography_scaling():

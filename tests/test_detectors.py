@@ -7,13 +7,13 @@ import pytest
 
 from qdata import (
     CollapseNonlinear,
+    DensityMatrix,
     Ensemble,
     HelstromSetup,
     InvalidInputError,
     InvalidShapeError,
     LinearBox,
     NonlinearBloch,
-    NsqResult,
     PureState,
     QracOracle,
     QuantumChannel,
@@ -38,7 +38,7 @@ from qdata import (
 from qdata import detectors
 from qdata.boxes import BoxPair, NsqChannelPair
 from qdata.detectors import QRAC_BLOCK, _kernel_direction
-from qdata.linalg import hermitian_basis, kron, partial_trace, trace_norm, trace_norms
+from qdata.linalg import hermitian_basis, kron, partial_trace, trace_distance, trace_norm, trace_norms
 from qdata.states import born_probabilities
 
 RY45 = rotation_y(math.pi / 4)
@@ -497,29 +497,66 @@ def swap_channel():
 
 
 def test_nsq_swap_signals_maximally_in_both_directions():
-    r = nsq_signalling_measure(swap_channel(), (2, 2), sampled_pairs=10)
-    assert r.per_direction == (1.0, 1.0)
-    assert r.signalling_measure == 1.0
-    assert r.sampled_violations == 1.0
+    assert nsq_signalling_measure(swap_channel(), (2, 2)) == (1.0, 1.0)
+    assert _sampled_moves(swap_channel(), (2, 2), 10, RngStream(59, 10)) == 1.0
 
 
 def test_nsq_cnot_signals_in_both_directions():
     cnot = QuantumChannel.from_unitary(
         np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     )
-    r = nsq_signalling_measure(cnot, (2, 2), sampled_pairs=10)
-    assert r.per_direction == (1.0, 1.0)
+    assert nsq_signalling_measure(cnot, (2, 2)) == (1.0, 1.0)
 
 
 def test_nsq_identity_and_products_are_silent():
-    r = nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=10)
-    assert r.signalling_measure < 1e-12
-    assert r.sampled_violations == 0.0
+    ident = QuantumChannel.identity(4)
+    assert max(nsq_signalling_measure(ident, (2, 2))) < 1e-12
+    assert _sampled_moves(ident, (2, 2), 10, RngStream(59, 10)) == 0.0
     a = random_channel(2, 2, RngStream(59, 0))
     b = random_channel(2, 2, RngStream(59, 1))
-    rp = nsq_signalling_measure(a.tensor(b), (2, 2), sampled_pairs=10)
-    assert rp.signalling_measure < 1e-12
-    assert rp.sampled_violations == 0.0
+    product = a.tensor(b)
+    assert max(nsq_signalling_measure(product, (2, 2))) < 1e-12
+    assert _sampled_moves(product, (2, 2), 10, RngStream(59, 10)) == 0.0
+
+
+def test_nsq_measure_draws_nothing(monkeypatch):
+    root = RngStream(59, 11)
+    samples = [random_channel(4, 4, root.child(k)) for k in range(5)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the measure drew")
+
+    monkeypatch.setattr(detectors, "random_channel", refuse)
+    monkeypatch.setattr(RngStream, "generator", property(refuse))
+    assert nsq_signalling_measure(swap_channel(), (2, 2)) == (1.0, 1.0)
+    for ch in samples:
+        want = (_kernel_direction(ch.choi4, (2, 2), 0), _kernel_direction(ch.choi4, (2, 2), 1))
+        assert nsq_signalling_measure(ch, (2, 2)) == want
+
+
+def _sampled_moves(channel, dims, pairs, rng):
+    """Operational reference for the kernel scan: the fraction of ``pairs``
+    random (joint state, Alice channel) pairs for which applying the Alice
+    channel before ``channel`` moves Bob's output marginal by more than 1e-9.
+
+    Pair k draws from ``rng.child(k)``: a Ginibre joint density from its
+    child 0, then a random Alice channel from its child 1.
+    """
+    da, db = dims
+    ident_b = QuantumChannel.identity(db)
+    moves = 0
+    for k in range(pairs):
+        stream = rng.child(k)
+        gen = stream.child(0).generator
+        g = gen.standard_normal((da * db, da * db)) + 1j * gen.standard_normal((da * db, da * db))
+        rho = g @ g.conj().T
+        rho = DensityMatrix(rho / np.trace(rho))
+        moved = random_channel(da, da, stream.child(1)).tensor(ident_b).apply(rho)
+        bob_base = channel.apply(rho).reduce([da, db], keep={1})
+        bob_moved = channel.apply(moved).reduce([da, db], keep={1})
+        if trace_distance(bob_base, bob_moved) > 1e-9:
+            moves += 1
+    return moves / pairs
 
 
 def _kernel_direction_loop(choi4, dims, sender):
@@ -556,18 +593,6 @@ def test_kernel_scan_is_bitwise_the_per_pair_loop(dims):
             )
 
 
-def test_nsq_default_sampling_stream_is_fixed():
-    r1 = nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=5)
-    r2 = nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=5)
-    assert r1.sampled_violations == r2.sampled_violations
-
-
-def test_nsq_measure_is_the_larger_direction():
-    assert NsqResult((0.1, 0.2), 0.0).signalling_measure == 0.2
-    with pytest.raises(TypeError):
-        NsqResult(0.5, (0.1, 0.2), 0.0, 0.0)
-
-
 def test_nsq_kernel_implies_sampled_null():
     # kernel-silent channels must also be silent for every sampled pair
     root = RngStream(59, 2)
@@ -579,10 +604,9 @@ def test_nsq_kernel_implies_sampled_null():
             ch = a.tensor(b)
         else:
             ch = random_channel(4, 4, root.child(k, 2))
-        r = nsq_signalling_measure(ch, (2, 2), sampled_pairs=2, rng=root.child(k, 3))
-        if r.signalling_measure <= 1e-8:
+        if max(nsq_signalling_measure(ch, (2, 2))) <= 1e-8:
             checked_silent += 1
-            assert r.sampled_violations == 0.0
+            assert _sampled_moves(ch, (2, 2), 2, root.child(k, 3)) == 0.0
     assert checked_silent >= 100  # every product channel lands in the null set
 
 
@@ -609,7 +633,7 @@ def test_nsq_survey_single_sample_is_inconclusive():
 @pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
 def test_nsq_rejects_a_local_dimension_of_1(dims):
     with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
-        nsq_signalling_measure(QuantumChannel.identity(4), dims, sampled_pairs=0)
+        nsq_signalling_measure(QuantumChannel.identity(4), dims)
     with pytest.raises(InvalidInputError, match="local dimensions must be at least 2"):
         nsq_random_survey(2, dims, rng=RngStream(59, 6))
 
@@ -620,13 +644,9 @@ def test_nsq_rejects_a_local_dimension_of_1(dims):
         (lambda: nsq_random_survey(2, (2.7, 2), rng=RngStream(59, 7)), "local_dims"),
         (lambda: nsq_random_survey(2, rng=RngStream(59, 7), env_dim=8.5), "env_dim"),
         (lambda: nsq_signalling_measure(QuantumChannel.identity(4), (2.9, 2)), "local_dims"),
-        (
-            lambda: nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=2.5),
-            "sampled_pairs",
-        ),
         (lambda: NsqChannelPair(QuantumChannel.identity(4), (2.5, 2)), "local_dims"),
     ],
-    ids=["survey-dims", "survey-env", "measure-dims", "measure-pairs", "pair-dims"],
+    ids=["survey-dims", "survey-env", "measure-dims", "pair-dims"],
 )
 def test_nsq_dimensions_and_counts_must_be_integers(call, name):
     with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
@@ -667,7 +687,7 @@ def test_nsq_survey_refuses_env_dim_with_product_channels_before_any_draw():
 def test_nsq_local_dims_must_be_a_pair(dims):
     ident = QuantumChannel.identity(4)
     for call in (
-        lambda: nsq_signalling_measure(ident, dims, sampled_pairs=0),
+        lambda: nsq_signalling_measure(ident, dims),
         lambda: nsq_random_survey(2, dims, rng=_NoDraws()),
         lambda: NsqChannelPair(ident, dims),
     ):
@@ -682,7 +702,7 @@ def test_nsq_local_dims_must_be_a_pair(dims):
 )
 def test_a_channel_that_does_not_factor_is_one_shape_error_in_the_measure_and_in_the_pair(channel):
     for call in (
-        lambda: nsq_signalling_measure(channel, (2, 2), rng=_NoDraws()),
+        lambda: nsq_signalling_measure(channel, (2, 2)),
         lambda: NsqChannelPair(channel, (2, 2)),
     ):
         with pytest.raises(InvalidShapeError, match="channel dimensions do not factor over the local dims"):
@@ -754,12 +774,8 @@ def test_detector_counts_must_be_integers():
         ),
         (lambda: qrac_fidelity_estimate(QracOracle(), 0, RngStream(61, 5)), "rounds must be at least 1"),
         (lambda: nsq_random_survey(0, rng=RngStream(61, 6)), "n_samples must be at least 1"),
-        (
-            lambda: nsq_signalling_measure(QuantumChannel.identity(4), (2, 2), sampled_pairs=-1),
-            "sampled_pairs must be at least 0",
-        ),
     ],
-    ids=["trials", "rounds", "n_samples", "sampled_pairs"],
+    ids=["trials", "rounds", "n_samples"],
 )
 def test_detector_counts_have_a_lower_bound(call, message):
     with pytest.raises(InvalidInputError, match=message):
