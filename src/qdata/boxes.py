@@ -165,8 +165,9 @@ class BoxModel(ABC):
 class LinearBox(BoxModel):
     """Honest quantum box: the CPTP channel ``channel``.
 
-    Its probe outputs are computed (and validated) once per probe basis and
-    kept, read-only, for the life of the box.
+    Its probe outputs are computed (and validated) once per probe basis,
+    and its joint output once per entangled probe, and kept, read-only, for
+    the life of the box.
     """
 
     def __init__(self, channel: QuantumChannel):
@@ -175,6 +176,8 @@ class LinearBox(BoxModel):
         self.dim_out = channel.dim_out
         # keyed by the ProbeBasis, which hashes by the identities of its states
         self._probe_outputs: dict = {}
+        # keyed by the joint PureState, which hashes by identity
+        self._joint_outputs: dict = {}
 
     def probe_outputs(self, basis):
         outputs = self._probe_outputs.get(basis)
@@ -184,6 +187,14 @@ class LinearBox(BoxModel):
             # threads racing on a shared box all keep the first stack
             outputs = self._probe_outputs.setdefault(basis, outputs)
         return outputs
+
+    def probe_with_reference(self, joint):
+        output = self._joint_outputs.get(joint)
+        if output is None:
+            output = super().probe_with_reference(joint)
+            output.matrix.flags.writeable = False
+            output = self._joint_outputs.setdefault(joint, output)
+        return output
 
     def joint_branches(self, joint, ref_dim):
         joint = as_state(joint)

@@ -41,7 +41,6 @@ from .linalg import (
     trace_distance,
     trace_norm,
     trace_norms,
-    uhlmann_fidelity,
     worst_fidelity,
 )
 from .rng import RngStream
@@ -274,14 +273,16 @@ _calibration_cache: dict = {}
 def _calibrated_null(key: str, statistic_fn, *, exact: tuple = ()) -> tuple:
     """99th-percentile threshold and spread of the identity box's statistic.
 
-    statistic_fn(identity_box, stream) -> float is evaluated over
-    NULL_REPLICATIONS independent streams derived from the fixed calibration
-    seed and the budget key.  ``exact`` holds, bit for bit, any settings
-    that the key prints rounded; the cache keeps one entry per ``(key,
-    exact)``, so settings that round alike never share a threshold.  Each
-    entry is computed once: its concurrent callers wait for the first one,
-    while different entries calibrate in parallel.  A failed calibration is
-    not cached; its waiters see the error and a later call computes afresh.
+    statistic_fn(identity_box, streams) -> values is called once, on the
+    list of NULL_REPLICATIONS independent streams derived from the fixed
+    calibration seed and the budget key, and returns one value per stream,
+    so it can treat the replications as one stack.  ``exact`` holds, bit
+    for bit, any settings that the key prints rounded; the cache keeps one
+    entry per ``(key, exact)``, so settings that round alike never share a
+    threshold.  Each entry is computed once: its concurrent callers wait
+    for the first one, while different entries calibrate in parallel.  A
+    failed calibration is not cached; its waiters see the error and a later
+    call computes afresh.
     """
     entry = (key, exact)
     with _calibration_lock:
@@ -294,9 +295,8 @@ def _calibrated_null(key: str, statistic_fn, *, exact: tuple = ()) -> tuple:
     try:
         identity_box = LinearBox(QuantumChannel.identity(2))
         root = RngStream(CALIBRATION_SEED, zlib.crc32(key.encode()))
-        stats = np.array(
-            [statistic_fn(identity_box, root.child(rep)) for rep in range(NULL_REPLICATIONS)]
-        )
+        streams = [root.child(rep) for rep in range(NULL_REPLICATIONS)]
+        stats = np.asarray(statistic_fn(identity_box, streams), dtype=float)
         result = (_linear_quantile(stats, NULL_QUANTILE), float(np.std(stats, ddof=1)))
     except BaseException as exc:
         with _calibration_lock:
@@ -323,27 +323,42 @@ def _linear_quantile(values: np.ndarray, q: float) -> float:
     return float(low + (high - low) * t)
 
 
-def _projected_normal_choi(process) -> np.ndarray:
-    return nearest_density_matrix(process.normalized_choi())
+def _infidelities(box, streams: list, tomographies) -> tuple:
+    """One minus the worst fidelity of each stream's projected Choi estimates, and the
+    last stream's reconstructions, ``tomographies(box, stream)``.
+
+    The normalized Choi matrices fill one (streams, processes, d, d) stack
+    as each stream is drawn, so no stream's reconstructions outlive the
+    next; the stack is projected and compared as a whole.
+    """
+    chois = None
+    for i, stream in enumerate(streams):
+        recs = tomographies(box, stream)
+        if chois is None:
+            chois = np.empty((len(streams), len(recs)) + recs[0].choi.shape, dtype=complex)
+        chois[i] = [rec.normalized_choi() for rec in recs]
+    return 1.0 - worst_fidelity(nearest_density_matrix(chois)), recs
 
 
 def _calibrated_test(
-    box, key: str, run: TomographyRun, n_trials: int, statistic, rng: RngStream, exact: tuple = ()
+    box, key: str, run: TomographyRun, n_trials: int, tomographies, extras, rng, exact: tuple = ()
 ) -> TestVerdict:
-    """Rule on statistic(box, rng) -> (value, extras) against its null under ``(key, exact)``.
+    """Rule on :func:`_infidelities` of ``tomographies`` against its null under ``(key, exact)``.
 
-    ``extras`` is a function that builds the report extras; only the job's
-    own evaluation calls it, so a calibration replication computes only the
-    statistic.  The evidence is the delta-0 direct reconstruction at ``run``
-    on child 1 << 20, clear of the statistics' children.
+    The calibration evaluates its NULL_REPLICATIONS streams as one stack;
+    the job's own evaluation is the same code on a stack of one stream,
+    ``[rng]``.  Only the job's reconstructions go to ``extras(recs)``, which
+    builds the report extras.  The evidence is the delta-0 direct
+    reconstruction at ``run`` on child 1 << 20, clear of the statistics'
+    children.
     """
     threshold, sigma = _calibrated_null(
-        key, lambda null_box, stream: statistic(null_box, stream)[0], exact=exact
+        key, lambda null_box, streams: _infidelities(null_box, streams, tomographies)[0], exact=exact
     )
-    value, extras = statistic(box, rng)
+    values, recs = _infidelities(box, [rng], tomographies)
     report = process_tomography_direct(box, canonical_probe_basis(2), run, rng.child(1 << 20))
     recon = {"choi": report.normalized_choi()}
-    return TestVerdict(value, threshold, sigma, n_trials, extras=extras(), reconstructions=recon)
+    return TestVerdict(values[0], threshold, sigma, n_trials, extras=extras(recs), reconstructions=recon)
 
 
 def basis_invariance_test(
@@ -369,15 +384,16 @@ def basis_invariance_test(
         raise InvalidInputError("at least one probe rotation is required")
     run = TomographyRun(shots)
 
-    def statistic(probed, stream):
-        recs = [
+    def tomographies(probed, stream):
+        return [
             process_tomography_direct(
                 probed, canonical_probe_basis(probed.dim_in, delta), run, stream.child(k)
             )
             for k, delta in enumerate(deltas)
         ]
-        worst = worst_fidelity([_projected_normal_choi(rec) for rec in recs])
-        return 1.0 - worst, lambda: {"cptp_residuals": tuple(rec.cptp_residual for rec in recs)}
+
+    def extras(recs):
+        return {"cptp_residuals": tuple(rec.cptp_residual for rec in recs)}
 
     # the key seeds the calibration and prints the deltas rounded; hex keeps them exact
     key = "basis|{}|{}|{}".format(
@@ -385,7 +401,7 @@ def basis_invariance_test(
     )
     exact = tuple(d.hex() for d in deltas)
     n_trials = len(deltas) * run.shots_per_setting
-    return _calibrated_test(box, key, run, n_trials, statistic, rng, exact)
+    return _calibrated_test(box, key, run, n_trials, tomographies, extras, rng, exact)
 
 
 def ancilla_consistency_test(
@@ -405,21 +421,20 @@ def ancilla_consistency_test(
         raise InvalidInputError("the consistency test is implemented for qubit boxes")
     run = TomographyRun(shots)
     joint_run = TomographyRun(shots, 2)
+    basis = canonical_probe_basis(2, 0.0)
 
-    def statistic(probed, stream):
-        basis = canonical_probe_basis(2, 0.0)
-        direct = process_tomography_direct(probed, basis, run, stream.child(0))
-        ancilla = process_tomography_ancilla(probed, joint_run, stream.child(1))
-        fid = uhlmann_fidelity(
-            _projected_normal_choi(direct), _projected_normal_choi(ancilla)
-        )
-        return 1.0 - fid, lambda: {
-            "direct_residual": direct.cptp_residual,
-            "ancilla_residual": ancilla.cptp_residual,
-        }
+    def tomographies(probed, stream):
+        return [
+            process_tomography_direct(probed, basis, run, stream.child(0)),
+            process_tomography_ancilla(probed, joint_run, stream.child(1)),
+        ]
+
+    def extras(recs):
+        direct, ancilla = recs
+        return {"direct_residual": direct.cptp_residual, "ancilla_residual": ancilla.cptp_residual}
 
     key = f"ancilla|{run.shots_per_setting}"
-    return _calibrated_test(box, key, run, run.shots_per_setting, statistic, rng)
+    return _calibrated_test(box, key, run, run.shots_per_setting, tomographies, extras, rng)
 
 
 def concatenate_tests(

@@ -148,9 +148,9 @@ def eig_hermitian(h, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eig_hermitian` without its checks, for a matrix Hermitian by construction."""
+    """:func:`eig_hermitian` without its checks, for a matrix or a stack Hermitian by construction."""
     w, v = np.linalg.eigh(a)
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
 
 
 def trace_norm(h) -> float:
@@ -176,76 +176,102 @@ def trace_distance(r, s) -> float:
     return 0.5 * trace_norm(a - as_operator(s, a.shape[0]))
 
 
-def _psd_check_and_clip(m, floor: float = -1e-10) -> tuple[np.ndarray, np.ndarray]:
-    w, v = eig_hermitian(m, atol=1e-8)
-    if np.min(w) < floor:
-        raise InvalidInputError(f"matrix has eigenvalue {np.min(w):.3e} below PSD floor {floor}")
-    return np.clip(w, 0.0, None), v
+def _as_operators(m) -> np.ndarray:
+    """:func:`as_operator` for one matrix or a stack of them, shape (..., d, d)."""
+    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    _check_dim(a.shape[-1])
+    return a
 
 
-def uhlmann_fidelity(r, s) -> float:
+def uhlmann_fidelity(r, s):
     """Squared-overlap fidelity ``(tr sqrt(sqrt(r) s sqrt(r)))**2``.
 
     Both arguments must be density-like: Hermitian, unit trace within 1e-8
     and PSD within a -1e-10 eigenvalue floor.  For pure states this reduces
     to the squared overlap of the vectors.  This is the two-matrix case of
-    :func:`worst_fidelity`.
+    :func:`worst_fidelity`: two matrices give a float, two stacks of equal
+    shape an array of the fidelities of their matching pairs.
     """
     return worst_fidelity((r, s))
 
 
-def worst_fidelity(densities) -> float:
-    """The smallest :func:`uhlmann_fidelity` over the pairs ``i < j`` of ``densities``.
+def worst_fidelity(densities):
+    """The smallest :func:`uhlmann_fidelity` over the pairs ``i < j`` of each group.
 
-    Every matrix is checked once: all traces first, then each matrix's
-    Hermiticity and PSD floor through one eigendecomposition, from which
-    the square root of the first matrix of each pair is taken.  Fewer than
-    two matrices give 1.0.
+    One group of n matrices (a sequence, or an array (n, d, d)) gives a
+    float; a stack of groups (..., n, d, d), or a sequence of stacks along
+    axis -3, gives an array (...).  Every matrix is checked once: all
+    traces, then all Hermiticity, then the PSD floor of all from one
+    eigendecomposition, which also gives the square root of each pair's
+    first matrix; one ``eigvalsh`` covers every pair.  Each value equals,
+    bit for bit, the pairwise loop over its group.  Fewer than two
+    matrices give 1.0, once checked.
     """
-    mats: list = []
-    for m in densities:
-        mats.append(as_operator(m, mats[0].shape[0] if mats else None))
-    for m in mats:
-        if abs(np.trace(m).real - 1.0) > 1e-8:
-            raise InvalidInputError("fidelity arguments must have unit trace")
-    spectra = [_psd_check_and_clip(m) for m in mats]
-    worst = 1.0
-    for i, (w, v) in enumerate(spectra[:-1]):
-        sqrt_a = (v * np.sqrt(w)) @ v.conj().T
-        for b in mats[i + 1 :]:
-            inner = np.clip(np.linalg.eigvalsh(sqrt_a @ b @ sqrt_a), 0.0, None)
-            f = float(np.sum(np.sqrt(inner)) ** 2)
-            worst = min(worst, min(max(f, 0.0), 1.0))
-    return worst
+    if isinstance(densities, np.ndarray):
+        group = _as_operators(densities)
+    else:
+        mats = [_as_operators(m) for m in densities]
+        if not mats:
+            return 1.0
+        if any(m.shape != mats[0].shape for m in mats):
+            raise InvalidShapeError("fidelity arguments differ in shape")
+        group = np.stack(mats, axis=-3)
+    if group.ndim < 3:
+        raise InvalidShapeError(f"expected a group of matrices, got shape {group.shape}")
+    traces = np.trace(group, axis1=-2, axis2=-1).real
+    if (abs(traces - 1.0) > 1e-8).any():
+        raise InvalidInputError("fidelity arguments must have unit trace")
+    if not is_hermitian(group, atol=1e-8):
+        raise InvalidInputError("matrix is not Hermitian within tolerance")
+    w, v = _eigh_descending(group)
+    if w.min() < -1e-10:
+        raise InvalidInputError(f"matrix has eigenvalue {w.min():.3e} below PSD floor -1e-10")
+    # the pairs (i, j), i < j, in the pairwise loop's order
+    n = group.shape[-3]
+    first = [i for i in range(n) for _ in range(i + 1, n)]
+    second = [j for i in range(n) for j in range(i + 1, n)]
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    root = roots[..., first, :, :]
+    inner = np.clip(np.linalg.eigvalsh(root @ group[..., second, :, :] @ root), 0.0, None)
+    fidelities = np.clip(np.sum(np.sqrt(inner), axis=-1) ** 2, 0.0, 1.0)
+    worst = fidelities.min(axis=-1, initial=1.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def nearest_density_matrix(h) -> np.ndarray:
-    """Closest (Frobenius) unit-trace PSD matrix.
+    """Closest (Frobenius) unit-trace PSD matrix, of one matrix or of each in a stack (..., d, d).
 
     Works in the eigenbasis: the eigenvalue vector is projected onto the
     probability simplex by truncating from the bottom and spreading the
-    deficit uniformly over the surviving eigenvalues.  The input must be
-    Hermitian with trace within 0.5 of 1.
+    deficit uniformly over the surviving eigenvalues.  Every input must be
+    Hermitian with trace within 0.5 of 1 (all traces are checked first).
     """
-    a = as_operator(h)
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > 0.5:
-        raise InvalidInputError(f"trace {tr:.4f} too far from 1 to project")
+    a = _as_operators(h)
+    traces = np.trace(a, axis1=-2, axis2=-1).real
+    far = traces[abs(traces - 1.0) > 0.5]
+    if far.size:
+        raise InvalidInputError(f"trace {far[0]:.4f} too far from 1 to project")
     if not is_hermitian(a):
         raise InvalidInputError("matrix is not Hermitian within tolerance")
     return _project_to_density(a)
 
 
 def _project_to_density(a: np.ndarray) -> np.ndarray:
-    """:func:`nearest_density_matrix` without its checks, for an input that passes them by construction."""
+    """:func:`nearest_density_matrix` without its checks, for input that passes them by construction.
+
+    A stack is one ``eigh``, and each of its matrices comes out bit for bit
+    as it does alone.  With ``w`` descending, the shift is
+    ``theta = (cumsum(w) - 1) / k`` at the last ``k`` where ``w`` exceeds it.
+    """
     w, v = _eigh_descending(a)
-    css = np.cumsum(w)
-    k = np.arange(1, len(w) + 1)
-    above = np.nonzero(w - (css - 1.0) / k > 0)[0]
-    kmax = int(above[-1]) + 1
-    shift = (css[kmax - 1] - 1.0) / kmax
-    w2 = np.clip(w - shift, 0.0, None)
-    return (v * w2) @ v.conj().T
+    d = w.shape[-1]
+    theta = (w.cumsum(-1) - 1.0) / np.arange(1, d + 1)
+    last = d - 1 - (w > theta)[..., ::-1].argmax(-1)
+    shift = np.take_along_axis(theta, last[..., None], -1)
+    # maximum(x, 0.0) is numpy's clip(x, 0.0, None), without its dispatch
+    return (v * np.maximum(w - shift, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def haar_random_state(dim: int, rng: RngStream) -> np.ndarray:

@@ -155,12 +155,15 @@ def test_linear_box_single_branch_needs_no_rng():
 def test_linear_box_builds_its_probe_outputs_once_per_basis_across_threads():
     boxes = [LinearBox(random_channel(2, 2, RngStream(30, 7 + k))) for k in range(20)]
     basis = canonical_probe_basis(2, 0.3)
+    joint = PureState.haar(4, RngStream(30, 42))
     start = threading.Barrier(8)
     seen = []
+    seen_joint = []
 
     def probe():
         start.wait(timeout=10)
         seen.append([box.probe_outputs(basis) for box in boxes])
+        seen_joint.append([box.probe_with_reference(joint) for box in boxes])
 
     threads = [threading.Thread(target=probe) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -179,6 +182,8 @@ def test_linear_box_builds_its_probe_outputs_once_per_basis_across_threads():
         assert not first.flags.writeable
         want = np.array([box.ensemble_output_density(p).matrix for p in basis.states])
         assert np.array_equal(first, want)
+        first_joint = box.probe_with_reference(joint)
+        assert all(outputs[k] is first_joint for outputs in seen_joint), k
     other = canonical_probe_basis(2, 0.0)
     assert not np.array_equal(boxes[0].probe_outputs(other), boxes[0].probe_outputs(basis))
 
@@ -194,6 +199,23 @@ def test_linear_box_keys_its_probe_outputs_by_the_basis_states():
     assert copies != basis
     assert box.probe_outputs(copies) is not box.probe_outputs(basis)
     assert np.array_equal(box.probe_outputs(copies), box.probe_outputs(basis))
+
+
+def test_linear_box_builds_its_joint_output_once_per_probe():
+    from qdata.boxes import BoxModel
+
+    box = LinearBox(QuantumChannel.amplitude_damping(0.3))
+    joint = PureState.haar(4, RngStream(30, 40))
+    first = box.probe_with_reference(joint)
+    assert box.probe_with_reference(joint) is first
+    assert not first.matrix.flags.writeable
+    assert np.array_equal(first.matrix, BoxModel.probe_with_reference(box, joint).matrix)
+    # keyed by the probe's identity: an equal copy gets its own, equal, output
+    copy = PureState(joint.vector.copy())
+    assert box.probe_with_reference(copy) is not first
+    assert np.array_equal(box.probe_with_reference(copy).matrix, first.matrix)
+    with pytest.raises(InvalidShapeError):
+        box.probe_with_reference(PureState.haar(3, RngStream(30, 41)))
 
 
 # ---------------------------------------------------------------- nonlinear boxes

@@ -842,21 +842,23 @@ def test_calibration_computes_each_key_once_under_contention():
 
     keys = ("test-once|a", "test-once|b")
     calls = {key: 0 for key in keys}
+    evaluations = {key: 0 for key in keys}
     counter_lock = threading.Lock()
     other_key_running = {key: threading.Event() for key in keys}
     overlapped = {key: False for key in keys}
 
     def statistic_for(key, other):
-        def statistic(box, stream):
+        def statistic(box, streams):
             with counter_lock:
-                calls[key] += 1
-                first = calls[key] == 1
+                calls[key] += len(streams)
+                evaluations[key] += 1
+                first = evaluations[key] == 1
             other_key_running[key].set()
             if first:
                 # different keys calibrate in parallel: the other key's
                 # computation starts while this one is still running
                 overlapped[key] = other_key_running[other].wait(timeout=10)
-            return float(stream.generator.random())
+            return [float(stream.generator.random()) for stream in streams]
 
         return statistic
 
@@ -886,6 +888,7 @@ def test_calibration_computes_each_key_once_under_contention():
     assert not any(t.is_alive() for t in threads)
     for key in keys:
         assert calls[key] == detectors.NULL_REPLICATIONS
+        assert evaluations[key] == 1
         assert len(results[key]) == 4 and len(set(results[key])) == 1
         assert overlapped[key]
 
@@ -896,18 +899,64 @@ def test_failed_calibration_is_not_cached():
     key = "test-failure|a"
     attempts = []
 
-    def failing(box, stream):
+    def failing(box, streams):
         attempts.append(1)
         raise RuntimeError("boom")
 
     try:
         with pytest.raises(RuntimeError, match="boom"):
             detectors._calibrated_null(key, failing)
-        threshold, sigma = detectors._calibrated_null(key, lambda box, stream: 1.0)
+        threshold, sigma = detectors._calibrated_null(key, lambda box, streams: [1.0] * len(streams))
     finally:
         detectors._calibration_cache.pop((key, ()), None)
     assert len(attempts) == 1
     assert threshold == 1.0 and sigma == 0.0
+
+
+def _reference_null(key, statistic):
+    """The calibration as one replication at a time: each stream's tomographies,
+    then its own projections and fidelities."""
+    import zlib
+
+    from qdata.linalg import nearest_density_matrix, worst_fidelity
+
+    identity = LinearBox(QuantumChannel.identity(2))
+    root = RngStream(detectors.CALIBRATION_SEED, zlib.crc32(key.encode()))
+    stats = []
+    for rep in range(detectors.NULL_REPLICATIONS):
+        recs = statistic(identity, root.child(rep))
+        stats.append(1.0 - worst_fidelity([nearest_density_matrix(r.normalized_choi()) for r in recs]))
+    return float(np.quantile(stats, 0.99)), float(np.std(stats, ddof=1))
+
+
+@pytest.mark.parametrize("shots", [200, 4000])
+def test_calibrated_nulls_equal_the_per_replication_loop_bit_for_bit(shots, monkeypatch):
+    from qdata import TomographyRun, canonical_probe_basis
+    from qdata import process_tomography_ancilla, process_tomography_direct
+
+    run, joint_run = TomographyRun(shots), TomographyRun(shots, 2)
+    deltas = (0.0, math.pi / 5, math.pi / 3)
+    basis_key = "basis|{}|{}|2".format(",".join(f"{d:.12g}" for d in deltas), shots)
+
+    def basis_recs(box, stream):
+        return [
+            process_tomography_direct(box, canonical_probe_basis(2, d), run, stream.child(k))
+            for k, d in enumerate(deltas)
+        ]
+
+    def ancilla_recs(box, stream):
+        return [
+            process_tomography_direct(box, canonical_probe_basis(2), run, stream.child(0)),
+            process_tomography_ancilla(box, joint_run, stream.child(1)),
+        ]
+
+    for test, key, recs in (
+        (basis_invariance_test, basis_key, basis_recs),
+        (ancilla_consistency_test, f"ancilla|{shots}", ancilla_recs),
+    ):
+        monkeypatch.setattr(detectors, "_calibration_cache", {})
+        verdict = test(NonlinearBloch(2.0), shots=shots, rng=RngStream(3, 1))
+        assert (verdict.threshold, verdict.std_error) == _reference_null(key, recs), key
 
 
 # threshold and spread of the tomography-grid budget keys, as float.hex

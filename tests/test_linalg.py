@@ -176,6 +176,62 @@ def test_nearest_density_matrix_fixes_valid_input():
     assert np.allclose(nearest_density_matrix(rho), rho, atol=1e-10)
 
 
+def _reference_projection(a):
+    """The one-matrix simplex projection, written out on its own."""
+    w, v = np.linalg.eigh(a)
+    w, v = w[::-1], v[:, ::-1]
+    css = np.cumsum(w)
+    k = np.arange(1, len(w) + 1)
+    above = np.nonzero(w - (css - 1.0) / k > 0)[0]
+    kmax = int(above[-1]) + 1
+    shift = (css[kmax - 1] - 1.0) / kmax
+    w2 = np.clip(w - shift, 0.0, None)
+    return (v * w2) @ v.conj().T
+
+
+def _projection_panel(dim):
+    """Hermitian inputs with trace near 1: random (most of them indefinite, so
+    some eigenvalues clip), rank-deficient, and with degenerate spectra."""
+    root = RngStream(4, 10 + dim)
+    panel = []
+    for k in range(12):
+        g = root.child(k).generator
+        a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+        h = (a + a.conj().T) / (2 * dim)
+        panel.append(h + np.eye(dim) * (1 - np.trace(h).real) / dim)
+    for k in range(6):
+        u = haar_random_unitary(dim, root.child(100 + k))
+        rank = 1 + k % (dim - 1)
+        spectrum = np.zeros(dim)
+        spectrum[:rank] = 1.0 / rank  # rank-deficient, degenerate support
+        panel.append((u * spectrum) @ u.conj().T)
+        spectrum = np.full(dim, 0.3 / dim)
+        spectrum[0] += 0.7  # degenerate bottom of the spectrum
+        panel.append((u * spectrum) @ u.conj().T)
+        spectrum = np.linspace(0.8, -0.2, dim)
+        spectrum += (1.0 - spectrum.sum()) / dim  # unit trace, clipped tail
+        panel.append((u * spectrum) @ u.conj().T)
+    panel.append(np.eye(dim, dtype=complex) / dim)
+    panel.append(np.eye(dim, dtype=complex) * 1.3 / dim)
+    panel.append(np.diag(np.r_[1.2, np.full(dim - 1, -0.2 / (dim - 1))]).astype(complex))
+    return np.array(panel)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_projection_equals_the_one_matrix_routine_bit_for_bit(dim):
+    from qdata.linalg import _project_to_density
+
+    panel = _projection_panel(dim)
+    want = np.array([_reference_projection(h) for h in panel])
+    for h, one in zip(panel, want):
+        assert _project_to_density(h).tobytes() == one.tobytes()
+        assert nearest_density_matrix(h).tobytes() == one.tobytes()
+    assert nearest_density_matrix(panel).tobytes() == want.tobytes()
+    grouped = panel.reshape(-1, 3, dim, dim)
+    assert nearest_density_matrix(grouped).tobytes() == want.tobytes()
+    assert nearest_density_matrix(panel[:1]).shape == (1, dim, dim)
+
+
 def test_nearest_density_matrix_rejects_wild_trace():
     with pytest.raises(InvalidInputError):
         nearest_density_matrix(np.eye(2, dtype=complex) * 3.0)
@@ -373,6 +429,18 @@ def test_worst_fidelity_equals_the_pairwise_loop_bit_for_bit():
             assert worst_fidelity(group) < 1.0
         assert uhlmann_fidelity(chois[1], chois[0]) == _reference_uhlmann_fidelity(chois[1], chois[0])
     assert worst_fidelity([ket(0).density()]) == 1.0
+    # a stack of groups, shape (groups, n, d, d), gives each group's loop value
+    panel = np.array(_projected_choi_panel())
+    for n in (1, 2, 3, 4):
+        want = [
+            min([1.0] + [_reference_uhlmann_fidelity(g[i], g[j]) for i in range(n) for j in range(i + 1, n)])
+            for g in panel[:, :n]
+        ]
+        got = worst_fidelity(panel[:, :n])
+        assert got.shape == (len(panel),) and got.tolist() == want
+        assert worst_fidelity(panel[None, :, :n]).tolist() == [want]
+    pairs = uhlmann_fidelity(panel[:, 1], panel[:, 0])
+    assert pairs.tolist() == [_reference_uhlmann_fidelity(g[1], g[0]) for g in panel]
 
 
 def test_fidelity_arguments_are_checked_at_every_position():
@@ -392,6 +460,49 @@ def test_fidelity_arguments_are_checked_at_every_position():
                 uhlmann_fidelity(*pair)
     with pytest.raises(InvalidShapeError):
         worst_fidelity([good, np.eye(4) / 4])
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_a_stack_with_one_bad_matrix_raises_as_that_matrix_alone():
+    good = np.array(_projected_choi_panel()[0][:3])
+    off = good[1].copy()
+    off[0, 1] += 1e-6  # not Hermitian, at either tolerance
+    projection_cases = {
+        "not Hermitian": (off, "not Hermitian"),
+        "trace far above 1": (good[1] * 1.6, "trace 1.6000 too far"),
+        "trace far below 1": (good[1] * 0.4, "trace 0.4000 too far"),
+    }
+    for name, (bad, message) in projection_cases.items():
+        alone = _raised(nearest_density_matrix, bad)
+        assert alone[0] is InvalidInputError and message in alone[1], name
+        stack = np.array([good, good, good])
+        stack[1, 2] = bad
+        assert _raised(nearest_density_matrix, stack) == alone, name
+        assert _raised(nearest_density_matrix, stack.reshape(-1, 4, 4)) == alone, name
+    negative = np.diag([0.7, 0.3 + 2e-10, 0.0, -2e-10]).astype(complex)
+    fidelity_cases = {
+        "not Hermitian": (off, "not Hermitian"),
+        "trace off by more than 1e-8": (good[1] * (1 + 2e-8), "unit trace"),
+        "eigenvalue below -1e-10": (negative, "eigenvalue -2.000e-10 below PSD floor"),
+    }
+    for name, (bad, message) in fidelity_cases.items():
+        # a single call: one group of one matrix, then of two, with the bad one at either place
+        alone = _raised(worst_fidelity, [bad])
+        assert alone[0] is InvalidInputError and message in alone[1], name
+        assert _raised(worst_fidelity, [good[0], bad]) == alone, name
+        assert _raised(worst_fidelity, [bad, good[0]]) == alone, name
+        assert _raised(uhlmann_fidelity, good[0], bad) == alone, name
+        for position in range(3):
+            stack = np.array([good, good, good, good])
+            stack[2, position] = bad
+            assert _raised(worst_fidelity, stack) == alone, (name, position)
+        assert _raised(uhlmann_fidelity, stack[:, 0], stack[:, 2]) == alone, name
+    assert worst_fidelity(good[:1]) == 1.0
 
 
 def test_nearest_density_matrix_rejects_non_hermitian_input():

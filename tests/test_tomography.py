@@ -372,7 +372,9 @@ def test_every_shared_cached_array_is_read_only():
         probes = canonical_probe_basis(m, delta)
         shared += [probes._unit_coefficients, *(s.vector for s in probes.states)]
     shared += detectors._kernel_scan_operands(2, 2, 0)
-    shared.append(LinearBox(QuantumChannel.identity(2)).probe_outputs(canonical_probe_basis(2)))
+    identity = LinearBox(QuantumChannel.identity(2))
+    shared.append(identity.probe_outputs(canonical_probe_basis(2)))
+    shared.append(identity.probe_with_reference(tomography._BELL).matrix)
     shared += [s.vector for e in detectors.canonical_ensemble_pair() for s in e.states]
     shared += [s.vector for s in scenario._helstrom_setup((1.0, 2.0), (0.5, 0.5)).states]
     for array in shared:
