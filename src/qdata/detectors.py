@@ -48,6 +48,7 @@ from .states import (
     DensityMatrix,
     Ensemble,
     PureState,
+    as_density,
     as_state,
     check_densities,
     ket,
@@ -56,10 +57,10 @@ from .states import (
 )
 from .tomography import (
     TomographyRun,
+    _state_tomographies,
     canonical_probe_basis,
     process_tomography_ancilla,
     process_tomography_direct,
-    state_tomography,
 )
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "ancilla_consistency_test",
     "concatenate_tests",
     "composition_gap_test",
+    "composition_gap_tests",
     "QRAC_BLOCK",
     "qrac_fidelity_estimate",
     "QRAC_FIDELITY_CEILING",
@@ -437,6 +439,24 @@ def ancilla_consistency_test(
     return _calibrated_test(box, key, run, run.shots_per_setting, tomographies, extras, rng)
 
 
+def _concatenated(
+    firsts, second: BoxModel, psi: PureState, run: TomographyRun, streams
+) -> np.ndarray:
+    """The staged outputs of each first box in ``firsts`` followed by ``second``, as one stack.
+
+    Box k draws from ``streams[k]``: its first stage on child 0, its second
+    on child 1.  Each stage is one stacked state tomography over all the
+    boxes, each reconstruction bit for bit as alone.
+    """
+    outputs = [as_density(box.ensemble_output_density(psi)).matrix for box in firsts]
+    first_hats = _state_tomographies(np.array(outputs), run, [s.child(0) for s in streams])
+    outputs = [
+        as_density(second.ensemble_output_density(DensityMatrix._of(m).eigen_ensemble())).matrix
+        for m in first_hats
+    ]
+    return _state_tomographies(np.array(outputs), run, [s.child(1) for s in streams])
+
+
 def concatenate_tests(
     b1: BoxModel,
     b2: BoxModel,
@@ -455,12 +475,36 @@ def concatenate_tests(
 
     ``shots`` is the per-setting budget of each tomography stage.
     """
-    psi = as_state(psi)
-    run = TomographyRun(shots)
-    first = b1.ensemble_output_density(psi)
-    first_hat = state_tomography(first, run, rng.child(0))
-    second = b2.ensemble_output_density(first_hat.eigen_ensemble())
-    return state_tomography(second, run, rng.child(1))
+    staged = _concatenated([b1], b2, as_state(psi), TomographyRun(shots), [rng])
+    return DensityMatrix._of(staged[0])
+
+
+def composition_gap_tests(
+    boxes, second_box: BoxModel, probe_theta: float, shots: int, *, rng
+) -> list:
+    """:func:`composition_gap_test` of each first box in ``boxes`` on its stream in ``rng``.
+
+    The streams share one seed, and each takes its own box's samples on
+    its tally.  Each tomography stage runs once over all the boxes and the
+    gaps are one stacked trace norm; every verdict is bit for bit the
+    one-box call's.
+    """
+    probe = PureState.from_bloch(probe_theta, 0.0)
+    composed = np.array(
+        [compose_boxes(box, second_box).ensemble_output_density(probe).matrix for box in boxes]
+    )
+    staged = _concatenated(boxes, second_box, probe, TomographyRun(shots), rng)
+    gaps = 0.5 * trace_norms(composed - staged)
+    return [
+        TestVerdict(
+            gap,
+            0.05,
+            0.0,
+            shots,
+            reconstructions={"composed_output": composed[k], "staged_output": staged[k]},
+        )
+        for k, gap in enumerate(gaps)
+    ]
 
 
 def composition_gap_test(
@@ -469,14 +513,14 @@ def composition_gap_test(
     """Trace distance from composing two boxes to concatenating their tests.
 
     Both outputs of the real-amplitude probe at polar angle ``probe_theta``
-    are the evidence.  The 0.05 margin dominates tomography error at any
-    sane shot budget, so the gap carries no separate error bar.
+    are the evidence.  The threshold is a fixed margin of 0.05 and the gap
+    carries no error bar, whatever the shot budget.  The margin does not
+    dominate tomography error at small budgets: 10 random CPTP first boxes
+    with amplitude damping 0.3 second and ``probe_theta`` 1.0, 40 seeds
+    each, read ``post-quantum`` in 342 of 400 runs at 100 shots, 41 at
+    1,000 and none at 2,048.
     """
-    probe = PureState.from_bloch(probe_theta, 0.0)
-    composed = compose_boxes(b1, second_box).ensemble_output_density(probe)
-    staged = concatenate_tests(b1, second_box, probe, shots=shots, rng=rng)
-    recon = {"composed_output": composed.matrix, "staged_output": staged.matrix}
-    return TestVerdict(trace_distance(composed, staged), 0.05, 0.0, shots, reconstructions=recon)
+    return composition_gap_tests([b1], second_box, probe_theta, shots, rng=[rng])[0]
 
 
 # ---------------------------------------------------------------------------

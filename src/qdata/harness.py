@@ -1,14 +1,20 @@
 """Scenario execution: grid sweeps, detector suites, reproducible reports.
 
-A grid cell is the unit of work: it runs its detectors in order and builds
-its model once, when a detector first needs it (a build that raises fails
-each job that needs it).  One thread runs the cells inline; more share them
-through a pool.  Each (cell, detector) job draws from its own stream, a
-stable 64-bit mix of (master seed, cell index, detector index), so reports
-are byte-identical for any thread count and order.  A job records its
-verdict, its evidence and its stream's sample tally.  A failing job is
-recorded in place; the others complete.  Reports are strict JSON with
-sorted keys, complex matrices flattened row-major as [re, im] pairs,
+A block of ``CELL_BLOCK`` consecutive grid cells is the unit of work (one
+cell when no detector of the scenario stacks).  Each cell builds its model
+once, when a detector first needs it; a build that raises fails each job
+that needs it.  A stacked detector (``composition-gap``) rules on the
+block's cells first, in one call per stack of cells that share its
+settings; then every (cell, detector) job gets its record, in grid order,
+the others running there.  One thread runs the blocks inline, in grid
+order; more share them through a pool.  Each job draws from its own
+stream, a stable 64-bit mix of (master seed, cell index, detector index),
+and a stack's cells each keep theirs, so reports are byte-identical for
+any thread count, order and block.  A job records its verdict, its
+evidence and its stream's sample tally.  A failing job is recorded in
+place and the others complete; a stack that raises is run again one cell
+at a time, so each job records its own error.  Reports are strict JSON
+with sorted keys, complex matrices flattened row-major as [re, im] pairs,
 non-finite numbers (an undefined standard error) as null, and a schema
 version that bumps on any breaking change.  ``diff_reports`` lists what
 differs between two reports besides the timestamp.
@@ -42,6 +48,10 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 
+# Grid cells per block.  It bounds how many cells' models are alive at once;
+# a stacked detector runs at most one stack per block and settings key.
+CELL_BLOCK = 64
+
 
 def _json_safe(value):
     """Plain JSON values; a NaN or infinite float becomes None (null), a matrix {shape, data}."""
@@ -66,11 +76,13 @@ def _verdict_dict(v: TestVerdict) -> dict:
     return _json_safe(fields)
 
 
-def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int, build) -> dict:
-    stream = RngStream(seed, mix64(cell_index, det_index))
+def _execute_one(
+    scenario: Scenario, cell_index: int, det_index: int, stream: RngStream, rule
+) -> dict:
+    """The record of job (cell_index, det_index): ``rule()`` rules, drawing from ``stream``."""
     record: dict = {"detector": scenario.detectors[det_index].name}
     try:
-        verdict = scenario.run_job(cell_index, det_index, stream, build)
+        verdict = rule()
         record["verdict"] = _verdict_dict(verdict)
         record["samples"] = stream.samples
         if verdict.reconstructions:
@@ -81,15 +93,66 @@ def _execute_one(scenario: Scenario, cell_index: int, det_index: int, seed: int,
     return record
 
 
-def _run_cell(scenario: Scenario, seed: int, cell_index: int) -> dict:
-    """One cell's report entry; its detectors share one model, built when first needed."""
-    params = scenario.grid[cell_index]
-    build = functools.cache(functools.partial(scenario.build, params))
-    results = [
-        _execute_one(scenario, cell_index, d, seed, build) for d in range(len(scenario.detectors))
-    ]
-    samples = sum(r["samples"] for r in results)
-    return {"cell_index": cell_index, "params": params, "results": results, "samples": samples}
+def _stacked_verdicts(scenario: Scenario, seed: int, cells: range, det_index: int, model) -> dict:
+    """``{cell: (stream, verdict)}`` for one stacked detector's jobs in ``cells``.
+
+    The cells are stacked by settings key, in grid order.  A stack that
+    raises (a model or the settings fail to build, or a box fails) is left
+    out: each of its jobs then runs alone, on a fresh stream, and records
+    its own verdict or error.
+    """
+    stacks: dict = {}
+    for cell in cells:
+        stacks.setdefault(scenario.settings_key(cell, det_index), []).append(cell)
+    verdicts = {}
+    for members in stacks.values():
+        streams = [RngStream(seed, mix64(cell, det_index)) for cell in members]
+        try:
+            ruled = scenario.run_stack(members, det_index, streams, [model(cell) for cell in members])
+        except Exception:  # each job of the stack runs alone and records its own error
+            continue
+        verdicts.update(zip(members, zip(streams, ruled)))
+    return verdicts
+
+
+def _run_block(scenario: Scenario, seed: int, block: int, start: int) -> list:
+    """The report entries of ``block`` cells from ``start``; each cell's detectors share one model.
+
+    A cell's model is built when a detector first needs it; a build that
+    raises is tried again by the next job that needs it.  Stacked
+    detectors rule on the whole block first; then every job's record is
+    made, in grid order.
+    """
+    cells = range(start, min(start + block, len(scenario.grid)))
+    models: dict = {}
+
+    def model(cell):
+        if cell not in models:
+            models[cell] = scenario.build(scenario.grid[cell])
+        return models[cell]
+
+    stacked = {
+        d: _stacked_verdicts(scenario, seed, cells, d, model)
+        for d, spec in enumerate(scenario.detectors)
+        if spec.entry.stacked
+    }
+    entries = []
+    for cell in cells:
+        results = []
+        for d in range(len(scenario.detectors)):
+            if cell in stacked.get(d, ()):
+                stream, verdict = stacked[d][cell]
+                results.append(_execute_one(scenario, cell, d, stream, lambda: verdict))
+            else:
+                stream = RngStream(seed, mix64(cell, d))
+                build = functools.partial(model, cell)
+                job = functools.partial(scenario.run_job, cell, d, stream, build)
+                results.append(_execute_one(scenario, cell, d, stream, job))
+        samples = sum(r["samples"] for r in results)
+        entries.append(
+            {"cell_index": cell, "params": scenario.grid[cell], "results": results, "samples": samples}
+        )
+    return entries
 
 
 def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) -> dict:
@@ -104,12 +167,15 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     """
     threads = as_integer(threads, "threads", least=1)
     effective_seed = scenario.master_seed if seed is None else as_seed(seed)
-    run_cell = functools.partial(_run_cell, scenario, effective_seed)
+    block = CELL_BLOCK if any(spec.entry.stacked for spec in scenario.detectors) else 1
+    run_block = functools.partial(_run_block, scenario, effective_seed, block)
+    starts = range(0, len(scenario.grid), block)
     if threads == 1:
-        cells = list(map(run_cell, range(len(scenario.grid))))
+        blocks = list(map(run_block, starts))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run_cell, range(len(scenario.grid))))
+            blocks = list(pool.map(run_block, starts))
+    cells = [cell for entries in blocks for cell in entries]
     records = [record for cell in cells for record in cell["results"]]
 
     counts: dict = {}

@@ -8,6 +8,7 @@ carry explicit absolute tolerances.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
 
@@ -129,10 +130,43 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     return np.einsum(t, row + col, out).reshape(kept_dim, kept_dim)
 
 
+# Up to this many entries the whole difference matrix is the cheaper check
+# (a few microseconds less per call) and a few tens of kilobytes at most.
+_WHOLE_CHECK_SIZE = 1024
+
+@functools.cache
+def _triangle(d: int) -> tuple:
+    """Flat indices of the upper triangle of a d x d matrix, diagonal included,
+    and of the mirrored entries, built once per d (read-only)."""
+    rows, cols = np.triu_indices(d)
+    pair = (rows * d + cols, cols * d + rows)
+    for index in pair:
+        index.flags.writeable = False
+    return pair
+
+
 def is_hermitian(m, atol: float = HERM_ATOL) -> bool:
-    """Whether ``m``, one matrix or a stack of them, is Hermitian within ``atol`` (NaN fails)."""
+    """Whether ``m``, one matrix or a stack of them, is Hermitian within ``atol`` (NaN fails).
+
+    A small input is compared whole with its conjugate transpose.  A larger
+    one compares only the upper triangle and the diagonal with their
+    mirrors, since ``|a_ij - conj(a_ji)|`` equals ``|a_ji - conj(a_ij)|``
+    bit for bit: that allocates (d + 1) / d of the stack where the whole
+    difference took about three stacks, and rules the same way.
+    """
     a = np.asarray(m, dtype=complex)
-    return bool(abs(a - a.swapaxes(-1, -2).conj()).max() <= atol)
+    if a.size <= _WHOLE_CHECK_SIZE:
+        return bool(abs(a - a.swapaxes(-1, -2).conj()).max() <= atol)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    d = a.shape[-1]
+    upper, mirrored = _triangle(d)
+    flat = a.reshape(a.shape[:-2] + (d * d,))
+    gaps = flat[..., upper]
+    conjugates = flat[..., mirrored]
+    np.conjugate(conjugates, out=conjugates)
+    np.subtract(gaps, conjugates, out=gaps)
+    return bool(np.abs(gaps, out=conjugates.real).max() <= atol)
 
 
 def eig_hermitian(h, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:

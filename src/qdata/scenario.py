@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,7 @@ from .detectors import (
     HelstromSetup,
     ancilla_consistency_test,
     basis_invariance_test,
-    composition_gap_test,
+    composition_gap_tests,
     ensemble_signalling_test,
     helstrom_test,
     nsq_random_survey,
@@ -85,12 +85,16 @@ class Entry:
     arguments: it returns the model, or for a detector it is the test
     ``make(*model, rng=stream, **settings)`` that returns a TestVerdict.
     ``needs`` is the scenario kind whose model a detector runs on: "box",
-    "pair", or None for a detector called with no model.
+    "pair", or None for a detector called with no model.  A ``stacked``
+    detector rules on several cells in one call: ``make(models, rng=streams,
+    **settings)`` takes one model and one stream per cell, all cells
+    sharing the settings, and returns their verdicts in order.
     """
 
     keys: dict
     make: Callable
     needs: str | None = None
+    stacked: bool = False
 
 
 @dataclass(frozen=True)
@@ -410,8 +414,9 @@ DETECTORS = {
             "probe_theta": (_scalar, 2 * math.pi / 3),
             "shots": (_count, 4096),
         },
-        composition_gap_test,
+        composition_gap_tests,
         needs="box",
+        stacked=True,
     ),
 }
 
@@ -453,16 +458,47 @@ class Scenario:
         """The declared box or pair, built for one grid cell."""
         return _build_value(self.model, params, self.kind)
 
+    def _settings(self, cell_index: int, det_index: int) -> dict:
+        params = self.grid[cell_index]
+        fields = self.detectors[det_index].fields
+        return {key: _build_value(v, params, key) for key, v in fields.items()}
+
     def run_job(self, cell_index: int, det_index: int, stream, build):
         """One detector's verdict on one grid cell, on ``build()`` if it needs the cell's model.
 
         The detector draws from ``stream`` and adds the samples it draws to its tally.
         """
         spec = self.detectors[det_index]
-        params = self.grid[cell_index]
+        if spec.entry.stacked:
+            return self.run_stack([cell_index], det_index, [stream], [build()])[0]
         model = (build(),) if spec.entry.needs else ()
-        settings = {key: _build_value(v, params, key) for key, v in spec.fields.items()}
-        return spec.entry.make(*model, rng=stream, **settings)
+        return spec.entry.make(*model, rng=stream, **self._settings(cell_index, det_index))
+
+    def settings_key(self, cell_index: int, det_index: int) -> tuple:
+        """What a detector's settings read of one cell: cells with equal keys get equal settings.
+
+        Each grid parameter the settings reference is keyed by the value a
+        build sees, a number by its float bit for bit, so 1 and 1.0 share a
+        key and 0.0 and -0.0 do not.
+        """
+        params = self.grid[cell_index]
+        return tuple(
+            (float(bound).hex(),) if isinstance(bound, (int, float)) else bound
+            for bound in map(params.get, self._setting_refs[det_index])
+        )
+
+    @cached_property
+    def _setting_refs(self) -> tuple:
+        # per detector, the grid parameters its settings reference, sorted
+        return tuple(sorted(_collect_refs(spec.fields)) for spec in self.detectors)
+
+    def run_stack(self, cell_indices, det_index: int, streams, models) -> list:
+        """A stacked detector's verdicts on cells of one :meth:`settings_key`, in one call.
+
+        Cell ``cell_indices[k]`` runs on ``models[k]`` and draws from ``streams[k]``.
+        """
+        settings = self._settings(cell_indices[0], det_index)
+        return self.detectors[det_index].entry.make(models, rng=streams, **settings)
 
 
 def _grid_value(v, where: str) -> None:

@@ -10,14 +10,17 @@ deviations from it are exactly the signals the detectors feed on, so the
 distance is recorded in ``cptp_residual`` instead, derived when first read.
 
 One routine, ``_raw_estimates``, samples and inverts a whole stack of
-sources: every probe output of a process tomography at once, or the one
-source of a state tomography.  Its Born probabilities come from one trace
-against the stacked Pauli effects, checked per setting row before any
-draw.  A stack draws from one stream and one id per source: setting i of
-source k draws what ``RngStream(rng.seed, ids[k]).child(i)`` would, from
-that child's Philox key alone; one per-thread Philox is re-keyed for each
-row (``qdata.rng``), so no stream or generator is built.  The stack's
-samples go onto the stream's tally.  The Pauli sets' design matrices have
+sources: every probe output of a process tomography at once, or the
+sources of state tomographies, one per job (``_state_tomographies``, of
+which ``state_tomography`` is the one-source case).  Its Born
+probabilities come from one trace against the stacked Pauli effects,
+checked per setting row before any draw.  A stack draws from one seed and
+one id per source: setting i of source k draws what
+``RngStream(rng.seed, ids[k]).child(i)`` would, from that child's Philox
+key alone; one per-thread Philox is re-keyed for each row (``qdata.rng``),
+so no stream or generator is built.  A process tomography's samples go
+onto its stream's tally, and each state tomography's onto its own
+stream's.  The Pauli sets' design matrices have
 orthogonal columns, so the least-squares estimate is a fixed linear map of
 the frequencies: one reconstruction operator per qubit count, and every
 stack, of one qubit or two, is inverted in one fixed-order reduction
@@ -162,7 +165,9 @@ class TomographyRun:
         return 2**self.n_qubits
 
 
-def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) -> np.ndarray:
+def _raw_estimates(
+    rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids, tallies=None
+) -> np.ndarray:
     """Linear-inversion estimates of a stack of source densities, unprojected.
 
     ``rhos`` has shape (sources, d, d) and ``ids`` holds one stream id per
@@ -170,13 +175,15 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) ->
     setting row checked as a distribution before any draw; source k then
     samples setting i as ``RngStream(rng.seed, ids[k]).child(i)`` would,
     from that child's Philox key, without building a stream.  The stack's
-    sources x settings x shots go onto ``rng``'s sample tally.  The
-    estimates are one reduction of the frequencies against the Pauli
-    table's reconstruction operator, Hermitian by its construction.
+    sources x settings x shots go onto ``rng``'s sample tally or, given
+    ``tallies`` (one stream per source), each source's settings x shots
+    onto its own stream's.  The estimates are one reduction of the
+    frequencies against the Pauli table's reconstruction operator,
+    Hermitian by its construction.
     """
     if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    if len(ids) != rhos.shape[0]:
+    if len(ids) != rhos.shape[0] or (tallies is not None and len(tallies) != len(ids)):
         raise InvalidShapeError("a stack needs exactly one stream id per source")
     _, inverse, effects = _pauli_table(run.n_qubits)
     probs = checked_distributions(
@@ -186,7 +193,11 @@ def _raw_estimates(rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids) ->
     sources, settings, outcomes = probs.shape
     keys = _child_keys(rng.seed, ids, settings)
     counts = _keyed_multinomials(keys, shots, probs.reshape(-1, outcomes))
-    rng.tally(sources * settings * shots)
+    if tallies is None:
+        rng.tally(sources * settings * shots)
+    else:
+        for stream in tallies:
+            stream.tally(settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
     return np.add.reduce(frequencies[:, :, None, None] * inverse, axis=1)
 
@@ -196,6 +207,22 @@ def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
     return _raw_estimates(as_density(source).matrix[None], run, rng, (rng.stream_id,))[0]
 
 
+def _state_tomographies(rhos: np.ndarray, run: TomographyRun, streams) -> np.ndarray:
+    """:func:`state_tomography` of each source in the stack ``rhos`` on its own stream.
+
+    Source k draws from ``streams[k]`` and takes its samples onto that
+    stream's tally; the streams share one seed.  All sources are sampled
+    and inverted in one :func:`_raw_estimates` call and projected as one
+    stack, each bit for bit as alone.
+    """
+    ids = [stream.stream_id for stream in streams]
+    estimates = _raw_estimates(rhos, run, streams[0], ids, streams)
+    # each estimate is Hermitian, as every row of the reconstruction operator
+    # is, and has trace 1 up to rounding, so it is projected unchecked; the
+    # projection clips the eigenvalues to >= 0 and makes them sum to 1
+    return _project_to_density(estimates)
+
+
 def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatrix:
     """Reconstruct a state from finite measurement statistics.
 
@@ -203,10 +230,7 @@ def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatri
     The linear-inversion estimate is projected to the nearest density
     matrix.
     """
-    # the estimate is Hermitian, as every row of the reconstruction operator
-    # is, and has trace 1 up to rounding, so it is projected unchecked; the
-    # projection clips the eigenvalues to >= 0 and makes them sum to 1
-    return DensityMatrix._of(_project_to_density(_raw_estimate(source, run, rng)))
+    return DensityMatrix._of(_state_tomographies(as_density(source).matrix[None], run, [rng])[0])
 
 
 @dataclass(frozen=True)

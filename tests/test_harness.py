@@ -5,24 +5,37 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from qdata import (
+    DensityMatrix,
     InvalidInputError,
     LinearBox,
+    NonlinearBloch,
+    PureState,
     QuantumChannel,
     RngStream,
     Scenario,
+    TestVerdict,
+    TomographyRun,
+    compose_boxes,
     composition_gap_test,
+    composition_gap_tests,
+    concatenate_tests,
     diff_reports,
     load_report,
     mix64,
     parse_scenario_dict,
+    rotation_y,
     run_scenario,
     summarize_report,
+    trace_distance,
     write_report,
 )
 from qdata import harness
+from qdata.linalg import _project_to_density
+from qdata.tomography import _raw_estimate
 
 IDENTITY_SWEEP = {
     "name": "identity-sweep",
@@ -384,9 +397,9 @@ def test_one_thread_runs_inline_through_execute_one(monkeypatch):
     jobs = []
     execute_one = qdata.harness._execute_one
 
-    def recording(scenario, cell_index, det_index, seed, build):
+    def recording(scenario, cell_index, det_index, stream, rule):
         jobs.append((cell_index, det_index))
-        return execute_one(scenario, cell_index, det_index, seed, build)
+        return execute_one(scenario, cell_index, det_index, stream, rule)
 
     monkeypatch.setattr(qdata.harness, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(qdata.harness, "_execute_one", recording)
@@ -529,3 +542,209 @@ def test_diff_reports_what_is_not_a_number_move(identity_report):
         ("changed", "provenance.seed"),
         ("changed", "scenario.name"),
     ]
+
+
+# ---------------------------------------------------------------- composition-gap blocks
+
+
+def _one_source_tomography(source, run, rng):
+    # state_tomography as it ran before stacks: one source, projected alone
+    return DensityMatrix._of(_project_to_density(_raw_estimate(source, run, rng)))
+
+
+def _per_cell_gap(b1, second_box, probe_theta, shots, *, rng):
+    """composition_gap_test as it ran one cell per call, with two one-source tomographies."""
+    probe = PureState.from_bloch(probe_theta, 0.0)
+    composed = compose_boxes(b1, second_box).ensemble_output_density(probe)
+    run = TomographyRun(shots)
+    first_hat = _one_source_tomography(b1.ensemble_output_density(probe), run, rng.child(0))
+    second = second_box.ensemble_output_density(first_hat.eigen_ensemble())
+    staged = _one_source_tomography(second, run, rng.child(1))
+    recon = {"composed_output": composed.matrix, "staged_output": staged.matrix}
+    return TestVerdict(trace_distance(composed, staged), 0.05, 0.0, shots, reconstructions=recon)
+
+
+def _bits(matrix) -> bytes:
+    return np.asarray(matrix, dtype=complex).tobytes()
+
+
+# composition.json's second box: a strongly warped, pre-rotated Bloch box
+NONLINEAR_SECOND = NonlinearBloch(4.0, rotation_y(math.pi / 4))
+
+
+def test_stacked_composition_gaps_equal_the_per_cell_test_bit_for_bit():
+    firsts = [
+        NonlinearBloch(kappa, rotation_y(rot)) for kappa in (1.0, 2.5, 4.0) for rot in (0.0, 0.9)
+    ] + [
+        LinearBox(QuantumChannel.amplitude_damping(0.35)),
+        LinearBox(QuantumChannel.identity(2)),
+        NonlinearBloch(1.75),
+        LinearBox(QuantumChannel.depolarizing(0.6)),
+    ]
+    for second in (LinearBox(QuantumChannel.dephasing(0.3)), NONLINEAR_SECOND):
+        for shots, theta in ((1, 1.0), (97, 2 * math.pi / 3), (2048, 0.4)):
+            streams = [RngStream(71, mix64(k, 2)) for k in range(len(firsts))]
+            got = composition_gap_tests(firsts, second, theta, shots, rng=streams)
+            assert len(got) == len(firsts)
+            for k, (box, verdict) in enumerate(zip(firsts, got)):
+                alone = RngStream(71, mix64(k, 2))
+                want = _per_cell_gap(box, second, theta, shots, rng=alone)
+                assert verdict.statistic.hex() == want.statistic.hex(), (shots, k)
+                assert verdict.verdict == want.verdict
+                for name in ("composed_output", "staged_output"):
+                    assert _bits(verdict.reconstructions[name]) == _bits(want.reconstructions[name])
+                # each cell's samples go onto its own stream's tally
+                assert streams[k].samples == alone.samples == 2 * 3 * shots
+            one = RngStream(71, mix64(0, 2))
+            alone = composition_gap_test(firsts[0], second, theta, shots, rng=one)
+            assert alone.statistic.hex() == got[0].statistic.hex() and one.samples == 6 * shots
+            staged = concatenate_tests(firsts[0], second, PureState.from_bloch(theta, 0.0), shots,
+                                       rng=RngStream(71, mix64(0, 2)))
+            assert _bits(staged.matrix) == _bits(got[0].reconstructions["staged_output"])
+
+
+def _oracle_record(scenario, cell, det, seed) -> dict:
+    """The report record of one composition-gap job, computed one cell per call."""
+    stream = RngStream(seed, mix64(cell, det))
+    verdict = _per_cell_gap(
+        scenario.build(scenario.grid[cell]), rng=stream, **scenario._settings(cell, det)
+    )
+    return {
+        "detector": "composition-gap",
+        "verdict": harness._verdict_dict(verdict),
+        "samples": stream.samples,
+        "reconstructions": harness._json_safe(verdict.reconstructions),
+    }
+
+
+def _assert_gap_records_match_the_oracle(scenario, report, cells=None):
+    seed = report["provenance"]["seed"]
+    for entry in report["cells"]:
+        cell = entry["cell_index"]
+        if cells is not None and cell not in cells:
+            continue
+        for det, record in enumerate(entry["results"]):
+            if record["detector"] == "composition-gap":
+                want = _oracle_record(scenario, cell, det, seed)
+                # serialized, so a sign of zero counts too
+                assert json.dumps(record, sort_keys=True) == json.dumps(want, sort_keys=True), (cell, det)
+
+
+def _recording_stacks(monkeypatch) -> list:
+    stacks = []
+    run_stack = Scenario.run_stack
+
+    def recording(self, cell_indices, det_index, streams, models):
+        stacks.append((det_index, list(cell_indices)))
+        return run_stack(self, cell_indices, det_index, streams, models)
+
+    monkeypatch.setattr(Scenario, "run_stack", recording)
+    return stacks
+
+
+def _block_plus_one_sweep() -> dict:
+    # one cell more than a block: a full stack of CELL_BLOCK cells, then a stack of one
+    n = harness.CELL_BLOCK + 1
+    return {
+        "name": "block-plus-one",
+        "master_seed": 37,
+        "box": {"family": "linear", "channel": {"kind": "amplitude-damping", "gamma": {"param": "g"}}},
+        "parameter_grid": {"g": [k / n for k in range(n)]},
+        "detectors": [
+            {"name": "ensemble-signalling"},
+            {
+                "name": "composition-gap",
+                "settings": {
+                    "shots": 64,
+                    "second_box": {"family": "nonlinear-bloch", "kappa": 2.0},
+                },
+            },
+        ],
+    }
+
+
+def test_composition_gap_blocks_equal_the_per_cell_test_at_1_2_and_4_threads(monkeypatch):
+    stacks = _recording_stacks(monkeypatch)
+    scenario = parse_scenario_dict(_block_plus_one_sweep())
+    inline = run_scenario(scenario, threads=1)
+    assert inline["summary"]["error_count"] == 0
+    n = harness.CELL_BLOCK + 1
+    assert stacks == [(1, list(range(n - 1))), (1, [n - 1])]
+    _assert_gap_records_match_the_oracle(scenario, inline)
+    for threads in (2, 4):
+        assert strip_timestamp(run_scenario(scenario, threads=threads)) == strip_timestamp(inline)
+
+
+def test_the_packaged_composition_demo_equals_the_per_cell_test():
+    text = resources.files("qdata").joinpath("scenarios", "composition.json").read_text("utf-8")
+    scenario = parse_scenario_dict(json.loads(text))
+    for seed in (None, 2, 7):
+        _assert_gap_records_match_the_oracle(scenario, run_scenario(scenario, seed=seed))
+
+
+def test_a_parametric_second_box_splits_a_block_into_one_stack_per_bound_value(monkeypatch):
+    stacks = _recording_stacks(monkeypatch)
+    scenario = parse_scenario_dict(copy.deepcopy(MIXED_SECOND_BOXES))
+    report = run_scenario(scenario, threads=1)
+    # cells are (kappa, p) = (1, 0.1), (1, 0.7), (2.5, 0.1), (2.5, 0.7)
+    assert stacks == [(0, [0, 1, 2, 3]), (1, [0, 2]), (1, [1, 3])]
+    _assert_gap_records_match_the_oracle(scenario, report)
+    # a number keys its stack by the float a build sees: 1 and 1.0 share a
+    # stack, 0.0 and -0.0 do not
+    doc = copy.deepcopy(MIXED_SECOND_BOXES)
+    doc["parameter_grid"] = [{"kappa": 2, "p": p} for p in (0.0, 1, -0.0, 1.0, 0.0)]
+    scenario = parse_scenario_dict(doc)
+    stacks.clear()
+    report = run_scenario(scenario, threads=1)
+    assert stacks == [(0, [0, 1, 2, 3, 4]), (1, [0, 4]), (1, [1, 3]), (1, [2])]
+    _assert_gap_records_match_the_oracle(scenario, report)
+
+
+class _FailingBox(LinearBox):
+    def ensemble_output_density(self, inputs):
+        raise RuntimeError("boom")
+
+
+def test_a_failing_build_settings_or_stack_fails_its_own_job_and_spares_its_block(monkeypatch):
+    doc = copy.deepcopy(MIXED_SECOND_BOXES)
+    doc["detectors"] = [{"name": "helstrom", "settings": {"trials": 500}}] + doc["detectors"]
+    doc["parameter_grid"] = [
+        {"kappa": 1, "p": 0.1},
+        {"kappa": "bad", "p": 0.1},  # the model fails to build
+        {"kappa": 2, "p": 0.1},
+        {"kappa": 2, "p": "x"},  # the referenced second box fails to build
+        {"kappa": 3, "p": 0.1},  # the model builds but raises inside the stack
+        {"kappa": 4, "p": 0.1},
+    ]
+    build = Scenario.build
+
+    def failing_at_kappa_3(self, params):
+        if params["kappa"] == 3:
+            return _FailingBox(QuantumChannel.identity(2))
+        return build(self, params)
+
+    monkeypatch.setattr(Scenario, "build", failing_at_kappa_3)
+    scenario = parse_scenario_dict(doc)
+    report = run_scenario(scenario, threads=1)
+    errors = {
+        (entry["cell_index"], det): record["error"]
+        for entry in report["cells"]
+        for det, record in enumerate(entry["results"])
+        if "error" in record
+    }
+    built = "ScenarioError: box.kappa: grid cell does not bind numeric parameter 'kappa'"
+    setting = "ScenarioError: second_box.channel.p: grid cell does not bind numeric parameter 'p'"
+    assert errors == {
+        (1, 0): built,
+        (1, 1): built,
+        (1, 2): built,
+        (3, 2): setting,
+        (4, 0): "RuntimeError: boom",
+        (4, 1): "RuntimeError: boom",
+        (4, 2): "RuntimeError: boom",
+    }
+    for entry in report["cells"]:
+        for record in entry["results"]:
+            assert ("error" in record) == (record["samples"] == 0)
+    _assert_gap_records_match_the_oracle(scenario, report, cells={0, 2, 5})
+    assert "verdict" in report["cells"][3]["results"][1]

@@ -24,6 +24,7 @@ from qdata import (
     uhlmann_fidelity,
     worst_fidelity,
 )
+from qdata import linalg
 from qdata.linalg import _haar_columns, as_integer, as_seed, is_hermitian, trace_norms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -259,6 +260,66 @@ def test_is_hermitian_checks_every_matrix_of_a_stack():
     assert not is_hermitian(stack)
     assert is_hermitian(stack, atol=1e-8)
     assert is_hermitian(np.delete(stack, 2, axis=0))
+
+
+def _whole_matrix_is_hermitian(m, atol=1e-12):
+    # the check as it compared every entry with its mirror
+    a = np.asarray(m, dtype=complex)
+    return bool(abs(a - a.swapaxes(-1, -2).conj()).max() <= atol)
+
+
+def test_is_hermitian_rules_as_the_whole_matrix_comparison():
+    gen = np.random.default_rng(60)
+    specials = (np.nan, np.inf, -np.inf, 1e308, 5e-13, 1e-12, np.nextafter(1e-12, 1.0), -0.0)
+    # small inputs are compared whole, larger ones by triangles
+    shapes = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 2, 2), (2, 3, 4, 4), (5, 8, 8))
+    shapes += ((300, 2, 2), (150, 4, 4), (5, 30, 3, 3), (20, 8, 8), (40, 40))
+    assert max(math.prod(s) for s in shapes[:7]) <= linalg._WHOLE_CHECK_SIZE
+    assert min(math.prod(s) for s in shapes[7:]) > linalg._WHOLE_CHECK_SIZE
+    for shape in shapes:
+        d = shape[-1]
+        for trial in range(40):
+            a = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+            a = (a + a.conj().swapaxes(-1, -2)) / 2
+            flat = a.reshape(-1)
+            # infinities meet their mirrors here and in both checks, which warn alike
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a few entries moved off Hermitian by small, tolerance-sized or special amounts
+                for _ in range(trial % 4):
+                    k = gen.integers(flat.size)
+                    value = specials[gen.integers(len(specials))]
+                    flat[k] += value if gen.integers(2) else 1j * value
+                if trial % 5 == 0:
+                    i, j = gen.integers(d, size=2)
+                    a[..., i, j] = a[..., j, i].conj() + 1e-12 * gen.choice((1, 1j))
+                for atol in (1e-12, 1e-9, 0.0):
+                    assert is_hermitian(a, atol) == _whole_matrix_is_hermitian(a, atol), (shape, trial, atol)
+    real = np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]])
+    assert is_hermitian(real) == _whole_matrix_is_hermitian(real) is True
+    assert is_hermitian(real, 1e-14) == _whole_matrix_is_hermitian(real, 1e-14) is False
+    for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((5, 2, 3)), np.zeros((300, 2, 3))):
+        with pytest.raises(ValueError):
+            _whole_matrix_is_hermitian(bad)
+        with pytest.raises(ValueError):
+            is_hermitian(bad)
+
+
+def test_is_hermitian_on_a_stack_allocates_about_one_stack():
+    import tracemalloc
+
+    gen = np.random.default_rng(61)
+    a = gen.normal(size=(150, 4, 4)) + 1j * gen.normal(size=(150, 4, 4))
+    stack = a + a.conj().swapaxes(-1, -2)
+    assert is_hermitian(stack)  # the per-dimension index tables are built
+    tracemalloc.start()
+    try:
+        assert is_hermitian(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the upper triangle and its mirror take 5/4 of the stack, where the
+    # whole difference matrix peaked near three stacks
+    assert peak <= 1.4 * stack.nbytes, (peak, stack.nbytes)
 
 
 def test_trace_norms_rejects_a_non_hermitian_member():
