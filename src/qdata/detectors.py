@@ -484,10 +484,11 @@ def composition_gap_tests(
 ) -> list:
     """:func:`composition_gap_test` of each first box in ``boxes`` on its stream in ``rng``.
 
-    The streams share one seed, and each takes its own box's samples on
-    its tally.  Each tomography stage runs once over all the boxes and the
-    gaps are one stacked trace norm; every verdict is bit for bit the
-    one-box call's.
+    The streams must share one seed, and each takes its own box's samples
+    on its tally; no streams, or streams of several seeds, raise
+    :class:`InvalidInputError` before any draw.  Each tomography stage runs
+    once over all the boxes and the gaps are one stacked trace norm; every
+    verdict is bit for bit the one-box call's.
     """
     probe = PureState.from_bloch(probe_theta, 0.0)
     composed = np.array(

@@ -1,20 +1,21 @@
 """Scenario execution: grid sweeps, detector suites, reproducible reports.
 
 A block of ``CELL_BLOCK`` consecutive grid cells is the unit of work (one
-cell when no detector of the scenario stacks).  Each cell builds its model
-once, when a detector first needs it; a build that raises fails each job
-that needs it.  A stacked detector (``composition-gap``) rules on the
-block's cells first, in one call per stack of cells that share its
-settings; then every (cell, detector) job gets its record, in grid order,
-the others running there.  One thread runs the blocks inline, in grid
-order; more share them through a pool.  Each job draws from its own
-stream, a stable 64-bit mix of (master seed, cell index, detector index),
-and a stack's cells each keep theirs, so reports are byte-identical for
-any thread count, order and block.  A job records its verdict, its
-evidence and its stream's sample tally.  A failing job is recorded in
-place and the others complete; a stack that raises is run again one cell
-at a time, so each job records its own error.  Reports are strict JSON
-with sorted keys, complex matrices flattened row-major as [re, im] pairs,
+cell when no detector of the scenario rules on whole blocks).  Each cell
+builds its model once, when a detector first needs it; a build that raises
+fails each job that needs it.  A stacked detector (``composition-gap``)
+whose settings bind no grid parameter rules on the whole block first, in
+one call; one whose settings do runs cell by cell.  Then every (cell,
+detector) job gets its record, in grid order, the others running there.
+One thread runs the blocks inline, in grid order; more share them through
+a pool.  Each job draws from its own stream, a stable 64-bit mix of
+(master seed, cell index, detector index), and a stack's cells each keep
+theirs, so reports are byte-identical for any thread count, order and
+block.  A job records its verdict, its evidence and its stream's sample
+tally.  A failing job is recorded in place and the others complete; a
+block's stacked call that raises, on any cell, is run again one cell at a
+time, so each job records its own error.  Reports are strict JSON with
+sorted keys, complex matrices flattened row-major as [re, im] pairs,
 non-finite numbers (an undefined standard error) as null, and a schema
 version that bumps on any breaking change.  ``diff_reports`` lists what
 differs between two reports besides the timestamp.
@@ -48,8 +49,8 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 
-# Grid cells per block.  It bounds how many cells' models are alive at once;
-# a stacked detector runs at most one stack per block and settings key.
+# Grid cells per block.  It bounds how many cells' models are alive at once
+# and how many cells a stacked detector rules on in one call.
 CELL_BLOCK = 64
 
 
@@ -93,35 +94,15 @@ def _execute_one(
     return record
 
 
-def _stacked_verdicts(scenario: Scenario, seed: int, cells: range, det_index: int, model) -> dict:
-    """``{cell: (stream, verdict)}`` for one stacked detector's jobs in ``cells``.
-
-    The cells are stacked by settings key, in grid order.  A stack that
-    raises (a model or the settings fail to build, or a box fails) is left
-    out: each of its jobs then runs alone, on a fresh stream, and records
-    its own verdict or error.
-    """
-    stacks: dict = {}
-    for cell in cells:
-        stacks.setdefault(scenario.settings_key(cell, det_index), []).append(cell)
-    verdicts = {}
-    for members in stacks.values():
-        streams = [RngStream(seed, mix64(cell, det_index)) for cell in members]
-        try:
-            ruled = scenario.run_stack(members, det_index, streams, [model(cell) for cell in members])
-        except Exception:  # each job of the stack runs alone and records its own error
-            continue
-        verdicts.update(zip(members, zip(streams, ruled)))
-    return verdicts
-
-
 def _run_block(scenario: Scenario, seed: int, block: int, start: int) -> list:
     """The report entries of ``block`` cells from ``start``; each cell's detectors share one model.
 
     A cell's model is built when a detector first needs it; a build that
-    raises is tried again by the next job that needs it.  Stacked
-    detectors rule on the whole block first; then every job's record is
-    made, in grid order.
+    raises is tried again by the next job that needs it.  Each detector of
+    ``scenario.block_stacked`` first rules on all the block's cells in one
+    call.  If that call raises, because any cell's model or the box fails,
+    each of its jobs runs alone on a fresh stream and records its own
+    verdict or error.  Then every job's record is made, in grid order.
     """
     cells = range(start, min(start + block, len(scenario.grid)))
     models: dict = {}
@@ -131,16 +112,19 @@ def _run_block(scenario: Scenario, seed: int, block: int, start: int) -> list:
             models[cell] = scenario.build(scenario.grid[cell])
         return models[cell]
 
-    stacked = {
-        d: _stacked_verdicts(scenario, seed, cells, d, model)
-        for d, spec in enumerate(scenario.detectors)
-        if spec.entry.stacked
-    }
+    stacked = {}
+    for d in (d for d, flag in enumerate(scenario.block_stacked) if flag):
+        streams = [RngStream(seed, mix64(cell, d)) for cell in cells]
+        try:
+            ruled = scenario.run_stack(cells, d, streams, [model(cell) for cell in cells])
+        except Exception:  # each job of the block runs alone and records its own error
+            continue
+        stacked[d] = dict(zip(cells, zip(streams, ruled)))
     entries = []
     for cell in cells:
         results = []
         for d in range(len(scenario.detectors)):
-            if cell in stacked.get(d, ()):
+            if d in stacked:
                 stream, verdict = stacked[d][cell]
                 results.append(_execute_one(scenario, cell, d, stream, lambda: verdict))
             else:
@@ -167,7 +151,7 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     """
     threads = as_integer(threads, "threads", least=1)
     effective_seed = scenario.master_seed if seed is None else as_seed(seed)
-    block = CELL_BLOCK if any(spec.entry.stacked for spec in scenario.detectors) else 1
+    block = CELL_BLOCK if any(scenario.block_stacked) else 1
     run_block = functools.partial(_run_block, scenario, effective_seed, block)
     starts = range(0, len(scenario.grid), block)
     if threads == 1:

@@ -87,8 +87,9 @@ class Entry:
     ``needs`` is the scenario kind whose model a detector runs on: "box",
     "pair", or None for a detector called with no model.  A ``stacked``
     detector rules on several cells in one call: ``make(models, rng=streams,
-    **settings)`` takes one model and one stream per cell, all cells
-    sharing the settings, and returns their verdicts in order.
+    **settings)`` takes one model and one stream per cell and returns their
+    verdicts in order; the scenario calls it only on cells that get equal
+    settings (:attr:`Scenario.block_stacked`).
     """
 
     keys: dict
@@ -474,26 +475,18 @@ class Scenario:
         model = (build(),) if spec.entry.needs else ()
         return spec.entry.make(*model, rng=stream, **self._settings(cell_index, det_index))
 
-    def settings_key(self, cell_index: int, det_index: int) -> tuple:
-        """What a detector's settings read of one cell: cells with equal keys get equal settings.
-
-        Each grid parameter the settings reference is keyed by the value a
-        build sees, a number by its float bit for bit, so 1 and 1.0 share a
-        key and 0.0 and -0.0 do not.
-        """
-        params = self.grid[cell_index]
-        return tuple(
-            (float(bound).hex(),) if isinstance(bound, (int, float)) else bound
-            for bound in map(params.get, self._setting_refs[det_index])
-        )
-
     @cached_property
-    def _setting_refs(self) -> tuple:
-        # per detector, the grid parameters its settings reference, sorted
-        return tuple(sorted(_collect_refs(spec.fields)) for spec in self.detectors)
+    def block_stacked(self) -> tuple:
+        """Per detector, whether it rules on a whole block of cells in one :meth:`run_stack` call.
+
+        A stacked detector does so when its settings reference no grid
+        parameter, so every cell gets the same settings; one whose settings
+        do runs cell by cell, each job a stack of one.
+        """
+        return tuple(spec.entry.stacked and not _collect_refs(spec.fields) for spec in self.detectors)
 
     def run_stack(self, cell_indices, det_index: int, streams, models) -> list:
-        """A stacked detector's verdicts on cells of one :meth:`settings_key`, in one call.
+        """A stacked detector's verdicts on cells that get equal settings, in one call.
 
         Cell ``cell_indices[k]`` runs on ``models[k]`` and draws from ``streams[k]``.
         """

@@ -213,8 +213,11 @@ def _state_tomographies(rhos: np.ndarray, run: TomographyRun, streams) -> np.nda
     Source k draws from ``streams[k]`` and takes its samples onto that
     stream's tally; the streams share one seed.  All sources are sampled
     and inverted in one :func:`_raw_estimates` call and projected as one
-    stack, each bit for bit as alone.
+    stack, each bit for bit as alone.  No stream, or streams of more than
+    one seed, raise :class:`InvalidInputError` before any draw.
     """
+    if not streams or any(stream.seed != streams[0].seed for stream in streams):
+        raise InvalidInputError("a stack of tomographies needs one or more streams of one seed")
     ids = [stream.stream_id for stream in streams]
     estimates = _raw_estimates(rhos, run, streams[0], ids, streams)
     # each estimate is Hermitian, as every row of the reconstruction operator

@@ -1,8 +1,10 @@
 """Scenario execution: report structure, determinism, crash isolation."""
 
 import copy
+import importlib.util
 import json
 import math
+import pathlib
 from importlib import resources
 
 import numpy as np
@@ -603,6 +605,23 @@ def test_stacked_composition_gaps_equal_the_per_cell_test_bit_for_bit():
             assert _bits(staged.matrix) == _bits(got[0].reconstructions["staged_output"])
 
 
+def test_a_gap_stack_refuses_streams_of_several_seeds_before_any_draw():
+    box, second = NonlinearBloch(2.0), LinearBox(QuantumChannel.dephasing(0.3))
+    streams = [RngStream(1, 5), RngStream(2, 5)]
+    # keyed from the first stream's seed, the second gap would read 0.14566711969949614
+    with pytest.raises(InvalidInputError, match="one seed"):
+        composition_gap_tests([box, box], second, 1.0, 97, rng=streams)
+    assert [stream.samples for stream in streams] == [0, 0]
+    alone = composition_gap_test(box, second, 1.0, 97, rng=RngStream(2, 5))
+    assert alone.statistic == 0.12224422012634753
+
+
+def test_a_gap_stack_of_no_boxes_is_refused():
+    second = LinearBox(QuantumChannel.dephasing(0.3))
+    with pytest.raises(InvalidInputError, match="one or more streams"):
+        composition_gap_tests([], second, 1.0, 97, rng=[])
+
+
 def _oracle_record(scenario, cell, det, seed) -> dict:
     """The report record of one composition-gap job, computed one cell per call."""
     stream = RngStream(seed, mix64(cell, det))
@@ -682,22 +701,52 @@ def test_the_packaged_composition_demo_equals_the_per_cell_test():
         _assert_gap_records_match_the_oracle(scenario, run_scenario(scenario, seed=seed))
 
 
-def test_a_parametric_second_box_splits_a_block_into_one_stack_per_bound_value(monkeypatch):
+def test_a_constant_second_box_stacks_the_block_and_a_parametric_one_runs_cell_by_cell(monkeypatch):
     stacks = _recording_stacks(monkeypatch)
-    scenario = parse_scenario_dict(copy.deepcopy(MIXED_SECOND_BOXES))
-    report = run_scenario(scenario, threads=1)
-    # cells are (kappa, p) = (1, 0.1), (1, 0.7), (2.5, 0.1), (2.5, 0.7)
-    assert stacks == [(0, [0, 1, 2, 3]), (1, [0, 2]), (1, [1, 3])]
-    _assert_gap_records_match_the_oracle(scenario, report)
-    # a number keys its stack by the float a build sees: 1 and 1.0 share a
-    # stack, 0.0 and -0.0 do not
-    doc = copy.deepcopy(MIXED_SECOND_BOXES)
-    doc["parameter_grid"] = [{"kappa": 2, "p": p} for p in (0.0, 1, -0.0, 1.0, 0.0)]
-    scenario = parse_scenario_dict(doc)
-    stacks.clear()
-    report = run_scenario(scenario, threads=1)
-    assert stacks == [(0, [0, 1, 2, 3, 4]), (1, [0, 4]), (1, [1, 3]), (1, [2])]
-    _assert_gap_records_match_the_oracle(scenario, report)
+    signed = copy.deepcopy(MIXED_SECOND_BOXES)
+    # the sign of a zero reaches the second box, and so the report
+    signed["parameter_grid"] = [{"kappa": 2, "p": p} for p in (0.0, 1, -0.0, 1.0, 0.0)]
+    for doc in (MIXED_SECOND_BOXES, signed):
+        scenario = parse_scenario_dict(copy.deepcopy(doc))
+        assert scenario.block_stacked == (True, False)
+        cells = list(range(len(scenario.grid)))
+        for threads in (1, 2, 4):
+            stacks.clear()
+            report = run_scenario(scenario, threads=threads)
+            assert stacks == [(0, cells)] + [(1, [cell]) for cell in cells]
+            _assert_gap_records_match_the_oracle(scenario, report)
+
+
+def _benchmark_documents(seed: int) -> dict:
+    """``{name: scenario document}`` of every benchmark workload at ``seed``, read from bench/."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {
+        f"{name}-{i}": doc for name, make in workloads.WORKLOADS.items() for i, doc in enumerate(make(seed))
+    }
+
+
+def test_every_declared_composition_gap_stacks_whole_blocks(monkeypatch):
+    # a packaged scenario or benchmark document that binds its second box to
+    # the grid would run its gaps cell by cell, several times slower
+    packaged = resources.files("qdata").joinpath("scenarios").iterdir()
+    documents = {f.name: json.loads(f.read_text("utf-8")) for f in packaged if f.name.endswith(".json")}
+    documents.update(_benchmark_documents(1))
+    declaring = set()
+    for name, doc in documents.items():
+        scenario = parse_scenario_dict(doc)
+        for spec, flag in zip(scenario.detectors, scenario.block_stacked):
+            if spec.name == "composition-gap":
+                declaring.add(name)
+                assert flag, name
+    assert {"composition.json", "exact-sweep-0", "exact-sweep-1"} <= declaring
+    stacks = _recording_stacks(monkeypatch)
+    for name in ("exact-sweep-0", "exact-sweep-1"):
+        stacks.clear()
+        run_scenario(parse_scenario_dict(documents[name]), threads=1)
+        assert [len(cells) for _, cells in stacks] == [64, 64, 22], name
 
 
 class _FailingBox(LinearBox):
