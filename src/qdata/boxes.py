@@ -40,6 +40,7 @@ from .states import (
     bloch_angles,
     bloch_ket,
     born_distributions,
+    check_densities,
     ket,
     sample_inverse_cdf,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "CollapseNonlinear",
     "ComposedBox",
     "compose_boxes",
+    "output_densities",
     "BoxPair",
     "QracOracle",
     "QracQuantum",
@@ -87,6 +89,25 @@ def warp_polar_angle(theta: float, kappa: float) -> float:
     if scaled > 700.0:
         return math.pi
     return 2.0 * math.atan(math.exp(scaled))
+
+
+def _as_ensemble(source) -> Ensemble:
+    """An input of :meth:`BoxModel.ensemble_output_density` as the ensemble it feeds the box:
+    a DensityMatrix as its eigen-ensemble, a pure state as an ensemble of one."""
+    if isinstance(source, DensityMatrix):
+        return source.eigen_ensemble()
+    if isinstance(source, Ensemble):
+        return source
+    return Ensemble((1.0,), (as_state(source),))
+
+
+def _input_density(source) -> DensityMatrix:
+    """An input of :meth:`LinearBox.ensemble_output_density` as the density its channel applies."""
+    if isinstance(source, DensityMatrix):
+        return source
+    if isinstance(source, Ensemble):
+        return source.density()
+    return as_state(source).density()
 
 
 class BoxModel(ABC):
@@ -138,10 +159,7 @@ class BoxModel(ABC):
         its eigen-ensemble).  Note that for nonlinear boxes the result
         genuinely depends on the decomposition, not just on the density.
         """
-        if isinstance(ensemble, DensityMatrix):
-            ensemble = ensemble.eigen_ensemble()
-        elif not isinstance(ensemble, Ensemble):
-            ensemble = Ensemble((1.0,), (as_state(ensemble),))
+        ensemble = _as_ensemble(ensemble)
         pairs = zip(ensemble.weights, map(self.branch_distribution, ensemble.states))
         return self._mixture(pairs, self.dim_out)
 
@@ -208,13 +226,7 @@ class LinearBox(BoxModel):
 
     def ensemble_output_density(self, ensemble):
         # linearity: only the ensemble's density matters
-        if isinstance(ensemble, DensityMatrix):
-            rho = ensemble
-        elif isinstance(ensemble, Ensemble):
-            rho = ensemble.density()
-        else:
-            rho = as_state(ensemble).density()
-        return self.channel.apply(rho)
+        return self.channel.apply(_input_density(ensemble))
 
 
 class _BlochWarp(BoxModel):
@@ -343,6 +355,81 @@ def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:
     for b in (b1, b2):
         parts.extend(b.boxes if isinstance(b, ComposedBox) else [b])
     return ComposedBox(parts)
+
+
+def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
+    """The exact output of every box on every input, as one (boxes, inputs, d, d) stack.
+
+    Entry [k, n] is ``boxes[k].ensemble_output_density(inputs[n]).matrix``
+    bit for bit, and the stack raises whenever one of those calls would
+    (and also when the boxes differ in output dimension).  The boxes are
+    grouped by the ``ensemble_output_density`` their class runs:
+
+    * ``LinearBox``'s: one einsum of every input density against the
+      stacked Choi matrices, symmetrized and checked as densities once;
+    * ``BoxModel``'s (the Bloch-warp boxes and ``ComposedBox``): each box
+      enumerates its branches on each input's ensemble, as that method
+      does, and only the weighted projector sums are stacked;
+    * any other: the box's own method, one input at a time.
+    """
+    boxes = list(boxes)
+    inputs = list(inputs)
+    dims = {box.dim_out for box in boxes}
+    if len(dims) > 1:
+        raise InvalidShapeError("the boxes of a stack differ in output dimension")
+    d = dims.pop() if dims else 0
+    out = np.empty((len(boxes), len(inputs), d, d), dtype=complex)
+    if not inputs:
+        return out
+    runs = [type(box).ensemble_output_density for box in boxes]
+    linear = [k for k, run in enumerate(runs) if run is LinearBox.ensemble_output_density]
+    branching = [k for k, run in enumerate(runs) if run is BoxModel.ensemble_output_density]
+    others = sorted(set(range(len(boxes))).difference(linear, branching))
+    if linear:
+        rhos = np.array([_input_density(x).matrix for x in inputs])
+        if any(boxes[k].dim_in != rhos.shape[-1] for k in linear):
+            raise InvalidShapeError("state dimension does not match the channel input")
+        chois = np.array([boxes[k].channel.choi4 for k in linear])
+        outs = np.einsum("nij,kiajb->knab", rhos, chois)
+        outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
+        check_densities(outs)
+        out[linear] = outs
+    if branching:
+        ensembles = [_as_ensemble(x) for x in inputs]
+        terms = [
+            [
+                [(w * p, phi.vector) for w, s in zip(e.weights, e.states) for p, phi in boxes[k].branch_distribution(s)]
+                for e in ensembles
+            ]
+            for k in branching
+        ]
+        out[branching] = _mixtures(terms, d)
+    for k in others:
+        out[k] = [boxes[k].ensemble_output_density(x).matrix for x in inputs]
+    return out
+
+
+def _mixtures(terms, dim: int) -> np.ndarray:
+    """:meth:`BoxModel._mixture` of each term list ``terms[k][n]``, as one (k, n, dim, dim) stack.
+
+    Each list holds the ``(weight x p, branch vector)`` terms of one sum.
+    The weighted projectors are added term by term over the whole stack,
+    in the order the one-box sum adds them (a shorter list adds exact
+    zeros), so each sum is bit for bit the one-box sum; only the traces
+    are checked, as there.
+    """
+    shape = (len(terms), len(terms[0]))
+    depth = max((len(t) for row in terms for t in row), default=0)
+    padded = [t + [(0.0, np.zeros(dim))] * (depth - len(t)) for row in terms for t in row]
+    weights = np.array([[w for w, _ in t] for t in padded]).reshape(shape + (depth,))
+    vectors = np.array([[v for _, v in t] for t in padded], dtype=complex).reshape(shape + (depth, dim))
+    weighted = weights[..., None, None] * (vectors[..., :, None] * vectors[..., None, :].conj())
+    out = np.zeros(shape + (dim, dim), dtype=complex)
+    for i in range(depth):
+        out += weighted[:, :, i]
+    if not (abs(out.trace(axis1=-2, axis2=-1).real - 1.0) <= ATOL).all():
+        raise InvalidInputError("density matrix trace differs from 1")
+    return out
 
 
 class BoxPair(ABC):

@@ -29,14 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoxModel, BoxPair, LinearBox, _local_dims, compose_boxes
+from .boxes import BoxModel, BoxPair, LinearBox, _local_dims, compose_boxes, output_densities
 from .channels import QuantumChannel, random_channel
 from .linalg import (
     MAX_DIM,
     InvalidInputError,
+    _eigh_descending,
     as_integer,
-    eig_hermitian,
     hermitian_basis,
+    is_hermitian,
     nearest_density_matrix,
     trace_distance,
     trace_norm,
@@ -48,7 +49,6 @@ from .states import (
     DensityMatrix,
     Ensemble,
     PureState,
-    as_density,
     as_state,
     check_densities,
     ket,
@@ -72,8 +72,10 @@ __all__ = [
     "TestVerdict",
     "HelstromSetup",
     "helstrom_test",
+    "helstrom_tests",
     "canonical_ensemble_pair",
     "ensemble_signalling_test",
+    "ensemble_signalling_tests",
     "basis_invariance_test",
     "ancilla_consistency_test",
     "concatenate_tests",
@@ -172,20 +174,63 @@ class HelstromSetup:
         return 0.5 * (1.0 + trace_norm(delta))
 
 
-def _optimal_projectors(rho1: DensityMatrix, rho2: DensityMatrix, priors) -> tuple:
-    """Projectors of the optimal two-outcome measurement for the given pair.
+def _optimal_success(outputs: np.ndarray, priors) -> np.ndarray:
+    """Success probability of each hypothesis under the optimal measurement, per output pair.
 
-    Null directions of the difference operator do not affect the success
+    ``outputs`` stacks each box's two output densities, (boxes, 2, d, d);
+    the result is (boxes, 2).  One ``eigh`` diagonalizes every difference
+    operator.  Null directions of a difference do not affect the success
     probability; they are assigned to the hypothesis with the larger prior.
+    Each value is bit for bit the one-pair computation, whose projector
+    onto the first hypothesis spans the selected eigenvectors, so boxes
+    are grouped by their selection.
     """
-    delta = priors[0] * rho1.matrix - priors[1] * rho2.matrix
-    eigvals, eigvecs = eig_hermitian(delta)
+    delta = priors[0] * outputs[:, 0] - priors[1] * outputs[:, 1]
+    if not is_hermitian(delta):
+        raise InvalidInputError("matrix is not Hermitian within tolerance")
+    eigvals, eigvecs = _eigh_descending(delta)
     to_first = eigvals > 1e-12
     if priors[0] >= priors[1]:
         to_first |= np.abs(eigvals) <= 1e-12
-    pi1 = (eigvecs[:, to_first] @ eigvecs[:, to_first].conj().T) if to_first.any() else np.zeros_like(delta)
-    pi2 = np.eye(delta.shape[0]) - pi1
-    return pi1, pi2
+    pi1 = np.zeros_like(delta)
+    masks, groups = np.unique(to_first, axis=0, return_inverse=True)
+    for g, mask in enumerate(masks):
+        if mask.any():
+            members = groups.reshape(-1) == g
+            chosen = eigvecs[members][..., mask]
+            pi1[members] = chosen @ chosen.conj().swapaxes(-1, -2)
+    pi2 = np.eye(delta.shape[-1]) - pi1
+    q = np.stack([pi1 @ outputs[:, 0], pi2 @ outputs[:, 1]], axis=1)
+    return np.clip(np.real(np.trace(q, axis1=-2, axis2=-1)), 0.0, 1.0)
+
+
+def helstrom_tests(boxes, setup: HelstromSetup, trials: int = 10_000, *, rng) -> list:
+    """:func:`helstrom_test` of each box in ``boxes`` on its stream in ``rng``.
+
+    Both hypotheses go through every box as one stack
+    (:func:`qdata.boxes.output_densities`) and the optimal measurements
+    come from one eigendecomposition; each box then draws its trials on
+    its own stream.  Every verdict is bit for bit the one-box call's.
+    """
+    trials = as_integer(trials, "trials", least=1)
+    if len(rng) != len(boxes):
+        raise InvalidInputError("a stack needs exactly one stream per box")
+    if not boxes:
+        return []
+    p1, p2 = setup.priors
+    success = _optimal_success(output_densities(boxes, setup.states), setup.priors)
+    verdicts = []
+    for (q1, q2), stream in zip(success.tolist(), rng):
+        gen = stream.generator
+        n1 = int(gen.binomial(trials, p1))
+        successes = int(gen.binomial(n1, q1)) + int(gen.binomial(trials - n1, q2))
+        stream.tally(trials)
+        p_hat = successes / trials
+        std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+        verdicts.append(
+            TestVerdict(p_hat, setup.bound, std_error, trials, extras={"exact_success": p1 * q1 + p2 * q2})
+        )
+    return verdicts
 
 
 def helstrom_test(
@@ -204,26 +249,7 @@ def helstrom_test(
     errors is a post-quantum flag; trace-distance monotonicity makes that
     impossible for any CPTP box.
     """
-    trials = as_integer(trials, "trials", least=1)
-    p1, p2 = setup.priors
-    out1 = box.ensemble_output_density(setup.states[0])
-    out2 = box.ensemble_output_density(setup.states[1])
-    pi1, pi2 = _optimal_projectors(out1, out2, setup.priors)
-    q1 = float(np.clip(np.real(np.trace(pi1 @ out1.matrix)), 0.0, 1.0))
-    q2 = float(np.clip(np.real(np.trace(pi2 @ out2.matrix)), 0.0, 1.0))
-    gen = rng.generator
-    n1 = int(gen.binomial(trials, p1))
-    successes = int(gen.binomial(n1, q1)) + int(gen.binomial(trials - n1, q2))
-    rng.tally(trials)
-    p_hat = successes / trials
-    std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return TestVerdict(
-        p_hat,
-        setup.bound,
-        std_error,
-        trials,
-        extras={"exact_success": p1 * q1 + p2 * q2},
-    )
+    return helstrom_tests([box], setup, trials, rng=[rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +266,29 @@ def canonical_ensemble_pair() -> tuple:
     return e1, e2
 
 
+def ensemble_signalling_tests(
+    boxes, e1: Ensemble | None = None, e2: Ensemble | None = None, *, rng=None
+) -> list:
+    """:func:`ensemble_signalling_test` of each box in ``boxes``.
+
+    Both ensembles go through every box as one stack
+    (:func:`qdata.boxes.output_densities`) and the trace distances are one
+    stacked trace norm; every verdict is bit for bit the one-box call's.
+    ``rng``, one stream per box, is never drawn.
+    """
+    if (e1 is None) != (e2 is None):
+        raise InvalidInputError("give both ensembles or neither")
+    if e1 is None:
+        e1, e2 = canonical_ensemble_pair()
+    elif trace_distance(e1.density(), e2.density()) > 1e-10:
+        raise InvalidInputError("the two ensembles must have equal density matrices")
+    if not boxes:
+        return []
+    outputs = output_densities(boxes, (e1, e2))
+    distances = 0.5 * trace_norms(outputs[:, 0] - outputs[:, 1])
+    return [TestVerdict(statistic, 1e-6, 0.0, 0) for statistic in distances.tolist()]
+
+
 def ensemble_signalling_test(
     box: BoxModel, e1: Ensemble | None = None, e2: Ensemble | None = None, *, rng=None
 ) -> TestVerdict:
@@ -252,16 +301,7 @@ def ensemble_signalling_test(
     The computation is exact, so the threshold is a pure numerical-noise
     floor; ``rng`` is accepted as every detector accepts it and never drawn.
     """
-    if (e1 is None) != (e2 is None):
-        raise InvalidInputError("give both ensembles or neither")
-    if e1 is None:
-        e1, e2 = canonical_ensemble_pair()
-    elif trace_distance(e1.density(), e2.density()) > 1e-10:
-        raise InvalidInputError("the two ensembles must have equal density matrices")
-    out1 = box.ensemble_output_density(e1)
-    out2 = box.ensemble_output_density(e2)
-    statistic = trace_distance(out1, out2)
-    return TestVerdict(statistic, 1e-6, 0.0, 0)
+    return ensemble_signalling_tests([box], e1, e2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +488,11 @@ def _concatenated(
     on child 1.  Each stage is one stacked state tomography over all the
     boxes, each reconstruction bit for bit as alone.
     """
-    outputs = [as_density(box.ensemble_output_density(psi)).matrix for box in firsts]
-    first_hats = _state_tomographies(np.array(outputs), run, [s.child(0) for s in streams])
-    outputs = [
-        as_density(second.ensemble_output_density(DensityMatrix._of(m).eigen_ensemble())).matrix
-        for m in first_hats
-    ]
-    return _state_tomographies(np.array(outputs), run, [s.child(1) for s in streams])
+    outputs = output_densities(firsts, [psi])[:, 0]
+    first_hats = _state_tomographies(outputs, run, [s.child(0) for s in streams])
+    # each estimate is re-prepared as its eigen-ensemble, one input of the second box each
+    outputs = output_densities([second], [DensityMatrix._of(m).eigen_ensemble() for m in first_hats])[0]
+    return _state_tomographies(outputs, run, [s.child(1) for s in streams])
 
 
 def concatenate_tests(
@@ -491,9 +529,7 @@ def composition_gap_tests(
     verdict is bit for bit the one-box call's.
     """
     probe = PureState.from_bloch(probe_theta, 0.0)
-    composed = np.array(
-        [compose_boxes(box, second_box).ensemble_output_density(probe).matrix for box in boxes]
-    )
+    composed = output_densities([compose_boxes(box, second_box) for box in boxes], [probe])[:, 0]
     staged = _concatenated(boxes, second_box, probe, TomographyRun(shots), rng)
     gaps = 0.5 * trace_norms(composed - staged)
     return [

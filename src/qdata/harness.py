@@ -1,19 +1,20 @@
 """Scenario execution: grid sweeps, detector suites, reproducible reports.
 
 A block of ``CELL_BLOCK`` consecutive grid cells is the unit of work (one
-cell when no detector of the scenario rules on whole blocks).  Each cell
-builds its model once, when a detector first needs it; a build that raises
-fails each job that needs it.  A stacked detector (``composition-gap``)
-whose settings bind no grid parameter rules on the whole block first, in
-one call; one whose settings do runs cell by cell.  Then every (cell,
-detector) job gets its record, in grid order, the others running there.
+cell when every detector's settings bind a grid parameter).  Each cell
+builds its model once, first, if a detector needs it; a build that raises
+fails each job that needs it, and the cell joins no stack.  Every detector
+rules on a stack of cells in one call: a detector whose settings bind no
+grid parameter on the whole block, one whose settings do on each cell
+alone.  Then every (cell, detector) job gets its record, in grid order.
 One thread runs the blocks inline, in grid order; more share them through
 a pool.  Each job draws from its own stream, a stable 64-bit mix of
 (master seed, cell index, detector index), and a stack's cells each keep
 theirs, so reports are byte-identical for any thread count, order and
 block.  A job records its verdict, its evidence and its stream's sample
-tally.  A failing job is recorded in place and the others complete; a
-block's stacked call that raises, on any cell, is run again one cell at a
+tally.  A failing job is recorded in place and the others complete: a
+detector that rules cell by cell hands back a failing cell's error in its
+place, and a stack of several cells that raises is run again one cell at a
 time, so each job records its own error.  Reports are strict JSON with
 sorted keys, complex matrices flattened row-major as [re, im] pairs,
 non-finite numbers (an undefined standard error) as null, and a schema
@@ -50,7 +51,7 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 # Grid cells per block.  It bounds how many cells' models are alive at once
-# and how many cells a stacked detector rules on in one call.
+# and how many cells a detector rules on in one call.
 CELL_BLOCK = 64
 
 
@@ -77,61 +78,69 @@ def _verdict_dict(v: TestVerdict) -> dict:
     return _json_safe(fields)
 
 
-def _execute_one(
-    scenario: Scenario, cell_index: int, det_index: int, stream: RngStream, rule
-) -> dict:
-    """The record of job (cell_index, det_index): ``rule()`` rules, drawing from ``stream``."""
+def _execute_one(scenario: Scenario, cell_index: int, det_index: int, stream, outcome) -> dict:
+    """The record of job (cell_index, det_index): its ``outcome``, a verdict drawn from the
+    RngStream ``stream``, or the exception its ruling raised (recorded, never raised)."""
     record: dict = {"detector": scenario.detectors[det_index].name}
-    try:
-        verdict = rule()
-        record["verdict"] = _verdict_dict(verdict)
-        record["samples"] = stream.samples
-        if verdict.reconstructions:
-            record["reconstructions"] = _json_safe(verdict.reconstructions)
-    except Exception as exc:  # crash isolation: record, never propagate
-        record["error"] = f"{type(exc).__name__}: {exc}"
+    if isinstance(outcome, Exception):
+        record["error"] = f"{type(outcome).__name__}: {outcome}"
         record["samples"] = 0
+        return record
+    record["verdict"] = _verdict_dict(outcome)
+    record["samples"] = stream.samples
+    if outcome.reconstructions:
+        record["reconstructions"] = _json_safe(outcome.reconstructions)
     return record
+
+
+def _rule(scenario: Scenario, seed: int, det_index: int, cells: list, models: dict) -> dict:
+    """``{cell: (stream, outcome)}`` of one detector on a stack of ``cells``, each on its own stream.
+
+    A stack of several cells that raises is run again one cell at a time,
+    on fresh streams, so each job records its own verdict or error.
+    """
+    streams = [RngStream(seed, mix64(cell, det_index)) for cell in cells]
+    try:
+        outcomes = scenario.run_stack(cells, det_index, streams, [models.get(cell) for cell in cells])
+    except Exception as exc:
+        if len(cells) == 1:
+            outcomes = [exc]
+        else:
+            return {cell: _rule(scenario, seed, det_index, [cell], models)[cell] for cell in cells}
+    return dict(zip(cells, zip(streams, outcomes)))
 
 
 def _run_block(scenario: Scenario, seed: int, block: int, start: int) -> list:
     """The report entries of ``block`` cells from ``start``; each cell's detectors share one model.
 
-    A cell's model is built when a detector first needs it; a build that
-    raises is tried again by the next job that needs it.  Each detector of
-    ``scenario.block_stacked`` first rules on all the block's cells in one
-    call.  If that call raises, because any cell's model or the box fails,
-    each of its jobs runs alone on a fresh stream and records its own
-    verdict or error.  Then every job's record is made, in grid order.
+    When a detector needs one, each cell's model is built once, first; a
+    cell whose build raises records that error in each job that needs the
+    model and joins no stack.  Then each detector rules: one of
+    ``scenario.block_stacked`` on all the block's other cells in one stack,
+    any other on each cell alone (:func:`_rule`).  Then every job's record
+    is made, in grid order.
     """
     cells = range(start, min(start + block, len(scenario.grid)))
     models: dict = {}
-
-    def model(cell):
-        if cell not in models:
-            models[cell] = scenario.build(scenario.grid[cell])
-        return models[cell]
-
-    stacked = {}
-    for d in (d for d, flag in enumerate(scenario.block_stacked) if flag):
-        streams = [RngStream(seed, mix64(cell, d)) for cell in cells]
-        try:
-            ruled = scenario.run_stack(cells, d, streams, [model(cell) for cell in cells])
-        except Exception:  # each job of the block runs alone and records its own error
-            continue
-        stacked[d] = dict(zip(cells, zip(streams, ruled)))
+    failed: dict = {}
+    if any(spec.entry.needs for spec in scenario.detectors):
+        for cell in cells:
+            try:
+                models[cell] = scenario.build(scenario.grid[cell])
+            except Exception as exc:  # recorded in each job that needs the model
+                failed[cell] = exc
+    ruled = []
+    for d, spec in enumerate(scenario.detectors):
+        unbuilt = failed if spec.entry.needs else {}
+        ready = [cell for cell in cells if cell not in unbuilt]
+        outcomes = {cell: (None, exc) for cell, exc in unbuilt.items()}
+        stacks = [ready] if scenario.block_stacked[d] else [[cell] for cell in ready]
+        for stack in filter(None, stacks):
+            outcomes.update(_rule(scenario, seed, d, stack, models if spec.entry.needs else {}))
+        ruled.append(outcomes)
     entries = []
     for cell in cells:
-        results = []
-        for d in range(len(scenario.detectors)):
-            if d in stacked:
-                stream, verdict = stacked[d][cell]
-                results.append(_execute_one(scenario, cell, d, stream, lambda: verdict))
-            else:
-                stream = RngStream(seed, mix64(cell, d))
-                build = functools.partial(model, cell)
-                job = functools.partial(scenario.run_job, cell, d, stream, build)
-                results.append(_execute_one(scenario, cell, d, stream, job))
+        results = [_execute_one(scenario, cell, d, *outcomes[cell]) for d, outcomes in enumerate(ruled)]
         samples = sum(r["samples"] for r in results)
         entries.append(
             {"cell_index": cell, "params": scenario.grid[cell], "results": results, "samples": samples}

@@ -40,8 +40,8 @@ from .detectors import (
     ancilla_consistency_test,
     basis_invariance_test,
     composition_gap_tests,
-    ensemble_signalling_test,
-    helstrom_test,
+    ensemble_signalling_tests,
+    helstrom_tests,
     nsq_random_survey,
     qrac_fidelity_estimate,
 )
@@ -82,20 +82,19 @@ class Entry:
     ``keys`` maps each accepted key to ``(field parser, default)``; the
     default is ``REQUIRED`` for a key that must be given.  ``make`` takes
     the fields resolved for one grid cell, nested specs built, as keyword
-    arguments: it returns the model, or for a detector it is the test
-    ``make(*model, rng=stream, **settings)`` that returns a TestVerdict.
-    ``needs`` is the scenario kind whose model a detector runs on: "box",
-    "pair", or None for a detector called with no model.  A ``stacked``
-    detector rules on several cells in one call: ``make(models, rng=streams,
-    **settings)`` takes one model and one stream per cell and returns their
-    verdicts in order; the scenario calls it only on cells that get equal
-    settings (:attr:`Scenario.block_stacked`).
+    arguments and returns the model.  A detector's ``make(models,
+    rng=streams, **settings)`` rules on a stack of cells that get equal
+    settings: it takes one model (None for a detector that needs none) and
+    one stream per cell and returns one outcome per cell, in order, a
+    TestVerdict or the exception that cell's ruling raised.  A ``make``
+    that raises fails the whole stack.  ``needs`` is the scenario kind
+    whose model a detector runs on: "box", "pair", or None for a detector
+    called with no model.
     """
 
     keys: dict
     make: Callable
     needs: str | None = None
-    stacked: bool = False
 
 
 @dataclass(frozen=True)
@@ -369,6 +368,25 @@ def _helstrom_setup(thetas, priors) -> HelstromSetup:
     return setup
 
 
+def _cell_by_cell(test) -> Callable:
+    """A one-cell ``test(model, rng=stream, **settings)`` as a detector's ``make``.
+
+    The test runs once per cell, in order.  A cell whose ruling raises gets
+    the exception in its place, so the rest of the stack keeps its verdicts.
+    """
+
+    def make(models, rng, **settings) -> list:
+        outcomes = []
+        for model, stream in zip(models, rng):
+            try:
+                outcomes.append(test(model, rng=stream, **settings))
+            except Exception as exc:  # the cell's own error, recorded in its job
+                outcomes.append(exc)
+        return outcomes
+
+    return make
+
+
 DETECTORS = {
     "helstrom": Entry(
         {
@@ -376,12 +394,12 @@ DETECTORS = {
             "thetas": (_number_pair, (math.pi / 2 - math.pi / 8, math.pi / 2 + math.pi / 8)),
             "priors": (_number_pair, (0.5, 0.5)),
         },
-        lambda box, trials, thetas, priors, rng: helstrom_test(
-            box, _helstrom_setup(thetas, priors), trials, rng=rng
+        lambda boxes, trials, thetas, priors, rng: helstrom_tests(
+            boxes, _helstrom_setup(thetas, priors), trials, rng=rng
         ),
         needs="box",
     ),
-    "ensemble-signalling": Entry({}, ensemble_signalling_test, needs="box"),
+    "ensemble-signalling": Entry({}, ensemble_signalling_tests, needs="box"),
     "basis-invariance": Entry(
         {
             "shots": (_count, 10_000),
@@ -390,14 +408,16 @@ DETECTORS = {
                 (0.0, math.pi / 5, math.pi / 3),
             ),
         },
-        basis_invariance_test,
+        _cell_by_cell(basis_invariance_test),
         needs="box",
     ),
-    "ancilla-consistency": Entry({"shots": (_count, 10_000)}, ancilla_consistency_test, needs="box"),
+    "ancilla-consistency": Entry(
+        {"shots": (_count, 10_000)}, _cell_by_cell(ancilla_consistency_test), needs="box"
+    ),
     "qrac": Entry(
         {"rounds": (_count, 20_000)},
         # called by name, so a wrapper rebound to that name sees every call
-        lambda pair, rounds, rng: qrac_fidelity_estimate(pair, rounds, rng),
+        _cell_by_cell(lambda pair, rounds, rng: qrac_fidelity_estimate(pair, rounds, rng)),
         needs="pair",
     ),
     "nsq-survey": Entry(
@@ -407,7 +427,7 @@ DETECTORS = {
             "env_dim": (lambda node, where: None if node is None else _count(node, where), None),
             "product_channels": (_flag, False),
         },
-        nsq_random_survey,
+        _cell_by_cell(lambda _, rng, **settings: nsq_random_survey(rng=rng, **settings)),
     ),
     "composition-gap": Entry(
         {
@@ -417,7 +437,6 @@ DETECTORS = {
         },
         composition_gap_tests,
         needs="box",
-        stacked=True,
     ),
 }
 
@@ -464,31 +483,23 @@ class Scenario:
         fields = self.detectors[det_index].fields
         return {key: _build_value(v, params, key) for key, v in fields.items()}
 
-    def run_job(self, cell_index: int, det_index: int, stream, build):
-        """One detector's verdict on one grid cell, on ``build()`` if it needs the cell's model.
-
-        The detector draws from ``stream`` and adds the samples it draws to its tally.
-        """
-        spec = self.detectors[det_index]
-        if spec.entry.stacked:
-            return self.run_stack([cell_index], det_index, [stream], [build()])[0]
-        model = (build(),) if spec.entry.needs else ()
-        return spec.entry.make(*model, rng=stream, **self._settings(cell_index, det_index))
-
     @cached_property
     def block_stacked(self) -> tuple:
         """Per detector, whether it rules on a whole block of cells in one :meth:`run_stack` call.
 
-        A stacked detector does so when its settings reference no grid
-        parameter, so every cell gets the same settings; one whose settings
-        do runs cell by cell, each job a stack of one.
+        A detector does so when its settings reference no grid parameter,
+        so every cell gets the same settings; one whose settings do runs
+        cell by cell, each cell a stack of one.
         """
-        return tuple(spec.entry.stacked and not _collect_refs(spec.fields) for spec in self.detectors)
+        return tuple(not _collect_refs(spec.fields) for spec in self.detectors)
 
     def run_stack(self, cell_indices, det_index: int, streams, models) -> list:
-        """A stacked detector's verdicts on cells that get equal settings, in one call.
+        """One detector's outcomes on cells that get equal settings, in one ``make`` call.
 
-        Cell ``cell_indices[k]`` runs on ``models[k]`` and draws from ``streams[k]``.
+        Cell ``cell_indices[k]`` runs on ``models[k]`` and draws from
+        ``streams[k]``, adding the samples it draws to that stream's tally;
+        its outcome is a TestVerdict or the exception its ruling raised
+        (see :class:`Entry`).
         """
         settings = self._settings(cell_indices[0], det_index)
         return self.detectors[det_index].entry.make(models, rng=streams, **settings)

@@ -32,6 +32,7 @@ from qdata import (
     max_entangled,
     measure_prepare_strategy,
     minus_state,
+    output_densities,
     plus_state,
     random_channel,
     rotation_y,
@@ -539,3 +540,47 @@ def test_nsq_pair_checks_dims_and_refuses_game():
         pair.play_rounds([ket(0).vector], [ket(1).vector], [0], RngStream(32, 3).generator)
     with pytest.raises(Exception):
         NsqChannelPair(QuantumChannel.identity(4), (2, 3))
+
+
+# ---------------------------------------------------------------- stacked outputs
+
+
+class _ShiftedInput(LinearBox):
+    """A linear box with its own output method, so a stack runs that method as is."""
+
+    def ensemble_output_density(self, ensemble):
+        return super().ensemble_output_density(plus_state())
+
+
+def test_output_densities_equal_each_box_alone_bit_for_bit():
+    damping = LinearBox(QuantumChannel.amplitude_damping(0.35))
+    warped = NonlinearBloch(2.5, RY45)
+    boxes = [
+        damping,
+        LinearBox(random_channel(2, 2, RngStream(8, 0))),
+        warped,
+        NonlinearBloch(0.4),
+        CollapseNonlinear((plus_state(), minus_state()), kappa=3.0, post_unitary=RY45),
+        ComposedBox([damping, warped, CollapseNonlinear((ket(0), ket(1)))]),
+        compose_boxes(warped, LinearBox(QuantumChannel.dephasing(0.3))),
+        _ShiftedInput(QuantumChannel.depolarizing(0.2)),
+    ]
+    e1, e2 = equal_density_pair()
+    mixed = Ensemble((0.2, 0.3, 0.5), (PureState.from_bloch(0.3, 1.0), ket(1), plus_state()))
+    inputs = [PureState.from_bloch(1.1, 0.4), ket(0).vector, e1, e2, mixed, mixed.density()]
+    got = output_densities(boxes, inputs)
+    assert got.shape == (len(boxes), len(inputs), 2, 2)
+    for k, box in enumerate(boxes):
+        for n, source in enumerate(inputs):
+            assert got[k, n].tobytes() == box.ensemble_output_density(source).matrix.tobytes(), (k, n)
+    assert output_densities([], inputs).shape == (0, len(inputs), 0, 0)
+    assert output_densities(boxes, []).shape == (len(boxes), 0, 2, 2)
+
+
+def test_output_densities_raise_where_a_box_alone_raises():
+    boxes = [LinearBox(QuantumChannel.identity(2)), NonlinearBloch(2.0)]
+    for stack in (boxes, boxes[::-1]):
+        with pytest.raises(InvalidShapeError):
+            output_densities(stack, [ket(0, 3)])
+    with pytest.raises(InvalidShapeError, match="differ in output dimension"):
+        output_densities(boxes + [LinearBox(QuantumChannel.identity(3))], [ket(0)])

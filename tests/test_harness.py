@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from qdata import (
+    CollapseNonlinear,
+    ComposedBox,
     DensityMatrix,
+    HelstromSetup,
     InvalidInputError,
     LinearBox,
     NonlinearBloch,
@@ -21,14 +24,24 @@ from qdata import (
     Scenario,
     TestVerdict,
     TomographyRun,
+    ancilla_consistency_test,
+    canonical_ensemble_pair,
     compose_boxes,
     composition_gap_test,
     composition_gap_tests,
     concatenate_tests,
     diff_reports,
+    eig_hermitian,
+    ensemble_signalling_test,
+    ensemble_signalling_tests,
+    helstrom_test,
+    helstrom_tests,
+    ket,
     load_report,
+    minus_state,
     mix64,
     parse_scenario_dict,
+    plus_state,
     rotation_y,
     run_scenario,
     summarize_report,
@@ -622,28 +635,75 @@ def test_a_gap_stack_of_no_boxes_is_refused():
         composition_gap_tests([], second, 1.0, 97, rng=[])
 
 
+def _per_cell_helstrom(box, setup, trials, *, rng):
+    """helstrom_test as it ran one box per call, with one eigensolve per box."""
+    p1, p2 = setup.priors
+    out1 = box.ensemble_output_density(setup.states[0])
+    out2 = box.ensemble_output_density(setup.states[1])
+    delta = p1 * out1.matrix - p2 * out2.matrix
+    eigvals, eigvecs = eig_hermitian(delta)
+    to_first = eigvals > 1e-12
+    if p1 >= p2:
+        to_first |= np.abs(eigvals) <= 1e-12
+    chosen = eigvecs[:, to_first]
+    pi1 = chosen @ chosen.conj().T if to_first.any() else np.zeros_like(delta)
+    pi2 = np.eye(delta.shape[0]) - pi1
+    q1 = float(np.clip(np.real(np.trace(pi1 @ out1.matrix)), 0.0, 1.0))
+    q2 = float(np.clip(np.real(np.trace(pi2 @ out2.matrix)), 0.0, 1.0))
+    gen = rng.generator
+    n1 = int(gen.binomial(trials, p1))
+    successes = int(gen.binomial(n1, q1)) + int(gen.binomial(trials - n1, q2))
+    rng.tally(trials)
+    p_hat = successes / trials
+    std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return TestVerdict(p_hat, setup.bound, std_error, trials, extras={"exact_success": p1 * q1 + p2 * q2})
+
+
+def _per_cell_signalling(box, *, rng=None):
+    """ensemble_signalling_test on the canonical pair as it ran one box per call."""
+    e1, e2 = canonical_ensemble_pair()
+    statistic = trace_distance(box.ensemble_output_density(e1), box.ensemble_output_density(e2))
+    return TestVerdict(statistic, 1e-6, 0.0, 0)
+
+
+def _setup(thetas, priors):
+    return HelstromSetup(priors, tuple(PureState.from_bloch(theta, 0.0) for theta in thetas))
+
+
+# the one-cell oracle of each stacked detector, called with the cell's settings
+ORACLES = {
+    "helstrom": lambda box, trials, thetas, priors, rng: _per_cell_helstrom(
+        box, _setup(thetas, priors), trials, rng=rng
+    ),
+    "ensemble-signalling": _per_cell_signalling,
+    "composition-gap": _per_cell_gap,
+}
+
+
 def _oracle_record(scenario, cell, det, seed) -> dict:
-    """The report record of one composition-gap job, computed one cell per call."""
+    """The report record of one job of a stacked detector, computed one cell per call."""
     stream = RngStream(seed, mix64(cell, det))
-    verdict = _per_cell_gap(
-        scenario.build(scenario.grid[cell]), rng=stream, **scenario._settings(cell, det)
-    )
-    return {
-        "detector": "composition-gap",
-        "verdict": harness._verdict_dict(verdict),
-        "samples": stream.samples,
-        "reconstructions": harness._json_safe(verdict.reconstructions),
-    }
+    record = {"detector": scenario.detectors[det].name}
+    try:
+        box = scenario.build(scenario.grid[cell])
+        verdict = ORACLES[record["detector"]](box, rng=stream, **scenario._settings(cell, det))
+    except Exception as exc:
+        return {**record, "error": f"{type(exc).__name__}: {exc}", "samples": 0}
+    record.update(verdict=harness._verdict_dict(verdict), samples=stream.samples)
+    if verdict.reconstructions:
+        record["reconstructions"] = harness._json_safe(verdict.reconstructions)
+    return record
 
 
-def _assert_gap_records_match_the_oracle(scenario, report, cells=None):
+def _assert_records_match_the_oracle(scenario, report, cells=None):
+    """Every record of a stacked detector in ``report`` (of ``cells``, default all) equals its oracle's."""
     seed = report["provenance"]["seed"]
     for entry in report["cells"]:
         cell = entry["cell_index"]
         if cells is not None and cell not in cells:
             continue
         for det, record in enumerate(entry["results"]):
-            if record["detector"] == "composition-gap":
+            if record["detector"] in ORACLES:
                 want = _oracle_record(scenario, cell, det, seed)
                 # serialized, so a sign of zero counts too
                 assert json.dumps(record, sort_keys=True) == json.dumps(want, sort_keys=True), (cell, det)
@@ -688,8 +748,10 @@ def test_composition_gap_blocks_equal_the_per_cell_test_at_1_2_and_4_threads(mon
     inline = run_scenario(scenario, threads=1)
     assert inline["summary"]["error_count"] == 0
     n = harness.CELL_BLOCK + 1
-    assert stacks == [(1, list(range(n - 1))), (1, [n - 1])]
-    _assert_gap_records_match_the_oracle(scenario, inline)
+    # ensemble-signalling and the gap each rule on a full block, then on a stack of one
+    block = list(range(n - 1))
+    assert stacks == [(0, block), (1, block), (0, [n - 1]), (1, [n - 1])]
+    _assert_records_match_the_oracle(scenario, inline)
     for threads in (2, 4):
         assert strip_timestamp(run_scenario(scenario, threads=threads)) == strip_timestamp(inline)
 
@@ -698,7 +760,7 @@ def test_the_packaged_composition_demo_equals_the_per_cell_test():
     text = resources.files("qdata").joinpath("scenarios", "composition.json").read_text("utf-8")
     scenario = parse_scenario_dict(json.loads(text))
     for seed in (None, 2, 7):
-        _assert_gap_records_match_the_oracle(scenario, run_scenario(scenario, seed=seed))
+        _assert_records_match_the_oracle(scenario, run_scenario(scenario, seed=seed))
 
 
 def test_a_constant_second_box_stacks_the_block_and_a_parametric_one_runs_cell_by_cell(monkeypatch):
@@ -714,7 +776,7 @@ def test_a_constant_second_box_stacks_the_block_and_a_parametric_one_runs_cell_b
             stacks.clear()
             report = run_scenario(scenario, threads=threads)
             assert stacks == [(0, cells)] + [(1, [cell]) for cell in cells]
-            _assert_gap_records_match_the_oracle(scenario, report)
+            _assert_records_match_the_oracle(scenario, report)
 
 
 def _benchmark_documents(seed: int) -> dict:
@@ -744,9 +806,14 @@ def test_every_declared_composition_gap_stacks_whole_blocks(monkeypatch):
     assert {"composition.json", "exact-sweep-0", "exact-sweep-1"} <= declaring
     stacks = _recording_stacks(monkeypatch)
     for name in ("exact-sweep-0", "exact-sweep-1"):
+        scenario = parse_scenario_dict(documents[name])
+        assert [spec.name for spec in scenario.detectors] == ["helstrom", "ensemble-signalling", "composition-gap"]
         stacks.clear()
-        run_scenario(parse_scenario_dict(documents[name]), threads=1)
-        assert [len(cells) for _, cells in stacks] == [64, 64, 22], name
+        run_scenario(scenario, threads=1)
+        # helstrom, ensemble-signalling and the gap each rule once per block
+        assert [(det, len(cells)) for det, cells in stacks] == [
+            (det, size) for size in (64, 64, 22) for det in range(3)
+        ], name
 
 
 class _FailingBox(LinearBox):
@@ -773,8 +840,16 @@ def test_a_failing_build_settings_or_stack_fails_its_own_job_and_spares_its_bloc
         return build(self, params)
 
     monkeypatch.setattr(Scenario, "build", failing_at_kappa_3)
+    stacks = _recording_stacks(monkeypatch)
     scenario = parse_scenario_dict(doc)
     report = run_scenario(scenario, threads=1)
+    # cell 1 joins no stack; cell 4's box fails the helstrom and constant-gap
+    # stacks, which run again cell by cell; the parametric gap runs cell by cell
+    built = [0, 2, 3, 4, 5]
+    alone = [[cell] for cell in built]
+    assert stacks == [(0, built)] + [(0, c) for c in alone] + [(1, built)] + [(1, c) for c in alone] + [
+        (2, c) for c in alone
+    ]
     errors = {
         (entry["cell_index"], det): record["error"]
         for entry in report["cells"]
@@ -795,5 +870,147 @@ def test_a_failing_build_settings_or_stack_fails_its_own_job_and_spares_its_bloc
     for entry in report["cells"]:
         for record in entry["results"]:
             assert ("error" in record) == (record["samples"] == 0)
-    _assert_gap_records_match_the_oracle(scenario, report, cells={0, 2, 5})
+    _assert_records_match_the_oracle(scenario, report, cells={0, 2, 5})
     assert "verdict" in report["cells"][3]["results"][1]
+
+
+# ---------------------------------------------------------------- helstrom and ensemble-signalling stacks
+
+
+class _SkewBox(LinearBox):
+    """A linear box whose outputs carry a non-Hermitian off-diagonal entry."""
+
+    def ensemble_output_density(self, inputs):
+        matrix = super().ensemble_output_density(inputs).matrix.copy()
+        matrix[0, 1] += 1e-6
+        return DensityMatrix._of(matrix)
+
+
+def _mixed_boxes() -> list:
+    """Every box family in one stack, with Helstrom differences that have null directions."""
+    damping = LinearBox(QuantumChannel.amplitude_damping(0.35))
+    warped = NonlinearBloch(2.5, rotation_y(0.9))
+    collapse = CollapseNonlinear((ket(0), ket(1)), kappa=3.0, pre_unitary=rotation_y(0.4))
+    return [
+        damping,
+        LinearBox(QuantumChannel.identity(2)),
+        LinearBox(QuantumChannel.depolarizing(1.0)),  # every output is I/2
+        LinearBox(QuantumChannel.amplitude_damping(1.0)),  # every output is |0><0|
+        warped,
+        NonlinearBloch(1.0),
+        collapse,
+        CollapseNonlinear((plus_state(), minus_state()), kappa=1.75),
+        ComposedBox([damping, warped]),
+        compose_boxes(warped, LinearBox(QuantumChannel.dephasing(0.3))),
+        ComposedBox([collapse, NonlinearBloch(4.0)]),
+    ]
+
+
+def _fields(verdict) -> str:
+    # every ruled field, exact_success included, serialized so a sign of zero counts too
+    return json.dumps(harness._verdict_dict(verdict), sort_keys=True)
+
+
+# the default pair, an orthogonal pair and one state twice
+THETAS = ((math.pi / 2 - math.pi / 8, math.pi / 2 + math.pi / 8), (0.0, math.pi), (0.4, 0.4))
+PRIORS = ((0.5, 0.5), (0.3, 0.7), (0.7, 0.3))
+
+
+def test_stacked_helstrom_and_signalling_equal_the_per_cell_tests_bit_for_bit():
+    boxes = _mixed_boxes()
+    for thetas in THETAS:
+        for priors in PRIORS:
+            setup = _setup(thetas, priors)
+            streams = [RngStream(71, mix64(k, 0)) for k in range(len(boxes))]
+            got = helstrom_tests(boxes, setup, 997, rng=streams)
+            assert len(got) == len(boxes)
+            for k, (box, verdict) in enumerate(zip(boxes, got)):
+                alone = RngStream(71, mix64(k, 0))
+                assert _fields(verdict) == _fields(_per_cell_helstrom(box, setup, 997, rng=alone)), k
+                # each box's trials go onto its own stream's tally
+                assert streams[k].samples == alone.samples == 997
+            one = helstrom_test(boxes[-1], setup, 997, rng=RngStream(71, mix64(len(boxes) - 1, 0)))
+            assert _fields(one) == _fields(got[-1])
+    got = ensemble_signalling_tests(boxes, rng=[RngStream(71, k) for k in range(len(boxes))])
+    for box, verdict in zip(boxes, got):
+        assert _fields(verdict) == _fields(_per_cell_signalling(box))
+        assert _fields(ensemble_signalling_test(box)) == _fields(verdict)
+    assert helstrom_tests([], _setup(*THETAS[:1], PRIORS[0]), rng=[]) == []
+    assert ensemble_signalling_tests([]) == []
+
+
+def test_a_stack_with_a_non_hermitian_difference_fails_as_its_box_does_alone():
+    setup = _setup(THETAS[0], (0.3, 0.7))
+    skewed = _SkewBox(QuantumChannel.identity(2))
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        _per_cell_helstrom(skewed, setup, 997, rng=RngStream(71, 0))
+    streams = [RngStream(71, k) for k in range(4)]
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        helstrom_tests(_mixed_boxes()[:3] + [skewed], setup, 997, rng=streams)
+    assert [stream.samples for stream in streams] == [0] * 4
+
+
+def test_helstrom_and_signalling_blocks_equal_the_per_cell_tests_at_1_2_and_4_threads(monkeypatch):
+    boxes = _mixed_boxes()
+    n = harness.CELL_BLOCK + 1
+    last = _SkewBox(QuantumChannel.identity(2))
+
+    def mixed(self, params):
+        # one stack mixes every family; the last cell, a stack of one, fails helstrom
+        k = int(params["k"])
+        return last if k == n - 1 else boxes[k % len(boxes)]
+
+    monkeypatch.setattr(Scenario, "build", mixed)
+    stacks = _recording_stacks(monkeypatch)
+    scenario = parse_scenario_dict(
+        {
+            "name": "mixed-families",
+            "master_seed": 43,
+            "box": {"family": "nonlinear-bloch", "kappa": {"param": "k"}},
+            "parameter_grid": {"k": list(range(n))},
+            "detectors": [
+                {"name": "helstrom", "settings": {"trials": 500, "priors": [0.3, 0.7]}},
+                {"name": "helstrom", "settings": {"trials": 500, "thetas": [0.0, 3.0], "priors": [0.7, 0.3]}},
+                {"name": "ensemble-signalling"},
+            ],
+        }
+    )
+    inline = run_scenario(scenario, threads=1)
+    block = list(range(n - 1))
+    assert stacks == [(d, block) for d in range(3)] + [(d, [n - 1]) for d in range(3)]
+    errors = [(e["cell_index"], d) for e in inline["cells"] for d, r in enumerate(e["results"]) if "error" in r]
+    assert errors == [(n - 1, 0), (n - 1, 1)]
+    _assert_records_match_the_oracle(scenario, inline)
+    for threads in (2, 4):
+        assert strip_timestamp(run_scenario(scenario, threads=threads)) == strip_timestamp(inline)
+
+
+def test_a_detector_that_rules_cell_by_cell_keeps_a_failing_cell_in_its_own_record(monkeypatch):
+    build = Scenario.build
+
+    def failing_at_kappa_2(self, params):
+        if params["kappa"] == 2:
+            return _FailingBox(QuantumChannel.identity(2))
+        return build(self, params)
+
+    monkeypatch.setattr(Scenario, "build", failing_at_kappa_2)
+    stacks = _recording_stacks(monkeypatch)
+    scenario = parse_scenario_dict(
+        {
+            "name": "ancilla-block",
+            "master_seed": 17,
+            "box": {"family": "nonlinear-bloch", "kappa": {"param": "kappa"}},
+            "parameter_grid": {"kappa": [1, 2, 3]},
+            "detectors": [{"name": "ancilla-consistency", "settings": {"shots": 64}}],
+        }
+    )
+    report = run_scenario(scenario, threads=1)
+    # one stack, not run again: the failing cell keeps its error, its neighbours their verdicts
+    assert stacks == [(0, [0, 1, 2])]
+    records = [entry["results"][0] for entry in report["cells"]]
+    assert records[1] == {"detector": "ancilla-consistency", "error": "RuntimeError: boom", "samples": 0}
+    for cell in (0, 2):
+        stream = RngStream(17, mix64(cell, 0))
+        verdict = ancilla_consistency_test(build(scenario, scenario.grid[cell]), 64, rng=stream)
+        assert records[cell]["verdict"] == harness._verdict_dict(verdict)
+        assert records[cell]["samples"] == stream.samples > 0

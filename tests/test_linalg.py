@@ -387,7 +387,7 @@ def test_haar_unitary_is_the_phase_fixed_qr_of_the_full_draw(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
-def test_haar_columns_are_the_first_columns_of_the_unitary_bit_for_bit(dim):
+def test_haar_columns_are_the_phase_fixed_qr_of_their_draw_bit_for_bit(dim):
     # the stream layout: a dim x cols real block, then a dim x cols imaginary
     # block, phase-fixed QR; with cols == dim that is haar_random_unitary
     for cols in sorted({1, 2, dim // 2, dim - 1, dim} - {0}):

@@ -318,17 +318,18 @@ def test_param_references_resolve_in_second_box_and_stages():
         detectors=[{"name": "composition-gap", "settings": {"second_box": second_box}}],
     )
     sc = parse_scenario_dict(d)
-    # run each cell's job with a runner that keeps what the job built
+    # run each cell as a stack of one, with a runner that keeps what the stack got
     built = []
 
-    def keep(box, rng, **settings):
-        built.append((box, settings))
+    def keep(boxes, rng, **settings):
+        built.extend((box, settings) for box in boxes)
+        return [None] * len(boxes)
 
     spec = sc.detectors[0]
     entry = Entry(spec.entry.keys, keep, needs="box")
     sc = dataclasses.replace(sc, detectors=(dataclasses.replace(spec, entry=entry),))
     for cell_index in range(len(sc.grid)):
-        sc.run_job(cell_index, 0, None, lambda: sc.build(sc.grid[cell_index]))
+        sc.run_stack([cell_index], 0, [None], [sc.build(sc.grid[cell_index])])
     kappas = [box.boxes[1].kappa for box, _ in built]
     channels = [settings["second_box"].channel for _, settings in built]
     assert kappas == [2.0, 4.0]

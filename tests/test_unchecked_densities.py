@@ -1,10 +1,10 @@
 """Densities wrapped by construction, without the eigensolve of ``check_densities``.
 
 ``PureState.density``, ``Ensemble.density``, ``BoxModel._mixture`` (every
-non-linear box output and every entangled-probe output) and
-``state_tomography`` skip the full check; these oracles put their outputs
-through it over seeded inputs, and pin how many full checks a sweep cell
-still makes.
+non-linear box output and every entangled-probe output, also when
+``output_densities`` stacks them) and ``state_tomography`` skip the full
+check; these oracles put their outputs through it over seeded inputs, and
+pin how many densities a sweep cell still checks in full.
 """
 
 import copy
@@ -33,7 +33,7 @@ from qdata import (
     run_scenario,
     state_tomography,
 )
-from qdata import states
+from qdata import boxes, states
 from qdata.states import check_densities
 from qdata.tomography import _raw_estimate
 
@@ -145,10 +145,17 @@ LINEAR_CELL = {
 )
 def test_a_sweep_cell_checks_only_the_densities_that_enter_it(monkeypatch, doc, full_checks):
     scenario = parse_scenario_dict(copy.deepcopy(doc))
-    calls = []
+    checked = []
     check = states.check_densities
-    monkeypatch.setattr(states, "check_densities", lambda m: calls.append(m) or check(m))
+
+    def counting(m):
+        # a stack of densities, as the box layer checks its outputs, counts each matrix
+        checked.append(m.size // m.shape[-1] ** 2)
+        return check(m)
+
+    for module in (states, boxes):
+        monkeypatch.setattr(module, "check_densities", counting)
     report = run_scenario(scenario)
     results = report["cells"][0]["results"]
     assert [r.get("error") for r in results] == [None] * 3
-    assert len(calls) == full_checks
+    assert sum(checked) == full_checks
