@@ -18,8 +18,10 @@ place, and a stack of several cells that raises is run again one cell at a
 time, so each job records its own error.  Reports are strict JSON with
 sorted keys, complex matrices flattened row-major as [re, im] pairs,
 non-finite numbers (an undefined standard error) as null, and a schema
-version that bumps on any breaking change.  ``diff_reports`` lists what
-differs between two reports besides the timestamp.
+version that bumps on any breaking change.  A report file is an indented
+header, one line per grid cell, and the other sections indented.
+``diff_reports`` lists what differs between two reports besides the
+timestamp.
 """
 
 from __future__ import annotations
@@ -196,13 +198,32 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: int | None = None) 
     }
 
 
-def dump_report(report: dict, fh) -> None:
-    """Serialize a report as strict JSON (sorted keys, fixed layout).
+# CPython's C encoder runs only for a one-shot encode with no indent, so each
+# cell goes through it alone; the rest of a report is small.
+_encode_cell = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+# no JSON string holds a line break, so this opens the top-level key alone
+_CELLS = '\n  "cells": ['
 
-    Raises ValueError rather than write NaN or Infinity, which are not JSON.
+
+def dump_report(report: dict, fh) -> None:
+    """Serialize a report as strict JSON with sorted keys, in a fixed line layout.
+
+    Each grid cell is one line, with sorted keys and the default separators
+    (``"std_error": null``).  Everything else is laid out with an indent of
+    2: a header that opens ``"cells": [``, the cell lines, then provenance,
+    scenario, schema version and summary, indented.  The ``"timestamp"``
+    line holds the timestamp alone.  The cells are written to ``fh`` one at
+    a time.  Raises ValueError rather than write NaN or Infinity, which are
+    not JSON.
     """
-    json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
-    fh.write("\n")
+    rest = json.dumps({**report, "cells": []}, sort_keys=True, indent=2, allow_nan=False)
+    head, tail = rest.split(_CELLS + "]")
+    fh.write(head + _CELLS)
+    separator = "\n    "
+    for cell in report["cells"]:
+        fh.write(separator + _encode_cell(cell))
+        separator = ",\n    "
+    fh.write("\n  ]" + tail + "\n")
 
 
 def write_report(report: dict, path) -> None:

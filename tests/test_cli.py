@@ -199,6 +199,18 @@ def test_run_out_writes_file_and_prints_digest(mini_path, tmp_path, capsys):
     assert report["summary"]["error_count"] == 0
 
 
+def test_run_prints_to_stdout_the_bytes_it_writes_to_out(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**MINI, "parameter_grid": {"theta": [0.1, 0.2, 0.3]}}))
+    assert main(["run", str(path)]) == 0
+    printed = capsys.readouterr().out
+    out_file = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out_file)]) == 0
+    written = out_file.read_bytes().decode("utf-8")
+    assert len(json.loads(written)["cells"]) == 3
+    assert drop_timestamp(printed) == drop_timestamp(written)
+
+
 def test_run_out_unwritable_is_a_usage_error(mini_path, tmp_path, capsys):
     out_path = str(tmp_path / "missing" / "report.json")
     assert main(["run", mini_path, "--out", out_path]) == 1

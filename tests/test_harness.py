@@ -331,6 +331,35 @@ def test_report_io_rejects_non_finite_numbers(tmp_path, identity_report):
         load_report(path)
 
 
+def test_a_report_file_holds_one_line_per_cell_and_the_rest_indented(tmp_path, identity_report):
+    report = identity_report
+    assert len(report["cells"]) > 1
+    assert any("reconstructions" in r for cell in report["cells"] for r in cell["results"])
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    text = path.read_text()
+    assert json.loads(text) == report
+    lines = text.splitlines()
+    start = lines.index('  "cells": [')
+    end = start + 1 + len(report["cells"])
+    # each cell is one line, the C encoder's, and then the array closes
+    for line, cell in zip(lines[start + 1 : end], report["cells"]):
+        assert line.startswith("    {")
+        assert json.loads(line.rstrip(",")) == cell
+        assert line.strip().rstrip(",") == json.dumps(cell, sort_keys=True)
+    assert lines[end] == "  ],"
+    # everything else is laid out as an indent of 2 lays it out
+    rest = lines[:start] + ['  "cells": [],'] + lines[end + 1 :]
+    assert "\n".join(rest) + "\n" == json.dumps({**report, "cells": []}, sort_keys=True, indent=2) + "\n"
+    # the line that holds the timestamp holds nothing else
+    stamps = [line for line in lines if '"timestamp"' in line]
+    assert stamps == [f'    "timestamp": {json.dumps(report["provenance"]["timestamp"])},']
+    bad = copy.deepcopy(report)
+    bad["cells"][-1]["results"][0]["verdict"]["statistic"] = float("inf")
+    with pytest.raises(ValueError):
+        write_report(bad, tmp_path / "never.json")
+
+
 def test_summarize_report_digest(identity_report):
     digest = summarize_report(identity_report)
     assert "scenario: identity-sweep" in digest
