@@ -367,10 +367,14 @@ def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
 
     * ``LinearBox``'s: one einsum of every input density against the
       stacked Choi matrices, symmetrized and checked as densities once;
-    * ``BoxModel``'s (the Bloch-warp boxes and ``ComposedBox``): each box
-      enumerates its branches on each input's ensemble, as that method
-      does, and only the weighted projector sums are stacked;
-    * any other: the box's own method, one input at a time.
+    * ``BoxModel``'s (the Bloch-warp boxes and ``ComposedBox``): one array
+      enumeration of the branches over rows, a row being one (box, ensemble
+      state, weight) of the stack (:func:`_branch_terms`).  All rows advance
+      stage by stage, a Bloch-warp stage warping every row in one pass and
+      a linear stage applying its Kraus operators to every row; then the
+      weighted projector sums of all the cells are added as one stack;
+    * any other, or one whose class has its own ``branch_distribution``:
+      the box's own method, one input at a time.
     """
     boxes = list(boxes)
     inputs = list(inputs)
@@ -381,9 +385,10 @@ def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
     out = np.empty((len(boxes), len(inputs), d, d), dtype=complex)
     if not inputs:
         return out
-    runs = [type(box).ensemble_output_density for box in boxes]
-    linear = [k for k, run in enumerate(runs) if run is LinearBox.ensemble_output_density]
-    branching = [k for k, run in enumerate(runs) if run is BoxModel.ensemble_output_density]
+    runs = [(type(box).ensemble_output_density, type(box).branch_distribution) for box in boxes]
+    linear = [k for k, (run, _) in enumerate(runs) if run is LinearBox.ensemble_output_density]
+    enumerated = (BoxModel.ensemble_output_density, BoxModel.branch_distribution)
+    branching = [k for k, run in enumerate(runs) if run == enumerated]
     others = sorted(set(range(len(boxes))).difference(linear, branching))
     if linear:
         rhos = np.array([_input_density(x).matrix for x in inputs])
@@ -396,37 +401,197 @@ def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
         out[linear] = outs
     if branching:
         ensembles = [_as_ensemble(x) for x in inputs]
-        terms = [
-            [
-                [(w * p, phi.vector) for w, s in zip(e.weights, e.states) for p, phi in boxes[k].branch_distribution(s)]
-                for e in ensembles
-            ]
-            for k in branching
-        ]
-        out[branching] = _mixtures(terms, d)
+        count = len(branching) * len(ensembles)
+        sums = _mixtures(*_branch_terms([boxes[k] for k in branching], ensembles), count, d)
+        out[branching] = sums.reshape(len(branching), len(ensembles), d, d)
     for k in others:
         out[k] = [boxes[k].ensemble_output_density(x).matrix for x in inputs]
     return out
 
 
-def _mixtures(terms, dim: int) -> np.ndarray:
-    """:meth:`BoxModel._mixture` of each term list ``terms[k][n]``, as one (k, n, dim, dim) stack.
+def _branch_terms(boxes: Sequence[BoxModel], ensembles: Sequence[Ensemble]) -> tuple:
+    """Every box's branches on the states of every ensemble, enumerated over rows.
 
-    Each list holds the ``(weight x p, branch vector)`` terms of one sum.
-    The weighted projectors are added term by term over the whole stack,
-    in the order the one-box sum adds them (a shorter list adds exact
-    zeros), so each sum is bit for bit the one-box sum; only the traces
-    are checked, as there.
+    Returns ``(cells, weights, vectors)``, one entry per term: cell
+    ``k * len(ensembles) + n`` holds the ``(weight x p, branch vector)``
+    terms of ``boxes[k].ensemble_output_density(ensembles[n])``, bit for bit
+    and in the order that method sums them.  A row starts as one (box,
+    ensemble state, weight); a ``ComposedBox`` is its chain of stages and
+    any other box one stage.  The boxes whose chains run the same kinds of
+    stage (:func:`_stage_kind`) advance together, each stage over all their
+    rows at once, and a composite drops each product of branch
+    probabilities at or below ``BRANCH_CUTOFF``, as its own enumeration does.
     """
-    shape = (len(terms), len(terms[0]))
-    depth = max((len(t) for row in terms for t in row), default=0)
-    padded = [t + [(0.0, np.zeros(dim))] * (depth - len(t)) for row in terms for t in row]
-    weights = np.array([[w for w, _ in t] for t in padded]).reshape(shape + (depth,))
-    vectors = np.array([[v for _, v in t] for t in padded], dtype=complex).reshape(shape + (depth, dim))
-    weighted = weights[..., None, None] * (vectors[..., :, None] * vectors[..., None, :].conj())
-    out = np.zeros(shape + (dim, dim), dtype=complex)
+    for box in boxes:
+        for e in ensembles:
+            if e.dim != box.dim_in:
+                raise InvalidShapeError(f"box expects dimension {box.dim_in}, got {e.dim}")
+    sources = [(n, w, s.vector) for n, e in enumerate(ensembles) for w, s in zip(e.weights, e.states)]
+    inputs = np.array([n for n, _, _ in sources])
+    weights = np.array([w for _, w, _ in sources])
+    chains: dict = {}
+    for k, box in enumerate(boxes):
+        composed = type(box).joint_branches is ComposedBox.joint_branches
+        stages = box.boxes if composed else (box,)
+        kinds = tuple((_stage_kind(stage), stage.dim_out) for stage in stages)
+        chains.setdefault((composed, kinds), []).append((k, stages))
+    cells, terms, branches = [], [], []
+    for (composed, kinds), members in chains.items():
+        # row r began as source r % len(sources) of box members[r // len(sources)]
+        origin = np.arange(len(members) * len(sources))
+        probs = np.ones(origin.size)
+        vectors = np.tile([v for _, _, v in sources], (len(members), 1))
+        for t, (kind, dim) in enumerate(kinds):
+            stages = [chain[t] for _, chain in members]
+            parent, q, vectors = kind(stages, origin // len(sources), vectors, dim)
+            probs = probs[parent] * q
+            origin = origin[parent]
+            if composed:
+                keep = probs > BRANCH_CUTOFF
+                origin, probs, vectors = origin[keep], probs[keep], vectors[keep]
+        member, source = np.divmod(origin, len(sources))
+        cells.append(np.array([k for k, _ in members])[member] * len(ensembles) + inputs[source])
+        terms.append(weights[source] * probs)
+        branches.append(vectors)
+    return np.concatenate(cells), np.concatenate(terms), np.concatenate(branches)
+
+
+def _stage_kind(stage: BoxModel):
+    """The row enumeration that runs ``stage.joint_branches`` at a one-dimensional reference.
+
+    Each takes ``(stages, inv, vectors, dim)``: row r holds ``vectors[r]``
+    at stage ``stages[inv[r]]``.  It returns ``(parent, q, branches)``, one
+    entry per branch that stage keeps, in row order and then in the stage's
+    branch order: the row it came from, its probability and its vector of
+    dimension ``dim``.
+    """
+    run = type(stage).joint_branches
+    if run is LinearBox.joint_branches:
+        return _kraus_rows
+    if getattr(type(stage), "_warp_pure", None) is _BlochWarp._warp_pure:
+        if run is NonlinearBloch.joint_branches:
+            return _warped_rows
+        if run is _BlochWarp.joint_branches:
+            return _collapsed_rows
+    return _called_rows
+
+
+def _kraus_rows(stages, inv, vectors, dim):
+    """:meth:`LinearBox.joint_branches` of every row: each Kraus operator applied."""
+    ops = [s.channel.kraus_operators() for s in stages]
+    kraus = np.zeros((len(stages), max(map(len, ops)), dim, vectors.shape[1]), dtype=complex)
+    # a padding operator keeps no branch
+    for i, k in enumerate(ops):
+        kraus[i, :len(k)] = k
+    out = np.matmul(kraus[inv], vectors[:, None, :, None])[..., 0]
+    # the stacked (1, d) @ (d, 1) products are ``vdot`` bit for bit
+    p = np.matmul(out.conj()[..., None, :], out[..., None])[..., 0, 0].real
+    parent, k = np.nonzero(p > BRANCH_CUTOFF)
+    p = p[parent, k]
+    branches = out[parent, k] / np.sqrt(p)[:, None]
+    _check_norms(branches)
+    return parent, p, branches
+
+
+def _warped_rows(stages, inv, vectors, dim):
+    """:meth:`NonlinearBloch.joint_branches` of every row: the plain input warped whole."""
+    kappas, pre, post = _warp_parameters(stages)
+    return np.arange(len(inv)), np.ones(len(inv)), _warp_rows(vectors, kappas[inv], pre[inv], post[inv])
+
+
+def _collapsed_rows(stages, inv, vectors, dim):
+    """:meth:`_BlochWarp.joint_branches` of every row: the basis projection, each
+    basis state warped once per stage (a state beyond qubits passes through)."""
+    basis = np.array([[b.vector for b in s.basis] for s in stages])
+    warped = basis
+    if dim == 2:
+        kappas, pre, post = (np.repeat(a, dim, axis=0) for a in _warp_parameters(stages))
+        warped = _warp_rows(basis.reshape(-1, dim), kappas, pre, post).reshape(basis.shape)
+    # the reference amplitude b^dagger psi and its weight, each a stacked (1, d) @ (d, 1)
+    ref = np.matmul(basis.conj()[inv][:, :, None, :], vectors[:, None, :, None])[..., 0, 0]
+    p = np.matmul(ref.conj()[..., None, None], ref[..., None, None])[..., 0, 0].real
+    parent, k = np.nonzero(p > BRANCH_CUTOFF)
+    p = p[parent, k]
+    phase = ref[parent, k] / np.sqrt(p)
+    _check_norms(phase[:, None])
+    branches = warped[inv[parent], k] * phase[:, None]
+    _check_norms(branches)
+    return parent, p, branches
+
+
+def _called_rows(stages, inv, vectors, dim):
+    """Any other stage: its own ``joint_branches`` on each row in turn."""
+    found = [
+        (r, p, phi.vector)
+        for r, (i, vector) in enumerate(zip(inv, vectors))
+        for p, phi in stages[i].joint_branches(PureState(vector), 1)
+    ]
+    return (
+        np.array([r for r, _, _ in found], dtype=np.intp),
+        np.array([p for _, p, _ in found], dtype=float),
+        np.array([v for _, _, v in found], dtype=complex).reshape(-1, dim),
+    )
+
+
+def _warp_parameters(stages) -> tuple:
+    """The exponents and the pre- and post-unitaries of Bloch-warp stages, stacked."""
+    return (
+        np.array([s.kappa for s in stages]),
+        np.array([s.pre_unitary for s in stages]),
+        np.array([s.post_unitary for s in stages]),
+    )
+
+
+def _warp_rows(vectors, kappas, pre, post) -> np.ndarray:
+    """:meth:`_BlochWarp._warp_pure` of each qubit row, bit for bit, in one pass.
+
+    The stacked products make the per-row BLAS calls of ``U @ v``, and
+    ``hypot`` is the scalar ``abs`` of a complex number; only the polar
+    warp itself runs row by row (:func:`warp_polar_angle`, which uses
+    ``math``).  The rows are norm-checked as ``PureState`` checks the
+    scalar warp's result.
+    """
+    rotated = np.matmul(pre, vectors[..., None])[..., 0]
+    a, b = np.ascontiguousarray(rotated[:, 0]), np.ascontiguousarray(rotated[:, 1])
+    abs_a, abs_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
+    theta = 2.0 * np.arctan2(abs_b, abs_a)
+    phi = np.where((abs_a > 1e-15) & (abs_b > 1e-15), np.angle(b) - np.angle(a), 0.0)
+    half = np.array([warp_polar_angle(th, k) for th, k in zip(theta.tolist(), kappas.tolist())]) / 2.0
+    kets = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=-1)
+    out = np.matmul(post, kets[..., None])[..., 0]
+    _check_norms(out)
+    return out
+
+
+def _check_norms(vectors: np.ndarray) -> None:
+    """``PureState``'s norm check on every row of a stack of vectors."""
+    if not (abs(np.linalg.norm(vectors, axis=-1) - 1.0) <= 1e-12).all():
+        raise InvalidInputError("state vector is not normalized")
+
+
+def _mixtures(cells: np.ndarray, weights: np.ndarray, vectors: np.ndarray, count: int, dim: int) -> np.ndarray:
+    """:meth:`BoxModel._mixture` of each cell's terms, as one (count, dim, dim) stack.
+
+    Term i is ``weights[i]`` times the projector on ``vectors[i]``, in cell
+    ``cells[i]``; a cell's terms are summed in the order given.  The
+    weighted projectors are added term by term over the whole stack, in
+    the order the one-box sum adds them (a cell with fewer terms adds
+    exact zeros), so each sum is bit for bit the one-box sum; only the
+    traces are checked, as there.
+    """
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    counts = np.bincount(cells, minlength=count)
+    rank = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
+    depth = counts.max(initial=0)
+    padded_weights = np.zeros((count, depth))
+    padded_weights[cells, rank] = weights[order]
+    padded = np.zeros((count, depth, dim), dtype=complex)
+    padded[cells, rank] = vectors[order]
+    weighted = padded_weights[..., None, None] * (padded[..., :, None] * padded[..., None, :].conj())
+    out = np.zeros((count, dim, dim), dtype=complex)
     for i in range(depth):
-        out += weighted[:, :, i]
+        out += weighted[:, i]
     if not (abs(out.trace(axis1=-2, axis2=-1).real - 1.0) <= ATOL).all():
         raise InvalidInputError("density matrix trace differs from 1")
     return out

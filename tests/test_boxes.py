@@ -40,6 +40,8 @@ from qdata import (
     uhlmann_fidelity,
     warp_polar_angle,
 )
+from qdata.boxes import _warp_rows
+from qdata.linalg import haar_random_unitary
 
 RY45 = rotation_y(math.pi / 4)
 
@@ -584,3 +586,156 @@ def test_output_densities_raise_where_a_box_alone_raises():
             output_densities(stack, [ket(0, 3)])
     with pytest.raises(InvalidShapeError, match="differ in output dimension"):
         output_densities(boxes + [LinearBox(QuantumChannel.identity(3))], [ket(0)])
+
+
+def test_the_stacked_warp_is_the_scalar_warp_bit_for_bit():
+    root = RngStream(33, 0)
+    plus_i = PureState(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+    # |a| or |b| below 1e-15 zeroes the azimuth; theta = 3.1 drives the
+    # upper-hemisphere exponent of kappa = 2000 past the clamp at 700
+    tiny = [np.array([1.0, 4e-16j]), np.array([3e-16, -1.0j]), np.array([0.0, 1.0])]
+    panel = [ket(0), ket(1), plus_state(), plus_i, PureState.from_bloch(3.1, 0.7)]
+    panel += [PureState(v / np.linalg.norm(v)) for v in tiny]
+    panel += [PureState.haar(2, root.child(k)) for k in range(60)]
+    identity = np.eye(2, dtype=complex)
+    boxes = []
+    for k, kappa in enumerate((0.2, 1.0, 2.5, 2000.0)):
+        boxes.append(NonlinearBloch(kappa))
+        for j in range(3):
+            pre, post = (haar_random_unitary(2, root.child(100 + 10 * k + j, side)) for side in (0, 1))
+            boxes.append(NonlinearBloch(kappa, pre_unitary=pre, post_unitary=post))
+        boxes.append(NonlinearBloch(kappa, post_unitary=rotation_y(0.9)))
+    rows = [(box, psi) for box in boxes for psi in panel]
+    got = _warp_rows(
+        np.array([psi.vector for _, psi in rows]),
+        np.array([box.kappa for box, _ in rows]),
+        np.array([box.pre_unitary for box, _ in rows]),
+        np.array([box.post_unitary for box, _ in rows]),
+    )
+    assert any(np.array_equal(box.pre_unitary, identity) for box in boxes)
+    for r, (box, psi) in enumerate(rows):
+        assert got[r].tobytes() == box._warp_pure(psi).vector.tobytes(), r
+    # the panel reaches the clamp: kappa = 2000 sends theta = 3.1 to the south pole
+    assert warp_polar_angle(panel[4].bloch_angles()[0], 2000.0) == math.pi
+
+
+class _HalfBranches(BoxModel):
+    """A box with its own enumeration: the input and its flip, half each."""
+
+    dim_in = dim_out = 2
+
+    def joint_branches(self, joint, ref_dim):
+        flipped = PureState(np.kron(np.array([[0, 1], [1, 0]]), np.eye(ref_dim)) @ joint.vector)
+        return [(0.5, joint), (0.5, flipped)]
+
+
+class _OwnDistribution(NonlinearBloch):
+    """A warp box with its own plain-input distribution, so a stack runs that method as is."""
+
+    def branch_distribution(self, psi):
+        return [(1.0, PureState(psi.vector[::-1].copy()))]
+
+
+def _assert_stack_is_each_box_alone(boxes, inputs):
+    got = output_densities(boxes, inputs)
+    for k, box in enumerate(boxes):
+        for n, source in enumerate(inputs):
+            assert got[k, n].tobytes() == box.ensemble_output_density(source).matrix.tobytes(), (k, n)
+
+
+def test_output_densities_of_dropped_and_uneven_branches_equal_each_box_alone_bit_for_bit():
+    root = RngStream(33, 1)
+    tilted = (PureState(rotation_y(2e-3) @ ket(0).vector), PureState(rotation_y(2e-3) @ ket(1).vector))
+    warp = NonlinearBloch(2.5, pre_unitary=RY45, post_unitary=rotation_y(1.3))
+    collapse = CollapseNonlinear((ket(0), ket(1)), kappa=4.0, post_unitary=RY45)
+    damped = [LinearBox(QuantumChannel.amplitude_damping(g)) for g in (0.0, 1.0, 0.3)]
+    boxes = [
+        # the projection on |1> drops where the input is |0>
+        collapse,
+        # mid-chain, gamma = 0 drops its decay branch on every row, and gamma = 1
+        # its other branch on each row the collapse leaves at (nearly) |1>
+        ComposedBox([warp, damped[0], collapse]),
+        ComposedBox([CollapseNonlinear((ket(0), ket(1)), kappa=4.0), damped[1], warp]),
+        # one, two, four and eight branches per input in one stack
+        warp,
+        _HalfBranches(),
+        ComposedBox([damped[2], _HalfBranches(), collapse]),
+        ComposedBox([LinearBox(random_channel(2, 2, root.child(0))), collapse, _HalfBranches()]),
+        ComposedBox([collapse, compose_boxes(damped[2], warp)]),
+        _OwnDistribution(1.5),
+        compose_boxes(warp, LinearBox(random_channel(2, 2, root.child(1)))),
+        # both stages keep the branch through |1> of ``faint``, but not their product
+        ComposedBox([CollapseNonlinear((ket(0), ket(1))), CollapseNonlinear(tilted)]),
+    ]
+    mixed = Ensemble((0.25, 0.75), (ket(1), PureState.haar(2, root.child(2))))
+    faint = PureState(np.array([math.sqrt(1.0 - 1e-8), 1e-4]))
+    inputs = [ket(0), ket(1), plus_state(), PureState.haar(2, root.child(3)), mixed, mixed.density(), faint]
+    _assert_stack_is_each_box_alone(boxes, inputs)
+    _assert_stack_is_each_box_alone(boxes[::-1], inputs[::-1])
+    # the branches these cases drop are dropped
+    assert len(collapse.branch_distribution(ket(0))) == 1
+    assert [len(box.branch_distribution(plus_state())) for box in boxes[1:3]] == [2, 2]
+    assert len(boxes[-1].branch_distribution(faint)) == 3
+
+
+def test_output_densities_of_qutrit_and_rectangular_stages_equal_each_box_alone_bit_for_bit():
+    root = RngStream(33, 2)
+    qutrit = CollapseNonlinear(tuple(PureState(c) for c in haar_random_unitary(3, root.child(0)).T))
+    boxes = [
+        qutrit,
+        CollapseNonlinear((ket(0, 3), ket(1, 3), ket(2, 3))),
+        ComposedBox([LinearBox(random_channel(3, 3, root.child(1))), qutrit]),
+        ComposedBox([qutrit, LinearBox(random_channel(3, 3, root.child(2)))]),
+    ]
+    inputs = [ket(2, 3), PureState.haar(3, root.child(3)), DensityMatrix(np.diag([0.5, 0.3, 0.2]))]
+    _assert_stack_is_each_box_alone(boxes, inputs)
+    # a qutrit-to-qubit stage feeds a warp: every row changes dimension mid-chain
+    narrowing = [
+        ComposedBox([LinearBox(random_channel(3, 2, root.child(4))), NonlinearBloch(3.0, RY45)]),
+        ComposedBox([qutrit, LinearBox(random_channel(3, 2, root.child(5))), NonlinearBloch(0.5)]),
+    ]
+    _assert_stack_is_each_box_alone(narrowing, inputs)
+
+
+class _UnevenBranches(BoxModel):
+    """A faulty box whose branches do not sum to one."""
+
+    dim_in = dim_out = 2
+
+    def joint_branches(self, joint, ref_dim):
+        return [(0.5, joint)]
+
+
+class _RaisingBranches(_UnevenBranches):
+    def joint_branches(self, joint, ref_dim):
+        raise ArithmeticError("no branches")
+
+
+@pytest.mark.parametrize("case", ["trace", "own-error", "stage-error", "input-dimension", "warp-norm"])
+def test_a_stack_raises_what_its_failing_box_raises_alone(case, monkeypatch):
+    good = [
+        NonlinearBloch(2.0, post_unitary=RY45),
+        ComposedBox([DEPHASE, TILTED]),
+        LinearBox(QuantumChannel.identity(2)),
+    ]
+    inputs = [plus_state(), Ensemble((0.5, 0.5), (ket(0), ket(1)))]
+    if case == "trace":
+        failing = _UnevenBranches()
+    elif case == "own-error":
+        failing = _RaisingBranches()
+    elif case == "stage-error":
+        failing = ComposedBox([DEPHASE, _RaisingBranches()])
+    elif case == "input-dimension":
+        failing = ComposedBox([LinearBox(random_channel(3, 2, RngStream(33, 3))), WARP])
+    else:
+        import qdata.boxes
+
+        monkeypatch.setattr(qdata.boxes, "warp_polar_angle", lambda theta, kappa: math.nan)
+        failing = ComposedBox([DEPHASE, NonlinearBloch(2.0)])
+        good = good[2:]
+    with pytest.raises(Exception) as alone:
+        failing.ensemble_output_density(inputs[0])
+    for stack in (good + [failing], [failing] + good):
+        with pytest.raises(Exception) as stacked:
+            output_densities(stack, inputs)
+        assert stacked.type is alone.type, case
