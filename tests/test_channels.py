@@ -248,7 +248,7 @@ ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("d_in, d_out, env_dim", ORACLE_CASES)
-def test_random_channel_equals_the_isometry_formula_bit_for_bit(d_in, d_out, env_dim):
+def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out, env_dim):
     # bit for bit: the Gram matrix of V's rows regrouped by (input, output);
     # to 1e-12: the dilation's Choi matrix written out index by index
     n = d_in * d_out
