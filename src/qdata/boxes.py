@@ -362,19 +362,17 @@ def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
 
     Entry [k, n] is ``boxes[k].ensemble_output_density(inputs[n]).matrix``
     bit for bit, and the stack raises whenever one of those calls would
-    (and also when the boxes differ in output dimension).  The boxes are
-    grouped by the ``ensemble_output_density`` their class runs:
+    (and also when the boxes differ in output dimension).  One rule picks
+    how: the stock classes, by exact type, are stacked, and every other box
+    runs its own method.
 
-    * ``LinearBox``'s: one einsum of every input density against the
+    * an exact ``LinearBox``: one einsum of every input density against the
       stacked Choi matrices, symmetrized and checked as densities once;
-    * ``BoxModel``'s (the Bloch-warp boxes and ``ComposedBox``): one array
-      enumeration of the branches over rows, a row being one (box, ensemble
-      state, weight) of the stack (:func:`_branch_terms`).  All rows advance
-      stage by stage, a Bloch-warp stage warping every row in one pass and
-      a linear stage applying its Kraus operators to every row; then the
-      weighted projector sums of all the cells are added as one stack;
-    * any other, or one whose class has its own ``branch_distribution``:
-      the box's own method, one input at a time.
+    * a box whose chain of stages is known (:func:`_chain`): one array
+      enumeration of the branches over rows (:func:`_branch_terms`), whose
+      weighted projector sums are added as one stack;
+    * any other box (a subclass, a nested composite, a custom stage): its
+      own ``ensemble_output_density``, one input at a time.
     """
     boxes = list(boxes)
     inputs = list(inputs)
@@ -385,95 +383,80 @@ def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
     out = np.empty((len(boxes), len(inputs), d, d), dtype=complex)
     if not inputs:
         return out
-    runs = [(type(box).ensemble_output_density, type(box).branch_distribution) for box in boxes]
-    linear = [k for k, (run, _) in enumerate(runs) if run is LinearBox.ensemble_output_density]
-    enumerated = (BoxModel.ensemble_output_density, BoxModel.branch_distribution)
-    branching = [k for k, run in enumerate(runs) if run == enumerated]
-    others = sorted(set(range(len(boxes))).difference(linear, branching))
+    linear = [k for k, box in enumerate(boxes) if type(box) is LinearBox]
+    chains = {k: _chain(box) for k, box in enumerate(boxes) if type(box) is not LinearBox}
+    branching = [k for k, chain in chains.items() if chain]
     if linear:
-        rhos = np.array([_input_density(x).matrix for x in inputs])
-        if any(boxes[k].dim_in != rhos.shape[-1] for k in linear):
+        rhos = [_input_density(x).matrix for x in inputs]
+        # every input and every linear box share one dimension, or some pair raises alone
+        if {len(rho) for rho in rhos} != {boxes[k].dim_in for k in linear}:
             raise InvalidShapeError("state dimension does not match the channel input")
         chois = np.array([boxes[k].channel.choi4 for k in linear])
-        outs = np.einsum("nij,kiajb->knab", rhos, chois)
+        outs = np.einsum("nij,kiajb->knab", np.array(rhos), chois)
         outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
         check_densities(outs)
         out[linear] = outs
     if branching:
         ensembles = [_as_ensemble(x) for x in inputs]
         count = len(branching) * len(ensembles)
-        sums = _mixtures(*_branch_terms([boxes[k] for k in branching], ensembles), count, d)
+        sums = _mixtures(*_branch_terms([chains[k] for k in branching], ensembles), count, d)
         out[branching] = sums.reshape(len(branching), len(ensembles), d, d)
-    for k in others:
-        out[k] = [boxes[k].ensemble_output_density(x).matrix for x in inputs]
+    for k, chain in chains.items():
+        if not chain:
+            out[k] = [boxes[k].ensemble_output_density(x).matrix for x in inputs]
     return out
 
 
-def _branch_terms(boxes: Sequence[BoxModel], ensembles: Sequence[Ensemble]) -> tuple:
-    """Every box's branches on the states of every ensemble, enumerated over rows.
+def _chain(box: BoxModel) -> tuple | None:
+    """The stages ``box`` runs (a ``ComposedBox``'s own, any other box alone), or None
+    unless the exact class of each stage has a row enumeration in ``_ROWS``."""
+    stages = box.boxes if type(box) is ComposedBox else (box,)
+    return stages if all(type(stage) in _ROWS for stage in stages) else None
+
+
+def _branch_terms(chains: Sequence[tuple], ensembles: Sequence[Ensemble]) -> tuple:
+    """Every chain's branches on the states of every ensemble, enumerated over rows.
 
     Returns ``(cells, weights, vectors)``, one entry per term: cell
     ``k * len(ensembles) + n`` holds the ``(weight x p, branch vector)``
-    terms of ``boxes[k].ensemble_output_density(ensembles[n])``, bit for bit
-    and in the order that method sums them.  A row starts as one (box,
-    ensemble state, weight); a ``ComposedBox`` is its chain of stages and
-    any other box one stage.  The boxes whose chains run the same kinds of
-    stage (:func:`_stage_kind`) advance together, each stage over all their
-    rows at once, and a composite drops each product of branch
-    probabilities at or below ``BRANCH_CUTOFF``, as its own enumeration does.
+    terms of the box with stages ``chains[k]`` on ``ensembles[n]``, bit for
+    bit and in the order its ``ensemble_output_density`` sums them.  Every
+    stage is a stock class by exact type (:func:`_chain`); any other box
+    runs its own method.  A row starts as one (chain, ensemble state,
+    weight).  Chains of the same stage classes advance together, one
+    ``_ROWS`` call per stage over all their rows, dropping each product of
+    branch probabilities at or below ``BRANCH_CUTOFF`` as a composite's own
+    enumeration does (a lone stage keeps only branches above it).
     """
-    for box in boxes:
+    for chain in chains:
         for e in ensembles:
-            if e.dim != box.dim_in:
-                raise InvalidShapeError(f"box expects dimension {box.dim_in}, got {e.dim}")
+            if e.dim != chain[0].dim_in:
+                raise InvalidShapeError(f"box expects dimension {chain[0].dim_in}, got {e.dim}")
     sources = [(n, w, s.vector) for n, e in enumerate(ensembles) for w, s in zip(e.weights, e.states)]
     inputs = np.array([n for n, _, _ in sources])
     weights = np.array([w for _, w, _ in sources])
-    chains: dict = {}
-    for k, box in enumerate(boxes):
-        composed = type(box).joint_branches is ComposedBox.joint_branches
-        stages = box.boxes if composed else (box,)
-        kinds = tuple((_stage_kind(stage), stage.dim_out) for stage in stages)
-        chains.setdefault((composed, kinds), []).append((k, stages))
+    groups: dict = {}
+    for k, chain in enumerate(chains):
+        kinds = tuple((_ROWS[type(stage)], stage.dim_out) for stage in chain)
+        groups.setdefault(kinds, []).append((k, chain))
     cells, terms, branches = [], [], []
-    for (composed, kinds), members in chains.items():
-        # row r began as source r % len(sources) of box members[r // len(sources)]
+    for kinds, members in groups.items():
+        # row r began as source r % len(sources) of chain members[r // len(sources)]
         origin = np.arange(len(members) * len(sources))
         probs = np.ones(origin.size)
         vectors = np.tile([v for _, _, v in sources], (len(members), 1))
-        for t, (kind, dim) in enumerate(kinds):
+        for t, (rows, dim) in enumerate(kinds):
             stages = [chain[t] for _, chain in members]
-            parent, q, vectors = kind(stages, origin // len(sources), vectors, dim)
+            parent, q, vectors = rows(stages, origin // len(sources), vectors, dim)
             probs = probs[parent] * q
             origin = origin[parent]
-            if composed:
-                keep = probs > BRANCH_CUTOFF
-                origin, probs, vectors = origin[keep], probs[keep], vectors[keep]
+            keep = probs > BRANCH_CUTOFF
+            origin, probs, vectors = origin[keep], probs[keep], vectors[keep]
         member, source = np.divmod(origin, len(sources))
         cells.append(np.array([k for k, _ in members])[member] * len(ensembles) + inputs[source])
         terms.append(weights[source] * probs)
         branches.append(vectors)
     return np.concatenate(cells), np.concatenate(terms), np.concatenate(branches)
-
-
-def _stage_kind(stage: BoxModel):
-    """The row enumeration that runs ``stage.joint_branches`` at a one-dimensional reference.
-
-    Each takes ``(stages, inv, vectors, dim)``: row r holds ``vectors[r]``
-    at stage ``stages[inv[r]]``.  It returns ``(parent, q, branches)``, one
-    entry per branch that stage keeps, in row order and then in the stage's
-    branch order: the row it came from, its probability and its vector of
-    dimension ``dim``.
-    """
-    run = type(stage).joint_branches
-    if run is LinearBox.joint_branches:
-        return _kraus_rows
-    if getattr(type(stage), "_warp_pure", None) is _BlochWarp._warp_pure:
-        if run is NonlinearBloch.joint_branches:
-            return _warped_rows
-        if run is _BlochWarp.joint_branches:
-            return _collapsed_rows
-    return _called_rows
 
 
 def _kraus_rows(stages, inv, vectors, dim):
@@ -500,7 +483,7 @@ def _warped_rows(stages, inv, vectors, dim):
 
 
 def _collapsed_rows(stages, inv, vectors, dim):
-    """:meth:`_BlochWarp.joint_branches` of every row: the basis projection, each
+    """:meth:`CollapseNonlinear.joint_branches` of every row: the basis projection, each
     basis state warped once per stage (a state beyond qubits passes through)."""
     basis = np.array([[b.vector for b in s.basis] for s in stages])
     warped = basis
@@ -519,18 +502,13 @@ def _collapsed_rows(stages, inv, vectors, dim):
     return parent, p, branches
 
 
-def _called_rows(stages, inv, vectors, dim):
-    """Any other stage: its own ``joint_branches`` on each row in turn."""
-    found = [
-        (r, p, phi.vector)
-        for r, (i, vector) in enumerate(zip(inv, vectors))
-        for p, phi in stages[i].joint_branches(PureState(vector), 1)
-    ]
-    return (
-        np.array([r for r, _, _ in found], dtype=np.intp),
-        np.array([p for _, p, _ in found], dtype=float),
-        np.array([v for _, _, v in found], dtype=complex).reshape(-1, dim),
-    )
+# The row enumeration that runs ``joint_branches`` at a one-dimensional
+# reference for each stage class, by exact type.  Each takes ``(stages, inv,
+# vectors, dim)``, row r holding ``vectors[r]`` at stage ``stages[inv[r]]``,
+# and returns ``(parent, q, branches)``, one entry per branch the stage keeps,
+# in row order and then in the stage's branch order: the row it came from, its
+# probability and its vector of dimension ``dim``.
+_ROWS = {LinearBox: _kraus_rows, NonlinearBloch: _warped_rows, CollapseNonlinear: _collapsed_rows}
 
 
 def _warp_parameters(stages) -> tuple:

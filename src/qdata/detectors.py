@@ -125,6 +125,8 @@ class TestVerdict:
     a detector hands its report as evidence, outside the ruling.
     """
 
+    __test__ = False  # not a pytest test class, whatever its name says
+
     statistic: float
     threshold: float
     std_error: float

@@ -40,7 +40,7 @@ from qdata import (
     uhlmann_fidelity,
     warp_polar_angle,
 )
-from qdata.boxes import _warp_rows
+from qdata.boxes import _chain, _warp_rows
 from qdata.linalg import haar_random_unitary
 
 RY45 = rotation_y(math.pi / 4)
@@ -584,6 +584,9 @@ def test_output_densities_raise_where_a_box_alone_raises():
     for stack in (boxes, boxes[::-1]):
         with pytest.raises(InvalidShapeError):
             output_densities(stack, [ket(0, 3)])
+        # inputs of mixed dimensions are checked before they are stacked
+        with pytest.raises(InvalidShapeError, match="does not match the channel input"):
+            output_densities(stack, [ket(0), ket(0, 3)])
     with pytest.raises(InvalidShapeError, match="differ in output dimension"):
         output_densities(boxes + [LinearBox(QuantumChannel.identity(3))], [ket(0)])
 
@@ -617,6 +620,69 @@ def test_the_stacked_warp_is_the_scalar_warp_bit_for_bit():
         assert got[r].tobytes() == box._warp_pure(psi).vector.tobytes(), r
     # the panel reaches the clamp: kappa = 2000 sends theta = 3.1 to the south pole
     assert warp_polar_angle(panel[4].bloch_angles()[0], 2000.0) == math.pi
+
+
+def test_stock_boxes_stack_without_their_own_output_methods(monkeypatch):
+    root = RngStream(33, 4)
+    warp = NonlinearBloch(2.5, pre_unitary=RY45, post_unitary=rotation_y(1.3))
+    qutrit = CollapseNonlinear(tuple(PureState(c) for c in haar_random_unitary(3, root.child(0)).T))
+    qubits = [
+        LinearBox(QuantumChannel.amplitude_damping(0.35)),
+        warp,
+        CollapseNonlinear((plus_state(), minus_state()), kappa=3.0, post_unitary=RY45),
+        ComposedBox([LinearBox(random_channel(2, 2, root.child(1))), warp, CollapseNonlinear((ket(0), ket(1)))]),
+    ]
+    qutrits = [qutrit, ComposedBox([LinearBox(random_channel(3, 3, root.child(2))), qutrit])]
+    e1, e2 = equal_density_pair()
+    stacks = [
+        (qubits, [PureState.haar(2, root.child(3)), ket(1), e1, e2, e1.density()]),
+        (qutrits, [ket(2, 3), PureState.haar(3, root.child(4)), DensityMatrix(np.diag([0.5, 0.3, 0.2]))]),
+    ]
+    alone = [[[box.ensemble_output_density(x).matrix for x in inputs] for box in boxes] for boxes, inputs in stacks]
+
+    def refuse(*args):
+        raise AssertionError("a stock box left the stacked path")
+
+    monkeypatch.setattr(BoxModel, "ensemble_output_density", refuse)
+    monkeypatch.setattr(BoxModel, "branch_distribution", refuse)
+    monkeypatch.setattr(LinearBox, "ensemble_output_density", refuse)
+    for (boxes, inputs), expected in zip(stacks, alone):
+        assert output_densities(boxes, inputs).tobytes() == np.array(expected).tobytes()
+
+
+# subclasses of the stock classes with no overrides: not in the table by exact type
+class _LinearSubclass(LinearBox):
+    pass
+
+
+class _WarpSubclass(NonlinearBloch):
+    pass
+
+
+class _CollapseSubclass(CollapseNonlinear):
+    pass
+
+
+class _ComposedSubclass(ComposedBox):
+    pass
+
+
+def test_subclasses_and_nested_composites_run_their_own_method_bit_for_bit():
+    damping = LinearBox(QuantumChannel.amplitude_damping(0.35))
+    warp = NonlinearBloch(2.5, pre_unitary=RY45)
+    collapse = CollapseNonlinear((plus_state(), minus_state()), kappa=3.0)
+    boxes = [
+        _LinearSubclass(QuantumChannel.dephasing(0.3)),
+        _WarpSubclass(2.5, pre_unitary=RY45),
+        _CollapseSubclass((plus_state(), minus_state()), kappa=3.0),
+        _ComposedSubclass([damping, warp]),
+        ComposedBox([ComposedBox([damping, warp]), collapse]),
+        ComposedBox([damping, _WarpSubclass(0.4)]),
+    ]
+    assert all(_chain(box) is None for box in boxes)
+    e1, e2 = equal_density_pair()
+    inputs = [PureState.from_bloch(1.1, 0.4), ket(0), e1, e2, e2.density()]
+    _assert_stack_is_each_box_alone(boxes + [damping, warp, collapse], inputs)
 
 
 class _HalfBranches(BoxModel):

@@ -247,8 +247,7 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("d_in, d_out, env_dim", ORACLE_CASES)
-def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out, env_dim):
+def _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim):
     # bit for bit: the Gram matrix of V's rows regrouped by (input, output);
     # to 1e-12: the dilation's Choi matrix written out index by index
     n = d_in * d_out
@@ -260,6 +259,17 @@ def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out,
             assert np.array_equal(ch.choi, w @ w.conj().T)
             dilation = np.einsum("aei,bej->iajb", v, v.conj()).reshape(n, n)
             assert np.max(np.abs(ch.choi - dilation)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_in, d_out, env_dim", [case for case in ORACLE_CASES if case[0] == 2])
+def test_random_channel_equals_the_isometry_formula_bit_for_bit(d_in, d_out, env_dim):
+    _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim)
+
+
+# the cases beyond a qubit input keep this name until they move under the one above
+@pytest.mark.parametrize("d_in, d_out, env_dim", [case for case in ORACLE_CASES if case[0] != 2])
+def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out, env_dim):
+    _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim)
 
 
 @pytest.mark.parametrize("d_in, d_out, env_dim", [(2, 2, None), (2, 3, 1), (3, 2, 2)])
