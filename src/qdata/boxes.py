@@ -30,12 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ATOL, InvalidInputError, InvalidShapeError, as_integer, as_unitary, kron
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _check_chois, _link_products
 from .states import (
     DensityMatrix,
     Ensemble,
     Povm,
     PureState,
+    _EnsembleRows,
+    _check_norms,
+    _mixtures,
     as_state,
     bloch_angles,
     bloch_ket,
@@ -357,17 +360,20 @@ def compose_boxes(b1: BoxModel, b2: BoxModel) -> BoxModel:
     return ComposedBox(parts)
 
 
-def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
+def output_densities(boxes: Sequence[BoxModel], inputs) -> np.ndarray:
     """The exact output of every box on every input, as one (boxes, inputs, d, d) stack.
 
     Entry [k, n] is ``boxes[k].ensemble_output_density(inputs[n]).matrix``
     bit for bit, and the stack raises whenever one of those calls would
-    (and also when the boxes differ in output dimension).  One rule picks
+    (and also when the boxes differ in output dimension).  ``inputs`` may
+    also be a stack of ensembles as rows (:class:`qdata.states._EnsembleRows`),
+    entry [k, n] then being the box's output on ensemble n.  One rule picks
     how: the stock classes, by exact type, are stacked, and every other box
     runs its own method.
 
     * an exact ``LinearBox``: one einsum of every input density against the
-      stacked Choi matrices, symmetrized and checked as densities once;
+      stacked Choi matrices, symmetrized and checked as densities once
+      (:func:`_channel_outputs`);
     * a box whose chain of stages is known (:func:`_chain`): one array
       enumeration of the branches over rows (:func:`_branch_terms`), whose
       weighted projector sums are added as one stack;
@@ -375,35 +381,88 @@ def output_densities(boxes: Sequence[BoxModel], inputs: Sequence) -> np.ndarray:
       own ``ensemble_output_density``, one input at a time.
     """
     boxes = list(boxes)
-    inputs = list(inputs)
+    rows = inputs if isinstance(inputs, _EnsembleRows) else None
+    inputs = list(inputs) if rows is None else rows
     dims = {box.dim_out for box in boxes}
     if len(dims) > 1:
         raise InvalidShapeError("the boxes of a stack differ in output dimension")
     d = dims.pop() if dims else 0
-    out = np.empty((len(boxes), len(inputs), d, d), dtype=complex)
-    if not inputs:
+    count = len(inputs) if rows is None else rows.count
+    out = np.empty((len(boxes), count, d, d), dtype=complex)
+    if not count:
         return out
     linear = [k for k, box in enumerate(boxes) if type(box) is LinearBox]
     chains = {k: _chain(box) for k, box in enumerate(boxes) if type(box) is not LinearBox}
     branching = [k for k, chain in chains.items() if chain]
     if linear:
-        rhos = [_input_density(x).matrix for x in inputs]
-        # every input and every linear box share one dimension, or some pair raises alone
-        if {len(rho) for rho in rhos} != {boxes[k].dim_in for k in linear}:
-            raise InvalidShapeError("state dimension does not match the channel input")
-        chois = np.array([boxes[k].channel.choi4 for k in linear])
-        outs = np.einsum("nij,kiajb->knab", np.array(rhos), chois)
-        outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
-        check_densities(outs)
-        out[linear] = outs
+        chois = [boxes[k].channel.choi4 for k in linear]
+        out[linear] = _channel_outputs(inputs, chois)
     if branching:
-        ensembles = [_as_ensemble(x) for x in inputs]
-        count = len(branching) * len(ensembles)
-        sums = _mixtures(*_branch_terms([chains[k] for k in branching], ensembles), count, d)
-        out[branching] = sums.reshape(len(branching), len(ensembles), d, d)
-    for k, chain in chains.items():
-        if not chain:
-            out[k] = [boxes[k].ensemble_output_density(x).matrix for x in inputs]
+        ensembles = None if rows is not None else [_as_ensemble(x) for x in inputs]
+        in_dims = [rows.vectors.shape[1]] if ensembles is None else [e.dim for e in ensembles]
+        for k in branching:
+            for dim in in_dims:
+                if dim != chains[k][0].dim_in:
+                    raise InvalidShapeError(f"box expects dimension {chains[k][0].dim_in}, got {dim}")
+        sources = rows if ensembles is None else _EnsembleRows.of(ensembles)
+        sums = _mixtures(*_branch_terms([chains[k] for k in branching], sources), len(branching) * count, d)
+        out[branching] = sums.reshape(len(branching), count, d, d)
+    others = [k for k, chain in chains.items() if not chain]
+    if others:
+        # a box with its own method takes each ensemble of a stack of rows whole
+        ensembles = inputs if rows is None else rows.ensembles()
+        for k in others:
+            out[k] = [boxes[k].ensemble_output_density(x).matrix for x in ensembles]
+    return out
+
+
+def _channel_outputs(inputs, chois) -> np.ndarray:
+    """Each channel of ``chois`` (four-index Choi matrices of one shape) on each input, stacked.
+
+    ``inputs`` is a sequence of inputs of :meth:`LinearBox.ensemble_output_density`
+    or a stack of ensembles as rows, whose densities the channels apply.
+    One einsum gives every output, symmetrized and checked as densities
+    once, each bit for bit ``QuantumChannel.apply``'s.
+    """
+    if isinstance(inputs, _EnsembleRows):
+        rhos = inputs.densities()
+    else:
+        rhos = [_input_density(x).matrix for x in inputs]
+    # every input and every channel share one dimension, or some pair raises alone
+    if {len(rho) for rho in rhos} != {len(c) for c in chois}:
+        raise InvalidShapeError("state dimension does not match the channel input")
+    outs = np.einsum("nij,kiajb->knab", np.array(rhos), np.ascontiguousarray(chois))
+    outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
+    check_densities(outs)
+    return outs
+
+
+def _composed_outputs(firsts: Sequence[BoxModel], second: BoxModel, inputs) -> np.ndarray:
+    """``output_densities([compose_boxes(b, second) for b in firsts], inputs)``, bit for bit.
+
+    The pairs that :func:`compose_boxes` composes at the channel level (two
+    linear boxes) skip the composite boxes when they chain: their composed
+    Choi matrices are one stacked link product
+    (:func:`qdata.channels._link_products`), checked as channels once,
+    whose outputs are :func:`_channel_outputs`.  Every other first box is
+    composed with :func:`compose_boxes`.
+    """
+    firsts = list(firsts)
+    linear = []
+    if isinstance(second, LinearBox):
+        linear = [k for k, box in enumerate(firsts) if isinstance(box, LinearBox) and box.dim_out == second.dim_in]
+        # the Choi matrices of one stack share their shape
+        linear = [k for k in linear if firsts[k].dim_in == firsts[linear[0]].dim_in]
+    others = sorted(set(range(len(firsts))) - set(linear))
+    out = np.empty((len(firsts), len(inputs), second.dim_out, second.dim_out), dtype=complex)
+    if others:
+        out[others] = output_densities([compose_boxes(firsts[k], second) for k in others], inputs)
+    if linear and inputs:
+        dim_in = firsts[linear[0]].dim_in
+        chois = _link_products(second.channel, [firsts[k].channel for k in linear])
+        _check_chois(chois, dim_in, second.dim_out)
+        shape = (len(linear), dim_in, second.dim_out, dim_in, second.dim_out)
+        out[linear] = _channel_outputs(inputs, chois.reshape(shape))
     return out
 
 
@@ -414,13 +473,14 @@ def _chain(box: BoxModel) -> tuple | None:
     return stages if all(type(stage) in _ROWS for stage in stages) else None
 
 
-def _branch_terms(chains: Sequence[tuple], ensembles: Sequence[Ensemble]) -> tuple:
-    """Every chain's branches on the states of every ensemble, enumerated over rows.
+def _branch_terms(chains: Sequence[tuple], sources: _EnsembleRows) -> tuple:
+    """Every chain's branches on the states of a stack of ensembles, enumerated over rows.
 
-    Returns ``(cells, weights, vectors)``, one entry per term: cell
-    ``k * len(ensembles) + n`` holds the ``(weight x p, branch vector)``
-    terms of the box with stages ``chains[k]`` on ``ensembles[n]``, bit for
-    bit and in the order its ``ensemble_output_density`` sums them.  Every
+    ``sources`` holds the ensembles as rows, of the first stage's input
+    dimension.  Returns ``(cells, weights, vectors)``, one entry per term:
+    cell ``k * sources.count + n`` holds the ``(weight x p, branch vector)``
+    terms of the box with stages ``chains[k]`` on ensemble n, bit for bit
+    and in the order its ``ensemble_output_density`` sums them.  Every
     stage is a stock class by exact type (:func:`_chain`); any other box
     runs its own method.  A row starts as one (chain, ensemble state,
     weight).  Chains of the same stage classes advance together, one
@@ -428,32 +488,26 @@ def _branch_terms(chains: Sequence[tuple], ensembles: Sequence[Ensemble]) -> tup
     branch probabilities at or below ``BRANCH_CUTOFF`` as a composite's own
     enumeration does (a lone stage keeps only branches above it).
     """
-    for chain in chains:
-        for e in ensembles:
-            if e.dim != chain[0].dim_in:
-                raise InvalidShapeError(f"box expects dimension {chain[0].dim_in}, got {e.dim}")
-    sources = [(n, w, s.vector) for n, e in enumerate(ensembles) for w, s in zip(e.weights, e.states)]
-    inputs = np.array([n for n, _, _ in sources])
-    weights = np.array([w for _, w, _ in sources])
+    inputs, weights, size = sources.source, sources.weights, len(sources.source)
     groups: dict = {}
     for k, chain in enumerate(chains):
         kinds = tuple((_ROWS[type(stage)], stage.dim_out) for stage in chain)
         groups.setdefault(kinds, []).append((k, chain))
     cells, terms, branches = [], [], []
     for kinds, members in groups.items():
-        # row r began as source r % len(sources) of chain members[r // len(sources)]
-        origin = np.arange(len(members) * len(sources))
+        # row r began as source row r % size of chain members[r // size]
+        origin = np.arange(len(members) * size)
         probs = np.ones(origin.size)
-        vectors = np.tile([v for _, _, v in sources], (len(members), 1))
+        vectors = np.tile(sources.vectors, (len(members), 1))
         for t, (rows, dim) in enumerate(kinds):
             stages = [chain[t] for _, chain in members]
-            parent, q, vectors = rows(stages, origin // len(sources), vectors, dim)
+            parent, q, vectors = rows(stages, origin // size, vectors, dim)
             probs = probs[parent] * q
             origin = origin[parent]
             keep = probs > BRANCH_CUTOFF
             origin, probs, vectors = origin[keep], probs[keep], vectors[keep]
-        member, source = np.divmod(origin, len(sources))
-        cells.append(np.array([k for k, _ in members])[member] * len(ensembles) + inputs[source])
+        member, source = np.divmod(origin, size)
+        cells.append(np.array([k for k, _ in members])[member] * sources.count + inputs[source])
         terms.append(weights[source] * probs)
         branches.append(vectors)
     return np.concatenate(cells), np.concatenate(terms), np.concatenate(branches)
@@ -538,40 +592,6 @@ def _warp_rows(vectors, kappas, pre, post) -> np.ndarray:
     kets = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=-1)
     out = np.matmul(post, kets[..., None])[..., 0]
     _check_norms(out)
-    return out
-
-
-def _check_norms(vectors: np.ndarray) -> None:
-    """``PureState``'s norm check on every row of a stack of vectors."""
-    if not (abs(np.linalg.norm(vectors, axis=-1) - 1.0) <= 1e-12).all():
-        raise InvalidInputError("state vector is not normalized")
-
-
-def _mixtures(cells: np.ndarray, weights: np.ndarray, vectors: np.ndarray, count: int, dim: int) -> np.ndarray:
-    """:meth:`BoxModel._mixture` of each cell's terms, as one (count, dim, dim) stack.
-
-    Term i is ``weights[i]`` times the projector on ``vectors[i]``, in cell
-    ``cells[i]``; a cell's terms are summed in the order given.  The
-    weighted projectors are added term by term over the whole stack, in
-    the order the one-box sum adds them (a cell with fewer terms adds
-    exact zeros), so each sum is bit for bit the one-box sum; only the
-    traces are checked, as there.
-    """
-    order = np.argsort(cells, kind="stable")
-    cells = cells[order]
-    counts = np.bincount(cells, minlength=count)
-    rank = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
-    depth = counts.max(initial=0)
-    padded_weights = np.zeros((count, depth))
-    padded_weights[cells, rank] = weights[order]
-    padded = np.zeros((count, depth, dim), dtype=complex)
-    padded[cells, rank] = vectors[order]
-    weighted = padded_weights[..., None, None] * (padded[..., :, None] * padded[..., None, :].conj())
-    out = np.zeros((count, dim, dim), dtype=complex)
-    for i in range(depth):
-        out += weighted[:, i]
-    if not (abs(out.trace(axis1=-2, axis2=-1).real - 1.0) <= ATOL).all():
-        raise InvalidInputError("density matrix trace differs from 1")
     return out
 
 

@@ -96,14 +96,7 @@ class QuantumChannel:
 
     def __post_init__(self) -> None:
         c = as_operator(self.choi, dim=self.dim_in * self.dim_out)
-        if not is_hermitian(c, atol=1e-8):
-            raise InvalidChannelError("Choi matrix is not Hermitian")
-        if np.min(np.linalg.eigvalsh(c)) < -CP_ATOL:
-            raise InvalidChannelError("map is not completely positive")
-        c4 = c.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-        marginal = np.einsum("iaja->ij", c4)
-        if np.max(np.abs(marginal - np.eye(self.dim_in))) > TP_ATOL:
-            raise InvalidChannelError("map is not trace preserving")
+        _check_chois(c, self.dim_in, self.dim_out)
         object.__setattr__(self, "choi", c)
 
     @property
@@ -132,14 +125,8 @@ class QuantumChannel:
         return DensityMatrix(out)
 
     def compose(self, inner: "QuantumChannel") -> "QuantumChannel":
-        """self after inner (matrix order: self . inner)."""
-        if inner.dim_out != self.dim_in:
-            raise InvalidShapeError("channel dimensions do not chain")
-        dim = inner.dim_in * self.dim_out
-        _check_dim(dim)
-        # link product: sum over inner's output pair, which is self's input pair
-        choi4 = np.einsum("iajb,acbd->icjd", inner.choi4, self.choi4)
-        return QuantumChannel(choi4.reshape(dim, dim), inner.dim_in, self.dim_out)
+        """self after inner (matrix order: self . inner): the stack-of-one :func:`_link_products`."""
+        return QuantumChannel(_link_products(self, [inner])[0], inner.dim_in, self.dim_out)
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
         din = self.dim_in * other.dim_in
@@ -195,6 +182,40 @@ class QuantumChannel:
         k0 = np.sqrt(1.0 - p / 2.0) * np.eye(2)
         k1 = np.sqrt(p / 2.0) * sz
         return cls.from_kraus([k0, k1], 2, 2)
+
+
+def _check_chois(c: np.ndarray, dim_in: int, dim_out: int) -> None:
+    """Raise :class:`InvalidChannelError` unless ``c``, one Choi matrix or a stack of them, is CPTP.
+
+    The checks of :class:`QuantumChannel`: Hermitian within 1e-8, no
+    eigenvalue below ``-CP_ATOL`` and an input marginal within ``TP_ATOL``
+    of the identity, each run once over the whole stack.
+    """
+    if not is_hermitian(c, atol=1e-8):
+        raise InvalidChannelError("Choi matrix is not Hermitian")
+    if np.min(np.linalg.eigvalsh(c)) < -CP_ATOL:
+        raise InvalidChannelError("map is not completely positive")
+    c4 = c.reshape(c.shape[:-2] + (dim_in, dim_out, dim_in, dim_out))
+    marginal = np.einsum("...iaja->...ij", c4)
+    if np.max(np.abs(marginal - np.eye(dim_in))) > TP_ATOL:
+        raise InvalidChannelError("map is not trace preserving")
+
+
+def _link_products(outer: QuantumChannel, inners) -> np.ndarray:
+    """The Choi matrices of ``outer`` after each channel of ``inners``, as one (k, n, n) stack.
+
+    Every inner channel has one input dimension.  One einsum runs over the
+    stack, each matrix bit for bit as alone; nothing is checked beyond the
+    dimensions (:func:`_check_chois` checks a stack once).
+    """
+    for inner in inners:
+        if inner.dim_out != outer.dim_in:
+            raise InvalidShapeError("channel dimensions do not chain")
+    dim = inners[0].dim_in * outer.dim_out
+    _check_dim(dim)
+    # link product: sum over each inner's output pair, which is outer's input pair
+    choi4 = np.einsum("kiajb,acbd->kicjd", np.array([inner.choi4 for inner in inners]), outer.choi4)
+    return choi4.reshape(-1, dim, dim)
 
 
 def random_channel(

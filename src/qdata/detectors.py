@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoxModel, BoxPair, LinearBox, _local_dims, compose_boxes, output_densities
+from .boxes import BoxModel, BoxPair, LinearBox, _composed_outputs, _local_dims, output_densities
 from .channels import QuantumChannel, random_channel
 from .linalg import (
     MAX_DIM,
@@ -49,6 +49,7 @@ from .states import (
     DensityMatrix,
     Ensemble,
     PureState,
+    _eigen_rows,
     as_state,
     check_densities,
     ket,
@@ -488,12 +489,15 @@ def _concatenated(
 
     Box k draws from ``streams[k]``: its first stage on child 0, its second
     on child 1.  Each stage is one stacked state tomography over all the
-    boxes, each reconstruction bit for bit as alone.
+    boxes, each reconstruction bit for bit as alone.  The first-stage
+    estimates are re-prepared as their eigen-ensembles by one stacked
+    eigensolve (:func:`qdata.states._eigen_rows`), whose rows are the
+    second box's inputs as they stand.
     """
     outputs = output_densities(firsts, [psi])[:, 0]
     first_hats = _state_tomographies(outputs, run, [s.child(0) for s in streams])
     # each estimate is re-prepared as its eigen-ensemble, one input of the second box each
-    outputs = output_densities([second], [DensityMatrix._of(m).eigen_ensemble() for m in first_hats])[0]
+    outputs = output_densities([second], _eigen_rows(first_hats))[0]
     return _state_tomographies(outputs, run, [s.child(1) for s in streams])
 
 
@@ -526,12 +530,14 @@ def composition_gap_tests(
 
     The streams must share one seed, and each takes its own box's samples
     on its tally; no streams, or streams of several seeds, raise
-    :class:`InvalidInputError` before any draw.  Each tomography stage runs
-    once over all the boxes and the gaps are one stacked trace norm; every
-    verdict is bit for bit the one-box call's.
+    :class:`InvalidInputError` before any draw.  The composed outputs are
+    one stack (:func:`qdata.boxes._composed_outputs`: linear pairs as one
+    stacked link product, checked as channels once), each tomography stage
+    runs once over all the boxes and the gaps are one stacked trace norm;
+    every verdict is bit for bit the one-box call's.
     """
     probe = PureState.from_bloch(probe_theta, 0.0)
-    composed = output_densities([compose_boxes(box, second_box) for box in boxes], [probe])[:, 0]
+    composed = _composed_outputs(boxes, second_box, [probe])[:, 0]
     staged = _concatenated(boxes, second_box, probe, TomographyRun(shots), rng)
     gaps = 0.5 * trace_norms(composed - staged)
     return [

@@ -10,7 +10,8 @@ adds the samples it draws.
 
 Bulk draws build no stream and no per-stream generator: ``_child_keys``
 lists the Philox keys of the children of one seed and a list of stream ids,
-and ``_keyed_multinomials`` re-keys one per-thread Philox for each row, so
+mixing all of them at once in numpy ``uint64`` arithmetic, and
+``_keyed_multinomials`` re-keys one per-thread Philox for each row, so
 every row draws exactly what a fresh generator with that key would.
 """
 
@@ -55,21 +56,45 @@ def _philox_key(seed: int, stream_id: int) -> tuple:
     )
 
 
+# splitmix64's constants as numpy scalars, so the array mixer never mixes in
+# a Python int and never converts one per call
+_GOLDEN64, _MUL1, _MUL2 = np.uint64(_GOLDEN), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _splitmix64s(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of every entry of the ``uint64`` array ``x``, in place.
+
+    numpy's ``uint64`` arithmetic wraps mod 2**64, as the masks of the
+    scalar mixer do, so each entry is that mixer's value bit for bit.
+    """
+    x += _GOLDEN64
+    x ^= x >> _SHIFTS[0]
+    x *= _MUL1
+    x ^= x >> _SHIFTS[1]
+    x *= _MUL2
+    x ^= x >> _SHIFTS[2]
+    return x
+
+
 def _child_keys(seed: int, ids, count: int) -> np.ndarray:
     """Philox keys of ``RngStream(seed, ids[k]).child(i)`` for i < count, k-major.
 
     Row ``k * count + i`` is the key that child's generator would get:
-    ``_philox_key(seed, mix64(ids[k], i))``, with the seed's key word mixed
-    once per call and each id folded once, so a key costs three mixer rounds.
+    ``_philox_key(seed, mix64(ids[k], i))``.  An id is any integer (a
+    Python or numpy one), masked to 64 bits as :func:`mix64` masks it; no
+    ids give a (0, 2) array.  Every id and child index is mixed at once
+    (:func:`_splitmix64s`), and the seed's key word once per call.
     """
-    seed_word = splitmix64(seed & _MASK64)
-    keys = []
-    for stream_id in ids:
-        folded = mix64(stream_id)
-        for i in range(count):
-            child_id = splitmix64(folded ^ i)  # mix64(stream_id, i)
-            keys.append((seed_word, splitmix64(splitmix64(child_id) ^ _GOLDEN)))
-    return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+    folded = _splitmix64s(np.array([int(i) & _MASK64 for i in ids], dtype=np.uint64))  # mix64(id)
+    words = (folded[:, None] ^ np.arange(count, dtype=np.uint64)).reshape(-1)
+    _splitmix64s(words)  # mix64(id, i), the child's stream id
+    _splitmix64s(words)
+    words ^= _GOLDEN64
+    keys = np.empty((words.size, 2), dtype=np.uint64)
+    keys[:, 0] = splitmix64(seed & _MASK64)
+    keys[:, 1] = _splitmix64s(words)
+    return keys
 
 
 _per_thread = threading.local()

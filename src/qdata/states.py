@@ -13,13 +13,16 @@ projector of a checked pure state, an ensemble's mixture, the mixture of a
 box's checked branches (which keeps a trace check, since branches below
 the cutoff are dropped) and a tomography estimate projected onto the
 densities.  ``eigen_ensemble`` diagonalizes a DensityMatrix without
-checking it again.
+checking it again; ``_eigen_rows`` diagonalizes a whole stack in one
+``eigh`` and holds its eigen-ensembles as rows, each bit for bit the
+one-matrix ensemble.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,12 +164,12 @@ class DensityMatrix:
         return DensityMatrix(partial_trace(self.matrix, dims, keep))
 
     def eigen_ensemble(self) -> "Ensemble":
-        """Spectral decomposition as an ensemble (zero-weight branches dropped)."""
+        """Spectral decomposition as an ensemble (zero-weight branches dropped).
+
+        The stack-of-one case of :func:`_eigen_rows`.
+        """
         # a DensityMatrix was checked, or is Hermitian by construction
-        w, v = _eigh_descending(self.matrix)
-        pairs = [(float(max(p, 0.0)), PureState(v[:, i])) for i, p in enumerate(w) if p > 1e-12]
-        total = sum(p for p, _ in pairs)
-        return Ensemble(tuple(p / total for p, _ in pairs), tuple(s for _, s in pairs))
+        return _eigen_rows(self.matrix[None]).ensembles()[0]
 
 
 def check_densities(m: np.ndarray) -> None:
@@ -260,6 +263,102 @@ class Ensemble:
         )
         density.matrix.flags.writeable = False
         return density
+
+
+class _EnsembleRows(NamedTuple):
+    """A stack of ``count`` ensembles as rows, in ensemble order.
+
+    Row r is the state ``vectors[r]`` at weight ``weights[r]`` in ensemble
+    ``source[r]``; every state has one dimension.
+    """
+
+    count: int
+    source: np.ndarray
+    weights: np.ndarray
+    vectors: np.ndarray
+
+    @classmethod
+    def of(cls, ensembles: Sequence["Ensemble"]) -> "_EnsembleRows":
+        """The rows of ``ensembles``, which share one dimension, each in its own order."""
+        return cls(
+            len(ensembles),
+            np.repeat(np.arange(len(ensembles)), [len(e.weights) for e in ensembles]),
+            np.array([w for e in ensembles for w in e.weights]),
+            np.array([s.vector for e in ensembles for s in e.states]),
+        )
+
+    def densities(self) -> np.ndarray:
+        """Each ensemble's :meth:`Ensemble.density`, bit for bit, as one (count, d, d) stack."""
+        return _mixtures(self.source, self.weights, self.vectors, self.count, self.vectors.shape[1])
+
+    def ensembles(self) -> list:
+        """Each ensemble of the stack as an :class:`Ensemble`."""
+        bounds = np.searchsorted(self.source, np.arange(self.count + 1)).tolist()
+        return [
+            Ensemble(tuple(self.weights[a:b].tolist()), tuple(map(PureState, self.vectors[a:b])))
+            for a, b in zip(bounds, bounds[1:])
+        ]
+
+
+def _eigen_rows(matrices: np.ndarray) -> _EnsembleRows:
+    """The eigen-ensemble of each density of the stack ``matrices`` (n, d, d), as rows.
+
+    One ``eigh`` runs over the whole stack; each matrix must be Hermitian
+    (checked, or Hermitian by construction).  An ensemble keeps its
+    eigenvectors of eigenvalue p > 1e-12 in descending order of p, weighted
+    by p over the left-to-right sum of the kept p, bit for bit as
+    :meth:`DensityMatrix.eigen_ensemble` weights them.  The vectors' norms
+    and each ensemble's weight sum are checked as :class:`Ensemble` checks
+    them, once over the stack.
+    """
+    w, v = _eigh_descending(matrices)
+    keep = w > 1e-12
+    if not keep[:, 0].all():
+        raise InvalidShapeError("ensemble weights and states must pair up")
+    # the kept eigenvalues lead each row, and a cumulative sum adds a row left
+    # to right as Python's ``sum`` does, then the exact zeros that pad it
+    p = np.where(keep, w, 0.0)
+    weights = p / np.cumsum(p, axis=1)[:, -1:]
+    if not (abs(np.cumsum(weights, axis=1)[:, -1] - 1.0) <= 1e-12).all():
+        raise InvalidInputError("ensemble weights must be a probability vector")
+    source, column = np.nonzero(keep)
+    vectors = v[source, :, column]
+    _check_norms(vectors)
+    return _EnsembleRows(len(w), source, weights[source, column], vectors)
+
+
+def _check_norms(vectors: np.ndarray) -> None:
+    """``PureState``'s norm check on every row of a stack of vectors."""
+    if not (abs(np.linalg.norm(vectors, axis=-1) - 1.0) <= 1e-12).all():
+        raise InvalidInputError("state vector is not normalized")
+
+
+def _mixtures(cells: np.ndarray, weights: np.ndarray, vectors: np.ndarray, count: int, dim: int) -> np.ndarray:
+    """The weighted projector sum of each cell's terms, as one (count, dim, dim) stack.
+
+    Term i is ``weights[i]`` times the projector on ``vectors[i]``, in cell
+    ``cells[i]``; a cell's terms are summed in the order given.  The
+    weighted projectors are added term by term over the whole stack (a
+    cell with fewer terms adds exact zeros), so each sum is bit for bit the
+    one-cell sum of ``Ensemble.density`` or ``BoxModel._mixture``; only the
+    traces are checked, as the latter checks them.
+    """
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    counts = np.bincount(cells, minlength=count)
+    rank = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
+    depth = counts.max(initial=0)
+    padded_weights = np.zeros((count, depth))
+    padded_weights[cells, rank] = weights[order]
+    padded = np.zeros((count, depth, dim), dtype=complex)
+    padded[cells, rank] = vectors[order]
+    weighted = padded_weights[..., None, None] * (padded[..., :, None] * padded[..., None, :].conj())
+    out = np.zeros((count, dim, dim), dtype=complex)
+    for i in range(depth):
+        out += weighted[:, i]
+    if not (abs(out.trace(axis1=-2, axis2=-1).real - 1.0) <= ATOL).all():
+        raise InvalidInputError("density matrix trace differs from 1")
+    return out
 
 
 def born_probabilities(state, povm: Povm) -> np.ndarray:

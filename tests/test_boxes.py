@@ -805,3 +805,102 @@ def test_a_stack_raises_what_its_failing_box_raises_alone(case, monkeypatch):
         with pytest.raises(Exception) as stacked:
             output_densities(stack, inputs)
         assert stacked.type is alone.type, case
+
+
+def _gap_firsts(root):
+    """First boxes of one stack: stock linear boxes, a linear subclass, warp and composed boxes."""
+    return [
+        *(LinearBox(QuantumChannel.amplitude_damping(g)) for g in (0.0, 0.35, 1.0)),
+        LinearBox(random_channel(2, 2, root.child(0))),
+        _LinearSubclass(QuantumChannel.dephasing(0.6)),
+        NonlinearBloch(2.5, pre_unitary=RY45),
+        LinearBox(QuantumChannel.depolarizing(0.6)),
+        CollapseNonlinear((plus_state(), minus_state()), kappa=3.0),
+        ComposedBox([LinearBox(QuantumChannel.amplitude_damping(0.2)), NonlinearBloch(1.5)]),
+    ]
+
+
+def test_composed_outputs_equal_the_composite_boxes_bit_for_bit():
+    from qdata.boxes import _composed_outputs
+
+    root = RngStream(56, 0)
+    firsts = _gap_firsts(root)
+    e1, e2 = equal_density_pair()
+    inputs = [PureState.from_bloch(1.0, 0.0), PureState.from_bloch(2.2, 0.7), e2, e1.density()]
+    seconds = [
+        LinearBox(QuantumChannel.dephasing(0.3)),
+        LinearBox(random_channel(2, 3, root.child(1))),  # a rectangular second box
+        NonlinearBloch(4.0),
+        _LinearSubclass(QuantumChannel.amplitude_damping(0.5)),
+    ]
+    for second in seconds:
+        got = _composed_outputs(firsts, second, inputs)
+        want = output_densities([compose_boxes(box, second) for box in firsts], inputs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), second
+        for k in (0, 5):
+            assert got[k:k + 1].tobytes() == _composed_outputs(firsts[k:k + 1], second, inputs).tobytes()
+
+
+def test_composed_outputs_of_linear_boxes_build_no_composite_channel(monkeypatch):
+    from qdata import boxes as boxes_module
+    from qdata.boxes import _composed_outputs
+    from qdata.channels import _check_chois
+
+    firsts = [LinearBox(QuantumChannel.amplitude_damping(g)) for g in (0.1, 0.5, 0.9)]
+    second = LinearBox(QuantumChannel.dephasing(0.3))
+    want = output_densities([compose_boxes(box, second) for box in firsts], [ket(0), plus_state()])
+
+    def refuse(*args):
+        raise AssertionError("a channel was composed alone")
+
+    checked = []
+
+    def check(chois, dim_in, dim_out):
+        checked.append((chois.shape, dim_in, dim_out))
+        return _check_chois(chois, dim_in, dim_out)
+
+    monkeypatch.setattr(QuantumChannel, "compose", refuse)
+    monkeypatch.setattr(boxes_module, "_check_chois", check)
+    assert _composed_outputs(firsts, second, [ket(0), plus_state()]).tobytes() == want.tobytes()
+    # the composed Choi matrices are checked as channels, once over the stack
+    assert checked == [((3, 4, 4), 2, 2)]
+    assert _composed_outputs([], second, [ket(0)]).shape == (0, 1, 2, 2)
+
+
+def test_composed_outputs_raise_where_a_composite_raises():
+    from qdata.boxes import _composed_outputs
+
+    second = LinearBox(QuantumChannel.dephasing(0.3))
+    qubits = [LinearBox(QuantumChannel.amplitude_damping(0.3)), NonlinearBloch(2.0)]
+    odd = [
+        LinearBox(random_channel(3, 2, RngStream(56, 2))),  # a qutrit input for a qubit probe
+        LinearBox(random_channel(2, 3, RngStream(56, 3))),  # an output the second box cannot take
+    ]
+    for box in odd:
+        with pytest.raises(InvalidShapeError):
+            output_densities([compose_boxes(box, second)], [ket(0)])
+        for stack in ([box], qubits + [box], [box] + qubits[::-1]):
+            with pytest.raises(InvalidShapeError):
+                _composed_outputs(stack, second, [ket(0)])
+
+
+def test_output_densities_of_ensemble_rows_equal_their_ensembles_bit_for_bit():
+    from qdata.states import _eigen_rows
+    from qdata.tomography import TomographyRun, _state_tomographies
+
+    root = RngStream(56, 4)
+    sources = np.array([PureState.haar(2, root.child(k)).density().matrix for k in range(6)] + [np.eye(2) / 2])
+    for shots in (1, 50):
+        streams = [root.child(10 + shots, k) for k in range(len(sources))]
+        rows = _eigen_rows(_state_tomographies(sources, TomographyRun(shots), streams))
+        boxes = _gap_firsts(root) + [_WarpSubclass(0.4)]
+        got = output_densities(boxes, rows)
+        assert got.tobytes() == output_densities(boxes, rows.ensembles()).tobytes()
+        for k, box in enumerate(boxes):
+            for n, ensemble in enumerate(rows.ensembles()):
+                assert got[k, n].tobytes() == box.ensemble_output_density(ensemble).matrix.tobytes()
+    qutrit_rows = _eigen_rows(np.array([np.eye(3) / 3]))
+    with pytest.raises(InvalidShapeError, match="does not match the channel input"):
+        output_densities([LinearBox(QuantumChannel.identity(2))], qutrit_rows)
+    with pytest.raises(InvalidShapeError, match="box expects dimension 2, got 3"):
+        output_densities([NonlinearBloch(2.0)], qutrit_rows)

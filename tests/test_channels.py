@@ -247,7 +247,8 @@ ORACLE_CASES = [
 ]
 
 
-def _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim):
+@pytest.mark.parametrize("d_in, d_out, env_dim", ORACLE_CASES)
+def test_random_channel_equals_the_isometry_formula_bit_for_bit(d_in, d_out, env_dim):
     # bit for bit: the Gram matrix of V's rows regrouped by (input, output);
     # to 1e-12: the dilation's Choi matrix written out index by index
     n = d_in * d_out
@@ -259,17 +260,6 @@ def _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim):
             assert np.array_equal(ch.choi, w @ w.conj().T)
             dilation = np.einsum("aei,bej->iajb", v, v.conj()).reshape(n, n)
             assert np.max(np.abs(ch.choi - dilation)) <= 1e-12
-
-
-@pytest.mark.parametrize("d_in, d_out, env_dim", [case for case in ORACLE_CASES if case[0] == 2])
-def test_random_channel_equals_the_isometry_formula_bit_for_bit(d_in, d_out, env_dim):
-    _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim)
-
-
-# the cases beyond a qubit input keep this name until they move under the one above
-@pytest.mark.parametrize("d_in, d_out, env_dim", [case for case in ORACLE_CASES if case[0] != 2])
-def test_random_channel_equals_the_full_unitary_formula_bit_for_bit(d_in, d_out, env_dim):
-    _assert_random_channel_is_the_isometry_formula(d_in, d_out, env_dim)
 
 
 @pytest.mark.parametrize("d_in, d_out, env_dim", [(2, 2, None), (2, 3, 1), (3, 2, 2)])
@@ -376,3 +366,56 @@ def test_random_channel_law_invariant_under_unitary_conjugation():
         [_purity(u.apply(random_channel(2, 2, g2).apply(rho))) for _ in range(10_000)]
     )
     assert abs(plain - conj) < 0.01
+
+
+def _composed_chois_formula(outer, inner):
+    """One composed Choi matrix as the one-pair link product wrote it out."""
+    choi4 = np.einsum("iajb,acbd->icjd", inner.choi4, outer.choi4)
+    return choi4.reshape(inner.dim_in * outer.dim_out, -1)
+
+
+def test_stacked_link_products_equal_compose_bit_for_bit():
+    from qdata.channels import _check_chois, _link_products
+
+    gammas = [k / 149 for k in range(150)]
+    root = RngStream(55, 0)
+    stacks = [
+        (QuantumChannel.dephasing(0.3), [QuantumChannel.amplitude_damping(g) for g in gammas]),
+        (QuantumChannel.amplitude_damping(0.4), [QuantumChannel.dephasing(g) for g in gammas]),
+        # rectangular 2 -> 3 -> 2, where every index of the link product is distinct
+        (random_channel(3, 2, root.child(0)), [random_channel(2, 3, root.child(1 + k)) for k in range(40)]),
+    ]
+    for outer, inners in stacks:
+        chois = _link_products(outer, inners)
+        assert chois.shape == (len(inners), 2 * outer.dim_out, 2 * outer.dim_out)
+        _check_chois(chois, 2, outer.dim_out)
+        for choi, inner in zip(chois, inners):
+            assert choi.tobytes() == outer.compose(inner).choi.tobytes()
+            assert choi.tobytes() == _composed_chois_formula(outer, inner).tobytes()
+
+
+def _not_cptp_chois():
+    """Choi matrices of 2 -> 2 maps that fail one channel check each."""
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)  # the transpose map: TP, not CP
+    skewed = QuantumChannel.identity(2).choi.copy()
+    skewed[0, 3] += 1e-6j  # not Hermitian
+    return {
+        "map is not completely positive": swap,
+        "map is not trace preserving": 0.9 * QuantumChannel.identity(2).choi,
+        "Choi matrix is not Hermitian": skewed,
+    }
+
+
+@pytest.mark.parametrize("message", sorted(_not_cptp_chois()))
+def test_a_stack_of_chois_fails_a_check_as_its_failing_channel_does(message):
+    from qdata.channels import _check_chois
+
+    bad = _not_cptp_chois()[message]
+    with pytest.raises(InvalidChannelError, match=message):
+        QuantumChannel(bad, 2, 2)
+    good = [QuantumChannel.amplitude_damping(g).choi for g in (0.1, 0.5, 0.9)]
+    for position in range(4):
+        stack = np.array(good[:position] + [bad] + good[position:])
+        with pytest.raises(InvalidChannelError, match=message):
+            _check_chois(stack, 2, 2)
+    _check_chois(np.array(good), 2, 2)

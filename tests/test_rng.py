@@ -231,3 +231,26 @@ def test_child_keys_equal_the_keys_of_mix64_child_ids():
         got = _child_keys(seed, ids, 4)
         want = [_philox_key(seed, mix64(i, k)) for i in ids for k in range(4)]
         assert got.tolist() == [list(key) for key in want], seed
+
+
+def test_child_keys_of_many_ids_of_every_integer_kind_equal_mix64_child_ids():
+    from qdata.rng import _philox_key
+
+    gen = np.random.default_rng(53)
+    words = gen.integers(0, 2**64, size=150, dtype=np.uint64)
+    # Python ints up to 2**64 - 1, numpy uint64s and numpy int64s, some negative
+    # (masked to 64 bits as mix64 masks them), in one mixed list
+    kinds = (int, np.uint64, lambda w: np.int64(int(w) - 2**63))
+    ids = [kinds[k % 3](w) for k, w in enumerate(words)]
+    ids[:3] = [2**64 - 1, np.uint64(2**64 - 1), np.int64(-1)]
+    for seed, count in ((0, 1), (2**63 + 5, 3), (2**64 - 1, 9)):
+        got = _child_keys(seed, ids, count)
+        assert got.dtype == np.uint64 and got.shape == (150 * count, 2)
+        want = [_philox_key(seed, mix64(i, k)) for i in ids for k in range(count)]
+        assert got.tolist() == [list(key) for key in want], (seed, count)
+
+
+def test_child_keys_of_no_ids_are_an_empty_key_array():
+    for count in (1, 3):
+        keys = _child_keys(7, [], count)
+        assert keys.dtype == np.uint64 and keys.shape == (0, 2)

@@ -273,3 +273,76 @@ NAN = float("nan")
 def test_invariant_checks_reject_nan(build, message):
     with pytest.raises(InvalidInputError, match=message):
         build()
+
+
+def _eigen_ensemble_formula(m):
+    """The one-matrix eigen-ensemble written out: eigh, descending, p > 1e-12 kept."""
+    w, v = np.linalg.eigh(m)
+    w, v = w[::-1], v[:, ::-1]
+    pairs = [(float(max(p, 0.0)), v[:, i]) for i, p in enumerate(w) if p > 1e-12]
+    total = sum(p for p, _ in pairs)
+    return [p / total for p, _ in pairs], [s for _, s in pairs]
+
+
+def _estimate_stacks():
+    """Stacks of one dimension each: pure, rank-deficient, maximally mixed, full-rank
+    4x4 densities, and one- and two-qubit tomography estimates of them."""
+    from qdata.tomography import TomographyRun, _state_tomographies
+
+    root = RngStream(54, 0)
+    pure = [PureState.haar(2, root.child(k)).density().matrix for k in range(4)]
+    qubits = pure + [np.eye(2) / 2, np.diag([1.0 - 1e-13, 1e-13]).astype(complex)]
+    # a 4x4 density of rank 3: its least eigenvalue is at most 1e-12
+    vectors = [PureState.haar(4, root.child(10 + k)).vector for k in range(3)]
+    rank_three = sum(p * np.outer(v, v.conj()) for p, v in zip((0.5, 0.3, 0.2), vectors))
+    quarts = [rank_three, np.eye(4) / 4, PureState.haar(4, root.child(20)).density().matrix]
+    g = root.child(30).generator
+    for _ in range(3):
+        a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+        quarts.append(a @ a.conj().T / np.trace(a @ a.conj().T))
+    stacks = [np.array(qubits), np.array(quarts)]
+    for stack, qubit_count in ((stacks[0], 1), (stacks[1], 2)):
+        for shots in (1, 7, 4000):
+            streams = [root.child(100 + shots, k) for k in range(len(stack))]
+            stacks.append(_state_tomographies(stack, TomographyRun(shots, qubit_count), streams))
+    return stacks
+
+
+def test_stacked_eigen_rows_are_each_eigen_ensemble_bit_for_bit():
+    from qdata.states import _eigen_rows
+
+    dropped = 0
+    for stack in _estimate_stacks():
+        rows = _eigen_rows(stack)
+        assert rows.count == len(stack)
+        ensembles = rows.ensembles()
+        for n, m in enumerate(stack):
+            weights, states = _eigen_ensemble_formula(m)
+            dropped += len(states) < len(m)
+            alone = DensityMatrix._of(m).eigen_ensemble()
+            mine = rows.source == n
+            for ensemble in (alone, ensembles[n]):
+                assert ensemble.weights == tuple(weights)
+                assert [s.vector.tobytes() for s in ensemble.states] == [s.tobytes() for s in states]
+            assert rows.weights[mine].tolist() == weights
+            assert rows.vectors[mine].tobytes() == np.array(states).tobytes()
+            # the mixtures are the ensembles' densities
+            assert rows.densities()[n].tobytes() == alone.density().matrix.tobytes()
+    # pure and rank-deficient estimates drop an eigenvalue at or below 1e-12
+    assert dropped >= 6
+
+
+def test_eigen_rows_check_the_ensembles_they_build(monkeypatch):
+    from qdata import states
+    from qdata.states import _eigen_rows
+
+    # a matrix with no eigenvalue above 1e-12 has an empty eigen-ensemble
+    with pytest.raises(InvalidShapeError, match="must pair up"):
+        _eigen_rows(np.array([np.eye(2) / 2, np.zeros((2, 2))]))
+    with pytest.raises(InvalidShapeError, match="must pair up"):
+        DensityMatrix._of(np.zeros((2, 2), dtype=complex)).eigen_ensemble()
+    # every vector is norm-checked, as a PureState checks it
+    unit = states._eigh_descending
+    monkeypatch.setattr(states, "_eigh_descending", lambda m: (unit(m)[0], unit(m)[1] * [1.0, 1.0 + 1e-9]))
+    with pytest.raises(InvalidInputError, match="not normalized"):
+        _eigen_rows(np.array([np.eye(2) / 2, np.diag([0.3, 0.7])]))
