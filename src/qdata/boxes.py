@@ -286,6 +286,14 @@ class NonlinearBloch(_BlochWarp):
 
     basis = (ket(0), ket(1))
 
+    @classmethod
+    def _of(cls, kappa: float, pre_unitary: np.ndarray, post_unitary: np.ndarray) -> "NonlinearBloch":
+        """A box of a positive exponent and two qubit unitaries already checked, unchecked."""
+        box = object.__new__(cls)
+        box.kappa, box.pre_unitary, box.post_unitary = kappa, pre_unitary, post_unitary
+        box.dim_in = box.dim_out = 2
+        return box
+
     def joint_branches(self, joint, ref_dim):
         # a plain input is warped whole, without a collapse
         if ref_dim == 1:

@@ -23,6 +23,7 @@ from .linalg import (
     InvalidShapeError,
     _check_dim,
     _haar_columns,
+    _one,
     as_integer,
     as_operator,
     as_unitary,
@@ -50,9 +51,15 @@ class InvalidChannelError(InvalidInputError):
 
 def choi_from_kraus(kraus, dim_in: int, dim_out: int) -> np.ndarray:
     _check_dim(dim_in * dim_out)
-    ks = np.array([as_operator_rect(k, dim_out, dim_in) for k in kraus])
-    choi4 = np.einsum("kai,kbj->iajb", ks, ks.conj())
-    return choi4.reshape(dim_in * dim_out, dim_in * dim_out)
+    return _kraus_chois(np.array([[as_operator_rect(k, dim_out, dim_in) for k in kraus]]))[0]
+
+
+def _kraus_chois(ks: np.ndarray) -> np.ndarray:
+    """The Choi matrices of a (sets, k, dim_out, dim_in) stack of Kraus sets, as one einsum,
+    each bit for bit its set's alone."""
+    n, _, dim_out, dim_in = ks.shape
+    choi4 = np.einsum("nkai,nkbj->niajb", ks, ks.conj())
+    return choi4.reshape(n, dim_in * dim_out, dim_in * dim_out)
 
 
 def as_operator_rect(m, rows: int, cols: int) -> np.ndarray:
@@ -136,14 +143,18 @@ class QuantumChannel:
         return QuantumChannel(c.reshape(din * dout, din * dout), din, dout)
 
     @classmethod
-    def from_kraus(cls, kraus, dim_in: int, dim_out: int) -> "QuantumChannel":
-        ks = tuple(as_operator_rect(k, dim_out, dim_in) for k in kraus)
-        total = sum(k.conj().T @ k for k in ks)
-        if np.max(np.abs(total - np.eye(dim_in))) > 1e-10:
-            raise InvalidChannelError("Kraus operators do not satisfy completeness")
-        channel = cls(choi_from_kraus(ks, dim_in, dim_out), dim_in, dim_out)
-        object.__setattr__(channel, "kraus", ks)
+    def _of(cls, choi: np.ndarray, dim_in: int, dim_out: int, kraus: tuple | None = None) -> "QuantumChannel":
+        """Wrap ``choi``, a complex Choi matrix already checked as a channel, and the Kraus
+        operators it was built from, unchecked."""
+        channel = object.__new__(cls)
+        for name, value in (("choi", choi), ("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
+            object.__setattr__(channel, name, value)
         return channel
+
+    @classmethod
+    def from_kraus(cls, kraus, dim_in: int, dim_out: int) -> "QuantumChannel":
+        ks = [as_operator_rect(k, dim_out, dim_in) for k in kraus]
+        return _kraus_channels(np.array(ks, dtype=complex).reshape(1, len(ks), dim_out, dim_in))[0]
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumChannel":
@@ -157,31 +168,83 @@ class QuantumChannel:
     @classmethod
     def depolarizing(cls, p: float, dim: int = 2) -> "QuantumChannel":
         """(1-p) id + p (replace with maximally mixed)."""
-        if not 0.0 <= p <= 1.0:
-            raise InvalidInputError("depolarizing strength must lie in [0, 1]")
-        ident = cls.identity(dim)
-        # replacement map: rho -> trace(rho) I/dim
-        repl4 = np.einsum("ij,ab->iajb", np.eye(dim), np.eye(dim) / dim)
-        choi = (1.0 - p) * ident.choi + p * repl4.reshape(dim * dim, dim * dim)
-        return cls(choi, dim, dim)
+        return _one(_depolarizings([p], dim))
 
     @classmethod
     def amplitude_damping(cls, gamma: float) -> "QuantumChannel":
-        if not 0.0 <= gamma <= 1.0:
-            raise InvalidInputError("damping rate must lie in [0, 1]")
-        k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
-        k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
-        return cls.from_kraus([k0, k1], 2, 2)
+        return _one(_amplitude_dampings([gamma]))
 
     @classmethod
     def dephasing(cls, p: float) -> "QuantumChannel":
         """With probability p the off-diagonal terms are killed."""
-        if not 0.0 <= p <= 1.0:
-            raise InvalidInputError("dephasing strength must lie in [0, 1]")
-        sz = np.diag([1.0, -1.0])
-        k0 = np.sqrt(1.0 - p / 2.0) * np.eye(2)
-        k1 = np.sqrt(p / 2.0) * sz
-        return cls.from_kraus([k0, k1], 2, 2)
+        return _one(_dephasings([p]))
+
+
+def _kraus_channels(ks: np.ndarray) -> list:
+    """``QuantumChannel.from_kraus`` of each set of a complex (sets, k, dim_out, dim_in) stack.
+
+    One completeness check, one einsum (:func:`_kraus_chois`) and one
+    :func:`_check_chois` run over the stack, which raises if any set fails
+    them.  Each channel holds its slice of the Choi stack and of ``ks``.
+    """
+    _, _, dim_out, dim_in = ks.shape
+    total = np.matmul(ks.conj().swapaxes(-1, -2), ks).sum(axis=1)
+    if np.max(np.abs(total - np.eye(dim_in))) > 1e-10:
+        raise InvalidChannelError("Kraus operators do not satisfy completeness")
+    _check_dim(dim_in * dim_out)
+    chois = _kraus_chois(ks)
+    _check_chois(chois, dim_in, dim_out)
+    return [QuantumChannel._of(c, dim_in, dim_out, tuple(k)) for c, k in zip(chois, ks)]
+
+
+def _unit_stack(values, message: str, build) -> list:
+    """One outcome per value: InvalidInputError(message) for a value outside [0, 1], and for
+    the others, in order, the channels that ``build`` makes of them as one float array."""
+    x = np.array(values, dtype=float)
+    valid = (0.0 <= x) & (x <= 1.0)
+    built = iter(build(x[valid]) if valid.any() else ())
+    return [next(built) if ok else InvalidInputError(message) for ok in valid.tolist()]
+
+
+def _depolarizings(ps, dim: int = 2) -> list:
+    """``QuantumChannel.depolarizing(p, dim)`` of each strength in ``ps``, bit for bit, the valid
+    ones as one Choi stack checked once (:func:`_unit_stack`)."""
+
+    def build(p):
+        ident = choi_from_kraus([np.eye(dim)], dim, dim)
+        # replacement map: rho -> trace(rho) I/dim
+        repl4 = np.einsum("ij,ab->iajb", np.eye(dim), np.eye(dim) / dim)
+        chois = (1.0 - p)[:, None, None] * ident + p[:, None, None] * repl4.reshape(dim * dim, dim * dim)
+        _check_chois(chois, dim, dim)
+        return [QuantumChannel._of(c, dim, dim) for c in chois]
+
+    return _unit_stack(ps, "depolarizing strength must lie in [0, 1]", build)
+
+
+def _amplitude_dampings(gammas) -> list:
+    """``QuantumChannel.amplitude_damping`` of each rate in ``gammas``, bit for bit, the valid
+    ones as one Kraus stack (:func:`_kraus_channels`)."""
+
+    def build(g):
+        ks = np.zeros((len(g), 2, 2, 2), dtype=complex)
+        ks[:, 0, 0, 0] = 1.0
+        ks[:, 0, 1, 1] = np.sqrt(1.0 - g)
+        ks[:, 1, 0, 1] = np.sqrt(g)
+        return _kraus_channels(ks)
+
+    return _unit_stack(gammas, "damping rate must lie in [0, 1]", build)
+
+
+def _dephasings(ps) -> list:
+    """``QuantumChannel.dephasing`` of each strength in ``ps``, bit for bit, the valid ones as
+    one Kraus stack (:func:`_kraus_channels`)."""
+
+    def build(p):
+        k0 = np.sqrt(1.0 - p / 2.0)[:, None, None] * np.eye(2)
+        k1 = np.sqrt(p / 2.0)[:, None, None] * np.diag([1.0, -1.0])
+        return _kraus_channels(np.stack([k0, k1], axis=1).astype(complex))
+
+    return _unit_stack(ps, "dephasing strength must lie in [0, 1]", build)
 
 
 def _check_chois(c: np.ndarray, dim_in: int, dim_out: int) -> None:

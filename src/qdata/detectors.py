@@ -44,7 +44,7 @@ from .linalg import (
     trace_norms,
     worst_fidelity,
 )
-from .rng import RngStream
+from .rng import RngStream, _draw_each
 from .states import (
     DensityMatrix,
     Ensemble,
@@ -122,8 +122,10 @@ class TestVerdict:
 
     The verdict is derived from the other fields by the 3-standard-error
     rule at construction and is never passed in, so a TestVerdict cannot
-    carry an inconsistent ruling.  ``reconstructions`` holds the matrices
-    a detector hands its report as evidence, outside the ruling.
+    carry an inconsistent ruling.  The numbers are Python floats and an
+    int, and ``extras`` holds plain JSON values (:func:`_plain`), both made
+    once, at construction.  ``reconstructions`` holds the matrices a
+    detector hands its report as evidence, outside the ruling.
     """
 
     __test__ = False  # not a pytest test class, whatever its name says
@@ -143,6 +145,22 @@ class TestVerdict:
         object.__setattr__(
             self, "verdict", _verdict_for(self.statistic, self.threshold, self.std_error)
         )
+        if self.extras is not None:
+            object.__setattr__(self, "extras", _plain(self.extras))
+
+
+def _plain(value):
+    """``value`` as plain JSON values: a numpy number as a Python one, a tuple as a list, and
+    a NaN or infinite float as None (null)."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +231,9 @@ def helstrom_tests(boxes, setup: HelstromSetup, trials: int = 10_000, *, rng) ->
     Both hypotheses go through every box as one stack
     (:func:`qdata.boxes.output_densities`) and the optimal measurements
     come from one eigendecomposition; each box then draws its trials on
-    its own stream.  Every verdict is bit for bit the one-box call's.
+    its own stream, on the per-thread generator re-keyed to it
+    (:func:`qdata.rng._draw_each`).  Every verdict is bit for bit the
+    one-box call's.
     """
     trials = as_integer(trials, "trials", least=1)
     if len(rng) != len(boxes):
@@ -221,12 +241,14 @@ def helstrom_tests(boxes, setup: HelstromSetup, trials: int = 10_000, *, rng) ->
     if not boxes:
         return []
     p1, p2 = setup.priors
-    success = _optimal_success(output_densities(boxes, setup.states), setup.priors)
-    verdicts = []
-    for (q1, q2), stream in zip(success.tolist(), rng):
-        gen = stream.generator
+    success = _optimal_success(output_densities(boxes, setup.states), setup.priors).tolist()
+
+    def draw(gen, q):
         n1 = int(gen.binomial(trials, p1))
-        successes = int(gen.binomial(n1, q1)) + int(gen.binomial(trials - n1, q2))
+        return int(gen.binomial(n1, q[0])) + int(gen.binomial(trials - n1, q[1]))
+
+    verdicts = []
+    for (q1, q2), stream, successes in zip(success, rng, _draw_each(rng, draw, success)):
         stream.tally(trials)
         p_hat = successes / trials
         std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -1,25 +1,27 @@
 """Scenario execution: grid sweeps, detector suites, reproducible reports.
 
 A block of ``CELL_BLOCK`` consecutive grid cells is the unit of work (one
-cell when every detector's settings bind a grid parameter).  Each cell
-builds its model once, first, if a detector needs it; a build that raises
-fails each job that needs it, and the cell joins no stack.  Every detector
-rules on a stack of cells in one call: a detector whose settings bind no
-grid parameter on the whole block, one whose settings do on each cell
-alone.  Then every (cell, detector) job gets its record, in grid order.
-One thread runs the blocks inline, in grid order; more share them through
-a pool.  Each job draws from its own stream, a stable 64-bit mix of
-(master seed, cell index, detector index), and a stack's cells each keep
-theirs, so reports are byte-identical for any thread count, order and
-block.  A job records its verdict, its evidence and its stream's sample
-tally.  A failing job is recorded in place and the others complete: a
-detector that rules cell by cell hands back a failing cell's error in its
-place, and a stack of several cells that raises is run again one cell at a
-time, so each job records its own error.  Reports are strict JSON with
-sorted keys, complex matrices flattened row-major as [re, im] pairs,
-non-finite numbers (an undefined standard error) as null, and a schema
-version that bumps on any breaking change.  A report file is an indented
-header, one line per grid cell, and the other sections indented.
+cell when every detector's settings bind a grid parameter).  If a detector
+needs a model, the block builds its cells' models first, in one call
+(:meth:`Scenario.build_stack`), each cell's once; a cell whose build raises
+fails each job that needs it and joins no stack.  Every detector rules on
+a stack of cells in one call: a detector whose settings bind no grid
+parameter on the whole block, one whose settings do on each cell alone.
+Then every (cell, detector) job gets its record, in grid order, made from
+the verdict's plain values.  One thread runs the blocks inline, in grid
+order; more share them through a pool.  Each job draws from its own
+stream, a stable 64-bit mix of (master seed, cell index, detector index),
+and a stack's cells each keep theirs, so reports are byte-identical for
+any thread count, order and block.  A job records its verdict, its
+evidence and its stream's sample tally.  A failing job is recorded in
+place and the others complete: a detector that rules cell by cell hands
+back a failing cell's error in its place, and a stack of several cells
+that raises is run again one cell at a time, so each job records its own
+error.  Reports are strict JSON with sorted keys, complex matrices
+flattened row-major as [re, im] pairs, non-finite numbers (an undefined
+standard error) as null, and a schema version that bumps on any breaking
+change.  A report file is an indented header, one line per grid cell, and
+the other sections indented.
 ``diff_reports`` lists what differs between two reports besides the
 timestamp.
 """
@@ -31,8 +33,6 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from ._version import __version__
 from .detectors import TestVerdict
@@ -57,27 +57,30 @@ SCHEMA_VERSION = 2
 CELL_BLOCK = 64
 
 
-def _json_safe(value):
-    """Plain JSON values; a NaN or infinite float becomes None (null), a matrix {shape, data}."""
-    if isinstance(value, np.ndarray):
-        flat = value.astype(complex).reshape(-1).tolist()
-        return {"shape": list(value.shape), "data": [[z.real, z.imag] for z in flat]}
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _json_safe(matrices: dict) -> dict:
+    """Each matrix of ``matrices`` as {shape, data}, its entries row-major as [re, im] pairs."""
+    out = {}
+    for name, m in matrices.items():
+        flat = m.astype(complex).reshape(-1).tolist()
+        out[name] = {"shape": list(m.shape), "data": [[z.real, z.imag] for z in flat]}
+    return out
+
+
+def _finite_or_none(x: float):
+    return x if math.isfinite(x) else None
 
 
 def _verdict_dict(v: TestVerdict) -> dict:
-    # every field of the verdict but its evidence; absent extras are written as an empty object
-    fields = {**vars(v), "extras": v.extras or {}}
-    del fields["reconstructions"]
-    return _json_safe(fields)
+    """Every field of the verdict but its evidence, a non-finite number as None (null) and
+    absent extras as an empty object; the verdict's values are plain already."""
+    return {
+        "statistic": _finite_or_none(v.statistic),
+        "threshold": _finite_or_none(v.threshold),
+        "std_error": _finite_or_none(v.std_error),
+        "n_trials": v.n_trials,
+        "verdict": v.verdict,
+        "extras": v.extras or {},
+    }
 
 
 def _execute_one(scenario: Scenario, cell_index: int, det_index: int, stream, outcome) -> dict:
@@ -115,9 +118,10 @@ def _rule(scenario: Scenario, seed: int, det_index: int, cells: list, models: di
 def _run_block(scenario: Scenario, seed: int, block: int, start: int) -> list:
     """The report entries of ``block`` cells from ``start``; each cell's detectors share one model.
 
-    When a detector needs one, each cell's model is built once, first; a
-    cell whose build raises records that error in each job that needs the
-    model and joins no stack.  Then each detector rules: one of
+    When a detector needs one, the cells' models are built first, as one
+    stack (:meth:`Scenario.build_stack`); a cell whose build raises records
+    that error in each job that needs the model and joins no stack.  Then
+    each detector rules: one of
     ``scenario.block_stacked`` on all the block's other cells in one stack,
     any other on each cell alone (:func:`_rule`).  Then every job's record
     is made, in grid order.
@@ -126,11 +130,10 @@ def _run_block(scenario: Scenario, seed: int, block: int, start: int) -> list:
     models: dict = {}
     failed: dict = {}
     if any(spec.entry.needs for spec in scenario.detectors):
-        for cell in cells:
-            try:
-                models[cell] = scenario.build(scenario.grid[cell])
-            except Exception as exc:  # recorded in each job that needs the model
-                failed[cell] = exc
+        built = scenario.build_stack([scenario.grid[cell] for cell in cells])
+        for cell, model in zip(cells, built):
+            # an error is recorded in each job that needs the model
+            (failed if isinstance(model, Exception) else models)[cell] = model
     ruled = []
     for d, spec in enumerate(scenario.detectors):
         unbuilt = failed if spec.entry.needs else {}

@@ -51,6 +51,14 @@ def _check_dim(dim: int) -> None:
         raise InvalidShapeError(f"dimension {dim} outside supported range [1, {MAX_DIM}]")
 
 
+def _one(outcomes):
+    """The outcome of a stack of one: its value, or the exception it holds, raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def as_operator(m, dim: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix, validating shape and size cap.
 
@@ -70,9 +78,14 @@ def as_operator(m, dim: int | None = None) -> np.ndarray:
 def as_unitary(u, dim: int | None = None) -> np.ndarray:
     """Coerce with :func:`as_operator` and check that ``U U^dagger = I`` within 1e-9."""
     m = as_operator(u, dim)
-    if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-9:
-        raise InvalidInputError("matrix is not unitary")
+    _check_unitaries(m)
     return m
+
+
+def _check_unitaries(m: np.ndarray) -> None:
+    """Raise :class:`InvalidInputError` unless ``m``, one matrix or a non-empty stack, is unitary within 1e-9."""
+    if not np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]))) <= 1e-9:
+        raise InvalidInputError("matrix is not unitary")
 
 
 def as_integer(value, name: str, least: int | None = None) -> int:
@@ -383,8 +396,16 @@ def _build_hermitian_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def rotation_y(angle: float) -> np.ndarray:
-    """exp(-i * angle * sigma_y / 2): real rotation in the {|0>, |1>} plane."""
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def rotation_y(angle) -> np.ndarray:
+    """exp(-i * angle * sigma_y / 2): real rotation in the {|0>, |1>} plane.
+
+    An array of angles gives their rotations as one stack, each bit for bit
+    its angle's alone.
+    """
+    half = np.asarray(angle, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    return out

@@ -10,9 +10,10 @@ adds the samples it draws.
 
 Bulk draws build no stream and no per-stream generator: ``_child_keys``
 lists the Philox keys of the children of one seed and a list of stream ids,
-mixing all of them at once in numpy ``uint64`` arithmetic, and
-``_keyed_multinomials`` re-keys one per-thread Philox for each row, so
-every row draws exactly what a fresh generator with that key would.
+mixing all of them at once in numpy ``uint64`` arithmetic, and one
+per-thread Philox, re-keyed for each row or stream (``_rekeying``), draws
+exactly what a fresh generator with that key would.  ``_keyed_multinomials``
+draws a row per key that way, and ``_draw_each`` a stack of streams' draws.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def mix64(*parts: int) -> int:
 
 
 def _philox_key(seed: int, stream_id: int) -> tuple:
-    """The two 64-bit Philox key words of the stream ``(seed, stream_id)``."""
+    """The two 64-bit Philox key words of the stream ``(seed, stream_id)``, any integers
+    (Python or numpy ones), each masked to 64 bits as :func:`mix64` masks it."""
     return (
-        splitmix64(seed & _MASK64),
-        splitmix64(splitmix64(stream_id & _MASK64) ^ _GOLDEN),
+        splitmix64(int(seed) & _MASK64),
+        splitmix64(splitmix64(int(stream_id) & _MASK64) ^ _GOLDEN),
     )
 
 
@@ -100,31 +102,68 @@ def _child_keys(seed: int, ids, count: int) -> np.ndarray:
 _per_thread = threading.local()
 
 
-def _keyed_multinomials(keys: np.ndarray, n: int, pvals: np.ndarray) -> np.ndarray:
-    """Row r is ``multinomial(n, pvals[r])`` drawn as a fresh ``Philox(key=keys[r])`` draws it.
+def _rekeying():
+    """``rekey(key)``, which re-keys this thread's one Philox generator to ``key``, a pair of
+    64-bit words, and returns it.
 
-    One Philox per thread is re-keyed for each row: key r, counter 0, an
-    empty buffer and no buffered 32-bit half, which is the whole state of a
-    freshly keyed Philox.  The generator never leaves this function.
+    Re-keying sets the key, counter 0, an empty buffer and no buffered
+    32-bit half, which is the whole state of a freshly keyed Philox, so
+    until this thread re-keys it again the generator draws exactly what a
+    fresh ``Philox(key=key)`` would.  Draw from it before anything else
+    re-keys it.
     """
-    gen = getattr(_per_thread, "generator", None)
-    if gen is None:
+    rekey = getattr(_per_thread, "rekey", None)
+    if rekey is None:
         gen = _per_thread.generator = np.random.Generator(np.random.Philox(0))
-    bit_generator = gen.bit_generator
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": None},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        bit_generator = gen.bit_generator
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+        def rekey(key) -> np.random.Generator:
+            state["state"]["key"] = key
+            bit_generator.state = state
+            return gen
+
+        _per_thread.rekey = rekey
+    return rekey
+
+
+def _keyed_multinomials(keys: np.ndarray, n: int, pvals: np.ndarray) -> np.ndarray:
+    """Row r is ``multinomial(n, pvals[r])`` drawn as a fresh ``Philox(key=keys[r])`` draws it,
+    on the per-thread generator re-keyed for each row (:func:`_rekeying`)."""
+    rekey = _rekeying()
     counts = np.empty(pvals.shape, dtype=np.int64)
     for r, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
-        bit_generator.state = state
-        counts[r] = gen.multinomial(n, pvals[r])
+        counts[r] = rekey(key).multinomial(n, pvals[r])
     return counts
+
+
+def _draw_each(streams, draw, rows) -> list:
+    """``draw(generator, row)`` for each stream and row, on the generator the stream's own
+    draws would come from next, bit for bit.
+
+    A stream that has not drawn yet builds no generator: it draws on the
+    per-thread Philox re-keyed to its key (:func:`_rekeying`) and keeps
+    ``(draw, row)``, which its own generator, if it is ever built, repeats
+    first, so its later draws continue from there.  ``draw`` draws, and
+    does nothing else: it neither re-keys the per-thread generator nor
+    depends on anything but its arguments.
+    """
+    rekey = _rekeying()
+    out = []
+    for stream, row in zip(streams, rows):
+        if stream._generator is not None or stream._drawn is not None:
+            out.append(draw(stream.generator, row))
+            continue
+        out.append(draw(rekey(_philox_key(stream.seed, stream.stream_id)), row))
+        stream._drawn = (draw, row)
+    return out
 
 
 @dataclass(eq=False)
@@ -142,6 +181,8 @@ class RngStream:
 
     def __post_init__(self) -> None:
         self._generator = None
+        # the draw a generator of this stream repeats when it is built (_draw_each)
+        self._drawn = None
         self._tally = [0]
 
     @property
@@ -156,6 +197,9 @@ class RngStream:
             # the key below and never on platform word size or threading.
             key = np.array(_philox_key(self.seed, self.stream_id), dtype=np.uint64)
             self._generator = np.random.Generator(np.random.Philox(key=key))
+            if self._drawn is not None:
+                draw, row = self._drawn
+                draw(self._generator, row)
         return self._generator
 
     def child(self, *indices: int) -> "RngStream":

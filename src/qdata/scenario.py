@@ -9,9 +9,10 @@ field's path.  Complex numbers appear in files as [re, im] pairs.
 The vocabulary is declared once, one table each for channel kinds, box
 families, pair families and detectors (see :class:`Entry`).  One routine
 parses every entry's fields; one build step resolves ``{"param": name}``
-references per grid cell.  A channel, box or pair spec that references no
-parameter is built once, when it is parsed, and a failure to build it is
-a parse error at its path.
+references for a stack of grid cells, each field as a column with one value
+per cell, and builds the stack's models in one call per spec.  A channel,
+box or pair spec that references no parameter is built once, when it is
+parsed, and a failure to build it is a parse error at its path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .boxes import (
     QracOracle,
     measure_prepare_strategy,
 )
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _amplitude_dampings, _dephasings, _depolarizings
 from .detectors import (
     HelstromSetup,
     ancilla_consistency_test,
@@ -45,7 +46,7 @@ from .detectors import (
     nsq_random_survey,
     qrac_fidelity_estimate,
 )
-from .linalg import InvalidInputError, as_seed, rotation_y
+from .linalg import InvalidInputError, _check_unitaries, _one, as_seed, rotation_y
 from .states import PureState
 
 __all__ = [
@@ -80,16 +81,19 @@ class Entry:
     """One name of the scenario vocabulary.
 
     ``keys`` maps each accepted key to ``(field parser, default)``; the
-    default is ``REQUIRED`` for a key that must be given.  ``make`` takes
-    the fields resolved for one grid cell, nested specs built, as keyword
-    arguments and returns the model.  A detector's ``make(models,
-    rng=streams, **settings)`` rules on a stack of cells that get equal
-    settings: it takes one model (None for a detector that needs none) and
-    one stream per cell and returns one outcome per cell, in order, a
-    TestVerdict or the exception that cell's ruling raised.  A ``make``
-    that raises fails the whole stack.  ``needs`` is the scenario kind
-    whose model a detector runs on: "box", "pair", or None for a detector
-    called with no model.
+    default is ``REQUIRED`` for a key that must be given.  A channel kind's,
+    box family's or pair family's ``make`` builds a stack of grid cells: it
+    takes one column per field, the field's values for those cells with
+    nested specs built, as keyword arguments and returns one outcome per
+    cell, in order, the model or the exception that cell's build raised
+    (:func:`_per_cell` makes one of a one-cell constructor).  A detector's
+    ``make(models, rng=streams, **settings)`` rules on a stack of cells that
+    get equal settings: it takes one model (None for a detector that needs
+    none) and one stream per cell and returns one outcome per cell, in
+    order, a TestVerdict or the exception that cell's ruling raised.  A
+    ``make`` that raises fails the whole stack, which then runs again one
+    cell at a time.  ``needs`` is the scenario kind whose model a detector
+    runs on: "box", "pair", or None for a detector called with no model.
     """
 
     keys: dict
@@ -233,7 +237,7 @@ def _parse_spec(table: dict, tag: str, what: str, node, where: str) -> _Spec:
         return spec
     # a constant spec is built, and so checked, once, here
     try:
-        return _build(spec, {}, where)
+        return _one(_build_stack(spec, [{}], where))
     except ValueError as exc:
         _fail(where, str(exc))
 
@@ -250,24 +254,51 @@ def _pair(node, where: str) -> _Spec:
     return _parse_spec(PAIR_FAMILIES, "family", "pair family", node, where)
 
 
-def _build_value(value, params: dict, where: str):
-    """``value`` for one grid cell; a model built at parse time passes through as is."""
+def _column(value, cells: list, where: str) -> list:
+    """``value`` for each grid cell of ``cells``: per cell its value, or the exception resolving
+    it raised (of a tuple, its first item's).  A model built at parse time passes through as
+    is, one object in every cell."""
     if isinstance(value, _ParamRef):
-        bound = params.get(value.name)
-        if bound is None or isinstance(bound, str):
-            _fail(where, f"grid cell does not bind numeric parameter {value.name!r}")
-        return float(bound)
+        unbound = f"{where}: grid cell does not bind numeric parameter {value.name!r}"
+        bounds = [params.get(value.name) for params in cells]
+        return [ScenarioError(unbound) if b is None or isinstance(b, str) else float(b) for b in bounds]
     if isinstance(value, _Spec):
-        return _build(value, params, where)
-    if isinstance(value, tuple):
-        return tuple(_build_value(v, params, f"{where}[{i}]") for i, v in enumerate(value))
-    return value
+        return _build_stack(value, cells, where)
+    if isinstance(value, tuple) and value:
+        items = [_column(v, cells, f"{where}[{i}]") for i, v in enumerate(value)]
+        return [next((x for x in row if isinstance(x, Exception)), row) for row in zip(*items)]
+    return [value] * len(cells)
 
 
-def _build(spec: _Spec, params: dict, where: str):
-    """Build a parsed spec for one grid cell, nested specs first."""
-    fields = {key: _build_value(v, params, f"{where}.{key}") for key, v in spec.fields.items()}
-    return spec.entry.make(**fields)
+def _build_stack(spec: _Spec, cells: list, where: str) -> list:
+    """``spec`` built for each grid cell of ``cells``: per cell the model, or the exception
+    its build raised, as building it for that cell alone would raise it.
+
+    The fields resolve to columns in the entry's key order, nested specs as
+    stacks of their own.  A cell leaves the stack at its first failing
+    field, so that field's error is its own; the entry's ``make`` then
+    builds the other cells in one call.  A ``make`` that raises is run again
+    one cell at a time.
+    """
+    out = [None] * len(cells)
+    live = range(len(cells))
+    columns = {}
+    for key, value in spec.fields.items():
+        column = dict(zip(live, _column(value, [cells[i] for i in live], f"{where}.{key}")))
+        for i, v in column.items():
+            if isinstance(v, Exception):
+                out[i] = v
+        live = [i for i in live if out[i] is None]
+        columns[key] = column
+    if not live:
+        return out
+    try:
+        made = spec.entry.make(**{key: [column[i] for i in live] for key, column in columns.items()})
+    except Exception as exc:  # the failing cell's own error, recorded in its place
+        made = [exc] if len(live) == 1 else [_build_stack(spec, [cells[i]], where)[0] for i in live]
+    for i, model in zip(live, made):
+        out[i] = model
+    return out
 
 
 def _collect_refs(node) -> set:
@@ -290,6 +321,53 @@ def _rotation(angle):
     return None if angle is None else rotation_y(angle)
 
 
+def _per_cell(make) -> Callable:
+    """A one-cell ``make(**fields)`` as an entry's ``make``, which takes one column per field.
+
+    It runs once per cell, in order; a cell whose build raises gets the
+    exception in its place.  An entry with no fields references no
+    parameter, so it is built once, when it is parsed: a stack of one.
+    """
+
+    def stacked(**columns) -> list:
+        outcomes = []
+        for values in zip(*columns.values()) if columns else [()]:
+            try:
+                outcomes.append(make(**dict(zip(columns, values))))
+            except Exception as exc:  # the cell's own error, recorded in its place
+                outcomes.append(exc)
+        return outcomes
+
+    return stacked
+
+
+def _rotations(angles: list) -> np.ndarray:
+    """The unitaries of a column of rotation angles, stacked: the identity for None, and
+    one :func:`rotation_y` stack for the others, checked unitary once."""
+    out = np.empty((len(angles), 2, 2), dtype=complex)
+    out[:] = np.eye(2)
+    given = [i for i, angle in enumerate(angles) if angle is not None]
+    if given:
+        out[given] = rotation_y([angles[i] for i in given])
+        _check_unitaries(out)
+    return out
+
+
+def _warp_boxes(kappa: list, pre_rotation_y: list, post_rotation_y: list) -> list:
+    """The nonlinear-bloch boxes of a stack of cells, each bit for bit its one-cell build.
+
+    A cell whose exponent is not positive gets that error; the others' pre-
+    and post-rotations are two :func:`_rotations` stacks, and each box holds
+    its slices (``NonlinearBloch._of``).
+    """
+    valid = [k > 0 for k in kappa]
+    cells = [i for i, ok in enumerate(valid) if ok]
+    pre = _rotations([pre_rotation_y[i] for i in cells])
+    post = _rotations([post_rotation_y[i] for i in cells])
+    boxes = (NonlinearBloch._of(kappa[i], u, v) for i, u, v in zip(cells, pre, post))
+    return [next(boxes) if ok else InvalidInputError("warp exponent must be positive") for ok in valid]
+
+
 def _collapse(kappa, pre_rotation_y, post_rotation_y, basis) -> CollapseNonlinear:
     return CollapseNonlinear(
         tuple(PureState(row) for row in basis),
@@ -306,44 +384,42 @@ _WARP_KEYS = {
     "post_rotation_y": (_scalar_or_ref, None),
 }
 
+# the kinds with a bound parameter build their stack's channels as one stack
 CHANNEL_KINDS = {
-    "identity": Entry({"dim": (_count, 2)}, lambda dim: QuantumChannel.identity(dim)),
-    "depolarizing": Entry({"p": _REF}, lambda p: QuantumChannel.depolarizing(p)),
-    "amplitude-damping": Entry({"gamma": _REF}, lambda gamma: QuantumChannel.amplitude_damping(gamma)),
-    "dephasing": Entry({"p": _REF}, lambda p: QuantumChannel.dephasing(p)),
-    "swap": Entry({}, lambda: QuantumChannel.from_unitary(_SWAP_GATE)),
-    "unitary": Entry({"matrix": (_complex_matrix, REQUIRED)}, lambda matrix: QuantumChannel.from_unitary(matrix)),
+    "identity": Entry({"dim": (_count, 2)}, _per_cell(lambda dim: QuantumChannel.identity(dim))),
+    "depolarizing": Entry({"p": _REF}, lambda p: _depolarizings(p)),
+    "amplitude-damping": Entry({"gamma": _REF}, lambda gamma: _amplitude_dampings(gamma)),
+    "dephasing": Entry({"p": _REF}, lambda p: _dephasings(p)),
+    "swap": Entry({}, _per_cell(lambda: QuantumChannel.from_unitary(_SWAP_GATE))),
+    "unitary": Entry(
+        {"matrix": (_complex_matrix, REQUIRED)}, _per_cell(lambda matrix: QuantumChannel.from_unitary(matrix))
+    ),
     "kraus": Entry(
         {
             "operators": (_list_of(_complex_matrix, "expected a non-empty list of matrices"), REQUIRED),
             "dim_in": (_count, REQUIRED),
             "dim_out": (_count, REQUIRED),
         },
-        lambda operators, dim_in, dim_out: QuantumChannel.from_kraus(operators, dim_in, dim_out),
+        _per_cell(lambda operators, dim_in, dim_out: QuantumChannel.from_kraus(operators, dim_in, dim_out)),
     ),
 }
 
 BOX_FAMILIES = {
-    "linear": Entry({"channel": (_channel, REQUIRED)}, LinearBox),
-    "nonlinear-bloch": Entry(
-        _WARP_KEYS,
-        lambda kappa, pre_rotation_y, post_rotation_y: NonlinearBloch(
-            kappa, _rotation(pre_rotation_y), _rotation(post_rotation_y)
-        ),
-    ),
-    "collapse": Entry({**_WARP_KEYS, "basis": (_basis, np.eye(2))}, _collapse),
+    "linear": Entry({"channel": (_channel, REQUIRED)}, _per_cell(LinearBox)),
+    "nonlinear-bloch": Entry(_WARP_KEYS, _warp_boxes),
+    "collapse": Entry({**_WARP_KEYS, "basis": (_basis, np.eye(2))}, _per_cell(_collapse)),
     "composed": Entry(
         {"stages": (_list_of(_box, "expected a list of at least two box specs", least=2), REQUIRED)},
-        lambda stages: ComposedBox(stages),
+        _per_cell(lambda stages: ComposedBox(stages)),
     ),
 }
 
 PAIR_FAMILIES = {
-    "qrac-oracle": Entry({}, QracOracle),
-    "qrac-measure-prepare": Entry({}, lambda: measure_prepare_strategy()),
+    "qrac-oracle": Entry({}, _per_cell(QracOracle)),
+    "qrac-measure-prepare": Entry({}, _per_cell(lambda: measure_prepare_strategy())),
     "nsq-channel": Entry(
         {"channel": (_channel, REQUIRED), "local_dims": (_dims, REQUIRED)},
-        lambda channel, local_dims: NsqChannelPair(channel, local_dims),
+        _per_cell(lambda channel, local_dims: NsqChannelPair(channel, local_dims)),
     ),
 }
 
@@ -475,13 +551,25 @@ class Scenario:
     raw: dict
 
     def build(self, params: dict):
-        """The declared box or pair, built for one grid cell."""
-        return _build_value(self.model, params, self.kind)
+        """The declared box or pair, built for one grid cell: :meth:`build_stack` of one cell,
+        raising its error."""
+        return _one(self.build_stack([params]))
+
+    def build_stack(self, cells) -> list:
+        """The declared box or pair built for each grid cell of ``cells`` (parameter dicts):
+        per cell the model, or the exception its build raised.
+
+        Each spec builds its cells as one stack: the bound parameters of the
+        channel kinds depolarizing, amplitude-damping and dephasing and of
+        the nonlinear-bloch family make one array of channels or rotations,
+        checked once.  Every model is bit for bit its one-cell build.
+        """
+        return _column(self.model, list(cells), self.kind)
 
     def _settings(self, cell_index: int, det_index: int) -> dict:
-        params = self.grid[cell_index]
+        params = [self.grid[cell_index]]
         fields = self.detectors[det_index].fields
-        return {key: _build_value(v, params, key) for key, v in fields.items()}
+        return {key: _one(_column(v, params, key)) for key, v in fields.items()}
 
     @cached_property
     def block_stacked(self) -> tuple:

@@ -25,6 +25,7 @@ from qdata import (
     TestVerdict,
     TomographyRun,
     ancilla_consistency_test,
+    basis_invariance_test,
     canonical_ensemble_pair,
     compose_boxes,
     composition_gap_test,
@@ -491,14 +492,25 @@ CELL_SUITE = {
 
 def _counting_builds(monkeypatch) -> list:
     built = []
-    build = Scenario.build
+    build_stack = Scenario.build_stack
 
-    def counting(self, params):
-        built.append(dict(params))
-        return build(self, params)
+    def counting(self, cells):
+        built.extend(dict(params) for params in cells)
+        return build_stack(self, cells)
 
-    monkeypatch.setattr(Scenario, "build", counting)
+    monkeypatch.setattr(Scenario, "build_stack", counting)
     return built
+
+
+def _failing_builds_at(monkeypatch, kappa) -> None:
+    """Each cell whose kappa is ``kappa`` builds a box that raises inside the stack."""
+    build_stack = Scenario.build_stack
+
+    def failing(self, cells):
+        models = build_stack(self, cells)
+        return [_FailingBox(QuantumChannel.identity(2)) if p["kappa"] == kappa else m for p, m in zip(cells, models)]
+
+    monkeypatch.setattr(Scenario, "build_stack", failing)
 
 
 def test_a_cell_builds_its_model_once_for_all_its_detectors(monkeypatch):
@@ -709,6 +721,31 @@ ORACLES = {
 }
 
 
+def _walked(value):
+    """A report value made by walking it, the reference records are checked against: plain
+    JSON values, a NaN or infinite float as None (null), a matrix as {shape, data}."""
+    if isinstance(value, np.ndarray):
+        flat = value.astype(complex).reshape(-1).tolist()
+        return {"shape": list(value.shape), "data": [[z.real, z.imag] for z in flat]}
+    if isinstance(value, dict):
+        return {k: _walked(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_walked(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _walked_verdict(verdict) -> dict:
+    """The reference record of a verdict: every field but its evidence, absent extras as an
+    empty object, walked (:func:`_walked`)."""
+    fields = {**vars(verdict), "extras": verdict.extras or {}}
+    del fields["reconstructions"]
+    return _walked(fields)
+
+
 def _oracle_record(scenario, cell, det, seed) -> dict:
     """The report record of one job of a stacked detector, computed one cell per call."""
     stream = RngStream(seed, mix64(cell, det))
@@ -718,10 +755,47 @@ def _oracle_record(scenario, cell, det, seed) -> dict:
         verdict = ORACLES[record["detector"]](box, rng=stream, **scenario._settings(cell, det))
     except Exception as exc:
         return {**record, "error": f"{type(exc).__name__}: {exc}", "samples": 0}
-    record.update(verdict=harness._verdict_dict(verdict), samples=stream.samples)
+    record.update(verdict=_walked_verdict(verdict), samples=stream.samples)
     if verdict.reconstructions:
-        record["reconstructions"] = harness._json_safe(verdict.reconstructions)
+        record["reconstructions"] = _walked(verdict.reconstructions)
     return record
+
+
+def test_a_record_equals_the_walk_of_its_verdicts_raw_values(monkeypatch):
+    from qdata import detectors
+
+    survey = parse_scenario_dict(
+        {
+            "name": "one-sample-survey",
+            "master_seed": 3,
+            "pair": {"family": "qrac-oracle"},
+            "parameter_grid": [{}],
+            "detectors": [{"name": "nsq-survey", "settings": {"n_samples": 1}}],
+        }
+    )
+    box = NonlinearBloch(2.0)
+    cases = {
+        # one sample leaves the standard error undefined (NaN)
+        "nan std_error": lambda: survey.run_stack([0], 0, [RngStream(3, 0)], [None])[0],
+        "signed zero": lambda: TestVerdict(
+            -0.0, 1e-6, 0.0, 0, extras={"gap": np.float32(-0.0), "count": np.int64(3), "ratio": np.float64(0.25)}
+        ),
+        # cptp_residuals is a tuple of numpy floats when the test makes it
+        "tuple extras": lambda: basis_invariance_test(box, shots=64, deltas=(0.0, 0.4), rng=RngStream(3, 1)),
+    }
+    for name, make in cases.items():
+        got = make()
+        with monkeypatch.context() as m:
+            m.setattr(detectors, "_plain", lambda value: value)
+            raw = make()
+        assert json.dumps(harness._verdict_dict(got), sort_keys=True) == json.dumps(
+            _walked_verdict(raw), sort_keys=True
+        ), name
+    # each case holds what it covers: the verdict keeps its NaN, and the tuple was a tuple
+    nan_case = cases["nan std_error"]()
+    assert math.isnan(nan_case.std_error) and harness._verdict_dict(nan_case)["std_error"] is None
+    assert isinstance(raw.extras["cptp_residuals"], tuple)
+    assert got.extras["cptp_residuals"] == list(raw.extras["cptp_residuals"])
 
 
 def _assert_records_match_the_oracle(scenario, report, cells=None):
@@ -861,14 +935,7 @@ def test_a_failing_build_settings_or_stack_fails_its_own_job_and_spares_its_bloc
         {"kappa": 3, "p": 0.1},  # the model builds but raises inside the stack
         {"kappa": 4, "p": 0.1},
     ]
-    build = Scenario.build
-
-    def failing_at_kappa_3(self, params):
-        if params["kappa"] == 3:
-            return _FailingBox(QuantumChannel.identity(2))
-        return build(self, params)
-
-    monkeypatch.setattr(Scenario, "build", failing_at_kappa_3)
+    _failing_builds_at(monkeypatch, 3)
     stacks = _recording_stacks(monkeypatch)
     scenario = parse_scenario_dict(doc)
     report = run_scenario(scenario, threads=1)
@@ -906,6 +973,67 @@ def test_a_failing_build_settings_or_stack_fails_its_own_job_and_spares_its_bloc
 # ---------------------------------------------------------------- helstrom and ensemble-signalling stacks
 
 
+def _bound_stages_sweep(cells) -> dict:
+    # a depolarizing stage then a warp, each binding a grid parameter, over a list grid
+    return {
+        "name": "bound-stages",
+        "master_seed": 29,
+        "box": {
+            "family": "composed",
+            "stages": [
+                {"family": "linear", "channel": {"kind": "depolarizing", "p": {"param": "p"}}},
+                {"family": "nonlinear-bloch", "kappa": {"param": "kappa"}, "post_rotation_y": {"param": "rot"}},
+            ],
+        },
+        "parameter_grid": cells,
+        "detectors": [
+            {"name": "helstrom", "settings": {"trials": 500}},
+            {"name": "ensemble-signalling"},
+            {
+                "name": "composition-gap",
+                "settings": {
+                    "shots": 128,
+                    "second_box": {"family": "linear", "channel": {"kind": "dephasing", "p": 0.3}},
+                },
+            },
+        ],
+    }
+
+
+def test_an_invalid_bound_value_fails_its_own_cell_and_its_neighbours_keep_their_records(monkeypatch):
+    n = harness.CELL_BLOCK + 6
+    clean = [{"p": round(k / (n - 1), 12), "kappa": 1 + k / 10, "rot": 0.5} for k in range(n)]
+    depolarizing = "InvalidInputError: depolarizing strength must lie in [0, 1]"
+    warp = "InvalidInputError: warp exponent must be positive"
+    # each cell's error is its first failing field's, in the order a one-cell build meets them
+    invalid = {
+        3: ({"p": 1.5}, depolarizing),
+        5: ({"kappa": 0}, warp),
+        8: ({"p": "x"}, "ScenarioError: box.stages[0].channel.p: grid cell does not bind numeric parameter 'p'"),
+        9: ({"p": -0.5, "kappa": 0}, depolarizing),
+        12: ({"p": 2, "kappa": "y"}, depolarizing),
+        13: ({"kappa": "y", "rot": "z"}, "ScenarioError: box.stages[1].kappa: grid cell does not bind numeric parameter 'kappa'"),
+        n - 2: ({"kappa": -1}, warp),
+    }
+    cells = [{**cell, **invalid[k][0]} if k in invalid else cell for k, cell in enumerate(clean)]
+    want = run_scenario(parse_scenario_dict(_bound_stages_sweep(clean)))
+    stacks = _recording_stacks(monkeypatch)
+    report = run_scenario(parse_scenario_dict(_bound_stages_sweep(cells)))
+    for entry, other in zip(report["cells"], want["cells"]):
+        cell = entry["cell_index"]
+        if cell in invalid:
+            error = invalid[cell][1]
+            assert entry["results"] == [
+                {"detector": name, "error": error, "samples": 0}
+                for name in ("helstrom", "ensemble-signalling", "composition-gap")
+            ], cell
+        else:
+            assert json.dumps(entry["results"], sort_keys=True) == json.dumps(other["results"], sort_keys=True)
+    # every valid cell of a block stays in its block's one stack per detector
+    blocks = [range(0, harness.CELL_BLOCK), range(harness.CELL_BLOCK, n)]
+    assert stacks == [(d, [c for c in block if c not in invalid]) for block in blocks for d in range(3)]
+
+
 class _SkewBox(LinearBox):
     """A linear box whose outputs carry a non-Hermitian off-diagonal entry."""
 
@@ -937,7 +1065,7 @@ def _mixed_boxes() -> list:
 
 def _fields(verdict) -> str:
     # every ruled field, exact_success included, serialized so a sign of zero counts too
-    return json.dumps(harness._verdict_dict(verdict), sort_keys=True)
+    return json.dumps(_walked_verdict(verdict), sort_keys=True)
 
 
 # the default pair, an orthogonal pair and one state twice
@@ -968,6 +1096,81 @@ def test_stacked_helstrom_and_signalling_equal_the_per_cell_tests_bit_for_bit():
     assert ensemble_signalling_tests([]) == []
 
 
+# seeds and ids of every integer kind a stream may hold, negative and past 2**63 too
+MIXED_STREAMS = [
+    (5, 0),
+    (np.int64(5), np.int64(3)),
+    (np.uint64(2**63 + 1), np.uint64(2**64 - 1)),
+    (np.int64(-7), 11),
+    (2**64 - 1, np.int64(-1)),
+    (0, np.uint64(2**63)),
+    (np.uint64(17), 2**63 + 5),
+]
+
+
+def _helstrom_stack(boxes, setup, pairs):
+    """helstrom_tests of ``boxes`` on fresh streams of ``pairs``, with the streams."""
+    streams = [RngStream(seed, stream_id) for seed, stream_id in pairs]
+    return helstrom_tests(boxes, setup, 997, rng=streams), streams
+
+
+def test_helstrom_draws_on_the_rekeyed_generator_equal_each_streams_own_bit_for_bit():
+    boxes = _mixed_boxes()[: len(MIXED_STREAMS)]
+    setup = _setup(THETAS[0], (0.3, 0.7))
+    got, streams = _helstrom_stack(boxes, setup, MIXED_STREAMS)
+    for (seed, stream_id), box, verdict, stream in zip(MIXED_STREAMS, boxes, got, streams):
+        alone = RngStream(seed, stream_id)
+        # the oracle draws its binomials from the stream's own generator
+        assert _fields(verdict) == _fields(_per_cell_helstrom(box, setup, 997, rng=alone))
+        assert stream.samples == alone.samples == 997
+        # the stream's own generator continues where helstrom's draws left off
+        assert stream.generator.random() == alone.generator.random()
+    # a stream with a generator of its own keeps drawing on it
+    again = helstrom_tests(boxes, setup, 997, rng=streams)
+    for (seed, stream_id), box, verdict in zip(MIXED_STREAMS, boxes, again):
+        alone = RngStream(seed, stream_id)
+        _per_cell_helstrom(box, setup, 997, rng=alone)
+        alone.generator.random()
+        assert _fields(verdict) == _fields(_per_cell_helstrom(box, setup, 997, rng=alone))
+    # two draws in a row on fresh streams: the second continues the first
+    twice = [RngStream(seed, stream_id) for seed, stream_id in MIXED_STREAMS]
+    helstrom_tests(boxes, setup, 997, rng=twice)
+    second = helstrom_tests(boxes, setup, 997, rng=twice)
+    for (seed, stream_id), box, verdict in zip(MIXED_STREAMS, boxes, second):
+        alone = RngStream(seed, stream_id)
+        _per_cell_helstrom(box, setup, 997, rng=alone)
+        assert _fields(verdict) == _fields(_per_cell_helstrom(box, setup, 997, rng=alone))
+
+
+def test_helstrom_stacks_on_several_threads_at_once_equal_the_serial_stacks():
+    import sys
+    import threading
+
+    boxes = _mixed_boxes()[: len(MIXED_STREAMS)]
+    setup = _setup(THETAS[1], (0.5, 0.5))
+    shifted = [(seed, int(stream_id) + 1) for seed, stream_id in MIXED_STREAMS]
+    jobs = [MIXED_STREAMS, shifted] * 2
+    want = [[_fields(v) for v in _helstrom_stack(boxes, setup, pairs)[0]] for pairs in jobs]
+    got = [[] for _ in jobs]
+
+    def run(k):
+        for _ in range(20):
+            got[k].append([_fields(v) for v in _helstrom_stack(boxes, setup, jobs[k])[0]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[w] * 20 for w in want]
+
+
 def test_a_stack_with_a_non_hermitian_difference_fails_as_its_box_does_alone():
     setup = _setup(THETAS[0], (0.3, 0.7))
     skewed = _SkewBox(QuantumChannel.identity(2))
@@ -989,7 +1192,7 @@ def test_helstrom_and_signalling_blocks_equal_the_per_cell_tests_at_1_2_and_4_th
         k = int(params["k"])
         return last if k == n - 1 else boxes[k % len(boxes)]
 
-    monkeypatch.setattr(Scenario, "build", mixed)
+    monkeypatch.setattr(Scenario, "build_stack", lambda self, cells: [mixed(self, params) for params in cells])
     stacks = _recording_stacks(monkeypatch)
     scenario = parse_scenario_dict(
         {
@@ -1016,13 +1219,7 @@ def test_helstrom_and_signalling_blocks_equal_the_per_cell_tests_at_1_2_and_4_th
 
 def test_a_detector_that_rules_cell_by_cell_keeps_a_failing_cell_in_its_own_record(monkeypatch):
     build = Scenario.build
-
-    def failing_at_kappa_2(self, params):
-        if params["kappa"] == 2:
-            return _FailingBox(QuantumChannel.identity(2))
-        return build(self, params)
-
-    monkeypatch.setattr(Scenario, "build", failing_at_kappa_2)
+    _failing_builds_at(monkeypatch, 2)
     stacks = _recording_stacks(monkeypatch)
     scenario = parse_scenario_dict(
         {

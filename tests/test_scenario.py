@@ -661,3 +661,162 @@ def test_helstrom_jobs_share_one_setup_per_settings():
     signed = scenario._helstrom_setup((-0.0, 2.0), (0.25, 0.75))
     assert signed is not scenario._helstrom_setup((0.0, 2.0), (0.25, 0.75))
     assert np.signbit(signed.states[0].vector[1].real)
+
+
+# ------------------------------------------------- a block's models as one stack
+
+
+def _same(a, b) -> bool:
+    """Bit for bit: equal shape, dtype and bytes, so a sign of zero counts too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _written_out_channel(kind, x):
+    """The Choi matrix and Kraus operators (None for depolarizing) of a one-channel build, written out."""
+    if kind == "depolarizing":
+        eye = np.eye(2, dtype=complex)[None]
+        ident = np.einsum("kai,kbj->iajb", eye, eye.conj()).reshape(4, 4)
+        repl = np.einsum("ij,ab->iajb", np.eye(2), np.eye(2) / 2).reshape(4, 4)
+        return (1.0 - x) * ident + x * repl, None
+    if kind == "amplitude-damping":
+        ks = [np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - x)]]), np.array([[0.0, np.sqrt(x)], [0.0, 0.0]])]
+    else:
+        ks = [np.sqrt(1.0 - x / 2.0) * np.eye(2), np.sqrt(x / 2.0) * np.diag([1.0, -1.0])]
+    ks = np.array(ks, dtype=complex)
+    return np.einsum("kai,kbj->iajb", ks, ks.conj()).reshape(4, 4), ks
+
+
+def _written_out_rotation(angle):
+    if angle is None:
+        return None
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _assert_same_model(got, want):
+    """Every field of two built boxes bit for bit, stage by stage."""
+    assert type(got) is type(want)
+    assert (got.dim_in, got.dim_out) == (want.dim_in, want.dim_out)
+    if isinstance(got, ComposedBox):
+        assert len(got.boxes) == len(want.boxes)
+        for g, w in zip(got.boxes, want.boxes):
+            _assert_same_model(g, w)
+    elif isinstance(got, LinearBox):
+        g, w = got.channel, want.channel
+        assert (g.dim_in, g.dim_out) == (w.dim_in, w.dim_out)
+        assert _same(g.choi, w.choi)
+        assert (g.kraus is None) == (w.kraus is None)
+        if g.kraus is not None:
+            assert len(g.kraus) == len(w.kraus)
+            assert all(_same(a, b) for a, b in zip(g.kraus, w.kraus))
+    else:
+        assert type(got.kappa) is float and got.kappa.hex() == want.kappa.hex()
+        assert _same(got.pre_unitary, want.pre_unitary)
+        assert _same(got.post_unitary, want.post_unitary)
+
+
+# both endpoints, a subnormal and values that round
+UNIT = [0.0, 1.0, 5e-324, 0.5] + [round(k / 37, 12) for k in range(1, 37)]
+BOUND_KINDS = {"depolarizing": "p", "amplitude-damping": "gamma", "dephasing": "p"}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUND_KINDS))
+def test_a_stack_of_bound_channels_equals_each_cell_built_alone_bit_for_bit(kind):
+    channel = {"kind": kind, BOUND_KINDS[kind]: {"param": "x"}}
+    sc = parse_scenario_dict(
+        variant(box={"family": "linear", "channel": channel}, parameter_grid={"x": UNIT})
+    )
+    stack = sc.build_stack(sc.grid)
+    assert len(stack) == len(sc.grid)
+    for cell, model in zip(sc.grid, stack):
+        _assert_same_model(model, sc.build(cell))
+        choi, kraus = _written_out_channel(kind, float(cell["x"]))
+        assert _same(model.channel.choi, choi), cell
+        if kraus is None:
+            assert model.channel.kraus is None
+        else:
+            assert len(model.channel.kraus) == len(kraus)
+            assert all(_same(a, b) for a, b in zip(model.channel.kraus, kraus)), cell
+    # every cell holds a channel of its own
+    assert len({id(model.channel) for model in stack}) == len(stack)
+
+
+def test_a_stack_of_warps_equals_each_cell_built_alone_bit_for_bit():
+    rotated = {
+        "family": "nonlinear-bloch",
+        "kappa": {"param": "kappa"},
+        "pre_rotation_y": {"param": "pre"},
+        "post_rotation_y": {"param": "post"},
+    }
+    post_only = {"family": "nonlinear-bloch", "kappa": 2.0, "post_rotation_y": {"param": "post"}}
+    grid = {"kappa": [0.5, 1, 2.5, 7], "pre": [0.0, -0.0, 0.7, 3.0, -2.2], "post": [-1.2, 2.6, 1e-9]}
+    for box in (rotated, post_only):
+        sc = parse_scenario_dict(variant(box=box, parameter_grid=grid))
+        stack = sc.build_stack(sc.grid)
+        assert len(stack) == len(sc.grid) == 60
+        for cell, model in zip(sc.grid, stack):
+            _assert_same_model(model, sc.build(cell))
+            pre = cell["pre"] if box is rotated else None
+            kappa = float(cell["kappa"]) if box is rotated else 2.0
+            want = NonlinearBloch(kappa, _written_out_rotation(pre), _written_out_rotation(cell["post"]))
+            _assert_same_model(model, want)
+
+
+def test_a_stack_of_composed_boxes_builds_each_bound_stage_as_its_cell_alone():
+    box = {
+        "family": "composed",
+        "stages": [
+            {"family": "linear", "channel": {"kind": "amplitude-damping", "gamma": {"param": "g"}}},
+            {"family": "nonlinear-bloch", "kappa": {"param": "kappa"}, "pre_rotation_y": {"param": "rot"}},
+            {"family": "linear", "channel": {"kind": "dephasing", "p": {"param": "g"}}},
+            {"family": "linear", "channel": {"kind": "depolarizing", "p": 0.25}},
+        ],
+    }
+    sc = parse_scenario_dict(
+        variant(box=box, parameter_grid={"g": [0, 0.3, 1], "kappa": [1, 3.5], "rot": [0.0, 1.1]})
+    )
+    stack = sc.build_stack(sc.grid)
+    for cell, model in zip(sc.grid, stack):
+        _assert_same_model(model, sc.build(cell))
+        choi, _ = _written_out_channel("amplitude-damping", float(cell["g"]))
+        assert _same(model.boxes[0].channel.choi, choi)
+        choi, _ = _written_out_channel("dephasing", float(cell["g"]))
+        assert _same(model.boxes[2].channel.choi, choi)
+    # the constant stage, built at parse time, is one object in every cell
+    assert len({id(model.boxes[3]) for model in stack}) == 1
+
+
+def test_a_stack_checks_each_bound_column_once(monkeypatch):
+    from qdata import channels, scenario
+
+    calls = []
+    check_chois, check_unitaries = channels._check_chois, scenario._check_unitaries
+
+    def counting_chois(c, dim_in, dim_out):
+        calls.append(("chois", c.shape))
+        return check_chois(c, dim_in, dim_out)
+
+    def counting_unitaries(m):
+        calls.append(("unitaries", m.shape))
+        return check_unitaries(m)
+
+    monkeypatch.setattr(channels, "_check_chois", counting_chois)
+    monkeypatch.setattr(scenario, "_check_unitaries", counting_unitaries)
+    grid = {"x": [k / 63 for k in range(64)]}
+    for kind, key in BOUND_KINDS.items():
+        channel = {"kind": kind, key: {"param": "x"}}
+        sc = parse_scenario_dict(variant(box={"family": "linear", "channel": channel}, parameter_grid=grid))
+        calls.clear()
+        sc.build_stack(sc.grid)
+        assert calls == [("chois", (64, 4, 4))], kind
+        # a value out of range fails its own cell before the stack is checked
+        calls.clear()
+        built = sc.build_stack([*sc.grid[:9], {"x": 1.5}, *sc.grid[10:]])
+        assert calls == [("chois", (63, 4, 4))], kind
+        assert isinstance(built[9], ValueError) and "must lie in [0, 1]" in str(built[9])
+    box = {"family": "nonlinear-bloch", "kappa": 2.0, "pre_rotation_y": {"param": "x"}, "post_rotation_y": {"param": "x"}}
+    sc = parse_scenario_dict(variant(box=box, parameter_grid=grid))
+    calls.clear()
+    sc.build_stack(sc.grid)
+    assert calls == [("unitaries", (64, 2, 2))] * 2

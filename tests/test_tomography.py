@@ -635,9 +635,10 @@ def test_cptp_residual_is_read_only_where_a_job_reports_it(monkeypatch):
     monkeypatch.setattr(detectors, "_calibrated_null", flagged_calibration)
     verdict = basis_invariance_test(NonlinearBloch(2.0), shots=300, rng=RngStream(52, 1))
     assert [during for during, _, _ in reads] == [False] * 3
+    # the verdict keeps its extras as plain JSON values, so the residuals are a list
     residuals = verdict.extras["cptp_residuals"]
-    assert residuals == tuple(value for _, _, value in reads)
-    assert residuals == tuple(_reference_cptp_residual(choi, 2, 2) for _, choi, _ in reads)
+    assert residuals == [value for _, _, value in reads]
+    assert residuals == [_reference_cptp_residual(choi, 2, 2) for _, choi, _ in reads]
 
 
 def test_reconstructions_compare_by_identity_and_hash():
