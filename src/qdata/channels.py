@@ -22,15 +22,16 @@ from .linalg import (
     InvalidInputError,
     InvalidShapeError,
     _check_dim,
-    _haar_columns,
+    _ginibre,
     _one,
+    _phase_fixed_q,
     as_integer,
     as_operator,
     as_unitary,
     eig_hermitian,
     is_hermitian,
 )
-from .rng import RngStream
+from .rng import RngStream, _draw_each
 from .states import DensityMatrix, as_density
 
 __all__ = [
@@ -136,11 +137,8 @@ class QuantumChannel:
         return QuantumChannel(_link_products(self, [inner])[0], inner.dim_in, self.dim_out)
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
-        din = self.dim_in * other.dim_in
-        dout = self.dim_out * other.dim_out
-        _check_dim(din * dout)
-        c = np.einsum("iajc,kbld->ikabjlcd", self.choi4, other.choi4)
-        return QuantumChannel(c.reshape(din * dout, din * dout), din, dout)
+        """self (x) other, with self's spaces first: the stack-of-one :func:`_tensors`."""
+        return _tensors([self], [other])[0]
 
     @classmethod
     def _of(cls, choi: np.ndarray, dim_in: int, dim_out: int, kraus: tuple | None = None) -> "QuantumChannel":
@@ -281,19 +279,46 @@ def _link_products(outer: QuantumChannel, inners) -> np.ndarray:
     return choi4.reshape(-1, dim, dim)
 
 
+def _tensors(firsts, seconds) -> list:
+    """``first.tensor(second)`` of each pair of channels, bit for bit, as one einsum and one
+    :func:`_check_chois` over the stack.  The firsts share one shape, and so do the seconds."""
+    a, b = firsts[0], seconds[0]
+    din, dout = a.dim_in * b.dim_in, a.dim_out * b.dim_out
+    _check_dim(din * dout)
+    c = np.einsum(
+        "niajc,nkbld->nikabjlcd", np.array([x.choi4 for x in firsts]), np.array([y.choi4 for y in seconds])
+    )
+    chois = c.reshape(-1, din * dout, din * dout)
+    _check_chois(chois, din, dout)
+    return [QuantumChannel._of(choi, din, dout) for choi in chois]
+
+
 def random_channel(
     dim_in: int, dim_out: int, rng: RngStream, env_dim: int | None = None
 ) -> QuantumChannel:
-    """Haar-random Stinespring dilation.
+    """Haar-random Stinespring dilation: the stack of one :func:`_random_channels`.
 
     A Haar isometry V from dim_in into the dim_out * env_dim space is drawn
-    directly (:func:`qdata.linalg._haar_columns`, a dim_out * env_dim by
-    dim_in Ginibre block); the channel traces out the environment, so its
-    Choi matrix is the Gram matrix of V's rows regrouped by (input, output).
-    ``env_dim`` defaults to dim_in * dim_out, which samples
-    full-Kraus-rank channels.  The dimensions and ``env_dim`` are integers of
-    at least 1 (:func:`qdata.linalg.as_integer`), and a Choi matrix or a
-    dilation wider than ``MAX_DIM`` raises before any draw.
+    directly (a dim_out * env_dim by dim_in Ginibre block, phase-fixed QR);
+    the channel traces out the environment, so its Choi matrix is the Gram
+    matrix of V's rows regrouped by (input, output).  ``env_dim`` defaults
+    to dim_in * dim_out, which samples full-Kraus-rank channels.  The
+    dimensions and ``env_dim`` are integers of at least 1
+    (:func:`qdata.linalg.as_integer`), and a Choi matrix or a dilation
+    wider than ``MAX_DIM`` raises before any draw.
+    """
+    return _random_channels(dim_in, dim_out, [rng], env_dim)[0]
+
+
+def _random_channels(dim_in: int, dim_out: int, streams, env_dim: int | None = None) -> list:
+    """:func:`random_channel` on each stream of ``streams``, bit for bit, built as one stack.
+
+    Each stream's Ginibre block is drawn on the generator its own draws
+    would come from next (:func:`qdata.rng._draw_each`: a stream that has
+    not drawn yet builds no generator); one QR
+    (:func:`qdata.linalg._phase_fixed_q`), one Gram product and one
+    :func:`_check_chois` run over the stack, and each channel holds its
+    slice of the Choi stack.  The dimensions are checked before any draw.
     """
     dim_in = as_integer(dim_in, "dim_in", least=1)
     dim_out = as_integer(dim_out, "dim_out", least=1)
@@ -302,6 +327,10 @@ def random_channel(
     if total < dim_in:
         raise InvalidShapeError("environment too small for an isometry")
     _check_dim(dim_in * dim_out)
-    v = _haar_columns(total, dim_in, rng).reshape(dim_out, env, dim_in)
-    w = v.transpose(2, 0, 1).reshape(dim_in * dim_out, env)  # row (i, a), column e
-    return QuantumChannel(w @ w.conj().T, dim_in, dim_out)
+    _check_dim(total)
+    z = np.array(_draw_each(streams, _ginibre, [(total, dim_in)] * len(streams)))
+    v = _phase_fixed_q(z).reshape(-1, dim_out, env, dim_in)
+    w = v.transpose(0, 3, 1, 2).reshape(-1, dim_in * dim_out, env)  # row (i, a), column e
+    chois = w @ w.conj().swapaxes(-1, -2)
+    _check_chois(chois, dim_in, dim_out)
+    return [QuantumChannel._of(choi, dim_in, dim_out) for choi in chois]

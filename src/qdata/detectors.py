@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import BoxModel, BoxPair, LinearBox, _composed_outputs, _local_dims, output_densities
-from .channels import QuantumChannel, random_channel
+from .channels import QuantumChannel, _random_channels, _tensors
 from .linalg import (
     MAX_DIM,
     InvalidInputError,
@@ -103,6 +103,11 @@ QRAC_FIDELITY_CEILING = 5.0 / 6.0
 # bounds the per-block arrays; the kept rounds' fidelities (8 bytes each)
 # are held until the end, and the parser puts no upper limit on ``rounds``.
 QRAC_BLOCK = 4096
+# Samples per nsq-survey block, drawn and checked as one stack.  Sample k
+# draws from rng.child(k) whatever the block, so the size moves no draw; it
+# bounds the per-block arrays: a survey at the default dimensions peaks at
+# about 0.4 MB, whatever its n_samples.
+NSQ_BLOCK = 16
 
 
 def _verdict_for(statistic: float, threshold: float, std_error: float) -> str:
@@ -718,6 +723,14 @@ def nsq_random_survey(
     With product_channels=True (and no env_dim) the survey draws local
     products only, a control arm that must come out fully compatible.
     Dimensions whose matrices would exceed ``MAX_DIM`` raise before the first draw.
+
+    Sample k is ``random_channel(d, d, rng.child(k), env_dim)`` with d the
+    product of ``local_dims``, or in the product arm the tensor of
+    ``random_channel(da, da, rng.child(k).child(0))`` and its ``db`` twin on
+    ``child(1)``.  Samples are built in blocks of ``NSQ_BLOCK``, each block
+    as one stack (:func:`qdata.channels._random_channels`, and
+    :func:`qdata.channels._tensors` for the products), bit for bit the
+    one-sample channels; each sample is then scanned on its own.
     """
     n_samples = as_integer(n_samples, "n_samples", least=1)
     da, db = _local_dims(local_dims)
@@ -735,16 +748,18 @@ def nsq_random_survey(
     if product_channels and env_dim is not None:
         raise InvalidInputError("env_dim is for generic samples; it cannot be set with product_channels")
     compatible = 0
-    for k in range(n_samples):
-        stream = rng.child(k)
+    for start in range(0, n_samples, NSQ_BLOCK):
+        streams = [rng.child(k) for k in range(start, min(start + NSQ_BLOCK, n_samples))]
         if product_channels:
-            channel = random_channel(da, da, stream.child(0)).tensor(
-                random_channel(db, db, stream.child(1))
+            channels = _tensors(
+                _random_channels(da, da, [stream.child(0) for stream in streams]),
+                _random_channels(db, db, [stream.child(1) for stream in streams]),
             )
         else:
-            channel = random_channel(da * db, da * db, stream, env_dim)
-        if max(nsq_signalling_measure(channel, (da, db))) <= 1e-8:
-            compatible += 1
+            channels = _random_channels(da * db, da * db, streams, env_dim)
+        for channel in channels:
+            if max(nsq_signalling_measure(channel, (da, db))) <= 1e-8:
+                compatible += 1
     rng.tally(n_samples)
     compatible_fraction = compatible / n_samples
     signalling_fraction = 1.0 - compatible_fraction

@@ -350,11 +350,22 @@ def _haar_columns(dim: int, cols: int, rng: RngStream) -> np.ndarray:
     _check_dim(dim)
     if not 1 <= cols <= dim:
         raise InvalidShapeError(f"{cols} columns outside [1, {dim}]")
-    g = rng.generator
-    z = g.standard_normal((dim, cols)) + 1j * g.standard_normal((dim, cols))
+    return _phase_fixed_q(_ginibre(rng.generator, (dim, cols)))
+
+
+def _ginibre(gen: np.random.Generator, shape: tuple) -> np.ndarray:
+    """An unscaled complex Ginibre block of ``shape`` drawn from ``gen``: the real block, then
+    the imaginary block."""
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """The Q factor of ``z / sqrt(2)``, one unscaled Ginibre block (:func:`_ginibre`) or a stack of
+    them, each column's phase fixed by ``diag(R)``: a Haar-random isometry of each block.  One QR
+    runs over a stack, each slice bit for bit its block's alone."""
     q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 _hermitian_bases: dict = {}

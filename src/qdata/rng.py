@@ -13,7 +13,9 @@ lists the Philox keys of the children of one seed and a list of stream ids,
 mixing all of them at once in numpy ``uint64`` arithmetic, and one
 per-thread Philox, re-keyed for each row or stream (``_rekeying``), draws
 exactly what a fresh generator with that key would.  ``_keyed_multinomials``
-draws a row per key that way, and ``_draw_each`` a stack of streams' draws.
+draws a row per key that way (tomography's counts), and ``_draw_each`` a
+stack of streams' draws (``helstrom_tests``' trials and the Ginibre blocks
+of ``qdata.channels._random_channels``).
 """
 
 from __future__ import annotations

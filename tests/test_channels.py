@@ -344,6 +344,128 @@ def test_random_channel_env_one_is_unitary():
     assert sum(w > 1e-10) == 1
 
 
+def _gram_of(v):
+    """The Choi matrix of the isometry V[a, e, i]: the Gram matrix of its rows regrouped by (i, a)."""
+    w = v.transpose(2, 0, 1).reshape(v.shape[2] * v.shape[0], -1)
+    return w @ w.conj().T
+
+
+@pytest.mark.parametrize("d_in, d_out, env_dim", ORACLE_CASES)
+def test_stacked_random_channels_equal_one_at_a_time_bit_for_bit(d_in, d_out, env_dim):
+    from qdata.channels import _random_channels
+
+    for seed in (1, 2, 7, 21):
+        channels = _random_channels(d_in, d_out, [RngStream(seed, i) for i in range(17)], env_dim)
+        assert len(channels) == 17
+        for i, ch in enumerate(channels):
+            assert (ch.dim_in, ch.dim_out, ch.kraus) == (d_in, d_out, None)
+            alone = random_channel(d_in, d_out, RngStream(seed, i), env_dim)
+            assert ch.choi.tobytes() == alone.choi.tobytes()
+            v = _isometry_formula(d_in, d_out, RngStream(seed, i), env_dim)
+            assert ch.choi.tobytes() == _gram_of(v).tobytes()
+
+
+# seeds and stream ids as Python ints, np.int64 (negative too) and np.uint64,
+# beyond 63 bits, and a Python int beyond 64 bits, which is masked
+MIXED_STREAMS = [
+    (7, 3),
+    (np.int64(7), np.uint64(2**63 + 5)),
+    (np.uint64(2**64 - 1), np.int64(-4)),
+    (2**64 + 9, 11),
+    (np.int64(3), 2**64 - 2),
+    (0, np.uint64(0)),
+]
+
+
+def test_stacked_random_channels_key_each_stream_whatever_its_integer_types():
+    from qdata.channels import _random_channels
+
+    streams = [RngStream(seed, stream_id) for seed, stream_id in MIXED_STREAMS]
+    for ch, (seed, stream_id) in zip(_random_channels(2, 3, streams, 2), MIXED_STREAMS, strict=True):
+        # the formula draws on the stream's own generator, keyed by RngStream.generator
+        v = _isometry_formula(2, 3, RngStream(seed, stream_id), 2)
+        assert ch.choi.tobytes() == _gram_of(v).tobytes()
+
+
+def test_a_stream_with_its_own_generator_draws_on_it_in_a_stack():
+    from qdata.channels import _random_channels
+
+    streams = [RngStream(31, i) for i in range(5)]
+    streams[1].generator.standard_normal(3)  # advanced: the stack continues from here
+    streams[3].generator  # built, nothing drawn
+    refs = [RngStream(31, i) for i in range(5)]
+    refs[1].generator.standard_normal(3)
+    for ch, ref in zip(_random_channels(3, 2, streams), refs, strict=True):
+        assert ch.choi.tobytes() == _gram_of(_isometry_formula(3, 2, ref, None)).tobytes()
+    # and a second stack on the same streams continues every one of them
+    for ch, ref in zip(_random_channels(3, 2, streams), refs, strict=True):
+        assert ch.choi.tobytes() == _gram_of(_isometry_formula(3, 2, ref, None)).tobytes()
+
+
+def test_after_a_stacked_draw_each_generator_continues_as_if_it_had_drawn_alone():
+    from qdata.channels import _random_channels
+
+    streams = [RngStream(32, i) for i in range(6)]
+    _random_channels(2, 2, streams, 6)
+    assert all(stream._generator is None for stream in streams)
+    for i, stream in enumerate(streams):
+        ref = RngStream(32, i)
+        _isometry_formula(2, 2, ref, 6)
+        assert np.array_equal(stream.generator.standard_normal(5), ref.generator.standard_normal(5))
+
+
+def test_a_stack_of_random_channels_is_checked_once_as_a_whole(monkeypatch):
+    import qdata.channels
+    from qdata.channels import _check_chois, _random_channels, _tensors
+
+    checked = []
+
+    def counting(c, dim_in, dim_out):
+        checked.append((c.shape, dim_in, dim_out))
+        return _check_chois(c, dim_in, dim_out)
+
+    monkeypatch.setattr(qdata.channels, "_check_chois", counting)
+    firsts = _random_channels(2, 3, [RngStream(33, i) for i in range(16)])
+    assert checked == [((16, 6, 6), 2, 3)]
+    seconds = _random_channels(3, 2, [RngStream(33, 16 + i) for i in range(16)], 2)
+    checked.clear()
+    _tensors(firsts, seconds)
+    assert checked == [((16, 36, 36), 6, 6)]
+    checked.clear()
+    random_channel(2, 2, RngStream(33, 40))
+    assert checked == [((1, 4, 4), 2, 2)]
+
+
+def test_stacked_tensors_equal_the_one_pair_formula_bit_for_bit():
+    from qdata.channels import _random_channels, _tensors
+
+    firsts = _random_channels(2, 3, [RngStream(34, i) for i in range(12)], 2)
+    seconds = _random_channels(3, 2, [RngStream(34, 12 + i) for i in range(12)])
+    for joint, a, b in zip(_tensors(firsts, seconds), firsts, seconds, strict=True):
+        assert (joint.dim_in, joint.dim_out) == (6, 6)
+        want = np.einsum("iajc,kbld->ikabjlcd", a.choi4, b.choi4).reshape(36, 36)
+        assert joint.choi.tobytes() == want.tobytes()
+        assert joint.choi.tobytes() == a.tensor(b).choi.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim_in, dim_out, env_dim, error, message",
+    [
+        (2, 2, 2.5, InvalidInputError, "env_dim must be an integer"),
+        (2, 0, None, InvalidInputError, "dim_out must be at least 1"),
+        (True, 2, None, InvalidInputError, "dim_in must be an integer"),
+        (4, 1, 2, InvalidShapeError, "environment too small"),
+        (16, 8, 2, InvalidShapeError, "dimension 128 outside"),  # the Choi matrix
+        (2, 4, 32, InvalidShapeError, "dimension 128 outside"),  # the dilation
+    ],
+)
+def test_invalid_stack_dimensions_raise_before_any_draw(dim_in, dim_out, env_dim, error, message):
+    from qdata.channels import _random_channels
+
+    with pytest.raises(error, match=message):
+        _random_channels(dim_in, dim_out, [_NoDraws(), _NoDraws()], env_dim)
+
+
 def _purity(rho):
     return np.trace(rho.matrix @ rho.matrix).real
 

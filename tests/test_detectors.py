@@ -1,6 +1,7 @@
 """Statistical tests rendering post-quantum verdicts, with calibrated nulls."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from qdata import (
 )
 from qdata import detectors
 from qdata.boxes import BoxPair, NsqChannelPair
-from qdata.detectors import QRAC_BLOCK, _kernel_direction
+from qdata.detectors import NSQ_BLOCK, QRAC_BLOCK, _kernel_direction
 from qdata.linalg import hermitian_basis, kron, partial_trace, trace_distance, trace_norm, trace_norms
 from qdata.states import born_probabilities
 
@@ -526,7 +527,7 @@ def test_nsq_measure_draws_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the measure drew")
 
-    monkeypatch.setattr(detectors, "random_channel", refuse)
+    monkeypatch.setattr(detectors, "_random_channels", refuse)
     monkeypatch.setattr(RngStream, "generator", property(refuse))
     assert nsq_signalling_measure(swap_channel(), (2, 2)) == (1.0, 1.0)
     for ch in samples:
@@ -728,8 +729,78 @@ def test_nsq_survey_factors_only_the_kept_columns(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
     v = nsq_random_survey(60, rng=RngStream(59, 8), env_dim=16)
     assert v.n_trials == 60
-    # a 4-dimensional channel dilated on 4 x 16: its isometry is 64 x 4
-    assert shapes == [(64, 4)] * 60
+    # a 4-dimensional channel dilated on 4 x 16: its isometry is 64 x 4, and
+    # the 60 samples are factored in blocks of 16
+    assert NSQ_BLOCK == 16
+    assert shapes == [(16, 64, 4)] * 3 + [(12, 64, 4)]
+
+
+def _survey_loop(n_samples, local_dims, rng, env_dim=None, product_channels=False):
+    """The survey one sample at a time, each channel built and scanned alone."""
+    da, db = local_dims
+    compatible = 0
+    for k in range(n_samples):
+        stream = rng.child(k)
+        if product_channels:
+            channel = random_channel(da, da, stream.child(0)).tensor(random_channel(db, db, stream.child(1)))
+        else:
+            channel = random_channel(da * db, da * db, stream, env_dim)
+        if max(detectors.nsq_signalling_measure(channel, (da, db))) <= 1e-8:
+            compatible += 1
+    rng.tally(n_samples)
+    fraction = compatible / n_samples
+    sigma = math.sqrt(fraction * (1.0 - fraction) / (n_samples - 1)) if n_samples > 1 else float("nan")
+    extras = {"signalling_fraction": 1.0 - fraction, "compatible_fraction": fraction}
+    return TestVerdict(fraction, 0.01, sigma, n_samples, extras=extras)
+
+
+# every arm, pair of local dimensions and environment whose matrices fit the cap
+SURVEY_ARMS = [(dims, env, False) for dims in [(2, 2), (2, 3), (3, 2)] for env in (None, 1, 16)
+               if math.prod(dims) * max(math.prod(dims), env or math.prod(dims) ** 2) <= 64]
+SURVEY_ARMS += [(dims, None, True) for dims in [(2, 2), (2, 3), (3, 2)]]
+
+
+@pytest.mark.parametrize("n_samples", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("dims, env_dim, product", SURVEY_ARMS)
+def test_nsq_survey_equals_the_per_sample_loop(dims, env_dim, product, n_samples, monkeypatch):
+    scanned = []
+    measure = nsq_signalling_measure
+
+    def recording(channel, local_dims):
+        scanned.append((channel.choi.tobytes(), channel.dim_in, channel.dim_out, tuple(local_dims)))
+        return measure(channel, local_dims)
+
+    monkeypatch.setattr(detectors, "nsq_signalling_measure", recording)
+    seed = 70 + n_samples
+    rng = RngStream(seed, 5)
+    got = nsq_random_survey(n_samples, dims, rng=rng, env_dim=env_dim, product_channels=product)
+    # one scan per sample, as traced runs count them
+    assert len(scanned) == n_samples
+    surveyed, scanned[:] = scanned[:], []
+    ref = RngStream(seed, 5)
+    want = _survey_loop(n_samples, dims, ref, env_dim, product)
+    assert surveyed == scanned
+    assert got.n_trials == want.n_trials == n_samples
+    assert got.extras == want.extras
+    assert (got.statistic, got.threshold, got.verdict) == (want.statistic, want.threshold, want.verdict)
+    assert got.std_error == want.std_error or math.isnan(got.std_error) and math.isnan(want.std_error)
+    assert rng.samples == ref.samples == n_samples
+
+
+def test_nsq_survey_memory_does_not_grow_with_the_sample_count():
+    nsq_random_survey(16, rng=RngStream(59, 21))  # builds the shared scan operands
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            nsq_random_survey(n_samples, rng=RngStream(59, 22))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(32), peak(320)
+    # a block of 16 default samples peaks at about 0.4 MB of draws and factors
+    assert large <= small + 16_384, (small, large)
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2)])
