@@ -16,7 +16,8 @@ implemented, and a fourth class chains them:
 Every box exposes its behavior through one exact branch enumeration on the
 first factor of a joint input (a plain input has a one-dimensional
 reference), so detectors can compute infinite-shot oracles as well as draw
-finite samples.
+finite samples; a stock class does that branch math only in its row
+enumeration (``_ROWS``), of which its ``joint_branches`` is the stack of one.
 Correlated box pairs for the two-bit random-access game and for bipartite
 no-signalling analysis live here as well.
 """
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL, InvalidInputError, InvalidShapeError, as_integer, as_unitary, kron
+from .linalg import InvalidInputError, InvalidShapeError, as_integer, as_unitary, kron
 from .channels import QuantumChannel, _check_chois, _link_products
 from .states import (
     DensityMatrix,
@@ -40,7 +41,6 @@ from .states import (
     _check_norms,
     _mixtures,
     as_state,
-    bloch_angles,
     bloch_ket,
     born_distributions,
     check_densities,
@@ -120,7 +120,8 @@ class BoxModel(ABC):
     of (weight, pure state) outcomes when the box acts on the first factor
     of a joint pure state.  A plain input is a joint input with a
     one-dimensional reference, so sampling, exact ensemble outputs and
-    entangled-probe behavior all derive from that single description.
+    entangled-probe behavior all derive from that single description, each
+    a weighted projector sum (:func:`qdata.states._mixtures`).
     """
 
     dim_in: int
@@ -139,22 +140,6 @@ class BoxModel(ABC):
             )
         return self.joint_branches(psi, 1)
 
-    @staticmethod
-    def _mixture(weighted_branches, dim: int) -> DensityMatrix:
-        """Sum of weight x p x projector over (weight, branch list) pairs.
-
-        The sum is Hermitian and positive by construction (weights >= 0, an
-        ensemble's >= -1e-12, over checked ``PureState`` branches); only its
-        trace is checked, since branches below ``BRANCH_CUTOFF`` are dropped.
-        """
-        out = np.zeros((dim, dim), dtype=complex)
-        for weight, branches in weighted_branches:
-            for p, phi in branches:
-                out += weight * p * phi.projector()
-        if not abs(out.trace().real - 1.0) <= ATOL:
-            raise InvalidInputError("density matrix trace differs from 1")
-        return DensityMatrix._of(out)
-
     def ensemble_output_density(self, ensemble) -> DensityMatrix:
         """Exact infinite-shot output state for an input ensemble.
 
@@ -164,23 +149,29 @@ class BoxModel(ABC):
         """
         ensemble = _as_ensemble(ensemble)
         pairs = zip(ensemble.weights, map(self.branch_distribution, ensemble.states))
-        return self._mixture(pairs, self.dim_out)
+        terms = [(weight * p, phi) for weight, branches in pairs for p, phi in branches]
+        return _branch_sum(terms, self.dim_out)
 
     def probe_outputs(self, basis) -> np.ndarray:
         """The exact outputs for each state of a probe basis, stacked (m^2, n, n)."""
-        return np.array([self.ensemble_output_density(probe).matrix for probe in basis.states])
+        return output_densities([self], basis.states)[0]
 
     def probe_with_reference(self, joint: PureState) -> DensityMatrix:
         """Exact joint output when the box acts on one half of an entangled probe.
 
         The box side is always the first tensor factor.  The reference-side
-        marginal is preserved for every box kind.
+        marginal is preserved for every box kind.  The stages of a stock box
+        (:func:`_chain`) run as rows (:func:`_branch_terms`).
         """
         joint = as_state(joint)
         if joint.dim % self.dim_in != 0:
             raise InvalidShapeError("joint state does not factor over the box input")
         ref_dim = joint.dim // self.dim_in
-        return self._mixture([(1.0, self.joint_branches(joint, ref_dim))], self.dim_out * ref_dim)
+        chain = _chain(self)
+        if chain is None:
+            return _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
+        source = _EnsembleRows(1, np.zeros(1, dtype=np.intp), np.ones(1), joint.vector[None])
+        return DensityMatrix._of(_mixtures(*_branch_terms([chain], source, ref_dim), 1, self.dim_out * ref_dim)[0])
 
 
 class LinearBox(BoxModel):
@@ -203,7 +194,7 @@ class LinearBox(BoxModel):
     def probe_outputs(self, basis):
         outputs = self._probe_outputs.get(basis)
         if outputs is None:
-            outputs = super().probe_outputs(basis)
+            outputs = np.array([self.ensemble_output_density(probe).matrix for probe in basis.states])
             outputs.flags.writeable = False
             # threads racing on a shared box all keep the first stack
             outputs = self._probe_outputs.setdefault(basis, outputs)
@@ -218,14 +209,7 @@ class LinearBox(BoxModel):
         return output
 
     def joint_branches(self, joint, ref_dim):
-        joint = as_state(joint)
-        branches = []
-        for k in self.channel.kraus_operators():
-            vec = kron(k, np.eye(ref_dim)) @ joint.vector
-            p = float(np.real(np.vdot(vec, vec)))
-            if p > BRANCH_CUTOFF:
-                branches.append((p, PureState(vec / math.sqrt(p))))
-        return branches
+        return _row_branches(self, joint, ref_dim)
 
     def ensemble_output_density(self, ensemble):
         # linearity: only the ensemble's density matters
@@ -253,25 +237,8 @@ class _BlochWarp(BoxModel):
         self.dim_in = dim
         self.dim_out = dim
 
-    def _warp_pure(self, psi: PureState) -> PureState:
-        # psi and both unitaries are checked, so only the result is wrapped
-        if psi.dim != 2:
-            return psi
-        theta, phi = bloch_angles(self.pre_unitary @ psi.vector)
-        return PureState(self.post_unitary @ bloch_ket(warp_polar_angle(theta, self.kappa), phi))
-
     def joint_branches(self, joint, ref_dim):
-        # branch k projects the box side onto basis state k; the reference keeps
-        # its normalized conditional state, so the far marginal is untouched
-        table = as_state(joint).vector.reshape(-1, ref_dim)
-        branches = []
-        for b in self.basis:
-            ref_vec = b.vector.conj() @ table
-            p = float(np.real(np.vdot(ref_vec, ref_vec)))
-            if p > BRANCH_CUTOFF:
-                out = self._warp_pure(b).tensor(PureState(ref_vec / math.sqrt(p)))
-                branches.append((p, out))
-        return branches
+        return _row_branches(self, joint, ref_dim)
 
 
 class NonlinearBloch(_BlochWarp):
@@ -293,12 +260,6 @@ class NonlinearBloch(_BlochWarp):
         box.kappa, box.pre_unitary, box.post_unitary = kappa, pre_unitary, post_unitary
         box.dim_in = box.dim_out = 2
         return box
-
-    def joint_branches(self, joint, ref_dim):
-        # a plain input is warped whole, without a collapse
-        if ref_dim == 1:
-            return [(1.0, self._warp_pure(as_state(joint)))]
-        return super().joint_branches(joint, ref_dim)
 
 
 class CollapseNonlinear(_BlochWarp):
@@ -413,7 +374,7 @@ def output_densities(boxes: Sequence[BoxModel], inputs) -> np.ndarray:
                 if dim != chains[k][0].dim_in:
                     raise InvalidShapeError(f"box expects dimension {chains[k][0].dim_in}, got {dim}")
         sources = rows if ensembles is None else _EnsembleRows.of(ensembles)
-        sums = _mixtures(*_branch_terms([chains[k] for k in branching], sources), len(branching) * count, d)
+        sums = _mixtures(*_branch_terms([chains[k] for k in branching], sources, 1), len(branching) * count, d)
         out[branching] = sums.reshape(len(branching), count, d, d)
     others = [k for k, chain in chains.items() if not chain]
     if others:
@@ -481,20 +442,22 @@ def _chain(box: BoxModel) -> tuple | None:
     return stages if all(type(stage) in _ROWS for stage in stages) else None
 
 
-def _branch_terms(chains: Sequence[tuple], sources: _EnsembleRows) -> tuple:
+def _branch_terms(chains: Sequence[tuple], sources: _EnsembleRows, ref: int) -> tuple:
     """Every chain's branches on the states of a stack of ensembles, enumerated over rows.
 
-    ``sources`` holds the ensembles as rows, of the first stage's input
-    dimension.  Returns ``(cells, weights, vectors)``, one entry per term:
-    cell ``k * sources.count + n`` holds the ``(weight x p, branch vector)``
-    terms of the box with stages ``chains[k]`` on ensemble n, bit for bit
-    and in the order its ``ensemble_output_density`` sums them.  Every
-    stage is a stock class by exact type (:func:`_chain`); any other box
-    runs its own method.  A row starts as one (chain, ensemble state,
-    weight).  Chains of the same stage classes advance together, one
-    ``_ROWS`` call per stage over all their rows, dropping each product of
-    branch probabilities at or below ``BRANCH_CUTOFF`` as a composite's own
-    enumeration does (a lone stage keeps only branches above it).
+    ``sources`` holds the ensembles as rows of joint states, the first
+    stage's input dimension times the reference dimension ``ref`` (1 for
+    plain inputs); each stage acts on the first factor.  Returns ``(cells,
+    weights, vectors)``, one entry per term: cell ``k * sources.count + n``
+    holds the ``(weight x p, branch vector)`` terms of the box with stages
+    ``chains[k]`` on ensemble n, bit for bit and in the order its
+    ``joint_branches`` gives them.  Every stage is a stock class by exact
+    type (:func:`_chain`); any other box runs its own method.  A row starts
+    as one (chain, ensemble state, weight).  Chains of the same stage
+    classes advance together, one ``_ROWS`` call per stage over all their
+    rows, dropping each product of branch probabilities at or below
+    ``BRANCH_CUTOFF`` as a composite's own enumeration does (a lone stage
+    keeps only branches above it).
     """
     inputs, weights, size = sources.source, sources.weights, len(sources.source)
     groups: dict = {}
@@ -509,7 +472,7 @@ def _branch_terms(chains: Sequence[tuple], sources: _EnsembleRows) -> tuple:
         vectors = np.tile(sources.vectors, (len(members), 1))
         for t, (rows, dim) in enumerate(kinds):
             stages = [chain[t] for _, chain in members]
-            parent, q, vectors = rows(stages, origin // size, vectors, dim)
+            parent, q, vectors = rows(stages, origin // size, vectors, dim, ref)
             probs = probs[parent] * q
             origin = origin[parent]
             keep = probs > BRANCH_CUTOFF
@@ -521,14 +484,15 @@ def _branch_terms(chains: Sequence[tuple], sources: _EnsembleRows) -> tuple:
     return np.concatenate(cells), np.concatenate(terms), np.concatenate(branches)
 
 
-def _kraus_rows(stages, inv, vectors, dim):
-    """:meth:`LinearBox.joint_branches` of every row: each Kraus operator applied."""
+def _kraus_rows(stages, inv, vectors, dim, ref):
+    """The linear branches of every row: each Kraus operator K applied as ``kron(K, I_ref)``."""
     ops = [s.channel.kraus_operators() for s in stages]
-    kraus = np.zeros((len(stages), max(map(len, ops)), dim, vectors.shape[1]), dtype=complex)
+    kraus = np.zeros((len(stages), max(map(len, ops)), dim, vectors.shape[1] // ref), dtype=complex)
     # a padding operator keeps no branch
     for i, k in enumerate(ops):
         kraus[i, :len(k)] = k
-    out = np.matmul(kraus[inv], vectors[:, None, :, None])[..., 0]
+    # bit for bit the one-vector ``kron(K, I_ref) @ v``, which K on the (d x ref) table is not
+    out = np.matmul(np.kron(kraus, np.eye(ref))[inv], vectors[:, None, :, None])[..., 0]
     # the stacked (1, d) @ (d, 1) products are ``vdot`` bit for bit
     p = np.matmul(out.conj()[..., None, :], out[..., None])[..., 0, 0].real
     parent, k = np.nonzero(p > BRANCH_CUTOFF)
@@ -538,39 +502,61 @@ def _kraus_rows(stages, inv, vectors, dim):
     return parent, p, branches
 
 
-def _warped_rows(stages, inv, vectors, dim):
-    """:meth:`NonlinearBloch.joint_branches` of every row: the plain input warped whole."""
+def _warped_rows(stages, inv, vectors, dim, ref):
+    """The Bloch-warp branches of every row: a plain input warped whole, one half of a
+    joint input collapsed in the stage's (computational) basis first."""
+    if ref > 1:
+        return _collapsed_rows(stages, inv, vectors, dim, ref)
     kappas, pre, post = _warp_parameters(stages)
     return np.arange(len(inv)), np.ones(len(inv)), _warp_rows(vectors, kappas[inv], pre[inv], post[inv])
 
 
-def _collapsed_rows(stages, inv, vectors, dim):
-    """:meth:`CollapseNonlinear.joint_branches` of every row: the basis projection, each
-    basis state warped once per stage (a state beyond qubits passes through)."""
+def _collapsed_rows(stages, inv, vectors, dim, ref):
+    """The collapse branches of every row: branch k is basis state k, warped once per stage
+    (a state beyond qubits passes through), times the normalized reference amplitude."""
     basis = np.array([[b.vector for b in s.basis] for s in stages])
     warped = basis
     if dim == 2:
         kappas, pre, post = (np.repeat(a, dim, axis=0) for a in _warp_parameters(stages))
         warped = _warp_rows(basis.reshape(-1, dim), kappas, pre, post).reshape(basis.shape)
-    # the reference amplitude b^dagger psi and its weight, each a stacked (1, d) @ (d, 1)
-    ref = np.matmul(basis.conj()[inv][:, :, None, :], vectors[:, None, :, None])[..., 0, 0]
-    p = np.matmul(ref.conj()[..., None, None], ref[..., None, None])[..., 0, 0].real
+    # the reference amplitude b^dagger psi, a stacked (1, d) @ (d, ref) on each row's
+    # (d x ref) table, and its weight, a stacked (1, ref) @ (ref, 1)
+    table = vectors.reshape(len(vectors), 1, dim, ref)
+    amp = np.matmul(basis.conj()[inv][:, :, None, :], table)[..., 0, :]
+    p = np.matmul(amp.conj()[..., None, :], amp[..., None])[..., 0, 0].real
     parent, k = np.nonzero(p > BRANCH_CUTOFF)
     p = p[parent, k]
-    phase = ref[parent, k] / np.sqrt(p)
-    _check_norms(phase[:, None])
-    branches = warped[inv[parent], k] * phase[:, None]
+    amp = amp[parent, k] / np.sqrt(p)[:, None]
+    _check_norms(amp)
+    branches = (warped[inv[parent], k][:, :, None] * amp[:, None, :]).reshape(len(p), dim * ref)
     _check_norms(branches)
     return parent, p, branches
 
 
-# The row enumeration that runs ``joint_branches`` at a one-dimensional
-# reference for each stage class, by exact type.  Each takes ``(stages, inv,
-# vectors, dim)``, row r holding ``vectors[r]`` at stage ``stages[inv[r]]``,
-# and returns ``(parent, q, branches)``, one entry per branch the stage keeps,
-# in row order and then in the stage's branch order: the row it came from, its
-# probability and its vector of dimension ``dim``.
+# The row enumeration of each stock stage class, by exact type: the one place
+# its branch math lives.  Each takes ``(stages, inv, vectors, dim, ref)``, row
+# r holding the joint vector ``vectors[r]`` (the stage's input dimension times
+# ``ref``) at stage ``stages[inv[r]]``, and returns ``(parent, q, branches)``,
+# one entry per branch the stage keeps, in row order and then in the stage's
+# branch order: the row it came from, its probability and its joint vector of
+# dimension ``dim * ref``.
 _ROWS = {LinearBox: _kraus_rows, NonlinearBloch: _warped_rows, CollapseNonlinear: _collapsed_rows}
+
+
+def _row_branches(box: BoxModel, joint, ref_dim: int) -> list:
+    """``box.joint_branches``: the stack of one of the row enumeration of its stock class."""
+    rows = next(_ROWS[cls] for cls in type(box).__mro__ if cls in _ROWS)
+    vector = as_state(joint).vector
+    _, q, vectors = rows([box], np.zeros(1, dtype=np.intp), vector[None], box.dim_out, ref_dim)
+    return [(p, PureState(v)) for p, v in zip(q.tolist(), vectors)]
+
+
+def _branch_sum(branches, dim: int) -> DensityMatrix:
+    """The weighted projector sum of (weight, PureState) branches: :func:`_mixtures` of one
+    cell, which checks only its trace, since branches below ``BRANCH_CUTOFF`` are dropped."""
+    weights = np.array([p for p, _ in branches], dtype=float)
+    vectors = np.array([phi.vector for _, phi in branches], dtype=complex).reshape(len(branches), dim)
+    return DensityMatrix._of(_mixtures(np.zeros(len(branches), dtype=np.intp), weights, vectors, 1, dim)[0])
 
 
 def _warp_parameters(stages) -> tuple:
@@ -583,21 +569,21 @@ def _warp_parameters(stages) -> tuple:
 
 
 def _warp_rows(vectors, kappas, pre, post) -> np.ndarray:
-    """:meth:`_BlochWarp._warp_pure` of each qubit row, bit for bit, in one pass.
+    """The Bloch warp of each qubit row: pre-rotate, warp the polar angle, post-rotate.
 
     The stacked products make the per-row BLAS calls of ``U @ v``, and
-    ``hypot`` is the scalar ``abs`` of a complex number; only the polar
-    warp itself runs row by row (:func:`warp_polar_angle`, which uses
-    ``math``).  The rows are norm-checked as ``PureState`` checks the
-    scalar warp's result.
+    ``hypot`` is the scalar ``abs`` of a complex number, so each row is bit
+    for bit the warp of that row alone; only the polar warp itself runs row
+    by row (:func:`warp_polar_angle`, which uses ``math``).  The rows are
+    norm-checked as ``PureState`` checks a state.
     """
     rotated = np.matmul(pre, vectors[..., None])[..., 0]
     a, b = np.ascontiguousarray(rotated[:, 0]), np.ascontiguousarray(rotated[:, 1])
     abs_a, abs_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
     theta = 2.0 * np.arctan2(abs_b, abs_a)
     phi = np.where((abs_a > 1e-15) & (abs_b > 1e-15), np.angle(b) - np.angle(a), 0.0)
-    half = np.array([warp_polar_angle(th, k) for th, k in zip(theta.tolist(), kappas.tolist())]) / 2.0
-    kets = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=-1)
+    warped = np.array([warp_polar_angle(th, k) for th, k in zip(theta.tolist(), kappas.tolist())])
+    kets = np.ascontiguousarray(bloch_ket(warped, phi).T)
     out = np.matmul(post, kets[..., None])[..., 0]
     _check_norms(out)
     return out

@@ -340,8 +340,9 @@ def _mixtures(cells: np.ndarray, weights: np.ndarray, vectors: np.ndarray, count
     ``cells[i]``; a cell's terms are summed in the order given.  The
     weighted projectors are added term by term over the whole stack (a
     cell with fewer terms adds exact zeros), so each sum is bit for bit the
-    one-cell sum of ``Ensemble.density`` or ``BoxModel._mixture``; only the
-    traces are checked, as the latter checks them.
+    one-cell sum, and that of ``Ensemble.density``.  Every exact box output
+    is such a sum, of one cell or of a stack; only the traces are checked,
+    since a box drops its branches below ``BRANCH_CUTOFF``.
     """
     order = np.argsort(cells, kind="stable")
     cells = cells[order]

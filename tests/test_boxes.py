@@ -40,7 +40,7 @@ from qdata import (
     uhlmann_fidelity,
     warp_polar_angle,
 )
-from qdata.boxes import _chain, _warp_rows
+from qdata.boxes import BRANCH_CUTOFF, _chain, _warp_rows
 from qdata.linalg import haar_random_unitary
 
 RY45 = rotation_y(math.pi / 4)
@@ -264,6 +264,12 @@ def _three_wrap_warp(box, psi):
     return PureState(box.post_unitary @ warped.vector)
 
 
+def _warp_one(box, psi):
+    """The row warp of one qubit row, on the parameters of ``box``."""
+    one = np.ones(1)
+    return _warp_rows(psi.vector[None], box.kappa * one, box.pre_unitary[None], box.post_unitary[None])[0]
+
+
 def test_warp_on_raw_vectors_is_bitwise_the_three_wrap_warp():
     u = rotation_y(0.6) @ np.diag([1.0, np.exp(0.4j)])
     boxes = (
@@ -274,7 +280,7 @@ def test_warp_on_raw_vectors_is_bitwise_the_three_wrap_warp():
     inputs = [ket(0), ket(1), plus_state()] + [PureState.haar(2, RngStream(31, k)) for k in range(20)]
     for box in boxes:
         for psi in inputs:
-            assert np.array_equal(box._warp_pure(psi).vector, _three_wrap_warp(box, psi).vector)
+            assert _warp_one(box, psi).tobytes() == _three_wrap_warp(box, psi).vector.tobytes()
 
 
 def test_the_warp_still_checks_what_it_returns(monkeypatch):
@@ -411,6 +417,144 @@ def test_product_probe_matches_plain_output_unless_the_box_warps(label):
             assert gap > 1e-3, label
         else:
             assert gap <= 1e-12, label
+
+
+# ---------------------------------------------------------------- reference enumeration
+#
+# The branch math written out one branch at a time, apart from the row
+# enumerations the stock classes run: a Kraus branch is kron(K, I_ref) @ v, a
+# collapse branch the warped basis state times the normalized reference
+# amplitude, a composite the stage-by-stage product, and the output a plain
+# loop over the weighted branch projectors.
+
+
+def _reference_branches(box, vector, ref):
+    """(p, vector) branches of ``box`` acting on the first factor of the joint ``vector``."""
+    if isinstance(box, ComposedBox):
+        current = [(1.0, vector)]
+        for stage in box.boxes:
+            products = [(p * q, chi) for p, phi in current for q, chi in _reference_branches(stage, phi, ref)]
+            current = [(w, chi) for w, chi in products if w > BRANCH_CUTOFF]
+        return current
+    if isinstance(box, LinearBox):
+        vectors = [np.kron(k, np.eye(ref)) @ vector for k in box.channel.kraus_operators()]
+        weighted = [(float(np.real(np.vdot(v, v))), v) for v in vectors]
+        return [(p, v / math.sqrt(p)) for p, v in weighted if p > BRANCH_CUTOFF]
+    if isinstance(box, NonlinearBloch) and ref == 1:
+        return [(1.0, _three_wrap_warp(box, PureState(vector)).vector)]
+    branches = []
+    for b in box.basis:
+        amp = b.vector.conj() @ vector.reshape(-1, ref)
+        p = float(np.real(np.vdot(amp, amp)))
+        if p > BRANCH_CUTOFF:
+            warped = _three_wrap_warp(box, b).vector if b.dim == 2 else b.vector
+            branches.append((p, np.kron(warped, amp / math.sqrt(p))))
+    return branches
+
+
+def _reference_sum(weighted, dim):
+    out = np.zeros((dim, dim), dtype=complex)
+    for weight, branches in weighted:
+        for p, phi in branches:
+            out += weight * p * np.outer(phi, phi.conj())
+    return out
+
+
+def _reference_output(box, source):
+    if isinstance(source, DensityMatrix):
+        source = source.eigen_ensemble()
+    if not isinstance(source, Ensemble):
+        source = Ensemble((1.0,), (source,))
+    weighted = [(w, _reference_branches(box, s.vector, 1)) for w, s in zip(source.weights, source.states)]
+    return _reference_sum(weighted, box.dim_out)
+
+
+def _reference_boxes():
+    root = RngStream(57, 0)
+    warp = NonlinearBloch(2.5, pre_unitary=RY45, post_unitary=rotation_y(1.3))
+    collapse = CollapseNonlinear((plus_state(), minus_state()), kappa=3.0, post_unitary=RY45)
+    qutrit = CollapseNonlinear(tuple(PureState(c) for c in haar_random_unitary(3, root.child(0)).T))
+    damping = LinearBox(QuantumChannel.amplitude_damping(0.3))
+    tilted = (PureState(rotation_y(2e-3) @ ket(0).vector), PureState(rotation_y(2e-3) @ ket(1).vector))
+    return {
+        "damping": damping,
+        "random-linear": LinearBox(random_channel(2, 2, root.child(1))),
+        "depolarizing": LinearBox(QuantumChannel.depolarizing(0.3)),
+        "warp": warp,
+        "plain-warp": NonlinearBloch(0.4),
+        "collapse": collapse,
+        "computational-collapse": CollapseNonlinear((ket(0), ket(1)), kappa=4.0, pre_unitary=RY45),
+        "qutrit-collapse": qutrit,
+        "rectangular-then-qutrit": ComposedBox([LinearBox(random_channel(2, 3, root.child(2))), qutrit]),
+        "linear-then-warp": ComposedBox([LinearBox(random_channel(2, 2, root.child(3))), warp]),
+        "warp-then-collapse": ComposedBox([warp, CollapseNonlinear((ket(0), ket(1)), kappa=4.0, pre_unitary=RY45)]),
+        "three-stage": ComposedBox([damping, warp, collapse]),
+        # both stages keep the branch through |1> of a faint input, but not their product
+        "faint-product": ComposedBox([CollapseNonlinear((ket(0), ket(1))), CollapseNonlinear(tilted)]),
+    }
+
+
+REFERENCE_BOXES = _reference_boxes()
+
+
+def _reference_inputs(dim, root):
+    """Plain pure inputs of dimension ``dim``: basis states, a faint tilt and Haar draws."""
+    faint = np.zeros(dim, dtype=complex)
+    faint[:2] = math.sqrt(1.0 - 1e-8), 1e-4
+    inputs = [ket(0, dim), ket(dim - 1, dim), PureState(faint)]
+    return inputs + [PureState.haar(dim, root.child(k)) for k in range(6)]
+
+
+@pytest.mark.parametrize("ref", [1, 2, 3])
+@pytest.mark.parametrize("label", REFERENCE_BOXES)
+def test_stock_branches_and_probe_outputs_equal_a_reference_written_out_bit_for_bit(label, ref):
+    box = REFERENCE_BOXES[label]
+    root = RngStream(57, 10 + ref)
+    plain = _reference_inputs(box.dim_in, root.child(0))
+    # product probes, entangled Haar probes and the maximally entangled probe
+    joints = [psi.tensor(ket(ref - 1, ref)) if ref > 1 else psi for psi in plain]
+    joints += [PureState.haar(box.dim_in * ref, root.child(1, k)) for k in range(4)]
+    if ref == box.dim_in:
+        joints.append(max_entangled(ref))
+    for n, joint in enumerate(joints):
+        want = _reference_branches(box, joint.vector, ref)
+        got = box.joint_branches(joint, ref)
+        assert [p for p, _ in got] == [p for p, _ in want], (label, n)
+        assert [phi.vector.tobytes() for _, phi in got] == [phi.tobytes() for _, phi in want], (label, n)
+        want_joint = _reference_sum([(1.0, want)], box.dim_out * ref)
+        assert box.probe_with_reference(joint).matrix.tobytes() == want_joint.tobytes(), (label, n)
+        if ref == 1:
+            assert [phi.vector.tobytes() for _, phi in box.branch_distribution(joint)] == [
+                phi.tobytes() for _, phi in want
+            ], (label, n)
+
+
+@pytest.mark.parametrize("label", REFERENCE_BOXES)
+def test_stock_ensemble_and_probe_basis_outputs_equal_a_reference_written_out_bit_for_bit(label):
+    box = REFERENCE_BOXES[label]
+    root = RngStream(57, 2)
+    dim = box.dim_in
+    plain = _reference_inputs(dim, root.child(0))
+    mixed = Ensemble((0.2, 0.3, 0.5), plain[-3:])
+    uneven = Ensemble((0.1, 0.2, 0.3, 0.4), (plain[2], plain[0], plain[3], plain[1]))
+    inputs = plain + [plain[3].vector, mixed, uneven, mixed.density()]
+    if dim == 2:
+        basis = canonical_probe_basis(2, 0.3)
+    else:
+        basis = ProbeBasis(tuple(PureState.haar(dim, root.child(1, k)) for k in range(dim * dim)))
+    # a linear box computes its ensemble and probe-basis outputs at the channel level
+    if isinstance(box, LinearBox):
+        densities = [x if isinstance(x, (DensityMatrix, Ensemble, PureState)) else PureState(x) for x in inputs]
+        want = [box.channel.apply(x if isinstance(x, DensityMatrix) else x.density()).matrix for x in densities]
+        want_probes = [box.channel.apply(probe).matrix for probe in basis.states]
+    else:
+        want = [_reference_output(box, x) for x in inputs]
+        want_probes = [_reference_output(box, probe) for probe in basis.states]
+    got = output_densities([box], inputs)[0]
+    for n, source in enumerate(inputs):
+        assert box.ensemble_output_density(source).matrix.tobytes() == want[n].tobytes(), (label, n)
+        assert got[n].tobytes() == want[n].tobytes(), (label, n)
+    assert box.probe_outputs(basis).tobytes() == np.array(want_probes).tobytes(), label
 
 
 # ---------------------------------------------------------------- composition
@@ -617,7 +761,7 @@ def test_the_stacked_warp_is_the_scalar_warp_bit_for_bit():
     )
     assert any(np.array_equal(box.pre_unitary, identity) for box in boxes)
     for r, (box, psi) in enumerate(rows):
-        assert got[r].tobytes() == box._warp_pure(psi).vector.tobytes(), r
+        assert got[r].tobytes() == _three_wrap_warp(box, psi).vector.tobytes(), r
     # the panel reaches the clamp: kappa = 2000 sends theta = 3.1 to the south pole
     assert warp_polar_angle(panel[4].bloch_angles()[0], 2000.0) == math.pi
 

@@ -1,10 +1,11 @@
 """Densities wrapped by construction, without the eigensolve of ``check_densities``.
 
-``PureState.density``, ``Ensemble.density``, ``BoxModel._mixture`` (every
-non-linear box output and every entangled-probe output, also when
-``output_densities`` stacks them) and ``state_tomography`` skip the full
-check; these oracles put their outputs through it over seeded inputs, and
-pin how many densities a sweep cell still checks in full.
+``PureState.density``, ``Ensemble.density``, the weighted branch sums of
+``states._mixtures`` (every non-linear box output and every entangled-probe
+output, of one box alone or stacked by ``output_densities``) and
+``state_tomography`` skip the full check; these oracles put their outputs
+through it over seeded inputs, and pin how many densities a sweep cell still
+checks in full.
 """
 
 import copy
