@@ -160,18 +160,13 @@ class BoxModel(ABC):
         """Exact joint output when the box acts on one half of an entangled probe.
 
         The box side is always the first tensor factor.  The reference-side
-        marginal is preserved for every box kind.  The stages of a stock box
-        (:func:`_chain`) run as rows (:func:`_branch_terms`).
+        marginal is preserved for every box kind.
         """
         joint = as_state(joint)
         if joint.dim % self.dim_in != 0:
             raise InvalidShapeError("joint state does not factor over the box input")
         ref_dim = joint.dim // self.dim_in
-        chain = _chain(self)
-        if chain is None:
-            return _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
-        source = _EnsembleRows(1, np.zeros(1, dtype=np.intp), np.ones(1), joint.vector[None])
-        return DensityMatrix._of(_mixtures(*_branch_terms([chain], source, ref_dim), 1, self.dim_out * ref_dim)[0])
+        return _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
 
 
 class LinearBox(BoxModel):
@@ -209,7 +204,7 @@ class LinearBox(BoxModel):
         return output
 
     def joint_branches(self, joint, ref_dim):
-        return _row_branches(self, joint, ref_dim)
+        return _row_branches(_kraus_rows, self, joint, ref_dim)
 
     def ensemble_output_density(self, ensemble):
         # linearity: only the ensemble's density matters
@@ -237,9 +232,6 @@ class _BlochWarp(BoxModel):
         self.dim_in = dim
         self.dim_out = dim
 
-    def joint_branches(self, joint, ref_dim):
-        return _row_branches(self, joint, ref_dim)
-
 
 class NonlinearBloch(_BlochWarp):
     """Deterministic nonlinear qubit box: pre-rotate, warp the polar angle, post-rotate.
@@ -260,6 +252,9 @@ class NonlinearBloch(_BlochWarp):
         box.kappa, box.pre_unitary, box.post_unitary = kappa, pre_unitary, post_unitary
         box.dim_in = box.dim_out = 2
         return box
+
+    def joint_branches(self, joint, ref_dim):
+        return _row_branches(_warped_rows, self, joint, ref_dim)
 
 
 class CollapseNonlinear(_BlochWarp):
@@ -282,6 +277,9 @@ class CollapseNonlinear(_BlochWarp):
             raise InvalidInputError("collapse basis must be complete and orthonormal")
         self.basis = states
         super().__init__(kappa, pre_unitary, post_unitary)
+
+    def joint_branches(self, joint, ref_dim):
+        return _row_branches(_collapsed_rows, self, joint, ref_dim)
 
 
 class ComposedBox(BoxModel):
@@ -543,9 +541,8 @@ def _collapsed_rows(stages, inv, vectors, dim, ref):
 _ROWS = {LinearBox: _kraus_rows, NonlinearBloch: _warped_rows, CollapseNonlinear: _collapsed_rows}
 
 
-def _row_branches(box: BoxModel, joint, ref_dim: int) -> list:
-    """``box.joint_branches``: the stack of one of the row enumeration of its stock class."""
-    rows = next(_ROWS[cls] for cls in type(box).__mro__ if cls in _ROWS)
+def _row_branches(rows, box: BoxModel, joint, ref_dim: int) -> list:
+    """``box.joint_branches``: the stack of one of its class's row enumeration ``rows``."""
     vector = as_state(joint).vector
     _, q, vectors = rows([box], np.zeros(1, dtype=np.intp), vector[None], box.dim_out, ref_dim)
     return [(p, PureState(v)) for p, v in zip(q.tolist(), vectors)]
