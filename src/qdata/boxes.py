@@ -122,6 +122,11 @@ class BoxModel(ABC):
     one-dimensional reference, so sampling, exact ensemble outputs and
     entangled-probe behavior all derive from that single description, each
     a weighted projector sum (:func:`qdata.states._mixtures`).
+
+    A box is immutable once built.  It keeps one memo, created on first use,
+    of its exact outputs per probe basis and per entangled probe, and of
+    what the tomography derives from them (:meth:`_kept`); the memo relies
+    on that immutability and dies with the box.
     """
 
     dim_in: int
@@ -152,56 +157,67 @@ class BoxModel(ABC):
         terms = [(weight * p, phi) for weight, branches in pairs for p, phi in branches]
         return _branch_sum(terms, self.dim_out)
 
+    def _kept(self, key, compute, *args):
+        """The value the box keeps under ``key``: ``compute(*args)`` the first time, an
+        array of it made read-only.
+
+        ``key`` hashes by the identities of the states it names (a
+        ProbeBasis, a PureState, or a tuple holding one).  Threads racing on
+        one box all keep the first value.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        value = memo.get(key)
+        if value is None:
+            value = compute(*args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            value = memo.setdefault(key, value)
+        return value
+
     def probe_outputs(self, basis) -> np.ndarray:
-        """The exact outputs for each state of a probe basis, stacked (m^2, n, n)."""
+        """The exact outputs for each state of a probe basis, stacked (m^2, n, n), kept
+        read-only per basis."""
+        return self._kept(basis, self._probe_stack, basis)
+
+    def _probe_stack(self, basis) -> np.ndarray:
         return output_densities([self], basis.states)[0]
 
     def probe_with_reference(self, joint: PureState) -> DensityMatrix:
-        """Exact joint output when the box acts on one half of an entangled probe.
+        """Exact joint output when the box acts on one half of an entangled probe,
+        kept read-only per probe.
 
         The box side is always the first tensor factor.  The reference-side
-        marginal is preserved for every box kind.
+        marginal is preserved for every box kind.  A probe given as a
+        vector is a fresh state on each call, so its output is not kept.
         """
-        joint = as_state(joint)
-        if joint.dim % self.dim_in != 0:
+        state = as_state(joint)
+        if state.dim % self.dim_in != 0:
             raise InvalidShapeError("joint state does not factor over the box input")
+        if state is not joint:
+            return self._joint_output(state)
+        return self._kept(state, self._joint_output, state)
+
+    def _joint_output(self, joint: PureState) -> DensityMatrix:
         ref_dim = joint.dim // self.dim_in
-        return _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
+        output = _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
+        output.matrix.flags.writeable = False
+        return output
 
 
 class LinearBox(BoxModel):
     """Honest quantum box: the CPTP channel ``channel``.
 
-    Its probe outputs are computed (and validated) once per probe basis,
-    and its joint output once per entangled probe, and kept, read-only, for
-    the life of the box.
+    Its probe outputs are the channel's outputs, one ``channel.apply`` per
+    probe state.
     """
 
     def __init__(self, channel: QuantumChannel):
         self.channel = channel
         self.dim_in = channel.dim_in
         self.dim_out = channel.dim_out
-        # keyed by the ProbeBasis, which hashes by the identities of its states
-        self._probe_outputs: dict = {}
-        # keyed by the joint PureState, which hashes by identity
-        self._joint_outputs: dict = {}
 
-    def probe_outputs(self, basis):
-        outputs = self._probe_outputs.get(basis)
-        if outputs is None:
-            outputs = np.array([self.ensemble_output_density(probe).matrix for probe in basis.states])
-            outputs.flags.writeable = False
-            # threads racing on a shared box all keep the first stack
-            outputs = self._probe_outputs.setdefault(basis, outputs)
-        return outputs
-
-    def probe_with_reference(self, joint):
-        output = self._joint_outputs.get(joint)
-        if output is None:
-            output = super().probe_with_reference(joint)
-            output.matrix.flags.writeable = False
-            output = self._joint_outputs.setdefault(joint, output)
-        return output
+    def _probe_stack(self, basis):
+        return np.array([self.ensemble_output_density(probe).matrix for probe in basis.states])
 
     def joint_branches(self, joint, ref_dim):
         return _row_branches(_kraus_rows, self, joint, ref_dim)

@@ -138,8 +138,22 @@ def _rekeying():
 
 def _keyed_multinomials(keys: np.ndarray, n: int, pvals: np.ndarray) -> np.ndarray:
     """Row r is ``multinomial(n, pvals[r])`` drawn as a fresh ``Philox(key=keys[r])`` draws it,
-    on the per-thread generator re-keyed for each row (:func:`_rekeying`)."""
+    on the per-thread generator re-keyed for each row (:func:`_rekeying`).
+
+    numpy's multinomial draws a row's first count as a binomial of the
+    first probability over the remaining mass, 1.0, and leaves the rest to
+    the last count, so a row of two outcomes is drawn here as
+    ``binomial(n, p0)`` and ``n - x``, the same bits at a third less cost;
+    wider rows draw ``multinomial``.  That binomial draws ``n - X`` from
+    ``1 - p0`` when p0 > 0.5, so two rows one ulp either side of 0.5 swap
+    their counts rather than move them by at most one: any change that
+    moves a Born row's last bit can move its counts far.
+    """
     rekey = _rekeying()
+    if pvals.shape[1] == 2:
+        pairs = zip(keys.tolist(), pvals[:, 0].tolist())
+        first = np.array([rekey(key).binomial(n, p) for key, p in pairs], dtype=np.int64)
+        return np.stack([first, n - first], axis=1)
     counts = np.empty(pvals.shape, dtype=np.int64)
     for r, key in enumerate(keys.tolist()):
         counts[r] = rekey(key).multinomial(n, pvals[r])

@@ -12,10 +12,11 @@ distance is recorded in ``cptp_residual`` instead, derived when first read.
 One routine, ``_raw_estimates``, samples and inverts a whole stack of
 sources: every probe output of a process tomography at once, or the
 sources of state tomographies, one per job (``_state_tomographies``, of
-which ``state_tomography`` is the one-source case).  Its Born
-probabilities come from one trace against the stacked Pauli effects,
-checked per setting row before any draw.  A stack draws from one seed and
-one id per source: setting i of source k draws what
+which ``state_tomography`` is the one-source case).  It takes two steps:
+the Born rows of the stack (``_born_rows``), one trace against the
+stacked Pauli effects, checked per setting row before any draw, then the
+draws and the inversion given those rows (``_drawn_estimates``).  A stack
+draws from one seed and one id per source: setting i of source k draws what
 ``RngStream(rng.seed, ids[k]).child(i)`` would, from that child's Philox
 key alone; one per-thread Philox is re-keyed for each row (``qdata.rng``),
 so no stream or generator is built.  A process tomography's samples go
@@ -26,9 +27,11 @@ the frequencies: one reconstruction operator per qubit count, and every
 stack, of one qubit or two, is inverted in one fixed-order reduction
 against it, bit for bit the per-source inversion.
 Process tomography takes its probe outputs from the box
-(``probe_outputs``); a linear box computes them once per probe basis, so
-the identity box of a null calibration builds each probe output once, not
-once per replication.
+(``probe_outputs``, ``probe_with_reference``), which keeps them per probe,
+and keeps their Born rows in the box's memo too, per (probe, Pauli set),
+so a tomography computes nothing exact a second time on a box: the
+identity box of a null calibration builds and checks each probe's rows
+once, not once per replication, and pays only for its draws.
 
 Each linear map is built once, read-only, by the object that owns it: one
 Pauli table per qubit count (the set, its stacked effects and its
@@ -165,30 +168,36 @@ class TomographyRun:
         return 2**self.n_qubits
 
 
-def _raw_estimates(
-    rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids, tallies=None
-) -> np.ndarray:
-    """Linear-inversion estimates of a stack of source densities, unprojected.
+def _born_rows(rhos: np.ndarray, run: TomographyRun) -> np.ndarray:
+    """The Born rows of a stack of source densities on the run's Pauli set, checked.
 
-    ``rhos`` has shape (sources, d, d) and ``ids`` holds one stream id per
-    source.  Every Born probability comes from one stacked trace, each
-    setting row checked as a distribution before any draw; source k then
-    samples setting i as ``RngStream(rng.seed, ids[k]).child(i)`` would,
-    from that child's Philox key, without building a stream.  The stack's
-    sources x settings x shots go onto ``rng``'s sample tally or, given
-    ``tallies`` (one stream per source), each source's settings x shots
-    onto its own stream's.  The estimates are one reduction of the
-    frequencies against the Pauli table's reconstruction operator,
-    Hermitian by its construction.
+    ``rhos`` has shape (sources, d, d); the rows, shape (sources, settings,
+    outcomes), come from one stacked trace against the Pauli effects, each
+    setting row checked as a distribution.  A source of another dimension
+    than the run's raises before any row is computed.
     """
     if rhos.shape[-1] != run.dim:
         raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    if len(ids) != rhos.shape[0] or (tallies is not None and len(tallies) != len(ids)):
+    effects = _pauli_table(run.n_qubits)[2]
+    return checked_distributions(np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real)
+
+
+def _drawn_estimates(
+    probs: np.ndarray, run: TomographyRun, rng: RngStream, ids, tallies=None
+) -> np.ndarray:
+    """Linear-inversion estimates of the sources whose Born rows are ``probs``, unprojected.
+
+    ``ids`` holds one stream id per source.  Source k samples setting i as
+    ``RngStream(rng.seed, ids[k]).child(i)`` would, from that child's
+    Philox key, without building a stream.  The stack's sources x settings
+    x shots go onto ``rng``'s sample tally or, given ``tallies`` (one
+    stream per source), each source's settings x shots onto its own
+    stream's.  The estimates are one reduction of the frequencies against
+    the Pauli table's reconstruction operator, Hermitian by its
+    construction.
+    """
+    if len(ids) != probs.shape[0] or (tallies is not None and len(tallies) != len(ids)):
         raise InvalidShapeError("a stack needs exactly one stream id per source")
-    _, inverse, effects = _pauli_table(run.n_qubits)
-    probs = checked_distributions(
-        np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real
-    )
     shots = run.shots_per_setting
     sources, settings, outcomes = probs.shape
     keys = _child_keys(rng.seed, ids, settings)
@@ -199,7 +208,15 @@ def _raw_estimates(
         for stream in tallies:
             stream.tally(settings * shots)
     frequencies = counts.reshape(sources, settings * outcomes) / shots
-    return np.add.reduce(frequencies[:, :, None, None] * inverse, axis=1)
+    return np.add.reduce(frequencies[:, :, None, None] * _pauli_table(run.n_qubits)[1], axis=1)
+
+
+def _raw_estimates(
+    rhos: np.ndarray, run: TomographyRun, rng: RngStream, ids, tallies=None
+) -> np.ndarray:
+    """Linear-inversion estimates of a stack of source densities, unprojected: the
+    :func:`_drawn_estimates` of their :func:`_born_rows`, every row checked before any draw."""
+    return _drawn_estimates(_born_rows(rhos, run), run, rng, ids, tallies)
 
 
 def _raw_estimate(source, run: TomographyRun, rng: RngStream) -> np.ndarray:
@@ -335,11 +352,17 @@ def process_tomography_direct(
     Each probe's output is reconstructed by raw linear inversion (the
     projected estimator would erase exactly the deviations of interest),
     then the action on operator units is solved from the probe projectors.
+    The probe outputs and their Born rows are the box's kept ones, so a
+    call computes them only the first time the box meets ``basis`` and
+    the run's Pauli set; a mismatched basis or run raises before that.
     """
     if basis.dim != box.dim_in:
         raise InvalidShapeError("probe basis does not match the box input dimension")
+    if run.dim != box.dim_out:
+        raise InvalidShapeError("the source dimension does not match the run's Pauli set")
+    probs = box._kept((basis, run.n_qubits), _born_rows, box.probe_outputs(basis), run)
     ids = [mix64(rng.stream_id, k) for k in range(len(basis.states))]
-    outputs = _raw_estimates(box.probe_outputs(basis), run, rng, ids)
+    outputs = _drawn_estimates(probs, run, rng, ids)
     m, n = box.dim_in, box.dim_out
     # units[i, j] is the image of |i><j|, which fills Choi block (i, :, j, :)
     units = np.add.reduce(basis._unit_coefficients[..., None, None] * outputs, axis=2)
@@ -355,11 +378,15 @@ def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> Recon
 
     The maximally entangled probe is pushed through the box side, the joint
     two-qubit output is reconstructed raw, and the Choi estimate is the
-    rescaled reordering of that estimate.
+    rescaled reordering of that estimate.  The joint output and its Born
+    rows are the box's kept ones, as in :func:`process_tomography_direct`.
     """
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the ancilla scheme is implemented for qubit boxes")
-    joint_out = box.probe_with_reference(_BELL)
-    estimate = _raw_estimate(joint_out, run, rng)
+    if run.dim != 4:
+        raise InvalidShapeError("the source dimension does not match the run's Pauli set")
+    joint_out = box.probe_with_reference(_BELL).matrix[None]
+    probs = box._kept((_BELL, run.n_qubits), _born_rows, joint_out, run)
+    estimate = _drawn_estimates(probs, run, rng, (rng.stream_id,))[0]
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     return ReconstructedProcess(choi, 2, 2)

@@ -1048,3 +1048,130 @@ def test_output_densities_of_ensemble_rows_equal_their_ensembles_bit_for_bit():
         output_densities([LinearBox(QuantumChannel.identity(2))], qutrit_rows)
     with pytest.raises(InvalidShapeError, match="box expects dimension 2, got 3"):
         output_densities([NonlinearBloch(2.0)], qutrit_rows)
+
+
+# ---------------------------------------------------------------- kept probe outputs
+
+
+def _kept_families() -> dict:
+    damping = LinearBox(QuantumChannel.amplitude_damping(0.3))
+    return {
+        "nonlinear-bloch": NonlinearBloch(2.5, pre_unitary=RY45),
+        "collapse": CollapseNonlinear((plus_state(), minus_state()), kappa=3.0, post_unitary=RY45),
+        "stock-composed": ComposedBox([damping, NonlinearBloch(2.0), CollapseNonlinear((ket(0), ket(1)))]),
+        "custom-composed": ComposedBox([damping, _HalfBranches()]),
+        "linear": LinearBox(random_channel(2, 2, RngStream(57, 1))),
+    }
+
+
+def _counting_exact_outputs(monkeypatch) -> list:
+    """Count each probe stack and each joint output a box computes."""
+    from qdata.boxes import BoxModel
+
+    computed = []
+    for cls, name in ((BoxModel, "_probe_stack"), (LinearBox, "_probe_stack"), (BoxModel, "_joint_output")):
+        compute = cls.__dict__[name]
+
+        def counting(self, probe, compute=compute):
+            computed.append((self, probe))
+            return compute(self, probe)
+
+        monkeypatch.setattr(cls, name, counting)
+    return computed
+
+
+@pytest.mark.parametrize("family", list(_kept_families()))
+def test_every_family_keeps_one_read_only_output_per_probe_across_threads(family, monkeypatch):
+    from qdata.boxes import _branch_sum
+
+    box = _kept_families()[family]
+    bases = [canonical_probe_basis(2, d) for d in (0.0, 0.3, 1.1)]
+    joints = [max_entangled(2), PureState.haar(4, RngStream(57, 2)), PureState.haar(6, RngStream(57, 3))]
+    computed = _counting_exact_outputs(monkeypatch)
+    start = threading.Barrier(8)
+    seen = []
+
+    def probe():
+        start.wait(timeout=10)
+        seen.append(([box.probe_outputs(b) for b in bases], [box.probe_with_reference(j) for j in joints]))
+
+    threads = [threading.Thread(target=probe) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    # racing threads may each compute a probe, but all of them keep the first
+    kept_outputs, kept_joints = seen[0]
+    for outputs, joint_outputs in seen:
+        assert all(a is b for a, b in zip(outputs, kept_outputs))
+        assert all(a is b for a, b in zip(joint_outputs, kept_joints))
+    computed.clear()
+    assert all(a is b for a, b in zip((box.probe_outputs(b) for b in bases), kept_outputs))
+    assert all(a is b for a, b in zip((box.probe_with_reference(j) for j in joints), kept_joints))
+    assert computed == []
+    fresh = _kept_families()[family]
+    for basis, outputs in zip(bases, kept_outputs):
+        assert not outputs.flags.writeable
+        assert outputs.tobytes() == output_densities([fresh], basis.states)[0].tobytes()
+    for joint, output in zip(joints, kept_joints):
+        assert not output.matrix.flags.writeable
+        ref = joint.dim // 2
+        want = _branch_sum(fresh.joint_branches(joint, ref), 2 * ref)
+        assert output.matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_a_probe_given_as_a_vector_is_computed_and_not_kept():
+    box = NonlinearBloch(2.0)
+    vector = max_entangled(2).vector.copy()
+    first = box.probe_with_reference(vector)
+    assert box.probe_with_reference(vector) is not first
+    assert np.array_equal(box.probe_with_reference(vector).matrix, first.matrix)
+    assert box.__dict__.get("_memo", {}) == {}
+
+
+def test_a_tomography_job_pair_probes_each_distinct_basis_of_a_box_once(monkeypatch):
+    from qdata import ancilla_consistency_test, basis_invariance_test, detectors
+    from qdata import boxes as boxes_module
+    from qdata import tomography
+
+    # calibrate both budgets first, so only the job's own probes are counted
+    monkeypatch.setattr(detectors, "_calibration_cache", {})
+    for test in (basis_invariance_test, ancilla_consistency_test):
+        test(NonlinearBloch(2.0), shots=64, rng=RngStream(57, 4))
+    stacks, rows = [], []
+    outputs, checked = boxes_module.output_densities, tomography.checked_distributions
+    monkeypatch.setattr(boxes_module, "output_densities", lambda *a: stacks.append(a) or outputs(*a))
+    monkeypatch.setattr(tomography, "checked_distributions", lambda p: rows.append(p) or checked(p))
+    box = NonlinearBloch(2.0)
+    basis_invariance_test(box, shots=64, rng=RngStream(57, 5))
+    ancilla_consistency_test(box, shots=64, rng=RngStream(57, 6))
+    # the three rotations, the evidence and the ancilla job's direct scheme share
+    # the delta-0 basis; the Bell probe's joint output is the fourth Born stack
+    assert len(stacks) == 3 and len(rows) == 4
+
+
+@pytest.mark.parametrize("family", list(_kept_families()))
+def test_a_mismatched_probe_or_run_raises_and_leaves_no_memo_entry(family):
+    from qdata import TomographyRun, process_tomography_ancilla, process_tomography_direct
+
+    box = _kept_families()[family]
+    basis = canonical_probe_basis(2, 0.0)
+    with pytest.raises(InvalidShapeError):
+        process_tomography_direct(box, basis, TomographyRun(100, 2), RngStream(57, 7))
+    with pytest.raises(InvalidShapeError):
+        process_tomography_ancilla(box, TomographyRun(100), RngStream(57, 8))
+    with pytest.raises(InvalidShapeError):
+        box.probe_outputs(canonical_probe_basis(4))
+    with pytest.raises(InvalidShapeError):
+        box.probe_with_reference(PureState.haar(3, RngStream(57, 9)))
+    assert box.__dict__.get("_memo", {}) == {}
+    # a matching run keeps the probe outputs and their Born rows, once
+    process_tomography_direct(box, basis, TomographyRun(100), RngStream(57, 10))
+    process_tomography_direct(box, basis, TomographyRun(100), RngStream(57, 11))
+    assert list(box.__dict__["_memo"]) == [basis, (basis, 1)]

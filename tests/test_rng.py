@@ -168,6 +168,28 @@ def test_keyed_multinomials_equal_fresh_generators_bit_for_bit():
         assert np.array_equal(got, _fresh_multinomials(streams, 9, n, pvals)), (outcomes, n)
 
 
+def test_two_outcome_rows_are_the_multinomial_bits():
+    # a width-2 row draws as one binomial; numpy's multinomial draws that
+    # binomial first, so the counts are a fresh generator's multinomial ones,
+    # at the edges (0, 1, 0.5 and one ulp either side, a subnormal-scale
+    # weight) as well as at random rows, and at every budget from one shot up
+    edges = [0.0, 1.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1e-300, 1.0 - 1e-16]
+    first = np.array(edges + np.random.default_rng(57).random(300).tolist())
+    pvals = np.stack([first, 1.0 - first], axis=1)
+    for n in (1, 2, 7, 100, 2048, 4000, 10**6):
+        keys = _child_keys(n, range(len(first)), 1)
+        got = _keyed_multinomials(keys, n, pvals)
+        want = [np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64))).multinomial(n, row)
+                for key, row in zip(keys.tolist(), pvals)]
+        assert got.dtype == np.int64 and got.shape == pvals.shape
+        assert np.array_equal(got, np.array(want)), n
+    # the thread generator ends where a fresh one ends after the multinomial
+    last = np.random.Generator(np.random.Philox(key=np.array(keys[-1], dtype=np.uint64)))
+    last.multinomial(10**6, pvals[-1])
+    assert _plain(rng_module._per_thread.generator.bit_generator.state) == _plain(last.bit_generator.state)
+    assert _keyed_multinomials(keys[:0], 5, pvals[:0]).shape == (0, 2)
+
+
 def _plain(state: dict) -> dict:
     return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
 
