@@ -123,10 +123,11 @@ class BoxModel(ABC):
     entangled-probe behavior all derive from that single description, each
     a weighted projector sum (:func:`qdata.states._mixtures`).
 
-    A box is immutable once built.  It keeps one memo, created on first use,
-    of its exact outputs per probe basis and per entangled probe, and of
-    what the tomography derives from them (:meth:`_kept`); the memo relies
-    on that immutability and dies with the box.
+    A box is immutable once built and keeps nothing it computes: each call
+    returns fresh arrays.  Only the tomography keeps what it derives from a
+    box, the Born rows of its probe outputs, and those die with the box.
+    It keys them by the box itself, so a box must hash by identity: a
+    subclass that defines ``__eq__`` is unhashable and cannot be probed there.
     """
 
     dim_in: int
@@ -157,51 +158,21 @@ class BoxModel(ABC):
         terms = [(weight * p, phi) for weight, branches in pairs for p, phi in branches]
         return _branch_sum(terms, self.dim_out)
 
-    def _kept(self, key, compute, *args):
-        """The value the box keeps under ``key``: ``compute(*args)`` the first time, an
-        array of it made read-only.
-
-        ``key`` hashes by the identities of the states it names (a
-        ProbeBasis, a PureState, or a tuple holding one).  Threads racing on
-        one box all keep the first value.
-        """
-        memo = self.__dict__.setdefault("_memo", {})
-        value = memo.get(key)
-        if value is None:
-            value = compute(*args)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            value = memo.setdefault(key, value)
-        return value
-
     def probe_outputs(self, basis) -> np.ndarray:
-        """The exact outputs for each state of a probe basis, stacked (m^2, n, n), kept
-        read-only per basis."""
-        return self._kept(basis, self._probe_stack, basis)
-
-    def _probe_stack(self, basis) -> np.ndarray:
+        """The exact outputs for each state of a probe basis, stacked (m^2, n, n)."""
         return output_densities([self], basis.states)[0]
 
     def probe_with_reference(self, joint: PureState) -> DensityMatrix:
-        """Exact joint output when the box acts on one half of an entangled probe,
-        kept read-only per probe.
+        """Exact joint output when the box acts on one half of an entangled probe.
 
         The box side is always the first tensor factor.  The reference-side
-        marginal is preserved for every box kind.  A probe given as a
-        vector is a fresh state on each call, so its output is not kept.
+        marginal is preserved for every box kind.
         """
-        state = as_state(joint)
-        if state.dim % self.dim_in != 0:
+        joint = as_state(joint)
+        if joint.dim % self.dim_in != 0:
             raise InvalidShapeError("joint state does not factor over the box input")
-        if state is not joint:
-            return self._joint_output(state)
-        return self._kept(state, self._joint_output, state)
-
-    def _joint_output(self, joint: PureState) -> DensityMatrix:
         ref_dim = joint.dim // self.dim_in
-        output = _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
-        output.matrix.flags.writeable = False
-        return output
+        return _branch_sum(self.joint_branches(joint, ref_dim), self.dim_out * ref_dim)
 
 
 class LinearBox(BoxModel):
@@ -216,7 +187,7 @@ class LinearBox(BoxModel):
         self.dim_in = channel.dim_in
         self.dim_out = channel.dim_out
 
-    def _probe_stack(self, basis):
+    def probe_outputs(self, basis):
         return np.array([self.ensemble_output_density(probe).matrix for probe in basis.states])
 
     def joint_branches(self, joint, ref_dim):
@@ -716,9 +687,8 @@ def _check_round_inputs(psi0, psi1, x):
         raise InvalidShapeError("one choice bit per round is required")
     if not np.all((x == 0) | (x == 1)):
         raise InvalidInputError("choice bit must be 0 or 1")
-    for psi in (psi0, psi1):
-        if not np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= 1e-12):
-            raise InvalidInputError("state vector is not normalized")
+    _check_norms(psi0)
+    _check_norms(psi1)
     return psi0, psi1, x.astype(np.intp)
 
 

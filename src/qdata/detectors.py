@@ -291,8 +291,6 @@ def canonical_ensemble_pair() -> tuple:
     """The z-basis and x-basis halves of the maximally mixed qubit, built once."""
     e1 = Ensemble((0.5, 0.5), (ket(0), ket(1)))
     e2 = Ensemble((0.5, 0.5), (plus_state(), minus_state()))
-    for s in e1.states + e2.states:
-        s.vector.flags.writeable = False  # shared by every caller
     return e1, e2
 
 

@@ -57,15 +57,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit vector (norm checked to 1e-12)."""
+    """A unit vector (norm checked to 1e-12).
+
+    The state keeps a read-only copy of the vector it is given, so it never
+    changes once built and may key what is computed from it.
+    """
 
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = np.array(self.vector, dtype=complex).reshape(-1)
         _check_dim(v.size)
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
             raise InvalidInputError("state vector is not normalized")
+        v.flags.writeable = False
         object.__setattr__(self, "vector", v)
 
     @property
@@ -122,7 +127,7 @@ def bloch_angles(vector: np.ndarray) -> tuple[float, float]:
 
 
 def as_state(s) -> PureState:
-    return s if isinstance(s, PureState) else PureState(np.asarray(s, dtype=complex))
+    return s if isinstance(s, PureState) else PureState(s)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,11 +27,14 @@ the frequencies: one reconstruction operator per qubit count, and every
 stack, of one qubit or two, is inverted in one fixed-order reduction
 against it, bit for bit the per-source inversion.
 Process tomography takes its probe outputs from the box
-(``probe_outputs``, ``probe_with_reference``), which keeps them per probe,
-and keeps their Born rows in the box's memo too, per (probe, Pauli set),
-so a tomography computes nothing exact a second time on a box: the
-identity box of a null calibration builds and checks each probe's rows
-once, not once per replication, and pays only for its draws.
+(``probe_outputs``, ``probe_with_reference``), which keeps nothing; this
+module alone keeps their Born rows (``_probe_rows``), read-only, in one
+weak map from each box to its rows per (probe, Pauli set).  So a
+tomography computes nothing exact a second time on a box, and an entry
+dies with its box: the identity box of a null calibration builds and
+checks each probe's rows once, not once per replication, and pays only
+for its draws.  A probe can key them because a state's vector is
+read-only (``PureState``).
 
 Each linear map is built once, read-only, by the object that owns it: one
 Pauli table per qubit count (the set, its stacked effects and its
@@ -43,6 +46,7 @@ operator basis per dimension (in ``linalg``).
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +66,7 @@ from .states import (
     Povm,
     PureState,
     as_density,
+    as_state,
     checked_distributions,
     ket,
     max_entangled,
@@ -182,6 +187,27 @@ def _born_rows(rhos: np.ndarray, run: TomographyRun) -> np.ndarray:
     return checked_distributions(np.trace(effects @ rhos[:, None, None], axis1=-2, axis2=-1).real)
 
 
+_kept_rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _probe_rows(box, probe, run: TomographyRun, outputs) -> np.ndarray:
+    """The Born rows of ``outputs(probe)``, the box's exact outputs on ``probe`` (a
+    ProbeBasis or an entangled PureState), on the run's Pauli set, read-only.
+
+    They are computed the first time the box meets the probe and the set and
+    then kept in ``_kept_rows`` for as long as the box lives, keyed by the
+    box's identity and the probe, whose state vectors cannot change.  Racing
+    threads keep the first value; rows that fail :func:`_born_rows` are not kept.
+    """
+    key = (probe, run.n_qubits)
+    rows = _kept_rows.get(box, {}).get(key)
+    if rows is None:
+        rows = _born_rows(outputs(probe), run)
+        rows.flags.writeable = False
+        rows = _kept_rows.setdefault(box, {}).setdefault(key, rows)
+    return rows
+
+
 def _drawn_estimates(
     probs: np.ndarray, run: TomographyRun, rng: RngStream, ids, tallies=None
 ) -> np.ndarray:
@@ -257,6 +283,8 @@ def state_tomography(source, run: TomographyRun, rng: RngStream) -> DensityMatri
 class ProbeBasis:
     """m^2 pure probe states whose projectors span the operator space.
 
+    The states may be given as raw vectors, each coerced by ``as_state``.
+
     ``_unit_coefficients[i, j]`` expresses the operator unit |i><j| over the
     probe projectors.  For the canonical delta = 0 qubit basis, row (0, 1) is
     E(|0><1|) = E(P_+) + i E(P_+i) - (1+i)/2 (E(P_0) + E(P_1)).
@@ -266,7 +294,7 @@ class ProbeBasis:
     _unit_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
+        states = tuple(map(as_state, self.states))
         if not states:
             raise InvalidInputError("probe basis is empty")
         m = states[0].dim
@@ -295,7 +323,7 @@ def canonical_probe_basis(m: int, delta: float = 0.0) -> ProbeBasis:
     The qubit set {|0>, |1>, |+>, |+i>} is rotated elementwise by
     U_delta = exp(-i delta sigma_y / 2); the two-qubit set is the tensor
     product of two rotated qubit sets.  Each (m, delta) is built once and
-    the same ProbeBasis, with read-only state vectors, is returned afterwards.
+    the same ProbeBasis is returned afterwards.
     """
     if m not in (2, 4):
         raise InvalidInputError("canonical probe bases exist for m = 2 and m = 4")
@@ -313,10 +341,7 @@ def _build_canonical_probe_basis(m: int, delta: float) -> ProbeBasis:
         PureState(u @ s.vector)
         for s in (ket(0), ket(1), plus_state(), plus_i_state())
     ]
-    states = tuple(qubit) if m == 2 else tuple(a.tensor(b) for a in qubit for b in qubit)
-    for s in states:
-        s.vector.flags.writeable = False  # the cached basis is shared by every caller
-    return ProbeBasis(states)
+    return ProbeBasis(qubit if m == 2 else [a.tensor(b) for a in qubit for b in qubit])
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,15 +377,13 @@ def process_tomography_direct(
     Each probe's output is reconstructed by raw linear inversion (the
     projected estimator would erase exactly the deviations of interest),
     then the action on operator units is solved from the probe projectors.
-    The probe outputs and their Born rows are the box's kept ones, so a
-    call computes them only the first time the box meets ``basis`` and
-    the run's Pauli set; a mismatched basis or run raises before that.
+    The Born rows of the probe outputs are kept (:func:`_probe_rows`), so a
+    call computes them only the first time the box meets ``basis`` and the
+    run's Pauli set; a mismatched basis or run raises before anything is kept.
     """
     if basis.dim != box.dim_in:
         raise InvalidShapeError("probe basis does not match the box input dimension")
-    if run.dim != box.dim_out:
-        raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    probs = box._kept((basis, run.n_qubits), _born_rows, box.probe_outputs(basis), run)
+    probs = _probe_rows(box, basis, run, box.probe_outputs)
     ids = [mix64(rng.stream_id, k) for k in range(len(basis.states))]
     outputs = _drawn_estimates(probs, run, rng, ids)
     m, n = box.dim_in, box.dim_out
@@ -370,7 +393,6 @@ def process_tomography_direct(
 
 
 _BELL = max_entangled(2)  # the ancilla scheme's probe, built once
-_BELL.vector.flags.writeable = False
 
 
 def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> ReconstructedProcess:
@@ -378,15 +400,12 @@ def process_tomography_ancilla(box, run: TomographyRun, rng: RngStream) -> Recon
 
     The maximally entangled probe is pushed through the box side, the joint
     two-qubit output is reconstructed raw, and the Choi estimate is the
-    rescaled reordering of that estimate.  The joint output and its Born
-    rows are the box's kept ones, as in :func:`process_tomography_direct`.
+    rescaled reordering of that estimate.  The Born rows of the joint output
+    are kept, as in :func:`process_tomography_direct`.
     """
     if box.dim_in != 2 or box.dim_out != 2:
         raise InvalidInputError("the ancilla scheme is implemented for qubit boxes")
-    if run.dim != 4:
-        raise InvalidShapeError("the source dimension does not match the run's Pauli set")
-    joint_out = box.probe_with_reference(_BELL).matrix[None]
-    probs = box._kept((_BELL, run.n_qubits), _born_rows, joint_out, run)
+    probs = _probe_rows(box, _BELL, run, lambda joint: box.probe_with_reference(joint).matrix[None])
     estimate = _drawn_estimates(probs, run, rng, (rng.stream_id,))[0]
     choi = 2.0 * estimate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     return ReconstructedProcess(choi, 2, 2)

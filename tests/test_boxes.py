@@ -1,8 +1,6 @@
 """Box models: pure-state branching, ensemble response, composition, game pairs."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -153,72 +151,6 @@ def test_linear_box_single_branch_needs_no_rng():
     box = LinearBox(QuantumChannel.from_unitary(RY45))
     ((_, out),) = box.branch_distribution(ket(0))
     assert abs(abs(out.overlap(PureState(RY45[:, 0]))) - 1) < 1e-12
-
-
-def test_linear_box_builds_its_probe_outputs_once_per_basis_across_threads():
-    boxes = [LinearBox(random_channel(2, 2, RngStream(30, 7 + k))) for k in range(20)]
-    basis = canonical_probe_basis(2, 0.3)
-    joint = PureState.haar(4, RngStream(30, 42))
-    start = threading.Barrier(8)
-    seen = []
-    seen_joint = []
-
-    def probe():
-        start.wait(timeout=10)
-        seen.append([box.probe_outputs(basis) for box in boxes])
-        seen_joint.append([box.probe_with_reference(joint) for box in boxes])
-
-    threads = [threading.Thread(target=probe) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(seen) == 8
-    for k, box in enumerate(boxes):
-        first = box.probe_outputs(basis)
-        assert all(outputs[k] is first for outputs in seen), k
-        assert not first.flags.writeable
-        want = np.array([box.ensemble_output_density(p).matrix for p in basis.states])
-        assert np.array_equal(first, want)
-        first_joint = box.probe_with_reference(joint)
-        assert all(outputs[k] is first_joint for outputs in seen_joint), k
-    other = canonical_probe_basis(2, 0.0)
-    assert not np.array_equal(boxes[0].probe_outputs(other), boxes[0].probe_outputs(basis))
-
-
-def test_linear_box_keys_its_probe_outputs_by_the_basis_states():
-    box = LinearBox(QuantumChannel.amplitude_damping(0.3))
-    basis = canonical_probe_basis(2, 0.3)
-    # a basis hashes and compares by the identities of its states
-    same_states = ProbeBasis(basis.states)
-    assert same_states == basis and hash(same_states) == hash(basis)
-    assert box.probe_outputs(same_states) is box.probe_outputs(basis)
-    copies = ProbeBasis(tuple(PureState(s.vector.copy()) for s in basis.states))
-    assert copies != basis
-    assert box.probe_outputs(copies) is not box.probe_outputs(basis)
-    assert np.array_equal(box.probe_outputs(copies), box.probe_outputs(basis))
-
-
-def test_linear_box_builds_its_joint_output_once_per_probe():
-    from qdata.boxes import BoxModel
-
-    box = LinearBox(QuantumChannel.amplitude_damping(0.3))
-    joint = PureState.haar(4, RngStream(30, 40))
-    first = box.probe_with_reference(joint)
-    assert box.probe_with_reference(joint) is first
-    assert not first.matrix.flags.writeable
-    assert np.array_equal(first.matrix, BoxModel.probe_with_reference(box, joint).matrix)
-    # keyed by the probe's identity: an equal copy gets its own, equal, output
-    copy = PureState(joint.vector.copy())
-    assert box.probe_with_reference(copy) is not first
-    assert np.array_equal(box.probe_with_reference(copy).matrix, first.matrix)
-    with pytest.raises(InvalidShapeError):
-        box.probe_with_reference(PureState.haar(3, RngStream(30, 41)))
 
 
 # ---------------------------------------------------------------- nonlinear boxes
@@ -1050,10 +982,11 @@ def test_output_densities_of_ensemble_rows_equal_their_ensembles_bit_for_bit():
         output_densities([NonlinearBloch(2.0)], qutrit_rows)
 
 
-# ---------------------------------------------------------------- kept probe outputs
+# ---------------------------------------------------------------- probe outputs
 
 
-def _kept_families() -> dict:
+def _probe_families() -> dict:
+    """One box of each family, a stock and a custom-stage composite among them."""
     damping = LinearBox(QuantumChannel.amplitude_damping(0.3))
     return {
         "nonlinear-bloch": NonlinearBloch(2.5, pre_unitary=RY45),
@@ -1062,77 +995,6 @@ def _kept_families() -> dict:
         "custom-composed": ComposedBox([damping, _HalfBranches()]),
         "linear": LinearBox(random_channel(2, 2, RngStream(57, 1))),
     }
-
-
-def _counting_exact_outputs(monkeypatch) -> list:
-    """Count each probe stack and each joint output a box computes."""
-    from qdata.boxes import BoxModel
-
-    computed = []
-    for cls, name in ((BoxModel, "_probe_stack"), (LinearBox, "_probe_stack"), (BoxModel, "_joint_output")):
-        compute = cls.__dict__[name]
-
-        def counting(self, probe, compute=compute):
-            computed.append((self, probe))
-            return compute(self, probe)
-
-        monkeypatch.setattr(cls, name, counting)
-    return computed
-
-
-@pytest.mark.parametrize("family", list(_kept_families()))
-def test_every_family_keeps_one_read_only_output_per_probe_across_threads(family, monkeypatch):
-    from qdata.boxes import _branch_sum
-
-    box = _kept_families()[family]
-    bases = [canonical_probe_basis(2, d) for d in (0.0, 0.3, 1.1)]
-    joints = [max_entangled(2), PureState.haar(4, RngStream(57, 2)), PureState.haar(6, RngStream(57, 3))]
-    computed = _counting_exact_outputs(monkeypatch)
-    start = threading.Barrier(8)
-    seen = []
-
-    def probe():
-        start.wait(timeout=10)
-        seen.append(([box.probe_outputs(b) for b in bases], [box.probe_with_reference(j) for j in joints]))
-
-    threads = [threading.Thread(target=probe) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(seen) == 8
-    # racing threads may each compute a probe, but all of them keep the first
-    kept_outputs, kept_joints = seen[0]
-    for outputs, joint_outputs in seen:
-        assert all(a is b for a, b in zip(outputs, kept_outputs))
-        assert all(a is b for a, b in zip(joint_outputs, kept_joints))
-    computed.clear()
-    assert all(a is b for a, b in zip((box.probe_outputs(b) for b in bases), kept_outputs))
-    assert all(a is b for a, b in zip((box.probe_with_reference(j) for j in joints), kept_joints))
-    assert computed == []
-    fresh = _kept_families()[family]
-    for basis, outputs in zip(bases, kept_outputs):
-        assert not outputs.flags.writeable
-        assert outputs.tobytes() == output_densities([fresh], basis.states)[0].tobytes()
-    for joint, output in zip(joints, kept_joints):
-        assert not output.matrix.flags.writeable
-        ref = joint.dim // 2
-        want = _branch_sum(fresh.joint_branches(joint, ref), 2 * ref)
-        assert output.matrix.tobytes() == want.matrix.tobytes()
-
-
-def test_a_probe_given_as_a_vector_is_computed_and_not_kept():
-    box = NonlinearBloch(2.0)
-    vector = max_entangled(2).vector.copy()
-    first = box.probe_with_reference(vector)
-    assert box.probe_with_reference(vector) is not first
-    assert np.array_equal(box.probe_with_reference(vector).matrix, first.matrix)
-    assert box.__dict__.get("_memo", {}) == {}
 
 
 def test_a_tomography_job_pair_probes_each_distinct_basis_of_a_box_once(monkeypatch):
@@ -1156,22 +1018,24 @@ def test_a_tomography_job_pair_probes_each_distinct_basis_of_a_box_once(monkeypa
     assert len(stacks) == 3 and len(rows) == 4
 
 
-@pytest.mark.parametrize("family", list(_kept_families()))
+@pytest.mark.parametrize("family", list(_probe_families()))
 def test_a_mismatched_probe_or_run_raises_and_leaves_no_memo_entry(family):
-    from qdata import TomographyRun, process_tomography_ancilla, process_tomography_direct
+    from qdata import TomographyRun, process_tomography_ancilla, process_tomography_direct, tomography
 
-    box = _kept_families()[family]
+    box = _probe_families()[family]
     basis = canonical_probe_basis(2, 0.0)
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match="does not match the run's Pauli set"):
         process_tomography_direct(box, basis, TomographyRun(100, 2), RngStream(57, 7))
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match="does not match the run's Pauli set"):
         process_tomography_ancilla(box, TomographyRun(100), RngStream(57, 8))
+    with pytest.raises(InvalidShapeError):
+        process_tomography_direct(box, canonical_probe_basis(4), TomographyRun(100), RngStream(57, 9))
     with pytest.raises(InvalidShapeError):
         box.probe_outputs(canonical_probe_basis(4))
     with pytest.raises(InvalidShapeError):
         box.probe_with_reference(PureState.haar(3, RngStream(57, 9)))
-    assert box.__dict__.get("_memo", {}) == {}
-    # a matching run keeps the probe outputs and their Born rows, once
+    assert box not in tomography._kept_rows
+    # a matching run keeps the Born rows of the probe outputs, once
     process_tomography_direct(box, basis, TomographyRun(100), RngStream(57, 10))
     process_tomography_direct(box, basis, TomographyRun(100), RngStream(57, 11))
-    assert list(box.__dict__["_memo"]) == [basis, (basis, 1)]
+    assert list(tomography._kept_rows[box]) == [(basis, 1)]

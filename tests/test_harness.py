@@ -1,10 +1,12 @@
 """Scenario execution: report structure, determinism, crash isolation."""
 
 import copy
+import gc
 import importlib.util
 import json
 import math
 import pathlib
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -917,6 +919,27 @@ def test_every_declared_composition_gap_stacks_whole_blocks(monkeypatch):
         assert [(det, len(cells)) for det, cells in stacks] == [
             (det, size) for size in (64, 64, 22) for det in range(3)
         ], name
+
+
+def test_the_tomography_memo_holds_no_box_alive(monkeypatch):
+    from qdata import canonical_probe_basis, detectors, process_tomography_direct, tomography
+
+    monkeypatch.setattr(detectors, "_calibration_cache", {})
+    gc.collect()
+    before = len(tomography._kept_rows)
+    probed = []
+    probe_rows = tomography._probe_rows
+    monkeypatch.setattr(tomography, "_probe_rows", lambda box, *a: probed.append(weakref.ref(box)) or probe_rows(box, *a))
+    run_scenario(parse_scenario_dict(_benchmark_documents(1)["tomography-grid-0"]), threads=2)
+    gc.collect()
+    # every box the run tomographed, the calibrations' identity boxes among them, is gone
+    assert probed and all(ref() is None for ref in probed)
+    assert len(tomography._kept_rows) == before
+    box = NonlinearBloch(2.0)
+    process_tomography_direct(box, canonical_probe_basis(2), TomographyRun(64), RngStream(1, 1))
+    assert len(tomography._kept_rows) == before + 1
+    del box
+    assert len(tomography._kept_rows) == before
 
 
 class _FailingBox(LinearBox):

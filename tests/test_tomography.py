@@ -1,6 +1,8 @@
 """State and process reconstruction from finite measurement records."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from qdata import (
     trace_distance,
     uhlmann_fidelity,
 )
+from test_boxes import _probe_families
 
 
 def run1(shots):
@@ -169,6 +172,20 @@ def test_probe_basis_rotation_preserves_conditioning():
 def test_probe_basis_rejects_rank_deficient_sets():
     with pytest.raises(InvalidInputError):
         ProbeBasis((ket(0), ket(0), ket(0), ket(0)))
+
+
+def test_a_probe_basis_of_raw_vectors_is_the_basis_of_their_states():
+    vectors = [s.vector.copy() for s in canonical_probe_basis(2, 0.3).states]
+    raw = ProbeBasis(tuple(vectors))
+    wrapped = ProbeBasis(tuple(PureState(v) for v in vectors))
+    assert all(isinstance(s, PureState) for s in raw.states)
+    assert [s.vector.tobytes() for s in raw.states] == [s.vector.tobytes() for s in wrapped.states]
+    assert raw._unit_coefficients.tobytes() == wrapped._unit_coefficients.tobytes()
+    box = NonlinearBloch(2.0)
+    choi = process_tomography_direct(box, raw, run1(500), RngStream(4, 1)).choi
+    assert choi.tobytes() == process_tomography_direct(box, wrapped, run1(500), RngStream(4, 1)).choi.tobytes()
+    with pytest.raises(InvalidInputError, match="not normalized"):
+        ProbeBasis((np.array([1.0, 1.0]), *vectors[1:]))
 
 
 def test_direct_process_tomography_identity():
@@ -373,8 +390,9 @@ def test_every_shared_cached_array_is_read_only():
         shared += [probes._unit_coefficients, *(s.vector for s in probes.states)]
     shared += detectors._kernel_scan_operands(2, 2, 0)
     identity = LinearBox(QuantumChannel.identity(2))
-    shared.append(identity.probe_outputs(canonical_probe_basis(2)))
-    shared.append(identity.probe_with_reference(tomography._BELL).matrix)
+    process_tomography_direct(identity, canonical_probe_basis(2), run1(100), RngStream(1, 2))
+    process_tomography_ancilla(identity, run2(100), RngStream(1, 3))
+    shared += tomography._kept_rows[identity].values()
     shared += [s.vector for e in detectors.canonical_ensemble_pair() for s in e.states]
     shared += [s.vector for s in scenario._helstrom_setup((1.0, 2.0), (0.5, 0.5)).states]
     for array in shared:
@@ -646,3 +664,100 @@ def test_reconstructions_compare_by_identity_and_hash():
     twin = ReconstructedProcess(QuantumChannel.identity(2).choi, 2, 2)
     assert rec == rec and rec != twin
     assert hash(rec) == hash(rec) and len({rec, twin, rec}) == 2
+
+
+# ------------------------------------------------- kept Born rows
+
+
+def _tomograph_every_probe(box, bases, seed):
+    """A direct tomography of ``box`` on each basis, then an ancilla tomography."""
+    for k, basis in enumerate(bases):
+        process_tomography_direct(box, basis, run1(64), RngStream(seed, k))
+    process_tomography_ancilla(box, run2(64), RngStream(seed, len(bases)))
+
+
+@pytest.mark.parametrize("family", list(_probe_families()))
+def test_every_family_keeps_one_read_only_rows_object_per_probe_across_threads(family, monkeypatch):
+    from qdata import tomography
+
+    box = _probe_families()[family]
+    bases = [canonical_probe_basis(2, d) for d in (0.0, 0.3, 1.1)]
+    drawn = []
+    draw = tomography._drawn_estimates
+    monkeypatch.setattr(tomography, "_drawn_estimates", lambda probs, *a: drawn.append(probs) or draw(probs, *a))
+    start = threading.Barrier(8)
+
+    def tomograph():
+        start.wait(timeout=10)
+        _tomograph_every_probe(box, bases, 60)
+
+    threads = [threading.Thread(target=tomograph) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(drawn) == 8 * 4
+    kept = tomography._kept_rows[box]
+    assert set(kept) == {(b, 1) for b in bases} | {(tomography._BELL, 2)}
+    assert not any(rows.flags.writeable for rows in kept.values())
+    # racing threads may each compute a probe's rows, but all of them draw from the first
+    assert sorted(map(id, drawn)) == sorted(id(rows) for rows in kept.values() for _ in range(8))
+    computed = []
+    born = tomography._born_rows
+    monkeypatch.setattr(tomography, "_born_rows", lambda *a: computed.append(a) or born(*a))
+    for name in ("probe_outputs", "probe_with_reference"):
+        method = getattr(type(box), name)
+        monkeypatch.setattr(type(box), name, lambda self, p, method=method: computed.append(p) or method(self, p))
+    _tomograph_every_probe(box, bases, 61)
+    assert computed == []
+
+
+@pytest.mark.parametrize("family", list(_probe_families()))
+def test_kept_rows_are_the_born_rows_of_a_fresh_box_bit_for_bit(family):
+    from qdata import tomography
+    from qdata.tomography import _born_rows
+
+    box = _probe_families()[family]
+    bases = [canonical_probe_basis(2, d) for d in (0.0, 0.3, 1.1)]
+    _tomograph_every_probe(box, bases, 62)
+    kept = tomography._kept_rows[box]
+    fresh = _probe_families()[family]
+    for basis in bases:
+        assert kept[basis, 1].tobytes() == _born_rows(fresh.probe_outputs(basis), run1(64)).tobytes()
+    joint = fresh.probe_with_reference(max_entangled(2)).matrix[None]
+    assert kept[tomography._BELL, 2].tobytes() == _born_rows(joint, run2(64)).tobytes()
+    # a tomography that reads the kept rows draws what one on a fresh box draws
+    for k, basis in enumerate(bases):
+        args = (basis, run1(64), RngStream(63, k))
+        got = process_tomography_direct(box, *args).choi
+        assert got.tobytes() == process_tomography_direct(_probe_families()[family], *args).choi.tobytes()
+    got = process_tomography_ancilla(box, run2(64), RngStream(63, 3)).choi
+    assert got.tobytes() == process_tomography_ancilla(fresh, run2(64), RngStream(63, 3)).choi.tobytes()
+
+
+def test_a_state_never_changes_once_built():
+    from qdata import tomography
+
+    # a basis of copies keys the kept rows of a box by states that cannot move
+    copies = ProbeBasis(tuple(PureState(s.vector) for s in canonical_probe_basis(2).states))
+    box = NonlinearBloch(2.0)
+    first = process_tomography_direct(box, copies, run1(64), RngStream(64, 0)).choi
+    # a basis keys by the identities of its states
+    same = ProbeBasis(copies.states)
+    assert same == copies and hash(same) == hash(copies) and (same, 1) in tomography._kept_rows[box]
+    assert (canonical_probe_basis(2), 1) not in tomography._kept_rows[box]
+    with pytest.raises(ValueError, match="read-only"):
+        copies.states[2].vector[:] = ket(1).vector
+    again = process_tomography_direct(box, copies, run1(64), RngStream(64, 0)).choi
+    fresh = process_tomography_direct(NonlinearBloch(2.0), copies, run1(64), RngStream(64, 0)).choi
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
+    # a state copies the caller's array, so writing into that array moves nothing
+    vector = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    state = PureState(vector)
+    vector[:] = [1.0, 0.0]
+    assert state.vector.tobytes() == (np.array([1.0, 1.0j]) / np.sqrt(2.0)).tobytes()
