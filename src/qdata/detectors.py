@@ -670,23 +670,64 @@ def _kernel_scan_operands(da: int, db: int, sender: int) -> tuple[np.ndarray, np
     return operands, norms
 
 
-def _kernel_direction(choi4, dims, sender: int) -> float:
-    """Largest normalized marginal response on the receiver side.
+@functools.cache
+def _kernel_scan_terms(da: int, db: int) -> tuple:
+    """Both directions' operands as their nonzero entries, built once per
+    ``(da, db)`` and shared: ``(rows, cols, vals, norms, count)``.
+
+    Operand k of the sender-0 stack (``count`` of them) followed by the
+    sender-1 stack of :func:`_kernel_scan_operands` holds ``vals[k, t]`` at
+    ``(rows[k, t], cols[k, t])``, in row-major order.  A Hermitian basis
+    element has at most one nonzero per row, and so has a kron of two, so
+    every other entry is zero; operands with fewer nonzeros are padded at the
+    end with zero-valued terms.  ``norms`` are the operands' trace norms.
+    The arrays are read-only.
+    """
+    (first, first_norms), (second, second_norms) = (_kernel_scan_operands(da, db, s) for s in (0, 1))
+    operands = np.concatenate([first, second])
+    entries = [np.nonzero(operand) for operand in operands]
+    width = max(len(rows) for rows, _ in entries)
+    rows, cols = np.zeros((2, len(operands), width), dtype=np.intp)
+    vals = np.zeros((len(operands), width), dtype=complex)
+    for k, (r, c) in enumerate(entries):
+        rows[k, : len(r)], cols[k, : len(c)], vals[k, : len(r)] = r, c, operands[k, r, c]
+    norms = np.concatenate([first_norms, second_norms])
+    for array in (rows, cols, vals, norms):
+        array.flags.writeable = False
+    return rows, cols, vals, norms, len(first)
+
+
+def _kernel_scan(choi4, dims) -> tuple[float, float]:
+    """Largest normalized marginal response on the receiver side, per sender.
 
     Scans Hermitian basis elements traceless on the sender tensored with
     arbitrary basis elements on the receiver; for each, the receiver
     marginal of the output is compared with the input's size in trace norm.
-    The swap channel attains 1.  All operands go through the channel as one
-    stack; the stack and its trace norms are built once per shape.
+    The swap channel attains 1 in both directions.  Both directions' operands
+    go through the channel as one stack of their nonzero entries
+    (:func:`_kernel_scan_terms`): each output sums its terms in row-major
+    order from 0.0, as the dense ``einsum("kij,iajb->kab")`` accumulates, so
+    the skipped zero terms change no bit.  Equal local dimensions take one
+    eigensolve for both directions' marginals.
     """
     da, db = dims
-    operands, norms = _kernel_scan_operands(da, db, sender)
-    outputs = np.einsum("kij,iajb->kab", operands, choi4)
+    rows, cols, vals, norms, count = _kernel_scan_terms(da, db)
+    # adding 0.0 to the sum from the first term is the sum from 0.0: only a -0.0 changes
+    outputs = np.add.reduce(vals[:, :, None, None] * choi4[rows, :, cols, :], axis=1) + 0.0
+    outputs = outputs.reshape(-1, da, db, da, db)
     # partial trace over the sender, by reshape
-    trace_out = "kxaxb->kab" if sender == 0 else "kaxbx->kab"
-    marginals = np.einsum(trace_out, outputs.reshape(-1, da, db, da, db))
-    ratios = trace_norms(marginals) / norms
-    return max(0.0, float(np.max(ratios)))
+    marginals = (np.einsum("kxaxb->kab", outputs[:count]), np.einsum("kaxbx->kab", outputs[count:]))
+    if da == db:
+        sizes = trace_norms(np.concatenate(marginals))
+    else:
+        sizes = np.concatenate([trace_norms(marginal) for marginal in marginals])
+    ratios = sizes / norms
+    return max(0.0, float(np.max(ratios[:count]))), max(0.0, float(np.max(ratios[count:])))
+
+
+def _kernel_direction(choi4, dims, sender: int) -> float:
+    """The kernel scan's value for one sender: ``_kernel_scan(choi4, dims)[sender]``."""
+    return _kernel_scan(choi4, dims)[sender]
 
 
 def nsq_signalling_measure(lambda_ab: QuantumChannel, local_dims: tuple) -> tuple[float, float]:
@@ -695,9 +736,7 @@ def nsq_signalling_measure(lambda_ab: QuantumChannel, local_dims: tuple) -> tupl
     (Beckman et al., PRA 64, 052309), so the kernel scan decides it exactly
     and the measure draws nothing.
     """
-    dims = _local_dims(local_dims, lambda_ab)
-    choi4 = lambda_ab.choi4
-    return _kernel_direction(choi4, dims, sender=0), _kernel_direction(choi4, dims, sender=1)
+    return _kernel_scan(lambda_ab.choi4, _local_dims(local_dims, lambda_ab))
 
 
 def nsq_random_survey(
@@ -728,7 +767,8 @@ def nsq_random_survey(
     ``child(1)``.  Samples are built in blocks of ``NSQ_BLOCK``, each block
     as one stack (:func:`qdata.channels._random_channels`, and
     :func:`qdata.channels._tensors` for the products), bit for bit the
-    one-sample channels; each sample is then scanned on its own.
+    one-sample channels; each sample is then scanned on its own, both
+    directions in one pass (:func:`nsq_signalling_measure`).
     """
     n_samples = as_integer(n_samples, "n_samples", least=1)
     da, db = _local_dims(local_dims)

@@ -34,7 +34,8 @@ tomography computes nothing exact a second time on a box, and an entry
 dies with its box: the identity box of a null calibration builds and
 checks each probe's rows once, not once per replication, and pays only
 for its draws.  A probe can key them because a state's vector is
-read-only (``PureState``).
+read-only (``PureState``); a ProbeBasis keys them by its vectors' bytes,
+so a caller's fresh basis of the same vectors adds no entry.
 
 Each linear map is built once, read-only, by the object that owns it: one
 Pauli table per qubit count (the set, its stacked effects and its
@@ -196,8 +197,10 @@ def _probe_rows(box, probe, run: TomographyRun, outputs) -> np.ndarray:
 
     They are computed the first time the box meets the probe and the set and
     then kept in ``_kept_rows`` for as long as the box lives, keyed by the
-    box's identity and the probe, whose state vectors cannot change.  Racing
-    threads keep the first value; rows that fail :func:`_born_rows` are not kept.
+    box's identity and the probe, whose state vectors cannot change: a
+    ProbeBasis by their bytes, so fresh bases of the same vectors share one
+    entry.  Racing threads keep the first value; rows that fail
+    :func:`_born_rows` are not kept.
     """
     key = (probe, run.n_qubits)
     rows = _kept_rows.get(box, {}).get(key)
@@ -288,10 +291,15 @@ class ProbeBasis:
     ``_unit_coefficients[i, j]`` expresses the operator unit |i><j| over the
     probe projectors.  For the canonical delta = 0 qubit basis, row (0, 1) is
     E(|0><1|) = E(P_+) + i E(P_+i) - (1+i)/2 (E(P_0) + E(P_1)).
+
+    Bases compare and hash by ``_content``, the bytes of their read-only
+    state vectors, taken once at construction: two bases of the same vectors
+    are equal, so they key the same rows the tomography keeps.
     """
 
-    states: tuple
+    states: tuple = field(compare=False)
     _unit_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    _content: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         states = tuple(map(as_state, self.states))
@@ -308,6 +316,7 @@ class ProbeBasis:
         coeffs.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_unit_coefficients", coeffs)
+        object.__setattr__(self, "_content", b"".join(s.vector.tobytes() for s in states))
 
     @property
     def dim(self) -> int:

@@ -577,7 +577,7 @@ def _kernel_direction_loop(choi4, dims, sender):
     return worst
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_kernel_scan_is_bitwise_the_per_pair_loop(dims):
     da, db = dims
     root = RngStream(59, 9)
@@ -816,6 +816,26 @@ def test_kernel_operands_are_built_once_and_read_only(da, db, sender):
     for array in (operands, norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_kernel_scan_terms_scatter_back_to_both_operand_stacks(da, db):
+    rows, cols, vals, norms, count = detectors._kernel_scan_terms(da, db)
+    (first, first_norms), (second, second_norms) = (detectors._kernel_scan_operands(da, db, s) for s in (0, 1))
+    dense = np.zeros((len(vals), da * db, da * db), dtype=complex)
+    for k in range(len(vals)):
+        # padded terms are zero-valued, so adding them leaves the entry they land on
+        np.add.at(dense[k], (rows[k], cols[k]), vals[k])
+    assert np.array_equal(dense, np.concatenate([first, second])) and count == len(first)
+    assert np.array_equal(norms, np.concatenate([first_norms, second_norms]))
+    # each operand's terms run in row-major order, padding last
+    for k in range(len(vals)):
+        nonzero = vals[k] != 0
+        assert np.all(nonzero[: nonzero.sum()]) and np.all(np.diff(rows[k][nonzero]) > 0)
+    assert detectors._kernel_scan_terms(da, db)[0] is rows
+    for array in (rows, cols, vals, norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_detector_counts_must_be_integers():

@@ -389,6 +389,7 @@ def test_every_shared_cached_array_is_read_only():
         probes = canonical_probe_basis(m, delta)
         shared += [probes._unit_coefficients, *(s.vector for s in probes.states)]
     shared += detectors._kernel_scan_operands(2, 2, 0)
+    shared += detectors._kernel_scan_terms(2, 3)[:4]
     identity = LinearBox(QuantumChannel.identity(2))
     process_tomography_direct(identity, canonical_probe_basis(2), run1(100), RngStream(1, 2))
     process_tomography_ancilla(identity, run2(100), RngStream(1, 3))
@@ -747,10 +748,10 @@ def test_a_state_never_changes_once_built():
     copies = ProbeBasis(tuple(PureState(s.vector) for s in canonical_probe_basis(2).states))
     box = NonlinearBloch(2.0)
     first = process_tomography_direct(box, copies, run1(64), RngStream(64, 0)).choi
-    # a basis keys by the identities of its states
+    # a basis keys by the bytes of its state vectors, so the canonical basis finds the same rows
     same = ProbeBasis(copies.states)
     assert same == copies and hash(same) == hash(copies) and (same, 1) in tomography._kept_rows[box]
-    assert (canonical_probe_basis(2), 1) not in tomography._kept_rows[box]
+    assert (canonical_probe_basis(2), 1) in tomography._kept_rows[box]
     with pytest.raises(ValueError, match="read-only"):
         copies.states[2].vector[:] = ket(1).vector
     again = process_tomography_direct(box, copies, run1(64), RngStream(64, 0)).choi
@@ -761,3 +762,23 @@ def test_a_state_never_changes_once_built():
     state = PureState(vector)
     vector[:] = [1.0, 0.0]
     assert state.vector.tobytes() == (np.array([1.0, 1.0j]) / np.sqrt(2.0)).tobytes()
+
+
+def test_fresh_bases_of_the_same_vectors_keep_one_entry():
+    from qdata import tomography
+
+    box = NonlinearBloch(2.0)
+    vectors = [s.vector for s in canonical_probe_basis(2).states]
+    chois = {
+        process_tomography_direct(box, ProbeBasis(vectors), run1(64), RngStream(65, 0)).choi.tobytes()
+        for _ in range(200)
+    }
+    assert len(tomography._kept_rows[box]) == 1 and len(chois) == 1
+    fresh = process_tomography_direct(NonlinearBloch(2.0), canonical_probe_basis(2), run1(64), RngStream(65, 0))
+    assert chois == {fresh.choi.tobytes()}
+    # a basis of other vectors keeps rows of its own
+    rotated = ProbeBasis([s.vector for s in canonical_probe_basis(2, 0.7).states])
+    process_tomography_direct(box, rotated, run1(64), RngStream(65, 1))
+    kept = tomography._kept_rows[box]
+    assert len(kept) == 2 and rotated != ProbeBasis(vectors)
+    assert kept[rotated, 1].tobytes() != kept[canonical_probe_basis(2), 1].tobytes()
